@@ -22,16 +22,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .collision import check_motion, free_mask, motion_configs
+from .collision import check_motion, free_mask, motions_free
 from .core import (BACKWARD, FORWARD, GOAL_IN_COLLISION, OK, Path, PlannerResult,
-                   Query, goal_satisfied, validate_query)
+                   Query, goal_representative, goal_satisfied, validate_query)
 from .errors import ContractViolation, ParseError, ValidationError
 from .robot import RobotModel, as_configuration, config_distance
 from .world import GoalSpec, WorldModel
 
 import yaml
-
-from .rrt_connect import _goal_representative
 
 # Sentinel lattice node for the off-lattice goal configuration reached by the
 # adaptive goal-snap primitive.  The empty tuple cannot be a real state
@@ -203,19 +201,23 @@ def parse_primitives(text: str, robot: RobotModel) -> MotionPrimitiveSet:
 
 
 def heuristic(state: tuple[int, ...], goal: GoalSpec, robot: RobotModel) -> float:
-    """Metric distance from the decoded state to the goal.
+    """Metric distance from the decoded state to the goal's box.
 
-    Config goals measure to the target configuration; region goals measure to
-    the closest point of the region box.  Both are consistent with the edge
-    costs because edges are priced by the same metric.
+    A config goal's box is the target plus or minus its tolerance (the target
+    itself without one); a region goal's box is the region.  The distance is
+    taken to the closest point of the box, so it is 0 on every state that
+    satisfies the goal, and it is consistent with the edge costs because
+    edges are priced by the same metric.
     """
     if state == GOAL_NODE:
         return 0.0
     q = decode(robot, state)
     if goal.kind == "config":
-        return config_distance(robot, q, goal.target)
-    clamped = np.clip(q, goal.lower, goal.upper)
-    return config_distance(robot, q, clamped)
+        # Clamp the offset from the target, so the test matches goal_satisfied.
+        tol = goal.tolerance if goal.tolerance is not None else 0.0
+        offset = q - goal.target
+        return config_distance(robot, offset, np.clip(offset, -tol, tol))
+    return config_distance(robot, q, np.clip(q, goal.lower, goal.upper))
 
 
 def successors(state: tuple[int, ...], primitives: MotionPrimitiveSet,
@@ -260,13 +262,9 @@ def successors(state: tuple[int, ...], primitives: MotionPrimitiveSet,
                 pending.append((GOAL_NODE, goal_config, d, state, True))
 
     if pending:
-        stacks = [motion_configs(robot, q, q2, edge_step) for _, q2, _, _, _ in pending]
-        lengths = [s.shape[0] for s in stacks]
-        free = free_mask(robot, world, np.vstack(stacks), stats=stats)
-        offset = 0
-        for (node, _, cost, key, is_snap), length in zip(pending, lengths):
-            ok = bool(free[offset : offset + length].all())
-            offset += length
+        free = motions_free(robot, world, q, np.array([q2 for _, q2, _, _, _ in pending]),
+                            edge_step, stats=stats)
+        for (node, _, cost, key, is_snap), ok in zip(pending, free.tolist()):
             if cache is not None:
                 if is_snap:
                     cache.snap[key] = ok
@@ -455,7 +453,7 @@ def plan_ara_star(robot: RobotModel, world: WorldModel, query: Query,
                                     time.perf_counter() - t0, stats)
 
     rng = np.random.default_rng(params.seed)
-    representative = _goal_representative(robot, world, query.goal, rng)
+    representative = goal_representative(robot, world, query.goal, rng)
     if representative is None:
         return PlannerResult.unsolvable(GOAL_IN_COLLISION,
                                         time.perf_counter() - t0, stats)

@@ -11,6 +11,7 @@ import argparse
 import csv
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +24,8 @@ from .core import SOLVED, UNSOLVABLE, path_cost, query_from_scenario, validate_p
 from .errors import PlanbenchError
 from .params import PlannerParams, load_params
 from .rrt_connect import plan_rrt_connect
-from .world import (OBJECTS_ONLY, PLUS_HEIGHT, PLUS_ROTATION, Scenario,
-                    generate_variations, load_scenario, serialize_scenario)
+from .world import (OBJECTS_ONLY, PLUS_HEIGHT, PLUS_ROTATION, generate_variations,
+                    load_scenario, serialize_scenario)
 
 _FAMILIES = {"objects": OBJECTS_ONLY, "height": PLUS_HEIGHT, "rotation": PLUS_ROTATION}
 
@@ -93,19 +94,11 @@ def _cmd_gen(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     robot_abs = (base_path.parent / base.robot_file).resolve()
-    for index, scenario in enumerate(variations):
-        named = Scenario(
-            name=f"{base.name}_{index:03d}",
-            robot_file=_relative_or_absolute(robot_abs, out_dir),
-            robot=scenario.robot,
-            start=scenario.start,
-            goal=scenario.goal,
-            world=scenario.world,
-            time_budget=scenario.time_budget,
-            variation=scenario.variation,
-        )
-        target = out_dir / f"{named.name}.scenario"
-        target.write_text(serialize_scenario(named), encoding="utf-8")
+    robot_file = _relative_or_absolute(robot_abs, out_dir)
+    for scenario in variations:
+        target = out_dir / f"{scenario.name}.scenario"
+        target.write_text(serialize_scenario(replace(scenario, robot_file=robot_file)),
+                          encoding="utf-8")
     print(f"wrote {len(variations)} scenarios to {out_dir}")
     return 0
 

@@ -30,6 +30,7 @@ FORWARD = "forward"
 BACKWARD = "backward"
 
 _REGION_VALIDATION_SAMPLES = 32
+_GOAL_SAMPLE_ATTEMPTS = 32
 
 
 @dataclass(frozen=True)
@@ -119,6 +120,25 @@ def region_samples(robot: RobotModel, goal: GoalSpec, seed: int,
     center = (lo + hi) / 2.0
     samples = rng.uniform(lo, hi, size=(count, robot.dof))
     return np.vstack([center[None, :], samples])
+
+
+def goal_representative(robot: RobotModel, world: WorldModel, goal: GoalSpec,
+                        rng: np.random.Generator) -> np.ndarray | None:
+    """A free configuration inside the goal, or None when none was found.
+
+    A config goal is represented by its target; a region goal by the first
+    free one of up to 32 uniform draws from ``rng`` over the region clipped to
+    the joint limits.
+    """
+    if goal.kind == "config":
+        return np.asarray(goal.target, dtype=float)
+    lo = np.maximum(goal.lower, robot.lower)
+    hi = np.minimum(goal.upper, robot.upper)
+    for _ in range(_GOAL_SAMPLE_ATTEMPTS):
+        q = rng.uniform(lo, hi)
+        if check_config(robot, world, q).is_free:
+            return q
+    return None
 
 
 def validate_query(robot: RobotModel, world: WorldModel, query: Query,

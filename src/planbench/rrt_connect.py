@@ -5,6 +5,18 @@ toward the sample by at most ``step_eta`` (weighted distance), then greedily
 connects the other tree toward the freshly added node; tree roles swap every
 iteration.  Solutions are reported with direction "forward" always: the
 bidirectional growth is internal.
+
+The planner runs these iterations in speculative batches.  Samples depend
+only on the random stream, not on the trees, so the extends of the next
+``BATCH`` iterations are steered against the current trees and all of their
+motions are checked in one collision call, together with the first step of
+the pending connect.  Results are then taken in iteration order up to and
+including the first extend that is not trapped; the samples after it stay
+queued and are steered again against the grown trees.  Most extends and most
+first connect steps are trapped, so most batches commit several iterations,
+and the trees, paths and counters are exactly those of the sequential loop.
+Only ``collision_checks`` differs: it also counts the configurations of the
+speculative motions whose results were discarded.
 """
 
 from __future__ import annotations
@@ -14,12 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collision import check_config, check_motion
+from .collision import motions_free
 from .core import (FORWARD, GOAL_IN_COLLISION, OK, PlannerResult, Path,
-                   Query, goal_satisfied, validate_query)
+                   Query, goal_representative, goal_satisfied, validate_query)
 from .errors import ContractViolation, ValidationError
-from .robot import RobotModel, as_configuration, config_distance, sample_uniform
-from .world import GoalSpec, WorldModel
+from .robot import RobotModel, as_configuration, config_distance
+from .world import WorldModel
 
 REACHED = "reached"
 ADVANCED = "advanced"
@@ -29,7 +41,10 @@ START_TREE = "start_tree"
 GOAL_TREE = "goal_tree"
 
 _ZERO_DISTANCE = 1e-12
-_GOAL_SAMPLE_ATTEMPTS = 32
+# Extends checked speculatively per collision call.  A larger batch spreads
+# the fixed cost of a call over more motions but wastes more of the
+# configurations checked after the first extend that is not trapped.
+BATCH = 4
 
 
 @dataclass(frozen=True)
@@ -54,7 +69,7 @@ class Tree:
     """A rooted tree of configurations backed by growable numpy buffers.
 
     Node 0 is the root and is its own parent.  Every non-root edge was
-    validated by ``check_motion`` at insertion time.
+    validated at insertion time, sampled as ``check_motion`` samples it.
     """
 
     def __init__(self, robot: RobotModel, root, root_kind: str):
@@ -101,16 +116,57 @@ class Tree:
         return chain
 
 
-def nearest(tree: Tree, q) -> int:
-    """Index of the tree node closest to q in the weighted metric.
+def nearest(tree: Tree, targets) -> np.ndarray:
+    """Index of the tree node closest to each row of ``targets`` (k, n) in
+    the weighted metric.
 
     Implemented as an exact linear scan; ties break to the lowest index.
     """
     if tree.size < 1:
         raise ContractViolation("nearest requires a non-empty tree")
-    q = as_configuration(tree.robot, q)
-    diff = tree.nodes - q
-    return int(np.argmin(np.sum(diff * diff * tree.robot.weights, axis=1)))
+    targets = np.asarray(targets, dtype=float)
+    if targets.ndim != 2 or targets.shape[1] != tree.robot.dof:
+        raise ContractViolation(
+            f"targets have shape {targets.shape}, expected (k, {tree.robot.dof})")
+    diff = tree.nodes[None, :, :] - targets[:, None, :]
+    return np.argmin(np.sum(diff * diff * tree.robot.weights, axis=2), axis=1)
+
+
+def _steps(jobs, params: RrtParams, robot: RobotModel, world: WorldModel,
+           stats: dict | None = None) -> list[list]:
+    """Steer each (tree, target) job and check every motion in one call.
+
+    Returns, per job, [nearest node index, new configuration, reached,
+    free].  The new configuration is the target itself when it lies within
+    ``step_eta`` (reached), else the point at distance ``step_eta`` toward
+    it; it is None, with free True, when the target coincides with its
+    nearest node.
+    """
+    steps: list = [None] * len(jobs)
+    motions = []  # (job, nearest node, new configuration)
+    for tree in dict.fromkeys(tree for tree, _ in jobs):
+        members = [i for i, (t, _) in enumerate(jobs) if t is tree]
+        near = nearest(tree, np.array([jobs[i][1] for i in members]))
+        for i, k in zip(members, near.tolist()):
+            q_near, target = tree.nodes[k], jobs[i][1]
+            d = config_distance(robot, q_near, target)
+            if d <= _ZERO_DISTANCE:
+                steps[i] = [k, None, True, True]
+                continue
+            if d <= params.step_eta:
+                q_new, reached = target, True
+            else:
+                q_new = q_near + (params.step_eta / d) * (target - q_near)
+                reached = False
+            steps[i] = [k, q_new, reached, None]
+            motions.append((i, q_near, q_new))
+    if motions:
+        free = motions_free(robot, world, np.array([m[1] for m in motions]),
+                            np.array([m[2] for m in motions]), params.edge_step,
+                            stats=stats)
+        for (i, _, _), ok in zip(motions, free.tolist()):
+            steps[i][3] = ok
+    return steps
 
 
 def extend(tree: Tree, target, params: RrtParams, robot: RobotModel,
@@ -123,17 +179,11 @@ def extend(tree: Tree, target, params: RrtParams, robot: RobotModel,
     unchanged.
     """
     target = as_configuration(robot, target)
-    near_index = nearest(tree, target)
-    near = tree.config(near_index)
-    d = config_distance(robot, near, target)
-    if d <= _ZERO_DISTANCE:
+    near_index, q_new, reached, free = _steps([(tree, target)], params, robot,
+                                              world, stats=stats)[0]
+    if q_new is None:
         return REACHED, near_index  # degenerate: do not duplicate the node
-    if d <= params.step_eta:
-        q_new, reached = target, True
-    else:
-        q_new = near + (params.step_eta / d) * (target - near)
-        reached = False
-    if not check_motion(robot, world, near, q_new, params.edge_step, stats=stats):
+    if not free:
         return TRAPPED, None
     index = tree.add(q_new, near_index)
     return (REACHED if reached else ADVANCED), index
@@ -158,20 +208,6 @@ def connect(tree: Tree, target, params: RrtParams, robot: RobotModel,
             return TRAPPED, last
 
 
-def _goal_representative(robot: RobotModel, world: WorldModel, goal: GoalSpec,
-                         rng: np.random.Generator) -> np.ndarray | None:
-    """A free configuration inside the goal to root the goal tree at."""
-    if goal.kind == "config":
-        return np.asarray(goal.target, dtype=float)
-    lo = np.maximum(goal.lower, robot.lower)
-    hi = np.minimum(goal.upper, robot.upper)
-    for _ in range(_GOAL_SAMPLE_ATTEMPTS):
-        q = rng.uniform(lo, hi)
-        if check_config(robot, world, q).is_free:
-            return q
-    return None
-
-
 def _join_paths(start_tree: Tree, start_meet: int, goal_tree: Tree,
                 goal_meet: int) -> np.ndarray:
     """Start-tree branch root->meet followed by the reversed goal branch."""
@@ -186,7 +222,10 @@ def plan_rrt_connect(robot: RobotModel, world: WorldModel, query: Query,
                      params: RrtParams) -> PlannerResult:
     """Plan with RRT-Connect under the query's wall-clock budget.
 
-    Deterministic given (query, params): the seed drives all sampling.
+    Deterministic given (query, params): the seed drives all sampling.  The
+    iterations run in speculative batches (see the module docstring) with
+    the trees, path and counters of the sequential loop, except
+    ``collision_checks``, which also counts the speculative configurations.
     """
     t0 = time.perf_counter()
     deadline = t0 + query.time_budget
@@ -200,35 +239,68 @@ def plan_rrt_connect(robot: RobotModel, world: WorldModel, query: Query,
         return PlannerResult.solved(path, FORWARD, time.perf_counter() - t0, stats)
 
     rng = np.random.default_rng(params.seed)
-    goal_rep = _goal_representative(robot, world, query.goal, rng)
+    goal_rep = goal_representative(robot, world, query.goal, rng)
     if goal_rep is None:
         return PlannerResult.unsolvable(
             GOAL_IN_COLLISION, time.perf_counter() - t0, stats)
 
-    tree_a = Tree(robot, query.start, START_TREE)
-    tree_b = Tree(robot, goal_rep, GOAL_TREE)
+    # Iteration i (counted from 0) extends trees[i % 2] toward sample i and
+    # then connects trees[(i + 1) % 2] toward the new node.
+    trees = (Tree(robot, query.start, START_TREE), Tree(robot, goal_rep, GOAL_TREE))
+    queue = np.empty((0, robot.dof))  # samples of the iterations not yet run
+    pending = None  # node added by the last extend; its connect has not begun
 
     while True:
-        if time.perf_counter() >= deadline:
+        count = BATCH
+        if params.max_iterations is not None:
+            count = min(count, params.max_iterations - stats["iterations"])
+        if pending is None and (count == 0 or time.perf_counter() >= deadline):
             break
-        if params.max_iterations is not None and stats["iterations"] >= params.max_iterations:
-            break
-        stats["iterations"] += 1
-        q_rand = sample_uniform(robot, rng)
-        stats["samples"] += 1
-        status, new_index = extend(tree_a, q_rand, params, robot, world, stats=stats)
-        if status != TRAPPED:
-            status_b, meet_b = connect(tree_b, tree_a.config(new_index), params,
-                                       robot, world, stats=stats, deadline=deadline)
-            if status_b == REACHED:
-                if tree_a.root_kind == START_TREE:
-                    waypoints = _join_paths(tree_a, new_index, tree_b, meet_b)
+        if len(queue) < count:
+            queue = np.vstack([queue, rng.uniform(
+                robot.lower, robot.upper, size=(count - len(queue), robot.dof))])
+        turn = stats["iterations"] % 2
+        jobs = [(trees[(turn + p) % 2], queue[p]) for p in range(count)]
+        if pending is not None:
+            target = trees[1 - turn].config(pending)
+            jobs.insert(0, (trees[turn], target))
+        steps = _steps(jobs, params, robot, world, stats=stats)
+
+        if pending is not None:
+            new_index, pending = pending, None
+            near_index, q_new, reached, free = steps.pop(0)
+            if free:
+                # The first step reached the target or grew trees[turn], which
+                # makes the batch's extends stale: finish the connect alone.
+                if q_new is None:
+                    meet = near_index
                 else:
-                    waypoints = _join_paths(tree_b, meet_b, tree_a, new_index)
-                stats["nodes"] = tree_a.size + tree_b.size
+                    meet = trees[turn].add(q_new, near_index)
+                    if not reached:
+                        if time.perf_counter() >= deadline:
+                            continue
+                        status, meet = connect(trees[turn], target, params, robot,
+                                               world, stats=stats, deadline=deadline)
+                        if status != REACHED:
+                            continue
+                ends = (new_index, meet) if turn == 1 else (meet, new_index)
+                waypoints = _join_paths(trees[0], ends[0], trees[1], ends[1])
+                stats["nodes"] = trees[0].size + trees[1].size
                 return PlannerResult.solved(
                     Path(waypoints), FORWARD, time.perf_counter() - t0, stats)
-        tree_a, tree_b = tree_b, tree_a
 
-    stats["nodes"] = tree_a.size + tree_b.size
+        done = 0
+        for p, (near_index, q_new, _, free) in enumerate(steps):
+            if time.perf_counter() >= deadline:
+                break
+            done += 1
+            if free:
+                tree = trees[(turn + p) % 2]
+                pending = near_index if q_new is None else tree.add(q_new, near_index)
+                break
+        stats["iterations"] += done
+        stats["samples"] += done
+        queue = queue[done:]
+
+    stats["nodes"] = trees[0].size + trees[1].size
     return PlannerResult.timeout(time.perf_counter() - t0, stats)

@@ -465,6 +465,8 @@ def _rotated(center: np.ndarray, yaw: float) -> np.ndarray:
 def generate_variations(base: Scenario, family: str, count: int, seed: int) -> list[Scenario]:
     """Generate ``count`` perturbed copies of a scenario, deterministically.
 
+    Variation i is named ``{base.name}_{i:03d}``.
+
     ``objects_only`` jitters movable-object centers in xy; ``plus_height``
     additionally shifts shelf and contents by one shared z offset;
     ``plus_rotation`` additionally rotates shelf and contents about the robot
@@ -499,5 +501,6 @@ def generate_variations(base: Scenario, family: str, count: int, seed: int) -> l
                 o = obstacles[idx]
                 new_yaw = o.yaw + dyaw if o.shape != SPHERE else 0.0
                 obstacles[idx] = replace(o, center=_rotated(o.center, dyaw), yaw=new_yaw)
-        out.append(replace(base, world=WorldModel(tuple(obstacles))))
+        out.append(replace(base, name=f"{base.name}_{i:03d}",
+                           world=WorldModel(tuple(obstacles))))
     return out

@@ -2,8 +2,9 @@
 
 Everything here is deliberately written from scratch against the documented
 behavior: homogeneous-matrix forward kinematics, scalar pairwise collision
-classification, Monte-Carlo shape membership, and a Dijkstra search over the
-lattice successor graph.  None of it reuses the package's geometry kernels.
+classification, Monte-Carlo shape membership, a Dijkstra search over the
+lattice successor graph, and the sequential RRT-Connect loop.  None of it
+reuses the package's geometry kernels.
 """
 
 from __future__ import annotations
@@ -14,7 +15,10 @@ import math
 import numpy as np
 
 from planbench.ara_star import GOAL_NODE, decode, successors
-from planbench.robot import PRISMATIC
+from planbench.core import OK, goal_representative, goal_satisfied, validate_query
+from planbench.robot import PRISMATIC, sample_uniform
+from planbench.rrt_connect import (GOAL_TREE, REACHED, START_TREE, TRAPPED, Tree,
+                                   connect, extend)
 
 
 # ---------------------------------------------------------------------------
@@ -263,3 +267,54 @@ def dijkstra_lattice(robot, world, primitives, start_state, goal, edge_step,
                 dist[nxt] = nd
                 heapq.heappush(heap, (nd, nxt))
     return None
+
+
+# ---------------------------------------------------------------------------
+# RRT-Connect as the sequential loop: one sample, one extend, one connect.
+
+def rrt_connect_sequential(robot, world, query, params):
+    """(status, waypoints, stats) of the textbook RRT-Connect loop.
+
+    Each iteration draws one sample, extends one tree toward it, connects
+    the other tree toward the new node when the extend was not trapped, and
+    swaps the trees.  There is no clock: the loop ends when the trees meet
+    or after ``params.max_iterations`` iterations, so the query must be
+    solvable or the iterations bounded.  Stats hold samples, iterations and
+    nodes; status is "solved", "unsolvable" or "failure_timeout".
+    """
+    stats = {"samples": 0, "iterations": 0, "nodes": 0}
+    if validate_query(robot, world, query, seed=params.seed) != OK:
+        return "unsolvable", None, stats
+    if goal_satisfied(query.goal, query.start):
+        return "solved", query.start[None, :].copy(), stats
+    rng = np.random.default_rng(params.seed)
+    goal_rep = goal_representative(robot, world, query.goal, rng)
+    if goal_rep is None:
+        return "unsolvable", None, stats
+    tree_a = Tree(robot, query.start, START_TREE)
+    tree_b = Tree(robot, goal_rep, GOAL_TREE)
+    while params.max_iterations is None or stats["iterations"] < params.max_iterations:
+        stats["iterations"] += 1
+        stats["samples"] += 1
+        status, new_index = extend(tree_a, sample_uniform(robot, rng), params, robot, world)
+        if status != TRAPPED:
+            status_b, meet = connect(tree_b, tree_a.config(new_index), params, robot, world)
+            if status_b == REACHED:
+                stats["nodes"] = tree_a.size + tree_b.size
+                ends = {tree_a.root_kind: new_index, tree_b.root_kind: meet}
+                trees = {tree_a.root_kind: tree_a, tree_b.root_kind: tree_b}
+                return "solved", _joined(trees[START_TREE], ends[START_TREE],
+                                         trees[GOAL_TREE], ends[GOAL_TREE]), stats
+        tree_a, tree_b = tree_b, tree_a
+    stats["nodes"] = tree_a.size + tree_b.size
+    return "failure_timeout", None, stats
+
+
+def _joined(start_tree, start_meet, goal_tree, goal_meet):
+    """Root-to-meet branch of the start tree, then the goal tree's branch
+    from the meet back to its root, with a shared meet waypoint kept once."""
+    first = [start_tree.config(i) for i in start_tree.branch(start_meet)]
+    second = [goal_tree.config(i) for i in reversed(goal_tree.branch(goal_meet))]
+    if np.array_equal(first[-1], second[0]):
+        second = second[1:]
+    return np.array(first + second)

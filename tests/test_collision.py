@@ -4,12 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from planbench.collision import (CollisionKind, check_config, check_motion,
-                                 motion_configs, sphere_obstacle_distance)
+from planbench.collision import (CollisionKind, _motion_stack, check_config,
+                                 check_motion, free_mask, motion_configs,
+                                 motions_free, sphere_obstacle_distance)
+from planbench.data import data_path
 from planbench.errors import ContractViolation
 from planbench.robot import CollisionSphere, RobotModel, sample_uniform
-from planbench.world import Obstacle, WorldModel
+from planbench.world import Obstacle, WorldModel, load_scenario
 
 from conftest import gantry_robot, make_joint, random_robot, random_world
 from oracles import (brute_force_check, result_tuple,
@@ -232,11 +236,70 @@ class TestCheckMotion:
             check_motion(robot, WorldModel(()), [1, 1], [2, 1], 0.0)
 
 
+class TestMotionsFree:
+    def test_stack_equals_motion_configs_bitwise(self):
+        rng = np.random.default_rng(41)
+        robot = random_robot(rng, n_spheres=3)
+        for _ in range(200):
+            k = int(rng.integers(1, 17))
+            starts = rng.uniform(robot.lower, robot.upper, size=(k, robot.dof))
+            scale = rng.choice([0.0, 1e-13, 0.01, 0.3, 2.0], size=(k, 1))
+            ends = starts + scale * rng.normal(size=(k, robot.dof))
+            step = float(rng.choice([0.005, 0.05, 0.13]))
+            configs, offsets = _motion_stack(robot, starts, ends, step)
+            want = [motion_configs(robot, a, b, step) for a, b in zip(starts, ends)]
+            assert offsets.tolist() == np.cumsum([0] + [len(w) for w in want[:-1]]).tolist()
+            assert configs.tobytes() == np.vstack(want).tobytes()
+
+    def test_verdicts_match_check_motion(self):
+        rng = np.random.default_rng(43)
+        robot = one_sphere_robot()
+        for _ in range(40):
+            world = random_world(rng, count=3, span=3.0)
+            starts = rng.uniform(robot.lower, robot.upper, size=(8, robot.dof))
+            ends = starts + rng.normal(size=(8, robot.dof))
+            stats = {}
+            got = motions_free(robot, world, starts, ends, 0.05, stats=stats)
+            want = [check_motion(robot, world, a, b, 0.05) for a, b in zip(starts, ends)]
+            assert got.tolist() == want
+            # Every configuration is checked, with no early stop.
+            assert stats["collision_checks"] == sum(
+                len(motion_configs(robot, a, b, 0.05)) for a, b in zip(starts, ends))
+
+    def test_shared_start_row(self):
+        robot = one_sphere_robot()
+        world = WorldModel((Obstacle.sphere((3.0, 1.0, 0.0), 0.3),))
+        got = motions_free(robot, world, [1.0, 1.0], [[5.0, 1.0], [1.0, 3.0]], 0.05)
+        assert got.tolist() == [False, True]
+
+
+SHELF = load_scenario(data_path("scenarios", "shelf_reach.yaml"))
+
+
 class TestBatchScalarAgreement:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 150))
+    def test_shelf_verdict_independent_of_stack(self, seed, m):
+        # Batched extension relies on this: a configuration's verdict does not
+        # depend on the stack it is checked in, its position there, or the
+        # single-configuration path.
+        robot, world = SHELF.robot, SHELF.world
+        rng = np.random.default_rng(seed)
+        configs = rng.uniform(robot.lower - 0.05, robot.upper + 0.05, size=(m, robot.dof))
+        # Half the rows lie on motions out of the start, many near contact.
+        near = rng.random(m) < 0.5
+        configs[near] = SHELF.start + rng.random((int(near.sum()), 1)) * (
+            configs[near] - SHELF.start)
+        mask = free_mask(robot, world, configs)
+        order = rng.permutation(m)
+        assert free_mask(robot, world, configs[order]).tolist() == mask[order].tolist()
+        for k in range(m):
+            assert free_mask(robot, world, configs[k : k + 1])[0] == mask[k]
+            assert check_config(robot, world, configs[k]).is_free == mask[k]
+
     def test_free_mask_matches_check_config(self):
         # The batch and single-configuration paths share one kernel and must
         # agree on every input, including near-contact cases.
-        from planbench.collision import free_mask
         rng = np.random.default_rng(29)
         robot = random_robot(rng, n_spheres=4)
         for _ in range(50):

@@ -6,6 +6,7 @@ import pytest
 from planbench.ara_star import (GOAL_NODE, MotionPrimitiveSet, decode,
                                 default_primitives, discretize, heuristic,
                                 lattice_max_coords, parse_primitives, successors)
+from planbench.core import goal_satisfied
 from planbench.errors import ValidationError
 from planbench.robot import RobotModel, config_distance, sample_uniform, within_limits
 from planbench.world import GoalSpec, Obstacle, WorldModel
@@ -161,6 +162,41 @@ class TestHeuristic:
         r1 = RobotModel(joints=(make_joint("a", limits=(0.0, 10.0), resolution=1.0),))
         goal = GoalSpec.config_goal([5.0], [0.0])
         assert heuristic((0,), goal, r1) == pytest.approx(5.0)
+
+    def test_zero_inside_config_tolerance(self, robot):
+        # (3, 3) lies inside the +-0.25 box, 0.28 away from its target.
+        goal = GoalSpec.config_goal([3.2, 3.2], [0.25, 0.25])
+        assert goal_satisfied(goal, decode(robot, (6, 6)))
+        assert heuristic((6, 6), goal, robot) == 0.0
+        assert heuristic((4, 6), goal, robot) == pytest.approx(0.95)  # to x = 2.95
+
+    def test_zero_on_every_goal_satisfying_state(self):
+        # Toleranced config goals (the backward search uses half a cell) and
+        # region goals, with boundary states hit exactly.
+        rng = np.random.default_rng(71)
+        satisfied = 0
+        for _ in range(40):
+            robot = random_robot(rng, dof=int(rng.integers(2, 4)), n_spheres=1,
+                                 lattice_cells=(5, 10))
+            max_coords = lattice_max_coords(robot)
+            center = tuple(int(rng.integers(0, c + 1)) for c in max_coords)
+            cells = rng.integers(0, 3, size=robot.dof)
+            goals = [
+                GoalSpec.config_goal(decode(robot, center), robot.resolutions / 2.0),
+                GoalSpec.config_goal(decode(robot, center) + robot.resolutions / 3.0,
+                                     cells * robot.resolutions),
+                GoalSpec.region_goal(decode(robot, center) - cells * robot.resolutions,
+                                     decode(robot, center) + robot.resolutions * 0.7),
+            ]
+            for state in np.ndindex(*(max_coords + 1)):
+                for goal in goals:
+                    h = heuristic(state, goal, robot)
+                    if goal_satisfied(goal, decode(robot, state)):
+                        satisfied += 1
+                        assert h == 0.0, (state, goal)
+                    else:
+                        assert h > 0.0
+        assert satisfied > 100
 
     def test_goal_node_has_zero_heuristic(self, robot):
         goal = GoalSpec.config_goal([3.0, 3.0], [0.0, 0.0])

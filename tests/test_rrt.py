@@ -1,19 +1,24 @@
 """RRT-Connect: tree mechanics, extend/connect semantics, full planning."""
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from planbench.core import (FORWARD, SOLVED, UNSOLVABLE, BUDGET_GRACE, Query,
-                            SearchGraph, validate_path)
-from planbench.errors import ValidationError
+                            SearchGraph, query_from_scenario, validate_path)
+from planbench.data import data_path
+from planbench.errors import ContractViolation, ValidationError
+from planbench.params import load_params
 from planbench.robot import config_distance, sample_uniform
 from planbench.rrt_connect import (ADVANCED, REACHED, TRAPPED, RrtParams, Tree,
                                    connect, extend, nearest, plan_rrt_connect)
-from planbench.world import GoalSpec, Obstacle, WorldModel
+from planbench.world import (GoalSpec, Obstacle, WorldModel, generate_variations,
+                             load_scenario)
 
 from conftest import gantry_robot
+from oracles import rrt_connect_sequential
 
 
 @pytest.fixture
@@ -27,27 +32,36 @@ PARAMS = RrtParams(step_eta=0.5, edge_step=0.05, seed=0)
 class TestNearest:
     def test_single_node(self, robot):
         tree = Tree(robot, [1.0, 1.0], "start_tree")
-        assert nearest(tree, [5.0, 5.0]) == 0
+        assert nearest(tree, [[5.0, 5.0]]).tolist() == [0]
 
     def test_existing_node_lowest_index_tie(self, robot):
         tree = Tree(robot, [1.0, 1.0], "start_tree")
         tree.add(np.array([2.0, 2.0]), 0)
         tree.add(np.array([2.0, 2.0]), 0)  # duplicate: tie breaks to index 1
-        assert nearest(tree, [2.0, 2.0]) == 1
+        assert nearest(tree, [[2.0, 2.0]]).tolist() == [1]
+
+    def test_rejects_a_single_configuration(self, robot):
+        tree = Tree(robot, [1.0, 1.0], "start_tree")
+        with pytest.raises(ContractViolation):
+            nearest(tree, [2.0, 2.0])
 
     def test_matches_linear_scan_oracle(self, robot):
         rng = np.random.default_rng(21)
-        for _ in range(1000):
+        for _ in range(300):
             tree = Tree(robot, sample_uniform(robot, rng), "start_tree")
             for _ in range(int(rng.integers(1, 30))):
                 tree.add(sample_uniform(robot, rng), 0)
-            q = sample_uniform(robot, rng)
-            best, best_d = 0, None
-            for i in range(tree.size):
-                d = config_distance(robot, tree.nodes[i], q)
-                if best_d is None or d < best_d:
-                    best, best_d = i, d
-            assert nearest(tree, q) == best
+            targets = np.array([sample_uniform(robot, rng)
+                                for _ in range(int(rng.integers(1, 6)))])
+            want = []
+            for q in targets:
+                best, best_d = 0, None
+                for i in range(tree.size):
+                    d = config_distance(robot, tree.nodes[i], q)
+                    if best_d is None or d < best_d:
+                        best, best_d = i, d
+                want.append(best)
+            assert nearest(tree, targets).tolist() == want
 
 
 class TestExtend:
@@ -211,3 +225,109 @@ class TestTreeInvariants:
             RrtParams(step_eta=0.01, edge_step=0.05)
         with pytest.raises(ValidationError):
             RrtParams(max_iterations=0)
+
+
+# ---------------------------------------------------------------------------
+# The batched loop against the sequential reference loop.
+
+REAL_DEFAULT_RNG = np.random.default_rng
+
+
+class ScriptedRng:
+    """A generator whose uniform draws come from a real one, except that the
+    rows numbered in ``script`` (counted over every call) are replaced."""
+
+    def __init__(self, seed, script):
+        self._rng = REAL_DEFAULT_RNG(seed)
+        self._script = script
+        self._row = 0
+
+    def uniform(self, low, high, size=None):
+        out = self._rng.uniform(low, high, size)
+        for row in np.atleast_2d(out):
+            if self._row in self._script:
+                row[:] = self._script[self._row]
+            self._row += 1
+        return out
+
+
+def assert_same_as_sequential(robot, world, query, params):
+    result = plan_rrt_connect(robot, world, query, params)
+    status, waypoints, stats = rrt_connect_sequential(robot, world, query, params)
+    assert result.status == status
+    if waypoints is None:
+        assert result.path is None
+    else:
+        assert result.path.waypoints.tobytes() == waypoints.tobytes()
+    assert {key: result.stats[key] for key in stats} == stats
+    return result
+
+
+TUNED = load_params(data_path("params", "shelf_tuned.yaml"))
+
+
+class TestSequentialEquivalence:
+    @pytest.mark.parametrize("index", range(6))
+    def test_shelf_variations(self, index):
+        base = load_scenario(data_path("scenarios", "shelf_easy.yaml"))
+        scenario = generate_variations(base, "objects_only", 6, seed=7)[index]
+        query = query_from_scenario(replace(scenario, time_budget=600.0),
+                                    TUNED.goal_tolerance_default)
+        for seed in range(3):
+            result = assert_same_as_sequential(
+                scenario.robot, scenario.world, query,
+                replace(TUNED.rrt_connect, seed=seed))
+            assert result.status == SOLVED
+
+    @pytest.mark.parametrize("max_iterations", [1, 2, 3, 7])
+    def test_bounded_iterations(self, robot, max_iterations):
+        world = shelf_world()
+        goal = GoalSpec.config_goal([5.0, 1.0], [0.0, 0.0])
+        query = Query(start=[1.0, 1.0], goal=goal, time_budget=600.0)
+        for seed in range(12):
+            params = RrtParams(seed=seed, max_iterations=max_iterations)
+            result = assert_same_as_sequential(robot, world, query, params)
+            assert result.stats["iterations"] <= max_iterations
+
+    def test_connect_of_the_last_allowed_iteration_runs(self, robot, empty_world):
+        # The first extend advances and its connect reaches the goal tree.
+        goal = GoalSpec.config_goal([2.0, 1.0], [0.0, 0.0])
+        query = Query(start=[1.0, 1.0], goal=goal, time_budget=600.0)
+        result = assert_same_as_sequential(robot, empty_world, query,
+                                           RrtParams(seed=0, max_iterations=1))
+        assert result.status == SOLVED and result.stats["iterations"] == 1
+
+    def test_region_goal(self, robot):
+        goal = GoalSpec.region_goal([4.5, 0.5], [5.5, 1.5])
+        query = Query(start=[1.0, 1.0], goal=goal, time_budget=600.0)
+        for seed in range(5):
+            result = assert_same_as_sequential(robot, shelf_world(), query,
+                                               RrtParams(seed=seed))
+            assert result.status == SOLVED
+
+    @pytest.mark.parametrize("script_rows, max_iterations", [
+        ((0, 2, 6, 11), None),  # extends of the start tree toward its root
+        ((1, 5, 8), None),  # rows 1 and 5 hit the goal root, row 8 the start root
+        ((0, 1, 2, 3), 3),
+    ])
+    def test_degenerate_extends(self, robot, monkeypatch, script_rows, max_iterations):
+        start, goal_q = np.array([1.0, 1.0]), np.array([5.0, 1.0])
+        script = {row: (goal_q if row % 2 else start) for row in script_rows}
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: ScriptedRng(seed, script))
+        query = Query(start=start, goal=GoalSpec.config_goal(goal_q, [0.0, 0.0]),
+                      time_budget=600.0)
+        for seed in range(3):
+            assert_same_as_sequential(robot, shelf_world(), query,
+                                      RrtParams(seed=seed, max_iterations=max_iterations))
+
+    def test_degenerate_connect_step(self, robot, empty_world, monkeypatch):
+        # Sample 0 is the goal itself: the start tree reaches it, and the
+        # connect's first step finds it already in the goal tree.
+        start, goal_q = np.array([1.0, 1.0]), np.array([1.4, 1.0])
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: ScriptedRng(seed, {0: goal_q}))
+        query = Query(start=start, goal=GoalSpec.config_goal(goal_q, [0.0, 0.0]),
+                      time_budget=600.0)
+        result = assert_same_as_sequential(robot, empty_world, query, RrtParams(seed=0))
+        assert result.status == SOLVED and result.stats["nodes"] == 3

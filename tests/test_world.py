@@ -216,7 +216,13 @@ class TestVariations:
         degenerate = replace(base, variation=var)
         out = generate_variations(degenerate, "plus_rotation", 1, seed=5)
         assert len(out) == 1
-        assert out[0] == degenerate
+        assert out[0] == replace(degenerate, name=f"{base.name}_000")
+
+    @pytest.mark.parametrize("family", ["objects_only", "plus_height", "plus_rotation"])
+    def test_variations_have_unique_indexed_names(self, tmp_path, gantry_file, family):
+        base = shelf_scenario(tmp_path, gantry_file)
+        names = [s.name for s in generate_variations(base, family, 12, seed=4)]
+        assert names == [f"{base.name}_{i:03d}" for i in range(12)]
 
     def test_deterministic(self, tmp_path, gantry_file):
         base = shelf_scenario(tmp_path, gantry_file)
