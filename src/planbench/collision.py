@@ -27,7 +27,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ContractViolation
-from .robot import RobotModel, as_configuration, config_distance, sphere_centers_batch
+from .robot import RobotModel, as_configuration, sphere_centers_batch
 from .world import BOX, CYLINDER, SPHERE, Obstacle, WorldModel
 
 _MOTION_CHUNK = 64
@@ -227,27 +227,18 @@ def motion_configs(robot: RobotModel, a, b, step: float) -> np.ndarray:
     """Evenly spaced configurations along the segment, endpoints exact."""
     a = as_configuration(robot, a)
     b = as_configuration(robot, b)
-    if not step > 0:
-        raise ContractViolation("motion step must be positive")
-    d = config_distance(robot, a, b)
-    count = int(math.ceil(d / step)) + 1
-    ts = np.linspace(0.0, 1.0, count)
-    configs = a[None, :] + ts[:, None] * (b - a)[None, :]
-    configs[0] = a
-    configs[-1] = b
-    return configs
+    return _motion_stack(robot, a[None, :], b[None, :], step)[0]
 
 
 def _motion_stack(robot: RobotModel, starts: np.ndarray, ends: np.ndarray,
                   step: float) -> tuple[np.ndarray, np.ndarray]:
-    """``motion_configs`` of every motion starts[i] -> ends[i], stacked, and
+    """The configurations of every motion starts[i] -> ends[i], stacked, and
     the row at which each motion begins.
 
-    The rows equal ``motion_configs`` bit for bit: the distances use the
-    same dot product and the parameter spacing is computed as
-    ``np.linspace`` computes it.  Five motions cost about as much as two
-    ``motion_configs`` calls, but one motion costs more than one call, so
-    ``check_motion`` keeps ``motion_configs``.
+    A motion of weighted length d gets ceil(d / step) + 1 configurations,
+    endpoints exact.  The length is computed as ``config_distance`` computes
+    it and the parameter spacing as ``np.linspace`` computes it, so each
+    motion's rows do not depend on the other motions in the stack.
     """
     if not step > 0:
         raise ContractViolation("motion step must be positive")

@@ -1,10 +1,16 @@
 """Independent reference implementations used to cross-check the package.
 
-Everything here is deliberately written from scratch against the documented
-behavior: homogeneous-matrix forward kinematics, scalar pairwise collision
-classification, Monte-Carlo shape membership, a Dijkstra search over the
-lattice successor graph, and the sequential RRT-Connect loop.  None of it
-reuses the package's geometry kernels.
+Most of it is written from scratch against the documented behavior:
+homogeneous-matrix forward kinematics, scalar pairwise collision
+classification, Monte-Carlo shape membership, ``np.linspace`` motion
+sampling and a Dijkstra search over the lattice successor graph; none of
+that reuses the package's geometry kernels.  The sequential RRT-Connect loop
+is the exception: it is built from the package's public ``extend``,
+``connect`` and ``sample_uniform``, which share their steering, nearest-node
+scan and motion sampling with the batched planner, so comparing the two
+checks only how the batched loop orders and commits iterations.  Steering
+inputs and motion sampling are checked on their own, against the linear-scan
+``nearest`` oracle and against ``linspace_motion`` bit for bit.
 """
 
 from __future__ import annotations
@@ -116,6 +122,19 @@ def sphere_obstacle_distance_oracle(center, radius, obstacle):
     else:
         d = point_sphere_distance(center, obstacle.center, obstacle.radius)
     return d - radius
+
+
+def linspace_motion(robot, a, b, step):
+    """Configurations along a -> b at ceil(d / step) + 1 ``np.linspace``
+    parameters, endpoints overwritten with a and b exactly."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    d = math.sqrt(float(np.dot((a - b) * (a - b), robot.weights)))
+    ts = np.linspace(0.0, 1.0, int(math.ceil(d / step)) + 1)
+    configs = a[None, :] + ts[:, None] * (b - a)[None, :]
+    configs[0] = a
+    configs[-1] = b
+    return configs
 
 
 def brute_force_check(robot, world, q):

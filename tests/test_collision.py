@@ -16,7 +16,7 @@ from planbench.robot import CollisionSphere, RobotModel, sample_uniform
 from planbench.world import Obstacle, WorldModel, load_scenario
 
 from conftest import gantry_robot, make_joint, random_robot, random_world
-from oracles import (brute_force_check, result_tuple,
+from oracles import (brute_force_check, linspace_motion, result_tuple,
                      sphere_obstacle_distance_oracle,
                      sphere_penetrates_monte_carlo)
 
@@ -237,19 +237,21 @@ class TestCheckMotion:
 
 
 class TestMotionsFree:
-    def test_stack_equals_motion_configs_bitwise(self):
+    def test_stack_equals_linspace_reference_bitwise(self):
         rng = np.random.default_rng(41)
-        robot = random_robot(rng, n_spheres=3)
-        for _ in range(200):
+        for i in range(200):
+            robot = SHELF.robot if i % 4 == 0 else random_robot(rng, n_spheres=3)
             k = int(rng.integers(1, 17))
             starts = rng.uniform(robot.lower, robot.upper, size=(k, robot.dof))
             scale = rng.choice([0.0, 1e-13, 0.01, 0.3, 2.0], size=(k, 1))
             ends = starts + scale * rng.normal(size=(k, robot.dof))
             step = float(rng.choice([0.005, 0.05, 0.13]))
             configs, offsets = _motion_stack(robot, starts, ends, step)
-            want = [motion_configs(robot, a, b, step) for a, b in zip(starts, ends)]
+            want = [linspace_motion(robot, a, b, step) for a, b in zip(starts, ends)]
             assert offsets.tolist() == np.cumsum([0] + [len(w) for w in want[:-1]]).tolist()
             assert configs.tobytes() == np.vstack(want).tobytes()
+            for a, b, w in zip(starts, ends, want):
+                assert motion_configs(robot, a, b, step).tobytes() == w.tobytes()
 
     def test_verdicts_match_check_motion(self):
         rng = np.random.default_rng(43)

@@ -47,7 +47,7 @@ class TestNearest:
 
     def test_matches_linear_scan_oracle(self, robot):
         rng = np.random.default_rng(21)
-        for _ in range(300):
+        for _ in range(1000):
             tree = Tree(robot, sample_uniform(robot, rng), "start_tree")
             for _ in range(int(rng.integers(1, 30))):
                 tree.add(sample_uniform(robot, rng), 0)
