@@ -1,24 +1,14 @@
 """Motion planning on a shared substrate: RRT-Connect and ARA* over motion
 primitives, plus the benchmark harness that compares them."""
 
-from .ara_star import (AraParams, MotionPrimitiveSet, SearchStats, ara_search,
-                       decode, default_primitives, discretize, heuristic,
-                       parse_primitives, plan_ara_star, successors)
+from .ara_star import AraParams, default_primitives, plan_ara_star
 from .bench import (BenchmarkReport, RunRecord, aggregate, emit_report,
-                    parse_records, run_suite)
-from .collision import (CollisionKind, CollisionResult, check_config,
-                        check_motion, sphere_obstacle_distance)
-from .core import (Path, PlannerResult, Query, SearchGraph, goal_satisfied,
-                   path_cost, query_from_scenario, validate_path, validate_query)
+                    parse_records, plan, run_one, run_suite)
+from .core import Query, validate_path
 from .errors import (ContractViolation, ParseError, PlanbenchError,
                      ValidationError)
-from .params import PlannerParams, load_params, parse_params
-from .robot import (CollisionSphere, JointSpec, PlacedSphere, RobotModel,
-                    config_distance, forward_kinematics, interpolate,
-                    load_robot, parse_robot, sample_uniform, within_limits)
-from .rrt_connect import RrtParams, Tree, connect, extend, nearest, plan_rrt_connect
-from .world import (GoalSpec, Obstacle, Scenario, VariationSpec, WorldModel,
-                    generate_variations, load_scenario, parse_scenario,
-                    serialize_scenario)
+from .params import PlannerParams, load_params
+from .rrt_connect import RrtParams, plan_rrt_connect
+from .world import GoalSpec, generate_variations, load_scenario
 
 __version__ = "0.1.0"

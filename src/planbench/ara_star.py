@@ -25,11 +25,9 @@ import numpy as np
 from .collision import check_motion, free_mask, motions_free
 from .core import (BACKWARD, FORWARD, GOAL_IN_COLLISION, OK, Path, PlannerResult,
                    Query, goal_representative, goal_satisfied, validate_query)
-from .errors import ContractViolation, ParseError, ValidationError
+from .errors import ContractViolation, ValidationError, parse_mapping
 from .robot import RobotModel, as_configuration, config_distance
 from .world import GoalSpec, WorldModel
-
-import yaml
 
 # Sentinel lattice node for the off-lattice goal configuration reached by the
 # adaptive goal-snap primitive.  The empty tuple cannot be a real state
@@ -184,39 +182,23 @@ _PRIMITIVES_KEYS = {"primitives", "snap_radius"}
 
 def parse_primitives(text: str, robot: RobotModel) -> MotionPrimitiveSet:
     """Parse a primitives document: extra vectors plus the snap radius."""
-    try:
-        doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        mark = getattr(exc, "problem_mark", None)
-        raise ParseError(f"malformed primitives document: {exc}",
-                         line=None if mark is None else mark.line + 1) from exc
-    if not isinstance(doc, dict):
-        raise ValidationError("primitives document must be a mapping")
-    unknown = set(doc) - _PRIMITIVES_KEYS
-    if unknown:
-        raise ValidationError(f"unknown primitives keys: {sorted(unknown)}")
-    snap = doc.get("snap_radius")
-    return default_primitives(robot, extra_vectors=doc.get("primitives") or (),
-                              snap_radius=None if snap is None else float(snap))
+    def build(doc):
+        snap = doc.get("snap_radius")
+        return default_primitives(robot, extra_vectors=doc.get("primitives") or (),
+                                  snap_radius=None if snap is None else float(snap))
+    return parse_mapping(text, "primitives", _PRIMITIVES_KEYS, build)
 
 
 def heuristic(state: tuple[int, ...], goal: GoalSpec, robot: RobotModel) -> float:
     """Metric distance from the decoded state to the goal's box.
 
-    A config goal's box is the target plus or minus its tolerance (the target
-    itself without one); a region goal's box is the region.  The distance is
-    taken to the closest point of the box, so it is 0 on every state that
-    satisfies the goal, and it is consistent with the edge costs because
-    edges are priced by the same metric.
+    The distance is taken to the closest point of the box, so it is 0 on
+    every state that satisfies the goal, and it is consistent with the edge
+    costs because edges are priced by the same metric.
     """
     if state == GOAL_NODE:
         return 0.0
     q = decode(robot, state)
-    if goal.kind == "config":
-        # Clamp the offset from the target, so the test matches goal_satisfied.
-        tol = goal.tolerance if goal.tolerance is not None else 0.0
-        offset = q - goal.target
-        return config_distance(robot, offset, np.clip(offset, -tol, tol))
     return config_distance(robot, q, np.clip(q, goal.lower, goal.upper))
 
 
@@ -275,13 +257,6 @@ def successors(state: tuple[int, ...], primitives: MotionPrimitiveSet,
     return results
 
 
-def _goal_config_for(goal: GoalSpec) -> np.ndarray | None:
-    """Snap target: config goals expose their target, regions have none."""
-    if goal.kind == "config":
-        return np.asarray(goal.target, dtype=float)
-    return None
-
-
 def ara_search(start_state: tuple[int, ...], goal: GoalSpec,
                primitives: MotionPrimitiveSet, params: AraParams,
                robot: RobotModel, world: WorldModel,
@@ -298,7 +273,7 @@ def ara_search(start_state: tuple[int, ...], goal: GoalSpec,
     Tie-breaking is deterministic: equal keys prefer larger cost-to-come,
     then lexicographically smaller states.
     """
-    goal_config = _goal_config_for(goal)
+    goal_config = goal.target  # the goal-snap target; regions have none
     if cache is None:
         cache = LatticeCache()
     search_stats = SearchStats()

@@ -3,8 +3,9 @@
 Both planners are exercised under identical conditions: same scenarios, same
 budgets, same collision substrate, and seeds derived as
 ``base_seed + scenario_index * repetitions + repetition`` so runs are
-reproducible regardless of worker scheduling.  Wall-clock planning time is
-measured around the plan call only and uses a monotonic clock.
+reproducible regardless of worker scheduling.  A run's planning time is the
+one the planner reports, measured by its own monotonic clock from its first
+step to its result.
 
 Records carry the status taxonomy of PlannerResult (solved-forward,
 solved-backward, failure, unsolvable) plus an "error" status for per-record
@@ -19,14 +20,14 @@ import io
 import math
 import os
 import statistics
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .ara_star import MotionPrimitiveSet, default_primitives, plan_ara_star
-from .core import BACKWARD, FAILURE_TIMEOUT, SOLVED, UNSOLVABLE, path_cost, query_from_scenario
+from .core import (BACKWARD, FAILURE_TIMEOUT, SOLVED, UNSOLVABLE, PlannerResult,
+                   path_cost, query_from_scenario)
 from .errors import ContractViolation, PlanbenchError
 from .params import PlannerParams
 from .rrt_connect import plan_rrt_connect
@@ -125,21 +126,31 @@ def _status_of(result) -> str:
     return UNSOLVABLE
 
 
+def plan(scenario: Scenario, planner: str, params: PlannerParams,
+         seed: int | None = None,
+         primitives: MotionPrimitiveSet | None = None) -> PlannerResult:
+    """Plan one scenario with the planner named ``planner``.
+
+    A ``seed`` replaces the seeds in ``params``; ARA* searches with
+    ``primitives``, the robot's default primitives when None.
+    """
+    if seed is not None:
+        params = params.with_seed(seed)
+    query = query_from_scenario(scenario, params.goal_tolerance_default)
+    robot, world = scenario.robot, scenario.world
+    if planner == RRT_CONNECT:
+        return plan_rrt_connect(robot, world, query, params.rrt_connect)
+    if planner == ARA_STAR:
+        return plan_ara_star(robot, world, query,
+                             primitives or default_primitives(robot), params.ara_star)
+    raise ContractViolation(f"unknown planner {planner!r}")
+
+
 def run_one(scenario: Scenario, planner: str, params: PlannerParams, seed: int,
             primitives: MotionPrimitiveSet | None = None) -> RunRecord:
     """Execute a single query; harness failures become an error record."""
     try:
-        query = query_from_scenario(scenario, params.goal_tolerance_default)
-        seeded = params.with_seed(seed)
-        t0 = time.perf_counter()
-        if planner == RRT_CONNECT:
-            result = plan_rrt_connect(scenario.robot, scenario.world, query,
-                                      seeded.rrt_connect)
-        else:
-            prim = primitives or default_primitives(scenario.robot)
-            result = plan_ara_star(scenario.robot, scenario.world, query, prim,
-                                   seeded.ara_star)
-        elapsed = time.perf_counter() - t0
+        result = plan(scenario, planner, params, seed, primitives)
     except PlanbenchError as exc:
         return RunRecord(scenario=scenario.name, planner=planner, seed=seed,
                          status=ERROR, planning_time=0.0, error=str(exc))
@@ -149,7 +160,7 @@ def run_one(scenario: Scenario, planner: str, params: PlannerParams, seed: int,
         cost = path_cost(scenario.robot, result.path)
         path = result.path.waypoints
     return RunRecord(scenario=scenario.name, planner=planner, seed=seed,
-                     status=_status_of(result), planning_time=elapsed,
+                     status=_status_of(result), planning_time=result.planning_time,
                      path_cost=cost, stats=dict(result.stats), path=path)
 
 

@@ -16,14 +16,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .ara_star import default_primitives, parse_primitives, plan_ara_star
-from .bench import (ARA_STAR, PLANNERS, RRT_CONNECT, aggregate, emit_report,
-                    run_suite)
+from .ara_star import MotionPrimitiveSet, parse_primitives
+from .bench import PLANNERS, aggregate, emit_report, plan, run_suite
 from .core import Path as PlanPath
 from .core import SOLVED, UNSOLVABLE, path_cost, query_from_scenario, validate_path
 from .errors import PlanbenchError
 from .params import PlannerParams, load_params
-from .rrt_connect import plan_rrt_connect
+from .robot import RobotModel
 from .world import (OBJECTS_ONLY, PLUS_HEIGHT, PLUS_ROTATION, generate_variations,
                     load_scenario, serialize_scenario)
 
@@ -50,23 +49,17 @@ def _load_params_arg(value: str | None) -> PlannerParams:
     return load_params(value) if value else PlannerParams()
 
 
+def _load_primitives_arg(value: str | None,
+                         robot: RobotModel) -> MotionPrimitiveSet | None:
+    if not value:
+        return None
+    return parse_primitives(Path(value).read_text(encoding="utf-8"), robot)
+
+
 def _cmd_plan(args) -> int:
     scenario = load_scenario(args.scenario)
-    params = _load_params_arg(args.params)
-    if args.seed is not None:
-        params = params.with_seed(args.seed)
-    query = query_from_scenario(scenario, params.goal_tolerance_default)
-    if args.planner == RRT_CONNECT:
-        result = plan_rrt_connect(scenario.robot, scenario.world, query,
-                                  params.rrt_connect)
-    else:
-        if args.primitives:
-            primitives = parse_primitives(
-                Path(args.primitives).read_text(encoding="utf-8"), scenario.robot)
-        else:
-            primitives = default_primitives(scenario.robot)
-        result = plan_ara_star(scenario.robot, scenario.world, query, primitives,
-                               params.ara_star)
+    result = plan(scenario, args.planner, _load_params_arg(args.params), args.seed,
+                  _load_primitives_arg(args.primitives, scenario.robot))
 
     print(f"scenario: {scenario.name}")
     print(f"planner: {args.planner}")
@@ -130,18 +123,13 @@ def _cmd_bench(args) -> int:
         if planner not in PLANNERS:
             print(f"unknown planner {planner!r}", file=sys.stderr)
             return 1
-    primitives = None
-    if args.primitives:
-        primitives = parse_primitives(
-            Path(args.primitives).read_text(encoding="utf-8"), scenarios[0].robot)
+    primitives = _load_primitives_arg(args.primitives, scenarios[0].robot)
 
     records = []
     for planner in planners:
         records.extend(run_suite(
             scenarios, planner, params, repetitions=args.reps,
-            base_seed=args.seed,
-            primitives=primitives if planner == ARA_STAR else None,
-            workers=args.workers))
+            base_seed=args.seed, primitives=primitives, workers=args.workers))
     report = aggregate(records, suite=suite_dir.name)
     Path(args.out).write_text(emit_report(report, "csv"), encoding="utf-8")
     print(f"wrote {len(records)} records to {args.out}")

@@ -1,17 +1,20 @@
-"""Collision checking: exact sphere-vs-primitive distance tests.
+"""Collision checking: sphere-vs-primitive penetration tests.
 
 A configuration is free when it is inside the joint limits, no placed robot
-sphere penetrates an obstacle (signed surface distance < 0; touching at
-exactly 0 counts as free), and no checked sphere pair overlaps (center
-distance strictly below the radius sum).  Sphere pairs on the same or
-chain-adjacent links are never checked.
+sphere penetrates an obstacle, and no checked sphere pair overlaps (center
+distance strictly below the radius sum).  A sphere penetrates a box or a
+cylinder when the squared distance from its center to the solid (zero
+inside it) is strictly below its squared radius, and a sphere obstacle when
+the squared center distance is strictly below the squared radius sum; so
+touching counts as free.  Sphere pairs on the same or chain-adjacent links
+are never checked.
 
 Colliding indices are reported in a fixed scan order: joint limits first
 (lowest joint index), then world collisions sphere-major/obstacle-minor,
 then self-collision pairs in lexicographic order.
 
 Straight-line motions are validated at a fixed number of evenly spaced
-interpolated configurations; this is discretized edge checking, not
+configurations along the segment; this is discretized edge checking, not
 continuous collision detection.
 
 Everything here is a pure function over immutable inputs and safe to call
@@ -28,7 +31,7 @@ import numpy as np
 
 from .errors import ContractViolation
 from .robot import RobotModel, as_configuration, sphere_centers_batch
-from .world import BOX, CYLINDER, SPHERE, Obstacle, WorldModel
+from .world import BOX, CYLINDER, SPHERE, WorldModel
 
 _MOTION_CHUNK = 64
 
@@ -76,36 +79,6 @@ class CollisionResult:
 _FREE = CollisionResult(CollisionKind.FREE)
 
 
-def _point_box_distances(points: np.ndarray, pack) -> np.ndarray:
-    """Signed point-to-surface distances to every box; points (..., 3)."""
-    rel = points[..., None, :] - pack["center"]           # (..., B, 3)
-    c, s = pack["cos"], pack["sin"]
-    x = c * rel[..., 0] + s * rel[..., 1]                 # inverse-yaw rotation
-    y = -s * rel[..., 0] + c * rel[..., 1]
-    local = np.stack([x, y, rel[..., 2]], axis=-1)
-    half = pack["half"]
-    excess = np.abs(local) - half                         # per-axis signed excess
-    outside = np.maximum(excess, 0.0)
-    outside_d = np.sqrt(np.sum(outside * outside, axis=-1))
-    inside_d = np.max(excess, axis=-1)                    # negative when inside
-    return np.where(inside_d > 0.0, outside_d, inside_d)
-
-
-def _point_cylinder_distances(points: np.ndarray, pack) -> np.ndarray:
-    """Signed point-to-surface distances to every z-aligned capped cylinder."""
-    rel = points[..., None, :] - pack["center"]
-    dr = np.hypot(rel[..., 0], rel[..., 1]) - pack["radius"]
-    dz = np.abs(rel[..., 2]) - pack["half_height"]
-    outside_d = np.hypot(np.maximum(dr, 0.0), np.maximum(dz, 0.0))
-    inside_d = np.maximum(dr, dz)
-    return np.where((dr > 0.0) | (dz > 0.0), outside_d, inside_d)
-
-
-def _point_sphere_distances(points: np.ndarray, pack) -> np.ndarray:
-    rel = points[..., None, :] - pack["center"]
-    return np.sqrt(np.sum(rel * rel, axis=-1)) - pack["radius"]
-
-
 def _world_penetration_mask(world: WorldModel, centers: np.ndarray,
                             radii: np.ndarray) -> np.ndarray:
     """Boolean penetration mask (m, S, O), ordered by original obstacle index.
@@ -150,24 +123,6 @@ def _world_penetration_mask(world: WorldModel, centers: np.ndarray,
         reach = pack["radius"][None, None, :] + radii[None, :, None]
         hit[:, :, pack["index"]] = dist_sq < reach * reach
     return hit
-
-
-def sphere_obstacle_distance(center, radius: float, obstacle: Obstacle) -> float:
-    """Euclidean distance from a sphere's surface to an obstacle's surface.
-
-    Negative exactly when the sphere penetrates the obstacle.
-    """
-    if not radius > 0:
-        raise ContractViolation("sphere radius must be positive")
-    point = np.asarray(center, dtype=float).reshape(1, 3)
-    pack = WorldModel((obstacle,)).packs[obstacle.shape]
-    if obstacle.shape == BOX:
-        d = _point_box_distances(point, pack)
-    elif obstacle.shape == CYLINDER:
-        d = _point_cylinder_distances(point, pack)
-    else:
-        d = _point_sphere_distances(point, pack)
-    return float(d[0, 0]) - radius
 
 
 def free_mask(robot: RobotModel, world: WorldModel, configs: np.ndarray,

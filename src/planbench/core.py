@@ -1,4 +1,4 @@
-"""Shared planner elements: query, path, result, graph, and validation.
+"""Shared planner elements: query, path, result, and validation.
 
 Both planners consume a ``Query`` and produce a ``PlannerResult`` whose
 ``planning_time`` never exceeds the budget by more than the 0.05 s grace
@@ -103,11 +103,8 @@ class PlannerResult:
 
 
 def goal_satisfied(goal: GoalSpec, q) -> bool:
-    """Closed-region membership test for both goal kinds."""
+    """Membership in the goal's closed box."""
     q = np.asarray(q, dtype=float)
-    if goal.kind == "config":
-        tol = goal.tolerance if goal.tolerance is not None else 0.0
-        return bool(np.all(np.abs(q - goal.target) <= tol))
     return bool(np.all(q >= goal.lower) and np.all(q <= goal.upper))
 
 
@@ -184,30 +181,6 @@ def validate_path(robot: RobotModel, world: WorldModel, query: Query,
         if not check_motion(robot, world, wp[k], wp[k + 1], step):
             return False
     return True
-
-
-@dataclass(frozen=True)
-class SearchGraph:
-    """Explicit graph of configurations produced by a planner run."""
-
-    nodes: tuple[np.ndarray, ...]
-    edges: tuple[tuple[int, int, float], ...]
-
-    def validate(self, robot: RobotModel) -> None:
-        """Raise unless indices are in range, no edge is a self-loop, and
-        every edge cost equals the configuration distance within 1e-9."""
-        n = len(self.nodes)
-        for parent, child, cost in self.edges:
-            if not (0 <= parent < n and 0 <= child < n):
-                raise ValidationError(f"edge ({parent}, {child}) out of range")
-            if parent == child:
-                raise ValidationError(f"self-loop at node {parent}")
-            expected = config_distance(robot, self.nodes[parent], self.nodes[child])
-            if abs(cost - expected) > 1e-9:
-                raise ValidationError(
-                    f"edge ({parent}, {child}) cost {cost} != distance {expected}")
-            if cost < 0:
-                raise ValidationError("edge costs must be nonnegative")
 
 
 def query_from_scenario(scenario: Scenario, goal_tolerance_default: float = 0.0) -> Query:

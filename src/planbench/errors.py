@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one YAML-mapping loader
+that turns malformed documents into them."""
+
+import yaml
 
 
 class PlanbenchError(Exception):
@@ -21,3 +24,34 @@ class ParseError(PlanbenchError):
 
 class ValidationError(PlanbenchError):
     """A parsed document or parameter set failed semantic validation."""
+
+
+def check_keys(doc, what: str, keys) -> dict:
+    """Return ``doc`` if it is a mapping whose keys all lie in ``keys``."""
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{what} must be a mapping, got {doc!r}")
+    unknown = set(doc) - set(keys)
+    if unknown:
+        raise ValidationError(f"unknown {what} keys: {sorted(unknown, key=str)}")
+    return doc
+
+
+def parse_mapping(text: str, what: str, keys, build):
+    """Load a YAML mapping document and return ``build(doc)``.
+
+    YAML syntax errors raise ParseError with the 1-based line.  A document
+    that is not a mapping (an empty one counts as ``{}``), has keys outside
+    ``keys``, or holds values that ``build`` rejects with TypeError,
+    ValueError or KeyError raises ValidationError.
+    """
+    try:
+        doc = yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        raise ParseError(f"malformed {what} document: {exc}",
+                         line=None if mark is None else mark.line + 1) from exc
+    doc = check_keys({} if doc is None else doc, f"{what} document", keys)
+    try:
+        return build(doc)
+    except (TypeError, ValueError, KeyError) as exc:
+        raise ValidationError(f"malformed {what} document: {exc!r}") from exc

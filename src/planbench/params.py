@@ -9,10 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-import yaml
-
 from .ara_star import AraParams
-from .errors import ParseError, ValidationError
+from .errors import ValidationError, check_keys, parse_mapping
 from .rrt_connect import RrtParams
 
 _COMMON_KEYS = {"edge_step", "goal_tolerance_default", "seed"}
@@ -37,58 +35,38 @@ class PlannerParams:
         )
 
 
-def _check_keys(section: dict, allowed: set, where: str) -> None:
-    unknown = set(section) - allowed
-    if unknown:
-        raise ValidationError(f"unknown keys in {where}: {sorted(unknown)}")
+def _build(doc: dict) -> PlannerParams:
+    common = check_keys(doc.get("common") or {}, "common section", _COMMON_KEYS)
+    edge_step = float(common.get("edge_step", 0.05))
+    seed = int(common.get("seed", 0))
+    goal_tolerance_default = float(common.get("goal_tolerance_default", 0.0))
+
+    rrt_doc = check_keys(doc.get("rrt_connect") or {}, "rrt_connect section", _RRT_KEYS)
+    max_iterations = rrt_doc.get("max_iterations")
+    rrt = RrtParams(
+        step_eta=float(rrt_doc.get("step_eta", 0.5)),
+        edge_step=float(rrt_doc.get("edge_step", edge_step)),
+        max_iterations=None if max_iterations is None else int(max_iterations),
+        seed=int(rrt_doc.get("seed", seed)),
+    )
+
+    ara_doc = check_keys(doc.get("ara_star") or {}, "ara_star section", _ARA_KEYS)
+    schedule = ara_doc.get("epsilon_schedule", (3.0, 2.0, 1.5, 1.0))
+    if not isinstance(schedule, (list, tuple)):
+        raise ValidationError("epsilon_schedule must be a list of scalars")
+    ara = AraParams(
+        epsilon_schedule=tuple(float(e) for e in schedule),
+        edge_step=float(ara_doc.get("edge_step", edge_step)),
+        seed=int(ara_doc.get("seed", seed)),
+        budget_split=float(ara_doc.get("budget_split", 0.5)),
+    )
+    return PlannerParams(goal_tolerance_default=goal_tolerance_default,
+                         rrt_connect=rrt, ara_star=ara)
 
 
 def parse_params(text: str) -> PlannerParams:
-    """Parse a planner parameters document."""
-    try:
-        doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        mark = getattr(exc, "problem_mark", None)
-        raise ParseError(f"malformed params document: {exc}",
-                         line=None if mark is None else mark.line + 1) from exc
-    if doc is None:
-        doc = {}
-    if not isinstance(doc, dict):
-        raise ValidationError("params document must be a mapping")
-    _check_keys(doc, _TOP_KEYS, "params document")
-
-    try:
-        common = doc.get("common") or {}
-        _check_keys(common, _COMMON_KEYS, "common section")
-        edge_step = float(common.get("edge_step", 0.05))
-        seed = int(common.get("seed", 0))
-        goal_tolerance_default = float(common.get("goal_tolerance_default", 0.0))
-
-        rrt_doc = doc.get("rrt_connect") or {}
-        _check_keys(rrt_doc, _RRT_KEYS, "rrt_connect section")
-        max_iterations = rrt_doc.get("max_iterations")
-        rrt = RrtParams(
-            step_eta=float(rrt_doc.get("step_eta", 0.5)),
-            edge_step=float(rrt_doc.get("edge_step", edge_step)),
-            max_iterations=None if max_iterations is None else int(max_iterations),
-            seed=int(rrt_doc.get("seed", seed)),
-        )
-
-        ara_doc = doc.get("ara_star") or {}
-        _check_keys(ara_doc, _ARA_KEYS, "ara_star section")
-        schedule = ara_doc.get("epsilon_schedule", (3.0, 2.0, 1.5, 1.0))
-        if not isinstance(schedule, (list, tuple)):
-            raise ValidationError("epsilon_schedule must be a list of scalars")
-        ara = AraParams(
-            epsilon_schedule=tuple(float(e) for e in schedule),
-            edge_step=float(ara_doc.get("edge_step", edge_step)),
-            seed=int(ara_doc.get("seed", seed)),
-            budget_split=float(ara_doc.get("budget_split", 0.5)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed params value: {exc}") from exc
-    return PlannerParams(goal_tolerance_default=goal_tolerance_default,
-                         rrt_connect=rrt, ara_star=ara)
+    """Parse a planner parameters document; an empty one gives the defaults."""
+    return parse_mapping(text, "params", _TOP_KEYS, _build)
 
 
 def load_params(path: str | Path) -> PlannerParams:

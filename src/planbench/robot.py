@@ -18,9 +18,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-import yaml
 
-from .errors import ContractViolation, ParseError, ValidationError
+from .errors import ContractViolation, ValidationError, check_keys, parse_mapping
 
 REVOLUTE = "revolute"
 PRISMATIC = "prismatic"
@@ -290,19 +289,6 @@ def config_distance(robot: RobotModel, a, b) -> float:
     return float(math.sqrt(float(np.dot(d * d, robot.weights))))
 
 
-def interpolate(robot: RobotModel, a, b, t: float) -> np.ndarray:
-    """Per-joint linear interpolation; exact at both endpoints."""
-    a = as_configuration(robot, a)
-    b = as_configuration(robot, b)
-    if not 0.0 <= t <= 1.0:
-        raise ContractViolation(f"interpolation parameter {t} outside [0, 1]")
-    if t == 0.0:
-        return a.copy()
-    if t == 1.0:
-        return b.copy()
-    return a + t * (b - a)
-
-
 def within_limits(robot: RobotModel, q) -> bool:
     """True iff every joint value lies in its closed limit interval."""
     q = as_configuration(robot, q)
@@ -320,66 +306,43 @@ _SPHERE_KEYS = {"link", "center", "radius"}
 _ROBOT_KEYS = {"joints", "collision_spheres", "self_collision_ignore"}
 
 
+def _build_robot(doc: dict) -> RobotModel:
+    if not doc.get("joints"):
+        raise ValidationError("robot document requires a non-empty 'joints' list")
+    joints = []
+    for entry in doc["joints"]:
+        check_keys(entry, "joint", _JOINT_KEYS)
+        joints.append(JointSpec(
+            name=str(entry["name"]),
+            kind=str(entry["type"]),
+            axis=entry["axis"],
+            origin_translation=entry.get("origin_xyz", (0.0, 0.0, 0.0)),
+            origin_rotation=entry.get("origin_rpy", (0.0, 0.0, 0.0)),
+            limits=(entry["limits"][0], entry["limits"][1]),
+            resolution=float(entry["resolution"]),
+            weight=float(entry.get("weight", 1.0)),
+        ))
+    spheres = []
+    for entry in doc.get("collision_spheres") or ():
+        check_keys(entry, "sphere", _SPHERE_KEYS)
+        spheres.append(CollisionSphere(
+            link_index=int(entry["link"]),
+            local_center=entry["center"],
+            radius=float(entry["radius"]),
+        ))
+    ignored = frozenset(
+        (int(pair[0]), int(pair[1])) for pair in doc.get("self_collision_ignore") or ())
+    return RobotModel(joints=tuple(joints), spheres=tuple(spheres),
+                      self_collision_ignored=ignored)
+
+
 def parse_robot(text: str) -> RobotModel:
     """Parse a robot definition document (YAML subset, UTF-8).
 
     Top-level keys: ``joints``, ``collision_spheres``, ``self_collision_ignore``.
     Angles are radians, lengths meters.
     """
-    try:
-        doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        line = None
-        mark = getattr(exc, "problem_mark", None)
-        if mark is not None:
-            line = mark.line + 1
-        raise ParseError(f"malformed robot document: {exc}", line=line) from exc
-    if not isinstance(doc, dict):
-        raise ValidationError("robot document must be a mapping")
-    unknown = set(doc) - _ROBOT_KEYS
-    if unknown:
-        raise ValidationError(f"unknown robot keys: {sorted(unknown)}")
-    raw_joints = doc.get("joints")
-    if not raw_joints:
-        raise ValidationError("robot document requires a non-empty 'joints' list")
-
-    joints = []
-    for entry in raw_joints:
-        unknown = set(entry) - _JOINT_KEYS
-        if unknown:
-            raise ValidationError(f"unknown joint keys: {sorted(unknown)}")
-        try:
-            joints.append(JointSpec(
-                name=str(entry["name"]),
-                kind=str(entry["type"]),
-                axis=entry["axis"],
-                origin_translation=entry.get("origin_xyz", (0.0, 0.0, 0.0)),
-                origin_rotation=entry.get("origin_rpy", (0.0, 0.0, 0.0)),
-                limits=(entry["limits"][0], entry["limits"][1]),
-                resolution=float(entry["resolution"]),
-                weight=float(entry.get("weight", 1.0)),
-            ))
-        except KeyError as exc:
-            raise ValidationError(f"joint entry missing key {exc}") from exc
-
-    spheres = []
-    for entry in doc.get("collision_spheres") or ():
-        unknown = set(entry) - _SPHERE_KEYS
-        if unknown:
-            raise ValidationError(f"unknown sphere keys: {sorted(unknown)}")
-        try:
-            spheres.append(CollisionSphere(
-                link_index=int(entry["link"]),
-                local_center=entry["center"],
-                radius=float(entry["radius"]),
-            ))
-        except KeyError as exc:
-            raise ValidationError(f"sphere entry missing key {exc}") from exc
-
-    ignored = frozenset(
-        (int(pair[0]), int(pair[1])) for pair in doc.get("self_collision_ignore") or ())
-    return RobotModel(joints=tuple(joints), spheres=tuple(spheres),
-                      self_collision_ignored=ignored)
+    return parse_mapping(text, "robot", _ROBOT_KEYS, _build_robot)
 
 
 def load_robot(path: str | Path) -> RobotModel:

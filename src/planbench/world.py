@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .errors import ContractViolation, ParseError, ValidationError
+from .errors import ContractViolation, ValidationError, check_keys, parse_mapping
 from .robot import RobotModel, load_robot
 
 BOX = "box"
@@ -159,10 +159,13 @@ class WorldModel:
 
 @dataclass(frozen=True, eq=False)
 class GoalSpec:
-    """Goal region: a target configuration with tolerances, or an axis box.
+    """Goal region: the closed axis box ``lower``..``upper``.
 
-    A ``tolerance`` of None means "unspecified"; consumers substitute the
-    configured default (zero unless a params file says otherwise).
+    A region goal is given by its box.  A config goal is given by a
+    ``target`` and optional per-joint ``tolerance``, and its box, target
+    plus or minus tolerance, is derived here; a ``tolerance`` of None means
+    "unspecified" (a zero-width box) and consumers may substitute the
+    configured default.
     """
 
     kind: str  # "config" | "region"
@@ -175,13 +178,19 @@ class GoalSpec:
         if self.kind == "config":
             if self.target is None:
                 raise ValidationError("config goal requires a target")
+            if self.lower is not None or self.upper is not None:
+                raise ValidationError("a config goal's box is derived, not given")
             n = len(self.target)
-            object.__setattr__(self, "target", _vec(self.target, n, "goal target"))
+            target = _vec(self.target, n, "goal target")
+            object.__setattr__(self, "target", target)
+            tol = 0.0
             if self.tolerance is not None:
                 tol = _vec(self.tolerance, n, "goal tolerance")
                 if not np.all(tol >= 0):
                     raise ValidationError("goal tolerance entries must be >= 0")
                 object.__setattr__(self, "tolerance", tol)
+            lower, upper = target - tol, target + tol
+            lower.flags.writeable = upper.flags.writeable = False
         elif self.kind == "region":
             if self.lower is None or self.upper is None:
                 raise ValidationError("region goal requires lower and upper")
@@ -190,10 +199,10 @@ class GoalSpec:
             upper = _vec(self.upper, n, "region upper")
             if not np.all(lower <= upper):
                 raise ValidationError("region lower must be <= upper component-wise")
-            object.__setattr__(self, "lower", lower)
-            object.__setattr__(self, "upper", upper)
         else:
             raise ValidationError(f"unknown goal kind {self.kind!r}")
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
 
     @classmethod
     def config_goal(cls, target, tolerance=None):
@@ -205,7 +214,7 @@ class GoalSpec:
 
     @property
     def dof(self) -> int:
-        return len(self.target) if self.kind == "config" else len(self.lower)
+        return len(self.lower)
 
     def __eq__(self, other):
         if not isinstance(other, GoalSpec):
@@ -292,10 +301,7 @@ def _parse_obstacle(entry) -> Obstacle:
     shape = entry["shape"]
     if shape not in _OBSTACLE_SIZE:
         raise ValidationError(f"unknown obstacle shape {shape!r}")
-    allowed = _OBSTACLE_COMMON | _OBSTACLE_SIZE[shape]
-    unknown = set(entry) - allowed
-    if unknown:
-        raise ValidationError(f"unknown {shape} obstacle keys: {sorted(unknown)}")
+    check_keys(entry, f"{shape} obstacle", _OBSTACLE_COMMON | _OBSTACLE_SIZE[shape])
     if "center" not in entry:
         raise ValidationError(f"{shape} obstacle requires 'center'")
     kwargs = {"shape": shape, "center": entry["center"], "yaw": float(entry.get("yaw", 0.0))}
@@ -323,19 +329,11 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
     at planning time.  ``serialize_scenario`` round-trips through this parser
     with field equality.
     """
-    try:
-        doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        line = None
-        mark = getattr(exc, "problem_mark", None)
-        if mark is not None:
-            line = mark.line + 1
-        raise ParseError(f"malformed scenario document: {exc}", line=line) from exc
-    if not isinstance(doc, dict):
-        raise ValidationError("scenario document must be a mapping")
-    unknown = set(doc) - _SCENARIO_KEYS
-    if unknown:
-        raise ValidationError(f"unknown scenario keys: {sorted(unknown)}")
+    return parse_mapping(text, "scenario", _SCENARIO_KEYS,
+                         lambda doc: _build_scenario(doc, base_dir))
+
+
+def _build_scenario(doc: dict, base_dir: str | Path | None) -> Scenario:
     for key in ("name", "robot", "start", "goal", "world", "time_budget_s"):
         if key not in doc:
             raise ValidationError(f"scenario missing required key {key!r}")
@@ -353,14 +351,10 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
     if not isinstance(goal_doc, dict) or "type" not in goal_doc:
         raise ValidationError("goal must be a mapping with a 'type' key")
     if goal_doc["type"] == "config":
-        unknown = set(goal_doc) - {"type", "target", "tolerance"}
-        if unknown:
-            raise ValidationError(f"unknown config goal keys: {sorted(unknown)}")
+        check_keys(goal_doc, "config goal", {"type", "target", "tolerance"})
         goal = GoalSpec.config_goal(goal_doc["target"], goal_doc.get("tolerance"))
     elif goal_doc["type"] == "region":
-        unknown = set(goal_doc) - {"type", "lower", "upper"}
-        if unknown:
-            raise ValidationError(f"unknown region goal keys: {sorted(unknown)}")
+        check_keys(goal_doc, "region goal", {"type", "lower", "upper"})
         goal = GoalSpec.region_goal(goal_doc["lower"], goal_doc["upper"])
         # The region must intersect the joint limits to be reachable at all.
         lo = np.maximum(goal.lower, robot.lower)
@@ -372,17 +366,12 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
     if goal.dof != robot.dof:
         raise ValidationError("goal dimension does not match robot DOF")
 
-    world_doc = doc["world"]
-    if not isinstance(world_doc, dict) or set(world_doc) - {"obstacles"}:
-        raise ValidationError("world must be a mapping with only an 'obstacles' key")
+    world_doc = check_keys(doc["world"], "world", {"obstacles"})
     obstacles = tuple(_parse_obstacle(e) for e in world_doc.get("obstacles") or ())
 
     variation = None
     if doc.get("variation") is not None:
-        vdoc = doc["variation"]
-        unknown = set(vdoc) - _VARIATION_KEYS
-        if unknown:
-            raise ValidationError(f"unknown variation keys: {sorted(unknown)}")
+        vdoc = check_keys(doc["variation"], "variation", _VARIATION_KEYS)
         variation = VariationSpec(
             object_jitter_xy=float(vdoc.get("object_jitter_xy", 0.1)),
             height_range=float(vdoc.get("height_range", 0.15)),

@@ -85,6 +85,11 @@ class TestRunSuite:
         assert all(r.status == "error" for r in records)
         assert all(r.error for r in records)
 
+    def test_error_record_on_unknown_planner(self, suite):
+        record = run_one(suite[0], "dijkstra", PARAMS, seed=0)
+        assert record.status == "error"
+        assert "dijkstra" in record.error
+
     def test_budget_compliance(self, suite):
         for planner in (RRT_CONNECT, ARA_STAR):
             for r in run_suite(suite, planner, PARAMS, base_seed=1):

@@ -92,6 +92,14 @@ class TestPlan:
         assert code == 1
 
 
+    def test_malformed_scenario_reports_error(self, workdir, capsys):
+        bad = workdir / "bad.scenario"
+        bad.write_text(SCENARIO.replace("time_budget_s: 5.0", "time_budget_s: abc"))
+        code = main(["plan", "--scenario", str(bad), "--planner", "rrt-connect"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestGen:
     def test_writes_count_files(self, workdir, capsys):
         out_dir = workdir / "suite" / "generated"

@@ -1,4 +1,5 @@
-"""Collision kernel: signed distances, configuration checks, motion checks."""
+"""Collision kernel: configuration checks, motion checks, and the signs of
+the distance oracle the kernel is checked against."""
 
 import math
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from planbench.collision import (CollisionKind, _motion_stack, check_config,
                                  check_motion, free_mask, motion_configs,
-                                 motions_free, sphere_obstacle_distance)
+                                 motions_free)
 from planbench.data import data_path
 from planbench.errors import ContractViolation
 from planbench.robot import CollisionSphere, RobotModel, sample_uniform
@@ -22,56 +23,8 @@ from oracles import (brute_force_check, linspace_motion, result_tuple,
 
 
 class TestSphereObstacleDistance:
-    def test_separated_spheres(self):
-        d = sphere_obstacle_distance((3, 0, 0), 1.0, Obstacle.sphere((0, 0, 0), 1.0))
-        assert d == pytest.approx(1.0, abs=1e-12)
-
-    def test_sphere_inside_box_is_negative(self):
-        d = sphere_obstacle_distance((0, 0, 0), 0.1, Obstacle.box((0, 0, 0), (0.5, 0.5, 0.5)))
-        assert d == pytest.approx(-0.6, abs=1e-12)
-
-    def test_box_face_distance(self):
-        d = sphere_obstacle_distance((2, 0, 0), 0.25, Obstacle.box((0, 0, 0), (1, 1, 1)))
-        assert d == pytest.approx(0.75, abs=1e-12)
-
-    def test_box_corner_distance(self):
-        d = sphere_obstacle_distance((2, 2, 2), 0.1, Obstacle.box((0, 0, 0), (1, 1, 1)))
-        assert d == pytest.approx(math.sqrt(3.0) - 0.1, abs=1e-12)
-
-    def test_rotated_box(self):
-        # Quarter-turn box: the face along +x sits at local +y half extent.
-        d = sphere_obstacle_distance(
-            (1.5, 0, 0), 0.2, Obstacle.box((0, 0, 0), (0.2, 1.0, 1.0), yaw=math.pi / 2))
-        assert d == pytest.approx(0.3, abs=1e-12)
-
-    def test_cylinder_radial(self):
-        d = sphere_obstacle_distance(
-            (2, 0, 0), 0.3, Obstacle.cylinder((0, 0, 0), radius=0.5, half_height=1.0))
-        assert d == pytest.approx(1.2, abs=1e-12)
-
-    def test_cylinder_axial(self):
-        d = sphere_obstacle_distance(
-            (0, 0, 3), 0.3, Obstacle.cylinder((0, 0, 0), radius=0.5, half_height=1.0))
-        assert d == pytest.approx(1.7, abs=1e-12)
-
-    def test_cylinder_inside(self):
-        d = sphere_obstacle_distance(
-            (0.1, 0, 0), 0.05, Obstacle.cylinder((0, 0, 0), radius=0.5, half_height=1.0))
-        assert d == pytest.approx(-0.45, abs=1e-12)
-
-    def test_touching_counts_as_zero(self):
-        d = sphere_obstacle_distance((2, 0, 0), 1.0, Obstacle.sphere((0, 0, 0), 1.0))
-        assert d == pytest.approx(0.0, abs=1e-12)
-
-    def test_matches_scalar_oracle_randomized(self):
-        rng = np.random.default_rng(17)
-        for _ in range(2000):
-            world = random_world(rng, count=1)
-            center = rng.uniform(-1.5, 1.5, size=3)
-            radius = float(rng.uniform(0.02, 0.5))
-            got = sphere_obstacle_distance(center, radius, world.obstacles[0])
-            want = sphere_obstacle_distance_oracle(center, radius, world.obstacles[0])
-            assert got == pytest.approx(want, abs=1e-9)
+    """The scalar signed-distance oracle that ``test_c01`` checks the
+    collision kernel against."""
 
     def test_sign_matches_monte_carlo_membership(self):
         # Signs must agree with a surface-sampling membership oracle (1000
@@ -89,7 +42,7 @@ class TestSphereObstacleDistance:
             # One chunk per obstacle instance keeps the oracle vectorizable.
             centers = rng.uniform(-1.2, 1.2, size=(chunk, 3))
             radii = rng.uniform(0.05, 0.4, size=chunk)
-            d = np.array([sphere_obstacle_distance(centers[i], radii[i], obstacle_proto)
+            d = np.array([sphere_obstacle_distance_oracle(centers[i], radii[i], obstacle_proto)
                           for i in range(chunk)])
             keep = np.abs(d) >= 2e-2
             if not keep.any():
@@ -129,6 +82,24 @@ class TestCheckConfig:
         result = check_config(robot, world, [1.0, 1.0])
         assert result.kind is CollisionKind.WORLD
         assert result.indices == (0, 0)
+
+    @pytest.mark.parametrize("obstacle", [
+        Obstacle.box((2.0, 1.0, 0.0), (0.5, 0.5, 0.5)),
+        Obstacle.cylinder((2.0, 1.0, 0.0), radius=0.5, half_height=0.5),
+        Obstacle.sphere((2.0, 1.0, 0.0), 0.5),
+    ], ids=["box_face", "cylinder_side", "sphere"])
+    def test_touching_is_free_just_inside_collides(self, obstacle):
+        # The robot sphere (radius 0.25) sits at (x, 1, 0); at x = 1.25 its
+        # surface touches the obstacle's -x side.  Every value is a dyadic
+        # rational, so the kernel's arithmetic on them is exact.
+        robot = gantry_robot(radius=0.25)
+        world = WorldModel((obstacle,))
+        touching, inside = [1.25, 1.0], [1.25 + 2.0 ** -10, 1.0]
+        assert check_config(robot, world, touching).is_free
+        result = check_config(robot, world, inside)
+        assert (result.kind, result.indices) == (CollisionKind.WORLD, (0, 0))
+        mask = free_mask(robot, world, np.array([touching, inside]))
+        assert mask.tolist() == [True, False]
 
     def test_limits_violation_reports_joint(self):
         robot = one_sphere_robot()

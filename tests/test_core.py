@@ -1,15 +1,14 @@
-"""Planner-core: queries, paths, goals, validation, graph invariants."""
+"""Planner-core: queries, paths, goals, validation."""
 
 import numpy as np
 import pytest
 
 from planbench.collision import check_config
 from planbench.core import (GOAL_IN_COLLISION, OK, START_IN_COLLISION, Path,
-                            PlannerResult, Query, SearchGraph, goal_satisfied,
+                            PlannerResult, Query, goal_satisfied,
                             path_cost, query_from_scenario, validate_path,
                             validate_query)
-from planbench.errors import ValidationError
-from planbench.robot import config_distance, sample_uniform
+from planbench.robot import sample_uniform
 from planbench.world import GoalSpec, Obstacle, WorldModel
 
 from conftest import gantry_robot, random_robot
@@ -123,29 +122,6 @@ class TestValidatePath:
                   time_budget=1.0)
         path = Path(np.array([[1.0, 1.0], [3.0, 1.0]]))
         assert not validate_path(robot, world, q, path, 0.05)
-
-
-class TestSearchGraph:
-    def test_valid_graph_passes(self, robot):
-        nodes = (np.array([0.0, 0.0]), np.array([1.0, 0.0]), np.array([1.0, 1.0]))
-        edges = ((0, 1, config_distance(robot, nodes[0], nodes[1])),
-                 (1, 2, config_distance(robot, nodes[1], nodes[2])))
-        SearchGraph(nodes=nodes, edges=edges).validate(robot)
-
-    def test_self_loop_rejected(self, robot):
-        nodes = (np.array([0.0, 0.0]),)
-        with pytest.raises(ValidationError):
-            SearchGraph(nodes=nodes, edges=((0, 0, 0.0),)).validate(robot)
-
-    def test_wrong_cost_rejected(self, robot):
-        nodes = (np.array([0.0, 0.0]), np.array([1.0, 0.0]))
-        with pytest.raises(ValidationError):
-            SearchGraph(nodes=nodes, edges=((0, 1, 2.0),)).validate(robot)
-
-    def test_bad_index_rejected(self, robot):
-        nodes = (np.array([0.0, 0.0]),)
-        with pytest.raises(ValidationError):
-            SearchGraph(nodes=nodes, edges=((0, 3, 1.0),)).validate(robot)
 
 
 class TestQueryFromScenario:

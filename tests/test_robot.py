@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from planbench.errors import ContractViolation, ValidationError
 from planbench.robot import (CollisionSphere, RobotModel,
-                             config_distance, forward_kinematics, interpolate,
+                             config_distance, forward_kinematics,
                              parse_robot, sample_uniform, within_limits)
 
 from conftest import make_joint, random_robot, single_revolute_robot
@@ -93,32 +93,6 @@ class TestConfigDistance:
         robot = RobotModel(joints=(make_joint("a", limits=(-10, 10)),
                                    make_joint("b", limits=(-10, 10), weight=2.5)))
         assert config_distance(robot, a, b) == config_distance(robot, b, a)
-
-
-class TestInterpolate:
-    def test_endpoints_exact(self, gantry):
-        a = np.array([0.1, 0.3])
-        b = np.array([0.3, 0.1])
-        assert np.array_equal(interpolate(gantry, a, b, 0.0), a)
-        assert np.array_equal(interpolate(gantry, a, b, 1.0), b)
-
-    def test_midpoint(self, gantry):
-        mid = interpolate(gantry, [0.0, 2.0], [2.0, 0.0], 0.5)
-        assert np.allclose(mid, [1.0, 1.0])
-
-    def test_affine_in_t(self, gantry):
-        a, b = np.array([0.2, 0.9]), np.array([1.4, 0.1])
-        rng = np.random.default_rng(5)
-        for _ in range(100):
-            t1, t2 = sorted(rng.uniform(0, 1, size=2))
-            q1 = interpolate(gantry, a, b, t1)
-            q2 = interpolate(gantry, a, b, t2)
-            tm = (t1 + t2) / 2
-            assert np.allclose(interpolate(gantry, a, b, tm), (q1 + q2) / 2, atol=1e-12)
-
-    def test_t_outside_range_rejected(self, gantry):
-        with pytest.raises(ContractViolation):
-            interpolate(gantry, [0, 0], [1, 1], 1.5)
 
 
 class TestLimitsAndSampling:

@@ -6,8 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from planbench.collision import check_motion
 from planbench.core import (FORWARD, SOLVED, UNSOLVABLE, BUDGET_GRACE, Query,
-                            SearchGraph, query_from_scenario, validate_path)
+                            query_from_scenario, validate_path)
 from planbench.data import data_path
 from planbench.errors import ContractViolation, ValidationError
 from planbench.params import load_params
@@ -206,19 +207,20 @@ class TestPlan:
 
 
 class TestTreeInvariants:
-    def test_edges_revalidate_as_search_graph(self, robot):
-        # Tree edges must satisfy the graph invariant cost == metric distance.
+    def test_edges_revalidate(self, robot):
+        # Every non-root node hangs below an earlier node, and every edge
+        # passes the motion check at the planner's edge step.
         world = shelf_world()
         rng = np.random.default_rng(5)
         tree = Tree(robot, [1.0, 1.0], "start_tree")
         for _ in range(100):
             extend(tree, sample_uniform(robot, rng), PARAMS, robot, world)
-        nodes = tuple(tree.nodes[i].copy() for i in range(tree.size))
-        edges = tuple(
-            (int(tree.parents[i]), i,
-             config_distance(robot, tree.nodes[int(tree.parents[i])], tree.nodes[i]))
-            for i in range(1, tree.size))
-        SearchGraph(nodes=nodes, edges=edges).validate(robot)
+        assert tree.size > 10 and tree.parents[0] == 0
+        for child in range(1, tree.size):
+            parent = int(tree.parents[child])
+            assert parent < child
+            assert check_motion(robot, world, tree.nodes[parent], tree.nodes[child],
+                                PARAMS.edge_step)
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValidationError):

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from planbench.ara_star import parse_primitives
 from planbench.errors import ContractViolation, ParseError, ValidationError
+from planbench.robot import parse_robot
 from planbench.world import (Obstacle, Scenario, VariationSpec,
                              generate_variations, load_scenario, parse_scenario,
                              serialize_scenario)
@@ -115,6 +117,27 @@ class TestParse:
     def test_missing_robot_file(self, tmp_path):
         with pytest.raises(ValidationError):
             parse_scenario(minimal_doc("missing.yaml"), base_dir=tmp_path)
+
+
+@pytest.mark.parametrize("kind, doc", [
+    ("robot", "joints: 3\n"),
+    ("robot", MINI_ROBOT.replace("limits: [-1.0, 1.0]", "limits: abc")),
+    ("scenario", minimal_doc().replace("time_budget_s: 1.0", "time_budget_s: abc")),
+    ("scenario", minimal_doc().replace(
+        "obstacles: []", "obstacles: [{shape: sphere, center: abc, radius: 0.1}]")),
+    ("scenario", minimal_doc() + "variation: {shelf_indices: [a]}\n"),
+    ("primitives", "primitives: 5\n"),
+    ("primitives", "snap_radius: abc\n"),
+], ids=["robot-joints", "robot-limits", "scenario-budget", "obstacle-center",
+        "variation-indices", "primitives-list", "primitives-snap"])
+def test_malformed_values_raise_validation_error(kind, doc, tmp_path, robot_file):
+    parse = {
+        "robot": parse_robot,
+        "scenario": lambda text: parse_scenario(text, base_dir=tmp_path),
+        "primitives": lambda text: parse_primitives(text, parse_robot(MINI_ROBOT)),
+    }[kind]
+    with pytest.raises(ValidationError):
+        parse(doc)
 
 
 def random_scenario_doc(rng, robot_name="gantry.yaml"):
