@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -44,8 +43,6 @@ ERROR = "error"
 STATUSES = (SOLVED_FORWARD, SOLVED_BACKWARD, FAILURE, UNSOLVABLE, ERROR)
 
 CSV_HEADER = ("scenario", "planner", "seed", "status", "planning_time_s", "path_cost")
-
-WORKERS_ENV = "PLANBENCH_WORKERS"
 
 
 @dataclass
@@ -172,7 +169,7 @@ def _worker(task) -> RunRecord:
 def run_suite(scenarios, planner: str, params: PlannerParams,
               repetitions: int = 1, base_seed: int = 0, *,
               primitives: MotionPrimitiveSet | None = None,
-              workers: int | None = None) -> list[RunRecord]:
+              workers: int = 1) -> list[RunRecord]:
     """Run every scenario ``repetitions`` times with one planner.
 
     Each worker owns one query end to end; the record order is always
@@ -188,8 +185,6 @@ def run_suite(scenarios, planner: str, params: PlannerParams,
         for rep in range(repetitions):
             seed = base_seed + index * repetitions + rep
             tasks.append((scenario, planner, params, seed, primitives))
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
     if workers <= 1 or len(tasks) <= 1:
         return [_worker(task) for task in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:

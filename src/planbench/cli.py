@@ -1,8 +1,7 @@
 """Command-line interface: plan one query, generate suites, benchmark, validate.
 
 Exit codes for ``plan``: 0 solved, 1 failure, 2 unsolvable.  ``validate``
-exits 0 for a valid path and 1 otherwise.  The PLANBENCH_WORKERS environment
-variable caps benchmark worker count.
+exits 0 for a valid path and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -184,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--out", required=True)
     bench.add_argument("--table", action="store_true")
     bench.add_argument("--primitives", default=None)
-    bench.add_argument("--workers", type=int, default=None)
+    bench.add_argument("--workers", type=int, default=1)
     bench.set_defaults(func=_cmd_bench)
 
     validate = sub.add_parser("validate", help="re-check a stored path")

@@ -15,7 +15,8 @@ then self-collision pairs in lexicographic order.
 
 Straight-line motions are validated at a fixed number of evenly spaced
 configurations along the segment; this is discretized edge checking, not
-continuous collision detection.
+continuous collision detection.  Every configuration of a motion is checked,
+in one batch with no early stop at the first colliding one.
 
 Everything here is a pure function over immutable inputs and safe to call
 concurrently from any number of workers.
@@ -32,8 +33,6 @@ import numpy as np
 from .errors import ContractViolation
 from .robot import RobotModel, as_configuration, sphere_centers_batch
 from .world import BOX, CYLINDER, SPHERE, WorldModel
-
-_MOTION_CHUNK = 64
 
 
 class CollisionKind(Enum):
@@ -59,25 +58,6 @@ class CollisionResult:
     def is_free(self) -> bool:
         return self.kind is CollisionKind.FREE
 
-    @classmethod
-    def free(cls) -> "CollisionResult":
-        return _FREE
-
-    @classmethod
-    def world_collision(cls, sphere: int, obstacle: int) -> "CollisionResult":
-        return cls(CollisionKind.WORLD, (sphere, obstacle))
-
-    @classmethod
-    def self_collision(cls, sphere_a: int, sphere_b: int) -> "CollisionResult":
-        return cls(CollisionKind.SELF, (sphere_a, sphere_b))
-
-    @classmethod
-    def limits_violation(cls, joint: int) -> "CollisionResult":
-        return cls(CollisionKind.LIMITS, (joint,))
-
-
-_FREE = CollisionResult(CollisionKind.FREE)
-
 
 def _world_penetration_mask(world: WorldModel, centers: np.ndarray,
                             radii: np.ndarray) -> np.ndarray:
@@ -98,7 +78,7 @@ def _world_penetration_mask(world: WorldModel, centers: np.ndarray,
     if len(pack["index"]):
         rel = centers[:, :, None, :] - pack["center"]
         c, s = pack["cos"], pack["sin"]
-        half = pack["half"]
+        half = pack["half_extents"]
         ax = np.abs(c * rel[..., 0] + s * rel[..., 1]) - half[:, 0]
         ay = np.abs(-s * rel[..., 0] + c * rel[..., 1]) - half[:, 1]
         az = np.abs(rel[..., 2]) - half[:, 2]
@@ -161,28 +141,21 @@ def check_config(robot: RobotModel, world: WorldModel, q,
     below = q < robot.lower
     above = q > robot.upper
     if below.any() or above.any():
-        return CollisionResult.limits_violation(int(np.argmax(below | above)))
+        return CollisionResult(CollisionKind.LIMITS, (int(np.argmax(below | above)),))
     if not robot.spheres:
-        return CollisionResult.free()
+        return CollisionResult(CollisionKind.FREE)
     centers = sphere_centers_batch(robot, q[None, :])
     if world.obstacles:
         hit = _world_penetration_mask(world, centers, robot.sphere_radii)[0]
         if hit.any():
             flat = int(np.argmax(hit.ravel()))
             n_obs = len(world.obstacles)
-            return CollisionResult.world_collision(flat // n_obs, flat % n_obs)
+            return CollisionResult(CollisionKind.WORLD, (flat // n_obs, flat % n_obs))
     overlap = _self_overlap_mask(robot, centers)[0]
     if overlap.any():
         i, j = robot.self_collision_pairs[int(np.argmax(overlap))]
-        return CollisionResult.self_collision(int(i), int(j))
-    return CollisionResult.free()
-
-
-def motion_configs(robot: RobotModel, a, b, step: float) -> np.ndarray:
-    """Evenly spaced configurations along the segment, endpoints exact."""
-    a = as_configuration(robot, a)
-    b = as_configuration(robot, b)
-    return _motion_stack(robot, a[None, :], b[None, :], step)[0]
+        return CollisionResult(CollisionKind.SELF, (int(i), int(j)))
+    return CollisionResult(CollisionKind.FREE)
 
 
 def _motion_stack(robot: RobotModel, starts: np.ndarray, ends: np.ndarray,
@@ -216,9 +189,10 @@ def motions_free(robot: RobotModel, world: WorldModel, starts, ends, step: float
     """Verdict per motion for straight motions starts[i] -> ends[i] (a
     single start row is shared by every motion), in one free_mask call.
 
-    Each motion is sampled as ``motion_configs`` samples it and is free iff
-    all of its configurations are.  Unlike ``check_motion`` there is no
-    early stop: every configuration is checked and counted in ``stats``.
+    Each motion is sampled at ceil(d / step) + 1 evenly spaced
+    configurations, endpoints exact, and is free iff all of them are.  There
+    is no early stop: every configuration is checked and counted in
+    ``stats``.
     """
     ends = np.asarray(ends, dtype=float)
     starts = np.broadcast_to(np.asarray(starts, dtype=float), ends.shape)
@@ -231,11 +205,10 @@ def check_motion(robot: RobotModel, world: WorldModel, a, b, step: float,
     """True iff every sampled configuration along the segment is free.
 
     The segment is checked at ceil(d(a, b) / step) + 1 evenly spaced
-    configurations including both endpoints, stopping at the first violation.
+    configurations including both endpoints: a one-motion ``motions_free``,
+    so there is no early stop and every configuration is counted in
+    ``stats``.
     """
-    configs = motion_configs(robot, a, b, step)
-    for lo in range(0, configs.shape[0], _MOTION_CHUNK):
-        chunk = configs[lo : lo + _MOTION_CHUNK]
-        if not free_mask(robot, world, chunk, stats=stats).all():
-            return False
-    return True
+    a = as_configuration(robot, a)
+    b = as_configuration(robot, b)
+    return bool(motions_free(robot, world, a, b[None], step, stats)[0])

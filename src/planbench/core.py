@@ -111,8 +111,7 @@ def goal_satisfied(goal: GoalSpec, q) -> bool:
 def region_samples(robot: RobotModel, goal: GoalSpec, seed: int,
                    count: int = _REGION_VALIDATION_SAMPLES) -> np.ndarray:
     """Region center plus seeded uniform samples, clipped to joint limits."""
-    lo = np.maximum(goal.lower, robot.lower)
-    hi = np.minimum(goal.upper, robot.upper)
+    lo, hi = goal.limited_box(robot)
     rng = np.random.default_rng(seed)
     center = (lo + hi) / 2.0
     samples = rng.uniform(lo, hi, size=(count, robot.dof))
@@ -129,8 +128,7 @@ def goal_representative(robot: RobotModel, world: WorldModel, goal: GoalSpec,
     """
     if goal.kind == "config":
         return np.asarray(goal.target, dtype=float)
-    lo = np.maximum(goal.lower, robot.lower)
-    hi = np.minimum(goal.upper, robot.upper)
+    lo, hi = goal.limited_box(robot)
     for _ in range(_GOAL_SAMPLE_ATTEMPTS):
         q = rng.uniform(lo, hi)
         if check_config(robot, world, q).is_free:

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -92,13 +91,6 @@ class CollisionSphere:
             self, "local_center", _vec3(self.local_center, "sphere center"))
         if not self.radius > 0:
             raise ValidationError("sphere radius must be positive")
-
-
-class PlacedSphere(NamedTuple):
-    """A collision sphere expressed in the world frame."""
-
-    center: np.ndarray
-    radius: float
 
 
 @dataclass(frozen=True)
@@ -268,36 +260,12 @@ def sphere_centers_batch(robot: RobotModel, configs: np.ndarray) -> np.ndarray:
     return np.einsum("msij,sj->msi", rot, robot._sphere_locals) + trans
 
 
-def forward_kinematics(robot: RobotModel, q) -> list[PlacedSphere]:
-    """Place every collision sphere in the world frame for configuration q.
-
-    Deterministic: identical inputs give bitwise-identical centers.
-    """
-    q = as_configuration(robot, q)
-    centers = sphere_centers_batch(robot, q[None, :])[0]
-    return [
-        PlacedSphere(center=centers[i].copy(), radius=float(robot.sphere_radii[i]))
-        for i in range(len(robot.spheres))
-    ]
-
-
 def config_distance(robot: RobotModel, a, b) -> float:
     """Weighted Euclidean metric sqrt(sum_i w_i * (a_i - b_i)^2)."""
     a = as_configuration(robot, a)
     b = as_configuration(robot, b)
     d = a - b
     return float(math.sqrt(float(np.dot(d * d, robot.weights))))
-
-
-def within_limits(robot: RobotModel, q) -> bool:
-    """True iff every joint value lies in its closed limit interval."""
-    q = as_configuration(robot, q)
-    return bool(np.all(q >= robot.lower) and np.all(q <= robot.upper))
-
-
-def sample_uniform(robot: RobotModel, rng: np.random.Generator) -> np.ndarray:
-    """Draw each joint value independently uniform over its limits."""
-    return rng.uniform(robot.lower, robot.upper)
 
 
 _JOINT_KEYS = {"name", "type", "axis", "origin_xyz", "origin_rpy", "limits",

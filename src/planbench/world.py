@@ -43,6 +43,38 @@ def _vec(value, length, what):
     return arr
 
 
+# The size fields of each obstacle shape, in document order, with each
+# field's array shape (() for a scalar).  Every per-shape step below (the
+# constructor, parsing, serialization and the kernel's packs) reads this.
+_OBSTACLE_SIZE = {BOX: {"half_extents": (3,)},
+                  CYLINDER: {"radius": (), "half_height": ()},
+                  SPHERE: {"radius": ()}}
+_SIZE_FIELDS = {name for sizes in _OBSTACLE_SIZE.values() for name in sizes}
+_OBSTACLE_COMMON = {"shape", "center", "yaw"}
+
+
+def _size_fields(shape) -> dict:
+    if not isinstance(shape, str) or shape not in _OBSTACLE_SIZE:
+        raise ValidationError(f"unknown obstacle shape {shape!r}")
+    return _OBSTACLE_SIZE[shape]
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
+
+
+def _field_eq(*names):
+    """An ``__eq__`` over the fields ``names``: arrays compare by value and
+    None equals only None."""
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return all(_same(getattr(self, n), getattr(other, n)) for n in names)
+    return __eq__
+
+
 @dataclass(frozen=True, eq=False)
 class Obstacle:
     """One primitive obstacle: box, cylinder (z-aligned), or sphere."""
@@ -55,32 +87,21 @@ class Obstacle:
     half_height: float | None = None
 
     def __post_init__(self):
+        sizes = _size_fields(self.shape)
         object.__setattr__(self, "center", _vec(self.center, 3, "obstacle center"))
         object.__setattr__(self, "yaw", float(self.yaw))
-        if self.shape == BOX:
-            if self.half_extents is None or self.radius is not None or self.half_height is not None:
-                raise ValidationError("box requires exactly 'half_extents'")
-            he = _vec(self.half_extents, 3, "box half_extents")
-            if not np.all(he > 0):
-                raise ValidationError("box half_extents must be positive")
-            object.__setattr__(self, "half_extents", he)
-        elif self.shape == CYLINDER:
-            if self.radius is None or self.half_height is None or self.half_extents is not None:
-                raise ValidationError("cylinder requires 'radius' and 'half_height'")
-            if not (self.radius > 0 and self.half_height > 0):
-                raise ValidationError("cylinder sizes must be positive")
-            object.__setattr__(self, "radius", float(self.radius))
-            object.__setattr__(self, "half_height", float(self.half_height))
-        elif self.shape == SPHERE:
-            if self.radius is None or self.half_extents is not None or self.half_height is not None:
-                raise ValidationError("sphere requires exactly 'radius'")
-            if not self.radius > 0:
-                raise ValidationError("sphere radius must be positive")
-            object.__setattr__(self, "radius", float(self.radius))
-            if self.yaw != 0.0:
-                raise ValidationError("sphere orientation is the identity; yaw must be 0")
-        else:
-            raise ValidationError(f"unknown obstacle shape {self.shape!r}")
+        if {n for n in _SIZE_FIELDS if getattr(self, n) is not None} != set(sizes):
+            raise ValidationError(
+                f"{self.shape} requires exactly {', '.join(map(repr, sizes))}")
+        for name, dims in sizes.items():
+            arr = np.asarray(getattr(self, name), dtype=float)
+            if arr.shape != dims:
+                raise ValidationError(f"{self.shape} {name} must have shape {dims}")
+            if not all(v > 0 for v in arr.ravel().tolist()):
+                raise ValidationError(f"{self.shape} {name} must be positive")
+            object.__setattr__(self, name, _vec(arr, dims[0], name) if dims else float(arr))
+        if self.shape == SPHERE and self.yaw != 0.0:
+            raise ValidationError("sphere orientation is the identity; yaw must be 0")
 
     @classmethod
     def box(cls, center, half_extents, yaw=0.0):
@@ -95,21 +116,7 @@ class Obstacle:
     def sphere(cls, center, radius):
         return cls(shape=SPHERE, center=center, radius=radius)
 
-    def __eq__(self, other):
-        if not isinstance(other, Obstacle):
-            return NotImplemented
-        return (self.shape == other.shape
-                and np.array_equal(self.center, other.center)
-                and self.yaw == other.yaw
-                and _opt_eq(self.half_extents, other.half_extents)
-                and self.radius == other.radius
-                and self.half_height == other.half_height)
-
-
-def _opt_eq(a, b):
-    if a is None or b is None:
-        return a is None and b is None
-    return np.array_equal(a, b)
+    __eq__ = _field_eq("shape", "center", "yaw", "half_extents", "radius", "half_height")
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,39 +128,27 @@ class WorldModel:
     def __post_init__(self):
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
 
-    def __eq__(self, other):
-        if not isinstance(other, WorldModel):
-            return NotImplemented
-        return self.obstacles == other.obstacles
+    __eq__ = _field_eq("obstacles")
 
     @cached_property
     def packs(self):
-        """Per-shape arrays consumed by the vectorized collision kernel."""
+        """Per-shape arrays consumed by the vectorized collision kernel: the
+        obstacles' indices, centers, yaw cosines and sines, and one array per
+        size field."""
         groups = {}
-        for shape in (BOX, CYLINDER, SPHERE):
+        for shape, sizes in _OBSTACLE_SIZE.items():
             idx = [i for i, o in enumerate(self.obstacles) if o.shape == shape]
             obs = [self.obstacles[i] for i in idx]
-            if shape == BOX:
-                groups[shape] = {
-                    "index": np.array(idx, dtype=int),
-                    "center": np.array([o.center for o in obs]).reshape(len(obs), 3),
-                    "cos": np.array([math.cos(o.yaw) for o in obs]),
-                    "sin": np.array([math.sin(o.yaw) for o in obs]),
-                    "half": np.array([o.half_extents for o in obs]).reshape(len(obs), 3),
-                }
-            elif shape == CYLINDER:
-                groups[shape] = {
-                    "index": np.array(idx, dtype=int),
-                    "center": np.array([o.center for o in obs]).reshape(len(obs), 3),
-                    "radius": np.array([o.radius for o in obs]),
-                    "half_height": np.array([o.half_height for o in obs]),
-                }
-            else:
-                groups[shape] = {
-                    "index": np.array(idx, dtype=int),
-                    "center": np.array([o.center for o in obs]).reshape(len(obs), 3),
-                    "radius": np.array([o.radius for o in obs]),
-                }
+            pack = {
+                "index": np.array(idx, dtype=int),
+                "center": np.array([o.center for o in obs]).reshape(len(obs), 3),
+                "cos": np.array([math.cos(o.yaw) for o in obs]),
+                "sin": np.array([math.sin(o.yaw) for o in obs]),
+            }
+            for name, dims in sizes.items():
+                pack[name] = np.array([getattr(o, name) for o in obs],
+                                      dtype=float).reshape((len(obs),) + dims)
+            groups[shape] = pack
         return groups
 
 
@@ -216,14 +211,12 @@ class GoalSpec:
     def dof(self) -> int:
         return len(self.lower)
 
-    def __eq__(self, other):
-        if not isinstance(other, GoalSpec):
-            return NotImplemented
-        return (self.kind == other.kind
-                and _opt_eq(self.target, other.target)
-                and _opt_eq(self.tolerance, other.tolerance)
-                and _opt_eq(self.lower, other.lower)
-                and _opt_eq(self.upper, other.upper))
+    def limited_box(self, robot: RobotModel) -> tuple[np.ndarray, np.ndarray]:
+        """The goal box intersected with the robot's joint limits, as
+        (lower, upper); empty when some lower entry exceeds its upper."""
+        return np.maximum(self.lower, robot.lower), np.minimum(self.upper, robot.upper)
+
+    __eq__ = _field_eq("kind", "target", "tolerance", "lower", "upper")
 
 
 @dataclass(frozen=True)
@@ -275,50 +268,22 @@ class Scenario:
         if not self.time_budget > 0:
             raise ValidationError("time budget must be positive")
 
-    def __eq__(self, other):
-        if not isinstance(other, Scenario):
-            return NotImplemented
-        return (self.name == other.name
-                and self.robot_file == other.robot_file
-                and np.array_equal(self.start, other.start)
-                and self.goal == other.goal
-                and self.world == other.world
-                and self.time_budget == other.time_budget
-                and self.variation == other.variation)
+    __eq__ = _field_eq("name", "robot_file", "start", "goal", "world", "time_budget",
+                       "variation")
 
 
 _SCENARIO_KEYS = {"name", "robot", "start", "goal", "world", "time_budget_s", "variation"}
 _VARIATION_KEYS = {"object_jitter_xy", "height_range", "yaw_range_deg",
                    "shelf_indices", "object_indices"}
-_OBSTACLE_COMMON = {"shape", "center", "yaw"}
-_OBSTACLE_SIZE = {BOX: {"half_extents"}, CYLINDER: {"radius", "half_height"},
-                  SPHERE: {"radius"}}
 
 
 def _parse_obstacle(entry) -> Obstacle:
-    if not isinstance(entry, dict) or "shape" not in entry:
-        raise ValidationError(f"obstacle entry must be a mapping with 'shape': {entry!r}")
+    if not isinstance(entry, dict) or "shape" not in entry or "center" not in entry:
+        raise ValidationError(
+            f"obstacle entry must be a mapping with 'shape' and 'center': {entry!r}")
     shape = entry["shape"]
-    if shape not in _OBSTACLE_SIZE:
-        raise ValidationError(f"unknown obstacle shape {shape!r}")
-    check_keys(entry, f"{shape} obstacle", _OBSTACLE_COMMON | _OBSTACLE_SIZE[shape])
-    if "center" not in entry:
-        raise ValidationError(f"{shape} obstacle requires 'center'")
-    kwargs = {"shape": shape, "center": entry["center"], "yaw": float(entry.get("yaw", 0.0))}
-    if shape == BOX:
-        if "half_extents" not in entry:
-            raise ValidationError("box obstacle requires 'half_extents'")
-        kwargs["half_extents"] = entry["half_extents"]
-    elif shape == CYLINDER:
-        if "radius" not in entry or "half_height" not in entry:
-            raise ValidationError("cylinder obstacle requires 'radius' and 'half_height'")
-        kwargs["radius"] = entry["radius"]
-        kwargs["half_height"] = entry["half_height"]
-    else:
-        if "radius" not in entry:
-            raise ValidationError("sphere obstacle requires 'radius'")
-        kwargs["radius"] = entry["radius"]
-    return Obstacle(**kwargs)
+    check_keys(entry, f"{shape} obstacle", _OBSTACLE_COMMON | set(_size_fields(shape)))
+    return Obstacle(**entry)
 
 
 def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
@@ -357,8 +322,7 @@ def _build_scenario(doc: dict, base_dir: str | Path | None) -> Scenario:
         check_keys(goal_doc, "region goal", {"type", "lower", "upper"})
         goal = GoalSpec.region_goal(goal_doc["lower"], goal_doc["upper"])
         # The region must intersect the joint limits to be reachable at all.
-        lo = np.maximum(goal.lower, robot.lower)
-        hi = np.minimum(goal.upper, robot.upper)
+        lo, hi = goal.limited_box(robot)
         if not np.all(lo <= hi):
             raise ValidationError("region goal does not intersect the joint limits")
     else:
@@ -402,16 +366,11 @@ def load_scenario(path: str | Path) -> Scenario:
 
 
 def _obstacle_doc(o: Obstacle) -> dict:
-    doc = {"shape": o.shape, "center": [float(v) for v in o.center]}
+    doc = {"shape": o.shape, "center": o.center.tolist()}
     if o.shape != SPHERE:
-        doc["yaw"] = float(o.yaw)
-    if o.shape == BOX:
-        doc["half_extents"] = [float(v) for v in o.half_extents]
-    elif o.shape == CYLINDER:
-        doc["radius"] = float(o.radius)
-        doc["half_height"] = float(o.half_height)
-    else:
-        doc["radius"] = float(o.radius)
+        doc["yaw"] = o.yaw
+    for name in _OBSTACLE_SIZE[o.shape]:
+        doc[name] = np.asarray(getattr(o, name)).tolist()
     return doc
 
 

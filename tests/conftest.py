@@ -110,7 +110,7 @@ def lattice_instance(rng, dof=None, require_solvable=False, edge_step=0.05,
     from planbench.ara_star import (decode, default_primitives, discretize,
                                     lattice_max_coords)
     from planbench.collision import check_config
-    from planbench.robot import sample_uniform
+    from oracles import sample_uniform
     from planbench.world import GoalSpec
 
     for _ in range(max_tries):

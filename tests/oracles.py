@@ -6,9 +6,10 @@ classification, Monte-Carlo shape membership, ``np.linspace`` motion
 sampling and a Dijkstra search over the lattice successor graph; none of
 that reuses the package's geometry kernels.  The sequential RRT-Connect loop
 is the exception: it is built from the package's public ``extend``,
-``connect`` and ``sample_uniform``, which share their steering, nearest-node
-scan and motion sampling with the batched planner, so comparing the two
-checks only how the batched loop orders and commits iterations.  Steering
+``connect``, which share their steering, nearest-node scan and motion
+sampling with the batched planner, and from ``sample_uniform`` here, which
+draws the planner's sample stream one sample at a time; so comparing the
+two checks only how the batched loop orders and commits iterations.  Steering
 inputs and motion sampling are checked on their own, against the linear-scan
 ``nearest`` oracle and against ``linspace_motion`` bit for bit.
 """
@@ -22,7 +23,7 @@ import numpy as np
 
 from planbench.ara_star import GOAL_NODE, decode, successors
 from planbench.core import OK, goal_representative, goal_satisfied, validate_query
-from planbench.robot import PRISMATIC, sample_uniform
+from planbench.robot import PRISMATIC
 from planbench.rrt_connect import (GOAL_TREE, REACHED, START_TREE, TRAPPED, Tree,
                                    connect, extend)
 
@@ -122,6 +123,17 @@ def sphere_obstacle_distance_oracle(center, radius, obstacle):
     else:
         d = point_sphere_distance(center, obstacle.center, obstacle.radius)
     return d - radius
+
+
+def sample_uniform(robot, rng):
+    """One configuration with each joint value drawn uniform over its limits:
+    one row of the planner's batched ``rng.uniform`` draw."""
+    return rng.uniform(robot.lower, robot.upper)
+
+
+def within_limits(robot, q):
+    """True iff every joint value lies in its closed limit interval."""
+    return bool(np.all(q >= robot.lower) and np.all(q <= robot.upper))
 
 
 def linspace_motion(robot, a, b, step):

@@ -27,7 +27,7 @@ from planbench.world import (GoalSpec, Obstacle, WorldModel, generate_variations
 from planbench.data import data_path
 
 from conftest import gantry_robot, lattice_instance, random_robot, random_world
-from oracles import brute_force_check, matrix_chain_spheres, result_tuple
+from oracles import brute_force_check, matrix_chain_spheres, result_tuple, sample_uniform
 
 TUNED_PARAMS = parse_params(data_path("params", "shelf_tuned.yaml").read_text())
 
@@ -94,16 +94,16 @@ def test_c01_collision_oracle_equivalence():
 
 def test_c02_fk_matrix_chain_oracle(shelf_easy):
     """FK matches an independent homogeneous-matrix chain within 1e-9."""
-    from planbench.robot import forward_kinematics, sample_uniform
+    from planbench.robot import sphere_centers_batch
     rng = np.random.default_rng(777)
     robots = [shelf_easy.robot, random_robot(rng, dof=8, n_spheres=6)]
     for robot in robots:
-        for _ in range(500):
-            q = sample_uniform(robot, rng)
+        configs = np.array([sample_uniform(robot, rng) for _ in range(500)])
+        for q, got in zip(configs, sphere_centers_batch(robot, configs)):
             want = matrix_chain_spheres(robot, q)
-            got = forward_kinematics(robot, q)
+            assert len(want) == len(got)
             for (center, _), placed in zip(want, got):
-                assert np.all(np.abs(placed.center - center) <= 1e-9)
+                assert np.all(np.abs(placed - center) <= 1e-9)
     _report("forward-kinematics matrix-chain oracle (1000 configs)")
 
 
@@ -183,9 +183,9 @@ def test_c06_backward_search_benefit():
 def test_c07_unsolvable_detection(shelf_easy):
     """Colliding endpoints yield 'unsolvable', never 'failure_timeout'."""
     robot = shelf_easy.robot
-    from planbench.robot import forward_kinematics
-    start_tip = forward_kinematics(robot, shelf_easy.start)[-1].center
-    goal_tip = forward_kinematics(robot, shelf_easy.goal.target)[-1].center
+    from planbench.robot import sphere_centers_batch
+    start_tip, goal_tip = sphere_centers_batch(
+        robot, np.array([shelf_easy.start, shelf_easy.goal.target]))[:, -1]
     blocked_start = replace(shelf_easy, world=WorldModel(
         shelf_easy.world.obstacles + (Obstacle.sphere(start_tip, 0.08),)))
     blocked_goal = replace(shelf_easy, world=WorldModel(

@@ -9,17 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planbench.collision import (CollisionKind, _motion_stack, check_config,
-                                 check_motion, free_mask, motion_configs,
-                                 motions_free)
+                                 check_motion, free_mask, motions_free)
 from planbench.data import data_path
 from planbench.errors import ContractViolation
-from planbench.robot import CollisionSphere, RobotModel, sample_uniform
+from planbench.robot import CollisionSphere, RobotModel
 from planbench.world import Obstacle, WorldModel, load_scenario
 
 from conftest import gantry_robot, make_joint, random_robot, random_world
 from oracles import (brute_force_check, linspace_motion, result_tuple,
-                     sphere_obstacle_distance_oracle,
-                     sphere_penetrates_monte_carlo)
+                     sample_uniform, sphere_obstacle_distance_oracle,
+                     sphere_penetrates_monte_carlo, within_limits)
 
 
 class TestSphereObstacleDistance:
@@ -164,7 +163,7 @@ class TestCheckMotion:
         assert not check_motion(robot, world, a, b, 0.05)
         # Dense sweep confirms the segment truly crosses the obstacle.
         from planbench.collision import free_mask
-        dense = motion_configs(robot, a, b, 4.0 / 10_000)
+        dense = linspace_motion(robot, a, b, 4.0 / 10_000)
         assert not free_mask(robot, world, dense).all()
 
     def test_empty_world_always_true(self):
@@ -201,6 +200,16 @@ class TestCheckMotion:
         assert check_motion(robot, WorldModel(()), [1, 1], [3, 1], 0.5, stats=stats)
         assert stats["collision_checks"] == 5
 
+    def test_rejected_motion_counts_every_configuration(self):
+        # The first of the motion's 81 configurations collides; all of them
+        # are checked and counted, more than one old 64-configuration chunk.
+        robot = one_sphere_robot()
+        world = WorldModel((Obstacle.sphere((1.0, 1.0, 0.0), 0.3),))
+        stats = {}
+        assert not check_motion(robot, world, [1, 1], [5, 1], 0.05, stats=stats)
+        assert not check_config(robot, world, [1, 1]).is_free
+        assert stats["collision_checks"] == 81
+
     def test_nonpositive_step_rejected(self):
         robot = one_sphere_robot()
         with pytest.raises(ContractViolation):
@@ -221,8 +230,6 @@ class TestMotionsFree:
             want = [linspace_motion(robot, a, b, step) for a, b in zip(starts, ends)]
             assert offsets.tolist() == np.cumsum([0] + [len(w) for w in want[:-1]]).tolist()
             assert configs.tobytes() == np.vstack(want).tobytes()
-            for a, b, w in zip(starts, ends, want):
-                assert motion_configs(robot, a, b, step).tobytes() == w.tobytes()
 
     def test_verdicts_match_check_motion(self):
         rng = np.random.default_rng(43)
@@ -237,7 +244,7 @@ class TestMotionsFree:
             assert got.tolist() == want
             # Every configuration is checked, with no early stop.
             assert stats["collision_checks"] == sum(
-                len(motion_configs(robot, a, b, 0.05)) for a, b in zip(starts, ends))
+                len(linspace_motion(robot, a, b, 0.05)) for a, b in zip(starts, ends))
 
     def test_shared_start_row(self):
         robot = one_sphere_robot()
@@ -288,7 +295,6 @@ class TestFreeImpliesWithinLimits:
         rng = np.random.default_rng(12)
         robot = random_robot(rng)
         world = random_world(rng)
-        from planbench.robot import within_limits
         for _ in range(500):
             q = rng.uniform(robot.lower - 0.2, robot.upper + 0.2)
             if check_config(robot, world, q).is_free:

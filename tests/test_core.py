@@ -8,10 +8,10 @@ from planbench.core import (GOAL_IN_COLLISION, OK, START_IN_COLLISION, Path,
                             PlannerResult, Query, goal_satisfied,
                             path_cost, query_from_scenario, validate_path,
                             validate_query)
-from planbench.robot import sample_uniform
 from planbench.world import GoalSpec, Obstacle, WorldModel
 
 from conftest import gantry_robot, random_robot
+from oracles import sample_uniform
 
 
 @pytest.fixture

@@ -8,11 +8,11 @@ from planbench.ara_star import (GOAL_NODE, MotionPrimitiveSet, decode,
                                 lattice_max_coords, parse_primitives, successors)
 from planbench.core import goal_satisfied
 from planbench.errors import ValidationError
-from planbench.robot import RobotModel, config_distance, sample_uniform, within_limits
+from planbench.robot import RobotModel, config_distance
 from planbench.world import GoalSpec, Obstacle, WorldModel
 
 from conftest import gantry_robot, lattice_instance, make_joint, random_robot
-from oracles import dijkstra_lattice
+from oracles import dijkstra_lattice, sample_uniform, within_limits
 
 
 @pytest.fixture

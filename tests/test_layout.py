@@ -1,13 +1,16 @@
 """Package layout rules, checked on the source: modules share no private
-names, and the only runtime dependencies are numpy and PyYAML."""
+names, the only runtime dependencies are numpy and PyYAML, and no public
+function or class exists only for the tests."""
 
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 import planbench
 
 SOURCES = sorted(Path(planbench.__file__).parent.rglob("*.py"))
+BENCHMARK = sorted((Path(__file__).resolve().parents[1] / "benchmark").glob("*.py"))
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "yaml", "planbench"}
 
 
@@ -40,3 +43,33 @@ def test_imports_only_stdlib_numpy_and_yaml():
             found += [f"{path.name}:{node.lineno} {name}" for name in names
                       if name.split(".")[0] not in ALLOWED]
     assert found == []
+
+
+def _names(node):
+    """Identifiers used under ``node``: names, attributes and imported names
+    (strings and docstrings do not count)."""
+    found = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            found[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            found[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            found[n.name.rpartition(".")[2]] += 1
+    return found
+
+
+def test_every_public_definition_is_used_outside_tests():
+    # A public module-level function or class must be named somewhere in the
+    # package outside its own definition (an export from __init__ counts) or
+    # in the benchmark scripts.
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in SOURCES + BENCHMARK}
+    used = sum((_names(tree) for tree in trees.values()), Counter())
+    unused = [f"{path.name}:{node.lineno} {node.name}"
+              for path in SOURCES for node in trees[path].body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")
+              and used[node.name] == _names(node)[node.name]]
+    assert BENCHMARK
+    assert unused == []

@@ -1,4 +1,4 @@
-"""Robot model: kinematics, metric, interpolation, limits, sampling, parsing."""
+"""Robot model: kinematics, metric, limits, sampling, parsing."""
 
 import math
 
@@ -7,58 +7,60 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from planbench.collision import CollisionKind, check_config, free_mask
 from planbench.errors import ContractViolation, ValidationError
-from planbench.robot import (CollisionSphere, RobotModel,
-                             config_distance, forward_kinematics,
-                             parse_robot, sample_uniform, within_limits)
+from planbench.robot import (CollisionSphere, RobotModel, config_distance,
+                             parse_robot, sphere_centers_batch)
+from planbench.world import WorldModel
 
 from conftest import make_joint, random_robot, single_revolute_robot
-from oracles import matrix_chain_spheres
+from oracles import matrix_chain_spheres, sample_uniform, within_limits
 
 
 class TestForwardKinematics:
+    """``sphere_centers_batch``, the forward kinematics the collision kernel
+    calls."""
+
     def test_identity_configuration(self):
         robot = single_revolute_robot()
-        placed = forward_kinematics(robot, [0.0])
-        assert np.allclose(placed[0].center, [1.0, 0.0, 0.0])
-        assert placed[0].radius == 0.1
+        centers = sphere_centers_batch(robot, np.array([[0.0]]))
+        assert np.allclose(centers[0, 0], [1.0, 0.0, 0.0])
+        assert robot.sphere_radii.tolist() == [0.1]
 
     def test_quarter_turn(self):
         robot = single_revolute_robot()
-        placed = forward_kinematics(robot, [math.pi / 2])
-        assert np.allclose(placed[0].center, [0.0, 1.0, 0.0], atol=1e-12)
+        centers = sphere_centers_batch(robot, np.array([[math.pi / 2]]))
+        assert np.allclose(centers[0, 0], [0.0, 1.0, 0.0], atol=1e-12)
 
     def test_radius_unchanged_and_one_per_sphere(self):
         rng = np.random.default_rng(7)
         robot = random_robot(rng, dof=4, n_spheres=5)
-        placed = forward_kinematics(robot, np.zeros(4))
-        assert len(placed) == 5
-        for sphere, out in zip(robot.spheres, placed):
-            assert out.radius == sphere.radius
+        centers = sphere_centers_batch(robot, np.zeros((3, 4)))
+        assert centers.shape == (3, 5, 3)
+        assert robot.sphere_radii.tolist() == [s.radius for s in robot.spheres]
 
     def test_matches_matrix_chain_oracle(self):
         rng = np.random.default_rng(42)
         robot = random_robot(rng, dof=8, n_spheres=6)
-        for _ in range(200):
-            q = sample_uniform(robot, rng)
+        configs = np.array([sample_uniform(robot, rng) for _ in range(200)])
+        actual = sphere_centers_batch(robot, configs)
+        for q, centers in zip(configs, actual):
             expected = matrix_chain_spheres(robot, q)
-            actual = forward_kinematics(robot, q)
-            for (center, _), out in zip(expected, actual):
-                assert np.allclose(out.center, center, atol=1e-9)
+            for (center, _), out in zip(expected, centers):
+                assert np.allclose(out, center, atol=1e-9)
 
     def test_deterministic_bitwise(self):
         rng = np.random.default_rng(3)
         robot = random_robot(rng, dof=5)
-        q = sample_uniform(robot, rng)
-        first = forward_kinematics(robot, q)
-        second = forward_kinematics(robot, q)
-        for a, b in zip(first, second):
-            assert np.array_equal(a.center, b.center)
+        q = sample_uniform(robot, rng)[None, :]
+        first = sphere_centers_batch(robot, q)
+        second = sphere_centers_batch(robot, q)
+        assert first.tobytes() == second.tobytes()
 
     def test_dimension_mismatch_rejected(self):
         robot = single_revolute_robot()
         with pytest.raises(ContractViolation):
-            forward_kinematics(robot, [0.0, 1.0])
+            sphere_centers_batch(robot, np.array([[0.0, 1.0]]))
 
 
 class TestConfigDistance:
@@ -96,14 +98,20 @@ class TestConfigDistance:
 
 
 class TestLimitsAndSampling:
+    """Closed joint limits as the collision kernel applies them, and the
+    uniform sampler that the reference RRT-Connect loop draws with."""
+
     def test_exact_bounds_are_inside(self, gantry):
-        assert within_limits(gantry, gantry.lower)
-        assert within_limits(gantry, gantry.upper)
+        empty = WorldModel(())
+        assert free_mask(gantry, empty, np.array([gantry.lower, gantry.upper])).all()
+        assert check_config(gantry, empty, gantry.lower).is_free
+        assert check_config(gantry, empty, gantry.upper).is_free
 
     def test_epsilon_above_is_outside(self, gantry):
         q = gantry.upper.copy()
         q[0] += 1e-9
-        assert not within_limits(gantry, q)
+        assert not free_mask(gantry, WorldModel(()), q[None, :])[0]
+        assert check_config(gantry, WorldModel(()), q).kind is CollisionKind.LIMITS
 
     def test_sampler_respects_limits(self):
         rng = np.random.default_rng(23)

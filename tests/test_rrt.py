@@ -12,14 +12,14 @@ from planbench.core import (FORWARD, SOLVED, UNSOLVABLE, BUDGET_GRACE, Query,
 from planbench.data import data_path
 from planbench.errors import ContractViolation, ValidationError
 from planbench.params import load_params
-from planbench.robot import config_distance, sample_uniform
+from planbench.robot import config_distance
 from planbench.rrt_connect import (ADVANCED, REACHED, TRAPPED, RrtParams, Tree,
                                    connect, extend, nearest, plan_rrt_connect)
 from planbench.world import (GoalSpec, Obstacle, WorldModel, generate_variations,
                              load_scenario)
 
 from conftest import gantry_robot
-from oracles import rrt_connect_sequential
+from oracles import rrt_connect_sequential, sample_uniform
 
 
 @pytest.fixture

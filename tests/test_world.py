@@ -1,14 +1,16 @@
 """World/scenario module: obstacles, parsing, round-trips, and variations."""
 
+import copy
 import math
 
 import numpy as np
 import pytest
 
 from planbench.ara_star import parse_primitives
+from planbench.data import data_path
 from planbench.errors import ContractViolation, ParseError, ValidationError
 from planbench.robot import parse_robot
-from planbench.world import (Obstacle, Scenario, VariationSpec,
+from planbench.world import (GoalSpec, Obstacle, Scenario, VariationSpec, WorldModel,
                              generate_variations, load_scenario, parse_scenario,
                              serialize_scenario)
 
@@ -69,6 +71,102 @@ class TestObstacle:
     def test_unknown_shape(self):
         with pytest.raises(ValidationError):
             Obstacle(shape="cone", center=(0, 0, 0), radius=1.0)
+
+
+# Each shape's size fields, written out independently of the package.
+SIZES = {"box": {"half_extents": [0.1, 0.2, 0.3]},
+         "cylinder": {"radius": 0.1, "half_height": 0.2},
+         "sphere": {"radius": 0.1}}
+SIZE_FIELDS = ("half_extents", "radius", "half_height")
+
+
+def obstacle_doc(fields):
+    """A one-obstacle scenario document for the MINI_ROBOT file."""
+    entry = ", ".join(f"{k}: {v}" for k, v in fields.items())
+    return minimal_doc().replace("obstacles: []", f"obstacles: [{{{entry}}}]")
+
+
+@pytest.mark.parametrize("shape", sorted(SIZES))
+@pytest.mark.parametrize("field", SIZE_FIELDS)
+def test_missing_or_foreign_size_field_rejected(shape, field, tmp_path, robot_file):
+    fields = {"shape": shape, "center": [1, 0, 0], **SIZES[shape]}
+    if field in SIZES[shape]:
+        del fields[field]
+    else:
+        fields[field] = SIZES["box" if field == "half_extents" else "cylinder"][field]
+    with pytest.raises(ValidationError):
+        Obstacle(**fields)
+    with pytest.raises(ValidationError):
+        parse_scenario(obstacle_doc(fields), base_dir=tmp_path)
+
+
+@pytest.mark.parametrize("fields", [
+    {"shape": "box", "half_extents": [0.1, 0.0, 0.1]},
+    {"shape": "box", "half_extents": [0.1, 0.1]},
+    {"shape": "cylinder", "radius": 0.1, "half_height": -0.2},
+    {"shape": "cylinder", "radius": 0.0, "half_height": 0.2},
+    {"shape": "sphere", "radius": -0.1},
+    {"shape": "sphere", "radius": 0.1, "yaw": 0.3},
+    {"shape": ["box"], "half_extents": [0.1, 0.1, 0.1]},
+], ids=["box-zero", "box-length", "cylinder-height", "cylinder-radius", "sphere-radius",
+        "sphere-yaw", "unhashable-shape"])
+def test_invalid_obstacle_rejected(fields, tmp_path, robot_file):
+    fields = {"center": [1, 0, 0], **fields}
+    with pytest.raises(ValidationError):
+        Obstacle(**fields)
+    with pytest.raises(ValidationError):
+        parse_scenario(obstacle_doc(fields), base_dir=tmp_path)
+
+
+def _changed(obj, field, value):
+    """A copy of ``obj`` with one field replaced, bypassing validation."""
+    other = copy.copy(obj)
+    object.__setattr__(other, field, value)
+    return other
+
+
+def _assert_each_field_compared(obj, changes):
+    assert obj == copy.copy(obj)
+    for field, value in changes.items():
+        other = _changed(obj, field, value)
+        assert obj != other, field
+        assert other != obj, field
+
+
+def test_equality_compares_every_obstacle_field():
+    box = Obstacle.box((1.0, 0.0, 0.0), (0.1, 0.2, 0.3), yaw=0.5)
+    _assert_each_field_compared(box, {
+        "shape": "cylinder", "center": np.array([1.0, 0.0, 0.5]), "yaw": 0.25,
+        "half_extents": np.array([0.1, 0.2, 0.4]), "radius": 0.1, "half_height": 0.1})
+    cylinder = Obstacle.cylinder((1.0, 0.0, 0.0), 0.1, 0.2)
+    _assert_each_field_compared(cylinder, {"radius": 0.15, "half_height": 0.25,
+                                           "half_extents": np.ones(3)})
+
+
+def test_equality_compares_every_goal_field():
+    goal = GoalSpec.config_goal([0.5, 0.5], [0.1, 0.1])
+    _assert_each_field_compared(goal, {
+        "kind": "region", "target": np.array([0.5, 0.25]), "tolerance": None,
+        "lower": np.array([0.4, 0.3]), "upper": np.array([0.6, 0.7])})
+    region = GoalSpec.region_goal([0.0, 0.0], [1.0, 1.0])
+    _assert_each_field_compared(region, {"target": np.zeros(2), "tolerance": np.zeros(2)})
+
+
+def test_equality_compares_every_scenario_field(tmp_path, gantry_file):
+    scenario = shelf_scenario(tmp_path, gantry_file)
+    _assert_each_field_compared(scenario, {
+        "name": "other", "robot_file": "other.yaml", "start": np.array([0.5, 0.75]),
+        "goal": GoalSpec.config_goal([5.0, 4.0]),
+        "world": WorldModel(scenario.world.obstacles[:2]), "time_budget": 3.0,
+        "variation": None})
+    # The robot is identified by its file; the loaded model is not compared.
+    assert _changed(scenario, "robot", None) == scenario
+
+
+@pytest.mark.parametrize("name", ["shelf_easy.yaml", "shelf_reach.yaml"])
+def test_shipped_scenarios_serialize_to_their_files(name):
+    path = data_path("scenarios", name)
+    assert serialize_scenario(load_scenario(path)) == path.read_text(encoding="utf-8")
 
 
 class TestParse:
