@@ -5,7 +5,10 @@ motion primitives are integer cell displacements applied to lattice states.
 The search runs weighted A* once per entry of a strictly decreasing inflation
 schedule, reusing cost-to-come values and an inconsistent-state list between
 iterations, so every incumbent published at inflation eps costs at most
-eps times the optimal lattice cost.
+eps times the optimal lattice cost.  Lattice edges are collision checked
+lazily, a few states per call, only when a candidate through them reaches
+the top of the open list; the search's expansions and paths are those of
+the search that checks every move when its source is expanded.
 
 Queries are answered by a forward search over half the budget followed, if
 needed, by a backward search (roles of start and goal swapped, waypoints
@@ -35,6 +38,12 @@ from .world import GoalSpec, WorldModel
 GOAL_NODE: tuple[int, ...] = ()
 
 _TIE = 1e-12
+
+# States resolved per collision call: the state whose candidate tops OPEN and
+# the next states in OPEN whose candidates await validation.
+LOOKAHEAD = 4
+# States per collision call when every remaining candidate is resolved.
+_SETTLE_STATES = 64
 
 
 @dataclass(frozen=True)
@@ -119,8 +128,14 @@ class AraSolution:
 
 
 class LatticeCache:
-    """Memo of validated lattice edges, shared across inflation iterations
-    and across the forward and backward attempts of one query."""
+    """Memo of collision-checked edges, shared across inflation iterations
+    and across the forward and backward attempts of one query.
+
+    The search fills it lazily, only with the edges it resolves.  ``edges``
+    maps an ordered state pair to its verdict; ``snap`` maps a (state, goal
+    configuration bytes) pair to the verdict of that state's goal-snap edge,
+    since the two attempts snap to different configurations.
+    """
 
     def __init__(self):
         self.edges: dict = {}
@@ -203,58 +218,30 @@ def heuristic(state: tuple[int, ...], goal: GoalSpec, robot: RobotModel) -> floa
 
 
 def successors(state: tuple[int, ...], primitives: MotionPrimitiveSet,
-               robot: RobotModel, world: WorldModel,
-               goal_config: np.ndarray | None = None, *,
-               edge_step: float = 0.05, cache: LatticeCache | None = None,
-               stats: dict | None = None) -> list[tuple[tuple[int, ...], float]]:
-    """Valid lattice moves from a free state, each priced by the metric.
+               robot: RobotModel, goal_config: np.ndarray | None = None
+               ) -> list[tuple[tuple[int, ...], float]]:
+    """Lattice moves from a state, each priced by the metric, unvalidated.
 
-    A candidate survives when it stays inside the lattice bounds and the
-    straight motion to it validates at ``edge_step``.  When ``goal_config``
-    lies within the snap radius and the straight motion to it validates, an
-    off-lattice terminal successor (GOAL_NODE, distance) is emitted as well.
+    One move per primitive that stays inside the lattice bounds, in primitive
+    order; when ``goal_config`` lies within the snap radius, an off-lattice
+    terminal move (GOAL_NODE, distance) follows.  Nothing is collision
+    checked here: the search validates an edge only when it needs it.  Costs
+    equal ``config_distance`` between the decoded states bit for bit.
     """
     q = decode(robot, state)
-    state_arr = np.asarray(state, dtype=int)
-    max_coords = lattice_max_coords(robot)
-    results: list[tuple[tuple[int, ...], float]] = []
-    pending: list[tuple[tuple[int, ...], np.ndarray, float, tuple, bool]] = []
-
-    for delta in primitives.primitives:
-        coords = state_arr + delta
-        if np.any(coords < 0) or np.any(coords > max_coords):
-            continue
-        nxt = tuple(int(c) for c in coords)
-        q2 = decode(robot, nxt)
-        cost = config_distance(robot, q, q2)
-        key = (state, nxt) if state <= nxt else (nxt, state)
-        cached = None if cache is None else cache.edges.get(key)
-        if cached is True:
-            results.append((nxt, cost))
-        elif cached is None:
-            pending.append((nxt, q2, cost, key, False))
-
+    coords = np.asarray(state, dtype=int) + primitives.primitives
+    inside = ((coords >= 0) & (coords <= lattice_max_coords(robot))).all(axis=1)
+    coords = coords[inside]
+    delta = robot.lower + coords * robot.resolutions - q
+    # One np.dot per move, as config_distance sums: a matrix product sums
+    # in another order and can differ in the last bit on multi-joint moves.
+    costs = [math.sqrt(float(np.dot(row, robot.weights))) for row in delta * delta]
+    moves = list(zip(map(tuple, coords.tolist()), costs))
     if goal_config is not None:
         d = config_distance(robot, q, goal_config)
         if d <= primitives.snap_radius:
-            cached = None if cache is None else cache.snap.get(state)
-            if cached is True:
-                results.append((GOAL_NODE, d))
-            elif cached is None:
-                pending.append((GOAL_NODE, goal_config, d, state, True))
-
-    if pending:
-        free = motions_free(robot, world, q, np.array([q2 for _, q2, _, _, _ in pending]),
-                            edge_step, stats=stats)
-        for (node, _, cost, key, is_snap), ok in zip(pending, free.tolist()):
-            if cache is not None:
-                if is_snap:
-                    cache.snap[key] = ok
-                else:
-                    cache.edges[key] = ok
-            if ok:
-                results.append((node, cost))
-    return results
+            moves.append((GOAL_NODE, d))
+    return moves
 
 
 def ara_search(start_state: tuple[int, ...], goal: GoalSpec,
@@ -270,10 +257,24 @@ def ara_search(start_state: tuple[int, ...], goal: GoalSpec,
     certifies the eps-suboptimality bound for that iteration's incumbent.
     Hitting the deadline returns the current incumbent, possibly none.
 
+    Edges are evaluated lazily.  An expansion pushes each move as an
+    unvalidated candidate under the key a validated relaxation would get.
+    When a candidate reaches the top of OPEN, its state and the next
+    ``LOOKAHEAD - 1`` states in OPEN that await validation are resolved: all
+    their candidate edges go to one collision call, and each state's valid
+    candidates are then applied in generation order.  Between iterations
+    every candidate is resolved; after the last one only those that decide
+    ``reopened`` and the returned chain are.  Unless the deadline cuts it
+    short, the search expands, publishes, reopens and returns exactly what
+    the search that validates every move at expansion would; only
+    ``collision_checks`` differs.  The deadline is polled after every
+    expansion and every collision call.
+
     Tie-breaking is deterministic: equal keys prefer larger cost-to-come,
     then lexicographically smaller states.
     """
     goal_config = goal.target  # the goal-snap target; regions have none
+    snap_target = None if goal_config is None else goal_config.tobytes()
     if cache is None:
         cache = LatticeCache()
     search_stats = SearchStats()
@@ -282,6 +283,12 @@ def ara_search(start_state: tuple[int, ...], goal: GoalSpec,
     parent: dict = {start_state: None}
     best_cost = math.inf
     best_node = None
+    # Unvalidated candidates per state, as (cost-to-come, parent, sequence)
+    # in generation order.  A heap entry is (key, -cost, state, sequence):
+    # sequence 0 marks a validated entry, live while its cost is g[state];
+    # a candidate's entry is live until its state is resolved.
+    pending: dict = {}
+    sequence = 0
 
     h_memo: dict = {}
 
@@ -297,47 +304,128 @@ def ara_search(start_state: tuple[int, ...], goal: GoalSpec,
             return True
         return goal_satisfied(goal, decode(robot, s))
 
+    def edge_free(a, b) -> bool | None:
+        """The cached verdict of edge a -> b, None when unchecked."""
+        if b == GOAL_NODE:
+            return cache.snap.get((a, snap_target))
+        return cache.edges.get((a, b) if a <= b else (b, a))
+
+    def resolve(states) -> None:
+        """Validate the candidates of ``states`` in one collision call and
+        apply each state's valid ones in generation order."""
+        unknown: dict = {}
+        for s in states:
+            for _, p, _ in pending[s]:
+                if edge_free(p, s) is None:
+                    unknown[p, s] = None
+        if unknown:
+            ends = [goal_config if s == GOAL_NODE else decode(robot, s)
+                    for _, s in unknown]
+            free = motions_free(robot, world,
+                                np.array([decode(robot, p) for p, _ in unknown]),
+                                np.array(ends), params.edge_step, stats=stats)
+            for (p, s), ok in zip(unknown, free.tolist()):
+                if s == GOAL_NODE:
+                    cache.snap[p, snap_target] = ok
+                else:
+                    cache.edges[(p, s) if p <= s else (s, p)] = ok
+        for s in states:
+            improved = False
+            for t, p, _ in pending.pop(s):
+                if t < g.get(s, math.inf) - _TIE and edge_free(p, s):
+                    g[s] = t
+                    parent[s] = p
+                    improved = True
+            if not improved:
+                continue
+            if s in closed:
+                if s not in incons:
+                    incons.add(s)
+                    search_stats.reopened += 1
+            else:
+                heapq.heappush(heap, (g[s] + eps * h(s), -g[s], s, 0))
+
+    def out_of_time() -> bool:
+        return deadline is not None and time.perf_counter() >= deadline
+
+    def settle(states) -> bool:
+        """Resolve ``states`` a chunk per call; False if time ran out first."""
+        states = list(states)
+        for k in range(0, len(states), _SETTLE_STATES):
+            if out_of_time():
+                return False
+            resolve(states[k:k + _SETTLE_STATES])
+        return True
+
+    def live(entry) -> bool:
+        _, neg_t, s, seq = entry
+        if seq:
+            return s in pending and seq >= pending[s][0][2]
+        return -neg_t == g[s]
+
+    def awaiting_validation() -> list:
+        """The top entry's state and the next states in OPEN with pending
+        candidates, up to LOOKAHEAD; validated entries go back on the heap."""
+        batch: dict = {}
+        kept = []
+        while heap and len(batch) < LOOKAHEAD:
+            entry = heapq.heappop(heap)
+            if not live(entry):
+                continue
+            s = entry[2]
+            if s in pending:
+                batch[s] = None
+            if not entry[3]:
+                kept.append(entry)
+        for entry in kept:
+            heapq.heappush(heap, entry)
+        return list(batch)
+
     seeds = {start_state}
+    closed: set = set()
+    incons: set = set()
+    heap: list = []
     interrupted = False
-    for eps in params.epsilon_schedule:
-        if deadline is not None and time.perf_counter() >= deadline:
+    schedule = params.epsilon_schedule
+    for eps in schedule:
+        if out_of_time():
             break
-        heap = [(g[s] + eps * h(s), -g[s], s) for s in seeds]
+        heap = [(g[s] + eps * h(s), -g[s], s, 0) for s in seeds]
         heapq.heapify(heap)
-        closed: set = set()
-        incons: set = set()
+        closed = set()
+        incons = set()
         expansions = 0
         while heap:
-            f, neg_g, s = heap[0]
-            if -neg_g != g[s]:
+            f, _, s, _ = entry = heap[0]
+            if not live(entry):
                 heapq.heappop(heap)  # stale entry
                 continue
             if best_cost <= f + _TIE:
                 break  # bound certified for this iteration
-            heapq.heappop(heap)
-            if s in closed:
-                continue
-            closed.add(s)
-            expansions += 1
-            if is_goal(s):
-                if g[s] < best_cost:
-                    best_cost = g[s]
-                    best_node = s
-                continue  # terminal: paths through a goal cannot improve it
-            for nxt, cost in successors(
-                    s, primitives, robot, world, goal_config,
-                    edge_step=params.edge_step, cache=cache, stats=stats):
-                tentative = g[s] + cost
-                if tentative < g.get(nxt, math.inf) - _TIE:
-                    g[nxt] = tentative
-                    parent[nxt] = s
-                    if nxt in closed:
-                        if nxt not in incons:
-                            incons.add(nxt)
-                            search_stats.reopened += 1
-                    else:
-                        heapq.heappush(heap, (tentative + eps * h(nxt), -tentative, nxt))
-            if deadline is not None and time.perf_counter() >= deadline:
+            if s in pending:
+                resolve(awaiting_validation())
+            else:
+                heapq.heappop(heap)
+                if s in closed:
+                    continue
+                closed.add(s)
+                expansions += 1
+                if is_goal(s):
+                    if g[s] < best_cost:
+                        best_cost = g[s]
+                        best_node = s
+                    continue  # terminal: paths through a goal cannot improve it
+                for nxt, cost in successors(s, primitives, robot, goal_config):
+                    tentative = g[s] + cost
+                    if (tentative >= g.get(nxt, math.inf) - _TIE
+                            or edge_free(s, nxt) is False):
+                        continue  # could not lower g[nxt] even if valid
+                    sequence += 1
+                    pending.setdefault(nxt, []).append((tentative, s, sequence))
+                    if nxt not in closed:  # a closed state only joins incons
+                        heapq.heappush(heap, (tentative + eps * h(nxt), -tentative,
+                                              nxt, sequence))
+            if out_of_time():  # polled after every expansion and resolution
                 interrupted = True
                 break
         search_stats.epsilons.append(eps)
@@ -347,12 +435,21 @@ def ara_search(start_state: tuple[int, ...], goal: GoalSpec,
         if interrupted:
             break
         search_stats.epsilon_final = eps
-        seeds = {s for _, neg_g, s in heap if -neg_g == g[s]} | incons
+        if eps == schedule[-1] or not settle(pending):
+            break
+        seeds = {s for _, neg_t, s, seq in heap if not seq and -neg_t == g[s]} | incons
 
+    # The candidates left over could still change ``reopened`` (those of
+    # closed states) and parent pointers: resolve those and the chain's.
+    settle(s for s in pending if s in closed)
     if best_node is None:
         return None, search_stats
     chain = [best_node]
-    while parent[chain[-1]] is not None:
+    while True:
+        if chain[-1] in pending:
+            resolve([chain[-1]])
+        if parent[chain[-1]] is None:
+            break
         chain.append(parent[chain[-1]])
     chain.reverse()
     waypoints = [goal_config.copy() if s == GOAL_NODE else decode(robot, s)

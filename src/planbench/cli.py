@@ -1,6 +1,7 @@
 """Command-line interface: plan one query, generate suites, benchmark, validate.
 
-Exit codes for ``plan``: 0 solved, 1 failure, 2 unsolvable.  ``validate``
+Exit codes for ``plan``: 0 solved, 1 failure, 2 unsolvable; ``plan`` also
+prints the planner's counters, one ``key: value`` line each.  ``validate``
 exits 0 for a valid path and 1 otherwise.
 """
 
@@ -69,14 +70,18 @@ def _cmd_plan(args) -> int:
         print(f"waypoints: {len(result.path)}")
         if args.path_out:
             _write_path_csv(Path(args.path_out), result.path.waypoints)
-        return 0
-    if result.status == UNSOLVABLE:
+        code = 0
+    elif result.status == UNSOLVABLE:
         print(f"status: unsolvable ({result.reason})")
         print(f"planning_time_s: {result.planning_time:.6f}")
-        return 2
-    print("status: failure")
-    print(f"planning_time_s: {result.planning_time:.6f}")
-    return 1
+        code = 2
+    else:
+        print("status: failure")
+        print(f"planning_time_s: {result.planning_time:.6f}")
+        code = 1
+    for key, value in sorted(result.stats.items()):
+        print(f"{key}: {value}")
+    return code
 
 
 def _cmd_gen(args) -> int:

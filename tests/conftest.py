@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -148,3 +149,13 @@ def lattice_instance(rng, dof=None, require_solvable=False, edge_step=0.05,
             return robot, world, start_state, goal, primitives, optimum
         return robot, world, start_state, goal, primitives, None
     raise RuntimeError("unable to build a lattice instance")
+
+
+@pytest.fixture(scope="session")
+def lattice_cases():
+    """Fifty random 2-3 DOF lattice instances with their Dijkstra optima,
+    and the seconds it took to build them."""
+    t0 = time.perf_counter()
+    rng = np.random.default_rng(918273)
+    cases = [lattice_instance(rng, require_solvable=True) for _ in range(50)]
+    return cases, time.perf_counter() - t0

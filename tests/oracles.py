@@ -2,16 +2,20 @@
 
 Most of it is written from scratch against the documented behavior:
 homogeneous-matrix forward kinematics, scalar pairwise collision
-classification, Monte-Carlo shape membership, ``np.linspace`` motion
-sampling and a Dijkstra search over the lattice successor graph; none of
-that reuses the package's geometry kernels.  The sequential RRT-Connect loop
-is the exception: it is built from the package's public ``extend``,
-``connect``, which share their steering, nearest-node scan and motion
-sampling with the batched planner, and from ``sample_uniform`` here, which
-draws the planner's sample stream one sample at a time; so comparing the
-two checks only how the batched loop orders and commits iterations.  Steering
-inputs and motion sampling are checked on their own, against the linear-scan
-``nearest`` oracle and against ``linspace_motion`` bit for bit.
+classification, Monte-Carlo shape membership and ``np.linspace`` motion
+sampling, none of which reuses the package's geometry kernels.  The lattice
+searches, Dijkstra and the eager anytime search, run over
+``valid_successors``, which builds moves one at a time and checks them with
+the package's ``motions_free`` but does not use its move generator; so
+comparing the lazy search with the eager one checks which edges it
+validates and when, not the collision checker.  The sequential RRT-Connect loop is built from the
+package's public ``extend`` and ``connect``, which share their steering,
+nearest-node scan and motion sampling with the batched planner, and from
+``sample_uniform`` here, which draws the planner's sample stream one sample
+at a time; so comparing the two checks only how the batched loop orders and
+commits iterations.  Steering inputs and motion sampling are checked on
+their own, against the linear-scan ``nearest`` oracle and against
+``linspace_motion`` bit for bit.
 """
 
 from __future__ import annotations
@@ -21,9 +25,11 @@ import math
 
 import numpy as np
 
-from planbench.ara_star import GOAL_NODE, decode, successors
+from planbench.ara_star import (GOAL_NODE, AraSolution, SearchStats, decode,
+                                heuristic, lattice_max_coords)
+from planbench.collision import motions_free
 from planbench.core import OK, goal_representative, goal_satisfied, validate_query
-from planbench.robot import PRISMATIC
+from planbench.robot import PRISMATIC, config_distance
 from planbench.rrt_connect import (GOAL_TREE, REACHED, START_TREE, TRAPPED, Tree,
                                    connect, extend)
 
@@ -265,15 +271,42 @@ def spheres_penetrate_monte_carlo(centers, radii, obstacles, rng, samples=1000):
 
 
 # ---------------------------------------------------------------------------
-# Dijkstra over the identical lattice successor graph.
+# Validated lattice moves, Dijkstra, and the eager anytime search over them.
+
+_TIE = 1e-12  # the relaxation and termination margin of ara_search
+
+def valid_successors(state, primitives, robot, world, goal_config=None,
+                     edge_step=0.05):
+    """The lattice moves from ``state`` whose straight motion is collision
+    free at ``edge_step``, priced by ``config_distance``: one move per
+    in-bounds primitive in primitive order, then the goal-snap move when the
+    goal configuration lies within the snap radius.
+
+    The moves are built one by one here; their motions are checked in one
+    ``motions_free`` call, which ``TestMotionsFree`` holds to the verdicts of
+    ``check_motion`` motion by motion.
+    """
+    q = decode(robot, state)
+    max_coords = lattice_max_coords(robot)
+    moves = []
+    for delta in primitives.primitives:
+        nxt = tuple(int(a) + int(d) for a, d in zip(state, delta))
+        if all(0 <= c <= m for c, m in zip(nxt, max_coords)):
+            moves.append((nxt, decode(robot, nxt)))
+    if goal_config is not None and \
+            config_distance(robot, q, goal_config) <= primitives.snap_radius:
+        moves.append((GOAL_NODE, np.asarray(goal_config, dtype=float)))
+    if not moves:
+        return []
+    free = motions_free(robot, world, q, np.array([q2 for _, q2 in moves]), edge_step)
+    return [(nxt, config_distance(robot, q, q2))
+            for (nxt, q2), ok in zip(moves, free) if ok]
+
 
 def dijkstra_lattice(robot, world, primitives, start_state, goal, edge_step,
                      goal_config=None):
-    """Optimal cost to any goal-satisfying node, or None when unreachable.
-
-    Uses the package's successor generator (the graph under test is shared)
-    but performs its own uniform-cost search with its own goal test.
-    """
+    """Optimal cost to any goal-satisfying node, or None when unreachable:
+    a uniform-cost search over ``valid_successors`` with its own goal test."""
     def satisfied(node):
         if node == GOAL_NODE:
             return True
@@ -291,13 +324,89 @@ def dijkstra_lattice(robot, world, primitives, start_state, goal, edge_step,
             continue
         if satisfied(node):
             return d
-        for nxt, cost in successors(node, primitives, robot, world, goal_config,
-                                    edge_step=edge_step):
+        for nxt, cost in valid_successors(node, primitives, robot, world,
+                                          goal_config, edge_step):
             nd = d + cost
             if nd < dist.get(nxt, math.inf) - 1e-15:
                 dist[nxt] = nd
                 heapq.heappush(heap, (nd, nxt))
     return None
+
+
+def ara_search_eager(start_state, goal, primitives, params, robot, world):
+    """(solution, SearchStats) of anytime weighted A* that validates every
+    move when its source is expanded, with no clock.
+
+    This is the search ``ara_search`` runs lazily: same keys, tie-breaking,
+    relaxation rule, inconsistent-state list and path reconstruction, over
+    the moves of ``valid_successors``.
+    """
+    goal_config = goal.target
+    search_stats = SearchStats()
+    g = {start_state: 0.0}
+    parent = {start_state: None}
+    best_cost = math.inf
+    best_node = None
+
+    def h(s):
+        return heuristic(s, goal, robot)
+
+    def is_goal(s):
+        return s == GOAL_NODE or goal_satisfied(goal, decode(robot, s))
+
+    seeds = {start_state}
+    for eps in params.epsilon_schedule:
+        heap = [(g[s] + eps * h(s), -g[s], s) for s in seeds]
+        heapq.heapify(heap)
+        closed = set()
+        incons = set()
+        expansions = 0
+        while heap:
+            f, neg_g, s = heap[0]
+            if -neg_g != g[s]:
+                heapq.heappop(heap)
+                continue
+            if best_cost <= f + _TIE:
+                break
+            heapq.heappop(heap)
+            if s in closed:
+                continue
+            closed.add(s)
+            expansions += 1
+            if is_goal(s):
+                if g[s] < best_cost:
+                    best_cost = g[s]
+                    best_node = s
+                continue
+            for nxt, cost in valid_successors(s, primitives, robot, world,
+                                              goal_config, params.edge_step):
+                tentative = g[s] + cost
+                if tentative < g.get(nxt, math.inf) - _TIE:
+                    g[nxt] = tentative
+                    parent[nxt] = s
+                    if nxt in closed:
+                        if nxt not in incons:
+                            incons.add(nxt)
+                            search_stats.reopened += 1
+                    else:
+                        heapq.heappush(heap, (tentative + eps * h(nxt), -tentative, nxt))
+        search_stats.epsilons.append(eps)
+        search_stats.expansions_per_epsilon.append(expansions)
+        search_stats.incumbent_costs.append(None if best_node is None else best_cost)
+        search_stats.epsilon_final = eps
+        seeds = {s for _, neg_g, s in heap if -neg_g == g[s]} | incons
+
+    if best_node is None:
+        return None, search_stats
+    chain = [best_node]
+    while parent[chain[-1]] is not None:
+        chain.append(parent[chain[-1]])
+    chain.reverse()
+    waypoints = [goal_config.copy() if s == GOAL_NODE else decode(robot, s)
+                 for s in chain]
+    cost = sum(config_distance(robot, waypoints[k], waypoints[k + 1])
+               for k in range(len(waypoints) - 1))
+    return AraSolution(nodes=tuple(chain), waypoints=waypoints, cost=cost), search_stats
 
 
 # ---------------------------------------------------------------------------

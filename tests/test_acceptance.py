@@ -26,7 +26,7 @@ from planbench.world import (GoalSpec, Obstacle, WorldModel, generate_variations
 
 from planbench.data import data_path
 
-from conftest import gantry_robot, lattice_instance, random_robot, random_world
+from conftest import gantry_robot, random_robot, random_world
 from oracles import brute_force_check, matrix_chain_spheres, result_tuple, sample_uniform
 
 TUNED_PARAMS = parse_params(data_path("params", "shelf_tuned.yaml").read_text())
@@ -44,15 +44,6 @@ def shelf_easy():
 @pytest.fixture(scope="module")
 def shelf_reach():
     return load_scenario(data_path("scenarios", "shelf_reach.yaml"))
-
-
-@pytest.fixture(scope="module")
-def lattice_cases():
-    """Fifty random 2-3 DOF lattice instances with their Dijkstra optima."""
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(918273)
-    cases = [lattice_instance(rng, require_solvable=True) for _ in range(50)]
-    return cases, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")

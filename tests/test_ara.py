@@ -1,20 +1,27 @@
-"""Anytime search: optimality at eps=1, bounded suboptimality, planning wrapper."""
+"""Anytime search: optimality at eps=1, bounded suboptimality, equality with
+the eager search, planning wrapper."""
 
+import dataclasses
 import math
 import time
 
 import numpy as np
 import pytest
 
-from planbench.ara_star import (AraParams, ara_search, default_primitives,
-                                discretize, plan_ara_star)
-from planbench.core import (BACKWARD, FORWARD, SOLVED, UNSOLVABLE, Query,
-                            goal_satisfied, path_cost, validate_path)
+from planbench.ara_star import (AraParams, LatticeCache, ara_search, decode,
+                                default_primitives, discretize, plan_ara_star)
+from planbench.collision import check_motion
+from planbench.core import (BACKWARD, BUDGET_GRACE, FORWARD, OK, SOLVED, UNSOLVABLE,
+                            Query, goal_satisfied, path_cost, query_from_scenario,
+                            validate_path, validate_query)
+from planbench.data import data_path
 from planbench.errors import ValidationError
-from planbench.world import GoalSpec, Obstacle, WorldModel
+from planbench.params import parse_params
+from planbench.world import (GoalSpec, Obstacle, WorldModel, generate_variations,
+                             load_scenario)
 
 from conftest import gantry_robot, lattice_instance
-from oracles import dijkstra_lattice
+from oracles import ara_search_eager, dijkstra_lattice
 
 
 class TestParams:
@@ -89,6 +96,24 @@ class TestAraSearch:
         # call must simply return promptly.
         assert time.perf_counter() - deadline < 0.5
 
+    def test_shared_cache_keeps_snap_verdicts_per_goal(self):
+        # The forward and backward attempts share one cache but snap to
+        # different configurations: a free snap edge toward the first goal
+        # must not stand for the blocked one toward the second.
+        robot = gantry_robot(extent=6.0, resolution=0.5)
+        world = WorldModel((Obstacle.box((3.2, 3.0, 0.0), (0.02, 0.3, 0.3)),))
+        primitives = default_primitives(robot)  # snap radius 1.0
+        params = AraParams(epsilon_schedule=(1.0,))
+        cache = LatticeCache()
+        for target in ([2.6, 3.0], [3.4, 3.0]):  # the wall is at x = 3.2
+            goal = GoalSpec.config_goal(target, [0.0, 0.0])
+            solution, _ = ara_search((6, 6), goal, primitives, params, robot,
+                                     world, deadline=None, cache=cache)
+            path = np.array(solution.waypoints)
+            assert np.array_equal(path[-1], target)
+            assert all(check_motion(robot, world, a, b, 0.05)
+                       for a, b in zip(path, path[1:]))
+
     def test_unreachable_goal_returns_none(self):
         robot = gantry_robot(resolution=0.25)
         # Goal enclosed in a solid ring of boxes.
@@ -108,6 +133,99 @@ class TestAraSearch:
                                    start, goal, 0.05,
                                    goal_config=np.array([4.0, 3.3]))
         assert optimum is None
+
+
+def assert_same_as_eager(start, goal, primitives, params, robot, world):
+    """The lazy search returns the eager search's path, cost and stats."""
+    lazy, lazy_stats = ara_search(start, goal, primitives, params, robot, world,
+                                  deadline=None)
+    eager, eager_stats = ara_search_eager(start, goal, primitives, params, robot, world)
+    assert dataclasses.astuple(lazy_stats) == dataclasses.astuple(eager_stats)
+    assert (lazy is None) == (eager is None)
+    if eager is not None:
+        assert lazy.nodes == eager.nodes
+        assert lazy.cost == eager.cost
+        assert np.array(lazy.waypoints).tobytes() == np.array(eager.waypoints).tobytes()
+    return eager_stats
+
+
+DEFAULT_SCHEDULE = AraParams().epsilon_schedule
+
+
+@pytest.fixture(scope="module")
+def shelf_suite():
+    """The solvable-endpoint scenes of the generated shelf suite: the start
+    state, goal, robot and world of each one's forward search."""
+    base = load_scenario(data_path("scenarios", "shelf_reach.yaml"))
+    scenes = {}
+    for scenario in generate_variations(base, "objects_only", 30, seed=424242):
+        query = query_from_scenario(scenario)
+        robot, world = scenario.robot, scenario.world
+        if validate_query(robot, world, query) == OK:
+            scenes[scenario.name] = (discretize(robot, query.start), query.goal,
+                                     robot, world)
+    return scenes
+
+
+class TestEagerEquivalence:
+    """Lazy edge evaluation changes which edges are checked, never the
+    search: expansions, incumbents, reopenings and paths equal the search
+    that validates every move when its source is expanded."""
+
+    def test_random_lattices(self, lattice_cases):
+        cases, _ = lattice_cases
+        for robot, world, start, goal, primitives, _ in cases:
+            target = decode(robot, discretize(robot, goal.target))
+            region = GoalSpec.region_goal(target - robot.resolutions,
+                                          target + robot.resolutions / 2)
+            for schedule in ((1.0,), DEFAULT_SCHEDULE):
+                params = AraParams(epsilon_schedule=schedule)
+                for g in (goal, region):  # goal snap; no snap, several goal states
+                    assert_same_as_eager(start, g, primitives, params, robot, world)
+
+    def test_shelf_suite_tuned(self, shelf_suite):
+        params = parse_params(
+            data_path("params", "shelf_tuned.yaml").read_text()).ara_star
+        reopened = 0
+        for start, goal, robot, world in shelf_suite.values():
+            stats = assert_same_as_eager(start, goal, default_primitives(robot),
+                                         params, robot, world)
+            reopened += stats.reopened
+        assert len(shelf_suite) == 29 and reopened > 0
+
+    @pytest.mark.parametrize("name", ["shelf_reach_021", "shelf_reach_026",
+                                      "shelf_reach_029"])
+    def test_shelf_default_schedule(self, shelf_suite, name):
+        # On these scenes, applying a state's candidates in cost order rather
+        # than generation order changes the epsilon = 1 iteration.
+        start, goal, robot, world = shelf_suite[name]
+        stats = assert_same_as_eager(start, goal, default_primitives(robot),
+                                     AraParams(epsilon_schedule=DEFAULT_SCHEDULE),
+                                     robot, world)
+        assert stats.epsilons == list(DEFAULT_SCHEDULE)
+
+    def test_shelf_chain_rewired_after_last_iteration(self, shelf_suite):
+        # Ending the schedule above 1 leaves an improving candidate of a
+        # state on the returned chain unresolved at termination; the eager
+        # search rewired that state's parent, for a cheaper path.
+        start, goal, robot, world = shelf_suite["shelf_reach_025"]
+        assert_same_as_eager(start, goal, default_primitives(robot),
+                             AraParams(epsilon_schedule=(6.0, 2.5)), robot, world)
+
+    def test_backward_attempt_of_slot_scenario(self):
+        # The backward search of test_c06: out of the slot toward the start.
+        robot = gantry_robot(resolution=0.015)
+        world = WorldModel((
+            Obstacle.box((2.71, 2.8, 0.0), (0.21, 1.8, 0.5)),
+            Obstacle.box((3.29, 2.8, 0.0), (0.21, 1.8, 0.5)),
+            Obstacle.box((3.0, 0.95, 0.0), (0.5, 0.1, 0.5)),
+        ))
+        start = discretize(robot, [3.0, 1.3])
+        goal = GoalSpec.config_goal([1.2, 4.8], tolerance=robot.resolutions / 2.0)
+        params = AraParams(epsilon_schedule=(50.0,), budget_split=0.5)
+        stats = assert_same_as_eager(start, goal, default_primitives(robot),
+                                     params, robot, world)
+        assert stats.incumbent_costs[0] is not None
 
 
 def simple_query(goal_xy=(5.0, 5.0), budget=10.0, tol=0.0):
@@ -215,3 +333,26 @@ class TestPlanAraStar:
         assert result.status == "failure_timeout"
         assert result.planning_time <= budget + 0.05
         assert time.perf_counter() - t0 <= budget + 0.5
+
+    def test_budget_grace_with_mostly_blocked_edges(self):
+        # A field of posts blocks most lattice edges and the goal is walled
+        # in, so lazy resolution runs until the deadline.
+        robot = gantry_robot(resolution=0.02, radius=0.05)
+        posts = tuple(Obstacle.box((0.3 + 0.25 * i, 0.3 + 0.25 * j, 0.0),
+                                   (0.06, 0.06, 0.5))
+                      for i in range(22) for j in range(22))
+        walls = (
+            Obstacle.box((4.0, 4.0, 0.0), (0.6, 0.05, 0.5)),
+            Obstacle.box((4.0, 2.8, 0.0), (0.6, 0.05, 0.5)),
+            Obstacle.box((3.4, 3.4, 0.0), (0.05, 0.65, 0.5)),
+            Obstacle.box((4.6, 3.4, 0.0), (0.05, 0.65, 0.5)),
+        )
+        world = WorldModel(posts + walls)
+        goal = GoalSpec.config_goal([4.175, 3.425], [0.0, 0.0])  # between posts
+        budget = 0.3
+        query = Query(start=[0.17, 0.17], goal=goal, time_budget=budget)
+        params = AraParams(epsilon_schedule=(3.0, 1.0), edge_step=0.05)
+        result = plan_ara_star(robot, world, query, default_primitives(robot), params)
+        assert result.status == "failure_timeout"
+        assert result.stats["expansions"] > 0
+        assert result.planning_time <= budget + BUDGET_GRACE

@@ -2,7 +2,8 @@
 
 import pytest
 
-from planbench.bench import parse_records
+from planbench.bench import parse_records, plan
+from planbench.params import PlannerParams
 from planbench.cli import main
 from planbench.world import load_scenario
 
@@ -67,6 +68,22 @@ class TestPlan:
         out = capsys.readouterr().out
         assert code == 2
         assert "unsolvable (start_in_collision)" in out
+        assert out.splitlines()[-3:] == [
+            "collision_checks: 0", "expansions: 0", "reopened: 0"]
+
+    @pytest.mark.parametrize("planner", ["ara-star", "rrt-connect"])
+    def test_prints_counters(self, workdir, capsys, planner):
+        scenario_file = workdir / "case.scenario"
+        code = main(["plan", "--scenario", str(scenario_file), "--planner", planner,
+                     "--seed", "4"])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        stats = plan(load_scenario(scenario_file), planner, PlannerParams(), 4).stats
+        assert lines[-len(stats):] == [f"{k}: {v}" for k, v in sorted(stats.items())]
+        if planner == "ara-star":
+            assert f"collision_checks: {stats['collision_checks']}" in lines
+            assert f"expansions: {stats['expansions']}" in lines
+            assert stats["expansions"] > 0
 
     def test_path_out_then_validate(self, workdir, capsys):
         path_file = workdir / "solution.csv"

@@ -7,12 +7,13 @@ from planbench.ara_star import (GOAL_NODE, MotionPrimitiveSet, decode,
                                 default_primitives, discretize, heuristic,
                                 lattice_max_coords, parse_primitives, successors)
 from planbench.core import goal_satisfied
+from planbench.data import data_path
 from planbench.errors import ValidationError
 from planbench.robot import RobotModel, config_distance
-from planbench.world import GoalSpec, Obstacle, WorldModel
+from planbench.world import GoalSpec, Obstacle, WorldModel, load_scenario
 
 from conftest import gantry_robot, lattice_instance, make_joint, random_robot
-from oracles import dijkstra_lattice, sample_uniform, within_limits
+from oracles import dijkstra_lattice, sample_uniform, valid_successors, within_limits
 
 
 @pytest.fixture
@@ -100,18 +101,18 @@ class TestDefaultPrimitives:
 
 
 class TestSuccessors:
-    def test_interior_state_has_2n_successors(self, robot, empty_world):
+    def test_interior_state_has_2n_successors(self, robot):
         prim = default_primitives(robot)
         state = (6, 6)
-        out = successors(state, prim, robot, empty_world)
+        out = successors(state, prim, robot)
         assert len(out) == 4
         for node, cost in out:
             assert cost == pytest.approx(0.5, abs=1e-12)
             assert sum(abs(a - b) for a, b in zip(node, state)) == 1
 
-    def test_lower_bound_clips_moves(self, robot, empty_world):
+    def test_lower_bound_clips_moves(self, robot):
         prim = default_primitives(robot)
-        out = successors((0, 6), prim, robot, empty_world)
+        out = successors((0, 6), prim, robot)
         nodes = {node for node, _ in out}
         assert (0 - 1, 6) not in {tuple(n) for n in nodes if n != GOAL_NODE}
         assert len(out) == 3
@@ -119,38 +120,47 @@ class TestSuccessors:
     def test_blocked_moves_excluded(self, robot):
         world = WorldModel((Obstacle.box((3.5, 3.0, 0.0), (0.2, 0.2, 0.2)),))
         prim = default_primitives(robot)
-        out = successors((6, 6), prim, robot, world)  # decode -> (3.0, 3.0)
+        out = valid_successors((6, 6), prim, robot, world)  # decode -> (3.0, 3.0)
         nodes = {node for node, _ in out}
         assert (7, 6) not in nodes  # stepping toward the box is invalid
         assert (5, 6) in nodes
 
-    def test_snap_emits_exact_goal(self, robot, empty_world):
+    def test_snap_emits_exact_goal(self, robot):
         prim = default_primitives(robot)  # snap radius = 2 * 0.5 = 1.0
         goal_config = np.array([3.3, 3.0])
-        out = successors((6, 6), prim, robot, empty_world, goal_config)
+        out = successors((6, 6), prim, robot, goal_config)
         snap = [entry for entry in out if entry[0] == GOAL_NODE]
         assert len(snap) == 1
         assert snap[0][1] == pytest.approx(0.3, abs=1e-12)
 
-    def test_snap_respects_radius(self, robot, empty_world):
+    def test_snap_respects_radius(self, robot):
         prim = default_primitives(robot, snap_radius=0.1)
-        out = successors((6, 6), prim, robot, empty_world, np.array([3.3, 3.0]))
+        out = successors((6, 6), prim, robot, np.array([3.3, 3.0]))
         assert all(entry[0] != GOAL_NODE for entry in out)
 
     def test_snap_blocked_by_obstacle(self, robot):
         world = WorldModel((Obstacle.box((3.15, 3.0, 0.0), (0.02, 0.3, 0.3)),))
         prim = default_primitives(robot)
-        out = successors((6, 6), prim, robot, world, np.array([3.4, 3.0]))
+        out = valid_successors((6, 6), prim, robot, world, np.array([3.4, 3.0]))
         assert all(entry[0] != GOAL_NODE for entry in out)
 
     def test_costs_match_metric(self):
+        # The vectorized costs must equal config_distance bit for bit: the
+        # search's keys, and so its expansion order, depend on the last bit.
         rng = np.random.default_rng(8)
-        robot = random_robot(rng, dof=3)
-        prim = default_primitives(robot)
-        state = discretize(robot, sample_uniform(robot, rng))
-        for node, cost in successors(state, prim, robot, WorldModel(())):
-            want = config_distance(robot, decode(robot, state), decode(robot, node))
-            assert cost == pytest.approx(want, abs=1e-12)
+        shelf = load_scenario(data_path("scenarios", "shelf_reach.yaml")).robot
+        robots = [shelf] + [random_robot(rng, dof=int(rng.integers(2, 8)))
+                            for _ in range(20)]
+        checked = 0
+        for robot in robots:
+            prim = default_primitives(robot, extra_vectors=[(1,) * robot.dof])
+            for _ in range(100):
+                state = discretize(robot, sample_uniform(robot, rng))
+                q = decode(robot, state)
+                for node, cost in successors(state, prim, robot):
+                    assert cost == config_distance(robot, q, decode(robot, node))
+                    checked += 1
+        assert checked > 20_000
 
 
 class TestHeuristic:
@@ -215,8 +225,8 @@ class TestHeuristic:
                 if not frontier:
                     break
                 node = frontier.pop()
-                for nxt, _ in successors(node, prim, robot, world, goal_config,
-                                         edge_step=0.05):
+                for nxt, _ in valid_successors(node, prim, robot, world,
+                                               goal_config, 0.05):
                     if nxt != GOAL_NODE and nxt not in seen:
                         seen.append(nxt)
                         frontier.append(nxt)
@@ -239,8 +249,7 @@ class TestHeuristic:
                     break
                 node = frontier.pop()
                 h_node = heuristic(node, goal, robot)
-                for nxt, cost in successors(node, prim, robot, world, goal_config,
-                                            edge_step=0.05):
+                for nxt, cost in successors(node, prim, robot, goal_config):
                     assert h_node <= cost + heuristic(nxt, goal, robot) + 1e-9
                     if nxt != GOAL_NODE and nxt not in seen:
                         seen.add(nxt)
