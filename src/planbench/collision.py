@@ -9,6 +9,14 @@ the squared center distance is strictly below the squared radius sum; so
 touching counts as free.  Sphere pairs on the same or chain-adjacent links
 are never checked.
 
+A batch call first drops every (sphere, obstacle) pair whose bounding boxes
+over the batch are separated: the box around the sphere's centers in every
+configuration of the batch, widened by its radius, against the obstacle's
+padded box from ``WorldModel.packs``.  Only the remaining pairs are tested,
+by the same arithmetic, so verdicts and reported indices are exactly those
+of testing every pair, and touching counts as free as before.  Self pairs
+are all tested.
+
 Colliding indices are reported in a fixed scan order: joint limits first
 (lowest joint index), then world collisions sphere-major/obstacle-minor,
 then self-collision pairs in lexicographic order.
@@ -63,45 +71,57 @@ def _world_penetration_mask(world: WorldModel, centers: np.ndarray,
                             radii: np.ndarray) -> np.ndarray:
     """Boolean penetration mask (m, S, O), ordered by original obstacle index.
 
+    Only pairs whose batch bounding boxes overlap are tested (see the module
+    docstring); every other pair is separated by more than rounding can
+    close, so its entry is False either way.
+
     Square-root free: penetration of a box or cylinder is equivalent to the
     squared clamped excess falling below the squared sphere radius (points
     inside clamp to zero excess).  Both check_config and free_mask share this
-    kernel, so single- and batch-configuration decisions always agree bit for
-    bit, including touching-is-free.
+    kernel, and a pair's entry is computed by the same arithmetic whatever
+    the rest of the batch, so single- and batch-configuration decisions
+    always agree bit for bit, including touching-is-free.
     """
     packs = world.packs
     m, ns = centers.shape[0], centers.shape[1]
     hit = np.zeros((m, ns, len(world.obstacles)), dtype=bool)
-    r_sq = (radii * radii)[None, :, None]
+    widen = radii[:, None, None]
+    lower, upper = packs["bounds"]
+    near = np.all((centers.min(axis=0)[:, None] - widen <= upper)
+                  & (centers.max(axis=0)[:, None] + widen >= lower), axis=2)
+    r_sq = radii * radii
 
     pack = packs[BOX]
-    if len(pack["index"]):
-        rel = centers[:, :, None, :] - pack["center"]
-        c, s = pack["cos"], pack["sin"]
-        half = pack["half_extents"]
+    sph, obs = np.nonzero(near[:, pack["index"]])
+    if len(sph):
+        rel = centers[:, sph] - pack["center"][obs]
+        c, s = pack["cos"][obs], pack["sin"][obs]
+        half = pack["half_extents"][obs]
         ax = np.abs(c * rel[..., 0] + s * rel[..., 1]) - half[:, 0]
         ay = np.abs(-s * rel[..., 0] + c * rel[..., 1]) - half[:, 1]
         az = np.abs(rel[..., 2]) - half[:, 2]
         np.maximum(ax, 0.0, out=ax)
         np.maximum(ay, 0.0, out=ay)
         np.maximum(az, 0.0, out=az)
-        hit[:, :, pack["index"]] = (ax * ax + ay * ay + az * az) < r_sq
+        hit[:, sph, pack["index"][obs]] = (ax * ax + ay * ay + az * az) < r_sq[sph]
 
     pack = packs[CYLINDER]
-    if len(pack["index"]):
-        rel = centers[:, :, None, :] - pack["center"]
-        dr = np.hypot(rel[..., 0], rel[..., 1]) - pack["radius"]
-        dz = np.abs(rel[..., 2]) - pack["half_height"]
+    sph, obs = np.nonzero(near[:, pack["index"]])
+    if len(sph):
+        rel = centers[:, sph] - pack["center"][obs]
+        dr = np.hypot(rel[..., 0], rel[..., 1]) - pack["radius"][obs]
+        dz = np.abs(rel[..., 2]) - pack["half_height"][obs]
         np.maximum(dr, 0.0, out=dr)
         np.maximum(dz, 0.0, out=dz)
-        hit[:, :, pack["index"]] = (dr * dr + dz * dz) < r_sq
+        hit[:, sph, pack["index"][obs]] = (dr * dr + dz * dz) < r_sq[sph]
 
     pack = packs[SPHERE]
-    if len(pack["index"]):
-        rel = centers[:, :, None, :] - pack["center"]
+    sph, obs = np.nonzero(near[:, pack["index"]])
+    if len(sph):
+        rel = centers[:, sph] - pack["center"][obs]
         dist_sq = np.sum(rel * rel, axis=-1)
-        reach = pack["radius"][None, None, :] + radii[None, :, None]
-        hit[:, :, pack["index"]] = dist_sq < reach * reach
+        reach = pack["radius"][obs] + radii[sph]
+        hit[:, sph, pack["index"][obs]] = dist_sq < reach * reach
     return hit
 
 
@@ -111,7 +131,7 @@ def free_mask(robot: RobotModel, world: WorldModel, configs: np.ndarray,
     if stats is not None:
         stats["collision_checks"] = stats.get("collision_checks", 0) + configs.shape[0]
     ok = np.all((configs >= robot.lower) & (configs <= robot.upper), axis=1)
-    if not robot.spheres:
+    if not robot.spheres or not len(configs):
         return ok
     centers = sphere_centers_batch(robot, configs)
     if world.obstacles:
@@ -173,7 +193,7 @@ def _motion_stack(robot: RobotModel, starts: np.ndarray, ends: np.ndarray,
     delta = ends - starts
     sq = delta * delta
     counts = np.array([int(math.ceil(math.sqrt(float(np.dot(row, robot.weights))) / step)) + 1
-                       for row in sq])
+                       for row in sq], dtype=int)
     offsets = np.cumsum(counts) - counts
     motion = np.repeat(np.arange(len(counts)), counts)
     spacing = 1.0 / np.maximum(counts - 1, 1)

@@ -156,6 +156,24 @@ class RobotModel:
         return _frozen(np.stack([j.axis for j in self.joints]))
 
     @cached_property
+    def _skews(self) -> np.ndarray:
+        """Each joint axis as its cross-product matrix K (n, 3, 3)."""
+        return _frozen(np.stack([
+            np.array([[0.0, -kz, ky], [kz, 0.0, -kx], [-ky, kx, 0.0]])
+            for kx, ky, kz in self._axes.tolist()]))
+
+    @cached_property
+    def _skews_sq(self) -> np.ndarray:
+        """K @ K for each joint's K, one 3x3 product per joint."""
+        return _frozen(np.stack([k @ k for k in self._skews]))
+
+    @cached_property
+    def _rotated_origins(self) -> np.ndarray:
+        """Whether each joint's origin rotation differs from the identity."""
+        return _frozen(np.array([not np.array_equal(r, np.eye(3))
+                                 for r in self._origin_rotations]))
+
+    @cached_property
     def _sphere_links(self) -> np.ndarray:
         return _frozen(np.array([s.link_index for s in self.spheres], dtype=int))
 
@@ -205,16 +223,6 @@ def _rpy_matrix(rpy: np.ndarray) -> np.ndarray:
     ])
 
 
-def _axis_rotations(axis: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """Rodrigues rotation matrices (m, 3, 3) about a fixed unit axis."""
-    kx, ky, kz = float(axis[0]), float(axis[1]), float(axis[2])
-    k = np.array([[0.0, -kz, ky], [kz, 0.0, -kx], [-ky, kx, 0.0]])
-    k2 = k @ k
-    s = np.sin(angles)[:, None, None]
-    c = (1.0 - np.cos(angles))[:, None, None]
-    return np.eye(3) + s * k + c * k2
-
-
 def as_configuration(robot: RobotModel, q) -> np.ndarray:
     """Coerce to a float64 configuration array, enforcing the robot's DOF."""
     arr = np.asarray(q, dtype=float)
@@ -228,20 +236,28 @@ def link_frames_batch(robot: RobotModel, configs: np.ndarray) -> tuple[np.ndarra
     """World rotation (m, n, 3, 3) and translation (m, n, 3) of every link frame.
 
     Frame i is the composition of joints 0..i, each contributing its fixed
-    origin transform followed by the joint motion.
+    origin transform followed by the joint motion.  A revolute joint turns
+    by the Rodrigues matrix I + sin(q) K + (1 - cos(q)) K @ K of its axis'
+    cross-product matrix K, built for every joint and configuration at once.
+    An identity origin rotation is skipped, since multiplying by it returns
+    the same entries.
     """
     m, n = configs.shape
-    rot = np.broadcast_to(np.eye(3), (m, 3, 3)).copy()
+    eye = np.eye(3)
+    rot = np.broadcast_to(eye, (m, 3, 3)).copy()
     trans = np.zeros((m, 3))
     link_rot = np.empty((m, n, 3, 3))
     link_trans = np.empty((m, n, 3))
+    q = configs.T[:, :, None, None]
+    turns = eye + np.sin(q) * robot._skews[:, None] + (1.0 - np.cos(q)) * robot._skews_sq[:, None]
     for j in range(n):
         trans = trans + rot @ robot._origin_translations[j]
-        rot = rot @ robot._origin_rotations[j]
+        if robot._rotated_origins[j]:
+            rot = rot @ robot._origin_rotations[j]
         if robot._prismatic_mask[j]:
             trans = trans + (rot @ robot._axes[j]) * configs[:, j : j + 1]
         else:
-            rot = rot @ _axis_rotations(robot._axes[j], configs[:, j])
+            rot = rot @ turns[j]
         link_rot[:, j] = rot
         link_trans[:, j] = trans
     return link_rot, link_trans

@@ -134,7 +134,15 @@ class WorldModel:
     def packs(self):
         """Per-shape arrays consumed by the vectorized collision kernel: the
         obstacles' indices, centers, yaw cosines and sines, and one array per
-        size field."""
+        size field.
+
+        Under ``"bounds"`` it also holds every obstacle's axis-aligned
+        bounding box, lower and upper corners (2, O, 3) in original obstacle
+        order.  Its half-widths are |cos|*hx + |sin|*hy, |sin|*hx + |cos|*hy
+        and hz for a yawed box, (r, r, hh) for a cylinder and (r, r, r) for a
+        sphere, each padded by 1e-9 relative and absolute so that rounding
+        in the kernel can never place a penetrating sphere outside it.
+        """
         groups = {}
         for shape, sizes in _OBSTACLE_SIZE.items():
             idx = [i for i, o in enumerate(self.obstacles) if o.shape == shape]
@@ -149,7 +157,22 @@ class WorldModel:
                 pack[name] = np.array([getattr(o, name) for o in obs],
                                       dtype=float).reshape((len(obs),) + dims)
             groups[shape] = pack
+        center = np.array([o.center for o in self.obstacles]).reshape(-1, 3)
+        half = np.array([_half_widths(o) for o in self.obstacles]).reshape(-1, 3)
+        half = half + 1e-9 * (1.0 + np.abs(center) + half)
+        groups["bounds"] = np.stack([center - half, center + half])
         return groups
+
+
+def _half_widths(o: Obstacle) -> list[float]:
+    """Half-widths of the axis-aligned box around one obstacle."""
+    if o.shape == BOX:
+        c, s = abs(math.cos(o.yaw)), abs(math.sin(o.yaw))
+        hx, hy, hz = o.half_extents.tolist()
+        return [c * hx + s * hy, s * hx + c * hy, hz]
+    if o.shape == CYLINDER:
+        return [o.radius, o.radius, o.half_height]
+    return [o.radius] * 3
 
 
 @dataclass(frozen=True, eq=False)

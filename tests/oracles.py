@@ -15,7 +15,11 @@ nearest-node scan and motion sampling with the batched planner, and from
 at a time; so comparing the two checks only how the batched loop orders and
 commits iterations.  Steering inputs and motion sampling are checked on
 their own, against the linear-scan ``nearest`` oracle and against
-``linspace_motion`` bit for bit.
+``linspace_motion`` bit for bit.  The dense collision kernel is the
+package's earlier one, kept verbatim: Rodrigues matrices built per joint and
+per call, every joint's origin rotation multiplied in, and every (sphere,
+obstacle) pair tested, with the package's unchanged self mask; the culled
+kernel must reproduce its sphere centers and verdicts bit for bit.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import numpy as np
 
 from planbench.ara_star import (GOAL_NODE, AraSolution, SearchStats, decode,
                                 heuristic, lattice_max_coords)
-from planbench.collision import motions_free
+from planbench.collision import _self_overlap_mask, motions_free
 from planbench.core import OK, goal_representative, goal_satisfied, validate_query
 from planbench.robot import PRISMATIC, config_distance
 from planbench.rrt_connect import (GOAL_TREE, REACHED, START_TREE, TRAPPED, Tree,
@@ -197,6 +201,104 @@ def result_tuple(result):
     if kind == "world_collision":
         return ("world", *result.indices)
     return ("self", *result.indices)
+
+
+# ---------------------------------------------------------------------------
+# The dense collision kernel: per-joint Rodrigues FK and every pair tested.
+
+def _axis_rotations(axis, angles):
+    """Rodrigues rotation matrices (m, 3, 3) about a fixed unit axis."""
+    kx, ky, kz = float(axis[0]), float(axis[1]), float(axis[2])
+    k = np.array([[0.0, -kz, ky], [kz, 0.0, -kx], [-ky, kx, 0.0]])
+    k2 = k @ k
+    s = np.sin(angles)[:, None, None]
+    c = (1.0 - np.cos(angles))[:, None, None]
+    return np.eye(3) + s * k + c * k2
+
+
+def sphere_centers_dense(robot, configs):
+    """World-frame sphere centers (m, S, 3) by the dense kernel's FK."""
+    m, n = configs.shape
+    rot = np.broadcast_to(np.eye(3), (m, 3, 3)).copy()
+    trans = np.zeros((m, 3))
+    link_rot = np.empty((m, n, 3, 3))
+    link_trans = np.empty((m, n, 3))
+    for j in range(n):
+        trans = trans + rot @ robot._origin_translations[j]
+        rot = rot @ robot._origin_rotations[j]
+        if robot._prismatic_mask[j]:
+            trans = trans + (rot @ robot._axes[j]) * configs[:, j : j + 1]
+        else:
+            rot = rot @ _axis_rotations(robot._axes[j], configs[:, j])
+        link_rot[:, j] = rot
+        link_trans[:, j] = trans
+    rot = link_rot[:, robot._sphere_links]
+    trans = link_trans[:, robot._sphere_links]
+    return np.einsum("msij,sj->msi", rot, robot._sphere_locals) + trans
+
+
+def world_mask_dense(world, centers, radii):
+    """Penetration mask (m, S, O) with every (sphere, obstacle) pair tested."""
+    packs = world.packs
+    m, ns = centers.shape[0], centers.shape[1]
+    hit = np.zeros((m, ns, len(world.obstacles)), dtype=bool)
+    r_sq = (radii * radii)[None, :, None]
+
+    pack = packs["box"]
+    if len(pack["index"]):
+        rel = centers[:, :, None, :] - pack["center"]
+        c, s = pack["cos"], pack["sin"]
+        half = pack["half_extents"]
+        ax = np.abs(c * rel[..., 0] + s * rel[..., 1]) - half[:, 0]
+        ay = np.abs(-s * rel[..., 0] + c * rel[..., 1]) - half[:, 1]
+        az = np.abs(rel[..., 2]) - half[:, 2]
+        np.maximum(ax, 0.0, out=ax)
+        np.maximum(ay, 0.0, out=ay)
+        np.maximum(az, 0.0, out=az)
+        hit[:, :, pack["index"]] = (ax * ax + ay * ay + az * az) < r_sq
+
+    pack = packs["cylinder"]
+    if len(pack["index"]):
+        rel = centers[:, :, None, :] - pack["center"]
+        dr = np.hypot(rel[..., 0], rel[..., 1]) - pack["radius"]
+        dz = np.abs(rel[..., 2]) - pack["half_height"]
+        np.maximum(dr, 0.0, out=dr)
+        np.maximum(dz, 0.0, out=dz)
+        hit[:, :, pack["index"]] = (dr * dr + dz * dz) < r_sq
+
+    pack = packs["sphere"]
+    if len(pack["index"]):
+        rel = centers[:, :, None, :] - pack["center"]
+        dist_sq = np.sum(rel * rel, axis=-1)
+        reach = pack["radius"][None, None, :] + radii[None, :, None]
+        hit[:, :, pack["index"]] = dist_sq < reach * reach
+    return hit
+
+
+def free_mask_dense(robot, world, configs):
+    """``free_mask`` verdicts (m,) by the dense kernel."""
+    ok = np.all((configs >= robot.lower) & (configs <= robot.upper), axis=1)
+    centers = sphere_centers_dense(robot, configs)
+    ok &= ~world_mask_dense(world, centers, robot.sphere_radii).any(axis=(1, 2))
+    return ok & ~_self_overlap_mask(robot, centers).any(axis=1)
+
+
+def check_config_dense(robot, world, q):
+    """``check_config`` (kind value, indices) by the dense kernel."""
+    q = np.asarray(q, dtype=float)
+    bad = (q < robot.lower) | (q > robot.upper)
+    if bad.any():
+        return ("limits_violation", (int(np.argmax(bad)),))
+    centers = sphere_centers_dense(robot, q[None, :])
+    hit = world_mask_dense(world, centers, robot.sphere_radii)[0]
+    if hit.any():
+        flat = int(np.argmax(hit.ravel()))
+        return ("world_collision", divmod(flat, len(world.obstacles)))
+    overlap = _self_overlap_mask(robot, centers)[0]
+    if overlap.any():
+        i, j = robot.self_collision_pairs[int(np.argmax(overlap))]
+        return ("self_collision", (int(i), int(j)))
+    return ("free", ())
 
 
 # ---------------------------------------------------------------------------

@@ -8,17 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planbench.collision import (CollisionKind, _motion_stack, check_config,
+from planbench.collision import (CollisionKind, _motion_stack,
+                                 _world_penetration_mask, check_config,
                                  check_motion, free_mask, motions_free)
 from planbench.data import data_path
 from planbench.errors import ContractViolation
-from planbench.robot import CollisionSphere, RobotModel
+from planbench.robot import PRISMATIC, CollisionSphere, RobotModel, sphere_centers_batch
 from planbench.world import Obstacle, WorldModel, load_scenario
 
 from conftest import gantry_robot, make_joint, random_robot, random_world
-from oracles import (brute_force_check, linspace_motion, result_tuple,
-                     sample_uniform, sphere_obstacle_distance_oracle,
-                     sphere_penetrates_monte_carlo, within_limits)
+from oracles import (brute_force_check, check_config_dense, free_mask_dense,
+                     linspace_motion, result_tuple, sample_uniform,
+                     sphere_centers_dense, sphere_obstacle_distance_oracle,
+                     sphere_penetrates_monte_carlo, within_limits,
+                     world_mask_dense)
 
 
 class TestSphereObstacleDistance:
@@ -252,6 +255,13 @@ class TestMotionsFree:
         got = motions_free(robot, world, [1.0, 1.0], [[5.0, 1.0], [1.0, 3.0]], 0.05)
         assert got.tolist() == [False, True]
 
+    def test_zero_motions(self):
+        stats = {}
+        got = motions_free(SHELF.robot, SHELF.world, SHELF.start,
+                           np.empty((0, SHELF.robot.dof)), 0.05, stats=stats)
+        assert got.dtype == bool and got.shape == (0,)
+        assert stats["collision_checks"] == 0
+
 
 SHELF = load_scenario(data_path("scenarios", "shelf_reach.yaml"))
 
@@ -288,6 +298,98 @@ class TestBatchScalarAgreement:
             mask = free_mask(robot, world, batch)
             for k in range(batch.shape[0]):
                 assert mask[k] == check_config(robot, world, batch[k]).is_free
+
+
+def point_robot(radius):
+    """Three prismatic joints along x, y and z carrying one sphere, whose
+    center is the configuration itself, exactly."""
+    joints = tuple(make_joint(name, kind=PRISMATIC, axis=axis, limits=(-5.0, 5.0))
+                   for name, axis in (("x", (1, 0, 0)), ("y", (0, 1, 0)), ("z", (0, 0, 1))))
+    return RobotModel(joints=joints, spheres=(CollisionSphere(2, (0, 0, 0), radius),))
+
+
+def grazing_rows(radius):
+    """(world, rows, inside): sphere centers at radius * (1 - 1e-12) and
+    radius * (1 + 1e-12) from a yawed box's face and corner, a cylinder's side
+    and a sphere obstacle; ``inside`` marks the rows that penetrate."""
+    box = Obstacle.box((0.3, -0.2, 0.5), (0.4, 0.25, 0.3), yaw=0.7)
+    cylinder = Obstacle.cylinder((-1.0, 1.2, 0.2), radius=0.35, half_height=0.5, yaw=1.1)
+    ball = Obstacle.sphere((1.5, 1.5, -0.4), 0.45)
+    c, s = math.cos(box.yaw), math.sin(box.yaw)
+    hx, hy, hz = box.half_extents
+
+    def box_point(local):
+        return box.center + np.array([c * local[0] - s * local[1],
+                                      s * local[0] + c * local[1], local[2]])
+
+    corner = np.array([hx, -hy, hz])
+    outward = np.array([1.0, -1.0, 1.0]) / math.sqrt(3.0)
+    phi = 2.3
+    side = np.array([math.cos(phi), math.sin(phi), 0.0])
+    toward = np.array([0.6, -0.48, 0.64])
+    rows, inside = [], []
+    for scale in (1 - 1e-12, 1 + 1e-12):
+        d = radius * scale
+        rows += [box_point([hx + d, 0.3 * hy, -0.2 * hz]),
+                 box_point(corner + d * outward),
+                 cylinder.center + (cylinder.radius + d) * side + [0, 0, 0.3],
+                 ball.center + (ball.radius + d) * toward]
+        inside += [scale < 1] * 4
+    return WorldModel((box, cylinder, ball)), np.array(rows), inside
+
+
+class TestBroadphaseExactness:
+    """The culled kernel against the dense one it replaced
+    (``oracles.free_mask_dense``): sphere centers bit for bit, and masks,
+    verdicts and reported indices exactly."""
+
+    @staticmethod
+    def assert_same(robot, world, configs):
+        centers = sphere_centers_batch(robot, configs)
+        assert centers.tobytes() == sphere_centers_dense(robot, configs).tobytes()
+        got = _world_penetration_mask(world, centers, robot.sphere_radii)
+        assert np.array_equal(got, world_mask_dense(world, centers, robot.sphere_radii))
+        mask = free_mask(robot, world, configs)
+        assert mask.tolist() == free_mask_dense(robot, world, configs).tolist()
+        for q in configs:
+            result = check_config(robot, world, q)
+            assert (result.kind.value, result.indices) == check_config_dense(robot, world, q)
+        return mask
+
+    def test_random_robots_and_worlds(self):
+        rng = np.random.default_rng(2024)
+        verdicts = set()
+        for case in range(250):
+            robot = random_robot(rng, dof=int(rng.integers(2, 9)))
+            world = random_world(rng, count=int(rng.integers(1, 7)), span=0.6)
+            m = (1, 2, 11, 55, 150)[case % 5]
+            configs = rng.uniform(robot.lower - 0.05, robot.upper + 0.05,
+                                  size=(m, robot.dof))
+            verdicts.update(self.assert_same(robot, world, configs).tolist())
+        assert verdicts == {True, False}
+
+    def test_shelf_robot(self):
+        rng = np.random.default_rng(5)
+        for m in (1, 2, 11, 55, 150):
+            configs = SHELF.start + rng.random((m, 1)) * (
+                rng.uniform(SHELF.robot.lower, SHELF.robot.upper, size=(m, 8)) - SHELF.start)
+            self.assert_same(SHELF.robot, SHELF.world, configs)
+
+    def test_grazing_rows_alone_and_after_far_rows(self):
+        radius = 0.1
+        robot = point_robot(radius)
+        world, rows, inside = grazing_rows(radius)
+        far = np.array([[-4.5, -4.5, -4.5], [4.5, -4.5, 4.5], [-4.5, 4.5, 4.0]])
+        for row, penetrates in zip(rows, inside):
+            assert free_mask(robot, world, row[None]).tolist() == [not penetrates]
+            self.assert_same(robot, world, row[None])
+            batch = np.vstack([far, row])
+            assert free_mask(robot, world, batch).tolist() == [True] * 3 + [not penetrates]
+            self.assert_same(robot, world, batch)
+
+    def test_empty_batch(self):
+        got = free_mask(SHELF.robot, SHELF.world, np.empty((0, SHELF.robot.dof)))
+        assert got.dtype == bool and got.shape == (0,)
 
 
 class TestFreeImpliesWithinLimits:
