@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .collision import check_motion, free_mask, motions_free
-from .core import (BACKWARD, FORWARD, GOAL_IN_COLLISION, OK, Path, PlannerResult,
-                   Query, goal_representative, goal_satisfied, validate_query)
+from .core import (BACKWARD, FORWARD, OK, Path, PlannerResult, Query,
+                   goal_representative, goal_satisfied, validate_query)
 from .errors import ContractViolation, ValidationError, parse_mapping
 from .robot import RobotModel, as_configuration, config_distance
 from .world import GoalSpec, WorldModel
@@ -495,9 +495,10 @@ def plan_ara_star(robot: RobotModel, world: WorldModel, query: Query,
     """Forward-then-backward anytime lattice planning under one budget.
 
     The forward search (start toward goal) gets ``budget_split`` of the
-    budget; on failure the backward search plans from a goal representative
-    to the start (config goal with half-cell tolerances) and its waypoints
-    are reversed, so the returned path always runs start to goal.
+    budget; on failure the backward search plans from the query's
+    ``goal_representative`` to the start (config goal with half-cell
+    tolerances) and its waypoints are reversed, so the returned path always
+    runs start to goal.
     """
     t0 = time.perf_counter()
     stats = {"expansions": 0, "collision_checks": 0, "reopened": 0}
@@ -506,7 +507,7 @@ def plan_ara_star(robot: RobotModel, world: WorldModel, query: Query,
             f"primitives are {primitives.primitives.shape[1]}-dimensional, "
             f"robot has {robot.dof} joints")
 
-    verdict = validate_query(robot, world, query, seed=params.seed)
+    verdict = validate_query(robot, world, query)
     if verdict != OK:
         return PlannerResult.unsolvable(verdict, time.perf_counter() - t0, stats)
     start = np.asarray(query.start, dtype=float)
@@ -524,11 +525,7 @@ def plan_ara_star(robot: RobotModel, world: WorldModel, query: Query,
         return PlannerResult.solved(Path(np.array(forward)), FORWARD,
                                     time.perf_counter() - t0, stats)
 
-    rng = np.random.default_rng(params.seed)
-    representative = goal_representative(robot, world, query.goal, rng)
-    if representative is None:
-        return PlannerResult.unsolvable(GOAL_IN_COLLISION,
-                                        time.perf_counter() - t0, stats)
+    representative = goal_representative(robot, world, query.goal)
     back_goal = GoalSpec.config_goal(start, tolerance=robot.resolutions / 2.0)
     backward = _lattice_attempt(robot, world, representative, back_goal,
                                 primitives, params, final_deadline, cache,

@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .ara_star import MotionPrimitiveSet, parse_primitives
-from .bench import PLANNERS, aggregate, emit_report, plan, run_suite
+from .bench import (FAILURE, PLANNERS, aggregate, emit_report, plan, run_suite,
+                    status_of)
 from .core import Path as PlanPath
 from .core import SOLVED, UNSOLVABLE, path_cost, query_from_scenario, validate_path
 from .errors import PlanbenchError
@@ -27,6 +28,7 @@ from .world import (OBJECTS_ONLY, PLUS_HEIGHT, PLUS_ROTATION, generate_variation
                     load_scenario, serialize_scenario)
 
 _FAMILIES = {"objects": OBJECTS_ONLY, "height": PLUS_HEIGHT, "rotation": PLUS_ROTATION}
+_PLAN_EXIT_CODES = {FAILURE: 1, UNSOLVABLE: 2}  # solved exits 0
 
 
 def _write_path_csv(path: Path, waypoints: np.ndarray) -> None:
@@ -61,27 +63,20 @@ def _cmd_plan(args) -> int:
     result = plan(scenario, args.planner, _load_params_arg(args.params), args.seed,
                   _load_primitives_arg(args.primitives, scenario.robot))
 
+    status = status_of(result)
     print(f"scenario: {scenario.name}")
     print(f"planner: {args.planner}")
+    print(f"status: {status} ({result.reason})" if status == UNSOLVABLE
+          else f"status: {status}")
+    print(f"planning_time_s: {result.planning_time:.6f}")
     if result.status == SOLVED:
-        print(f"status: solved-{result.direction}")
-        print(f"planning_time_s: {result.planning_time:.6f}")
         print(f"path_cost: {path_cost(scenario.robot, result.path):.6f}")
         print(f"waypoints: {len(result.path)}")
         if args.path_out:
             _write_path_csv(Path(args.path_out), result.path.waypoints)
-        code = 0
-    elif result.status == UNSOLVABLE:
-        print(f"status: unsolvable ({result.reason})")
-        print(f"planning_time_s: {result.planning_time:.6f}")
-        code = 2
-    else:
-        print("status: failure")
-        print(f"planning_time_s: {result.planning_time:.6f}")
-        code = 1
     for key, value in sorted(result.stats.items()):
         print(f"{key}: {value}")
-    return code
+    return _PLAN_EXIT_CODES.get(status, 0)
 
 
 def _cmd_gen(args) -> int:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .collision import check_config, check_motion
+from .collision import check_config, check_motion, free_mask
 from .errors import ValidationError
 from .robot import RobotModel, config_distance
 from .world import GoalSpec, Scenario, WorldModel
@@ -29,8 +29,8 @@ UNSOLVABLE = "unsolvable"
 FORWARD = "forward"
 BACKWARD = "backward"
 
-_REGION_VALIDATION_SAMPLES = 32
-_GOAL_SAMPLE_ATTEMPTS = 32
+# Uniform draws, after the center, that stand for a region goal.
+_GOAL_DRAWS = 32
 
 
 @dataclass(frozen=True)
@@ -108,53 +108,45 @@ def goal_satisfied(goal: GoalSpec, q) -> bool:
     return bool(np.all(q >= goal.lower) and np.all(q <= goal.upper))
 
 
-def region_samples(robot: RobotModel, goal: GoalSpec, seed: int,
-                   count: int = _REGION_VALIDATION_SAMPLES) -> np.ndarray:
-    """Region center plus seeded uniform samples, clipped to joint limits."""
-    lo, hi = goal.limited_box(robot)
-    rng = np.random.default_rng(seed)
-    center = (lo + hi) / 2.0
-    samples = rng.uniform(lo, hi, size=(count, robot.dof))
-    return np.vstack([center[None, :], samples])
+def goal_representative(robot: RobotModel, world: WorldModel,
+                        goal: GoalSpec) -> np.ndarray | None:
+    """The configuration that stands for the goal, or None when it collides.
 
-
-def goal_representative(robot: RobotModel, world: WorldModel, goal: GoalSpec,
-                        rng: np.random.Generator) -> np.ndarray | None:
-    """A free configuration inside the goal, or None when none was found.
-
-    A config goal is represented by its target; a region goal by the first
-    free one of up to 32 uniform draws from ``rng`` over the region clipped to
-    the joint limits.
+    A config goal is represented by its target, unchecked.  A region goal is
+    represented by the first free configuration among the center of the
+    region clipped to the joint limits and 32 uniform draws over it from the
+    fixed seed 0, all checked in one ``free_mask`` call; None when all 33
+    collide or the region misses the joint limits.  The representative is a
+    property of the query: every planner and every seed gets the same one.
     """
     if goal.kind == "config":
         return np.asarray(goal.target, dtype=float)
     lo, hi = goal.limited_box(robot)
-    for _ in range(_GOAL_SAMPLE_ATTEMPTS):
-        q = rng.uniform(lo, hi)
-        if check_config(robot, world, q).is_free:
-            return q
-    return None
+    if np.any(lo > hi):
+        return None
+    draws = np.random.default_rng(0).uniform(lo, hi, size=(_GOAL_DRAWS, robot.dof))
+    candidates = np.vstack([(lo + hi) / 2.0, draws])
+    free = np.flatnonzero(free_mask(robot, world, candidates))
+    return candidates[free[0]] if free.size else None
 
 
-def validate_query(robot: RobotModel, world: WorldModel, query: Query,
-                   seed: int = 0) -> str:
+def validate_query(robot: RobotModel, world: WorldModel, query: Query) -> str:
     """Detect queries that are unsolvable because an endpoint collides.
 
-    Config goals check the target itself; region goals check the region
-    center plus 32 seeded uniform samples and report a collision only when
-    every representative collides.
+    The start and a config goal's target are checked themselves; a region
+    goal collides when it has no ``goal_representative``, that is, when its
+    center and all 32 draws collide.  A planner that gets ``ok`` here plans
+    toward a free representative, so its verdict is ``solved`` or
+    ``failure_timeout``, never ``unsolvable``.
     """
     if not check_config(robot, world, query.start).is_free:
         return START_IN_COLLISION
-    if query.goal.kind == "config":
-        if not check_config(robot, world, query.goal.target).is_free:
-            return GOAL_IN_COLLISION
+    goal = query.goal
+    if goal.kind == "config":
+        free = check_config(robot, world, goal.target).is_free
     else:
-        for q in region_samples(robot, query.goal, seed):
-            if check_config(robot, world, q).is_free:
-                return OK
-        return GOAL_IN_COLLISION
-    return OK
+        free = goal_representative(robot, world, goal) is not None
+    return OK if free else GOAL_IN_COLLISION
 
 
 def path_cost(robot: RobotModel, path: Path) -> float:

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collision import motions_free
-from .core import (FORWARD, GOAL_IN_COLLISION, OK, PlannerResult, Path,
-                   Query, goal_representative, goal_satisfied, validate_query)
+from .core import (FORWARD, OK, PlannerResult, Path, Query, goal_representative,
+                   goal_satisfied, validate_query)
 from .errors import ContractViolation, ValidationError
 from .robot import RobotModel, as_configuration, config_distance
 from .world import WorldModel
@@ -36,9 +36,6 @@ from .world import WorldModel
 REACHED = "reached"
 ADVANCED = "advanced"
 TRAPPED = "trapped"
-
-START_TREE = "start_tree"
-GOAL_TREE = "goal_tree"
 
 _ZERO_DISTANCE = 1e-12
 # Extends checked speculatively per collision call.  A larger batch spreads
@@ -72,11 +69,8 @@ class Tree:
     validated at insertion time, sampled as ``check_motion`` samples it.
     """
 
-    def __init__(self, robot: RobotModel, root, root_kind: str):
-        if root_kind not in (START_TREE, GOAL_TREE):
-            raise ValidationError(f"unknown tree kind {root_kind!r}")
+    def __init__(self, robot: RobotModel, root):
         self.robot = robot
-        self.root_kind = root_kind
         self._capacity = 64
         self._configs = np.empty((self._capacity, robot.dof))
         self._parents = np.empty(self._capacity, dtype=np.int64)
@@ -222,31 +216,28 @@ def plan_rrt_connect(robot: RobotModel, world: WorldModel, query: Query,
                      params: RrtParams) -> PlannerResult:
     """Plan with RRT-Connect under the query's wall-clock budget.
 
-    Deterministic given (query, params): the seed drives all sampling.  The
+    Deterministic given (query, params): the seed drives all sampling, and
+    the goal tree grows from the query's ``goal_representative``.  The
     iterations run in speculative batches (see the module docstring) with
     the trees, path and counters of the sequential loop, except
     ``collision_checks``, which also counts the speculative configurations.
     """
     t0 = time.perf_counter()
     deadline = t0 + query.time_budget
-    stats = {"samples": 0, "iterations": 0, "collision_checks": 0, "nodes": 0}
+    stats = {"iterations": 0, "collision_checks": 0, "nodes": 0}
 
-    verdict = validate_query(robot, world, query, seed=params.seed)
+    verdict = validate_query(robot, world, query)
     if verdict != OK:
         return PlannerResult.unsolvable(verdict, time.perf_counter() - t0, stats)
     if goal_satisfied(query.goal, query.start):
         path = Path(query.start[None, :].copy())
         return PlannerResult.solved(path, FORWARD, time.perf_counter() - t0, stats)
 
-    rng = np.random.default_rng(params.seed)
-    goal_rep = goal_representative(robot, world, query.goal, rng)
-    if goal_rep is None:
-        return PlannerResult.unsolvable(
-            GOAL_IN_COLLISION, time.perf_counter() - t0, stats)
-
     # Iteration i (counted from 0) extends trees[i % 2] toward sample i and
     # then connects trees[(i + 1) % 2] toward the new node.
-    trees = (Tree(robot, query.start, START_TREE), Tree(robot, goal_rep, GOAL_TREE))
+    trees = (Tree(robot, query.start),
+             Tree(robot, goal_representative(robot, world, query.goal)))
+    rng = np.random.default_rng(params.seed)
     queue = np.empty((0, robot.dof))  # samples of the iterations not yet run
     pending = None  # node added by the last extend; its connect has not begun
 
@@ -299,7 +290,6 @@ def plan_rrt_connect(robot: RobotModel, world: WorldModel, query: Query,
                 pending = near_index if q_new is None else tree.add(q_new, near_index)
                 break
         stats["iterations"] += done
-        stats["samples"] += done
         queue = queue[done:]
 
     stats["nodes"] = trees[0].size + trees[1].size

@@ -34,8 +34,7 @@ from planbench.ara_star import (GOAL_NODE, AraSolution, SearchStats, decode,
 from planbench.collision import _self_overlap_mask, motions_free
 from planbench.core import OK, goal_representative, goal_satisfied, validate_query
 from planbench.robot import PRISMATIC, config_distance
-from planbench.rrt_connect import (GOAL_TREE, REACHED, START_TREE, TRAPPED, Tree,
-                                   connect, extend)
+from planbench.rrt_connect import REACHED, TRAPPED, Tree, connect, extend
 
 
 # ---------------------------------------------------------------------------
@@ -521,32 +520,27 @@ def rrt_connect_sequential(robot, world, query, params):
     the other tree toward the new node when the extend was not trapped, and
     swaps the trees.  There is no clock: the loop ends when the trees meet
     or after ``params.max_iterations`` iterations, so the query must be
-    solvable or the iterations bounded.  Stats hold samples, iterations and
-    nodes; status is "solved", "unsolvable" or "failure_timeout".
+    solvable or the iterations bounded.  Stats hold iterations and nodes;
+    status is "solved", "unsolvable" or "failure_timeout".
     """
-    stats = {"samples": 0, "iterations": 0, "nodes": 0}
-    if validate_query(robot, world, query, seed=params.seed) != OK:
+    stats = {"iterations": 0, "nodes": 0}
+    if validate_query(robot, world, query) != OK:
         return "unsolvable", None, stats
     if goal_satisfied(query.goal, query.start):
         return "solved", query.start[None, :].copy(), stats
     rng = np.random.default_rng(params.seed)
-    goal_rep = goal_representative(robot, world, query.goal, rng)
-    if goal_rep is None:
-        return "unsolvable", None, stats
-    tree_a = Tree(robot, query.start, START_TREE)
-    tree_b = Tree(robot, goal_rep, GOAL_TREE)
+    start_tree = Tree(robot, query.start)
+    tree_a, tree_b = start_tree, Tree(robot, goal_representative(robot, world, query.goal))
     while params.max_iterations is None or stats["iterations"] < params.max_iterations:
         stats["iterations"] += 1
-        stats["samples"] += 1
         status, new_index = extend(tree_a, sample_uniform(robot, rng), params, robot, world)
         if status != TRAPPED:
             status_b, meet = connect(tree_b, tree_a.config(new_index), params, robot, world)
             if status_b == REACHED:
                 stats["nodes"] = tree_a.size + tree_b.size
-                ends = {tree_a.root_kind: new_index, tree_b.root_kind: meet}
-                trees = {tree_a.root_kind: tree_a, tree_b.root_kind: tree_b}
-                return "solved", _joined(trees[START_TREE], ends[START_TREE],
-                                         trees[GOAL_TREE], ends[GOAL_TREE]), stats
+                if tree_a is start_tree:
+                    return "solved", _joined(tree_a, new_index, tree_b, meet), stats
+                return "solved", _joined(tree_b, meet, tree_a, new_index), stats
         tree_a, tree_b = tree_b, tree_a
     stats["nodes"] = tree_a.size + tree_b.size
     return "failure_timeout", None, stats

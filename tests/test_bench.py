@@ -102,9 +102,13 @@ class TestRunSuite:
 
     def test_input_validation(self, suite):
         with pytest.raises(ContractViolation):
-            run_suite(suite, "dijkstra", PARAMS)
-        with pytest.raises(ContractViolation):
             run_suite(suite, RRT_CONNECT, PARAMS, repetitions=0)
+
+    def test_unknown_planner_gives_error_records(self, suite):
+        # Errors never abort the suite: each run becomes an error record.
+        records = run_suite(suite, "dijkstra", PARAMS, repetitions=2)
+        assert len(records) == 2 * len(suite)
+        assert all(r.status == "error" and "dijkstra" in r.error for r in records)
 
     def test_parallel_workers_match_sequential(self, suite):
         seq = run_suite(suite, RRT_CONNECT, PARAMS, repetitions=1, base_seed=5)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from planbench.collision import check_config
-from planbench.core import (GOAL_IN_COLLISION, OK, START_IN_COLLISION, Path,
-                            PlannerResult, Query, goal_satisfied,
+from planbench.core import (FAILURE_TIMEOUT, GOAL_IN_COLLISION, OK,
+                            START_IN_COLLISION, UNSOLVABLE, Path, PlannerResult,
+                            Query, goal_representative, goal_satisfied,
                             path_cost, query_from_scenario, validate_path,
                             validate_query)
 from planbench.world import GoalSpec, Obstacle, WorldModel
@@ -45,12 +46,67 @@ class TestValidateQuery:
         goal = GoalSpec.region_goal([2.7, 2.7], [3.3, 3.3])
         q = Query(start=[0.5, 0.5], goal=goal, time_budget=1.0)
         assert validate_query(robot, world, q) == GOAL_IN_COLLISION
+        assert goal_representative(robot, world, goal) is None
+
+    def test_region_goal_outside_limits(self, robot, empty_world):
+        # No configuration of the region lies within the joint limits.
+        goal = GoalSpec.region_goal([6.5, 2.0], [7.0, 3.0])
+        q = Query(start=[0.5, 0.5], goal=goal, time_budget=1.0)
+        assert validate_query(robot, empty_world, q) == GOAL_IN_COLLISION
 
     def test_region_goal_partially_free(self, robot):
         world = WorldModel((Obstacle.box((3.0, 3.0, 0.0), (0.2, 0.2, 0.2)),))
         goal = GoalSpec.region_goal([2.0, 2.0], [4.0, 4.0])
         q = Query(start=[0.5, 0.5], goal=goal, time_budget=1.0)
         assert validate_query(robot, world, q) == OK
+
+
+def slab(lo, hi):
+    """A box over the planar rectangle [lo, hi], tall enough for the gantry."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    (cx, cy), (hx, hy) = (lo + hi) / 2.0, (hi - lo) / 2.0
+    return Obstacle.box((cx, cy, 0.0), (hx, hy, 0.5))
+
+
+# The gantry's sphere (radius 0.05) reaches the region goal [2, 4]^2 only
+# along a corridor y = 3 +- 0.02 that runs from x = 1.75 to just past the
+# region's center (3, 3): about 1% of the region is free, so 32 uniform draws
+# usually all collide.  Sealing the corridor up to x = 2.85 leaves a free
+# pocket around the center that the start cannot reach.
+CORRIDOR = (slab((1.8, 3.07), (4.2, 4.2)), slab((1.8, 1.8), (4.2, 2.93)),
+            slab((3.07, 2.9), (4.2, 3.1)))
+SEAL = slab((1.8, 2.9), (2.8, 3.1))
+REGION = GoalSpec.region_goal([2.0, 2.0], [4.0, 4.0])
+
+
+class TestRegionGoalVerdict:
+    """A region goal's verdict is a property of the query, not of a seed."""
+
+    @staticmethod
+    def verdicts(world, budget):
+        from planbench.ara_star import AraParams, default_primitives, plan_ara_star
+        from planbench.rrt_connect import RrtParams, plan_rrt_connect
+
+        robot = gantry_robot()
+        q = Query(start=[0.5, 3.0], goal=REGION, time_budget=budget)
+        assert validate_query(robot, world, q) == OK
+        primitives = default_primitives(robot)
+        for seed in range(8):
+            yield seed, plan_rrt_connect(robot, world, q, RrtParams(seed=seed))
+            yield seed, plan_ara_star(robot, world, q, primitives, AraParams(seed=seed))
+
+    def test_corridor_never_unsolvable(self):
+        for seed, result in self.verdicts(WorldModel(CORRIDOR), budget=5.0):
+            assert result.status != UNSOLVABLE, (seed, result.reason)
+
+    def test_sealed_pocket_is_a_timeout(self):
+        for seed, result in self.verdicts(WorldModel(CORRIDOR + (SEAL,)), budget=0.25):
+            assert result.status == FAILURE_TIMEOUT, (seed, result.reason)
+
+    def test_representative_is_the_free_center(self, robot):
+        for world in (WorldModel(CORRIDOR), WorldModel(CORRIDOR + (SEAL,)),
+                      WorldModel(())):
+            assert np.array_equal(goal_representative(robot, world, REGION), [3.0, 3.0])
 
 
 class TestPathCost:

@@ -32,24 +32,24 @@ PARAMS = RrtParams(step_eta=0.5, edge_step=0.05, seed=0)
 
 class TestNearest:
     def test_single_node(self, robot):
-        tree = Tree(robot, [1.0, 1.0], "start_tree")
+        tree = Tree(robot, [1.0, 1.0])
         assert nearest(tree, [[5.0, 5.0]]).tolist() == [0]
 
     def test_existing_node_lowest_index_tie(self, robot):
-        tree = Tree(robot, [1.0, 1.0], "start_tree")
+        tree = Tree(robot, [1.0, 1.0])
         tree.add(np.array([2.0, 2.0]), 0)
         tree.add(np.array([2.0, 2.0]), 0)  # duplicate: tie breaks to index 1
         assert nearest(tree, [[2.0, 2.0]]).tolist() == [1]
 
     def test_rejects_a_single_configuration(self, robot):
-        tree = Tree(robot, [1.0, 1.0], "start_tree")
+        tree = Tree(robot, [1.0, 1.0])
         with pytest.raises(ContractViolation):
             nearest(tree, [2.0, 2.0])
 
     def test_matches_linear_scan_oracle(self, robot):
         rng = np.random.default_rng(21)
         for _ in range(1000):
-            tree = Tree(robot, sample_uniform(robot, rng), "start_tree")
+            tree = Tree(robot, sample_uniform(robot, rng))
             for _ in range(int(rng.integers(1, 30))):
                 tree.add(sample_uniform(robot, rng), 0)
             targets = np.array([sample_uniform(robot, rng)
@@ -67,14 +67,14 @@ class TestNearest:
 
 class TestExtend:
     def test_reached_within_step(self, robot, empty_world):
-        tree = Tree(robot, [1.0, 1.0], "start_tree")
+        tree = Tree(robot, [1.0, 1.0])
         status, idx = extend(tree, [1.2, 1.0], PARAMS, robot, empty_world)
         assert status == REACHED
         assert tree.size == 2
         assert np.allclose(tree.nodes[idx], [1.2, 1.0])
 
     def test_advanced_clamps_to_step(self, robot, empty_world):
-        tree = Tree(robot, [1.0, 1.0], "start_tree")
+        tree = Tree(robot, [1.0, 1.0])
         status, idx = extend(tree, [4.0, 1.0], PARAMS, robot, empty_world)
         assert status == ADVANCED
         d = config_distance(robot, tree.nodes[0], tree.nodes[idx])
@@ -86,13 +86,13 @@ class TestExtend:
                             Obstacle.box((0.5, 1.0, 0.0), (0.05, 1.0, 0.5)),
                             Obstacle.box((1.0, 1.6, 0.0), (0.6, 0.05, 0.5)),
                             Obstacle.box((1.0, 0.4, 0.0), (0.6, 0.05, 0.5))))
-        tree = Tree(robot, [1.0, 1.0], "start_tree")
+        tree = Tree(robot, [1.0, 1.0])
         status, idx = extend(tree, [4.0, 1.0], PARAMS, robot, world)
         assert status == TRAPPED and idx is None
         assert tree.size == 1
 
     def test_degenerate_target_no_duplicate(self, robot, empty_world):
-        tree = Tree(robot, [1.0, 1.0], "start_tree")
+        tree = Tree(robot, [1.0, 1.0])
         status, idx = extend(tree, [1.0, 1.0], PARAMS, robot, empty_world)
         assert status == REACHED and idx == 0
         assert tree.size == 1
@@ -100,7 +100,7 @@ class TestExtend:
 
 class TestConnect:
     def test_counted_extensions_on_free_line(self, robot, empty_world):
-        tree = Tree(robot, [1.0, 1.0], "start_tree")
+        tree = Tree(robot, [1.0, 1.0])
         target = np.array([1.0 + 3 * PARAMS.step_eta, 1.0])
         status, idx = connect(tree, target, PARAMS, robot, empty_world)
         assert status == REACHED
@@ -108,13 +108,13 @@ class TestConnect:
 
     def test_immediate_obstacle_trapped(self, robot):
         world = WorldModel((Obstacle.box((1.3, 1.0, 0.0), (0.05, 2.0, 0.5)),))
-        tree = Tree(robot, [1.0, 1.0], "start_tree")
+        tree = Tree(robot, [1.0, 1.0])
         status, idx = connect(tree, [4.0, 1.0], PARAMS, robot, world)
         assert status == TRAPPED
         assert tree.size == 1 and idx is None
 
     def test_target_equals_nearest(self, robot, empty_world):
-        tree = Tree(robot, [1.0, 1.0], "start_tree")
+        tree = Tree(robot, [1.0, 1.0])
         status, idx = connect(tree, [1.0, 1.0], PARAMS, robot, empty_world)
         assert status == REACHED and tree.size == 1
 
@@ -162,7 +162,7 @@ class TestPlan:
         b = plan_rrt_connect(robot, world, q, RrtParams(seed=11))
         assert a.status == b.status
         assert np.array_equal(a.path.waypoints, b.path.waypoints)
-        assert a.stats["samples"] == b.stats["samples"]
+        assert a.stats["iterations"] == b.stats["iterations"]
 
     def test_budget_respected_on_impossible_query(self, robot):
         # Goal region is enclosed by walls: planner must run out the budget.
@@ -212,7 +212,7 @@ class TestTreeInvariants:
         # passes the motion check at the planner's edge step.
         world = shelf_world()
         rng = np.random.default_rng(5)
-        tree = Tree(robot, [1.0, 1.0], "start_tree")
+        tree = Tree(robot, [1.0, 1.0])
         for _ in range(100):
             extend(tree, sample_uniform(robot, rng), PARAMS, robot, world)
         assert tree.size > 10 and tree.parents[0] == 0
