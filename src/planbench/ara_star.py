@@ -27,7 +27,7 @@ import numpy as np
 
 from .collision import check_motion, free_mask, motions_free
 from .core import (BACKWARD, FORWARD, OK, Path, PlannerResult, Query,
-                   goal_representative, goal_satisfied, validate_query)
+                   goal_satisfied, screen_query)
 from .errors import ContractViolation, ValidationError, parse_mapping
 from .robot import RobotModel, as_configuration, config_distance
 from .world import GoalSpec, WorldModel
@@ -85,7 +85,6 @@ class AraParams:
 
     epsilon_schedule: tuple[float, ...] = (3.0, 2.0, 1.5, 1.0)
     edge_step: float = 0.05
-    seed: int = 0
     budget_split: float = 0.5
 
     def __post_init__(self):
@@ -507,7 +506,7 @@ def plan_ara_star(robot: RobotModel, world: WorldModel, query: Query,
             f"primitives are {primitives.primitives.shape[1]}-dimensional, "
             f"robot has {robot.dof} joints")
 
-    verdict = validate_query(robot, world, query)
+    verdict, representative = screen_query(robot, world, query)
     if verdict != OK:
         return PlannerResult.unsolvable(verdict, time.perf_counter() - t0, stats)
     start = np.asarray(query.start, dtype=float)
@@ -525,7 +524,6 @@ def plan_ara_star(robot: RobotModel, world: WorldModel, query: Query,
         return PlannerResult.solved(Path(np.array(forward)), FORWARD,
                                     time.perf_counter() - t0, stats)
 
-    representative = goal_representative(robot, world, query.goal)
     back_goal = GoalSpec.config_goal(start, tolerance=robot.resolutions / 2.0)
     backward = _lattice_attempt(robot, world, representative, back_goal,
                                 primitives, params, final_deadline, cache,

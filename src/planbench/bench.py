@@ -130,7 +130,7 @@ def plan(scenario: Scenario, planner: str, params: PlannerParams,
          primitives: MotionPrimitiveSet | None = None) -> PlannerResult:
     """Plan one scenario with the planner named ``planner``.
 
-    A ``seed`` replaces the seeds in ``params``; ARA* searches with
+    A ``seed`` replaces RRT-Connect's seed in ``params``; ARA* searches with
     ``primitives``, the robot's default primitives when None.
     """
     if seed is not None:

@@ -130,6 +130,19 @@ def goal_representative(robot: RobotModel, world: WorldModel,
     return candidates[free[0]] if free.size else None
 
 
+def screen_query(robot: RobotModel, world: WorldModel,
+                 query: Query) -> tuple[str, np.ndarray | None]:
+    """The query's ``validate_query`` verdict and, when it is ``ok``, its
+    ``goal_representative``, from one screen of the goal."""
+    if not check_config(robot, world, query.start).is_free:
+        return START_IN_COLLISION, None
+    representative = goal_representative(robot, world, query.goal)
+    if representative is None or (query.goal.kind == "config" and not check_config(
+            robot, world, representative).is_free):
+        return GOAL_IN_COLLISION, None
+    return OK, representative
+
+
 def validate_query(robot: RobotModel, world: WorldModel, query: Query) -> str:
     """Detect queries that are unsolvable because an endpoint collides.
 
@@ -139,14 +152,7 @@ def validate_query(robot: RobotModel, world: WorldModel, query: Query) -> str:
     toward a free representative, so its verdict is ``solved`` or
     ``failure_timeout``, never ``unsolvable``.
     """
-    if not check_config(robot, world, query.start).is_free:
-        return START_IN_COLLISION
-    goal = query.goal
-    if goal.kind == "config":
-        free = check_config(robot, world, goal.target).is_free
-    else:
-        free = goal_representative(robot, world, goal) is not None
-    return OK if free else GOAL_IN_COLLISION
+    return screen_query(robot, world, query)[0]
 
 
 def path_cost(robot: RobotModel, path: Path) -> float:

@@ -15,7 +15,7 @@ from .rrt_connect import RrtParams
 
 _COMMON_KEYS = {"edge_step", "goal_tolerance_default", "seed"}
 _RRT_KEYS = {"step_eta", "edge_step", "max_iterations", "seed"}
-_ARA_KEYS = {"epsilon_schedule", "edge_step", "seed", "budget_split"}
+_ARA_KEYS = {"epsilon_schedule", "edge_step", "budget_split"}
 _TOP_KEYS = {"common", "rrt_connect", "ara_star"}
 
 
@@ -28,11 +28,9 @@ class PlannerParams:
     ara_star: AraParams = AraParams()
 
     def with_seed(self, seed: int) -> "PlannerParams":
-        return PlannerParams(
-            goal_tolerance_default=self.goal_tolerance_default,
-            rrt_connect=replace(self.rrt_connect, seed=seed),
-            ara_star=replace(self.ara_star, seed=seed),
-        )
+        """These params with RRT-Connect's seed replaced; ARA* draws no
+        random numbers."""
+        return replace(self, rrt_connect=replace(self.rrt_connect, seed=seed))
 
 
 def _build(doc: dict) -> PlannerParams:
@@ -57,7 +55,6 @@ def _build(doc: dict) -> PlannerParams:
     ara = AraParams(
         epsilon_schedule=tuple(float(e) for e in schedule),
         edge_step=float(ara_doc.get("edge_step", edge_step)),
-        seed=int(ara_doc.get("seed", seed)),
         budget_split=float(ara_doc.get("budget_split", 0.5)),
     )
     return PlannerParams(goal_tolerance_default=goal_tolerance_default,

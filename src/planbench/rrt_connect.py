@@ -6,17 +6,15 @@ connects the other tree toward the freshly added node; tree roles swap every
 iteration.  Solutions are reported with direction "forward" always: the
 bidirectional growth is internal.
 
-The planner runs these iterations in speculative batches.  Samples depend
-only on the random stream, not on the trees, so the extends of the next
-``BATCH`` iterations are steered against the current trees and all of their
-motions are checked in one collision call, together with the first step of
-the pending connect.  Results are then taken in iteration order up to and
-including the first extend that is not trapped; the samples after it stay
-queued and are steered again against the grown trees.  Most extends and most
-first connect steps are trapped, so most batches commit several iterations,
-and the trees, paths and counters are exactly those of the sequential loop.
-Only ``collision_checks`` differs: it also counts the configurations of the
-speculative motions whose results were discarded.
+The planner runs this loop through ``extend`` and ``connect`` but reads each
+motion's verdict from a small per-query cache.  Samples depend only on the
+seed, so on a miss the cache steers the extends of the next ``LOOKAHEAD``
+samples against the current trees and checks them, with the missed motion,
+in one collision call; a second call checks the first connect step toward
+each of those extends found free.  A verdict is reused only for bitwise
+identical endpoints, so trees, paths and counters are those of the uncached
+loop; a stale guess costs only a miss.  ``collision_checks`` also counts
+prefetched motions that were never used; ``check_calls`` counts the calls.
 """
 
 from __future__ import annotations
@@ -27,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collision import motions_free
-from .core import (FORWARD, OK, PlannerResult, Path, Query, goal_representative,
-                   goal_satisfied, validate_query)
+from .core import (FORWARD, OK, PlannerResult, Path, Query, goal_satisfied,
+                   screen_query)
 from .errors import ContractViolation, ValidationError
 from .robot import RobotModel, as_configuration, config_distance
 from .world import WorldModel
@@ -38,10 +36,10 @@ ADVANCED = "advanced"
 TRAPPED = "trapped"
 
 _ZERO_DISTANCE = 1e-12
-# Extends checked speculatively per collision call.  A larger batch spreads
-# the fixed cost of a call over more motions but wastes more of the
-# configurations checked after the first extend that is not trapped.
-BATCH = 4
+# Samples whose extends a cache refill steers ahead of the loop.  A longer
+# window spreads the fixed cost of a collision call over more motions but
+# checks more motions that the growing trees make stale.
+LOOKAHEAD = 16
 
 
 @dataclass(frozen=True)
@@ -126,57 +124,125 @@ def nearest(tree: Tree, targets) -> np.ndarray:
     return np.argmin(np.sum(diff * diff * tree.robot.weights, axis=2), axis=1)
 
 
-def _steps(jobs, params: RrtParams, robot: RobotModel, world: WorldModel,
-           stats: dict | None = None) -> list[list]:
-    """Steer each (tree, target) job and check every motion in one call.
+def _steer(robot: RobotModel, params: RrtParams, q_near: np.ndarray,
+           target: np.ndarray) -> tuple[np.ndarray, bool] | None:
+    """(new configuration, reached) of one step from ``q_near`` toward
+    ``target``: the target itself within ``step_eta``, else the point at
+    distance ``step_eta`` toward it; None when the two coincide."""
+    d = config_distance(robot, q_near, target)
+    if d <= _ZERO_DISTANCE:
+        return None
+    if d <= params.step_eta:
+        return target, True
+    return q_near + (params.step_eta / d) * (target - q_near), False
 
-    Returns, per job, [nearest node index, new configuration, reached,
-    free].  The new configuration is the target itself when it lies within
-    ``step_eta`` (reached), else the point at distance ``step_eta`` toward
-    it; it is None, with free True, when the target coincides with its
-    nearest node.
+
+class _Lookahead:
+    """The motion verdicts of one query, checked ahead of the loop.
+
+    The loop calls ``begin(i)`` before iteration i, which extends
+    ``trees[i % 2]`` toward ``sample(i)``.  The cache keeps only the motions
+    of its last refill, at most 2 * LOOKAHEAD + 3 of them.
     """
-    steps: list = [None] * len(jobs)
-    motions = []  # (job, nearest node, new configuration)
-    for tree in dict.fromkeys(tree for tree, _ in jobs):
-        members = [i for i, (t, _) in enumerate(jobs) if t is tree]
-        near = nearest(tree, np.array([jobs[i][1] for i in members]))
-        for i, k in zip(members, near.tolist()):
-            q_near, target = tree.nodes[k], jobs[i][1]
-            d = config_distance(robot, q_near, target)
-            if d <= _ZERO_DISTANCE:
-                steps[i] = [k, None, True, True]
-                continue
-            if d <= params.step_eta:
-                q_new, reached = target, True
-            else:
-                q_new = q_near + (params.step_eta / d) * (target - q_near)
-                reached = False
-            steps[i] = [k, q_new, reached, None]
-            motions.append((i, q_near, q_new))
-    if motions:
-        free = motions_free(robot, world, np.array([m[1] for m in motions]),
-                            np.array([m[2] for m in motions]), params.edge_step,
-                            stats=stats)
-        for (i, _, _), ok in zip(motions, free.tolist()):
-            steps[i][3] = ok
-    return steps
+
+    def __init__(self, robot: RobotModel, world: WorldModel, params: RrtParams,
+                 trees: tuple[Tree, Tree], stats: dict):
+        self.robot, self.world, self.params = robot, world, params
+        self.trees, self.stats = trees, stats
+        self.rng = np.random.default_rng(params.seed)
+        self.samples, self.first = np.empty((0, robot.dof)), 0  # row k: sample first + k
+        self.verdicts: dict[bytes, bool] = {}
+        self.begin(0)
+
+    def begin(self, iteration: int) -> None:
+        # ``extending``: the iteration's extend has not looked up a verdict yet
+        self.iteration, self.extending = iteration, True
+
+    def sample(self, i: int) -> np.ndarray:
+        """Sample i of one random stream drawn in blocks, which gives the
+        values of one draw per iteration."""
+        while i >= self.first + len(self.samples):
+            block = self.rng.uniform(self.robot.lower, self.robot.upper,
+                                     size=(LOOKAHEAD, self.robot.dof))
+            self.samples = np.vstack([self.samples[self.iteration - self.first:], block])
+            self.first = self.iteration
+        return self.samples[i - self.first]
+
+    def free(self, q_near: np.ndarray, q_new: np.ndarray) -> bool:
+        """The verdict of the motion q_near -> q_new, refilling on a miss."""
+        key = q_near.tobytes() + q_new.tobytes()
+        if key not in self.verdicts:
+            self._refill({key: (q_near, q_new)})
+        self.extending = False
+        return self.verdicts[key]
+
+    def _refill(self, missed: dict) -> None:
+        """Check the missed motion and the extends of the next LOOKAHEAD
+        samples in one call, then the first connect step toward each free
+        extend in another; keep only these motions."""
+        old, self.verdicts = self.verdicts, {}
+        last = self.iteration + LOOKAHEAD
+        if self.params.max_iterations is not None:
+            last = min(last, self.params.max_iterations - 1)
+        first = self.iteration if self.extending else self.iteration + 1
+        jobs = [(j % 2, self.sample(j)) for j in range(first, last + 1)]
+        extends = self._steer_and_check(jobs, missed, old)
+        self._steer_and_check([(1 - t, q) for t, key, q in extends if self.verdicts[key]],
+                              {}, old)
+
+    def _steer_and_check(self, jobs, motions: dict, old: dict) -> list:
+        """Steer each (tree index, target) job against the current trees,
+        with one ``nearest`` call per tree, and add its motion to
+        ``motions``.  Each motion's verdict is taken from ``old`` or checked,
+        all in one call.  Returns (tree index, key, new configuration) per
+        steered job."""
+        steered = []
+        for t in (0, 1):
+            tree, targets = self.trees[t], [q for s, q in jobs if s == t]
+            near = nearest(tree, np.array(targets)).tolist() if targets else []
+            for k, target in zip(near, targets):
+                q_near = tree.nodes[k]
+                step = _steer(self.robot, self.params, q_near, target)
+                if step is not None:
+                    key = q_near.tobytes() + step[0].tobytes()
+                    motions[key] = (q_near, step[0])
+                    steered.append((t, key, step[0]))
+        todo = [key for key in motions if key not in old and key not in self.verdicts]
+        self.verdicts.update((key, old[key]) for key in motions if key in old)
+        if todo:
+            self.stats["check_calls"] += 1
+            free = motions_free(self.robot, self.world,
+                                np.array([motions[key][0] for key in todo]),
+                                np.array([motions[key][1] for key in todo]),
+                                self.params.edge_step, stats=self.stats)
+            self.verdicts.update(zip(todo, free.tolist()))
+        return steered
 
 
 def extend(tree: Tree, target, params: RrtParams, robot: RobotModel,
-           world: WorldModel, stats: dict | None = None) -> tuple[str, int | None]:
+           world: WorldModel, stats: dict | None = None,
+           cache: _Lookahead | None = None) -> tuple[str, int | None]:
     """One bounded step of the nearest node toward ``target``.
 
     Returns (REACHED, node) when the target itself was added (or already
     present), (ADVANCED, node) for a clamped step of length step_eta, and
     (TRAPPED, None) when the motion is blocked; trapped leaves the tree
-    unchanged.
+    unchanged.  The motion is checked in its own collision call, counted in
+    ``stats``, or its verdict is read from ``cache``, which counts its own
+    checks.
     """
     target = as_configuration(robot, target)
-    near_index, q_new, reached, free = _steps([(tree, target)], params, robot,
-                                              world, stats=stats)[0]
-    if q_new is None:
+    near_index = int(nearest(tree, target[None])[0])
+    q_near = tree.nodes[near_index]
+    step = _steer(robot, params, q_near, target)
+    if step is None:
         return REACHED, near_index  # degenerate: do not duplicate the node
+    q_new, reached = step
+    if cache is None:
+        free = motions_free(robot, world, q_near, q_new[None], params.edge_step,
+                            stats=stats)[0]
+    else:
+        free = cache.free(q_near, q_new)
     if not free:
         return TRAPPED, None
     index = tree.add(q_new, near_index)
@@ -185,14 +251,16 @@ def extend(tree: Tree, target, params: RrtParams, robot: RobotModel,
 
 def connect(tree: Tree, target, params: RrtParams, robot: RobotModel,
             world: WorldModel, stats: dict | None = None,
-            deadline: float | None = None) -> tuple[str, int | None]:
+            deadline: float | None = None,
+            cache: _Lookahead | None = None) -> tuple[str, int | None]:
     """Repeatedly extend toward a fixed target until reached or trapped.
 
     On TRAPPED the second element is the last advanced node, if any.
     """
     last = None
     while True:
-        status, index = extend(tree, target, params, robot, world, stats=stats)
+        status, index = extend(tree, target, params, robot, world, stats=stats,
+                               cache=cache)
         if status == TRAPPED:
             return TRAPPED, last
         last = index
@@ -217,80 +285,41 @@ def plan_rrt_connect(robot: RobotModel, world: WorldModel, query: Query,
     """Plan with RRT-Connect under the query's wall-clock budget.
 
     Deterministic given (query, params): the seed drives all sampling, and
-    the goal tree grows from the query's ``goal_representative``.  The
-    iterations run in speculative batches (see the module docstring) with
-    the trees, path and counters of the sequential loop, except
-    ``collision_checks``, which also counts the speculative configurations.
+    the goal tree grows from the query's goal representative.  Motion
+    verdicts come from the lookahead cache (see the module docstring).
     """
     t0 = time.perf_counter()
     deadline = t0 + query.time_budget
-    stats = {"iterations": 0, "collision_checks": 0, "nodes": 0}
+    stats = {"iterations": 0, "collision_checks": 0, "check_calls": 0, "nodes": 0}
 
-    verdict = validate_query(robot, world, query)
+    verdict, representative = screen_query(robot, world, query)
     if verdict != OK:
         return PlannerResult.unsolvable(verdict, time.perf_counter() - t0, stats)
     if goal_satisfied(query.goal, query.start):
         path = Path(query.start[None, :].copy())
         return PlannerResult.solved(path, FORWARD, time.perf_counter() - t0, stats)
 
-    # Iteration i (counted from 0) extends trees[i % 2] toward sample i and
-    # then connects trees[(i + 1) % 2] toward the new node.
-    trees = (Tree(robot, query.start),
-             Tree(robot, goal_representative(robot, world, query.goal)))
-    rng = np.random.default_rng(params.seed)
-    queue = np.empty((0, robot.dof))  # samples of the iterations not yet run
-    pending = None  # node added by the last extend; its connect has not begun
-
-    while True:
-        count = BATCH
-        if params.max_iterations is not None:
-            count = min(count, params.max_iterations - stats["iterations"])
-        if pending is None and (count == 0 or time.perf_counter() >= deadline):
+    trees = (Tree(robot, query.start), Tree(robot, representative))
+    cache = _Lookahead(robot, world, params, trees, stats)
+    while params.max_iterations is None or stats["iterations"] < params.max_iterations:
+        if time.perf_counter() >= deadline:
             break
-        if len(queue) < count:
-            queue = np.vstack([queue, rng.uniform(
-                robot.lower, robot.upper, size=(count - len(queue), robot.dof))])
-        turn = stats["iterations"] % 2
-        jobs = [(trees[(turn + p) % 2], queue[p]) for p in range(count)]
-        if pending is not None:
-            target = trees[1 - turn].config(pending)
-            jobs.insert(0, (trees[turn], target))
-        steps = _steps(jobs, params, robot, world, stats=stats)
-
-        if pending is not None:
-            new_index, pending = pending, None
-            near_index, q_new, reached, free = steps.pop(0)
-            if free:
-                # The first step reached the target or grew trees[turn], which
-                # makes the batch's extends stale: finish the connect alone.
-                if q_new is None:
-                    meet = near_index
-                else:
-                    meet = trees[turn].add(q_new, near_index)
-                    if not reached:
-                        if time.perf_counter() >= deadline:
-                            continue
-                        status, meet = connect(trees[turn], target, params, robot,
-                                               world, stats=stats, deadline=deadline)
-                        if status != REACHED:
-                            continue
-                ends = (new_index, meet) if turn == 1 else (meet, new_index)
-                waypoints = _join_paths(trees[0], ends[0], trees[1], ends[1])
-                stats["nodes"] = trees[0].size + trees[1].size
-                return PlannerResult.solved(
-                    Path(waypoints), FORWARD, time.perf_counter() - t0, stats)
-
-        done = 0
-        for p, (near_index, q_new, _, free) in enumerate(steps):
-            if time.perf_counter() >= deadline:
-                break
-            done += 1
-            if free:
-                tree = trees[(turn + p) % 2]
-                pending = near_index if q_new is None else tree.add(q_new, near_index)
-                break
-        stats["iterations"] += done
-        queue = queue[done:]
+        i = stats["iterations"]
+        stats["iterations"] += 1
+        cache.begin(i)
+        tree, other = trees[i % 2], trees[1 - i % 2]
+        status, new_index = extend(tree, cache.sample(i), params, robot, world,
+                                   cache=cache)
+        if status == TRAPPED:
+            continue
+        status, meet = connect(other, tree.config(new_index), params, robot, world,
+                               deadline=deadline, cache=cache)
+        if status == REACHED:
+            ends = (new_index, meet) if i % 2 == 0 else (meet, new_index)
+            waypoints = _join_paths(trees[0], ends[0], trees[1], ends[1])
+            stats["nodes"] = trees[0].size + trees[1].size
+            return PlannerResult.solved(
+                Path(waypoints), FORWARD, time.perf_counter() - t0, stats)
 
     stats["nodes"] = trees[0].size + trees[1].size
     return PlannerResult.timeout(time.perf_counter() - t0, stats)

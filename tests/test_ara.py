@@ -280,7 +280,7 @@ class TestPlanAraStar:
     def test_deterministic(self):
         robot = gantry_robot(resolution=0.25)
         world = WorldModel((Obstacle.box((3.0, 3.0, 0.0), (0.3, 1.2, 0.5)),))
-        params = AraParams(epsilon_schedule=(3.0, 1.0), edge_step=0.05, seed=5)
+        params = AraParams(epsilon_schedule=(3.0, 1.0), edge_step=0.05)
         a = plan_ara_star(robot, world, simple_query(), default_primitives(robot), params)
         b = plan_ara_star(robot, world, simple_query(), default_primitives(robot), params)
         assert a.status == b.status == SOLVED

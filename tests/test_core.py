@@ -91,9 +91,9 @@ class TestRegionGoalVerdict:
         q = Query(start=[0.5, 3.0], goal=REGION, time_budget=budget)
         assert validate_query(robot, world, q) == OK
         primitives = default_primitives(robot)
+        yield "ara", plan_ara_star(robot, world, q, primitives, AraParams())
         for seed in range(8):
             yield seed, plan_rrt_connect(robot, world, q, RrtParams(seed=seed))
-            yield seed, plan_ara_star(robot, world, q, primitives, AraParams(seed=seed))
 
     def test_corridor_never_unsolvable(self):
         for seed, result in self.verdicts(WorldModel(CORRIDOR), budget=5.0):
@@ -102,6 +102,27 @@ class TestRegionGoalVerdict:
     def test_sealed_pocket_is_a_timeout(self):
         for seed, result in self.verdicts(WorldModel(CORRIDOR + (SEAL,)), budget=0.25):
             assert result.status == FAILURE_TIMEOUT, (seed, result.reason)
+
+    def test_goal_screened_once_per_plan(self, robot, monkeypatch):
+        # Only the goal screen calls core's free_mask.  In the sealed pocket
+        # ARA*'s forward search fails and its backward search starts from
+        # the representative, which it takes from its own query screen.
+        import planbench.core as core
+        from planbench.ara_star import AraParams, default_primitives, plan_ara_star
+        from planbench.rrt_connect import RrtParams, plan_rrt_connect
+
+        screens = []
+        free_mask = core.free_mask
+        monkeypatch.setattr(core, "free_mask", lambda robot, world, configs, **kw: (
+            screens.append(len(configs)) or free_mask(robot, world, configs, **kw)))
+        world = WorldModel(CORRIDOR + (SEAL,))
+        q = Query(start=[0.5, 3.0], goal=REGION, time_budget=0.1)
+        assert plan_rrt_connect(robot, world, q, RrtParams()).status == FAILURE_TIMEOUT
+        assert screens == [33]
+        screens.clear()
+        result = plan_ara_star(robot, world, q, default_primitives(robot), AraParams())
+        assert result.status == FAILURE_TIMEOUT and "expansions_backward" in result.stats
+        assert screens == [33]
 
     def test_representative_is_the_free_center(self, robot):
         for world in (WorldModel(CORRIDOR), WorldModel(CORRIDOR + (SEAL,)),
@@ -226,7 +247,7 @@ class TestSolvedResultsValidate:
                     result = plan(robot, world, q, RrtParams(seed=case))
                 else:
                     result = plan(robot, world, q, primitives,
-                                  AraParams(epsilon_schedule=(3.0, 1.0), seed=case))
+                                  AraParams(epsilon_schedule=(3.0, 1.0)))
                 if result.status == "solved":
                     solved += 1
                     assert validate_path(robot, world, q, result.path, 0.05), \

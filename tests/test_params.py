@@ -20,7 +20,6 @@ class TestParseParams:
         assert params.rrt_connect.edge_step == 0.02
         assert params.rrt_connect.seed == 9
         assert params.ara_star.edge_step == 0.02
-        assert params.ara_star.seed == 9
 
     def test_section_overrides_common(self):
         doc = ("common: {edge_step: 0.02}\n"
@@ -38,6 +37,7 @@ class TestParseParams:
         "common: {step: 0.1}\n",
         "rrt_connect: {eta: 0.5}\n",
         "ara_star: {schedule: [1.0]}\n",
+        "ara_star: {seed: 3}\n",  # ARA* draws no random numbers
     ])
     def test_unknown_keys_rejected(self, doc):
         with pytest.raises(ValidationError):
@@ -51,7 +51,8 @@ class TestParseParams:
         with pytest.raises(ValidationError):
             parse_params("ara_star: {epsilon_schedule: [1.0, 2.0]}\n")  # increasing
 
-    def test_with_seed_replaces_both(self):
-        params = PlannerParams().with_seed(123)
+    def test_with_seed_sets_the_rrt_seed(self):
+        params = PlannerParams(goal_tolerance_default=0.1).with_seed(123)
         assert params.rrt_connect.seed == 123
-        assert params.ara_star.seed == 123
+        assert params.ara_star == PlannerParams().ara_star
+        assert params.goal_tolerance_default == 0.1

@@ -13,8 +13,9 @@ from planbench.data import data_path
 from planbench.errors import ContractViolation, ValidationError
 from planbench.params import load_params
 from planbench.robot import config_distance
-from planbench.rrt_connect import (ADVANCED, REACHED, TRAPPED, RrtParams, Tree,
-                                   connect, extend, nearest, plan_rrt_connect)
+from planbench import rrt_connect
+from planbench.rrt_connect import (ADVANCED, LOOKAHEAD, REACHED, TRAPPED, RrtParams,
+                                   Tree, connect, extend, nearest, plan_rrt_connect)
 from planbench.world import (GoalSpec, Obstacle, WorldModel, generate_variations,
                              load_scenario)
 
@@ -230,7 +231,7 @@ class TestTreeInvariants:
 
 
 # ---------------------------------------------------------------------------
-# The batched loop against the sequential reference loop.
+# The planner's cached loop against the sequential reference loop.
 
 REAL_DEFAULT_RNG = np.random.default_rng
 
@@ -268,6 +269,11 @@ def assert_same_as_sequential(robot, world, query, params):
 TUNED = load_params(data_path("params", "shelf_tuned.yaml"))
 
 
+def shelf_reach_suite():
+    base = load_scenario(data_path("scenarios", "shelf_reach.yaml"))
+    return generate_variations(base, "objects_only", 4, seed=424242)
+
+
 class TestSequentialEquivalence:
     @pytest.mark.parametrize("index", range(6))
     def test_shelf_variations(self, index):
@@ -276,6 +282,18 @@ class TestSequentialEquivalence:
         query = query_from_scenario(replace(scenario, time_budget=600.0),
                                     TUNED.goal_tolerance_default)
         for seed in range(3):
+            result = assert_same_as_sequential(
+                scenario.robot, scenario.world, query,
+                replace(TUNED.rrt_connect, seed=seed))
+            assert result.status == SOLVED
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_shelf_reach_suite(self, index):
+        # The benchmark's scenes: shelf_reach, objects_only, suite seed 424242.
+        scenario = shelf_reach_suite()[index]
+        query = query_from_scenario(replace(scenario, time_budget=600.0),
+                                    TUNED.goal_tolerance_default)
+        for seed in range(2):
             result = assert_same_as_sequential(
                 scenario.robot, scenario.world, query,
                 replace(TUNED.rrt_connect, seed=seed))
@@ -333,3 +351,38 @@ class TestSequentialEquivalence:
                       time_budget=600.0)
         result = assert_same_as_sequential(robot, empty_world, query, RrtParams(seed=0))
         assert result.status == SOLVED and result.stats["nodes"] == 3
+
+
+class TestLookahead:
+    @pytest.mark.parametrize("index", range(3))
+    def test_few_collision_calls_per_iteration(self, index):
+        scenario = shelf_reach_suite()[index]
+        query = query_from_scenario(replace(scenario, time_budget=600.0),
+                                    TUNED.goal_tolerance_default)
+        result = plan_rrt_connect(scenario.robot, scenario.world, query, TUNED.rrt_connect)
+        assert result.status == SOLVED and result.stats["iterations"] >= 200
+        assert 3 * result.stats["check_calls"] <= result.stats["iterations"]
+
+    @pytest.mark.parametrize("max_iterations", [1, 2, 17])
+    def test_refill_never_steers_past_max_iterations(self, robot, monkeypatch,
+                                                     max_iterations):
+        # Every steered target passes through nearest; samples from
+        # max_iterations on belong to iterations that never run.
+        targets = set()
+        real_nearest = rrt_connect.nearest
+
+        def recording_nearest(tree, rows):
+            targets.update(row.tobytes() for row in np.asarray(rows, dtype=float))
+            return real_nearest(tree, rows)
+
+        monkeypatch.setattr(rrt_connect, "nearest", recording_nearest)
+        goal = GoalSpec.config_goal([5.0, 1.0], [0.0, 0.0])
+        query = Query(start=[1.0, 1.0], goal=goal, time_budget=600.0)
+        for seed in range(6):
+            targets.clear()
+            plan_rrt_connect(robot, shelf_world(), query,
+                             RrtParams(seed=seed, max_iterations=max_iterations))
+            samples = REAL_DEFAULT_RNG(seed).uniform(
+                robot.lower, robot.upper, size=(max_iterations + 2 * LOOKAHEAD, robot.dof))
+            assert samples[0].tobytes() in targets
+            assert not any(q.tobytes() in targets for q in samples[max_iterations:])
