@@ -1,11 +1,11 @@
 """Benchmark harness: run planners over scenario suites and aggregate results.
 
-Both planners are exercised under identical conditions: same scenarios, same
-budgets, same collision substrate, and seeds derived as
-``base_seed + scenario_index * repetitions + repetition`` so runs are
-reproducible regardless of worker scheduling.  A run's planning time is the
-one the planner reports, measured by its own monotonic clock from its first
-step to its result.
+Both planners run under identical conditions: same scenarios, budgets and
+collision substrate.  RRT-Connect seeds are derived as ``base_seed +
+scenario_index * repetitions + repetition``, reproducible regardless of
+worker scheduling; ARA* takes no seed, so its records carry None.  A run's
+planning time is the one the planner reports, measured by its own monotonic
+clock from its first step to its result.
 
 Records carry the status taxonomy of PlannerResult (solved-forward,
 solved-backward, failure, unsolvable) plus an "error" status for per-record
@@ -55,7 +55,7 @@ class RunRecord:
 
     scenario: str
     planner: str
-    seed: int
+    seed: int | None
     status: str
     planning_time: float
     path_cost: float | None = None
@@ -148,6 +148,7 @@ def plan(scenario: Scenario, planner: str, params: PlannerParams,
 def run_one(scenario: Scenario, planner: str, params: PlannerParams, seed: int,
             primitives: MotionPrimitiveSet | None = None) -> RunRecord:
     """Execute a single query; harness failures become an error record."""
+    seed = seed if planner == RRT_CONNECT else None
     try:
         result = plan(scenario, planner, params, seed, primitives)
     except PlanbenchError as exc:
@@ -274,7 +275,7 @@ def parse_records(text: str) -> list[RunRecord]:
             continue
         scenario, planner, seed, status, planning_time, cost = row
         records.append(RunRecord(
-            scenario=scenario, planner=planner, seed=int(seed), status=status,
-            planning_time=float(planning_time),
+            scenario=scenario, planner=planner, seed=int(seed) if seed else None,
+            status=status, planning_time=float(planning_time),
             path_cost=None if cost == "" else float(cost)))
     return records

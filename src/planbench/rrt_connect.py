@@ -7,14 +7,17 @@ iteration.  Solutions are reported with direction "forward" always: the
 bidirectional growth is internal.
 
 The planner runs this loop through ``extend`` and ``connect`` but reads each
-motion's verdict from a small per-query cache.  Samples depend only on the
-seed, so on a miss the cache steers the extends of the next ``LOOKAHEAD``
-samples against the current trees and checks them, with the missed motion,
-in one collision call; a second call checks the first connect step toward
-each of those extends found free.  A verdict is reused only for bitwise
-identical endpoints, so trees, paths and counters are those of the uncached
-loop; a stale guess costs only a miss.  ``collision_checks`` also counts
-prefetched motions that were never used; ``check_calls`` counts the calls.
+motion's verdict and each target's nearest node from a small per-query
+cache.  Samples depend only on the seed, so on a miss the cache steers the
+extends of the next ``LOOKAHEAD`` samples against the current trees.  Most
+blocked motions end in an obstacle, so one collision call checks only the far
+endpoint of each and of the missed motion; a second checks in full those with
+a free endpoint and the first connect step toward each.  A verdict is reused
+only for bitwise identical endpoints and a remembered nearest node is
+compared with the nodes added since, so trees, paths and iterations are those
+of the uncached loop.  ``collision_checks`` counts every checked
+configuration, a free endpoint twice and prefetches never used;
+``check_calls`` counts the calls.
 """
 
 from __future__ import annotations
@@ -120,8 +123,12 @@ def nearest(tree: Tree, targets) -> np.ndarray:
     if targets.ndim != 2 or targets.shape[1] != tree.robot.dof:
         raise ContractViolation(
             f"targets have shape {targets.shape}, expected (k, {tree.robot.dof})")
-    diff = tree.nodes[None, :, :] - targets[:, None, :]
-    return np.argmin(np.sum(diff * diff * tree.robot.weights, axis=2), axis=1)
+    return _nearest_rows(tree.robot, tree.nodes, targets)
+
+
+def _nearest_rows(robot: RobotModel, rows: np.ndarray, targets) -> np.ndarray:
+    diff = rows[None, :, :] - targets[:, None, :]
+    return np.argmin(np.sum(diff * diff * robot.weights, axis=2), axis=1)
 
 
 def _steer(robot: RobotModel, params: RrtParams, q_near: np.ndarray,
@@ -138,11 +145,12 @@ def _steer(robot: RobotModel, params: RrtParams, q_near: np.ndarray,
 
 
 class _Lookahead:
-    """The motion verdicts of one query, checked ahead of the loop.
+    """The motion verdicts and nearest nodes of one query, found ahead of the loop.
 
     The loop calls ``begin(i)`` before iteration i, which extends
     ``trees[i % 2]`` toward ``sample(i)``.  The cache keeps only the motions
-    of its last refill, at most 2 * LOOKAHEAD + 3 of them.
+    of its last refill, at most 2 * LOOKAHEAD + 3 of them, and the nearest
+    node of each target it steered.
     """
 
     def __init__(self, robot: RobotModel, world: WorldModel, params: RrtParams,
@@ -152,6 +160,7 @@ class _Lookahead:
         self.rng = np.random.default_rng(params.seed)
         self.samples, self.first = np.empty((0, robot.dof)), 0  # row k: sample first + k
         self.verdicts: dict[bytes, bool] = {}
+        self.near: dict[tuple[int, bytes], tuple[int, int]] = {}  # (tree size, index)
         self.begin(0)
 
     def begin(self, iteration: int) -> None:
@@ -176,47 +185,75 @@ class _Lookahead:
         self.extending = False
         return self.verdicts[key]
 
+    def nearest(self, tree: Tree, target: np.ndarray) -> int:
+        """``nearest(tree, target)``, from the index the last refill found
+        when it steered ``target`` against ``tree``: only the nodes added
+        since are compared with it, and a tie keeps the older node."""
+        key = (self.trees.index(tree), target.tobytes())
+        if key not in self.near:
+            return int(nearest(tree, target[None])[0])
+        size, index = self.near[key]
+        if size < tree.size:
+            rows = np.vstack([tree.nodes[index], tree.nodes[size:]])
+            k = int(_nearest_rows(tree.robot, rows, target[None])[0])
+            index = index if k == 0 else size + k - 1
+            self.near[key] = (tree.size, index)
+        return index
+
     def _refill(self, missed: dict) -> None:
-        """Check the missed motion and the extends of the next LOOKAHEAD
-        samples in one call, then the first connect step toward each free
-        extend in another; keep only these motions."""
-        old, self.verdicts = self.verdicts, {}
+        """Check the far endpoints of the missed motion and of the extends of
+        the next LOOKAHEAD samples in one call; then, in another, the full
+        motions whose endpoint is free with the first connect step toward
+        each of them.  Keep only these motions and their nearest nodes."""
+        old, self.verdicts, self.near = self.verdicts, {}, {}
         last = self.iteration + LOOKAHEAD
         if self.params.max_iterations is not None:
             last = min(last, self.params.max_iterations - 1)
         first = self.iteration if self.extending else self.iteration + 1
-        jobs = [(j % 2, self.sample(j)) for j in range(first, last + 1)]
-        extends = self._steer_and_check(jobs, missed, old)
-        self._steer_and_check([(1 - t, q) for t, key, q in extends if self.verdicts[key]],
-                              {}, old)
+        extends = self._steer([(j % 2, self.sample(j)) for j in range(first, last + 1)],
+                              missed)
+        pending = self._unknown(missed, old)
+        if pending:
+            free = self._check([(q_new, q_new) for _, q_new in pending.values()])
+            self.verdicts.update((key, False) for key, ok in zip(pending, free) if not ok)
+            pending = {key: m for (key, m), ok in zip(pending.items(), free) if ok}
+        connects = {}
+        self._steer([(1 - t, q) for t, key, q in extends
+                     if key in pending or self.verdicts[key]], connects)
+        pending.update(self._unknown(connects, old))
+        if pending:
+            self.verdicts.update(zip(pending, self._check(list(pending.values()))))
 
-    def _steer_and_check(self, jobs, motions: dict, old: dict) -> list:
+    def _steer(self, jobs, motions: dict) -> list:
         """Steer each (tree index, target) job against the current trees,
-        with one ``nearest`` call per tree, and add its motion to
-        ``motions``.  Each motion's verdict is taken from ``old`` or checked,
-        all in one call.  Returns (tree index, key, new configuration) per
-        steered job."""
+        with one ``nearest`` call per tree, remember each nearest node and
+        add each motion to ``motions``.  Returns (tree index, key, new
+        configuration) per steered job."""
         steered = []
         for t in (0, 1):
             tree, targets = self.trees[t], [q for s, q in jobs if s == t]
             near = nearest(tree, np.array(targets)).tolist() if targets else []
             for k, target in zip(near, targets):
+                self.near[t, target.tobytes()] = (tree.size, k)
                 q_near = tree.nodes[k]
                 step = _steer(self.robot, self.params, q_near, target)
                 if step is not None:
                     key = q_near.tobytes() + step[0].tobytes()
                     motions[key] = (q_near, step[0])
                     steered.append((t, key, step[0]))
-        todo = [key for key in motions if key not in old and key not in self.verdicts]
-        self.verdicts.update((key, old[key]) for key in motions if key in old)
-        if todo:
-            self.stats["check_calls"] += 1
-            free = motions_free(self.robot, self.world,
-                                np.array([motions[key][0] for key in todo]),
-                                np.array([motions[key][1] for key in todo]),
-                                self.params.edge_step, stats=self.stats)
-            self.verdicts.update(zip(todo, free.tolist()))
         return steered
+
+    def _unknown(self, motions: dict, old: dict) -> dict:
+        """Take the verdicts ``old`` holds for ``motions``; return the rest."""
+        self.verdicts.update((key, old[key]) for key in motions if key in old)
+        return {key: m for key, m in motions.items() if key not in self.verdicts}
+
+    def _check(self, motions: list) -> list:
+        """The verdicts of (start, end) motions, in one counted call."""
+        self.stats["check_calls"] += 1
+        pairs = np.array(motions)
+        return motions_free(self.robot, self.world, pairs[:, 0], pairs[:, 1],
+                            self.params.edge_step, stats=self.stats).tolist()
 
 
 def extend(tree: Tree, target, params: RrtParams, robot: RobotModel,
@@ -228,11 +265,12 @@ def extend(tree: Tree, target, params: RrtParams, robot: RobotModel,
     present), (ADVANCED, node) for a clamped step of length step_eta, and
     (TRAPPED, None) when the motion is blocked; trapped leaves the tree
     unchanged.  The motion is checked in its own collision call, counted in
-    ``stats``, or its verdict is read from ``cache``, which counts its own
-    checks.
+    ``stats``, or its verdict and the nearest node come from ``cache``,
+    which counts its own checks.
     """
     target = as_configuration(robot, target)
-    near_index = int(nearest(tree, target[None])[0])
+    near_index = (int(nearest(tree, target[None])[0]) if cache is None
+                  else cache.nearest(tree, target))
     q_near = tree.nodes[near_index]
     step = _steer(robot, params, q_near, target)
     if step is None:

@@ -77,6 +77,16 @@ class TestRunSuite:
         records = run_suite(suite, RRT_CONNECT, PARAMS, repetitions=2, base_seed=100)
         assert [r.seed for r in records] == [100, 101, 102, 103, 104, 105]
 
+    def test_ara_records_carry_no_seed(self, suite):
+        # ARA* takes no seed: its records carry None and an empty CSV cell.
+        records = [run_one(suite[0], ARA_STAR, PARAMS, seed=4),
+                   *run_suite(suite[:1], RRT_CONNECT, PARAMS, base_seed=5)]
+        assert [r.seed for r in records] == [None, 5]
+        lines = emit_report(aggregate(records), "csv").splitlines()
+        assert lines[0] == ",".join(CSV_HEADER)
+        assert [line.split(",")[2] for line in lines[1:]] == ["", "5"]
+        assert [r.seed for r in parse_records("\n".join(lines))] == [None, 5]
+
     def test_error_record_on_dof_mismatch(self, suite):
         from planbench.ara_star import MotionPrimitiveSet
         bad = MotionPrimitiveSet(primitives=np.array([[1, 0, 0], [-1, 0, 0]]),

@@ -386,3 +386,48 @@ class TestLookahead:
                 robot.lower, robot.upper, size=(max_iterations + 2 * LOOKAHEAD, robot.dof))
             assert samples[0].tobytes() in targets
             assert not any(q.tobytes() in targets for q in samples[max_iterations:])
+
+    @pytest.mark.parametrize("index", range(3))
+    def test_few_configurations_per_iteration(self, index):
+        # Far endpoints are checked first, so most blocked motions cost one
+        # configuration; checking every motion in full costs over 16.
+        scenario = shelf_reach_suite()[index]
+        query = query_from_scenario(replace(scenario, time_budget=600.0),
+                                    TUNED.goal_tolerance_default)
+        result = plan_rrt_connect(scenario.robot, scenario.world, query, TUNED.rrt_connect)
+        assert result.status == SOLVED
+        assert result.stats["collision_checks"] <= 12 * result.stats["iterations"]
+
+    def test_blocked_far_endpoint_costs_one_configuration(self, robot, monkeypatch):
+        # Sample 0 lies inside the wall, within step_eta of the start: the
+        # only motion, [1, 1] -> [3, 1], has 41 configurations.
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: ScriptedRng(seed, {0: [3.0, 1.0]}))
+        goal = GoalSpec.config_goal([5.0, 1.0], [0.0, 0.0])
+        query = Query(start=[1.0, 1.0], goal=goal, time_budget=600.0)
+        result = plan_rrt_connect(robot, shelf_world(), query,
+                                  RrtParams(step_eta=3.0, max_iterations=1))
+        assert result.path is None
+        assert result.stats == {"iterations": 1, "collision_checks": 1,
+                                "check_calls": 1, "nodes": 2}
+
+    def test_remembered_nearest_after_the_tree_grows(self, robot, empty_world,
+                                                     monkeypatch):
+        rng = np.random.default_rng(3)
+        trees = (Tree(robot, [1.0, 1.0]), Tree(robot, [5.0, 5.0]))
+        for _ in range(20):
+            trees[0].add(sample_uniform(robot, rng), 0)
+        cache = rrt_connect._Lookahead(robot, empty_world, PARAMS, trees,
+                                       {"check_calls": 0})
+        root = trees[0].config(0)
+        cache.free(root, root)  # a refill steers samples 0..LOOKAHEAD
+        tree, closer, tied = trees[0], cache.sample(0), cache.sample(2)
+        monkeypatch.setattr(rrt_connect, "nearest", None)  # no full scan from here
+        # A node appended strictly closer than the remembered one wins.
+        tree.add(closer.copy(), 0)
+        assert cache.nearest(tree, closer) == nearest(tree, closer[None])[0] == tree.size - 1
+        # A node appended exactly as far as the remembered one loses to it.
+        older = cache.nearest(tree, tied)
+        tree.add(tree.config(older), 0)
+        assert older < tree.size - 1
+        assert cache.nearest(tree, tied) == nearest(tree, tied[None])[0] == older
