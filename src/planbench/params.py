@@ -36,16 +36,14 @@ class PlannerParams:
 def _build(doc: dict) -> PlannerParams:
     common = check_keys(doc.get("common") or {}, "common section", _COMMON_KEYS)
     edge_step = float(common.get("edge_step", 0.05))
-    seed = int(common.get("seed", 0))
     goal_tolerance_default = float(common.get("goal_tolerance_default", 0.0))
 
     rrt_doc = check_keys(doc.get("rrt_connect") or {}, "rrt_connect section", _RRT_KEYS)
-    max_iterations = rrt_doc.get("max_iterations")
     rrt = RrtParams(
         step_eta=float(rrt_doc.get("step_eta", 0.5)),
         edge_step=float(rrt_doc.get("edge_step", edge_step)),
-        max_iterations=None if max_iterations is None else int(max_iterations),
-        seed=int(rrt_doc.get("seed", seed)),
+        max_iterations=rrt_doc.get("max_iterations"),
+        seed=rrt_doc.get("seed", common.get("seed", 0)),
     )
 
     ara_doc = check_keys(doc.get("ara_star") or {}, "ara_star section", _ARA_KEYS)

@@ -13,15 +13,20 @@ extends of the next ``LOOKAHEAD`` samples against the current trees.  Most
 blocked motions end in an obstacle, so one collision call checks only the far
 endpoint of each and of the missed motion; a second checks in full those with
 a free endpoint and the first connect step toward each.  A verdict is reused
-only for bitwise identical endpoints and a remembered nearest node is
-compared with the nodes added since, so trees, paths and iterations are those
-of the uncached loop.  ``collision_checks`` counts every checked
-configuration, a free endpoint twice and prefetches never used;
+only for bitwise identical endpoints, and a remembered nearest node, with the
+step steered from it, is compared with the nodes added since, so trees, paths
+and iterations are those of the uncached loop.  ``collision_checks`` counts
+every checked configuration, a free endpoint twice and prefetches never used;
 ``check_calls`` counts the calls.
+
+Trees store their nodes joint-major, so ``nearest`` sums the weighted squared
+distance over the joints of a (dof, k, N) block, one joint after another.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -59,8 +64,15 @@ class RrtParams:
             raise ValidationError("edge_step must be positive")
         if self.step_eta < self.edge_step:
             raise ValidationError("step_eta must be >= edge_step")
-        if self.max_iterations is not None and self.max_iterations < 1:
+        if self.max_iterations is not None and not _whole(self.max_iterations, 1):
             raise ValidationError("max_iterations must be a positive integer")
+        if not _whole(self.seed, 0):
+            raise ValidationError(f"seed must be a non-negative integer, got {self.seed!r}")
+
+
+def _whole(value, least: int) -> bool:
+    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= least)
 
 
 class Tree:
@@ -68,36 +80,35 @@ class Tree:
 
     Node 0 is the root and is its own parent.  Every non-root edge was
     validated at insertion time, sampled as ``check_motion`` samples it.
+    Nodes are stored joint-major, one column per node, for ``nearest``.
     """
 
     def __init__(self, robot: RobotModel, root):
         self.robot = robot
-        self._capacity = 64
-        self._configs = np.empty((self._capacity, robot.dof))
-        self._parents = np.empty(self._capacity, dtype=np.int64)
+        self._columns = np.empty((robot.dof, 64))
+        self._parents = np.empty(64, dtype=np.int64)
         self.size = 0
         self.add(as_configuration(robot, root), parent=0)
 
     @property
     def nodes(self) -> np.ndarray:
-        return self._configs[: self.size]
+        """The (size, dof) view of the nodes."""
+        return self._columns[:, : self.size].T
 
     @property
     def parents(self) -> np.ndarray:
         return self._parents[: self.size]
 
     def config(self, index: int) -> np.ndarray:
-        return self._configs[index].copy()
+        return self._columns[:, index].copy()
 
     def add(self, q: np.ndarray, parent: int) -> int:
-        if self.size == self._capacity:
-            self._capacity *= 2
-            self._configs = np.vstack(
-                [self._configs, np.empty_like(self._configs)])
+        if self.size == len(self._parents):
+            self._columns = np.hstack([self._columns, np.empty_like(self._columns)])
             self._parents = np.concatenate(
                 [self._parents, np.empty_like(self._parents)])
         index = self.size
-        self._configs[index] = q
+        self._columns[:, index] = q
         self._parents[index] = parent
         self.size += 1
         return index
@@ -115,7 +126,8 @@ def nearest(tree: Tree, targets) -> np.ndarray:
     """Index of the tree node closest to each row of ``targets`` (k, n) in
     the weighted metric.
 
-    Implemented as an exact linear scan; ties break to the lowest index.
+    An exact linear scan of the weighted squared distance, summed joint by
+    joint; ties break to the lowest index.
     """
     if tree.size < 1:
         raise ContractViolation("nearest requires a non-empty tree")
@@ -123,12 +135,16 @@ def nearest(tree: Tree, targets) -> np.ndarray:
     if targets.ndim != 2 or targets.shape[1] != tree.robot.dof:
         raise ContractViolation(
             f"targets have shape {targets.shape}, expected (k, {tree.robot.dof})")
-    return _nearest_rows(tree.robot, tree.nodes, targets)
+    return np.argmin(_distances(tree.robot, tree.nodes.T, targets), axis=1)
 
 
-def _nearest_rows(robot: RobotModel, rows: np.ndarray, targets) -> np.ndarray:
-    diff = rows[None, :, :] - targets[:, None, :]
-    return np.argmin(np.sum(diff * diff * robot.weights, axis=2), axis=1)
+def _distances(robot: RobotModel, columns: np.ndarray, targets) -> np.ndarray:
+    """(k, N) weighted squared distances of (dof, N) ``columns`` to (k, dof)
+    ``targets``, summed over the joints in order."""
+    diff = columns[:, None, :] - targets.T[:, :, None]
+    diff *= diff
+    diff *= robot.weights[:, None, None]
+    return diff.sum(axis=0)
 
 
 def _steer(robot: RobotModel, params: RrtParams, q_near: np.ndarray,
@@ -160,7 +176,7 @@ class _Lookahead:
         self.rng = np.random.default_rng(params.seed)
         self.samples, self.first = np.empty((0, robot.dof)), 0  # row k: sample first + k
         self.verdicts: dict[bytes, bool] = {}
-        self.near: dict[tuple[int, bytes], tuple[int, int]] = {}  # (tree size, index)
+        self.near: dict[tuple[int, bytes], tuple] = {}  # (tree size, index, step)
         self.begin(0)
 
     def begin(self, iteration: int) -> None:
@@ -186,25 +202,36 @@ class _Lookahead:
         return self.verdicts[key]
 
     def nearest(self, tree: Tree, target: np.ndarray) -> int:
-        """``nearest(tree, target)``, from the index the last refill found
-        when it steered ``target`` against ``tree``: only the nodes added
-        since are compared with it, and a tie keeps the older node."""
+        """``nearest(tree, target)``, by way of ``steer``."""
+        return self.steer(tree, target)[0]
+
+    def steer(self, tree: Tree, target: np.ndarray) -> tuple[int, tuple | None]:
+        """The nearest node of ``target`` in ``tree`` and ``_steer``'s step
+        from it, from the node and step the last refill found when it
+        steered ``target`` against ``tree``: only the nodes added since are
+        compared with that node, by the same arithmetic as ``nearest``, and
+        a tie keeps the older node and its step."""
         key = (self.trees.index(tree), target.tobytes())
         if key not in self.near:
-            return int(nearest(tree, target[None])[0])
-        size, index = self.near[key]
+            index = int(nearest(tree, target[None])[0])
+            return index, _steer(self.robot, self.params, tree.nodes[index], target)
+        size, index, step = self.near[key]
         if size < tree.size:
-            rows = np.vstack([tree.nodes[index], tree.nodes[size:]])
-            k = int(_nearest_rows(tree.robot, rows, target[None])[0])
-            index = index if k == 0 else size + k - 1
-            self.near[key] = (tree.size, index)
-        return index
+            columns = tree.nodes.T
+            block = np.concatenate([columns[:, index, None], columns[:, size:]], axis=1)
+            k = int(np.argmin(_distances(self.robot, block, target[None])[0]))
+            if k:
+                index = size + k - 1
+                step = _steer(self.robot, self.params, tree.nodes[index], target)
+            self.near[key] = (tree.size, index, step)
+        return index, step
 
     def _refill(self, missed: dict) -> None:
         """Check the far endpoints of the missed motion and of the extends of
         the next LOOKAHEAD samples in one call; then, in another, the full
         motions whose endpoint is free with the first connect step toward
-        each of them.  Keep only these motions and their nearest nodes."""
+        each of them.  Keep only these motions and their nearest nodes and
+        steps."""
         old, self.verdicts, self.near = self.verdicts, {}, {}
         last = self.iteration + LOOKAHEAD
         if self.params.max_iterations is not None:
@@ -226,20 +253,27 @@ class _Lookahead:
 
     def _steer(self, jobs, motions: dict) -> list:
         """Steer each (tree index, target) job against the current trees,
-        with one ``nearest`` call per tree, remember each nearest node and
-        add each motion to ``motions``.  Returns (tree index, key, new
-        configuration) per steered job."""
-        steered = []
+        with one ``nearest`` call per tree and ``_steer``'s arithmetic on
+        arrays, remember each nearest node and step and add each motion to
+        ``motions``.  Returns (tree index, key, new configuration) per
+        steered job."""
+        steered, eta = [], self.params.step_eta
         for t in (0, 1):
-            tree, targets = self.trees[t], [q for s, q in jobs if s == t]
-            near = nearest(tree, np.array(targets)).tolist() if targets else []
-            for k, target in zip(near, targets):
-                self.near[t, target.tobytes()] = (tree.size, k)
-                q_near = tree.nodes[k]
-                step = _steer(self.robot, self.params, q_near, target)
+            tree, targets = self.trees[t], np.array([q for s, q in jobs if s == t])
+            if not len(targets):
+                continue
+            near = nearest(tree, targets)
+            q_near = tree.nodes[near]
+            delta = targets - q_near
+            dist = [math.sqrt(float(np.dot(d, self.robot.weights))) for d in delta * delta]
+            clamped = q_near + (eta / np.maximum(dist, eta))[:, None] * delta
+            for k, target, q, d, q_far in zip(near.tolist(), targets, q_near, dist, clamped):
+                step = (None if d <= _ZERO_DISTANCE else
+                        (target, True) if d <= eta else (q_far, False))
+                self.near[t, target.tobytes()] = (tree.size, k, step)
                 if step is not None:
-                    key = q_near.tobytes() + step[0].tobytes()
-                    motions[key] = (q_near, step[0])
+                    key = q.tobytes() + step[0].tobytes()
+                    motions[key] = (q, step[0])
                     steered.append((t, key, step[0]))
         return steered
 
@@ -269,10 +303,12 @@ def extend(tree: Tree, target, params: RrtParams, robot: RobotModel,
     which counts its own checks.
     """
     target = as_configuration(robot, target)
-    near_index = (int(nearest(tree, target[None])[0]) if cache is None
-                  else cache.nearest(tree, target))
+    if cache is None:
+        near_index = int(nearest(tree, target[None])[0])
+        step = _steer(robot, params, tree.nodes[near_index], target)
+    else:
+        near_index, step = cache.steer(tree, target)
     q_near = tree.nodes[near_index]
-    step = _steer(robot, params, q_near, target)
     if step is None:
         return REACHED, near_index  # degenerate: do not duplicate the node
     q_new, reached = step

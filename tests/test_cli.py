@@ -116,6 +116,15 @@ class TestPlan:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("extra", [["--seed", "-1"], ["--params", "seed.yaml"]])
+    def test_invalid_seed_reports_error(self, workdir, capsys, monkeypatch, extra):
+        monkeypatch.chdir(workdir)
+        (workdir / "seed.yaml").write_text("common: {seed: -3}\n")
+        code = main(["plan", "--scenario", "case.scenario", "--planner", "rrt-connect",
+                     *extra])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: seed must be")
+
 
 class TestGen:
     def test_writes_count_files(self, workdir, capsys):
@@ -184,6 +193,18 @@ class TestBench:
                 (r.scenario, r.seed, r.status, r.path_cost)
                 for r in parse_records(target.read_text())])
         assert reports[0] == reports[1]
+
+    def test_negative_seed_gives_an_error_record(self, workdir):
+        suite_dir = workdir / "suite3"
+        main(["gen", "--base", str(workdir / "case.scenario"),
+              "--family", "objects", "--count", "2", "--seed", "1",
+              "--out", str(suite_dir / "generated")])
+        code = main(["bench", "--suite", str(suite_dir), "--planners", "rrt-connect",
+                     "--seed", "-1", "--out", str(workdir / "r.csv")])
+        assert code == 0
+        records = parse_records((workdir / "r.csv").read_text())
+        assert (records[0].seed, records[0].status) == (-1, "error")
+        assert records[1].seed == 0 and records[1].status != "error"
 
     def test_unknown_planner_rejected(self, workdir, capsys):
         code = main(["bench", "--suite", str(workdir), "--planners", "prm",

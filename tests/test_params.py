@@ -51,6 +51,21 @@ class TestParseParams:
         with pytest.raises(ValidationError):
             parse_params("ara_star: {epsilon_schedule: [1.0, 2.0]}\n")  # increasing
 
+    @pytest.mark.parametrize("doc", [
+        "common: {seed: -3}\n",
+        "rrt_connect: {seed: -1}\n",
+        "common: {seed: 1.5}\n",  # not truncated to seed 1
+        "rrt_connect: {seed: true}\n",
+        "rrt_connect: {max_iterations: 2.7}\n",  # not truncated to 2
+    ])
+    def test_invalid_rrt_integers_rejected(self, doc):
+        with pytest.raises(ValidationError):
+            parse_params(doc)
+
+    def test_with_negative_seed_rejected(self):
+        with pytest.raises(ValidationError):
+            PlannerParams().with_seed(-1)
+
     def test_with_seed_sets_the_rrt_seed(self):
         params = PlannerParams(goal_tolerance_default=0.1).with_seed(123)
         assert params.rrt_connect.seed == 123

@@ -65,6 +65,55 @@ class TestNearest:
                 want.append(best)
             assert nearest(tree, targets).tolist() == want
 
+    @pytest.mark.parametrize("size, k", [(257, 16), (1000, 8), (2000, 16), (2000, 1)])
+    def test_matches_linear_scan_oracle_at_planner_sizes(self, size, k):
+        arm = load_scenario(data_path("scenarios", "shelf_reach.yaml")).robot
+        rng = np.random.default_rng(size + k)
+        tree = Tree(arm, sample_uniform(arm, rng))
+        for _ in range(size - 1):
+            tree.add(sample_uniform(arm, rng), 0)
+        targets = np.array([sample_uniform(arm, rng) for _ in range(k)])
+        want = [min(range(size), key=lambda i: (config_distance(arm, tree.nodes[i], q), i))
+                for q in targets]
+        assert nearest(tree, targets).tolist() == want
+
+    def test_duplicates_at_the_end_of_a_long_tree_tie_low(self):
+        arm = load_scenario(data_path("scenarios", "shelf_reach.yaml")).robot
+        rng = np.random.default_rng(5)
+        tree = Tree(arm, sample_uniform(arm, rng))
+        for _ in range(1499):
+            tree.add(sample_uniform(arm, rng), 0)
+        fresh = sample_uniform(arm, rng)
+        for q in (tree.config(700), tree.config(700), fresh, fresh):
+            tree.add(q, 0)
+        assert nearest(tree, [tree.config(700), fresh]).tolist() == [700, 1502]
+
+
+class TestTree:
+    def test_matches_a_list_reference_past_capacity_doublings(self, robot):
+        rng = np.random.default_rng(8)
+        configs, parents = [np.array([1.0, 1.0])], [0]
+        tree = Tree(robot, configs[0])
+        for index in range(1, 300):
+            configs.append(sample_uniform(robot, rng))
+            parents.append(int(rng.integers(index)))
+            assert tree.add(configs[-1], parents[-1]) == index
+        assert tree.size == 300
+        assert np.array_equal(tree.nodes, np.array(configs))
+        assert tree.parents.tolist() == parents
+        for index in (0, 1, 63, 64, 65, 128, 299):
+            chain = [index]
+            while chain[-1] != 0:
+                chain.append(parents[chain[-1]])
+            assert tree.branch(index) == chain[::-1]
+
+    def test_config_is_a_copy(self, robot):
+        tree = Tree(robot, [1.0, 2.0])
+        q = tree.config(0)
+        q[:] = 0.0
+        assert not np.shares_memory(q, tree.nodes)
+        assert tree.nodes.tolist() == [[1.0, 2.0]]
+
 
 class TestExtend:
     def test_reached_within_step(self, robot, empty_world):
@@ -431,3 +480,20 @@ class TestLookahead:
         tree.add(tree.config(older), 0)
         assert older < tree.size - 1
         assert cache.nearest(tree, tied) == nearest(tree, tied[None])[0] == older
+        # The step found with a node is kept with it: a tie returns that step
+        # without steering again, a strictly closer node gets a fresh one.
+        steer = rrt_connect._steer
+        want = steer(robot, PARAMS, tree.nodes[older], tied)
+        monkeypatch.setattr(rrt_connect, "_steer", None)
+        index, step = cache.steer(tree, tied)
+        assert index == older and np.array_equal(step[0], want[0]) and step[1] == want[1]
+        monkeypatch.setattr(rrt_connect, "_steer", steer)
+        target = next(q for q in map(cache.sample, range(4, LOOKAHEAD + 1, 2))
+                      if not cache.steer(tree, q)[1][1])  # a clamped step
+        index, remembered = cache.steer(tree, target)
+        tree.add(target + 0.5 * (tree.nodes[index] - target), 0)
+        index, step = cache.steer(tree, target)
+        want = steer(robot, PARAMS, tree.nodes[index], target)
+        assert index == tree.size - 1
+        assert np.array_equal(step[0], want[0]) and step[1] == want[1]
+        assert not np.array_equal(step[0], remembered[0])
