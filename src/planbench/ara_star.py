@@ -8,7 +8,9 @@ iterations, so every incumbent published at inflation eps costs at most
 eps times the optimal lattice cost.  Lattice edges are collision checked
 lazily, a few states per call, only when a candidate through them reaches
 the top of the open list; the search's expansions and paths are those of
-the search that checks every move when its source is expanded.
+the search that checks every move when its source is expanded.  Each
+state's own configuration is checked once per query: edge checks skip known
+endpoints, and an edge into a colliding state is blocked unchecked.
 
 Queries are answered by a forward search over half the budget followed, if
 needed, by a backward search (roles of start and goal swapped, waypoints
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .collision import check_motion, free_mask, motions_free
+from .collision import check_motion, free_mask, motion_configs
 from .core import (BACKWARD, FORWARD, OK, Path, PlannerResult, Query,
                    goal_satisfied, screen_query)
 from .errors import ContractViolation, ValidationError, parse_mapping
@@ -133,12 +135,14 @@ class LatticeCache:
     The search fills it lazily, only with the edges it resolves.  ``edges``
     maps an ordered state pair to its verdict; ``snap`` maps a (state, goal
     configuration bytes) pair to the verdict of that state's goal-snap edge,
-    since the two attempts snap to different configurations.
+    since the two attempts snap to different configurations.  ``states`` maps
+    a lattice state to its configuration's verdict, so each is checked once.
     """
 
     def __init__(self):
         self.edges: dict = {}
         self.snap: dict = {}
+        self.states: dict = {}
 
 
 def lattice_max_coords(robot: RobotModel) -> np.ndarray:
@@ -216,30 +220,30 @@ def heuristic(state: tuple[int, ...], goal: GoalSpec, robot: RobotModel) -> floa
     return config_distance(robot, q, np.clip(q, goal.lower, goal.upper))
 
 
-def successors(state: tuple[int, ...], primitives: MotionPrimitiveSet,
-               robot: RobotModel, goal_config: np.ndarray | None = None
-               ) -> list[tuple[tuple[int, ...], float]]:
-    """Lattice moves from a state, each priced by the metric, unvalidated.
+def successors(state: tuple[int, ...], primitives: MotionPrimitiveSet, robot: RobotModel,
+               goal: GoalSpec, max_coords: np.ndarray
+               ) -> list[tuple[tuple[int, ...], float, float]]:
+    """Lattice moves from a state as (state, cost, heuristic), unvalidated.
 
-    One move per primitive that stays inside the lattice bounds, in primitive
-    order; when ``goal_config`` lies within the snap radius, an off-lattice
-    terminal move (GOAL_NODE, distance) follows.  Nothing is collision
-    checked here: the search validates an edge only when it needs it.  Costs
-    equal ``config_distance`` between the decoded states bit for bit.
+    One move per primitive that stays inside the lattice (``max_coords`` is
+    ``lattice_max_coords``), in primitive order, then the off-lattice move
+    (GOAL_NODE, distance, 0.0) when the goal's target lies within the snap
+    radius.  Nothing is collision checked here.  Costs equal
+    ``config_distance`` and heuristics ``heuristic``, bit for bit.
     """
     q = decode(robot, state)
     coords = np.asarray(state, dtype=int) + primitives.primitives
-    inside = ((coords >= 0) & (coords <= lattice_max_coords(robot))).all(axis=1)
-    coords = coords[inside]
-    delta = robot.lower + coords * robot.resolutions - q
-    # One np.dot per move, as config_distance sums: a matrix product sums
+    coords = coords[((coords >= 0) & (coords <= max_coords)).all(axis=1)]
+    ends = robot.lower + coords * robot.resolutions
+    gaps = np.concatenate([ends - q, ends - np.clip(ends, goal.lower, goal.upper)])
+    # One dot product per row, as config_distance sums: a matrix product sums
     # in another order and can differ in the last bit on multi-joint moves.
-    costs = [math.sqrt(float(np.dot(row, robot.weights))) for row in delta * delta]
-    moves = list(zip(map(tuple, coords.tolist()), costs))
-    if goal_config is not None:
-        d = config_distance(robot, q, goal_config)
+    dist = [math.sqrt(row.dot(robot.weights)) for row in gaps * gaps]
+    moves = list(zip(map(tuple, coords.tolist()), dist[:len(ends)], dist[len(ends):]))
+    if goal.target is not None:
+        d = config_distance(robot, q, goal.target)
         if d <= primitives.snap_radius:
-            moves.append((GOAL_NODE, d))
+            moves.append((GOAL_NODE, d, 0.0))
     return moves
 
 
@@ -266,8 +270,9 @@ def ara_search(start_state: tuple[int, ...], goal: GoalSpec,
     ``reopened`` and the returned chain are.  Unless the deadline cuts it
     short, the search expands, publishes, reopens and returns exactly what
     the search that validates every move at expansion would; only
-    ``collision_checks`` differs.  The deadline is polled after every
-    expansion and every collision call.
+    ``collision_checks`` differs.  ``stats`` also counts the edges checked
+    (``edges_resolved``) and found blocked (``edges_blocked``).  The deadline
+    is polled after every expansion and every collision call.
 
     Tie-breaking is deterministic: equal keys prefer larger cost-to-come,
     then lexicographically smaller states.
@@ -276,7 +281,9 @@ def ara_search(start_state: tuple[int, ...], goal: GoalSpec,
     snap_target = None if goal_config is None else goal_config.tobytes()
     if cache is None:
         cache = LatticeCache()
+    stats = {} if stats is None else stats
     search_stats = SearchStats()
+    max_coords = lattice_max_coords(robot)
 
     g: dict = {start_state: 0.0}
     parent: dict = {start_state: None}
@@ -307,6 +314,8 @@ def ara_search(start_state: tuple[int, ...], goal: GoalSpec,
         """The cached verdict of edge a -> b, None when unchecked."""
         if b == GOAL_NODE:
             return cache.snap.get((a, snap_target))
+        if cache.states.get(b) is False:
+            return False
         return cache.edges.get((a, b) if a <= b else (b, a))
 
     def resolve(states) -> None:
@@ -318,11 +327,28 @@ def ara_search(start_state: tuple[int, ...], goal: GoalSpec,
                 if edge_free(p, s) is None:
                     unknown[p, s] = None
         if unknown:
-            ends = [goal_config if s == GOAL_NODE else decode(robot, s)
-                    for _, s in unknown]
-            free = motions_free(robot, world,
-                                np.array([decode(robot, p) for p, _ in unknown]),
-                                np.array(ends), params.edge_step, stats=stats)
+            # Endpoints, sources first; a GOAL_NODE row takes the goal config.
+            points = [p for p, _ in unknown] + [s for _, s in unknown]
+            q = robot.lower + np.array([x or points[0] for x in points]) * robot.resolutions
+            if snap_target is not None:
+                q[[x == GOAL_NODE for x in points]] = goal_config
+            configs, offsets = motion_configs(robot, *np.split(q, 2), params.edge_step)
+            lasts = np.append(offsets[1:], len(configs)) - 1
+            # One row per lattice state is checked; the others take its verdict.
+            rows, known = {}, {}
+            for x, r in zip(points, offsets.tolist() + lasts.tolist()):
+                if x in cache.states or x in rows:
+                    known[r] = x
+                elif x != GOAL_NODE:
+                    rows[x] = r
+            checked = np.delete(np.arange(len(configs)), list(known))
+            row_free = np.ones(len(configs), dtype=bool)
+            row_free[checked] = free_mask(robot, world, configs[checked], stats=stats)
+            cache.states.update((x, bool(row_free[r])) for x, r in rows.items())
+            row_free[list(known)] = [cache.states[x] for x in known.values()]
+            free = np.logical_and.reduceat(row_free, offsets)
+            stats["edges_resolved"] = stats.get("edges_resolved", 0) + len(free)
+            stats["edges_blocked"] = stats.get("edges_blocked", 0) + int((~free).sum())
             for (p, s), ok in zip(unknown, free.tolist()):
                 if s == GOAL_NODE:
                     cache.snap[p, snap_target] = ok
@@ -414,7 +440,8 @@ def ara_search(start_state: tuple[int, ...], goal: GoalSpec,
                         best_cost = g[s]
                         best_node = s
                     continue  # terminal: paths through a goal cannot improve it
-                for nxt, cost in successors(s, primitives, robot, goal_config):
+                for nxt, cost, h_nxt in successors(s, primitives, robot, goal,
+                                                   max_coords):
                     tentative = g[s] + cost
                     if (tentative >= g.get(nxt, math.inf) - _TIE
                             or edge_free(s, nxt) is False):
@@ -422,7 +449,8 @@ def ara_search(start_state: tuple[int, ...], goal: GoalSpec,
                     sequence += 1
                     pending.setdefault(nxt, []).append((tentative, s, sequence))
                     if nxt not in closed:  # a closed state only joins incons
-                        heapq.heappush(heap, (tentative + eps * h(nxt), -tentative,
+                        h_memo[nxt] = h_nxt
+                        heapq.heappush(heap, (tentative + eps * h_nxt, -tentative,
                                               nxt, sequence))
             if out_of_time():  # polled after every expansion and resolution
                 interrupted = True
@@ -471,7 +499,8 @@ def _lattice_attempt(robot: RobotModel, world: WorldModel, start_q: np.ndarray,
         return None
     state = discretize(robot, start_q)
     cell = decode(robot, state)
-    if not free_mask(robot, world, cell[None, :], stats=stats).all():
+    cache.states[state] = bool(free_mask(robot, world, cell[None, :], stats=stats)[0])
+    if not cache.states[state]:
         return None
     prefix: list[np.ndarray] = []
     if not np.array_equal(cell, start_q):

@@ -127,9 +127,11 @@ def _world_penetration_mask(world: WorldModel, centers: np.ndarray,
 
 def free_mask(robot: RobotModel, world: WorldModel, configs: np.ndarray,
               stats: dict | None = None) -> np.ndarray:
-    """Vectorized free/colliding decision for a batch of configurations (m, n)."""
+    """Vectorized free/colliding decision for a batch of configurations (m, n);
+    ``stats`` counts them in ``collision_checks`` and the call in ``check_calls``."""
     if stats is not None:
         stats["collision_checks"] = stats.get("collision_checks", 0) + configs.shape[0]
+        stats["check_calls"] = stats.get("check_calls", 0) + 1
     ok = np.all((configs >= robot.lower) & (configs <= robot.upper), axis=1)
     if not robot.spheres or not len(configs):
         return ok
@@ -178,8 +180,8 @@ def check_config(robot: RobotModel, world: WorldModel, q,
     return CollisionResult(CollisionKind.FREE)
 
 
-def _motion_stack(robot: RobotModel, starts: np.ndarray, ends: np.ndarray,
-                  step: float) -> tuple[np.ndarray, np.ndarray]:
+def motion_configs(robot: RobotModel, starts: np.ndarray, ends: np.ndarray,
+                   step: float) -> tuple[np.ndarray, np.ndarray]:
     """The configurations of every motion starts[i] -> ends[i], stacked, and
     the row at which each motion begins.
 
@@ -216,7 +218,7 @@ def motions_free(robot: RobotModel, world: WorldModel, starts, ends, step: float
     """
     ends = np.asarray(ends, dtype=float)
     starts = np.broadcast_to(np.asarray(starts, dtype=float), ends.shape)
-    configs, offsets = _motion_stack(robot, starts, ends, step)
+    configs, offsets = motion_configs(robot, starts, ends, step)
     return np.logical_and.reduceat(free_mask(robot, world, configs, stats=stats), offsets)
 
 

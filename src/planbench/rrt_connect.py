@@ -284,7 +284,6 @@ class _Lookahead:
 
     def _check(self, motions: list) -> list:
         """The verdicts of (start, end) motions, in one counted call."""
-        self.stats["check_calls"] += 1
         pairs = np.array(motions)
         return motions_free(self.robot, self.world, pairs[:, 0], pairs[:, 1],
                             self.params.edge_step, stats=self.stats).tolist()

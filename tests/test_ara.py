@@ -8,9 +8,10 @@ import time
 import numpy as np
 import pytest
 
+from planbench import ara_star, collision
 from planbench.ara_star import (AraParams, LatticeCache, ara_search, decode,
                                 default_primitives, discretize, plan_ara_star)
-from planbench.collision import check_motion
+from planbench.collision import check_motion, free_mask, motion_configs
 from planbench.core import (BACKWARD, BUDGET_GRACE, FORWARD, OK, SOLVED, UNSOLVABLE,
                             Query, goal_satisfied, path_cost, query_from_scenario,
                             validate_path, validate_query)
@@ -226,6 +227,89 @@ class TestEagerEquivalence:
         stats = assert_same_as_eager(start, goal, default_primitives(robot),
                                      params, robot, world)
         assert stats.incumbent_costs[0] is not None
+
+
+@pytest.fixture
+def checked_rows(monkeypatch):
+    """Every configuration that reaches ``free_mask``, as row bytes."""
+    rows = []
+
+    def recording(robot, world, configs, stats=None):
+        rows.extend(row.tobytes() for row in configs)
+        return free_mask(robot, world, configs, stats=stats)
+
+    monkeypatch.setattr(collision, "free_mask", recording)
+    monkeypatch.setattr(ara_star, "free_mask", recording)
+    return rows
+
+
+class TestStateCache:
+    """``LatticeCache.states`` holds each lattice state's verdict, so the
+    search checks every configuration once and never checks an edge into a
+    state already found colliding."""
+
+    def test_colliding_start_blocks_every_edge(self):
+        # Only the start cell's own configuration collides: every other
+        # configuration of the motions out of it is free, so the start's row
+        # may be skipped only once the cache knows it is free.
+        robot = gantry_robot(resolution=0.5)
+        world = WorldModel((Obstacle.sphere((1.0, 1.0, 0.1), 0.055),))
+        start = discretize(robot, [1.0, 1.0])
+        assert not free_mask(robot, world, decode(robot, start)[None])[0]
+        for step in ([0.05, 0.0], [0.0, 0.05], [-0.05, 0.0], [0.0, -0.05]):
+            near = decode(robot, start) + step
+            assert check_motion(robot, world, near, near + 9 * np.array(step), 0.05)
+        goal = GoalSpec.region_goal([4.5, 4.5], [5.5, 5.5])
+        cache = LatticeCache()
+        solution, _ = ara_search(start, goal, default_primitives(robot),
+                                 AraParams(epsilon_schedule=(1.0,)), robot, world,
+                                 deadline=None, cache=cache)
+        assert solution is None
+        assert cache.states[start] is False
+        assert_same_as_eager(start, goal, default_primitives(robot),
+                             AraParams(epsilon_schedule=(1.0,)), robot, world)
+
+    def test_no_configuration_checked_twice(self, checked_rows):
+        robot = gantry_robot(resolution=0.25)
+        world = WorldModel((Obstacle.box((3.0, 3.0, 0.0), (0.3, 1.2, 0.5)),
+                            Obstacle.box((2.0, 4.6, 0.0), (1.0, 0.2, 0.5))))
+        goal = GoalSpec.region_goal([4.6, 4.6], [5.2, 5.2])
+        params = AraParams(epsilon_schedule=DEFAULT_SCHEDULE)
+        stats = {}
+        solution, _ = ara_search(discretize(robot, [1.0, 1.0]), goal,
+                                 default_primitives(robot), params, robot, world,
+                                 deadline=None, stats=stats)
+        assert solution is not None
+        assert len(set(checked_rows)) == len(checked_rows) == stats["collision_checks"]
+        assert len(checked_rows) > 1000
+        assert 0 < stats["edges_blocked"] < stats["edges_resolved"]
+
+    def test_edge_into_colliding_state_is_not_checked(self, checked_rows):
+        # The first search finds state (4, 2) colliding on its way from
+        # (3, 2) to (5, 2); the second, on the same cache, starts next to
+        # it at (5, 2) and must block the edge into it unchecked.
+        robot = gantry_robot(resolution=0.5)
+        world = WorldModel((Obstacle.sphere((2.0, 1.0, 0.0), 0.1),))
+        primitives = default_primitives(robot)
+        params = AraParams(epsilon_schedule=(1.0,))
+        cache = LatticeCache()
+
+        def around(state):
+            q = decode(robot, state)
+            return GoalSpec.region_goal(q - 0.1, q + 0.1)
+
+        for start, end in (((3, 2), (5, 2)), ((5, 2), (3, 2))):
+            checked_rows.clear()
+            stats = {}
+            solution, _ = ara_search(start, around(end), primitives, params, robot,
+                                     world, deadline=None, cache=cache, stats=stats)
+            assert solution is not None and (4, 2) not in solution.nodes
+            assert len(checked_rows) == stats["collision_checks"]
+            assert cache.states[4, 2] is False
+        into, _ = motion_configs(robot, decode(robot, (5, 2))[None],
+                                 decode(robot, (4, 2))[None], params.edge_step)
+        assert len(into) == 11
+        assert not {row.tobytes() for row in into} & set(checked_rows)
 
 
 def simple_query(goal_xy=(5.0, 5.0), budget=10.0, tol=0.0):

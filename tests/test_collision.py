@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planbench.collision import (CollisionKind, _motion_stack,
-                                 _world_penetration_mask, check_config,
-                                 check_motion, free_mask, motions_free)
+from planbench.collision import (CollisionKind, _world_penetration_mask,
+                                 check_config, check_motion, free_mask,
+                                 motion_configs, motions_free)
 from planbench.data import data_path
 from planbench.errors import ContractViolation
 from planbench.robot import PRISMATIC, CollisionSphere, RobotModel, sphere_centers_batch
@@ -229,7 +229,7 @@ class TestMotionsFree:
             scale = rng.choice([0.0, 1e-13, 0.01, 0.3, 2.0], size=(k, 1))
             ends = starts + scale * rng.normal(size=(k, robot.dof))
             step = float(rng.choice([0.005, 0.05, 0.13]))
-            configs, offsets = _motion_stack(robot, starts, ends, step)
+            configs, offsets = motion_configs(robot, starts, ends, step)
             want = [linspace_motion(robot, a, b, step) for a, b in zip(starts, ends)]
             assert offsets.tolist() == np.cumsum([0] + [len(w) for w in want[:-1]]).tolist()
             assert configs.tobytes() == np.vstack(want).tobytes()

@@ -21,6 +21,11 @@ def robot():
     return gantry_robot(extent=6.0, resolution=0.5)
 
 
+def anywhere(robot):
+    """A region goal over the whole joint box: no snap target."""
+    return GoalSpec.region_goal(robot.lower, robot.upper)
+
+
 class TestDiscretize:
     def test_lower_bounds_map_to_zero(self, robot):
         assert discretize(robot, robot.lower) == (0, 0)
@@ -104,16 +109,16 @@ class TestSuccessors:
     def test_interior_state_has_2n_successors(self, robot):
         prim = default_primitives(robot)
         state = (6, 6)
-        out = successors(state, prim, robot)
+        out = successors(state, prim, robot, anywhere(robot), lattice_max_coords(robot))
         assert len(out) == 4
-        for node, cost in out:
+        for node, cost, _ in out:
             assert cost == pytest.approx(0.5, abs=1e-12)
             assert sum(abs(a - b) for a, b in zip(node, state)) == 1
 
     def test_lower_bound_clips_moves(self, robot):
         prim = default_primitives(robot)
-        out = successors((0, 6), prim, robot)
-        nodes = {node for node, _ in out}
+        out = successors((0, 6), prim, robot, anywhere(robot), lattice_max_coords(robot))
+        nodes = {node for node, _, _ in out}
         assert (0 - 1, 6) not in {tuple(n) for n in nodes if n != GOAL_NODE}
         assert len(out) == 3
 
@@ -127,15 +132,17 @@ class TestSuccessors:
 
     def test_snap_emits_exact_goal(self, robot):
         prim = default_primitives(robot)  # snap radius = 2 * 0.5 = 1.0
-        goal_config = np.array([3.3, 3.0])
-        out = successors((6, 6), prim, robot, goal_config)
+        goal = GoalSpec.config_goal([3.3, 3.0], [0.0, 0.0])
+        out = successors((6, 6), prim, robot, goal, lattice_max_coords(robot))
         snap = [entry for entry in out if entry[0] == GOAL_NODE]
         assert len(snap) == 1
         assert snap[0][1] == pytest.approx(0.3, abs=1e-12)
+        assert snap[0][2] == 0.0
 
     def test_snap_respects_radius(self, robot):
         prim = default_primitives(robot, snap_radius=0.1)
-        out = successors((6, 6), prim, robot, np.array([3.3, 3.0]))
+        out = successors((6, 6), prim, robot, GoalSpec.config_goal([3.3, 3.0], [0.0, 0.0]),
+                         lattice_max_coords(robot))
         assert all(entry[0] != GOAL_NODE for entry in out)
 
     def test_snap_blocked_by_obstacle(self, robot):
@@ -145,22 +152,33 @@ class TestSuccessors:
         assert all(entry[0] != GOAL_NODE for entry in out)
 
     def test_costs_match_metric(self):
-        # The vectorized costs must equal config_distance bit for bit: the
-        # search's keys, and so its expansion order, depend on the last bit.
+        # The vectorized costs and heuristics must equal config_distance and
+        # heuristic bit for bit: the search's keys, and so its expansion
+        # order, depend on the last bit.  Goals of both kinds, snap included.
         rng = np.random.default_rng(8)
         shelf = load_scenario(data_path("scenarios", "shelf_reach.yaml")).robot
         robots = [shelf] + [random_robot(rng, dof=int(rng.integers(2, 8)))
                             for _ in range(20)]
-        checked = 0
+        checked = snapped = 0
         for robot in robots:
-            prim = default_primitives(robot, extra_vectors=[(1,) * robot.dof])
+            prim = default_primitives(robot, extra_vectors=[(1,) * robot.dof],
+                                      snap_radius=float(np.sum(robot.resolutions)))
+            bound = lattice_max_coords(robot)
             for _ in range(100):
-                state = discretize(robot, sample_uniform(robot, rng))
+                a, b = sample_uniform(robot, rng), sample_uniform(robot, rng)
+                state = discretize(robot, a)
                 q = decode(robot, state)
-                for node, cost in successors(state, prim, robot):
-                    assert cost == config_distance(robot, q, decode(robot, node))
+                goal = (GoalSpec.region_goal(np.minimum(a, b), np.maximum(a, b))
+                        if rng.random() < 0.5 else
+                        GoalSpec.config_goal(q + robot.resolutions / 2,
+                                             rng.random() * robot.resolutions))
+                for node, cost, h in successors(state, prim, robot, goal, bound):
+                    end = goal.target if node == GOAL_NODE else decode(robot, node)
+                    assert cost == config_distance(robot, q, end)
+                    assert h == heuristic(node, goal, robot)
+                    snapped += node == GOAL_NODE
                     checked += 1
-        assert checked > 20_000
+        assert checked > 20_000 and snapped > 500
 
 
 class TestHeuristic:
@@ -241,7 +259,6 @@ class TestHeuristic:
         rng = np.random.default_rng(44)
         for _ in range(5):
             robot, world, start, goal, prim, _ = lattice_instance(rng)
-            goal_config = np.asarray(goal.target)
             frontier = [start]
             seen = {start}
             for _ in range(50):
@@ -249,7 +266,8 @@ class TestHeuristic:
                     break
                 node = frontier.pop()
                 h_node = heuristic(node, goal, robot)
-                for nxt, cost in successors(node, prim, robot, goal_config):
+                for nxt, cost, _ in successors(node, prim, robot, goal,
+                                               lattice_max_coords(robot)):
                     assert h_node <= cost + heuristic(nxt, goal, robot) + 1e-9
                     if nxt != GOAL_NODE and nxt not in seen:
                         seen.add(nxt)
