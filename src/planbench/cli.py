@@ -21,7 +21,7 @@ from .bench import (FAILURE, PLANNERS, aggregate, emit_report, plan, run_suite,
                     status_of)
 from .core import Path as PlanPath
 from .core import SOLVED, UNSOLVABLE, path_cost, query_from_scenario, validate_path
-from .errors import PlanbenchError
+from .errors import ParseError, PlanbenchError
 from .params import PlannerParams, load_params
 from .robot import RobotModel
 from .world import (OBJECTS_ONLY, PLUS_HEIGHT, PLUS_ROTATION, generate_variations,
@@ -39,12 +39,21 @@ def _write_path_csv(path: Path, waypoints: np.ndarray) -> None:
             writer.writerow([repr(float(v)) for v in row])
 
 
-def _read_path_csv(path: Path) -> np.ndarray:
+def _read_path_csv(path: Path, dof: int) -> np.ndarray:
+    """Waypoints from a header row, then one row of ``dof`` numbers each."""
     with path.open(newline="", encoding="utf-8") as handle:
-        rows = [row for row in csv.reader(handle) if row]
+        reader = csv.reader(handle)
+        rows = [(reader.line_num, row) for row in reader if row]
     if len(rows) < 2:
         raise PlanbenchError(f"path file {path} has no waypoints")
-    return np.array([[float(v) for v in row] for row in rows[1:]])
+    waypoints = []
+    for line, row in rows[1:]:
+        try:
+            waypoints.append(np.array(row, dtype=float).reshape(dof))
+        except ValueError:
+            raise ParseError(f"path file {path}: expected {dof} numbers, got {row}",
+                             line) from None
+    return np.array(waypoints)
 
 
 def _load_params_arg(value: str | None) -> PlannerParams:
@@ -141,7 +150,7 @@ def _cmd_validate(args) -> int:
     scenario = load_scenario(args.scenario)
     params = _load_params_arg(args.params)
     query = query_from_scenario(scenario, params.goal_tolerance_default)
-    waypoints = _read_path_csv(Path(args.path))
+    waypoints = _read_path_csv(Path(args.path), scenario.robot.dof)
     ok = validate_path(scenario.robot, scenario.world, query,
                        PlanPath(waypoints), args.step)
     print("valid" if ok else "invalid")

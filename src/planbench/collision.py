@@ -12,10 +12,12 @@ are never checked.
 A batch call first drops every (sphere, obstacle) pair whose bounding boxes
 over the batch are separated: the box around the sphere's centers in every
 configuration of the batch, widened by its radius, against the obstacle's
-padded box from ``WorldModel.packs``.  Only the remaining pairs are tested,
-by the same arithmetic, so verdicts and reported indices are exactly those
-of testing every pair, and touching counts as free as before.  Self pairs
-are all tested.
+padded box from ``WorldModel.packs``.  The bounds come from a packed copy
+of the centers (which FK lays out sphere-major), used for nothing else.
+Only the remaining pairs are tested, by the same arithmetic, so verdicts and
+reported indices are exactly those of testing every pair, and touching
+counts as free as before.  Self pairs are all tested, each squared center
+distance summed as (dx² + dy²) + dz², the order of ``np.sum`` over three.
 
 Colliding indices are reported in a fixed scan order: joint limits first
 (lowest joint index), then world collisions sphere-major/obstacle-minor,
@@ -85,10 +87,11 @@ def _world_penetration_mask(world: WorldModel, centers: np.ndarray,
     packs = world.packs
     m, ns = centers.shape[0], centers.shape[1]
     hit = np.zeros((m, ns, len(world.obstacles)), dtype=bool)
-    widen = radii[:, None, None]
+    packed = np.ascontiguousarray(centers)
     lower, upper = packs["bounds"]
-    near = np.all((centers.min(axis=0)[:, None] - widen <= upper)
-                  & (centers.max(axis=0)[:, None] + widen >= lower), axis=2)
+    overlap = (((packed.min(axis=0) - radii[:, None])[:, None] <= upper)
+               & ((packed.max(axis=0) + radii[:, None])[:, None] >= lower))
+    near = overlap[..., 0] & overlap[..., 1] & overlap[..., 2]
     r_sq = radii * radii
 
     pack = packs[BOX]
@@ -145,13 +148,12 @@ def free_mask(robot: RobotModel, world: WorldModel, configs: np.ndarray,
 
 def _self_overlap_mask(robot: RobotModel, centers: np.ndarray) -> np.ndarray:
     """Boolean overlap per checked sphere pair (m, P), lexicographic order."""
-    pairs = robot.self_collision_pairs
-    if not len(pairs):
-        return np.zeros((centers.shape[0], 0), dtype=bool)
-    diff = centers[:, pairs[:, 0]] - centers[:, pairs[:, 1]]
-    dist_sq = np.sum(diff * diff, axis=-1)
-    sums = robot.sphere_radii[pairs[:, 0]] + robot.sphere_radii[pairs[:, 1]]
-    return dist_sq < sums * sums
+    first, second, reach_sq = robot.self_pair_arrays
+    diff = centers[:, first] - centers[:, second]
+    diff *= diff
+    dist_sq = diff[..., 0] + diff[..., 1]
+    dist_sq += diff[..., 2]
+    return dist_sq < reach_sq
 
 
 def check_config(robot: RobotModel, world: WorldModel, q,

@@ -60,6 +60,8 @@ class Path:
         wp = np.asarray(self.waypoints, dtype=float)
         if wp.ndim != 2 or wp.shape[0] < 1:
             raise ValidationError("path requires a (k >= 1, n) waypoint array")
+        if not np.isfinite(wp).all():
+            raise ValidationError("path waypoints must be finite")
         wp = wp.copy()
         wp.flags.writeable = False
         object.__setattr__(self, "waypoints", wp)

@@ -204,6 +204,13 @@ class RobotModel:
                 pairs.append((i, j))
         return _frozen(np.array(pairs, dtype=int).reshape(len(pairs), 2))
 
+    @cached_property
+    def self_pair_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """First and second sphere index and (r_i + r_j)**2 of each checked pair."""
+        first, second = _frozen(self.self_collision_pairs.T.copy())
+        reach = self.sphere_radii[first] + self.sphere_radii[second]
+        return first, second, _frozen(reach * reach)
+
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
@@ -238,9 +245,9 @@ def link_frames_batch(robot: RobotModel, configs: np.ndarray) -> tuple[np.ndarra
     Frame i is the composition of joints 0..i, each contributing its fixed
     origin transform followed by the joint motion.  A revolute joint turns
     by the Rodrigues matrix I + sin(q) K + (1 - cos(q)) K @ K of its axis'
-    cross-product matrix K, built for every joint and configuration at once.
-    An identity origin rotation is skipped, since multiplying by it returns
-    the same entries.
+    cross-product matrix K, built for every joint and configuration at once
+    as (n, 3, 3, m), batch innermost, and viewed as (n, m, 3, 3).  An
+    identity origin rotation is skipped: multiplying by it changes no entry.
     """
     m, n = configs.shape
     eye = np.eye(3)
@@ -248,8 +255,9 @@ def link_frames_batch(robot: RobotModel, configs: np.ndarray) -> tuple[np.ndarra
     trans = np.zeros((m, 3))
     link_rot = np.empty((m, n, 3, 3))
     link_trans = np.empty((m, n, 3))
-    q = configs.T[:, :, None, None]
-    turns = eye + np.sin(q) * robot._skews[:, None] + (1.0 - np.cos(q)) * robot._skews_sq[:, None]
+    q = configs.T[:, None, None, :]
+    turns = (eye[:, :, None] + np.sin(q) * robot._skews[..., None]
+             + (1.0 - np.cos(q)) * robot._skews_sq[..., None]).transpose(0, 3, 1, 2)
     for j in range(n):
         trans = trans + rot @ robot._origin_translations[j]
         if robot._rotated_origins[j]:

@@ -17,9 +17,11 @@ commits iterations.  Steering inputs and motion sampling are checked on
 their own, against the linear-scan ``nearest`` oracle and against
 ``linspace_motion`` bit for bit.  The dense collision kernel is the
 package's earlier one, kept verbatim: Rodrigues matrices built per joint and
-per call, every joint's origin rotation multiplied in, and every (sphere,
-obstacle) pair tested, with the package's unchanged self mask; the culled
-kernel must reproduce its sphere centers and verdicts bit for bit.
+per call, every joint's origin rotation multiplied in, every (sphere,
+obstacle) pair tested, and its own self mask over a pair list built here,
+with ``np.sum`` of the squared center difference against the squared radius
+sum; the culled kernel must reproduce its sphere centers, masks and
+verdicts bit for bit.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 
 from planbench.ara_star import (GOAL_NODE, AraSolution, SearchStats, decode,
                                 heuristic, lattice_max_coords)
-from planbench.collision import _self_overlap_mask, motions_free
+from planbench.collision import motions_free
 from planbench.core import OK, goal_representative, goal_satisfied, validate_query
 from planbench.robot import PRISMATIC, config_distance
 from planbench.rrt_connect import REACHED, TRAPPED, Tree, connect, extend
@@ -274,12 +276,29 @@ def world_mask_dense(world, centers, radii):
     return hit
 
 
+def self_pairs_dense(robot):
+    """Checked sphere pairs (P, 2) in lexicographic order: not on the same or
+    chain-adjacent links and not ignored."""
+    links = [s.link_index for s in robot.spheres]
+    pairs = [(i, j) for i in range(len(links)) for j in range(i + 1, len(links))
+             if abs(links[i] - links[j]) > 1 and (i, j) not in robot.self_collision_ignored]
+    return np.array(pairs, dtype=int).reshape(len(pairs), 2)
+
+
+def self_mask_dense(robot, centers):
+    """Self-overlap mask (m, P) over ``self_pairs_dense``: every pair tested."""
+    pairs = self_pairs_dense(robot)
+    diff = centers[:, pairs[:, 0]] - centers[:, pairs[:, 1]]
+    reach = robot.sphere_radii[pairs[:, 0]] + robot.sphere_radii[pairs[:, 1]]
+    return np.sum(diff * diff, axis=-1) < reach ** 2
+
+
 def free_mask_dense(robot, world, configs):
     """``free_mask`` verdicts (m,) by the dense kernel."""
     ok = np.all((configs >= robot.lower) & (configs <= robot.upper), axis=1)
     centers = sphere_centers_dense(robot, configs)
     ok &= ~world_mask_dense(world, centers, robot.sphere_radii).any(axis=(1, 2))
-    return ok & ~_self_overlap_mask(robot, centers).any(axis=1)
+    return ok & ~self_mask_dense(robot, centers).any(axis=1)
 
 
 def check_config_dense(robot, world, q):
@@ -293,9 +312,9 @@ def check_config_dense(robot, world, q):
     if hit.any():
         flat = int(np.argmax(hit.ravel()))
         return ("world_collision", divmod(flat, len(world.obstacles)))
-    overlap = _self_overlap_mask(robot, centers)[0]
+    overlap = self_mask_dense(robot, centers)[0]
     if overlap.any():
-        i, j = robot.self_collision_pairs[int(np.argmax(overlap))]
+        i, j = self_pairs_dense(robot)[int(np.argmax(overlap))]
         return ("self_collision", (int(i), int(j)))
     return ("free", ())
 

@@ -108,6 +108,30 @@ class TestPlan:
                      "--path", str(path_file)])
         assert code == 1
 
+    @staticmethod
+    def validate_rows(workdir, capsys, rows):
+        path_file = workdir / "bad.csv"
+        path_file.write_text("q0,q1\n1.0,1.0\n" + rows + "5.0,5.0\n")
+        code = main(["validate", "--scenario", str(workdir / "case.scenario"),
+                     "--path", str(path_file)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        return path_file, captured.err.splitlines()
+
+    @pytest.mark.parametrize("rows, line", [
+        ("2.0,abc\n", 3), ("2.0\n", 3), ("2.0,2.0,2.0\n", 3), ("\n2.0,2.0,\n", 4)],
+        ids=["non_numeric", "short_row", "long_row", "after_blank_line"])
+    def test_validate_malformed_path_file_reports_error(self, workdir, capsys, rows, line):
+        # A non-numeric cell or a row whose length is not the robot's dof is
+        # an error naming the file and the line, not a traceback or "invalid".
+        path_file, err = self.validate_rows(workdir, capsys, rows)
+        assert len(err) == 1
+        assert err[0].startswith(f"error: line {line}: path file {path_file}: expected 2")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_validate_non_finite_waypoint_reports_error(self, workdir, capsys, value):
+        _, err = self.validate_rows(workdir, capsys, f"{value},2.0\n")
+        assert err == ["error: path waypoints must be finite"]
 
     def test_malformed_scenario_reports_error(self, workdir, capsys):
         bad = workdir / "bad.scenario"

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planbench.collision import (CollisionKind, _world_penetration_mask,
-                                 check_config, check_motion, free_mask,
-                                 motion_configs, motions_free)
+from planbench.collision import (CollisionKind, _self_overlap_mask,
+                                 _world_penetration_mask, check_config,
+                                 check_motion, free_mask, motion_configs,
+                                 motions_free)
 from planbench.data import data_path
 from planbench.errors import ContractViolation
 from planbench.robot import PRISMATIC, CollisionSphere, RobotModel, sphere_centers_batch
@@ -19,7 +20,8 @@ from planbench.world import Obstacle, WorldModel, load_scenario
 from conftest import gantry_robot, make_joint, random_robot, random_world
 from oracles import (brute_force_check, check_config_dense, free_mask_dense,
                      linspace_motion, result_tuple, sample_uniform,
-                     sphere_centers_dense, sphere_obstacle_distance_oracle,
+                     self_mask_dense, sphere_centers_dense,
+                     sphere_obstacle_distance_oracle,
                      sphere_penetrates_monte_carlo, within_limits,
                      world_mask_dense)
 
@@ -135,6 +137,31 @@ class TestCheckConfig:
         robot = self._folding_chain(ignored=frozenset({(0, 1)}))
         folded = check_config(robot, WorldModel(()), [0.0, math.pi, 0.0])
         assert folded.is_free
+
+    def test_self_touching_is_free_just_closer_collides(self):
+        # Three prismatic joints along x, y and z.  Sphere 3 (link 2,
+        # radius 0.5, offset 0.25 in x) sits at (0.25, y, z) from sphere 0
+        # (link 0, radius 0.25), so at y = z = 0.5 the center distance is
+        # sqrt(0.0625 + 0.25 + 0.25) = 0.75, the radius sum.  Sphere 1 on the
+        # adjacent link 1 is never checked and sphere 2 is far, so the pairs
+        # are (0, 2) and (0, 3).  Every value is a dyadic rational, so the
+        # kernel's arithmetic on them is exact.
+        joints = tuple(make_joint(name, kind=PRISMATIC, axis=axis, limits=(-2.0, 2.0))
+                       for name, axis in (("x", (1, 0, 0)), ("y", (0, 1, 0)),
+                                          ("z", (0, 0, 1))))
+        robot = RobotModel(joints=joints, spheres=(
+            CollisionSphere(0, (0.0, 0.0, 0.0), 0.25),
+            CollisionSphere(1, (0.0, 0.0, 0.0), 0.5),
+            CollisionSphere(2, (0.0, 0.0, 4.0), 0.25),
+            CollisionSphere(2, (0.25, 0.0, 0.0), 0.5)))
+        assert robot.self_collision_pairs.tolist() == [[0, 2], [0, 3]]
+        world = WorldModel(())
+        touching, closer = [1.0, 0.5, 0.5], [1.0, 0.5, 0.5 - 2.0 ** -10]
+        assert check_config(robot, world, touching).is_free
+        result = check_config(robot, world, closer)
+        assert (result.kind, result.indices) == (CollisionKind.SELF, (0, 3))
+        mask = free_mask(robot, world, np.array([touching, closer]))
+        assert mask.tolist() == [True, False]
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(4)
@@ -349,6 +376,8 @@ class TestBroadphaseExactness:
         assert centers.tobytes() == sphere_centers_dense(robot, configs).tobytes()
         got = _world_penetration_mask(world, centers, robot.sphere_radii)
         assert np.array_equal(got, world_mask_dense(world, centers, robot.sphere_radii))
+        overlap = _self_overlap_mask(robot, centers)
+        assert np.array_equal(overlap, self_mask_dense(robot, centers))
         mask = free_mask(robot, world, configs)
         assert mask.tolist() == free_mask_dense(robot, world, configs).tolist()
         for q in configs:

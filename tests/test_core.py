@@ -9,6 +9,7 @@ from planbench.core import (FAILURE_TIMEOUT, GOAL_IN_COLLISION, OK,
                             Query, goal_representative, goal_satisfied,
                             path_cost, query_from_scenario, validate_path,
                             validate_query)
+from planbench.errors import ValidationError
 from planbench.world import GoalSpec, Obstacle, WorldModel
 
 from conftest import gantry_robot, random_robot
@@ -199,6 +200,13 @@ class TestValidatePath:
                   time_budget=1.0)
         path = Path(np.array([[1.0, 1.0], [3.0, 1.0]]))
         assert not validate_path(robot, world, q, path, 0.05)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_waypoint_rejected(self, bad):
+        # A NaN or infinite waypoint would reach motion sampling as a
+        # non-finite length; the path itself refuses it.
+        with pytest.raises(ValidationError, match="finite"):
+            Path(np.array([[1.0, 1.0], [bad, 2.0], [3.0, 1.0]]))
 
 
 class TestQueryFromScenario:
