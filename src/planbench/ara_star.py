@@ -80,7 +80,8 @@ class MotionPrimitiveSet:
 class AraParams:
     """Inflation schedule and search knobs.
 
-    The schedule must be non-empty, strictly decreasing, and >= 1 throughout.
+    The schedule must be non-empty, strictly decreasing, finite and >= 1
+    throughout.
     ``budget_split`` is the fraction of the query budget granted to the
     forward attempt before the backward attempt runs on the remainder.
     """
@@ -94,12 +95,12 @@ class AraParams:
         object.__setattr__(self, "epsilon_schedule", schedule)
         if not schedule:
             raise ValidationError("epsilon_schedule must be non-empty")
-        if any(e < 1.0 for e in schedule):
-            raise ValidationError("every inflation factor must be >= 1")
+        if not all(1.0 <= e < math.inf for e in schedule):
+            raise ValidationError("every inflation factor must be finite and >= 1")
         if any(b >= a for a, b in zip(schedule, schedule[1:])):
             raise ValidationError("epsilon_schedule must be strictly decreasing")
-        if not self.edge_step > 0:
-            raise ValidationError("edge_step must be positive")
+        if not 0 < self.edge_step < math.inf:
+            raise ValidationError("edge_step must be positive and finite")
         if not 0.0 < self.budget_split < 1.0:
             raise ValidationError("budget_split must lie in (0, 1)")
 

@@ -40,19 +40,21 @@ def _write_path_csv(path: Path, waypoints: np.ndarray) -> None:
 
 
 def _read_path_csv(path: Path, dof: int) -> np.ndarray:
-    """Waypoints from a header row, then one row of ``dof`` numbers each."""
+    """Waypoints, one row of ``dof`` numbers each; a first row that is not
+    ``dof`` numbers is a header and is skipped."""
     with path.open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         rows = [(reader.line_num, row) for row in reader if row]
-    if len(rows) < 2:
-        raise PlanbenchError(f"path file {path} has no waypoints")
     waypoints = []
-    for line, row in rows[1:]:
+    for k, (line, row) in enumerate(rows):
         try:
             waypoints.append(np.array(row, dtype=float).reshape(dof))
         except ValueError:
-            raise ParseError(f"path file {path}: expected {dof} numbers, got {row}",
-                             line) from None
+            if k:
+                raise ParseError(f"path file {path}: expected {dof} numbers, got {row}",
+                                 line) from None
+    if not waypoints:
+        raise PlanbenchError(f"path file {path} has no waypoints")
     return np.array(waypoints)
 
 

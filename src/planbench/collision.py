@@ -12,8 +12,9 @@ are never checked.
 A batch call first drops every (sphere, obstacle) pair whose bounding boxes
 over the batch are separated: the box around the sphere's centers in every
 configuration of the batch, widened by its radius, against the obstacle's
-padded box from ``WorldModel.packs``.  The bounds come from a packed copy
-of the centers (which FK lays out sphere-major), used for nothing else.
+padded box from ``WorldModel.packs``.  FK returns the centers as a view of
+sphere-major memory, one matmul output per sphere; the bounds reduce a
+packed (m, S, 3) copy, about 4x faster at m >= 60, used for nothing else.
 Only the remaining pairs are tested, by the same arithmetic, so verdicts and
 reported indices are exactly those of testing every pair, and touching
 counts as free as before.  Self pairs are all tested, each squared center

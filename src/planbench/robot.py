@@ -6,7 +6,9 @@ interval; revolute joints are plain bounded intervals (no 2*pi wraparound).
 Configurations are float64 numpy arrays of length ``robot.dof``.
 
 Collision geometry is approximated by spheres, each rigidly attached to the
-frame reached after applying the joint named by its ``link_index``.
+frame reached after applying the joint named by its ``link_index``.  Forward
+kinematics chains homogeneous 4x4 transforms, one stacked matmul per joint
+for a whole batch, and places every sphere center in one more matmul.
 """
 
 from __future__ import annotations
@@ -140,38 +142,33 @@ class RobotModel:
         return _frozen(np.array([j.resolution for j in self.joints]))
 
     @cached_property
-    def _prismatic_mask(self) -> np.ndarray:
-        return _frozen(np.array([j.kind == PRISMATIC for j in self.joints]))
-
-    @cached_property
-    def _origin_rotations(self) -> np.ndarray:
-        return _frozen(np.stack([_rpy_matrix(j.origin_rotation) for j in self.joints]))
-
-    @cached_property
-    def _origin_translations(self) -> np.ndarray:
-        return _frozen(np.stack([j.origin_translation for j in self.joints]))
-
-    @cached_property
-    def _axes(self) -> np.ndarray:
-        return _frozen(np.stack([j.axis for j in self.joints]))
-
-    @cached_property
-    def _skews(self) -> np.ndarray:
-        """Each joint axis as its cross-product matrix K (n, 3, 3)."""
-        return _frozen(np.stack([
-            np.array([[0.0, -kz, ky], [kz, 0.0, -kx], [-ky, kx, 0.0]])
-            for kx, ky, kz in self._axes.tolist()]))
-
-    @cached_property
-    def _skews_sq(self) -> np.ndarray:
-        """K @ K for each joint's K, one 3x3 product per joint."""
-        return _frozen(np.stack([k @ k for k in self._skews]))
-
-    @cached_property
-    def _rotated_origins(self) -> np.ndarray:
-        """Whether each joint's origin rotation differs from the identity."""
-        return _frozen(np.array([not np.array_equal(r, np.eye(3))
-                                 for r in self._origin_rotations]))
+    def _joint_template(self) -> tuple[np.ndarray, ...]:
+        """Each joint's 4x4 transform as A + u B + (1 - cos q) C, u = sin q for
+        a revolute joint and q for a prismatic one: a revolute joint's rotation
+        block is O (I + sin q K + (1 - cos q) K²) for its origin rotation O and
+        its axis' cross-product matrix K, a prismatic joint's translation column
+        its origin plus q O axis.  Returns A (n, 1, 16) flattened, whether each
+        joint is revolute (n, 1), and the joint index, entry index and A, B and
+        C values of the entries where B or C is nonzero.  An identity O changes
+        no nonzero entry."""
+        n = self.dof
+        a, b, c = np.zeros((3, n, 4, 4))
+        a[:, 3, 3] = 1.0
+        for j, joint in enumerate(self.joints):
+            rot = _rpy_matrix(joint.origin_rotation) + 0.0  # no negative zeros
+            kx, ky, kz = joint.axis.tolist()
+            k = np.array([[0.0, -kz, ky], [kz, 0.0, -kx], [-ky, kx, 0.0]])
+            a[j, :3, :3], a[j, :3, 3] = rot, joint.origin_translation
+            if joint.kind == PRISMATIC:
+                b[j, :3, 3] = rot @ joint.axis
+            else:
+                b[j, :3, :3], c[j, :3, :3] = rot @ k, rot @ (k @ k)
+        a, b, c = (x.reshape(n, 16) for x in (a, b, c))
+        joint, entry = np.nonzero((b != 0) | (c != 0))
+        revolute = np.array([[j.kind == REVOLUTE] for j in self.joints])
+        return tuple(_frozen(x) for x in (
+            a[:, None], revolute, joint, entry, a[joint, entry, None],
+            b[joint, entry, None], c[joint, entry, None]))
 
     @cached_property
     def _sphere_links(self) -> np.ndarray:
@@ -179,9 +176,9 @@ class RobotModel:
 
     @cached_property
     def _sphere_locals(self) -> np.ndarray:
-        if not self.spheres:
-            return _frozen(np.zeros((0, 3)))
-        return _frozen(np.stack([s.local_center for s in self.spheres]))
+        """Homogeneous local centers [l; 1] (S, 4, 1)."""
+        return _frozen(np.array([[*s.local_center, 1.0] for s in self.spheres])
+                       .reshape(len(self.spheres), 4, 1))
 
     @cached_property
     def sphere_radii(self) -> np.ndarray:
@@ -239,49 +236,47 @@ def as_configuration(robot: RobotModel, q) -> np.ndarray:
     return arr
 
 
-def link_frames_batch(robot: RobotModel, configs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """World rotation (m, n, 3, 3) and translation (m, n, 3) of every link frame.
+def link_frames_batch(robot: RobotModel, configs: np.ndarray) -> np.ndarray:
+    """World transform of every link frame, homogeneous 4x4, as (n, m, 4, 4).
 
-    Frame i is the composition of joints 0..i, each contributing its fixed
-    origin transform followed by the joint motion.  A revolute joint turns
-    by the Rodrigues matrix I + sin(q) K + (1 - cos(q)) K @ K of its axis'
-    cross-product matrix K, built for every joint and configuration at once
-    as (n, 3, 3, m), batch innermost, and viewed as (n, m, 3, 3).  An
-    identity origin rotation is skipped: multiplying by it changes no entry.
+    Frame i is the product T_0 ... T_i of the joints' transforms, each its
+    fixed origin followed by the joint motion (see ``_joint_template``).
+    Every T_j is built for the whole batch at once, and each frame is one
+    stacked 4x4 matmul of the previous frame with T_j.  When no origin is
+    rotated, each rotation entry is the one the earlier 3x3 chain (a matmul
+    per turn, the translation added apart) formed, bit for bit; translations
+    sum the same products in another order.
     """
     m, n = configs.shape
-    eye = np.eye(3)
-    rot = np.broadcast_to(eye, (m, 3, 3)).copy()
-    trans = np.zeros((m, 3))
-    link_rot = np.empty((m, n, 3, 3))
-    link_trans = np.empty((m, n, 3))
-    q = configs.T[:, None, None, :]
-    turns = (eye[:, :, None] + np.sin(q) * robot._skews[..., None]
-             + (1.0 - np.cos(q)) * robot._skews_sq[..., None]).transpose(0, 3, 1, 2)
+    base, revolute, joint, entry, a, b, c = robot._joint_template
+    q = configs.T
+    u = np.where(revolute, np.sin(q), q)
+    turns = np.repeat(base, m, axis=1)
+    turns[joint, :, entry] = a + u[joint] * b + (1.0 - np.cos(q))[joint] * c
+    turns = turns.reshape(n, m, 4, 4)
+    frames = np.empty((n, m, 4, 4))
+    prev = np.eye(4)
     for j in range(n):
-        trans = trans + rot @ robot._origin_translations[j]
-        if robot._rotated_origins[j]:
-            rot = rot @ robot._origin_rotations[j]
-        if robot._prismatic_mask[j]:
-            trans = trans + (rot @ robot._axes[j]) * configs[:, j : j + 1]
-        else:
-            rot = rot @ turns[j]
-        link_rot[:, j] = rot
-        link_trans[:, j] = trans
-    return link_rot, link_trans
+        prev = np.matmul(prev, turns[j], out=frames[j])
+    return frames
 
 
 def sphere_centers_batch(robot: RobotModel, configs: np.ndarray) -> np.ndarray:
-    """World-frame collision sphere centers (m, S, 3) for a batch of configs."""
+    """World-frame collision sphere centers (m, S, 3) for a batch of configs.
+
+    Each center is the top three rows of its link frame times [l; 1], one
+    matrix-vector product per sphere over the whole batch, so each row equals
+    its one-row call.  The result views (S, m, 3) memory, sphere-major like
+    the earlier 3x3 chain's.  Its centers are that chain's bit for bit on the
+    shipped ``arm8`` and agree with it within rounding elsewhere.
+    """
     if configs.ndim != 2 or configs.shape[1] != robot.dof:
         raise ContractViolation(
             f"config batch has shape {configs.shape}, expected (m, {robot.dof})")
-    if not robot.spheres:
-        return np.zeros((configs.shape[0], 0, 3))
-    link_rot, link_trans = link_frames_batch(robot, configs)
-    rot = link_rot[:, robot._sphere_links]      # (m, S, 3, 3)
-    trans = link_trans[:, robot._sphere_links]  # (m, S, 3)
-    return np.einsum("msij,sj->msi", rot, robot._sphere_locals) + trans
+    m, ns = configs.shape[0], len(robot.spheres)
+    frames = link_frames_batch(robot, configs)[robot._sphere_links, :, :3]
+    centers = frames.reshape(ns, 3 * m, 4) @ robot._sphere_locals
+    return centers.reshape(ns, m, 3).transpose(1, 0, 2)
 
 
 def config_distance(robot: RobotModel, a, b) -> float:

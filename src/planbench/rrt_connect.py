@@ -60,10 +60,10 @@ class RrtParams:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.edge_step > 0:
-            raise ValidationError("edge_step must be positive")
-        if self.step_eta < self.edge_step:
-            raise ValidationError("step_eta must be >= edge_step")
+        if not 0 < self.edge_step < math.inf:
+            raise ValidationError("edge_step must be positive and finite")
+        if not self.edge_step <= self.step_eta < math.inf:
+            raise ValidationError("step_eta must be finite and >= edge_step")
         if self.max_iterations is not None and not _whole(self.max_iterations, 1):
             raise ValidationError("max_iterations must be a positive integer")
         if not _whole(self.seed, 0):

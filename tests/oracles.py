@@ -16,12 +16,13 @@ at a time; so comparing the two checks only how the batched loop orders and
 commits iterations.  Steering inputs and motion sampling are checked on
 their own, against the linear-scan ``nearest`` oracle and against
 ``linspace_motion`` bit for bit.  The dense collision kernel is the
-package's earlier one, kept verbatim: Rodrigues matrices built per joint and
-per call, every joint's origin rotation multiplied in, every (sphere,
-obstacle) pair tested, and its own self mask over a pair list built here,
-with ``np.sum`` of the squared center difference against the squared radius
-sum; the culled kernel must reproduce its sphere centers, masks and
-verdicts bit for bit.
+package's earlier one: the 3x3 rotation chain that forward kinematics used
+before the homogeneous one, kept verbatim, every (sphere, obstacle) pair
+tested, and its own self mask over a pair list built here, with ``np.sum``
+of the squared center difference against the squared radius sum.  The
+package must reproduce its sphere centers bit for bit on ``arm8`` and on
+axis-aligned robots (within 1e-12 on random ones, whose rounding the
+homogeneous chain changes), and its masks and verdicts exactly.
 """
 
 from __future__ import annotations
@@ -205,37 +206,50 @@ def result_tuple(result):
 
 
 # ---------------------------------------------------------------------------
-# The dense collision kernel: per-joint Rodrigues FK and every pair tested.
+# The dense collision kernel: the 3x3-chain FK and every pair tested.
 
-def _axis_rotations(axis, angles):
-    """Rodrigues rotation matrices (m, 3, 3) about a fixed unit axis."""
-    kx, ky, kz = float(axis[0]), float(axis[1]), float(axis[2])
-    k = np.array([[0.0, -kz, ky], [kz, 0.0, -kx], [-ky, kx, 0.0]])
-    k2 = k @ k
-    s = np.sin(angles)[:, None, None]
-    c = (1.0 - np.cos(angles))[:, None, None]
-    return np.eye(3) + s * k + c * k2
+def sphere_centers_3x3(robot, configs):
+    """World-frame sphere centers (m, S, 3) by the package's earlier FK, a
+    3x3 rotation chain with a separate translation, kept verbatim except
+    that its per-robot constants are built here: the judge that the
+    homogeneous chain must match bit for bit on ``arm8``."""
+    axes = np.stack([j.axis for j in robot.joints])
+    skews = np.stack([np.array([[0.0, -kz, ky], [kz, 0.0, -kx], [-ky, kx, 0.0]])
+                      for kx, ky, kz in axes.tolist()])
+    skews_sq = np.stack([k @ k for k in skews])
+    origin_rotations = np.stack([(_rot_z(y) @ _rot_y(p) @ _rot_x(r))[:3, :3]
+                                 for r, p, y in (j.origin_rotation for j in robot.joints)])
+    rotated_origins = [not np.array_equal(r, np.eye(3)) for r in origin_rotations]
+    origin_translations = np.stack([j.origin_translation for j in robot.joints])
+    prismatic = [j.kind == PRISMATIC for j in robot.joints]
 
-
-def sphere_centers_dense(robot, configs):
-    """World-frame sphere centers (m, S, 3) by the dense kernel's FK."""
     m, n = configs.shape
-    rot = np.broadcast_to(np.eye(3), (m, 3, 3)).copy()
+    eye = np.eye(3)
+    rot = np.broadcast_to(eye, (m, 3, 3)).copy()
     trans = np.zeros((m, 3))
     link_rot = np.empty((m, n, 3, 3))
     link_trans = np.empty((m, n, 3))
+    q = configs.T[:, None, None, :]
+    turns = (eye[:, :, None] + np.sin(q) * skews[..., None]
+             + (1.0 - np.cos(q)) * skews_sq[..., None]).transpose(0, 3, 1, 2)
     for j in range(n):
-        trans = trans + rot @ robot._origin_translations[j]
-        rot = rot @ robot._origin_rotations[j]
-        if robot._prismatic_mask[j]:
-            trans = trans + (rot @ robot._axes[j]) * configs[:, j : j + 1]
+        trans = trans + rot @ origin_translations[j]
+        if rotated_origins[j]:
+            rot = rot @ origin_rotations[j]
+        if prismatic[j]:
+            trans = trans + (rot @ axes[j]) * configs[:, j : j + 1]
         else:
-            rot = rot @ _axis_rotations(robot._axes[j], configs[:, j])
+            rot = rot @ turns[j]
         link_rot[:, j] = rot
         link_trans[:, j] = trans
-    rot = link_rot[:, robot._sphere_links]
-    trans = link_trans[:, robot._sphere_links]
-    return np.einsum("msij,sj->msi", rot, robot._sphere_locals) + trans
+
+    if not robot.spheres:
+        return np.zeros((m, 0, 3))
+    links = [s.link_index for s in robot.spheres]
+    local_centers = np.stack([s.local_center for s in robot.spheres])
+    rot = link_rot[:, links]
+    trans = link_trans[:, links]
+    return np.einsum("msij,sj->msi", rot, local_centers) + trans
 
 
 def world_mask_dense(world, centers, radii):
@@ -296,7 +310,7 @@ def self_mask_dense(robot, centers):
 def free_mask_dense(robot, world, configs):
     """``free_mask`` verdicts (m,) by the dense kernel."""
     ok = np.all((configs >= robot.lower) & (configs <= robot.upper), axis=1)
-    centers = sphere_centers_dense(robot, configs)
+    centers = sphere_centers_3x3(robot, configs)
     ok &= ~world_mask_dense(world, centers, robot.sphere_radii).any(axis=(1, 2))
     return ok & ~self_mask_dense(robot, centers).any(axis=1)
 
@@ -307,7 +321,7 @@ def check_config_dense(robot, world, q):
     bad = (q < robot.lower) | (q > robot.upper)
     if bad.any():
         return ("limits_violation", (int(np.argmax(bad)),))
-    centers = sphere_centers_dense(robot, q[None, :])
+    centers = sphere_centers_3x3(robot, q[None, :])
     hit = world_mask_dense(world, centers, robot.sphere_radii)[0]
     if hit.any():
         flat = int(np.argmax(hit.ravel()))

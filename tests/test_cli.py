@@ -5,6 +5,7 @@ import pytest
 from planbench.bench import parse_records, plan
 from planbench.params import PlannerParams
 from planbench.cli import main
+from planbench.data import data_path
 from planbench.world import load_scenario
 
 GANTRY_ROBOT = """
@@ -107,6 +108,19 @@ class TestPlan:
         code = main(["validate", "--scenario", str(workdir / "case.scenario"),
                      "--path", str(path_file)])
         assert code == 1
+
+    def test_validate_header_less_path_file(self, tmp_path, capsys):
+        # A first row of dof numbers is the first waypoint, not a header.
+        scenario = str(data_path("scenarios", "shelf_easy.yaml"))
+        path_file = tmp_path / "solution.csv"
+        assert main(["plan", "--scenario", scenario, "--planner", "ara-star",
+                     "--path-out", str(path_file)]) == 0
+        header, *rows = path_file.read_text().splitlines(keepends=True)
+        assert header.startswith("q0,")
+        path_file.write_text("".join(rows))
+        capsys.readouterr()
+        code = main(["validate", "--scenario", scenario, "--path", str(path_file)])
+        assert (code, capsys.readouterr().out) == (0, "valid\n")
 
     @staticmethod
     def validate_rows(workdir, capsys, rows):

@@ -20,7 +20,7 @@ from planbench.world import Obstacle, WorldModel, load_scenario
 from conftest import gantry_robot, make_joint, random_robot, random_world
 from oracles import (brute_force_check, check_config_dense, free_mask_dense,
                      linspace_motion, result_tuple, sample_uniform,
-                     self_mask_dense, sphere_centers_dense,
+                     self_mask_dense, sphere_centers_3x3,
                      sphere_obstacle_distance_oracle,
                      sphere_penetrates_monte_carlo, within_limits,
                      world_mask_dense)
@@ -367,13 +367,18 @@ def grazing_rows(radius):
 
 class TestBroadphaseExactness:
     """The culled kernel against the dense one it replaced
-    (``oracles.free_mask_dense``): sphere centers bit for bit, and masks,
-    verdicts and reported indices exactly."""
+    (``oracles.free_mask_dense``): sphere centers bit for bit (within
+    ``fk_atol`` on random robots, whose rounding the homogeneous FK chain
+    changes), and masks, verdicts and reported indices exactly."""
 
     @staticmethod
-    def assert_same(robot, world, configs):
+    def assert_same(robot, world, configs, fk_atol=0.0):
         centers = sphere_centers_batch(robot, configs)
-        assert centers.tobytes() == sphere_centers_dense(robot, configs).tobytes()
+        judge = sphere_centers_3x3(robot, configs)
+        if fk_atol:
+            assert np.abs(centers - judge).max() <= fk_atol
+        else:
+            assert centers.tobytes() == judge.tobytes()
         got = _world_penetration_mask(world, centers, robot.sphere_radii)
         assert np.array_equal(got, world_mask_dense(world, centers, robot.sphere_radii))
         overlap = _self_overlap_mask(robot, centers)
@@ -394,7 +399,8 @@ class TestBroadphaseExactness:
             m = (1, 2, 11, 55, 150)[case % 5]
             configs = rng.uniform(robot.lower - 0.05, robot.upper + 0.05,
                                   size=(m, robot.dof))
-            verdicts.update(self.assert_same(robot, world, configs).tolist())
+            verdicts.update(self.assert_same(robot, world, configs,
+                                             fk_atol=1e-12).tolist())
         assert verdicts == {True, False}
 
     def test_shelf_robot(self):

@@ -1,9 +1,13 @@
 """Planner parameter files: defaults, propagation, strict key checking."""
 
+import math
+
 import pytest
 
+from planbench.ara_star import AraParams
 from planbench.errors import ValidationError
 from planbench.params import PlannerParams, parse_params
+from planbench.rrt_connect import RrtParams
 
 
 class TestParseParams:
@@ -61,6 +65,35 @@ class TestParseParams:
     def test_invalid_rrt_integers_rejected(self, doc):
         with pytest.raises(ValidationError):
             parse_params(doc)
+
+    @pytest.mark.parametrize("doc", [
+        "rrt_connect: {step_eta: .nan}\n",
+        "rrt_connect: {step_eta: .inf}\n",
+        "common: {edge_step: .inf}\n",
+        "ara_star: {epsilon_schedule: [.nan]}\n",
+        "ara_star: {epsilon_schedule: [.inf, 1.0]}\n",
+        "ara_star: {epsilon_schedule: [3.0, .nan, 1.0]}\n",
+    ])
+    def test_non_finite_values_rejected(self, doc):
+        # NaN fails every ordered comparison and inf passes every lower
+        # bound, so only an explicit finite bound stops them before a NaN
+        # step_eta aborts a suite in motion sampling or a NaN or inf factor
+        # makes search keys NaN.
+        with pytest.raises(ValidationError, match="finite"):
+            parse_params(doc)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_constructor_values_rejected(self, value):
+        with pytest.raises(ValidationError, match="finite"):
+            RrtParams(step_eta=value)
+        with pytest.raises(ValidationError, match="finite"):
+            RrtParams(edge_step=value, step_eta=value)
+        with pytest.raises(ValidationError, match="finite"):
+            AraParams(epsilon_schedule=(value,))
+        with pytest.raises(ValidationError, match="finite"):
+            AraParams(epsilon_schedule=(value, 1.0))
+        with pytest.raises(ValidationError, match="finite"):
+            AraParams(edge_step=value)
 
     def test_with_negative_seed_rejected(self):
         with pytest.raises(ValidationError):

@@ -8,13 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planbench.collision import CollisionKind, check_config, free_mask
+from planbench.data import data_path
 from planbench.errors import ContractViolation, ValidationError
 from planbench.robot import (CollisionSphere, RobotModel, config_distance,
-                             parse_robot, sphere_centers_batch)
+                             load_robot, parse_robot, sphere_centers_batch)
 from planbench.world import WorldModel
 
 from conftest import make_joint, random_robot, single_revolute_robot
-from oracles import matrix_chain_spheres, sample_uniform, within_limits
+from oracles import (matrix_chain_spheres, sample_uniform, sphere_centers_3x3,
+                     within_limits)
 
 
 class TestForwardKinematics:
@@ -48,6 +50,24 @@ class TestForwardKinematics:
             expected = matrix_chain_spheres(robot, q)
             for (center, _), out in zip(expected, centers):
                 assert np.allclose(out, center, atol=1e-9)
+
+    def test_byte_equal_to_3x3_chain_on_arm8(self):
+        # The shipped robot's centers are those of the earlier 3x3 chain bit
+        # for bit, signed zeros included, so no verdict can move; exact
+        # zeros and lattice values make entries and products exactly zero.
+        robot = load_robot(data_path("robots", "arm8.yaml"))
+        rng = np.random.default_rng(13)
+        for m in (1, 11, 150):
+            configs = rng.uniform(robot.lower, robot.upper, size=(m, robot.dof))
+            cells = np.round((configs - robot.lower) / robot.resolutions)
+            lattice = robot.lower + cells * robot.resolutions
+            pick = rng.random(configs.shape)
+            configs = np.where(pick < 0.2, 0.0, np.where(pick < 0.5, lattice, configs))
+            centers = sphere_centers_batch(robot, configs)
+            assert centers.tobytes() == sphere_centers_3x3(robot, configs).tobytes()
+            for k in range(m):
+                row = sphere_centers_batch(robot, configs[k : k + 1])
+                assert row.tobytes() == centers[k : k + 1].tobytes()
 
     def test_deterministic_bitwise(self):
         rng = np.random.default_rng(3)
