@@ -184,8 +184,6 @@ def default_primitives(robot: RobotModel, extra_vectors=(),
         if len(row) != n:
             raise ValidationError(
                 f"primitive vector {row} has length {len(row)}, expected {n}")
-        if not any(row):
-            raise ValidationError("primitive vectors must be nonzero")
         for candidate in (row, tuple(-v for v in row)):
             if candidate not in rows:
                 rows.append(candidate)

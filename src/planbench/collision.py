@@ -15,14 +15,10 @@ configuration of the batch, widened by its radius, against the obstacle's
 padded box from ``WorldModel.packs``.  FK returns the centers as a view of
 sphere-major memory, one matmul output per sphere; the bounds reduce a
 packed (m, S, 3) copy, about 4x faster at m >= 60, used for nothing else.
-Only the remaining pairs are tested, by the same arithmetic, so verdicts and
-reported indices are exactly those of testing every pair, and touching
-counts as free as before.  Self pairs are all tested, each squared center
-distance summed as (dx² + dy²) + dz², the order of ``np.sum`` over three.
-
-Colliding indices are reported in a fixed scan order: joint limits first
-(lowest joint index), then world collisions sphere-major/obstacle-minor,
-then self-collision pairs in lexicographic order.
+Only the remaining pairs are tested, by the same arithmetic, so masks and
+verdicts are exactly those of testing every pair, and touching counts as
+free as before.  Self pairs are all tested, each squared center distance
+summed as (dx² + dy²) + dz², the order of ``np.sum`` over three.
 
 Straight-line motions are validated at a fixed number of evenly spaced
 configurations along the segment; this is discretized edge checking, not
@@ -36,38 +32,12 @@ concurrently from any number of workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .errors import ContractViolation
 from .robot import RobotModel, as_configuration, sphere_centers_batch
 from .world import BOX, CYLINDER, SPHERE, WorldModel
-
-
-class CollisionKind(Enum):
-    FREE = "free"
-    WORLD = "world_collision"
-    SELF = "self_collision"
-    LIMITS = "limits_violation"
-
-
-@dataclass(frozen=True)
-class CollisionResult:
-    """Outcome of a single-configuration check.
-
-    ``indices`` holds (sphere, obstacle) for world collisions,
-    (sphere_a, sphere_b) for self-collisions, and (joint,) for limit
-    violations; it is empty for free configurations.
-    """
-
-    kind: CollisionKind
-    indices: tuple[int, ...] = ()
-
-    @property
-    def is_free(self) -> bool:
-        return self.kind is CollisionKind.FREE
 
 
 def _world_penetration_mask(world: WorldModel, centers: np.ndarray,
@@ -80,10 +50,8 @@ def _world_penetration_mask(world: WorldModel, centers: np.ndarray,
 
     Square-root free: penetration of a box or cylinder is equivalent to the
     squared clamped excess falling below the squared sphere radius (points
-    inside clamp to zero excess).  Both check_config and free_mask share this
-    kernel, and a pair's entry is computed by the same arithmetic whatever
-    the rest of the batch, so single- and batch-configuration decisions
-    always agree bit for bit, including touching-is-free.
+    inside clamp to zero excess).  A pair's entry is computed by the same
+    arithmetic whatever the rest of the batch.
     """
     packs = world.packs
     m, ns = centers.shape[0], centers.shape[1]
@@ -157,30 +125,9 @@ def _self_overlap_mask(robot: RobotModel, centers: np.ndarray) -> np.ndarray:
     return dist_sq < reach_sq
 
 
-def check_config(robot: RobotModel, world: WorldModel, q,
-                 stats: dict | None = None) -> CollisionResult:
-    """Classify one configuration: free, limits, world, or self collision."""
-    q = as_configuration(robot, q)
-    if stats is not None:
-        stats["collision_checks"] = stats.get("collision_checks", 0) + 1
-    below = q < robot.lower
-    above = q > robot.upper
-    if below.any() or above.any():
-        return CollisionResult(CollisionKind.LIMITS, (int(np.argmax(below | above)),))
-    if not robot.spheres:
-        return CollisionResult(CollisionKind.FREE)
-    centers = sphere_centers_batch(robot, q[None, :])
-    if world.obstacles:
-        hit = _world_penetration_mask(world, centers, robot.sphere_radii)[0]
-        if hit.any():
-            flat = int(np.argmax(hit.ravel()))
-            n_obs = len(world.obstacles)
-            return CollisionResult(CollisionKind.WORLD, (flat // n_obs, flat % n_obs))
-    overlap = _self_overlap_mask(robot, centers)[0]
-    if overlap.any():
-        i, j = robot.self_collision_pairs[int(np.argmax(overlap))]
-        return CollisionResult(CollisionKind.SELF, (int(i), int(j)))
-    return CollisionResult(CollisionKind.FREE)
+def check_config(robot: RobotModel, world: WorldModel, q) -> bool:
+    """True iff the one configuration ``q`` is free: its ``free_mask`` row."""
+    return bool(free_mask(robot, world, as_configuration(robot, q)[None])[0])
 
 
 def motion_configs(robot: RobotModel, starts: np.ndarray, ends: np.ndarray,

@@ -13,7 +13,7 @@ import numpy as np
 
 from .collision import check_config, check_motion, free_mask
 from .errors import ValidationError
-from .robot import RobotModel, config_distance
+from .robot import RobotModel, as_configuration, config_distance
 from .world import GoalSpec, Scenario, WorldModel
 
 BUDGET_GRACE = 0.05  # seconds
@@ -114,20 +114,23 @@ def goal_representative(robot: RobotModel, world: WorldModel,
                         goal: GoalSpec) -> np.ndarray | None:
     """The configuration that stands for the goal, or None when it collides.
 
-    A config goal is represented by its target, unchecked.  A region goal is
-    represented by the first free configuration among the center of the
-    region clipped to the joint limits and 32 uniform draws over it from the
-    fixed seed 0, all checked in one ``free_mask`` call; None when all 33
-    collide or the region misses the joint limits.  The representative is a
-    property of the query: every planner and every seed gets the same one.
+    A config goal is represented by its target, checked: None when it
+    collides or leaves the joint limits.  A region goal is represented by
+    the first free configuration among the center of the region clipped to
+    the joint limits and 32 uniform draws over it from the fixed seed 0;
+    None when all 33 collide or the region misses the joint limits.  Either
+    way the candidates are checked in one ``free_mask`` call.  The
+    representative is a property of the query: every planner and every seed
+    gets the same one.
     """
     if goal.kind == "config":
-        return np.asarray(goal.target, dtype=float)
-    lo, hi = goal.limited_box(robot)
-    if np.any(lo > hi):
-        return None
-    draws = np.random.default_rng(0).uniform(lo, hi, size=(_GOAL_DRAWS, robot.dof))
-    candidates = np.vstack([(lo + hi) / 2.0, draws])
+        candidates = as_configuration(robot, goal.target)[None]
+    else:
+        lo, hi = goal.limited_box(robot)
+        if np.any(lo > hi):
+            return None
+        draws = np.random.default_rng(0).uniform(lo, hi, size=(_GOAL_DRAWS, robot.dof))
+        candidates = np.vstack([(lo + hi) / 2.0, draws])
     free = np.flatnonzero(free_mask(robot, world, candidates))
     return candidates[free[0]] if free.size else None
 
@@ -136,11 +139,10 @@ def screen_query(robot: RobotModel, world: WorldModel,
                  query: Query) -> tuple[str, np.ndarray | None]:
     """The query's ``validate_query`` verdict and, when it is ``ok``, its
     ``goal_representative``, from one screen of the goal."""
-    if not check_config(robot, world, query.start).is_free:
+    if not check_config(robot, world, query.start):
         return START_IN_COLLISION, None
     representative = goal_representative(robot, world, query.goal)
-    if representative is None or (query.goal.kind == "config" and not check_config(
-            robot, world, representative).is_free):
+    if representative is None:
         return GOAL_IN_COLLISION, None
     return OK, representative
 
@@ -148,11 +150,11 @@ def screen_query(robot: RobotModel, world: WorldModel,
 def validate_query(robot: RobotModel, world: WorldModel, query: Query) -> str:
     """Detect queries that are unsolvable because an endpoint collides.
 
-    The start and a config goal's target are checked themselves; a region
-    goal collides when it has no ``goal_representative``, that is, when its
-    center and all 32 draws collide.  A planner that gets ``ok`` here plans
-    toward a free representative, so its verdict is ``solved`` or
-    ``failure_timeout``, never ``unsolvable``.
+    The start is checked itself, and the goal collides when it has no
+    ``goal_representative``: when a config goal's target collides, or a
+    region goal's center and all 32 draws do.  A planner that gets ``ok``
+    here plans toward a free representative, so its verdict is ``solved``
+    or ``failure_timeout``, never ``unsolvable``.
     """
     return screen_query(robot, world, query)[0]
 

@@ -6,6 +6,7 @@ cannot silently fall back to defaults.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -17,6 +18,7 @@ _COMMON_KEYS = {"edge_step", "goal_tolerance_default", "seed"}
 _RRT_KEYS = {"step_eta", "edge_step", "max_iterations", "seed"}
 _ARA_KEYS = {"epsilon_schedule", "edge_step", "budget_split"}
 _TOP_KEYS = {"common", "rrt_connect", "ara_star"}
+_FLOAT_KEYS = {"edge_step", "goal_tolerance_default", "step_eta", "budget_split"}
 
 
 @dataclass(frozen=True)
@@ -27,36 +29,35 @@ class PlannerParams:
     rrt_connect: RrtParams = RrtParams()
     ara_star: AraParams = AraParams()
 
+    def __post_init__(self):
+        if not 0.0 <= self.goal_tolerance_default < math.inf:
+            raise ValidationError("goal_tolerance_default must be finite and >= 0")
+
     def with_seed(self, seed: int) -> "PlannerParams":
         """These params with RRT-Connect's seed replaced; ARA* draws no
         random numbers."""
         return replace(self, rrt_connect=replace(self.rrt_connect, seed=seed))
 
 
-def _build(doc: dict) -> PlannerParams:
-    common = check_keys(doc.get("common") or {}, "common section", _COMMON_KEYS)
-    edge_step = float(common.get("edge_step", 0.05))
-    goal_tolerance_default = float(common.get("goal_tolerance_default", 0.0))
-
-    rrt_doc = check_keys(doc.get("rrt_connect") or {}, "rrt_connect section", _RRT_KEYS)
-    rrt = RrtParams(
-        step_eta=float(rrt_doc.get("step_eta", 0.5)),
-        edge_step=float(rrt_doc.get("edge_step", edge_step)),
-        max_iterations=rrt_doc.get("max_iterations"),
-        seed=rrt_doc.get("seed", common.get("seed", 0)),
-    )
-
-    ara_doc = check_keys(doc.get("ara_star") or {}, "ara_star section", _ARA_KEYS)
-    schedule = ara_doc.get("epsilon_schedule", (3.0, 2.0, 1.5, 1.0))
-    if not isinstance(schedule, (list, tuple)):
+def _section(doc: dict, name: str, keys) -> dict:
+    """The keys present in section ``name``, scalars converted to float; the
+    dataclasses supply every default."""
+    section = dict(check_keys(doc.get(name) or {}, f"{name} section", keys))
+    for key in _FLOAT_KEYS & section.keys():
+        section[key] = float(section[key])
+    if not isinstance(section.get("epsilon_schedule", ()), (list, tuple)):
         raise ValidationError("epsilon_schedule must be a list of scalars")
-    ara = AraParams(
-        epsilon_schedule=tuple(float(e) for e in schedule),
-        edge_step=float(ara_doc.get("edge_step", edge_step)),
-        budget_split=float(ara_doc.get("budget_split", 0.5)),
-    )
-    return PlannerParams(goal_tolerance_default=goal_tolerance_default,
-                         rrt_connect=rrt, ara_star=ara)
+    return section
+
+
+def _build(doc: dict) -> PlannerParams:
+    common = _section(doc, "common", _COMMON_KEYS)
+    # The common edge_step and seed stand in for those the sections omit.
+    shared = {key: common.pop(key) for key in ("edge_step", "seed") if key in common}
+    rrt = {**shared, **_section(doc, "rrt_connect", _RRT_KEYS)}
+    shared.pop("seed", None)  # ARA* draws no random numbers
+    ara = {**shared, **_section(doc, "ara_star", _ARA_KEYS)}
+    return PlannerParams(**common, rrt_connect=RrtParams(**rrt), ara_star=AraParams(**ara))
 
 
 def parse_params(text: str) -> PlannerParams:

@@ -201,10 +201,6 @@ class _Lookahead:
         self.extending = False
         return self.verdicts[key]
 
-    def nearest(self, tree: Tree, target: np.ndarray) -> int:
-        """``nearest(tree, target)``, by way of ``steer``."""
-        return self.steer(tree, target)[0]
-
     def steer(self, tree: Tree, target: np.ndarray) -> tuple[int, tuple | None]:
         """The nearest node of ``target`` in ``tree`` and ``_steer``'s step
         from it, from the node and step the last refill found when it

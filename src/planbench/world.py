@@ -296,8 +296,8 @@ class Scenario:
 
 
 _SCENARIO_KEYS = {"name", "robot", "start", "goal", "world", "time_budget_s", "variation"}
-_VARIATION_KEYS = {"object_jitter_xy", "height_range", "yaw_range_deg",
-                   "shelf_indices", "object_indices"}
+_VARIATION_RANGES = {"object_jitter_xy", "height_range", "yaw_range_deg"}
+_VARIATION_KEYS = _VARIATION_RANGES | {"shelf_indices", "object_indices"}
 
 
 def _parse_obstacle(entry) -> Obstacle:
@@ -359,13 +359,8 @@ def _build_scenario(doc: dict, base_dir: str | Path | None) -> Scenario:
     variation = None
     if doc.get("variation") is not None:
         vdoc = check_keys(doc["variation"], "variation", _VARIATION_KEYS)
-        variation = VariationSpec(
-            object_jitter_xy=float(vdoc.get("object_jitter_xy", 0.1)),
-            height_range=float(vdoc.get("height_range", 0.15)),
-            yaw_range_deg=float(vdoc.get("yaw_range_deg", 30.0)),
-            shelf_indices=vdoc.get("shelf_indices", ()),
-            object_indices=vdoc.get("object_indices", ()),
-        )
+        variation = VariationSpec(**{key: float(value) if key in _VARIATION_RANGES else value
+                                     for key, value in vdoc.items()})
         for idx in variation.shelf_indices + variation.object_indices:
             if not 0 <= idx < len(obstacles):
                 raise ValidationError(f"variation index {idx} out of obstacle range")

@@ -122,7 +122,7 @@ def lattice_instance(rng, dof=None, require_solvable=False, edge_step=0.05,
         start_state = None
         for _ in range(30):
             s = discretize(robot, sample_uniform(robot, rng))
-            if check_config(robot, world, decode(robot, s)).is_free:
+            if check_config(robot, world, decode(robot, s)):
                 start_state = s
                 break
         if start_state is None:
@@ -131,7 +131,7 @@ def lattice_instance(rng, dof=None, require_solvable=False, edge_step=0.05,
         max_coords = lattice_max_coords(robot)
         for _ in range(30):
             g = tuple(int(rng.integers(0, c + 1)) for c in max_coords)
-            if g != start_state and check_config(robot, world, decode(robot, g)).is_free:
+            if g != start_state and check_config(robot, world, decode(robot, g)):
                 goal_state = g
                 break
         if goal_state is None:

@@ -164,9 +164,9 @@ def linspace_motion(robot, a, b, step):
 def brute_force_check(robot, world, q):
     """Classify one configuration by recomputing every pairwise distance.
 
-    Returns ("free",), ("limits", joint), ("world", sphere, obstacle), or
-    ("self", a, b), matching the package's documented scan order: limits by
-    joint index, then world collisions sphere-major/obstacle-minor, then
+    Returns ("free",), or the first violation found: ("limits", joint),
+    ("world", sphere, obstacle) or ("self", a, b), scanning limits by joint
+    index, then world collisions sphere-major/obstacle-minor, then
     self-collision pairs lexicographically.  Touching counts as free for
     obstacles; self pairs collide on strict overlap.
     """
@@ -191,18 +191,6 @@ def brute_force_check(robot, world, q):
             if float(np.linalg.norm(ci - cj)) < ri + rj:
                 return ("self", si, sj)
     return ("free",)
-
-
-def result_tuple(result):
-    """Flatten a CollisionResult for comparison with brute_force_check."""
-    kind = result.kind.value
-    if kind == "free":
-        return ("free",)
-    if kind == "limits_violation":
-        return ("limits", *result.indices)
-    if kind == "world_collision":
-        return ("world", *result.indices)
-    return ("self", *result.indices)
 
 
 # ---------------------------------------------------------------------------
@@ -313,24 +301,6 @@ def free_mask_dense(robot, world, configs):
     centers = sphere_centers_3x3(robot, configs)
     ok &= ~world_mask_dense(world, centers, robot.sphere_radii).any(axis=(1, 2))
     return ok & ~self_mask_dense(robot, centers).any(axis=1)
-
-
-def check_config_dense(robot, world, q):
-    """``check_config`` (kind value, indices) by the dense kernel."""
-    q = np.asarray(q, dtype=float)
-    bad = (q < robot.lower) | (q > robot.upper)
-    if bad.any():
-        return ("limits_violation", (int(np.argmax(bad)),))
-    centers = sphere_centers_3x3(robot, q[None, :])
-    hit = world_mask_dense(world, centers, robot.sphere_radii)[0]
-    if hit.any():
-        flat = int(np.argmax(hit.ravel()))
-        return ("world_collision", divmod(flat, len(world.obstacles)))
-    overlap = self_mask_dense(robot, centers)[0]
-    if overlap.any():
-        i, j = self_pairs_dense(robot)[int(np.argmax(overlap))]
-        return ("self_collision", (int(i), int(j)))
-    return ("free", ())
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from planbench.world import (GoalSpec, Obstacle, WorldModel, generate_variations
 from planbench.data import data_path
 
 from conftest import gantry_robot, random_robot, random_world
-from oracles import brute_force_check, matrix_chain_spheres, result_tuple, sample_uniform
+from oracles import brute_force_check, matrix_chain_spheres, sample_uniform
 
 TUNED_PARAMS = parse_params(data_path("params", "shelf_tuned.yaml").read_text())
 
@@ -60,7 +60,7 @@ def suite_records(shelf_reach):
 
 
 def test_c01_collision_oracle_equivalence():
-    """check_config agrees exactly with a brute-force pairwise oracle."""
+    """check_config's verdict is the brute-force pairwise oracle's."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(555)
     robots = [random_robot(rng, n_spheres=int(rng.integers(3, 7)))
@@ -74,9 +74,9 @@ def test_c01_collision_oracle_equivalence():
             q = rng.uniform(robot.lower, robot.upper)
         else:
             q = rng.uniform(robot.lower - 0.3, robot.upper + 0.3)
-        got = result_tuple(check_config(robot, world, q))
+        got = check_config(robot, world, q)
         want = brute_force_check(robot, world, q)
-        assert got == want, (case, got, want)
+        assert got is (want == ("free",)), (case, got, want)
     elapsed = time.perf_counter() - t0
     assert shapes_seen == {"box", "cylinder", "sphere"}
     assert elapsed < 30.0, f"collision oracle sweep took {elapsed:.1f}s"
@@ -181,9 +181,9 @@ def test_c07_unsolvable_detection(shelf_easy):
         shelf_easy.world.obstacles + (Obstacle.sphere(start_tip, 0.08),)))
     blocked_goal = replace(shelf_easy, world=WorldModel(
         shelf_easy.world.obstacles + (Obstacle.sphere(goal_tip, 0.08),)))
-    assert not check_config(robot, blocked_start.world, shelf_easy.start).is_free
-    assert check_config(robot, blocked_goal.world, shelf_easy.start).is_free
-    assert not check_config(robot, blocked_goal.world, shelf_easy.goal.target).is_free
+    assert not check_config(robot, blocked_start.world, shelf_easy.start)
+    assert check_config(robot, blocked_goal.world, shelf_easy.start)
+    assert not check_config(robot, blocked_goal.world, shelf_easy.goal.target)
 
     primitives = default_primitives(robot)
     for scenario, reason in ((blocked_start, "start_in_collision"),

@@ -35,9 +35,8 @@ def test_scenarios_load_and_are_well_posed():
         scenario = load_scenario(data_path("scenarios", name))
         assert scenario.robot.dof == 8
         assert scenario.time_budget == 5.0
-        assert check_config(scenario.robot, scenario.world, scenario.start).is_free
-        assert check_config(scenario.robot, scenario.world,
-                            scenario.goal.target).is_free
+        assert check_config(scenario.robot, scenario.world, scenario.start)
+        assert check_config(scenario.robot, scenario.world, scenario.goal.target)
         query = query_from_scenario(scenario)
         assert validate_query(scenario.robot, scenario.world, query) == OK
 

@@ -8,19 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planbench.collision import (CollisionKind, _self_overlap_mask,
-                                 _world_penetration_mask, check_config,
-                                 check_motion, free_mask, motion_configs,
-                                 motions_free)
+from planbench.collision import (_self_overlap_mask, _world_penetration_mask,
+                                 check_config, check_motion, free_mask,
+                                 motion_configs, motions_free)
 from planbench.data import data_path
 from planbench.errors import ContractViolation
 from planbench.robot import PRISMATIC, CollisionSphere, RobotModel, sphere_centers_batch
 from planbench.world import Obstacle, WorldModel, load_scenario
 
 from conftest import gantry_robot, make_joint, random_robot, random_world
-from oracles import (brute_force_check, check_config_dense, free_mask_dense,
-                     linspace_motion, result_tuple, sample_uniform,
-                     self_mask_dense, sphere_centers_3x3,
+from oracles import (brute_force_check, free_mask_dense, linspace_motion,
+                     sample_uniform, self_mask_dense, sphere_centers_3x3,
                      sphere_obstacle_distance_oracle,
                      sphere_penetrates_monte_carlo, within_limits,
                      world_mask_dense)
@@ -77,15 +75,15 @@ def one_sphere_robot():
 class TestCheckConfig:
     def test_empty_world_free(self):
         robot = one_sphere_robot()
-        result = check_config(robot, WorldModel(()), [1.0, 1.0])
-        assert result.is_free
+        assert check_config(robot, WorldModel(()), [1.0, 1.0]) is True
 
     def test_overlapping_spheres_collide(self):
         robot = one_sphere_robot()
         world = WorldModel((Obstacle.sphere((1.15, 1.0, 0.0), 0.1),))
-        result = check_config(robot, world, [1.0, 1.0])
-        assert result.kind is CollisionKind.WORLD
-        assert result.indices == (0, 0)
+        assert check_config(robot, world, [1.0, 1.0]) is False
+        centers = sphere_centers_batch(robot, np.array([[1.0, 1.0]]))
+        assert np.argwhere(_world_penetration_mask(
+            world, centers, robot.sphere_radii)[0]).tolist() == [[0, 0]]
 
     @pytest.mark.parametrize("obstacle", [
         Obstacle.box((2.0, 1.0, 0.0), (0.5, 0.5, 0.5)),
@@ -99,17 +97,16 @@ class TestCheckConfig:
         robot = gantry_robot(radius=0.25)
         world = WorldModel((obstacle,))
         touching, inside = [1.25, 1.0], [1.25 + 2.0 ** -10, 1.0]
-        assert check_config(robot, world, touching).is_free
-        result = check_config(robot, world, inside)
-        assert (result.kind, result.indices) == (CollisionKind.WORLD, (0, 0))
+        assert check_config(robot, world, touching)
+        assert not check_config(robot, world, inside)
         mask = free_mask(robot, world, np.array([touching, inside]))
         assert mask.tolist() == [True, False]
 
-    def test_limits_violation_reports_joint(self):
+    def test_limits_violation_is_not_free(self):
+        # The one sphere is far from any obstacle, so only the limit decides.
         robot = one_sphere_robot()
-        result = check_config(robot, WorldModel(()), [-0.5, 1.0])
-        assert result.kind is CollisionKind.LIMITS
-        assert result.indices == (0,)
+        assert not check_config(robot, WorldModel(()), [-0.5, 1.0])
+        assert not check_config(robot, WorldModel(()), [1.0, 6.5])
 
     @staticmethod
     def _folding_chain(ignored=frozenset()):
@@ -127,16 +124,12 @@ class TestCheckConfig:
 
     def test_self_collision_detected(self):
         robot = self._folding_chain()
-        folded = check_config(robot, WorldModel(()), [0.0, math.pi, 0.0])
-        assert folded.kind is CollisionKind.SELF
-        assert folded.indices == (0, 1)
-        extended = check_config(robot, WorldModel(()), [0.0, 0.0, 0.0])
-        assert extended.is_free
+        assert not check_config(robot, WorldModel(()), [0.0, math.pi, 0.0])
+        assert check_config(robot, WorldModel(()), [0.0, 0.0, 0.0])
 
     def test_ignored_pair_not_reported(self):
         robot = self._folding_chain(ignored=frozenset({(0, 1)}))
-        folded = check_config(robot, WorldModel(()), [0.0, math.pi, 0.0])
-        assert folded.is_free
+        assert check_config(robot, WorldModel(()), [0.0, math.pi, 0.0])
 
     def test_self_touching_is_free_just_closer_collides(self):
         # Three prismatic joints along x, y and z.  Sphere 3 (link 2,
@@ -157,9 +150,11 @@ class TestCheckConfig:
         assert robot.self_collision_pairs.tolist() == [[0, 2], [0, 3]]
         world = WorldModel(())
         touching, closer = [1.0, 0.5, 0.5], [1.0, 0.5, 0.5 - 2.0 ** -10]
-        assert check_config(robot, world, touching).is_free
-        result = check_config(robot, world, closer)
-        assert (result.kind, result.indices) == (CollisionKind.SELF, (0, 3))
+        assert check_config(robot, world, touching)
+        assert not check_config(robot, world, closer)
+        centers = sphere_centers_batch(robot, np.array([touching, closer]))
+        assert _self_overlap_mask(robot, centers).tolist() == [[False, False],
+                                                               [False, True]]
         mask = free_mask(robot, world, np.array([touching, closer]))
         assert mask.tolist() == [True, False]
 
@@ -174,9 +169,9 @@ class TestCheckConfig:
             else:
                 # Inflated box to exercise limit violations.
                 q = rng.uniform(robot.lower - 0.3, robot.upper + 0.3)
-            got = result_tuple(check_config(robot, world, q))
-            want = brute_force_check(robot, world, q)
-            assert got == want
+            got = check_config(robot, world, q)
+            want = brute_force_check(robot, world, q) == ("free",)
+            assert got is want
 
 
 class TestCheckMotion:
@@ -237,7 +232,7 @@ class TestCheckMotion:
         world = WorldModel((Obstacle.sphere((1.0, 1.0, 0.0), 0.3),))
         stats = {}
         assert not check_motion(robot, world, [1, 1], [5, 1], 0.05, stats=stats)
-        assert not check_config(robot, world, [1, 1]).is_free
+        assert not check_config(robot, world, [1, 1])
         assert stats["collision_checks"] == 81
 
     def test_nonpositive_step_rejected(self):
@@ -312,7 +307,7 @@ class TestBatchScalarAgreement:
         assert free_mask(robot, world, configs[order]).tolist() == mask[order].tolist()
         for k in range(m):
             assert free_mask(robot, world, configs[k : k + 1])[0] == mask[k]
-            assert check_config(robot, world, configs[k]).is_free == mask[k]
+            assert check_config(robot, world, configs[k]) == mask[k]
 
     def test_free_mask_matches_check_config(self):
         # The batch and single-configuration paths share one kernel and must
@@ -324,7 +319,7 @@ class TestBatchScalarAgreement:
             batch = rng.uniform(robot.lower - 0.1, robot.upper + 0.1, size=(40, robot.dof))
             mask = free_mask(robot, world, batch)
             for k in range(batch.shape[0]):
-                assert mask[k] == check_config(robot, world, batch[k]).is_free
+                assert mask[k] == check_config(robot, world, batch[k])
 
 
 def point_robot(radius):
@@ -369,7 +364,7 @@ class TestBroadphaseExactness:
     """The culled kernel against the dense one it replaced
     (``oracles.free_mask_dense``): sphere centers bit for bit (within
     ``fk_atol`` on random robots, whose rounding the homogeneous FK chain
-    changes), and masks, verdicts and reported indices exactly."""
+    changes), and masks and verdicts exactly."""
 
     @staticmethod
     def assert_same(robot, world, configs, fk_atol=0.0):
@@ -385,9 +380,7 @@ class TestBroadphaseExactness:
         assert np.array_equal(overlap, self_mask_dense(robot, centers))
         mask = free_mask(robot, world, configs)
         assert mask.tolist() == free_mask_dense(robot, world, configs).tolist()
-        for q in configs:
-            result = check_config(robot, world, q)
-            assert (result.kind.value, result.indices) == check_config_dense(robot, world, q)
+        assert [check_config(robot, world, q) for q in configs] == mask.tolist()
         return mask
 
     def test_random_robots_and_worlds(self):
@@ -434,5 +427,5 @@ class TestFreeImpliesWithinLimits:
         world = random_world(rng)
         for _ in range(500):
             q = rng.uniform(robot.lower - 0.2, robot.upper + 0.2)
-            if check_config(robot, world, q).is_free:
+            if check_config(robot, world, q):
                 assert within_limits(robot, q)

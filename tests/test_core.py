@@ -33,13 +33,22 @@ class TestValidateQuery:
     def test_start_inside_box(self, robot):
         world = WorldModel((Obstacle.box((1.0, 1.0, 0.0), (0.3, 0.3, 0.3)),))
         q = Query(start=[1, 1], goal=config_goal([3, 3]), time_budget=1.0)
-        assert check_config(robot, world, [1.0, 1.0]).kind.value == "world_collision"
+        assert not check_config(robot, world, [1.0, 1.0])
         assert validate_query(robot, world, q) == START_IN_COLLISION
 
     def test_config_goal_in_collision(self, robot):
         world = WorldModel((Obstacle.box((3.0, 3.0, 0.0), (0.3, 0.3, 0.3)),))
         q = Query(start=[1, 1], goal=config_goal([3, 3]), time_budget=1.0)
         assert validate_query(robot, world, q) == GOAL_IN_COLLISION
+        assert goal_representative(robot, world, q.goal) is None
+
+    def test_config_goal_outside_limits(self, robot, empty_world):
+        # The target is screened as one free_mask row, limits included.
+        goal = config_goal([6.5, 2.0])
+        q = Query(start=[0.5, 0.5], goal=goal, time_budget=1.0)
+        assert validate_query(robot, empty_world, q) == GOAL_IN_COLLISION
+        assert goal_representative(robot, empty_world, goal) is None
+        assert goal_representative(robot, empty_world, config_goal([2, 2])).tolist() == [2, 2]
 
     def test_region_goal_fully_blocked(self, robot):
         # The region sits entirely inside a solid box: all 33 samples collide.

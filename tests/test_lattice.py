@@ -83,7 +83,7 @@ class TestDefaultPrimitives:
     def test_zero_vector_rejected(self):
         rng = np.random.default_rng(4)
         robot = random_robot(rng, dof=3)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="nonzero"):
             default_primitives(robot, extra_vectors=[(0, 0, 0)])
 
     def test_negation_closure_validated(self):

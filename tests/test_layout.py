@@ -1,8 +1,10 @@
 """Package layout rules, checked on the source: modules share no private
-names, the only runtime dependencies are numpy and PyYAML, and no public
-function or class exists only for the tests."""
+names, the only runtime dependencies are numpy and PyYAML, no public
+function or class exists only for the tests, and every function the
+benchmark traces exists."""
 
 import ast
+import importlib
 import sys
 from collections import Counter
 from pathlib import Path
@@ -73,3 +75,18 @@ def test_every_public_definition_is_used_outside_tests():
               and used[node.name] == _names(node)[node.name]]
     assert BENCHMARK
     assert unused == []
+
+
+def test_trace_targets_name_package_attributes():
+    # benchmark/run.py looks each (module, "attr", ...) entry of TRACE_TARGETS
+    # up with getattr when it traces, so a renamed or deleted function would
+    # only crash a traced run; read the entries from the source instead.
+    run = next(path for path in BENCHMARK if path.name == "run.py")
+    tree = ast.parse(run.read_text(encoding="utf-8"))
+    targets = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                   and any(getattr(t, "id", None) == "TRACE_TARGETS" for t in node.targets))
+    entries = [(entry.elts[0].id, entry.elts[1].value) for entry in targets.elts]
+    missing = [f"{module}.{attr}" for module, attr in entries
+               if not hasattr(importlib.import_module(f"planbench.{module}"), attr)]
+    assert len(entries) >= 10
+    assert missing == []

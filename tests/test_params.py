@@ -5,8 +5,9 @@ import math
 import pytest
 
 from planbench.ara_star import AraParams
+from planbench.data import data_path
 from planbench.errors import ValidationError
-from planbench.params import PlannerParams, parse_params
+from planbench.params import PlannerParams, load_params, parse_params
 from planbench.rrt_connect import RrtParams
 
 
@@ -18,6 +19,10 @@ class TestParseParams:
         assert params.ara_star.epsilon_schedule == (3.0, 2.0, 1.5, 1.0)
         assert params.ara_star.budget_split == 0.5
         assert params.goal_tolerance_default == 0.0
+
+    def test_default_file_holds_the_built_in_defaults(self):
+        # The file's header says its values are also the built-in defaults.
+        assert load_params(data_path("params", "default.yaml")) == PlannerParams()
 
     def test_common_values_propagate(self):
         params = parse_params("common: {edge_step: 0.02, seed: 9}\n")
@@ -94,6 +99,17 @@ class TestParseParams:
             AraParams(epsilon_schedule=(value, 1.0))
         with pytest.raises(ValidationError, match="finite"):
             AraParams(edge_step=value)
+
+    @pytest.mark.parametrize("text, value", [(".nan", math.nan), (".inf", math.inf),
+                                             ("-0.1", -0.1)])
+    def test_goal_tolerance_default_must_be_finite_and_nonnegative(self, text, value):
+        # query_from_scenario applies only a tolerance > 0, so NaN or a
+        # negative value would silently mean none, and an infinite one would
+        # make every configuration within limits satisfy a config goal.
+        with pytest.raises(ValidationError, match="finite and >= 0"):
+            parse_params(f"common: {{goal_tolerance_default: {text}}}\n")
+        with pytest.raises(ValidationError, match="finite and >= 0"):
+            PlannerParams(goal_tolerance_default=value)
 
     def test_with_negative_seed_rejected(self):
         with pytest.raises(ValidationError):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planbench.collision import CollisionKind, check_config, free_mask
+from planbench.collision import free_mask
 from planbench.data import data_path
 from planbench.errors import ContractViolation, ValidationError
 from planbench.robot import (CollisionSphere, RobotModel, config_distance,
@@ -124,14 +124,11 @@ class TestLimitsAndSampling:
     def test_exact_bounds_are_inside(self, gantry):
         empty = WorldModel(())
         assert free_mask(gantry, empty, np.array([gantry.lower, gantry.upper])).all()
-        assert check_config(gantry, empty, gantry.lower).is_free
-        assert check_config(gantry, empty, gantry.upper).is_free
 
     def test_epsilon_above_is_outside(self, gantry):
         q = gantry.upper.copy()
         q[0] += 1e-9
         assert not free_mask(gantry, WorldModel(()), q[None, :])[0]
-        assert check_config(gantry, WorldModel(()), q).kind is CollisionKind.LIMITS
 
     def test_sampler_respects_limits(self):
         rng = np.random.default_rng(23)

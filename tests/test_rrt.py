@@ -474,12 +474,12 @@ class TestLookahead:
         monkeypatch.setattr(rrt_connect, "nearest", None)  # no full scan from here
         # A node appended strictly closer than the remembered one wins.
         tree.add(closer.copy(), 0)
-        assert cache.nearest(tree, closer) == nearest(tree, closer[None])[0] == tree.size - 1
+        assert cache.steer(tree, closer)[0] == nearest(tree, closer[None])[0] == tree.size - 1
         # A node appended exactly as far as the remembered one loses to it.
-        older = cache.nearest(tree, tied)
+        older = cache.steer(tree, tied)[0]
         tree.add(tree.config(older), 0)
         assert older < tree.size - 1
-        assert cache.nearest(tree, tied) == nearest(tree, tied[None])[0] == older
+        assert cache.steer(tree, tied)[0] == nearest(tree, tied[None])[0] == older
         # The step found with a node is kept with it: a tie returns that step
         # without steering again, a strictly closer node gets a fresh one.
         steer = rrt_connect._steer
