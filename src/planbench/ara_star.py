@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .collision import check_motion, free_mask, motion_configs
-from .core import (BACKWARD, FORWARD, OK, Path, PlannerResult, Query,
-                   goal_satisfied, screen_query)
+from .core import (FAILURE, OK, SOLVED_BACKWARD, SOLVED_FORWARD, UNSOLVABLE, Path,
+                   PlannerResult, Query, goal_satisfied, path_cost, screen_query)
 from .errors import ContractViolation, ValidationError, parse_mapping
 from .robot import RobotModel, as_configuration, config_distance
 from .world import GoalSpec, WorldModel
@@ -40,6 +40,10 @@ from .world import GoalSpec, WorldModel
 GOAL_NODE: tuple[int, ...] = ()
 
 _TIE = 1e-12
+
+# Share of the query budget granted to the forward attempt; the backward
+# attempt runs on the remainder.
+BUDGET_SPLIT = 0.5
 
 # States resolved per collision call: the state whose candidate tops OPEN and
 # the next states in OPEN whose candidates await validation.
@@ -82,13 +86,10 @@ class AraParams:
 
     The schedule must be non-empty, strictly decreasing, finite and >= 1
     throughout.
-    ``budget_split`` is the fraction of the query budget granted to the
-    forward attempt before the backward attempt runs on the remainder.
     """
 
     epsilon_schedule: tuple[float, ...] = (3.0, 2.0, 1.5, 1.0)
     edge_step: float = 0.05
-    budget_split: float = 0.5
 
     def __post_init__(self):
         schedule = tuple(float(e) for e in self.epsilon_schedule)
@@ -101,8 +102,6 @@ class AraParams:
             raise ValidationError("epsilon_schedule must be strictly decreasing")
         if not 0 < self.edge_step < math.inf:
             raise ValidationError("edge_step must be positive and finite")
-        if not 0.0 < self.budget_split < 1.0:
-            raise ValidationError("budget_split must lie in (0, 1)")
 
 
 @dataclass
@@ -483,8 +482,7 @@ def ara_search(start_state: tuple[int, ...], goal: GoalSpec,
     # Report the reconstructed path's actual cost: parent pointers can be
     # rewired by later relaxations, so the chain may be cheaper than the
     # g-value certified when the incumbent was first expanded.
-    cost = sum(config_distance(robot, waypoints[k], waypoints[k + 1])
-               for k in range(len(waypoints) - 1))
+    cost = path_cost(robot, Path(np.array(waypoints)))
     return AraSolution(nodes=tuple(chain), waypoints=waypoints, cost=cost), search_stats
 
 
@@ -521,7 +519,7 @@ def plan_ara_star(robot: RobotModel, world: WorldModel, query: Query,
                   primitives: MotionPrimitiveSet, params: AraParams) -> PlannerResult:
     """Forward-then-backward anytime lattice planning under one budget.
 
-    The forward search (start toward goal) gets ``budget_split`` of the
+    The forward search (start toward goal) gets ``BUDGET_SPLIT`` of the
     budget; on failure the backward search plans from the query's
     ``goal_representative`` to the start (config goal with half-cell
     tolerances) and its waypoints are reversed, so the returned path always
@@ -536,34 +534,35 @@ def plan_ara_star(robot: RobotModel, world: WorldModel, query: Query,
 
     verdict, representative = screen_query(robot, world, query)
     if verdict != OK:
-        return PlannerResult.unsolvable(verdict, time.perf_counter() - t0, stats)
+        return PlannerResult(UNSOLVABLE, time.perf_counter() - t0, stats,
+                             reason=verdict)
     start = np.asarray(query.start, dtype=float)
     if goal_satisfied(query.goal, start):
-        return PlannerResult.solved(Path(start[None, :].copy()), FORWARD,
-                                    time.perf_counter() - t0, stats)
+        return PlannerResult(SOLVED_FORWARD, time.perf_counter() - t0, stats,
+                             Path(start[None, :].copy()))
 
     cache = LatticeCache()
-    forward_deadline = t0 + query.time_budget * params.budget_split
+    forward_deadline = t0 + query.time_budget * BUDGET_SPLIT
     final_deadline = t0 + query.time_budget
 
     forward = _lattice_attempt(robot, world, start, query.goal, primitives,
-                               params, forward_deadline, cache, stats, FORWARD)
+                               params, forward_deadline, cache, stats, "forward")
     if forward is not None:
-        return PlannerResult.solved(Path(np.array(forward)), FORWARD,
-                                    time.perf_counter() - t0, stats)
+        return PlannerResult(SOLVED_FORWARD, time.perf_counter() - t0, stats,
+                             Path(np.array(forward)))
 
     back_goal = GoalSpec.config_goal(start, tolerance=robot.resolutions / 2.0)
     backward = _lattice_attempt(robot, world, representative, back_goal,
                                 primitives, params, final_deadline, cache,
-                                stats, BACKWARD)
+                                stats, "backward")
     if backward is not None:
         waypoints = list(reversed(backward))
         if not np.array_equal(waypoints[0], start):
             # Join the true start to the lattice with a validated motion.
             if not check_motion(robot, world, start, waypoints[0],
                                 params.edge_step, stats=stats):
-                return PlannerResult.timeout(time.perf_counter() - t0, stats)
+                return PlannerResult(FAILURE, time.perf_counter() - t0, stats)
             waypoints.insert(0, start.copy())
-        return PlannerResult.solved(Path(np.array(waypoints)), BACKWARD,
-                                    time.perf_counter() - t0, stats)
-    return PlannerResult.timeout(time.perf_counter() - t0, stats)
+        return PlannerResult(SOLVED_BACKWARD, time.perf_counter() - t0, stats,
+                             Path(np.array(waypoints)))
+    return PlannerResult(FAILURE, time.perf_counter() - t0, stats)

@@ -7,7 +7,7 @@ worker scheduling; ARA* takes no seed, so its records carry None.  A run's
 planning time is the one the planner reports, measured by its own monotonic
 clock from its first step to its result.
 
-Records carry the status taxonomy of PlannerResult (solved-forward,
+Records carry the status of the PlannerResult (solved-forward,
 solved-backward, failure, unsolvable) plus an "error" status for per-record
 harness failures such as scenario/robot dimension mismatches; errors never
 abort the suite.
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ara_star import MotionPrimitiveSet, default_primitives, plan_ara_star
-from .core import (BACKWARD, FAILURE_TIMEOUT, SOLVED, UNSOLVABLE, PlannerResult,
+from .core import (FAILURE, SOLVED_BACKWARD, SOLVED_FORWARD, UNSOLVABLE, PlannerResult,
                    path_cost, query_from_scenario)
 from .errors import ContractViolation, PlanbenchError
 from .params import PlannerParams
@@ -36,9 +36,6 @@ RRT_CONNECT = "rrt-connect"
 ARA_STAR = "ara-star"
 PLANNERS = (RRT_CONNECT, ARA_STAR)
 
-SOLVED_FORWARD = "solved-forward"
-SOLVED_BACKWARD = "solved-backward"
-FAILURE = "failure"
 ERROR = "error"
 STATUSES = (SOLVED_FORWARD, SOLVED_BACKWARD, FAILURE, UNSOLVABLE, ERROR)
 
@@ -100,11 +97,6 @@ class SuiteAggregate:
     time_solved: TimeSummary | None
     time_all: TimeSummary
 
-    @property
-    def conserved(self) -> bool:
-        return (self.success_forward + self.success_backward + self.failure
-                + self.unsolvable + self.errors) == self.total
-
 
 @dataclass(frozen=True)
 class BenchmarkReport:
@@ -113,16 +105,6 @@ class BenchmarkReport:
     suite: str
     rows: tuple[SuiteAggregate, ...]
     records: tuple[RunRecord, ...]
-
-
-def status_of(result: PlannerResult) -> str:
-    """The record status of a planner result: solved-forward,
-    solved-backward, failure or unsolvable."""
-    if result.status == SOLVED:
-        return SOLVED_BACKWARD if result.direction == BACKWARD else SOLVED_FORWARD
-    if result.status == FAILURE_TIMEOUT:
-        return FAILURE
-    return UNSOLVABLE
 
 
 def plan(scenario: Scenario, planner: str, params: PlannerParams,
@@ -156,11 +138,11 @@ def run_one(scenario: Scenario, planner: str, params: PlannerParams, seed: int,
                          status=ERROR, planning_time=0.0, error=str(exc))
     cost = None
     path = None
-    if result.status == SOLVED:
+    if result.path is not None:
         cost = path_cost(scenario.robot, result.path)
         path = result.path.waypoints
     return RunRecord(scenario=scenario.name, planner=planner, seed=seed,
-                     status=status_of(result), planning_time=result.planning_time,
+                     status=result.status, planning_time=result.planning_time,
                      path_cost=cost, stats=dict(result.stats), path=path)
 
 

@@ -17,10 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from .ara_star import MotionPrimitiveSet, parse_primitives
-from .bench import (FAILURE, PLANNERS, aggregate, emit_report, plan, run_suite,
-                    status_of)
+from .bench import FAILURE, PLANNERS, aggregate, emit_report, plan, run_suite
 from .core import Path as PlanPath
-from .core import SOLVED, UNSOLVABLE, path_cost, query_from_scenario, validate_path
+from .core import UNSOLVABLE, path_cost, query_from_scenario, validate_path
 from .errors import ParseError, PlanbenchError
 from .params import PlannerParams, load_params
 from .robot import RobotModel
@@ -74,20 +73,19 @@ def _cmd_plan(args) -> int:
     result = plan(scenario, args.planner, _load_params_arg(args.params), args.seed,
                   _load_primitives_arg(args.primitives, scenario.robot))
 
-    status = status_of(result)
     print(f"scenario: {scenario.name}")
     print(f"planner: {args.planner}")
-    print(f"status: {status} ({result.reason})" if status == UNSOLVABLE
-          else f"status: {status}")
+    print(f"status: {result.status} ({result.reason})" if result.status == UNSOLVABLE
+          else f"status: {result.status}")
     print(f"planning_time_s: {result.planning_time:.6f}")
-    if result.status == SOLVED:
+    if result.path is not None:
         print(f"path_cost: {path_cost(scenario.robot, result.path):.6f}")
         print(f"waypoints: {len(result.path)}")
         if args.path_out:
             _write_path_csv(Path(args.path_out), result.path.waypoints)
     for key, value in sorted(result.stats.items()):
         print(f"{key}: {value}")
-    return _PLAN_EXIT_CODES.get(status, 0)
+    return _PLAN_EXIT_CODES.get(result.status, 0)
 
 
 def _cmd_gen(args) -> int:

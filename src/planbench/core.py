@@ -22,12 +22,10 @@ OK = "ok"
 START_IN_COLLISION = "start_in_collision"
 GOAL_IN_COLLISION = "goal_in_collision"
 
-SOLVED = "solved"
-FAILURE_TIMEOUT = "failure_timeout"
+SOLVED_FORWARD = "solved-forward"
+SOLVED_BACKWARD = "solved-backward"
+FAILURE = "failure"
 UNSOLVABLE = "unsolvable"
-
-FORWARD = "forward"
-BACKWARD = "backward"
 
 # Uniform draws, after the center, that stand for a region goal.
 _GOAL_DRAWS = 32
@@ -69,39 +67,21 @@ class Path:
     def __len__(self) -> int:
         return self.waypoints.shape[0]
 
-    @property
-    def first(self) -> np.ndarray:
-        return self.waypoints[0]
-
-    @property
-    def last(self) -> np.ndarray:
-        return self.waypoints[-1]
-
 
 @dataclass(frozen=True)
 class PlannerResult:
-    """Outcome of one planning attempt plus timing and counter statistics."""
+    """Outcome of one planning attempt plus timing and counter statistics.
+
+    ``status`` is ``SOLVED_FORWARD`` or ``SOLVED_BACKWARD`` with a path,
+    ``FAILURE`` when the budget ran out, or ``UNSOLVABLE`` with the
+    ``validate_query`` verdict as ``reason``.
+    """
 
     status: str
     planning_time: float
     stats: dict = field(default_factory=dict)
     path: Path | None = None
-    direction: str | None = None  # solved results only
-    reason: str | None = None     # unsolvable results only
-
-    @classmethod
-    def solved(cls, path: Path, direction: str, planning_time: float, stats: dict):
-        return cls(status=SOLVED, planning_time=planning_time, stats=stats,
-                   path=path, direction=direction)
-
-    @classmethod
-    def timeout(cls, planning_time: float, stats: dict):
-        return cls(status=FAILURE_TIMEOUT, planning_time=planning_time, stats=stats)
-
-    @classmethod
-    def unsolvable(cls, reason: str, planning_time: float, stats: dict):
-        return cls(status=UNSOLVABLE, planning_time=planning_time, stats=stats,
-                   reason=reason)
+    reason: str | None = None  # unsolvable results only
 
 
 def goal_satisfied(goal: GoalSpec, q) -> bool:
@@ -153,8 +133,8 @@ def validate_query(robot: RobotModel, world: WorldModel, query: Query) -> str:
     The start is checked itself, and the goal collides when it has no
     ``goal_representative``: when a config goal's target collides, or a
     region goal's center and all 32 draws do.  A planner that gets ``ok``
-    here plans toward a free representative, so its verdict is ``solved``
-    or ``failure_timeout``, never ``unsolvable``.
+    here plans toward a free representative, so its status is a solved one
+    or ``failure``, never ``unsolvable``.
     """
     return screen_query(robot, world, query)[0]
 

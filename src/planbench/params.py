@@ -16,9 +16,9 @@ from .rrt_connect import RrtParams
 
 _COMMON_KEYS = {"edge_step", "goal_tolerance_default", "seed"}
 _RRT_KEYS = {"step_eta", "edge_step", "max_iterations", "seed"}
-_ARA_KEYS = {"epsilon_schedule", "edge_step", "budget_split"}
+_ARA_KEYS = {"epsilon_schedule", "edge_step"}
 _TOP_KEYS = {"common", "rrt_connect", "ara_star"}
-_FLOAT_KEYS = {"edge_step", "goal_tolerance_default", "step_eta", "budget_split"}
+_FLOAT_KEYS = {"edge_step", "goal_tolerance_default", "step_eta"}
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 Each iteration samples the configuration space uniformly, extends one tree
 toward the sample by at most ``step_eta`` (weighted distance), then greedily
 connects the other tree toward the freshly added node; tree roles swap every
-iteration.  Solutions are reported with direction "forward" always: the
+iteration.  Solutions are always reported as ``solved-forward``: the
 bidirectional growth is internal.
 
 The planner runs this loop through ``extend`` and ``connect`` but reads each
@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collision import motions_free
-from .core import (FORWARD, OK, PlannerResult, Path, Query, goal_satisfied,
-                   screen_query)
+from .core import (FAILURE, OK, SOLVED_FORWARD, UNSOLVABLE, PlannerResult, Path,
+                   Query, goal_satisfied, screen_query)
 from .errors import ContractViolation, ValidationError
 from .robot import RobotModel, as_configuration, config_distance
 from .world import WorldModel
@@ -94,10 +94,6 @@ class Tree:
     def nodes(self) -> np.ndarray:
         """The (size, dof) view of the nodes."""
         return self._columns[:, : self.size].T
-
-    @property
-    def parents(self) -> np.ndarray:
-        return self._parents[: self.size]
 
     def config(self, index: int) -> np.ndarray:
         return self._columns[:, index].copy()
@@ -363,10 +359,11 @@ def plan_rrt_connect(robot: RobotModel, world: WorldModel, query: Query,
 
     verdict, representative = screen_query(robot, world, query)
     if verdict != OK:
-        return PlannerResult.unsolvable(verdict, time.perf_counter() - t0, stats)
+        return PlannerResult(UNSOLVABLE, time.perf_counter() - t0, stats,
+                             reason=verdict)
     if goal_satisfied(query.goal, query.start):
-        path = Path(query.start[None, :].copy())
-        return PlannerResult.solved(path, FORWARD, time.perf_counter() - t0, stats)
+        return PlannerResult(SOLVED_FORWARD, time.perf_counter() - t0, stats,
+                             Path(query.start[None, :].copy()))
 
     trees = (Tree(robot, query.start), Tree(robot, representative))
     cache = _Lookahead(robot, world, params, trees, stats)
@@ -387,8 +384,8 @@ def plan_rrt_connect(robot: RobotModel, world: WorldModel, query: Query,
             ends = (new_index, meet) if i % 2 == 0 else (meet, new_index)
             waypoints = _join_paths(trees[0], ends[0], trees[1], ends[1])
             stats["nodes"] = trees[0].size + trees[1].size
-            return PlannerResult.solved(
-                Path(waypoints), FORWARD, time.perf_counter() - t0, stats)
+            return PlannerResult(SOLVED_FORWARD, time.perf_counter() - t0, stats,
+                                 Path(waypoints))
 
     stats["nodes"] = trees[0].size + trees[1].size
-    return PlannerResult.timeout(time.perf_counter() - t0, stats)
+    return PlannerResult(FAILURE, time.perf_counter() - t0, stats)

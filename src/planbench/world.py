@@ -103,19 +103,6 @@ class Obstacle:
         if self.shape == SPHERE and self.yaw != 0.0:
             raise ValidationError("sphere orientation is the identity; yaw must be 0")
 
-    @classmethod
-    def box(cls, center, half_extents, yaw=0.0):
-        return cls(shape=BOX, center=center, yaw=yaw, half_extents=half_extents)
-
-    @classmethod
-    def cylinder(cls, center, radius, half_height, yaw=0.0):
-        return cls(shape=CYLINDER, center=center, yaw=yaw, radius=radius,
-                   half_height=half_height)
-
-    @classmethod
-    def sphere(cls, center, radius):
-        return cls(shape=SPHERE, center=center, radius=radius)
-
     __eq__ = _field_eq("shape", "center", "yaw", "half_extents", "radius", "half_height")
 
 

@@ -10,7 +10,9 @@ import pytest
 
 from planbench.robot import (PRISMATIC, REVOLUTE, CollisionSphere, JointSpec,
                              RobotModel)
-from planbench.world import Obstacle, WorldModel
+from planbench.world import WorldModel
+
+from oracles import box_obstacle, cylinder_obstacle, sphere_obstacle
 
 
 def make_joint(name, kind=REVOLUTE, axis=(0, 0, 1), origin_xyz=(0, 0, 0),
@@ -82,14 +84,14 @@ def random_world(rng, count=None, span=1.0):
         shape = rng.choice(["box", "cylinder", "sphere"])
         center = rng.uniform(-span, span, size=3)
         if shape == "box":
-            obstacles.append(Obstacle.box(center, rng.uniform(0.05, 0.4, size=3),
+            obstacles.append(box_obstacle(center, rng.uniform(0.05, 0.4, size=3),
                                           yaw=float(rng.uniform(-math.pi, math.pi))))
         elif shape == "cylinder":
-            obstacles.append(Obstacle.cylinder(center, float(rng.uniform(0.05, 0.4)),
-                                               float(rng.uniform(0.05, 0.4)),
-                                               yaw=float(rng.uniform(-math.pi, math.pi))))
+            obstacles.append(cylinder_obstacle(center, float(rng.uniform(0.05, 0.4)),
+                                                float(rng.uniform(0.05, 0.4)),
+                                                yaw=float(rng.uniform(-math.pi, math.pi))))
         else:
-            obstacles.append(Obstacle.sphere(center, float(rng.uniform(0.05, 0.4))))
+            obstacles.append(sphere_obstacle(center, float(rng.uniform(0.05, 0.4))))
     return WorldModel(tuple(obstacles))
 
 

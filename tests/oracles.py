@@ -38,6 +38,7 @@ from planbench.collision import motions_free
 from planbench.core import OK, goal_representative, goal_satisfied, validate_query
 from planbench.robot import PRISMATIC, config_distance
 from planbench.rrt_connect import REACHED, TRAPPED, Tree, connect, extend
+from planbench.world import Obstacle
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +138,19 @@ def sphere_obstacle_distance_oracle(center, radius, obstacle):
     return d - radius
 
 
+def box_obstacle(center, half_extents, yaw=0.0):
+    return Obstacle(shape="box", center=center, yaw=yaw, half_extents=half_extents)
+
+
+def cylinder_obstacle(center, radius, half_height, yaw=0.0):
+    return Obstacle(shape="cylinder", center=center, yaw=yaw, radius=radius,
+                    half_height=half_height)
+
+
+def sphere_obstacle(center, radius):
+    return Obstacle(shape="sphere", center=center, radius=radius)
+
+
 def sample_uniform(robot, rng):
     """One configuration with each joint value drawn uniform over its limits:
     one row of the planner's batched ``rng.uniform`` draw."""
@@ -191,6 +205,22 @@ def brute_force_check(robot, world, q):
             if float(np.linalg.norm(ci - cj)) < ri + rj:
                 return ("self", si, sj)
     return ("free",)
+
+
+def brute_force_masks(robot, world, q):
+    """(world, self, world_margin, self_margin) for one configuration, every
+    pair judged by its own distance: the (S, O) world mask and its signed
+    ``sphere_obstacle_distance_oracle`` margins, and the (P,) self mask over
+    ``self_pairs_dense`` with margins ``|ci - cj| - (ri + rj)``.  An entry is
+    True iff its margin is negative."""
+    placed = matrix_chain_spheres(robot, np.asarray(q, dtype=float))
+    world_margin = np.array([[sphere_obstacle_distance_oracle(c, r, o)
+                              for o in world.obstacles] for c, r in placed])
+    world_margin = world_margin.reshape(len(placed), len(world.obstacles))
+    self_margin = np.array([float(np.linalg.norm(placed[i][0] - placed[j][0]))
+                            - (placed[i][1] + placed[j][1])
+                            for i, j in self_pairs_dense(robot)])
+    return world_margin < 0, self_margin < 0, world_margin, self_margin
 
 
 # ---------------------------------------------------------------------------
@@ -524,13 +554,13 @@ def rrt_connect_sequential(robot, world, query, params):
     swaps the trees.  There is no clock: the loop ends when the trees meet
     or after ``params.max_iterations`` iterations, so the query must be
     solvable or the iterations bounded.  Stats hold iterations and nodes;
-    status is "solved", "unsolvable" or "failure_timeout".
+    status is "solved-forward", "unsolvable" or "failure".
     """
     stats = {"iterations": 0, "nodes": 0}
     if validate_query(robot, world, query) != OK:
         return "unsolvable", None, stats
     if goal_satisfied(query.goal, query.start):
-        return "solved", query.start[None, :].copy(), stats
+        return "solved-forward", query.start[None, :].copy(), stats
     rng = np.random.default_rng(params.seed)
     start_tree = Tree(robot, query.start)
     tree_a, tree_b = start_tree, Tree(robot, goal_representative(robot, world, query.goal))
@@ -542,11 +572,11 @@ def rrt_connect_sequential(robot, world, query, params):
             if status_b == REACHED:
                 stats["nodes"] = tree_a.size + tree_b.size
                 if tree_a is start_tree:
-                    return "solved", _joined(tree_a, new_index, tree_b, meet), stats
-                return "solved", _joined(tree_b, meet, tree_a, new_index), stats
+                    return "solved-forward", _joined(tree_a, new_index, tree_b, meet), stats
+                return "solved-forward", _joined(tree_b, meet, tree_a, new_index), stats
         tree_a, tree_b = tree_b, tree_a
     stats["nodes"] = tree_a.size + tree_b.size
-    return "failure_timeout", None, stats
+    return "failure", None, stats
 
 
 def _joined(start_tree, start_meet, goal_tree, goal_meet):

@@ -12,22 +12,22 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from planbench.ara_star import (AraParams, ara_search, default_primitives,
+from planbench.ara_star import (BUDGET_SPLIT, AraParams, ara_search, default_primitives,
                                 discretize, plan_ara_star)
 from planbench.bench import (ARA_STAR, RRT_CONNECT, RunRecord, aggregate,
                              emit_report, run_suite)
 from planbench.collision import check_config
-from planbench.core import (BACKWARD, BUDGET_GRACE, Query, query_from_scenario,
-                            validate_path)
+from planbench.core import (BUDGET_GRACE, SOLVED_BACKWARD, SOLVED_FORWARD, Query,
+                            query_from_scenario, validate_path)
 from planbench.params import parse_params
 from planbench.rrt_connect import RrtParams, plan_rrt_connect
-from planbench.world import (GoalSpec, Obstacle, WorldModel, generate_variations,
-                             load_scenario)
+from planbench.world import GoalSpec, WorldModel, generate_variations, load_scenario
 
 from planbench.data import data_path
 
 from conftest import gantry_robot, random_robot, random_world
-from oracles import brute_force_check, matrix_chain_spheres, sample_uniform
+from oracles import (box_obstacle, brute_force_check, matrix_chain_spheres,
+                     sample_uniform, sphere_obstacle)
 
 TUNED_PARAMS = parse_params(data_path("params", "shelf_tuned.yaml").read_text())
 
@@ -141,7 +141,7 @@ def test_c05_rrt_connect_completeness_smoke(shelf_easy):
     for seed in range(100):
         result = plan_rrt_connect(shelf_easy.robot, shelf_easy.world, query,
                                   RrtParams(seed=seed))
-        assert result.status == "solved", f"seed {seed}: {result.status}"
+        assert result.status == SOLVED_FORWARD, f"seed {seed}: {result.status}"
         assert result.planning_time <= query.time_budget + BUDGET_GRACE
         assert validate_path(shelf_easy.robot, shelf_easy.world, query,
                              result.path, 0.05), f"seed {seed}"
@@ -154,17 +154,16 @@ def test_c06_backward_search_benefit():
     """A deep-cavity goal solves backward while the forward half fails."""
     robot = gantry_robot(resolution=0.015)
     world = WorldModel((
-        Obstacle.box((2.71, 2.8, 0.0), (0.21, 1.8, 0.5)),   # slot left wall
-        Obstacle.box((3.29, 2.8, 0.0), (0.21, 1.8, 0.5)),   # slot right wall
-        Obstacle.box((3.0, 0.95, 0.0), (0.5, 0.1, 0.5)),    # slot floor
+        box_obstacle((2.71, 2.8, 0.0), (0.21, 1.8, 0.5)),   # slot left wall
+        box_obstacle((3.29, 2.8, 0.0), (0.21, 1.8, 0.5)),   # slot right wall
+        box_obstacle((3.0, 0.95, 0.0), (0.5, 0.1, 0.5)),    # slot floor
     ))
     goal = GoalSpec.config_goal([3.0, 1.3], [0.0, 0.0])
     query = Query(start=[1.2, 4.8], goal=goal, time_budget=4.0)
-    params = AraParams(epsilon_schedule=(50.0,), edge_step=0.05, budget_split=0.5)
+    params = AraParams(epsilon_schedule=(50.0,), edge_step=0.05)
     result = plan_ara_star(robot, world, query, default_primitives(robot), params)
-    assert result.status == "solved"
-    assert result.direction == BACKWARD  # the forward half-budget failed
-    assert result.planning_time >= query.time_budget * params.budget_split
+    assert result.status == SOLVED_BACKWARD  # the forward half-budget failed
+    assert result.planning_time >= query.time_budget * BUDGET_SPLIT
     assert result.stats["expansions_forward"] > result.stats["expansions_backward"]
     assert validate_path(robot, world, query, result.path, 0.05)
     _report(f"backward-search benefit (forward {result.stats['expansions_forward']} "
@@ -172,15 +171,15 @@ def test_c06_backward_search_benefit():
 
 
 def test_c07_unsolvable_detection(shelf_easy):
-    """Colliding endpoints yield 'unsolvable', never 'failure_timeout'."""
+    """Colliding endpoints yield 'unsolvable', never 'failure'."""
     robot = shelf_easy.robot
     from planbench.robot import sphere_centers_batch
     start_tip, goal_tip = sphere_centers_batch(
         robot, np.array([shelf_easy.start, shelf_easy.goal.target]))[:, -1]
     blocked_start = replace(shelf_easy, world=WorldModel(
-        shelf_easy.world.obstacles + (Obstacle.sphere(start_tip, 0.08),)))
+        shelf_easy.world.obstacles + (sphere_obstacle(start_tip, 0.08),)))
     blocked_goal = replace(shelf_easy, world=WorldModel(
-        shelf_easy.world.obstacles + (Obstacle.sphere(goal_tip, 0.08),)))
+        shelf_easy.world.obstacles + (sphere_obstacle(goal_tip, 0.08),)))
     assert not check_config(robot, blocked_start.world, shelf_easy.start)
     assert check_config(robot, blocked_goal.world, shelf_easy.start)
     assert not check_config(robot, blocked_goal.world, shelf_easy.goal.target)
@@ -217,12 +216,15 @@ def test_c08_report_shape(suite_records):
     table = emit_report(report, "table")
     rows = [line.split() for line in table.splitlines() if line]
     assert ["shelf_zero_test", "47", "53", "0", "0"] in rows
-    assert report.rows[0].conserved
+    row = report.rows[0]
+    assert (row.success_forward + row.success_backward + row.failure
+            + row.unsolvable + row.errors) == row.total
 
     _, records = suite_records
     real = aggregate(records[ARA_STAR] + records[RRT_CONNECT], suite="shelf_reach")
     for row in real.rows:
-        assert row.conserved
+        assert (row.success_forward + row.success_backward + row.failure
+                + row.unsolvable + row.errors) == row.total
         assert row.total == 30
     _report("report shape: Table-1 style row and conservation invariant")
 

@@ -12,17 +12,17 @@ from planbench import ara_star, collision
 from planbench.ara_star import (AraParams, LatticeCache, ara_search, decode,
                                 default_primitives, discretize, plan_ara_star)
 from planbench.collision import check_motion, free_mask, motion_configs
-from planbench.core import (BACKWARD, BUDGET_GRACE, FORWARD, OK, SOLVED, UNSOLVABLE,
+from planbench.core import (BUDGET_GRACE, FAILURE, OK, SOLVED_BACKWARD, SOLVED_FORWARD,
+                            UNSOLVABLE,
                             Query, goal_satisfied, path_cost, query_from_scenario,
                             validate_path, validate_query)
 from planbench.data import data_path
 from planbench.errors import ValidationError
 from planbench.params import parse_params
-from planbench.world import (GoalSpec, Obstacle, WorldModel, generate_variations,
-                             load_scenario)
+from planbench.world import GoalSpec, WorldModel, generate_variations, load_scenario
 
 from conftest import gantry_robot, lattice_instance
-from oracles import ara_search_eager, dijkstra_lattice
+from oracles import ara_search_eager, box_obstacle, dijkstra_lattice, sphere_obstacle
 
 
 class TestParams:
@@ -102,7 +102,7 @@ class TestAraSearch:
         # different configurations: a free snap edge toward the first goal
         # must not stand for the blocked one toward the second.
         robot = gantry_robot(extent=6.0, resolution=0.5)
-        world = WorldModel((Obstacle.box((3.2, 3.0, 0.0), (0.02, 0.3, 0.3)),))
+        world = WorldModel((box_obstacle((3.2, 3.0, 0.0), (0.02, 0.3, 0.3)),))
         primitives = default_primitives(robot)  # snap radius 1.0
         params = AraParams(epsilon_schedule=(1.0,))
         cache = LatticeCache()
@@ -119,10 +119,10 @@ class TestAraSearch:
         robot = gantry_robot(resolution=0.25)
         # Goal enclosed in a solid ring of boxes.
         world = WorldModel((
-            Obstacle.box((4.0, 4.0, 0.0), (0.75, 0.1, 0.5)),
-            Obstacle.box((4.0, 2.6, 0.0), (0.75, 0.1, 0.5)),
-            Obstacle.box((3.3, 3.3, 0.0), (0.1, 0.8, 0.5)),
-            Obstacle.box((4.7, 3.3, 0.0), (0.1, 0.8, 0.5)),
+            box_obstacle((4.0, 4.0, 0.0), (0.75, 0.1, 0.5)),
+            box_obstacle((4.0, 2.6, 0.0), (0.75, 0.1, 0.5)),
+            box_obstacle((3.3, 3.3, 0.0), (0.1, 0.8, 0.5)),
+            box_obstacle((4.7, 3.3, 0.0), (0.1, 0.8, 0.5)),
         ))
         goal = GoalSpec.config_goal([4.0, 3.3], [0.0, 0.0])
         start = discretize(robot, [1.0, 1.0])
@@ -217,13 +217,13 @@ class TestEagerEquivalence:
         # The backward search of test_c06: out of the slot toward the start.
         robot = gantry_robot(resolution=0.015)
         world = WorldModel((
-            Obstacle.box((2.71, 2.8, 0.0), (0.21, 1.8, 0.5)),
-            Obstacle.box((3.29, 2.8, 0.0), (0.21, 1.8, 0.5)),
-            Obstacle.box((3.0, 0.95, 0.0), (0.5, 0.1, 0.5)),
+            box_obstacle((2.71, 2.8, 0.0), (0.21, 1.8, 0.5)),
+            box_obstacle((3.29, 2.8, 0.0), (0.21, 1.8, 0.5)),
+            box_obstacle((3.0, 0.95, 0.0), (0.5, 0.1, 0.5)),
         ))
         start = discretize(robot, [3.0, 1.3])
         goal = GoalSpec.config_goal([1.2, 4.8], tolerance=robot.resolutions / 2.0)
-        params = AraParams(epsilon_schedule=(50.0,), budget_split=0.5)
+        params = AraParams(epsilon_schedule=(50.0,))
         stats = assert_same_as_eager(start, goal, default_primitives(robot),
                                      params, robot, world)
         assert stats.incumbent_costs[0] is not None
@@ -253,7 +253,7 @@ class TestStateCache:
         # configuration of the motions out of it is free, so the start's row
         # may be skipped only once the cache knows it is free.
         robot = gantry_robot(resolution=0.5)
-        world = WorldModel((Obstacle.sphere((1.0, 1.0, 0.1), 0.055),))
+        world = WorldModel((sphere_obstacle((1.0, 1.0, 0.1), 0.055),))
         start = discretize(robot, [1.0, 1.0])
         assert not free_mask(robot, world, decode(robot, start)[None])[0]
         for step in ([0.05, 0.0], [0.0, 0.05], [-0.05, 0.0], [0.0, -0.05]):
@@ -271,8 +271,8 @@ class TestStateCache:
 
     def test_no_configuration_checked_twice(self, checked_rows):
         robot = gantry_robot(resolution=0.25)
-        world = WorldModel((Obstacle.box((3.0, 3.0, 0.0), (0.3, 1.2, 0.5)),
-                            Obstacle.box((2.0, 4.6, 0.0), (1.0, 0.2, 0.5))))
+        world = WorldModel((box_obstacle((3.0, 3.0, 0.0), (0.3, 1.2, 0.5)),
+                            box_obstacle((2.0, 4.6, 0.0), (1.0, 0.2, 0.5))))
         goal = GoalSpec.region_goal([4.6, 4.6], [5.2, 5.2])
         params = AraParams(epsilon_schedule=DEFAULT_SCHEDULE)
         stats = {}
@@ -289,7 +289,7 @@ class TestStateCache:
         # (3, 2) to (5, 2); the second, on the same cache, starts next to
         # it at (5, 2) and must block the edge into it unchecked.
         robot = gantry_robot(resolution=0.5)
-        world = WorldModel((Obstacle.sphere((2.0, 1.0, 0.0), 0.1),))
+        world = WorldModel((sphere_obstacle((2.0, 1.0, 0.0), 0.1),))
         primitives = default_primitives(robot)
         params = AraParams(epsilon_schedule=(1.0,))
         cache = LatticeCache()
@@ -324,8 +324,7 @@ class TestPlanAraStar:
         query = simple_query()
         result = plan_ara_star(robot, WorldModel(()), query,
                                default_primitives(robot), params)
-        assert result.status == SOLVED
-        assert result.direction == FORWARD
+        assert result.status == SOLVED_FORWARD
         assert validate_path(robot, WorldModel(()), query, result.path, 0.05)
 
     def test_off_lattice_endpoints_joined_exactly(self):
@@ -336,14 +335,14 @@ class TestPlanAraStar:
         query = Query(start=[1.13, 1.21], goal=goal, time_budget=10.0)
         result = plan_ara_star(robot, WorldModel(()), query,
                                default_primitives(robot), params)
-        assert result.status == SOLVED
-        assert np.array_equal(result.path.first, np.array([1.13, 1.21]))
-        assert np.array_equal(result.path.last, np.array([4.87, 4.61]))
+        assert result.status == SOLVED_FORWARD
+        assert np.array_equal(result.path.waypoints[0], np.array([1.13, 1.21]))
+        assert np.array_equal(result.path.waypoints[-1], np.array([4.87, 4.61]))
         assert validate_path(robot, WorldModel(()), query, result.path, 0.05)
 
     def test_start_in_collision_unsolvable_without_expansion(self):
         robot = gantry_robot(resolution=0.25)
-        world = WorldModel((Obstacle.box((1.0, 1.0, 0.0), (0.3, 0.3, 0.3)),))
+        world = WorldModel((box_obstacle((1.0, 1.0, 0.0), (0.3, 0.3, 0.3)),))
         params = AraParams(epsilon_schedule=(3.0, 1.0), edge_step=0.05)
         result = plan_ara_star(robot, world, simple_query(),
                                default_primitives(robot), params)
@@ -358,16 +357,16 @@ class TestPlanAraStar:
         query = Query(start=[1.0, 1.0], goal=goal, time_budget=5.0)
         result = plan_ara_star(robot, WorldModel(()), query,
                                default_primitives(robot), params)
-        assert result.status == SOLVED
+        assert result.status == SOLVED_FORWARD
         assert len(result.path) == 1
 
     def test_deterministic(self):
         robot = gantry_robot(resolution=0.25)
-        world = WorldModel((Obstacle.box((3.0, 3.0, 0.0), (0.3, 1.2, 0.5)),))
+        world = WorldModel((box_obstacle((3.0, 3.0, 0.0), (0.3, 1.2, 0.5)),))
         params = AraParams(epsilon_schedule=(3.0, 1.0), edge_step=0.05)
         a = plan_ara_star(robot, world, simple_query(), default_primitives(robot), params)
         b = plan_ara_star(robot, world, simple_query(), default_primitives(robot), params)
-        assert a.status == b.status == SOLVED
+        assert a.status == b.status == SOLVED_FORWARD
         assert np.array_equal(a.path.waypoints, b.path.waypoints)
 
     def test_region_goal_forward(self):
@@ -377,8 +376,8 @@ class TestPlanAraStar:
         params = AraParams(epsilon_schedule=(3.0, 1.0), edge_step=0.05)
         result = plan_ara_star(robot, WorldModel(()), query,
                                default_primitives(robot), params)
-        assert result.status == SOLVED
-        assert goal_satisfied(goal, result.path.last)
+        assert result.status == SOLVED_FORWARD
+        assert goal_satisfied(goal, result.path.waypoints[-1])
         assert validate_path(robot, WorldModel(()), query, result.path, 0.05)
 
     def test_backward_direction_on_slot_scenario(self):
@@ -387,26 +386,24 @@ class TestPlanAraStar:
         # the backward search escapes the slot quickly and runs home.
         robot = gantry_robot(resolution=0.015)
         world = WorldModel((
-            Obstacle.box((2.71, 2.8, 0.0), (0.21, 1.8, 0.5)),   # left wall
-            Obstacle.box((3.29, 2.8, 0.0), (0.21, 1.8, 0.5)),   # right wall
-            Obstacle.box((3.0, 0.95, 0.0), (0.5, 0.1, 0.5)),    # slot floor
+            box_obstacle((2.71, 2.8, 0.0), (0.21, 1.8, 0.5)),   # left wall
+            box_obstacle((3.29, 2.8, 0.0), (0.21, 1.8, 0.5)),   # right wall
+            box_obstacle((3.0, 0.95, 0.0), (0.5, 0.1, 0.5)),    # slot floor
         ))
         goal = GoalSpec.config_goal([3.0, 1.3], [0.0, 0.0])
         query = Query(start=[1.2, 4.8], goal=goal, time_budget=4.0)
-        params = AraParams(epsilon_schedule=(50.0,), edge_step=0.05,
-                           budget_split=0.5)
+        params = AraParams(epsilon_schedule=(50.0,), edge_step=0.05)
         result = plan_ara_star(robot, world, query, default_primitives(robot), params)
-        assert result.status == SOLVED
-        assert result.direction == BACKWARD
+        assert result.status == SOLVED_BACKWARD
         assert validate_path(robot, world, query, result.path, 0.05)
 
     def test_budget_respected(self):
         robot = gantry_robot(resolution=0.02)
         world = WorldModel((
-            Obstacle.box((4.0, 4.0, 0.0), (0.6, 0.05, 0.5)),
-            Obstacle.box((4.0, 2.8, 0.0), (0.6, 0.05, 0.5)),
-            Obstacle.box((3.4, 3.4, 0.0), (0.05, 0.65, 0.5)),
-            Obstacle.box((4.6, 3.4, 0.0), (0.05, 0.65, 0.5)),
+            box_obstacle((4.0, 4.0, 0.0), (0.6, 0.05, 0.5)),
+            box_obstacle((4.0, 2.8, 0.0), (0.6, 0.05, 0.5)),
+            box_obstacle((3.4, 3.4, 0.0), (0.05, 0.65, 0.5)),
+            box_obstacle((4.6, 3.4, 0.0), (0.05, 0.65, 0.5)),
         ))
         goal = GoalSpec.config_goal([4.0, 3.4], [0.0, 0.0])
         budget = 0.8
@@ -414,7 +411,7 @@ class TestPlanAraStar:
         params = AraParams(epsilon_schedule=(1.0,), edge_step=0.05)
         t0 = time.perf_counter()
         result = plan_ara_star(robot, world, query, default_primitives(robot), params)
-        assert result.status == "failure_timeout"
+        assert result.status == FAILURE
         assert result.planning_time <= budget + 0.05
         assert time.perf_counter() - t0 <= budget + 0.5
 
@@ -422,14 +419,14 @@ class TestPlanAraStar:
         # A field of posts blocks most lattice edges and the goal is walled
         # in, so lazy resolution runs until the deadline.
         robot = gantry_robot(resolution=0.02, radius=0.05)
-        posts = tuple(Obstacle.box((0.3 + 0.25 * i, 0.3 + 0.25 * j, 0.0),
+        posts = tuple(box_obstacle((0.3 + 0.25 * i, 0.3 + 0.25 * j, 0.0),
                                    (0.06, 0.06, 0.5))
                       for i in range(22) for j in range(22))
         walls = (
-            Obstacle.box((4.0, 4.0, 0.0), (0.6, 0.05, 0.5)),
-            Obstacle.box((4.0, 2.8, 0.0), (0.6, 0.05, 0.5)),
-            Obstacle.box((3.4, 3.4, 0.0), (0.05, 0.65, 0.5)),
-            Obstacle.box((4.6, 3.4, 0.0), (0.05, 0.65, 0.5)),
+            box_obstacle((4.0, 4.0, 0.0), (0.6, 0.05, 0.5)),
+            box_obstacle((4.0, 2.8, 0.0), (0.6, 0.05, 0.5)),
+            box_obstacle((3.4, 3.4, 0.0), (0.05, 0.65, 0.5)),
+            box_obstacle((4.6, 3.4, 0.0), (0.05, 0.65, 0.5)),
         )
         world = WorldModel(posts + walls)
         goal = GoalSpec.config_goal([4.175, 3.425], [0.0, 0.0])  # between posts
@@ -437,6 +434,6 @@ class TestPlanAraStar:
         query = Query(start=[0.17, 0.17], goal=goal, time_budget=budget)
         params = AraParams(epsilon_schedule=(3.0, 1.0), edge_step=0.05)
         result = plan_ara_star(robot, world, query, default_primitives(robot), params)
-        assert result.status == "failure_timeout"
+        assert result.status == FAILURE
         assert result.stats["expansions"] > 0
         assert result.planning_time <= budget + BUDGET_GRACE

@@ -3,13 +3,18 @@
 import numpy as np
 import pytest
 
-from planbench.bench import (ARA_STAR, CSV_HEADER, RRT_CONNECT, RunRecord,
-                             aggregate, emit_report, parse_records, run_one,
+from planbench import bench
+from planbench.bench import (ARA_STAR, CSV_HEADER, RRT_CONNECT, STATUSES, RunRecord,
+                             aggregate, emit_report, parse_records, plan, run_one,
                              run_suite)
-from planbench.core import BUDGET_GRACE
+from planbench.core import (BUDGET_GRACE, FAILURE, SOLVED_BACKWARD, SOLVED_FORWARD,
+                            UNSOLVABLE)
 from planbench.errors import ContractViolation
 from planbench.params import parse_params
-from planbench.world import parse_scenario
+from planbench.world import GoalSpec, Scenario, WorldModel, parse_scenario
+
+from conftest import gantry_robot
+from oracles import box_obstacle
 
 GANTRY_ROBOT = """
 joints:
@@ -50,7 +55,50 @@ def suite(tmp_path):
 PARAMS = parse_params("ara_star: {epsilon_schedule: [3.0, 1.0]}\n")
 
 
+@pytest.fixture
+def outcomes(suite, tmp_path):
+    """The suite plus a goal walled in on all sides, which no planner
+    reaches, and ARA*'s slot scenario, whose forward half-budget fails and
+    whose backward search solves, each with the params it runs under."""
+    sealed = parse_scenario(scenario_doc("sealed", budget=0.3, obstacles=", ".join(
+        f"{{shape: box, center: [{x}, {y}, 0.0], half_extents: [{hx}, {hy}, 0.5]}}"
+        for x, y, hx, hy in ((5.0, 5.4, 0.5, 0.05), (5.0, 4.6, 0.5, 0.05),
+                             (4.6, 5.0, 0.05, 0.5), (5.4, 5.0, 0.05, 0.5)))),
+        base_dir=tmp_path)
+    slot = Scenario(
+        name="slot", robot_file="gantry.yaml", robot=gantry_robot(resolution=0.015),
+        start=[1.2, 4.8], goal=GoalSpec.config_goal([3.0, 1.3], [0.0, 0.0]),
+        world=WorldModel((box_obstacle((2.71, 2.8, 0.0), (0.21, 1.8, 0.5)),
+                          box_obstacle((3.29, 2.8, 0.0), (0.21, 1.8, 0.5)),
+                          box_obstacle((3.0, 0.95, 0.0), (0.5, 0.1, 0.5)))),
+        time_budget=4.0)
+    cases = {s.name: (s, PARAMS) for s in suite + [sealed]}
+    cases["slot"] = slot, parse_params("ara_star: {epsilon_schedule: [50.0]}\n")
+    return cases
+
+
 class TestRunSuite:
+    @pytest.mark.parametrize("planner, name, status", [
+        (RRT_CONNECT, "simple", SOLVED_FORWARD),
+        (ARA_STAR, "simple", SOLVED_FORWARD),
+        (ARA_STAR, "slot", SOLVED_BACKWARD),
+        (RRT_CONNECT, "sealed", FAILURE),
+        (ARA_STAR, "sealed", FAILURE),
+        (RRT_CONNECT, "blocked_start", UNSOLVABLE),
+        (ARA_STAR, "blocked_start", UNSOLVABLE),
+    ])
+    def test_record_status_is_the_planner_status(self, outcomes, monkeypatch,
+                                                 planner, name, status):
+        # The planners return record statuses, which run_one copies as is.
+        results = []
+        monkeypatch.setattr(bench, "plan", lambda *args: (
+            results.append(plan(*args)) or results[-1]))
+        scenario, params = outcomes[name]
+        record = run_one(scenario, planner, params, seed=0)
+        assert [result.status for result in results] == [status]
+        assert record.status == status and status in STATUSES
+        assert (record.path is None) == (results[0].path is None)
+
     def test_statuses_and_counts(self, suite):
         for planner in (RRT_CONNECT, ARA_STAR):
             records = run_suite(suite, planner, PARAMS, repetitions=1, base_seed=7)
@@ -152,14 +200,16 @@ class TestAggregate:
         assert (row.success_forward, row.success_backward, row.failure,
                 row.unsolvable) == (47, 53, 0, 0)
         assert row.success_rate == pytest.approx(1.0)
-        assert row.conserved
+        assert (row.success_forward + row.success_backward + row.failure
+                + row.unsolvable + row.errors) == row.total
 
     def test_success_rate_with_failures(self):
         records = synthetic_records("rrt-connect", 85, 0, 15, 0)
         report = aggregate(records, suite="shelf_zero_test")
         row = report.rows[0]
         assert row.success_rate == pytest.approx(0.85)
-        assert row.conserved
+        assert (row.success_forward + row.success_backward + row.failure
+                + row.unsolvable + row.errors) == row.total
 
     def test_all_failure_suite_has_empty_solved_summary(self):
         records = synthetic_records("rrt-connect", 0, 0, 10, 0)
@@ -192,7 +242,8 @@ class TestAggregate:
                                      base_seed=0))
         report = aggregate(records, suite="mixed")
         for row in report.rows:
-            assert row.conserved
+            assert (row.success_forward + row.success_backward + row.failure
+                    + row.unsolvable + row.errors) == row.total
             assert row.total == 6
 
 

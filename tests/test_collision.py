@@ -14,11 +14,13 @@ from planbench.collision import (_self_overlap_mask, _world_penetration_mask,
 from planbench.data import data_path
 from planbench.errors import ContractViolation
 from planbench.robot import PRISMATIC, CollisionSphere, RobotModel, sphere_centers_batch
-from planbench.world import Obstacle, WorldModel, load_scenario
+from planbench.world import WorldModel, load_scenario
 
 from conftest import gantry_robot, make_joint, random_robot, random_world
-from oracles import (brute_force_check, free_mask_dense, linspace_motion,
-                     sample_uniform, self_mask_dense, sphere_centers_3x3,
+from oracles import (box_obstacle, brute_force_check, brute_force_masks,
+                     cylinder_obstacle, free_mask_dense, linspace_motion,
+                     sample_uniform, self_mask_dense, self_pairs_dense,
+                     sphere_centers_3x3, sphere_obstacle,
                      sphere_obstacle_distance_oracle,
                      sphere_penetrates_monte_carlo, within_limits,
                      world_mask_dense)
@@ -79,16 +81,16 @@ class TestCheckConfig:
 
     def test_overlapping_spheres_collide(self):
         robot = one_sphere_robot()
-        world = WorldModel((Obstacle.sphere((1.15, 1.0, 0.0), 0.1),))
+        world = WorldModel((sphere_obstacle((1.15, 1.0, 0.0), 0.1),))
         assert check_config(robot, world, [1.0, 1.0]) is False
         centers = sphere_centers_batch(robot, np.array([[1.0, 1.0]]))
         assert np.argwhere(_world_penetration_mask(
             world, centers, robot.sphere_radii)[0]).tolist() == [[0, 0]]
 
     @pytest.mark.parametrize("obstacle", [
-        Obstacle.box((2.0, 1.0, 0.0), (0.5, 0.5, 0.5)),
-        Obstacle.cylinder((2.0, 1.0, 0.0), radius=0.5, half_height=0.5),
-        Obstacle.sphere((2.0, 1.0, 0.0), 0.5),
+        box_obstacle((2.0, 1.0, 0.0), (0.5, 0.5, 0.5)),
+        cylinder_obstacle((2.0, 1.0, 0.0), radius=0.5, half_height=0.5),
+        sphere_obstacle((2.0, 1.0, 0.0), 0.5),
     ], ids=["box_face", "cylinder_side", "sphere"])
     def test_touching_is_free_just_inside_collides(self, obstacle):
         # The robot sphere (radius 0.25) sits at (x, 1, 0); at x = 1.25 its
@@ -183,7 +185,7 @@ class TestCheckMotion:
 
     def test_blocked_at_midpoint(self):
         robot = one_sphere_robot()
-        world = WorldModel((Obstacle.sphere((3.0, 1.0, 0.0), 0.3),))
+        world = WorldModel((sphere_obstacle((3.0, 1.0, 0.0), 0.3),))
         a, b = [1.0, 1.0], [5.0, 1.0]
         assert not check_motion(robot, world, a, b, 0.05)
         # Dense sweep confirms the segment truly crosses the obstacle.
@@ -213,7 +215,7 @@ class TestCheckMotion:
         # A failure at step s must persist at finer steps when the colliding
         # interval is wider than the fine spacing (true for solid obstacles).
         robot = one_sphere_robot()
-        world = WorldModel((Obstacle.box((3.0, 1.0, 0.0), (0.4, 0.4, 0.4)),))
+        world = WorldModel((box_obstacle((3.0, 1.0, 0.0), (0.4, 0.4, 0.4)),))
         a, b = [1.0, 1.0], [5.0, 1.0]
         for step in (0.4, 0.2, 0.1, 0.05, 0.01):
             assert not check_motion(robot, world, a, b, step)
@@ -229,7 +231,7 @@ class TestCheckMotion:
         # The first of the motion's 81 configurations collides; all of them
         # are checked and counted, more than one old 64-configuration chunk.
         robot = one_sphere_robot()
-        world = WorldModel((Obstacle.sphere((1.0, 1.0, 0.0), 0.3),))
+        world = WorldModel((sphere_obstacle((1.0, 1.0, 0.0), 0.3),))
         stats = {}
         assert not check_motion(robot, world, [1, 1], [5, 1], 0.05, stats=stats)
         assert not check_config(robot, world, [1, 1])
@@ -273,7 +275,7 @@ class TestMotionsFree:
 
     def test_shared_start_row(self):
         robot = one_sphere_robot()
-        world = WorldModel((Obstacle.sphere((3.0, 1.0, 0.0), 0.3),))
+        world = WorldModel((sphere_obstacle((3.0, 1.0, 0.0), 0.3),))
         got = motions_free(robot, world, [1.0, 1.0], [[5.0, 1.0], [1.0, 3.0]], 0.05)
         assert got.tolist() == [False, True]
 
@@ -322,6 +324,31 @@ class TestBatchScalarAgreement:
                 assert mask[k] == check_config(robot, world, batch[k])
 
 
+class TestPairMasksAgainstBruteForce:
+    def test_shelf_entries_match_away_from_contact(self):
+        # Every (sphere, obstacle) and (sphere, sphere) entry of the package's
+        # masks against the pair's own distance by the independent oracle,
+        # except where the oracle's margin is too close to contact for the
+        # two computations' rounding to agree.
+        robot, world = SHELF.robot, SHELF.world
+        configs = np.random.default_rng(15).uniform(robot.lower, robot.upper,
+                                                    size=(400, robot.dof))
+        centers = sphere_centers_batch(robot, configs)
+        world_got = _world_penetration_mask(world, centers, robot.sphere_radii)
+        self_got = _self_overlap_mask(robot, centers)
+        assert self_got.shape[1] == len(self_pairs_dense(robot))
+        hits = np.zeros(2, dtype=int)
+        for k, q in enumerate(configs):
+            world_hit, self_hit, world_margin, self_margin = brute_force_masks(
+                robot, world, q)
+            clear = np.abs(world_margin) > 1e-9
+            assert np.array_equal(world_got[k][clear], world_hit[clear]), k
+            clear = np.abs(self_margin) > 1e-9
+            assert np.array_equal(self_got[k][clear], self_hit[clear]), k
+            hits += (world_hit.sum(), self_hit.sum())
+        assert hits.min() > 0, hits
+
+
 def point_robot(radius):
     """Three prismatic joints along x, y and z carrying one sphere, whose
     center is the configuration itself, exactly."""
@@ -334,9 +361,9 @@ def grazing_rows(radius):
     """(world, rows, inside): sphere centers at radius * (1 - 1e-12) and
     radius * (1 + 1e-12) from a yawed box's face and corner, a cylinder's side
     and a sphere obstacle; ``inside`` marks the rows that penetrate."""
-    box = Obstacle.box((0.3, -0.2, 0.5), (0.4, 0.25, 0.3), yaw=0.7)
-    cylinder = Obstacle.cylinder((-1.0, 1.2, 0.2), radius=0.35, half_height=0.5, yaw=1.1)
-    ball = Obstacle.sphere((1.5, 1.5, -0.4), 0.45)
+    box = box_obstacle((0.3, -0.2, 0.5), (0.4, 0.25, 0.3), yaw=0.7)
+    cylinder = cylinder_obstacle((-1.0, 1.2, 0.2), radius=0.35, half_height=0.5, yaw=1.1)
+    ball = sphere_obstacle((1.5, 1.5, -0.4), 0.45)
     c, s = math.cos(box.yaw), math.sin(box.yaw)
     hx, hy, hz = box.half_extents
 

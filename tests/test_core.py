@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 
 from planbench.collision import check_config
-from planbench.core import (FAILURE_TIMEOUT, GOAL_IN_COLLISION, OK,
-                            START_IN_COLLISION, UNSOLVABLE, Path, PlannerResult,
-                            Query, goal_representative, goal_satisfied,
+from planbench.core import (FAILURE, GOAL_IN_COLLISION, OK, START_IN_COLLISION,
+                            UNSOLVABLE, Path, Query, goal_representative, goal_satisfied,
                             path_cost, query_from_scenario, validate_path,
                             validate_query)
 from planbench.errors import ValidationError
-from planbench.world import GoalSpec, Obstacle, WorldModel
+from planbench.world import GoalSpec, WorldModel
 
 from conftest import gantry_robot, random_robot
-from oracles import sample_uniform
+from oracles import box_obstacle, sample_uniform, sphere_obstacle
 
 
 @pytest.fixture
@@ -31,13 +30,13 @@ class TestValidateQuery:
         assert validate_query(robot, empty_world, q) == OK
 
     def test_start_inside_box(self, robot):
-        world = WorldModel((Obstacle.box((1.0, 1.0, 0.0), (0.3, 0.3, 0.3)),))
+        world = WorldModel((box_obstacle((1.0, 1.0, 0.0), (0.3, 0.3, 0.3)),))
         q = Query(start=[1, 1], goal=config_goal([3, 3]), time_budget=1.0)
         assert not check_config(robot, world, [1.0, 1.0])
         assert validate_query(robot, world, q) == START_IN_COLLISION
 
     def test_config_goal_in_collision(self, robot):
-        world = WorldModel((Obstacle.box((3.0, 3.0, 0.0), (0.3, 0.3, 0.3)),))
+        world = WorldModel((box_obstacle((3.0, 3.0, 0.0), (0.3, 0.3, 0.3)),))
         q = Query(start=[1, 1], goal=config_goal([3, 3]), time_budget=1.0)
         assert validate_query(robot, world, q) == GOAL_IN_COLLISION
         assert goal_representative(robot, world, q.goal) is None
@@ -52,7 +51,7 @@ class TestValidateQuery:
 
     def test_region_goal_fully_blocked(self, robot):
         # The region sits entirely inside a solid box: all 33 samples collide.
-        world = WorldModel((Obstacle.box((3.0, 3.0, 0.0), (1.0, 1.0, 1.0)),))
+        world = WorldModel((box_obstacle((3.0, 3.0, 0.0), (1.0, 1.0, 1.0)),))
         goal = GoalSpec.region_goal([2.7, 2.7], [3.3, 3.3])
         q = Query(start=[0.5, 0.5], goal=goal, time_budget=1.0)
         assert validate_query(robot, world, q) == GOAL_IN_COLLISION
@@ -65,7 +64,7 @@ class TestValidateQuery:
         assert validate_query(robot, empty_world, q) == GOAL_IN_COLLISION
 
     def test_region_goal_partially_free(self, robot):
-        world = WorldModel((Obstacle.box((3.0, 3.0, 0.0), (0.2, 0.2, 0.2)),))
+        world = WorldModel((box_obstacle((3.0, 3.0, 0.0), (0.2, 0.2, 0.2)),))
         goal = GoalSpec.region_goal([2.0, 2.0], [4.0, 4.0])
         q = Query(start=[0.5, 0.5], goal=goal, time_budget=1.0)
         assert validate_query(robot, world, q) == OK
@@ -75,7 +74,7 @@ def slab(lo, hi):
     """A box over the planar rectangle [lo, hi], tall enough for the gantry."""
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     (cx, cy), (hx, hy) = (lo + hi) / 2.0, (hi - lo) / 2.0
-    return Obstacle.box((cx, cy, 0.0), (hx, hy, 0.5))
+    return box_obstacle((cx, cy, 0.0), (hx, hy, 0.5))
 
 
 # The gantry's sphere (radius 0.05) reaches the region goal [2, 4]^2 only
@@ -111,7 +110,7 @@ class TestRegionGoalVerdict:
 
     def test_sealed_pocket_is_a_timeout(self):
         for seed, result in self.verdicts(WorldModel(CORRIDOR + (SEAL,)), budget=0.25):
-            assert result.status == FAILURE_TIMEOUT, (seed, result.reason)
+            assert result.status == FAILURE, (seed, result.reason)
 
     def test_goal_screened_once_per_plan(self, robot, monkeypatch):
         # Only the goal screen calls core's free_mask.  In the sealed pocket
@@ -127,11 +126,11 @@ class TestRegionGoalVerdict:
             screens.append(len(configs)) or free_mask(robot, world, configs, **kw)))
         world = WorldModel(CORRIDOR + (SEAL,))
         q = Query(start=[0.5, 3.0], goal=REGION, time_budget=0.1)
-        assert plan_rrt_connect(robot, world, q, RrtParams()).status == FAILURE_TIMEOUT
+        assert plan_rrt_connect(robot, world, q, RrtParams()).status == FAILURE
         assert screens == [33]
         screens.clear()
         result = plan_ara_star(robot, world, q, default_primitives(robot), AraParams())
-        assert result.status == FAILURE_TIMEOUT and "expansions_backward" in result.stats
+        assert result.status == FAILURE and "expansions_backward" in result.stats
         assert screens == [33]
 
     def test_representative_is_the_free_center(self, robot):
@@ -204,7 +203,7 @@ class TestValidatePath:
         assert not validate_path(robot, empty_world, q, path, 0.05)
 
     def test_colliding_segment_rejected(self, robot):
-        world = WorldModel((Obstacle.sphere((2.0, 1.0, 0.0), 0.3),))
+        world = WorldModel((sphere_obstacle((2.0, 1.0, 0.0), 0.3),))
         q = Query(start=[1, 1], goal=config_goal([3, 1], tol=[0.0, 0.0]),
                   time_budget=1.0)
         path = Path(np.array([[1.0, 1.0], [3.0, 1.0]]))
@@ -265,19 +264,8 @@ class TestSolvedResultsValidate:
                 else:
                     result = plan(robot, world, q, primitives,
                                   AraParams(epsilon_schedule=(3.0, 1.0)))
-                if result.status == "solved":
+                if result.path is not None:
                     solved += 1
                     assert validate_path(robot, world, q, result.path, 0.05), \
                         (planner, case)
         assert solved >= 50  # most random cases are solvable
-
-
-class TestPlannerResult:
-    def test_constructors(self):
-        path = Path(np.array([[0.0, 0.0]]))
-        solved = PlannerResult.solved(path, "forward", 0.1, {})
-        assert solved.status == "solved" and solved.direction == "forward"
-        timeout = PlannerResult.timeout(1.0, {})
-        assert timeout.status == "failure_timeout" and timeout.path is None
-        unsolvable = PlannerResult.unsolvable(START_IN_COLLISION, 0.0, {})
-        assert unsolvable.reason == START_IN_COLLISION

@@ -10,10 +10,11 @@ from planbench.core import goal_satisfied
 from planbench.data import data_path
 from planbench.errors import ValidationError
 from planbench.robot import RobotModel, config_distance
-from planbench.world import GoalSpec, Obstacle, WorldModel, load_scenario
+from planbench.world import GoalSpec, WorldModel, load_scenario
 
 from conftest import gantry_robot, lattice_instance, make_joint, random_robot
-from oracles import dijkstra_lattice, sample_uniform, valid_successors, within_limits
+from oracles import (box_obstacle, dijkstra_lattice, sample_uniform, valid_successors,
+                     within_limits)
 
 
 @pytest.fixture
@@ -123,7 +124,7 @@ class TestSuccessors:
         assert len(out) == 3
 
     def test_blocked_moves_excluded(self, robot):
-        world = WorldModel((Obstacle.box((3.5, 3.0, 0.0), (0.2, 0.2, 0.2)),))
+        world = WorldModel((box_obstacle((3.5, 3.0, 0.0), (0.2, 0.2, 0.2)),))
         prim = default_primitives(robot)
         out = valid_successors((6, 6), prim, robot, world)  # decode -> (3.0, 3.0)
         nodes = {node for node, _ in out}
@@ -146,7 +147,7 @@ class TestSuccessors:
         assert all(entry[0] != GOAL_NODE for entry in out)
 
     def test_snap_blocked_by_obstacle(self, robot):
-        world = WorldModel((Obstacle.box((3.15, 3.0, 0.0), (0.02, 0.3, 0.3)),))
+        world = WorldModel((box_obstacle((3.15, 3.0, 0.0), (0.02, 0.3, 0.3)),))
         prim = default_primitives(robot)
         out = valid_successors((6, 6), prim, robot, world, np.array([3.4, 3.0]))
         assert all(entry[0] != GOAL_NODE for entry in out)

@@ -1,7 +1,7 @@
 """Package layout rules, checked on the source: modules share no private
 names, the only runtime dependencies are numpy and PyYAML, no public
-function or class exists only for the tests, and every function the
-benchmark traces exists."""
+function, class or class member exists only for the tests, and every
+function the benchmark traces exists."""
 
 import ast
 import importlib
@@ -61,19 +61,39 @@ def _names(node):
     return found
 
 
+def _trees_and_uses():
+    """Each package and benchmark source's syntax tree, and the count of
+    every identifier they use."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in SOURCES + BENCHMARK}
+    return trees, sum((_names(tree) for tree in trees.values()), Counter())
+
+
 def test_every_public_definition_is_used_outside_tests():
     # A public module-level function or class must be named somewhere in the
     # package outside its own definition (an export from __init__ counts) or
     # in the benchmark scripts.
-    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
-             for path in SOURCES + BENCHMARK}
-    used = sum((_names(tree) for tree in trees.values()), Counter())
+    trees, used = _trees_and_uses()
     unused = [f"{path.name}:{node.lineno} {node.name}"
               for path in SOURCES for node in trees[path].body
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and not node.name.startswith("_")
               and used[node.name] == _names(node)[node.name]]
     assert BENCHMARK
+    assert unused == []
+
+
+def test_every_public_member_is_used_outside_tests():
+    # The same rule for the public methods, properties and classmethods of
+    # the package's classes: each is named outside its own definition.
+    trees, used = _trees_and_uses()
+    unused = [f"{path.name}:{member.lineno} {node.name}.{member.name}"
+              for path in SOURCES for node in trees[path].body
+              if isinstance(node, ast.ClassDef)
+              for member in node.body
+              if isinstance(member, ast.FunctionDef)
+              and not member.name.startswith("_")
+              and used[member.name] == _names(member)[member.name]]
     assert unused == []
 
 

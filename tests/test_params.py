@@ -17,7 +17,6 @@ class TestParseParams:
         assert params.rrt_connect.step_eta == 0.5
         assert params.rrt_connect.max_iterations is None
         assert params.ara_star.epsilon_schedule == (3.0, 2.0, 1.5, 1.0)
-        assert params.ara_star.budget_split == 0.5
         assert params.goal_tolerance_default == 0.0
 
     def test_default_file_holds_the_built_in_defaults(self):
@@ -47,6 +46,7 @@ class TestParseParams:
         "rrt_connect: {eta: 0.5}\n",
         "ara_star: {schedule: [1.0]}\n",
         "ara_star: {seed: 3}\n",  # ARA* draws no random numbers
+        "ara_star: {budget_split: 0.5}\n",  # the forward half is a constant
     ])
     def test_unknown_keys_rejected(self, doc):
         with pytest.raises(ValidationError):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from planbench.collision import check_motion
-from planbench.core import (FORWARD, SOLVED, UNSOLVABLE, BUDGET_GRACE, Query,
+from planbench.core import (FAILURE, SOLVED_FORWARD, UNSOLVABLE, BUDGET_GRACE, Query,
                             query_from_scenario, validate_path)
 from planbench.data import data_path
 from planbench.errors import ContractViolation, ValidationError
@@ -16,11 +16,10 @@ from planbench.robot import config_distance
 from planbench import rrt_connect
 from planbench.rrt_connect import (ADVANCED, LOOKAHEAD, REACHED, TRAPPED, RrtParams,
                                    Tree, connect, extend, nearest, plan_rrt_connect)
-from planbench.world import (GoalSpec, Obstacle, WorldModel, generate_variations,
-                             load_scenario)
+from planbench.world import GoalSpec, WorldModel, generate_variations, load_scenario
 
 from conftest import gantry_robot
-from oracles import rrt_connect_sequential, sample_uniform
+from oracles import box_obstacle, rrt_connect_sequential, sample_uniform
 
 
 @pytest.fixture
@@ -100,7 +99,7 @@ class TestTree:
             assert tree.add(configs[-1], parents[-1]) == index
         assert tree.size == 300
         assert np.array_equal(tree.nodes, np.array(configs))
-        assert tree.parents.tolist() == parents
+        assert [tree.branch(i)[-2] for i in range(1, 300)] == parents[1:]
         for index in (0, 1, 63, 64, 65, 128, 299):
             chain = [index]
             while chain[-1] != 0:
@@ -132,10 +131,10 @@ class TestExtend:
 
     def test_trapped_leaves_tree_unchanged(self, robot):
         # The start sits inside a one-sided pocket: any motion outward hits.
-        world = WorldModel((Obstacle.box((1.5, 1.0, 0.0), (0.05, 1.0, 0.5)),
-                            Obstacle.box((0.5, 1.0, 0.0), (0.05, 1.0, 0.5)),
-                            Obstacle.box((1.0, 1.6, 0.0), (0.6, 0.05, 0.5)),
-                            Obstacle.box((1.0, 0.4, 0.0), (0.6, 0.05, 0.5))))
+        world = WorldModel((box_obstacle((1.5, 1.0, 0.0), (0.05, 1.0, 0.5)),
+                            box_obstacle((0.5, 1.0, 0.0), (0.05, 1.0, 0.5)),
+                            box_obstacle((1.0, 1.6, 0.0), (0.6, 0.05, 0.5)),
+                            box_obstacle((1.0, 0.4, 0.0), (0.6, 0.05, 0.5))))
         tree = Tree(robot, [1.0, 1.0])
         status, idx = extend(tree, [4.0, 1.0], PARAMS, robot, world)
         assert status == TRAPPED and idx is None
@@ -157,7 +156,7 @@ class TestConnect:
         assert tree.size == 4  # root + exactly 3 extensions
 
     def test_immediate_obstacle_trapped(self, robot):
-        world = WorldModel((Obstacle.box((1.3, 1.0, 0.0), (0.05, 2.0, 0.5)),))
+        world = WorldModel((box_obstacle((1.3, 1.0, 0.0), (0.05, 2.0, 0.5)),))
         tree = Tree(robot, [1.0, 1.0])
         status, idx = connect(tree, [4.0, 1.0], PARAMS, robot, world)
         assert status == TRAPPED
@@ -172,8 +171,8 @@ class TestConnect:
 def shelf_world():
     # A wall with a gap: start and goal on opposite sides.
     return WorldModel((
-        Obstacle.box((3.0, 1.5, 0.0), (0.1, 1.5, 0.5)),
-        Obstacle.box((3.0, 4.9, 0.0), (0.1, 1.1, 0.5)),
+        box_obstacle((3.0, 1.5, 0.0), (0.1, 1.5, 0.5)),
+        box_obstacle((3.0, 4.9, 0.0), (0.1, 1.1, 0.5)),
     ))
 
 
@@ -182,7 +181,7 @@ class TestPlan:
         goal = GoalSpec.config_goal([1.0, 1.0], [0.2, 0.2])
         q = Query(start=[1.0, 1.0], goal=goal, time_budget=1.0)
         result = plan_rrt_connect(robot, empty_world, q, PARAMS)
-        assert result.status == SOLVED
+        assert result.status == SOLVED_FORWARD
         assert len(result.path) == 1
         assert result.planning_time < 0.1
 
@@ -192,12 +191,11 @@ class TestPlan:
         q = Query(start=[1.0, 1.0], goal=goal, time_budget=5.0)
         for seed in range(20):
             result = plan_rrt_connect(robot, world, q, RrtParams(seed=seed))
-            assert result.status == SOLVED, seed
-            assert result.direction == FORWARD
+            assert result.status == SOLVED_FORWARD, seed
             assert validate_path(robot, world, q, result.path, 0.05)
 
     def test_start_in_collision_unsolvable(self, robot):
-        world = WorldModel((Obstacle.box((1.0, 1.0, 0.0), (0.3, 0.3, 0.3)),))
+        world = WorldModel((box_obstacle((1.0, 1.0, 0.0), (0.3, 0.3, 0.3)),))
         q = Query(start=[1.0, 1.0], goal=GoalSpec.config_goal([5.0, 5.0]),
                   time_budget=1.0)
         result = plan_rrt_connect(robot, world, q, PARAMS)
@@ -217,10 +215,10 @@ class TestPlan:
     def test_budget_respected_on_impossible_query(self, robot):
         # Goal region is enclosed by walls: planner must run out the budget.
         world = WorldModel((
-            Obstacle.box((4.0, 4.0, 0.0), (0.6, 0.05, 0.5)),
-            Obstacle.box((4.0, 2.8, 0.0), (0.6, 0.05, 0.5)),
-            Obstacle.box((3.4, 3.4, 0.0), (0.05, 0.65, 0.5)),
-            Obstacle.box((4.6, 3.4, 0.0), (0.05, 0.65, 0.5)),
+            box_obstacle((4.0, 4.0, 0.0), (0.6, 0.05, 0.5)),
+            box_obstacle((4.0, 2.8, 0.0), (0.6, 0.05, 0.5)),
+            box_obstacle((3.4, 3.4, 0.0), (0.05, 0.65, 0.5)),
+            box_obstacle((4.6, 3.4, 0.0), (0.05, 0.65, 0.5)),
         ))
         goal = GoalSpec.config_goal([4.0, 3.4], [0.0, 0.0])
         budget = 0.8
@@ -228,7 +226,7 @@ class TestPlan:
         t0 = time.perf_counter()
         result = plan_rrt_connect(robot, world, q, PARAMS)
         wall = time.perf_counter() - t0
-        assert result.status == "failure_timeout"
+        assert result.status == FAILURE
         assert result.planning_time <= budget + BUDGET_GRACE
         assert wall <= budget + 10 * BUDGET_GRACE  # generous wall-clock sanity
 
@@ -244,7 +242,7 @@ class TestPlan:
         goal = GoalSpec.region_goal([4.5, 4.5], [5.0, 5.0])
         q = Query(start=[1.0, 1.0], goal=goal, time_budget=5.0)
         result = plan_rrt_connect(robot, empty_world, q, PARAMS)
-        assert result.status == SOLVED
+        assert result.status == SOLVED_FORWARD
         assert validate_path(robot, empty_world, q, result.path, 0.05)
 
     def test_path_endpoints_exact(self, robot):
@@ -252,8 +250,8 @@ class TestPlan:
         goal = GoalSpec.config_goal([5.0, 1.0], [0.0, 0.0])
         q = Query(start=[1.0, 1.0], goal=goal, time_budget=5.0)
         result = plan_rrt_connect(robot, world, q, RrtParams(seed=2))
-        assert np.array_equal(result.path.first, np.array([1.0, 1.0]))
-        assert np.array_equal(result.path.last, np.array([5.0, 1.0]))
+        assert np.array_equal(result.path.waypoints[0], np.array([1.0, 1.0]))
+        assert np.array_equal(result.path.waypoints[-1], np.array([5.0, 1.0]))
 
 
 class TestTreeInvariants:
@@ -265,9 +263,9 @@ class TestTreeInvariants:
         tree = Tree(robot, [1.0, 1.0])
         for _ in range(100):
             extend(tree, sample_uniform(robot, rng), PARAMS, robot, world)
-        assert tree.size > 10 and tree.parents[0] == 0
+        assert tree.size > 10 and tree.branch(0) == [0]
         for child in range(1, tree.size):
-            parent = int(tree.parents[child])
+            parent = tree.branch(child)[-2]
             assert parent < child
             assert check_motion(robot, world, tree.nodes[parent], tree.nodes[child],
                                 PARAMS.edge_step)
@@ -334,7 +332,7 @@ class TestSequentialEquivalence:
             result = assert_same_as_sequential(
                 scenario.robot, scenario.world, query,
                 replace(TUNED.rrt_connect, seed=seed))
-            assert result.status == SOLVED
+            assert result.status == SOLVED_FORWARD
 
     @pytest.mark.parametrize("index", range(4))
     def test_shelf_reach_suite(self, index):
@@ -346,7 +344,7 @@ class TestSequentialEquivalence:
             result = assert_same_as_sequential(
                 scenario.robot, scenario.world, query,
                 replace(TUNED.rrt_connect, seed=seed))
-            assert result.status == SOLVED
+            assert result.status == SOLVED_FORWARD
 
     @pytest.mark.parametrize("max_iterations", [1, 2, 3, 7])
     def test_bounded_iterations(self, robot, max_iterations):
@@ -364,7 +362,7 @@ class TestSequentialEquivalence:
         query = Query(start=[1.0, 1.0], goal=goal, time_budget=600.0)
         result = assert_same_as_sequential(robot, empty_world, query,
                                            RrtParams(seed=0, max_iterations=1))
-        assert result.status == SOLVED and result.stats["iterations"] == 1
+        assert result.status == SOLVED_FORWARD and result.stats["iterations"] == 1
 
     def test_region_goal(self, robot):
         goal = GoalSpec.region_goal([4.5, 0.5], [5.5, 1.5])
@@ -372,7 +370,7 @@ class TestSequentialEquivalence:
         for seed in range(5):
             result = assert_same_as_sequential(robot, shelf_world(), query,
                                                RrtParams(seed=seed))
-            assert result.status == SOLVED
+            assert result.status == SOLVED_FORWARD
 
     @pytest.mark.parametrize("script_rows, max_iterations", [
         ((0, 2, 6, 11), None),  # extends of the start tree toward its root
@@ -399,7 +397,7 @@ class TestSequentialEquivalence:
         query = Query(start=start, goal=GoalSpec.config_goal(goal_q, [0.0, 0.0]),
                       time_budget=600.0)
         result = assert_same_as_sequential(robot, empty_world, query, RrtParams(seed=0))
-        assert result.status == SOLVED and result.stats["nodes"] == 3
+        assert result.status == SOLVED_FORWARD and result.stats["nodes"] == 3
 
 
 class TestLookahead:
@@ -409,7 +407,7 @@ class TestLookahead:
         query = query_from_scenario(replace(scenario, time_budget=600.0),
                                     TUNED.goal_tolerance_default)
         result = plan_rrt_connect(scenario.robot, scenario.world, query, TUNED.rrt_connect)
-        assert result.status == SOLVED and result.stats["iterations"] >= 200
+        assert result.status == SOLVED_FORWARD and result.stats["iterations"] >= 200
         assert 3 * result.stats["check_calls"] <= result.stats["iterations"]
 
     @pytest.mark.parametrize("max_iterations", [1, 2, 17])
@@ -444,7 +442,7 @@ class TestLookahead:
         query = query_from_scenario(replace(scenario, time_budget=600.0),
                                     TUNED.goal_tolerance_default)
         result = plan_rrt_connect(scenario.robot, scenario.world, query, TUNED.rrt_connect)
-        assert result.status == SOLVED
+        assert result.status == SOLVED_FORWARD
         assert result.stats["collision_checks"] <= 12 * result.stats["iterations"]
 
     def test_blocked_far_endpoint_costs_one_configuration(self, robot, monkeypatch):

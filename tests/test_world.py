@@ -14,6 +14,8 @@ from planbench.world import (GoalSpec, Obstacle, Scenario, VariationSpec, WorldM
                              generate_variations, load_scenario, parse_scenario,
                              serialize_scenario)
 
+from oracles import box_obstacle, cylinder_obstacle
+
 MINI_ROBOT = """
 joints:
   - {name: j0, type: revolute, axis: [0, 0, 1], limits: [-1.0, 1.0], resolution: 0.1}
@@ -66,7 +68,7 @@ class TestObstacle:
 
     def test_positive_sizes(self):
         with pytest.raises(ValidationError):
-            Obstacle.box((0, 0, 0), (0.1, -0.1, 0.1))
+            box_obstacle((0, 0, 0), (0.1, -0.1, 0.1))
 
     def test_unknown_shape(self):
         with pytest.raises(ValidationError):
@@ -134,11 +136,11 @@ def _assert_each_field_compared(obj, changes):
 
 
 def test_equality_compares_every_obstacle_field():
-    box = Obstacle.box((1.0, 0.0, 0.0), (0.1, 0.2, 0.3), yaw=0.5)
+    box = box_obstacle((1.0, 0.0, 0.0), (0.1, 0.2, 0.3), yaw=0.5)
     _assert_each_field_compared(box, {
         "shape": "cylinder", "center": np.array([1.0, 0.0, 0.5]), "yaw": 0.25,
         "half_extents": np.array([0.1, 0.2, 0.4]), "radius": 0.1, "half_height": 0.1})
-    cylinder = Obstacle.cylinder((1.0, 0.0, 0.0), 0.1, 0.2)
+    cylinder = cylinder_obstacle((1.0, 0.0, 0.0), 0.1, 0.2)
     _assert_each_field_compared(cylinder, {"radius": 0.15, "half_height": 0.25,
                                            "half_extents": np.ones(3)})
 
