@@ -31,7 +31,7 @@ from .collision import check_motion, free_mask, motion_configs
 from .core import (FAILURE, OK, SOLVED_BACKWARD, SOLVED_FORWARD, UNSOLVABLE, Path,
                    PlannerResult, Query, goal_satisfied, path_cost, screen_query)
 from .errors import ContractViolation, ValidationError, parse_mapping
-from .robot import RobotModel, as_configuration, config_distance
+from .robot import RobotModel, as_configuration, config_distance, weighted_norms
 from .world import GoalSpec, WorldModel
 
 # Sentinel lattice node for the off-lattice goal configuration reached by the
@@ -76,8 +76,8 @@ class MotionPrimitiveSet:
         prim = prim.copy()
         prim.flags.writeable = False
         object.__setattr__(self, "primitives", prim)
-        if self.snap_radius < 0:
-            raise ValidationError("snap_radius must be nonnegative")
+        if not 0 <= self.snap_radius < math.inf:
+            raise ValidationError("snap_radius must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -159,8 +159,9 @@ def discretize(robot: RobotModel, q) -> tuple[int, ...]:
     return tuple(int(c) for c in coords)
 
 
-def decode(robot: RobotModel, state: tuple[int, ...]) -> np.ndarray:
-    """Configuration at a lattice state's cell center."""
+def decode(robot: RobotModel, state) -> np.ndarray:
+    """Configuration at a lattice state's cell center; a (k, n) array of
+    states decodes row by row."""
     return robot.lower + np.asarray(state, dtype=float) * robot.resolutions
 
 
@@ -232,11 +233,9 @@ def successors(state: tuple[int, ...], primitives: MotionPrimitiveSet, robot: Ro
     q = decode(robot, state)
     coords = np.asarray(state, dtype=int) + primitives.primitives
     coords = coords[((coords >= 0) & (coords <= max_coords)).all(axis=1)]
-    ends = robot.lower + coords * robot.resolutions
-    gaps = np.concatenate([ends - q, ends - np.clip(ends, goal.lower, goal.upper)])
-    # One dot product per row, as config_distance sums: a matrix product sums
-    # in another order and can differ in the last bit on multi-joint moves.
-    dist = [math.sqrt(row.dot(robot.weights)) for row in gaps * gaps]
+    ends = decode(robot, coords)
+    dist = weighted_norms(robot, np.concatenate(
+        [ends - q, ends - np.clip(ends, goal.lower, goal.upper)]))
     moves = list(zip(map(tuple, coords.tolist()), dist[:len(ends)], dist[len(ends):]))
     if goal.target is not None:
         d = config_distance(robot, q, goal.target)
@@ -294,14 +293,9 @@ def ara_search(start_state: tuple[int, ...], goal: GoalSpec,
     pending: dict = {}
     sequence = 0
 
-    h_memo: dict = {}
-
-    def h(s) -> float:
-        value = h_memo.get(s)
-        if value is None:
-            value = heuristic(s, goal, robot)
-            h_memo[s] = value
-        return value
+    # Heuristic per state: every state that gets a key is the start or was
+    # generated by ``successors``, which prices its heuristic.
+    h: dict = {start_state: heuristic(start_state, goal, robot)}
 
     def is_goal(s) -> bool:
         if s == GOAL_NODE:
@@ -327,7 +321,7 @@ def ara_search(start_state: tuple[int, ...], goal: GoalSpec,
         if unknown:
             # Endpoints, sources first; a GOAL_NODE row takes the goal config.
             points = [p for p, _ in unknown] + [s for _, s in unknown]
-            q = robot.lower + np.array([x or points[0] for x in points]) * robot.resolutions
+            q = decode(robot, [x or points[0] for x in points])
             if snap_target is not None:
                 q[[x == GOAL_NODE for x in points]] = goal_config
             configs, offsets = motion_configs(robot, *np.split(q, 2), params.edge_step)
@@ -366,7 +360,7 @@ def ara_search(start_state: tuple[int, ...], goal: GoalSpec,
                     incons.add(s)
                     search_stats.reopened += 1
             else:
-                heapq.heappush(heap, (g[s] + eps * h(s), -g[s], s, 0))
+                heapq.heappush(heap, (g[s] + eps * h[s], -g[s], s, 0))
 
     def out_of_time() -> bool:
         return deadline is not None and time.perf_counter() >= deadline
@@ -413,7 +407,7 @@ def ara_search(start_state: tuple[int, ...], goal: GoalSpec,
     for eps in schedule:
         if out_of_time():
             break
-        heap = [(g[s] + eps * h(s), -g[s], s, 0) for s in seeds]
+        heap = [(g[s] + eps * h[s], -g[s], s, 0) for s in seeds]
         heapq.heapify(heap)
         closed = set()
         incons = set()
@@ -446,8 +440,8 @@ def ara_search(start_state: tuple[int, ...], goal: GoalSpec,
                         continue  # could not lower g[nxt] even if valid
                     sequence += 1
                     pending.setdefault(nxt, []).append((tentative, s, sequence))
+                    h[nxt] = h_nxt
                     if nxt not in closed:  # a closed state only joins incons
-                        h_memo[nxt] = h_nxt
                         heapq.heappush(heap, (tentative + eps * h_nxt, -tentative,
                                               nxt, sequence))
             if out_of_time():  # polled after every expansion and resolution
@@ -536,7 +530,7 @@ def plan_ara_star(robot: RobotModel, world: WorldModel, query: Query,
     if verdict != OK:
         return PlannerResult(UNSOLVABLE, time.perf_counter() - t0, stats,
                              reason=verdict)
-    start = np.asarray(query.start, dtype=float)
+    start = query.start
     if goal_satisfied(query.goal, start):
         return PlannerResult(SOLVED_FORWARD, time.perf_counter() - t0, stats,
                              Path(start[None, :].copy()))

@@ -36,7 +36,7 @@ import math
 import numpy as np
 
 from .errors import ContractViolation
-from .robot import RobotModel, as_configuration, sphere_centers_batch
+from .robot import RobotModel, as_configuration, sphere_centers_batch, weighted_norms
 from .world import BOX, CYLINDER, SPHERE, WorldModel
 
 
@@ -135,17 +135,16 @@ def motion_configs(robot: RobotModel, starts: np.ndarray, ends: np.ndarray,
     """The configurations of every motion starts[i] -> ends[i], stacked, and
     the row at which each motion begins.
 
-    A motion of weighted length d gets ceil(d / step) + 1 configurations,
-    endpoints exact.  The length is computed as ``config_distance`` computes
-    it and the parameter spacing as ``np.linspace`` computes it, so each
-    motion's rows do not depend on the other motions in the stack.
+    A motion of weighted length d (``weighted_norms``) gets ceil(d / step)
+    + 1 configurations, endpoints exact.  The parameter spacing is computed
+    as ``np.linspace`` computes it, so each motion's rows do not depend on
+    the other motions in the stack.
     """
     if not step > 0:
         raise ContractViolation("motion step must be positive")
     delta = ends - starts
-    sq = delta * delta
-    counts = np.array([int(math.ceil(math.sqrt(float(np.dot(row, robot.weights))) / step)) + 1
-                       for row in sq], dtype=int)
+    counts = np.array([int(math.ceil(d / step)) + 1
+                       for d in weighted_norms(robot, delta)], dtype=int)
     offsets = np.cumsum(counts) - counts
     motion = np.repeat(np.arange(len(counts)), counts)
     spacing = 1.0 / np.maximum(counts - 1, 1)

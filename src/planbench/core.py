@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .collision import check_config, check_motion, free_mask
-from .errors import ValidationError
-from .robot import RobotModel, as_configuration, config_distance
+from .errors import ContractViolation, ValidationError
+from .robot import RobotModel, as_configuration, weighted_norms
 from .world import GoalSpec, Scenario, WorldModel
 
 BUDGET_GRACE = 0.05  # seconds
@@ -140,11 +140,14 @@ def validate_query(robot: RobotModel, world: WorldModel, query: Query) -> str:
 
 
 def path_cost(robot: RobotModel, path: Path) -> float:
-    """Sum of consecutive waypoint distances; a single waypoint costs 0."""
+    """Sum of consecutive waypoint distances, added left to right (``sum``
+    compensates from Python 3.12 on); a single waypoint costs 0."""
+    if path.waypoints.shape[1] != robot.dof:
+        raise ContractViolation(
+            f"path has {path.waypoints.shape[1]} joints, robot has {robot.dof}")
     total = 0.0
-    wp = path.waypoints
-    for k in range(len(wp) - 1):
-        total += config_distance(robot, wp[k], wp[k + 1])
+    for length in weighted_norms(robot, np.diff(path.waypoints, axis=0)):
+        total += length
     return total
 
 

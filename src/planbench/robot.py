@@ -279,12 +279,22 @@ def sphere_centers_batch(robot: RobotModel, configs: np.ndarray) -> np.ndarray:
     return centers.reshape(ns, m, 3).transpose(1, 0, 2)
 
 
+def weighted_norms(robot: RobotModel, deltas: np.ndarray) -> list[float]:
+    """Weighted Euclidean norm sqrt(sum_i w_i * d_i^2) of each row of the
+    (k, n) ``deltas``: the metric's one summation.
+
+    Each row is one dot product of its squares with the weights, so row i
+    does not depend on the other rows; a matrix product sums in another
+    order and can differ in the last bit on multi-joint rows.
+    """
+    return [math.sqrt(row.dot(robot.weights)) for row in deltas * deltas]
+
+
 def config_distance(robot: RobotModel, a, b) -> float:
     """Weighted Euclidean metric sqrt(sum_i w_i * (a_i - b_i)^2)."""
     a = as_configuration(robot, a)
     b = as_configuration(robot, b)
-    d = a - b
-    return float(math.sqrt(float(np.dot(d * d, robot.weights))))
+    return weighted_norms(robot, (a - b)[None])[0]
 
 
 _JOINT_KEYS = {"name", "type", "axis", "origin_xyz", "origin_rpy", "limits",

@@ -36,7 +36,7 @@ from .collision import motions_free
 from .core import (FAILURE, OK, SOLVED_FORWARD, UNSOLVABLE, PlannerResult, Path,
                    Query, goal_satisfied, screen_query)
 from .errors import ContractViolation, ValidationError
-from .robot import RobotModel, as_configuration, config_distance
+from .robot import RobotModel, as_configuration, weighted_norms
 from .world import WorldModel
 
 REACHED = "reached"
@@ -143,17 +143,17 @@ def _distances(robot: RobotModel, columns: np.ndarray, targets) -> np.ndarray:
     return diff.sum(axis=0)
 
 
-def _steer(robot: RobotModel, params: RrtParams, q_near: np.ndarray,
-           target: np.ndarray) -> tuple[np.ndarray, bool] | None:
-    """(new configuration, reached) of one step from ``q_near`` toward
-    ``target``: the target itself within ``step_eta``, else the point at
-    distance ``step_eta`` toward it; None when the two coincide."""
-    d = config_distance(robot, q_near, target)
-    if d <= _ZERO_DISTANCE:
-        return None
-    if d <= params.step_eta:
-        return target, True
-    return q_near + (params.step_eta / d) * (target - q_near), False
+def _steps(robot: RobotModel, params: RrtParams, q_near: np.ndarray,
+           targets: np.ndarray) -> list[tuple[np.ndarray, bool] | None]:
+    """(new configuration, reached) of one step from each row of ``q_near``
+    toward the same row of ``targets`` (k, n): the target itself within
+    ``step_eta``, else the point at distance ``step_eta`` toward it; None
+    when the two coincide.  Row i does not depend on the other rows."""
+    eta, delta = params.step_eta, targets - q_near
+    dist = weighted_norms(robot, delta)
+    clamped = q_near + (eta / np.maximum(dist, eta))[:, None] * delta
+    return [None if d <= _ZERO_DISTANCE else (target, True) if d <= eta else (q_far, False)
+            for target, d, q_far in zip(targets, dist, clamped)]
 
 
 class _Lookahead:
@@ -198,7 +198,7 @@ class _Lookahead:
         return self.verdicts[key]
 
     def steer(self, tree: Tree, target: np.ndarray) -> tuple[int, tuple | None]:
-        """The nearest node of ``target`` in ``tree`` and ``_steer``'s step
+        """The nearest node of ``target`` in ``tree`` and ``_steps``' step
         from it, from the node and step the last refill found when it
         steered ``target`` against ``tree``: only the nodes added since are
         compared with that node, by the same arithmetic as ``nearest``, and
@@ -206,7 +206,8 @@ class _Lookahead:
         key = (self.trees.index(tree), target.tobytes())
         if key not in self.near:
             index = int(nearest(tree, target[None])[0])
-            return index, _steer(self.robot, self.params, tree.nodes[index], target)
+            return index, _steps(self.robot, self.params, tree.nodes[index][None],
+                                 target[None])[0]
         size, index, step = self.near[key]
         if size < tree.size:
             columns = tree.nodes.T
@@ -214,7 +215,8 @@ class _Lookahead:
             k = int(np.argmin(_distances(self.robot, block, target[None])[0]))
             if k:
                 index = size + k - 1
-                step = _steer(self.robot, self.params, tree.nodes[index], target)
+                step = _steps(self.robot, self.params, tree.nodes[index][None],
+                              target[None])[0]
             self.near[key] = (tree.size, index, step)
         return index, step
 
@@ -229,39 +231,34 @@ class _Lookahead:
         if self.params.max_iterations is not None:
             last = min(last, self.params.max_iterations - 1)
         first = self.iteration if self.extending else self.iteration + 1
-        extends = self._steer([(j % 2, self.sample(j)) for j in range(first, last + 1)],
-                              missed)
+        extends = self._steer_all(
+            [(j % 2, self.sample(j)) for j in range(first, last + 1)], missed)
         pending = self._unknown(missed, old)
         if pending:
             free = self._check([(q_new, q_new) for _, q_new in pending.values()])
             self.verdicts.update((key, False) for key, ok in zip(pending, free) if not ok)
             pending = {key: m for (key, m), ok in zip(pending.items(), free) if ok}
         connects = {}
-        self._steer([(1 - t, q) for t, key, q in extends
-                     if key in pending or self.verdicts[key]], connects)
+        self._steer_all([(1 - t, q) for t, key, q in extends
+                         if key in pending or self.verdicts[key]], connects)
         pending.update(self._unknown(connects, old))
         if pending:
             self.verdicts.update(zip(pending, self._check(list(pending.values()))))
 
-    def _steer(self, jobs, motions: dict) -> list:
+    def _steer_all(self, jobs, motions: dict) -> list:
         """Steer each (tree index, target) job against the current trees,
-        with one ``nearest`` call per tree and ``_steer``'s arithmetic on
-        arrays, remember each nearest node and step and add each motion to
-        ``motions``.  Returns (tree index, key, new configuration) per
-        steered job."""
-        steered, eta = [], self.params.step_eta
+        with one ``nearest`` and one ``_steps`` call per tree, remember each
+        nearest node and step and add each motion to ``motions``.  Returns
+        (tree index, key, new configuration) per steered job."""
+        steered = []
         for t in (0, 1):
             tree, targets = self.trees[t], np.array([q for s, q in jobs if s == t])
             if not len(targets):
                 continue
             near = nearest(tree, targets)
             q_near = tree.nodes[near]
-            delta = targets - q_near
-            dist = [math.sqrt(float(np.dot(d, self.robot.weights))) for d in delta * delta]
-            clamped = q_near + (eta / np.maximum(dist, eta))[:, None] * delta
-            for k, target, q, d, q_far in zip(near.tolist(), targets, q_near, dist, clamped):
-                step = (None if d <= _ZERO_DISTANCE else
-                        (target, True) if d <= eta else (q_far, False))
+            steps = _steps(self.robot, self.params, q_near, targets)
+            for k, target, q, step in zip(near.tolist(), targets, q_near, steps):
                 self.near[t, target.tobytes()] = (tree.size, k, step)
                 if step is not None:
                     key = q.tobytes() + step[0].tobytes()
@@ -282,21 +279,20 @@ class _Lookahead:
 
 
 def extend(tree: Tree, target, params: RrtParams, robot: RobotModel,
-           world: WorldModel, stats: dict | None = None,
-           cache: _Lookahead | None = None) -> tuple[str, int | None]:
+           world: WorldModel, cache: _Lookahead | None = None) -> tuple[str, int | None]:
     """One bounded step of the nearest node toward ``target``.
 
     Returns (REACHED, node) when the target itself was added (or already
     present), (ADVANCED, node) for a clamped step of length step_eta, and
     (TRAPPED, None) when the motion is blocked; trapped leaves the tree
-    unchanged.  The motion is checked in its own collision call, counted in
-    ``stats``, or its verdict and the nearest node come from ``cache``,
-    which counts its own checks.
+    unchanged.  The motion is checked in its own uncounted collision call,
+    or its verdict and the nearest node come from ``cache``, which counts
+    its own checks.
     """
     target = as_configuration(robot, target)
     if cache is None:
         near_index = int(nearest(tree, target[None])[0])
-        step = _steer(robot, params, tree.nodes[near_index], target)
+        step = _steps(robot, params, tree.nodes[near_index][None], target[None])[0]
     else:
         near_index, step = cache.steer(tree, target)
     q_near = tree.nodes[near_index]
@@ -304,8 +300,7 @@ def extend(tree: Tree, target, params: RrtParams, robot: RobotModel,
         return REACHED, near_index  # degenerate: do not duplicate the node
     q_new, reached = step
     if cache is None:
-        free = motions_free(robot, world, q_near, q_new[None], params.edge_step,
-                            stats=stats)[0]
+        free = motions_free(robot, world, q_near, q_new[None], params.edge_step)[0]
     else:
         free = cache.free(q_near, q_new)
     if not free:
@@ -315,8 +310,7 @@ def extend(tree: Tree, target, params: RrtParams, robot: RobotModel,
 
 
 def connect(tree: Tree, target, params: RrtParams, robot: RobotModel,
-            world: WorldModel, stats: dict | None = None,
-            deadline: float | None = None,
+            world: WorldModel, deadline: float | None = None,
             cache: _Lookahead | None = None) -> tuple[str, int | None]:
     """Repeatedly extend toward a fixed target until reached or trapped.
 
@@ -324,8 +318,7 @@ def connect(tree: Tree, target, params: RrtParams, robot: RobotModel,
     """
     last = None
     while True:
-        status, index = extend(tree, target, params, robot, world, stats=stats,
-                               cache=cache)
+        status, index = extend(tree, target, params, robot, world, cache=cache)
         if status == TRAPPED:
             return TRAPPED, last
         last = index

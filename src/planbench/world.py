@@ -90,6 +90,8 @@ class Obstacle:
         sizes = _size_fields(self.shape)
         object.__setattr__(self, "center", _vec(self.center, 3, "obstacle center"))
         object.__setattr__(self, "yaw", float(self.yaw))
+        if not (np.isfinite(self.center).all() and math.isfinite(self.yaw)):
+            raise ValidationError("obstacle center and yaw must be finite")
         if {n for n in _SIZE_FIELDS if getattr(self, n) is not None} != set(sizes):
             raise ValidationError(
                 f"{self.shape} requires exactly {', '.join(map(repr, sizes))}")
@@ -251,8 +253,8 @@ class VariationSpec:
         for value, name in ((self.object_jitter_xy, "object_jitter_xy"),
                             (self.height_range, "height_range"),
                             (self.yaw_range_deg, "yaw_range_deg")):
-            if value < 0:
-                raise ValidationError(f"variation {name} must be >= 0")
+            if not 0 <= value < math.inf:
+                raise ValidationError(f"variation {name} must be finite and >= 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -337,8 +339,6 @@ def _build_scenario(doc: dict, base_dir: str | Path | None) -> Scenario:
             raise ValidationError("region goal does not intersect the joint limits")
     else:
         raise ValidationError(f"unknown goal type {goal_doc['type']!r}")
-    if goal.dof != robot.dof:
-        raise ValidationError("goal dimension does not match robot DOF")
 
     world_doc = check_keys(doc["world"], "world", {"obstacles"})
     obstacles = tuple(_parse_obstacle(e) for e in world_doc.get("obstacles") or ())

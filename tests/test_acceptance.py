@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from planbench.ara_star import (BUDGET_SPLIT, AraParams, ara_search, default_primitives,
-                                discretize, plan_ara_star)
+                                plan_ara_star)
 from planbench.bench import (ARA_STAR, RRT_CONNECT, RunRecord, aggregate,
                              emit_report, run_suite)
 from planbench.collision import check_config

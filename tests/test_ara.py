@@ -13,8 +13,7 @@ from planbench.ara_star import (AraParams, LatticeCache, ara_search, decode,
                                 default_primitives, discretize, plan_ara_star)
 from planbench.collision import check_motion, free_mask, motion_configs
 from planbench.core import (BUDGET_GRACE, FAILURE, OK, SOLVED_BACKWARD, SOLVED_FORWARD,
-                            UNSOLVABLE,
-                            Query, goal_satisfied, path_cost, query_from_scenario,
+                            UNSOLVABLE, Query, goal_satisfied, query_from_scenario,
                             validate_path, validate_query)
 from planbench.data import data_path
 from planbench.errors import ValidationError

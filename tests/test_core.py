@@ -8,7 +8,8 @@ from planbench.core import (FAILURE, GOAL_IN_COLLISION, OK, START_IN_COLLISION,
                             UNSOLVABLE, Path, Query, goal_representative, goal_satisfied,
                             path_cost, query_from_scenario, validate_path,
                             validate_query)
-from planbench.errors import ValidationError
+from planbench.errors import ContractViolation, ValidationError
+from planbench.robot import config_distance
 from planbench.world import GoalSpec, WorldModel
 
 from conftest import gantry_robot, random_robot
@@ -160,6 +161,20 @@ class TestPathCost:
             diff = waypoints[k + 1] - waypoints[k]
             want += float(np.sqrt(np.sum(robot.weights * diff * diff)))
         assert got == pytest.approx(want, abs=1e-12)
+
+    def test_equals_left_to_right_config_distances(self):
+        rng = np.random.default_rng(32)
+        for _ in range(20):
+            robot = random_robot(rng)
+            waypoints = np.array([sample_uniform(robot, rng) for _ in range(12)])
+            want = 0.0
+            for a, b in zip(waypoints, waypoints[1:]):
+                want += config_distance(robot, a, b)
+            assert path_cost(robot, Path(waypoints)) == want
+
+    def test_dimension_mismatch_rejected(self, robot):
+        with pytest.raises(ContractViolation):
+            path_cost(robot, Path(np.zeros((2, robot.dof + 1))))
 
 
 class TestGoalSatisfied:

@@ -1,7 +1,8 @@
 """Package layout rules, checked on the source: modules share no private
 names, the only runtime dependencies are numpy and PyYAML, no public
-function, class or class member exists only for the tests, and every
-function the benchmark traces exists."""
+function, class or class member exists only for the tests, every
+function the benchmark traces exists, and the tests import nothing they
+do not use."""
 
 import ast
 import importlib
@@ -13,6 +14,7 @@ import planbench
 
 SOURCES = sorted(Path(planbench.__file__).parent.rglob("*.py"))
 BENCHMARK = sorted((Path(__file__).resolve().parents[1] / "benchmark").glob("*.py"))
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "yaml", "planbench"}
 
 
@@ -110,3 +112,22 @@ def test_trace_targets_name_package_attributes():
                if not hasattr(importlib.import_module(f"planbench.{module}"), attr)]
     assert len(entries) >= 10
     assert missing == []
+
+
+def test_tests_import_only_names_they_use():
+    # An imported name counts as used when the module names it anywhere
+    # (attribute access on a module counts); __future__ imports are
+    # compiler directives.
+    unused = []
+    for path in TESTS:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [f"{path.name}:{node.lineno} {name}"
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and getattr(node, "module", None) != "__future__"
+                   for name in (alias.asname or alias.name.split(".")[0]
+                                for alias in node.names)
+                   if name not in used]
+    assert len(TESTS) >= 10
+    assert unused == []

@@ -11,7 +11,8 @@ from planbench.collision import free_mask
 from planbench.data import data_path
 from planbench.errors import ContractViolation, ValidationError
 from planbench.robot import (CollisionSphere, RobotModel, config_distance,
-                             load_robot, parse_robot, sphere_centers_batch)
+                             load_robot, parse_robot, sphere_centers_batch,
+                             weighted_norms)
 from planbench.world import WorldModel
 
 from conftest import make_joint, random_robot, single_revolute_robot
@@ -96,6 +97,14 @@ class TestConfigDistance:
                   make_joint("b", limits=(-10, 10), weight=1.0))
         robot = RobotModel(joints=joints)
         assert config_distance(robot, [0, 0], [1, 0]) == pytest.approx(2.0)
+
+    def test_weighted_norms_rows_equal_config_distance(self):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            robot = random_robot(rng)
+            a, b = (rng.uniform(-2, 2, size=(9, robot.dof)) for _ in range(2))
+            assert weighted_norms(robot, a - b) == [
+                config_distance(robot, x, y) for x, y in zip(a, b)]
 
     def test_metric_axioms_randomized(self):
         rng = np.random.default_rng(11)

@@ -18,7 +18,7 @@ from planbench.rrt_connect import (ADVANCED, LOOKAHEAD, REACHED, TRAPPED, RrtPar
                                    Tree, connect, extend, nearest, plan_rrt_connect)
 from planbench.world import GoalSpec, WorldModel, generate_variations, load_scenario
 
-from conftest import gantry_robot
+from conftest import gantry_robot, random_robot
 from oracles import box_obstacle, rrt_connect_sequential, sample_uniform
 
 
@@ -112,6 +112,28 @@ class TestTree:
         q[:] = 0.0
         assert not np.shares_memory(q, tree.nodes)
         assert tree.nodes.tolist() == [[1.0, 2.0]]
+
+
+class TestSteps:
+    def test_rows_equal_one_row_calls(self):
+        rng = np.random.default_rng(13)
+        kinds = set()
+        for _ in range(20):
+            robot = random_robot(rng)
+            params = RrtParams(step_eta=float(rng.uniform(0.1, 1.0)), edge_step=0.05)
+            q_near, targets = (np.array([sample_uniform(robot, rng) for _ in range(12)])
+                               for _ in range(2))
+            targets[0] = q_near[0]  # coinciding: no step
+            targets[1] = q_near[1] + 1e-3  # within step_eta: reached
+            rows = rrt_connect._steps(robot, params, q_near, targets)
+            for k, step in enumerate(rows):
+                one = rrt_connect._steps(robot, params, q_near[k:k + 1],
+                                         targets[k:k + 1])[0]
+                kinds.add(None if step is None else step[1])
+                assert (step is None) == (one is None)
+                if step is not None:
+                    assert step[0].tobytes() == one[0].tobytes() and step[1] == one[1]
+        assert kinds == {None, True, False}
 
 
 class TestExtend:
@@ -480,18 +502,22 @@ class TestLookahead:
         assert cache.steer(tree, tied)[0] == nearest(tree, tied[None])[0] == older
         # The step found with a node is kept with it: a tie returns that step
         # without steering again, a strictly closer node gets a fresh one.
-        steer = rrt_connect._steer
-        want = steer(robot, PARAMS, tree.nodes[older], tied)
-        monkeypatch.setattr(rrt_connect, "_steer", None)
+        steps = rrt_connect._steps
+
+        def steer(q_near, target):
+            return steps(robot, PARAMS, q_near[None], target[None])[0]
+
+        want = steer(tree.nodes[older], tied)
+        monkeypatch.setattr(rrt_connect, "_steps", None)
         index, step = cache.steer(tree, tied)
         assert index == older and np.array_equal(step[0], want[0]) and step[1] == want[1]
-        monkeypatch.setattr(rrt_connect, "_steer", steer)
+        monkeypatch.setattr(rrt_connect, "_steps", steps)
         target = next(q for q in map(cache.sample, range(4, LOOKAHEAD + 1, 2))
                       if not cache.steer(tree, q)[1][1])  # a clamped step
         index, remembered = cache.steer(tree, target)
         tree.add(target + 0.5 * (tree.nodes[index] - target), 0)
         index, step = cache.steer(tree, target)
-        want = steer(robot, PARAMS, tree.nodes[index], target)
+        want = steer(tree.nodes[index], target)
         assert index == tree.size - 1
         assert np.array_equal(step[0], want[0]) and step[1] == want[1]
         assert not np.array_equal(step[0], remembered[0])

@@ -10,7 +10,7 @@ from planbench.ara_star import parse_primitives
 from planbench.data import data_path
 from planbench.errors import ContractViolation, ParseError, ValidationError
 from planbench.robot import parse_robot
-from planbench.world import (GoalSpec, Obstacle, Scenario, VariationSpec, WorldModel,
+from planbench.world import (GoalSpec, Obstacle, VariationSpec, WorldModel,
                              generate_variations, load_scenario, parse_scenario,
                              serialize_scenario)
 
@@ -219,17 +219,33 @@ class TestParse:
             parse_scenario(minimal_doc("missing.yaml"), base_dir=tmp_path)
 
 
+# A box on the robot's base that a non-finite center would make vanish.
+NAN_BOX = ("obstacles: [{shape: box, center: [.nan, 0, 0], yaw: 0.0, "
+           "half_extents: [0.5, 0.5, 0.5]}]")
+
+
 @pytest.mark.parametrize("kind, doc", [
     ("robot", "joints: 3\n"),
     ("robot", MINI_ROBOT.replace("limits: [-1.0, 1.0]", "limits: abc")),
     ("scenario", minimal_doc().replace("time_budget_s: 1.0", "time_budget_s: abc")),
     ("scenario", minimal_doc().replace(
         "obstacles: []", "obstacles: [{shape: sphere, center: abc, radius: 0.1}]")),
+    ("scenario", minimal_doc().replace("obstacles: []", NAN_BOX)),
+    ("scenario", minimal_doc().replace("obstacles: []", NAN_BOX.replace(
+        "[.nan, 0, 0], yaw: 0.0", "[0, 0, 0], yaw: .nan"))),
+    ("scenario", minimal_doc().replace("obstacles: []", NAN_BOX.replace(".nan", ".inf"))),
     ("scenario", minimal_doc() + "variation: {shelf_indices: [a]}\n"),
+    ("scenario", minimal_doc() + "variation: {height_range: .nan}\n"),
+    ("scenario", minimal_doc() + "variation: {yaw_range_deg: .inf}\n"),
     ("primitives", "primitives: 5\n"),
     ("primitives", "snap_radius: abc\n"),
+    ("primitives", "snap_radius: .nan\n"),
+    ("primitives", "snap_radius: .inf\n"),
 ], ids=["robot-joints", "robot-limits", "scenario-budget", "obstacle-center",
-        "variation-indices", "primitives-list", "primitives-snap"])
+        "obstacle-nan-center", "obstacle-nan-yaw", "obstacle-inf-center",
+        "variation-indices", "variation-nan-range", "variation-inf-range",
+        "primitives-list", "primitives-snap", "primitives-nan-snap",
+        "primitives-inf-snap"])
 def test_malformed_values_raise_validation_error(kind, doc, tmp_path, robot_file):
     parse = {
         "robot": parse_robot,
