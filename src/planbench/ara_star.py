@@ -490,14 +490,14 @@ def _lattice_attempt(robot: RobotModel, world: WorldModel, start_q: np.ndarray,
         return None
     state = discretize(robot, start_q)
     cell = decode(robot, state)
-    cache.states[state] = bool(free_mask(robot, world, cell[None, :], stats=stats)[0])
-    if not cache.states[state]:
-        return None
     prefix: list[np.ndarray] = []
     if not np.array_equal(cell, start_q):
         if not check_motion(robot, world, start_q, cell, params.edge_step, stats=stats):
             return None
         prefix = [np.asarray(start_q, dtype=float).copy()]
+    # The cell is free: it is the screened start or goal representative
+    # itself, or the last row of the junction motion just checked.
+    cache.states[state] = True
     solution, search_stats = ara_search(
         state, goal, primitives, params, robot, world, deadline,
         cache=cache, stats=stats)

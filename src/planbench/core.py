@@ -7,12 +7,13 @@ period (the clock is polled at loop boundaries, not preemptively).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .collision import check_config, check_motion, free_mask
-from .errors import ContractViolation, ValidationError
+from .errors import ContractViolation, ValidationError, finite_array
 from .robot import RobotModel, as_configuration, weighted_norms
 from .world import GoalSpec, Scenario, WorldModel
 
@@ -40,11 +41,9 @@ class Query:
     time_budget: float
 
     def __post_init__(self):
-        start = np.asarray(self.start, dtype=float).copy()
-        start.flags.writeable = False
-        object.__setattr__(self, "start", start)
-        if not self.time_budget > 0:
-            raise ValidationError("time budget must be positive")
+        object.__setattr__(self, "start", finite_array(self.start, "start", (None,)))
+        if not 0 < self.time_budget < math.inf:
+            raise ValidationError("time budget must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -55,13 +54,9 @@ class Path:
     waypoints: np.ndarray  # (k, n)
 
     def __post_init__(self):
-        wp = np.asarray(self.waypoints, dtype=float)
-        if wp.ndim != 2 or wp.shape[0] < 1:
+        wp = finite_array(self.waypoints, "path waypoints", (None, None))
+        if wp.shape[0] < 1:
             raise ValidationError("path requires a (k >= 1, n) waypoint array")
-        if not np.isfinite(wp).all():
-            raise ValidationError("path waypoints must be finite")
-        wp = wp.copy()
-        wp.flags.writeable = False
         object.__setattr__(self, "waypoints", wp)
 
     def __len__(self) -> int:

@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and the one YAML-mapping loader
-that turns malformed documents into them."""
+"""Exception types shared across the package, the one YAML-mapping loader
+that turns malformed documents into them, and the one check that every
+vector and size entering the package is a finite array of the right shape."""
 
+import numpy as np
 import yaml
 
 
@@ -55,3 +57,19 @@ def parse_mapping(text: str, what: str, keys, build):
         return build(doc)
     except (TypeError, ValueError, KeyError) as exc:
         raise ValidationError(f"malformed {what} document: {exc!r}") from exc
+
+
+def finite_array(value, what: str, shape: tuple = ()) -> np.ndarray:
+    """A read-only float64 copy of ``value`` whose shape matches ``shape``
+    (a ``None`` entry matches any length) and whose entries are all finite;
+    anything else raises ValidationError naming ``what``."""
+    try:
+        arr = np.array(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what} must be numeric: {exc}") from exc
+    if arr.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, arr.shape)):
+        raise ValidationError(f"{what} must have shape {shape}, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{what} must be finite")
+    arr.flags.writeable = False
+    return arr

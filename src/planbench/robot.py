@@ -20,21 +20,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractViolation, ValidationError, check_keys, parse_mapping
+from .errors import (ContractViolation, ValidationError, check_keys, finite_array,
+                     parse_mapping)
 
 REVOLUTE = "revolute"
 PRISMATIC = "prismatic"
 
 _AXIS_NORM_TOL = 1e-9
-
-
-def _vec3(value, what: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if arr.shape != (3,):
-        raise ValidationError(f"{what} must be a 3-vector, got shape {arr.shape}")
-    arr = arr.copy()
-    arr.flags.writeable = False
-    return arr
 
 
 @dataclass(frozen=True)
@@ -60,21 +52,18 @@ class JointSpec:
     def __post_init__(self):
         if self.kind not in (REVOLUTE, PRISMATIC):
             raise ValidationError(f"joint {self.name!r}: unknown kind {self.kind!r}")
-        object.__setattr__(self, "axis", _vec3(self.axis, f"joint {self.name!r} axis"))
-        object.__setattr__(
-            self, "origin_translation",
-            _vec3(self.origin_translation, f"joint {self.name!r} origin translation"))
-        object.__setattr__(
-            self, "origin_rotation",
-            _vec3(self.origin_rotation, f"joint {self.name!r} origin rotation"))
-        lo, hi = (float(self.limits[0]), float(self.limits[1]))
+        for field, shape in (("axis", (3,)), ("origin_translation", (3,)),
+                             ("origin_rotation", (3,)), ("limits", (2,))):
+            object.__setattr__(self, field, finite_array(
+                getattr(self, field), f"joint {self.name!r} {field}", shape))
+        lo, hi = self.limits.tolist()
         object.__setattr__(self, "limits", (lo, hi))
         if not lo < hi:
             raise ValidationError(f"joint {self.name!r}: limits must satisfy lo < hi")
         if abs(float(np.linalg.norm(self.axis)) - 1.0) > _AXIS_NORM_TOL:
             raise ValidationError(f"joint {self.name!r}: axis must have unit norm")
-        if not self.weight > 0:
-            raise ValidationError(f"joint {self.name!r}: weight must be positive")
+        if not 0 < self.weight < math.inf:
+            raise ValidationError(f"joint {self.name!r}: weight must be positive and finite")
         if not 0 < self.resolution <= hi - lo:
             raise ValidationError(
                 f"joint {self.name!r}: resolution must lie in (0, hi - lo]")
@@ -90,9 +79,9 @@ class CollisionSphere:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "local_center", _vec3(self.local_center, "sphere center"))
-        if not self.radius > 0:
-            raise ValidationError("sphere radius must be positive")
+            self, "local_center", finite_array(self.local_center, "sphere center", (3,)))
+        if not 0 < self.radius < math.inf:
+            raise ValidationError("sphere radius must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -315,7 +304,7 @@ def _build_robot(doc: dict) -> RobotModel:
             axis=entry["axis"],
             origin_translation=entry.get("origin_xyz", (0.0, 0.0, 0.0)),
             origin_rotation=entry.get("origin_rpy", (0.0, 0.0, 0.0)),
-            limits=(entry["limits"][0], entry["limits"][1]),
+            limits=entry["limits"],
             resolution=float(entry["resolution"]),
             weight=float(entry.get("weight", 1.0)),
         ))

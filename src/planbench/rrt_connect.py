@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collision import motions_free
+from .collision import free_mask, motions_free
 from .core import (FAILURE, OK, SOLVED_FORWARD, UNSOLVABLE, PlannerResult, Path,
                    Query, goal_satisfied, screen_query)
 from .errors import ContractViolation, ValidationError
@@ -235,7 +235,9 @@ class _Lookahead:
             [(j % 2, self.sample(j)) for j in range(first, last + 1)], missed)
         pending = self._unknown(missed, old)
         if pending:
-            free = self._check([(q_new, q_new) for _, q_new in pending.values()])
+            free = free_mask(self.robot, self.world,
+                             np.array([q_new for _, q_new in pending.values()]),
+                             stats=self.stats).tolist()
             self.verdicts.update((key, False) for key, ok in zip(pending, free) if not ok)
             pending = {key: m for (key, m), ok in zip(pending.items(), free) if ok}
         connects = {}
@@ -243,7 +245,10 @@ class _Lookahead:
                          if key in pending or self.verdicts[key]], connects)
         pending.update(self._unknown(connects, old))
         if pending:
-            self.verdicts.update(zip(pending, self._check(list(pending.values()))))
+            pairs = np.array(list(pending.values()))
+            self.verdicts.update(zip(pending, motions_free(
+                self.robot, self.world, pairs[:, 0], pairs[:, 1], self.params.edge_step,
+                stats=self.stats).tolist()))
 
     def _steer_all(self, jobs, motions: dict) -> list:
         """Steer each (tree index, target) job against the current trees,
@@ -270,12 +275,6 @@ class _Lookahead:
         """Take the verdicts ``old`` holds for ``motions``; return the rest."""
         self.verdicts.update((key, old[key]) for key in motions if key in old)
         return {key: m for key, m in motions.items() if key not in self.verdicts}
-
-    def _check(self, motions: list) -> list:
-        """The verdicts of (start, end) motions, in one counted call."""
-        pairs = np.array(motions)
-        return motions_free(self.robot, self.world, pairs[:, 0], pairs[:, 1],
-                            self.params.edge_step, stats=self.stats).tolist()
 
 
 def extend(tree: Tree, target, params: RrtParams, robot: RobotModel,

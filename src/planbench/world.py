@@ -21,7 +21,8 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .errors import ContractViolation, ValidationError, check_keys, parse_mapping
+from .errors import (ContractViolation, ValidationError, check_keys, finite_array,
+                     parse_mapping)
 from .robot import RobotModel, load_robot
 
 BOX = "box"
@@ -32,15 +33,6 @@ OBJECTS_ONLY = "objects_only"
 PLUS_HEIGHT = "plus_height"
 PLUS_ROTATION = "plus_rotation"
 FAMILIES = (OBJECTS_ONLY, PLUS_HEIGHT, PLUS_ROTATION)
-
-
-def _vec(value, length, what):
-    arr = np.asarray(value, dtype=float)
-    if arr.shape != (length,):
-        raise ValidationError(f"{what} must have length {length}, got shape {arr.shape}")
-    arr = arr.copy()
-    arr.flags.writeable = False
-    return arr
 
 
 # The size fields of each obstacle shape, in document order, with each
@@ -88,20 +80,16 @@ class Obstacle:
 
     def __post_init__(self):
         sizes = _size_fields(self.shape)
-        object.__setattr__(self, "center", _vec(self.center, 3, "obstacle center"))
-        object.__setattr__(self, "yaw", float(self.yaw))
-        if not (np.isfinite(self.center).all() and math.isfinite(self.yaw)):
-            raise ValidationError("obstacle center and yaw must be finite")
+        object.__setattr__(self, "center", finite_array(self.center, "obstacle center", (3,)))
+        object.__setattr__(self, "yaw", float(finite_array(self.yaw, "obstacle yaw")))
         if {n for n in _SIZE_FIELDS if getattr(self, n) is not None} != set(sizes):
             raise ValidationError(
                 f"{self.shape} requires exactly {', '.join(map(repr, sizes))}")
         for name, dims in sizes.items():
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != dims:
-                raise ValidationError(f"{self.shape} {name} must have shape {dims}")
+            arr = finite_array(getattr(self, name), f"{self.shape} {name}", dims)
             if not all(v > 0 for v in arr.ravel().tolist()):
                 raise ValidationError(f"{self.shape} {name} must be positive")
-            object.__setattr__(self, name, _vec(arr, dims[0], name) if dims else float(arr))
+            object.__setattr__(self, name, arr if dims else float(arr))
         if self.shape == SPHERE and self.yaw != 0.0:
             raise ValidationError("sphere orientation is the identity; yaw must be 0")
 
@@ -187,12 +175,11 @@ class GoalSpec:
                 raise ValidationError("config goal requires a target")
             if self.lower is not None or self.upper is not None:
                 raise ValidationError("a config goal's box is derived, not given")
-            n = len(self.target)
-            target = _vec(self.target, n, "goal target")
+            target = finite_array(self.target, "goal target", (None,))
             object.__setattr__(self, "target", target)
             tol = 0.0
             if self.tolerance is not None:
-                tol = _vec(self.tolerance, n, "goal tolerance")
+                tol = finite_array(self.tolerance, "goal tolerance", target.shape)
                 if not np.all(tol >= 0):
                     raise ValidationError("goal tolerance entries must be >= 0")
                 object.__setattr__(self, "tolerance", tol)
@@ -201,9 +188,8 @@ class GoalSpec:
         elif self.kind == "region":
             if self.lower is None or self.upper is None:
                 raise ValidationError("region goal requires lower and upper")
-            n = len(self.lower)
-            lower = _vec(self.lower, n, "region lower")
-            upper = _vec(self.upper, n, "region upper")
+            lower = finite_array(self.lower, "region lower", (None,))
+            upper = finite_array(self.upper, "region upper", lower.shape)
             if not np.all(lower <= upper):
                 raise ValidationError("region lower must be <= upper component-wise")
         else:
@@ -271,14 +257,12 @@ class Scenario:
     variation: VariationSpec | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "start", _vec(self.start, len(self.start), "start"))
-        if len(self.start) != self.robot.dof:
-            raise ValidationError(
-                f"start has {len(self.start)} values, robot has {self.robot.dof} joints")
+        object.__setattr__(
+            self, "start", finite_array(self.start, "start", (self.robot.dof,)))
         if self.goal.dof != self.robot.dof:
             raise ValidationError("goal dimension does not match robot DOF")
-        if not self.time_budget > 0:
-            raise ValidationError("time budget must be positive")
+        if not 0 < self.time_budget < math.inf:
+            raise ValidationError("time budget must be positive and finite")
 
     __eq__ = _field_eq("name", "robot_file", "start", "goal", "world", "time_budget",
                        "variation")

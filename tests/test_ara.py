@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from planbench import ara_star, collision
+from planbench import ara_star, collision, core
 from planbench.ara_star import (AraParams, LatticeCache, ara_search, decode,
                                 default_primitives, discretize, plan_ara_star)
 from planbench.collision import check_motion, free_mask, motion_configs
@@ -238,6 +238,7 @@ def checked_rows(monkeypatch):
         return free_mask(robot, world, configs, stats=stats)
 
     monkeypatch.setattr(collision, "free_mask", recording)
+    monkeypatch.setattr(core, "free_mask", recording)
     monkeypatch.setattr(ara_star, "free_mask", recording)
     return rows
 
@@ -325,6 +326,18 @@ class TestPlanAraStar:
                                default_primitives(robot), params)
         assert result.status == SOLVED_FORWARD
         assert validate_path(robot, WorldModel(()), query, result.path, 0.05)
+
+    def test_on_lattice_start_checked_once(self, checked_rows):
+        # The query screen checks the start; its lattice cell is that same
+        # configuration, so the attempt must not check it again.
+        robot = gantry_robot(resolution=0.25)
+        world = WorldModel((box_obstacle((3.0, 3.0, 0.0), (0.3, 1.2, 0.5)),))
+        query = simple_query()
+        assert np.array_equal(decode(robot, discretize(robot, query.start)), query.start)
+        result = plan_ara_star(robot, world, query, default_primitives(robot),
+                               AraParams(epsilon_schedule=(3.0, 1.0)))
+        assert result.status == SOLVED_FORWARD
+        assert checked_rows.count(query.start.tobytes()) == 1
 
     def test_off_lattice_endpoints_joined_exactly(self):
         robot = gantry_robot(resolution=0.25)

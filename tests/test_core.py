@@ -232,6 +232,14 @@ class TestValidatePath:
             Path(np.array([[1.0, 1.0], [bad, 2.0], [3.0, 1.0]]))
 
 
+@pytest.mark.parametrize("start, budget", [
+    ([np.nan, 1.0], 1.0), ([[1.0, 1.0]], 1.0), ([1.0, 1.0], np.inf),
+], ids=["nan-start", "2d-start", "inf-budget"])
+def test_malformed_query_rejected(start, budget):
+    with pytest.raises(ValidationError):
+        Query(start=start, goal=config_goal([2, 2]), time_budget=budget)
+
+
 class TestQueryFromScenario:
     def test_default_tolerance_applied(self, tmp_path):
         robot_doc = ("joints:\n"

@@ -1,8 +1,8 @@
 """Package layout rules, checked on the source: modules share no private
 names, the only runtime dependencies are numpy and PyYAML, no public
-function, class or class member exists only for the tests, every
-function the benchmark traces exists, and the tests import nothing they
-do not use."""
+function, class or class member exists only for the tests, only
+``errors.py`` checks values for finiteness, every function the benchmark
+traces exists, and the tests import nothing they do not use."""
 
 import ast
 import importlib
@@ -97,6 +97,14 @@ def test_every_public_member_is_used_outside_tests():
               and not member.name.startswith("_")
               and used[member.name] == _names(member)[member.name]]
     assert unused == []
+
+
+def test_finite_checks_only_in_errors():
+    # errors.finite_array is the package's one array check: a second
+    # isfinite elsewhere would be a second, drifting copy of it.
+    found = [path.name for path in SOURCES
+             if _names(ast.parse(path.read_text(encoding="utf-8")))["isfinite"]]
+    assert found == ["errors.py"]
 
 
 def test_trace_targets_name_package_attributes():

@@ -237,6 +237,23 @@ NAN_BOX = ("obstacles: [{shape: box, center: [.nan, 0, 0], yaw: 0.0, "
     ("scenario", minimal_doc() + "variation: {shelf_indices: [a]}\n"),
     ("scenario", minimal_doc() + "variation: {height_range: .nan}\n"),
     ("scenario", minimal_doc() + "variation: {yaw_range_deg: .inf}\n"),
+    ("robot", MINI_ROBOT.replace("axis: [0, 0, 1]", "axis: [0, 0, .nan]")),
+    ("robot", MINI_ROBOT.replace("axis: [0, 0, 1]",
+                                 "axis: [0, 0, 1], origin_xyz: [.nan, 0, 0]")),
+    ("robot", MINI_ROBOT.replace("axis: [0, 0, 1]",
+                                 "axis: [0, 0, 1], origin_rpy: [0, .inf, 0]")),
+    ("robot", MINI_ROBOT.replace("limits: [-1.0, 1.0]", "limits: [-1.0, .inf]")),
+    ("robot", MINI_ROBOT.replace("resolution: 0.1}", "resolution: 0.1, weight: .inf}")),
+    ("robot", MINI_ROBOT.replace("center: [0.2, 0, 0]", "center: [.nan, 0, 0]")),
+    ("robot", MINI_ROBOT.replace("radius: 0.05", "radius: .inf")),
+    ("scenario", minimal_doc().replace("start: [0.0]", "start: [.nan]")),
+    ("scenario", minimal_doc().replace("target: [0.5]", "target: [.nan]")),
+    ("scenario", minimal_doc().replace("target: [0.5]", "target: [0.5], tolerance: [.inf]")),
+    ("scenario", minimal_doc().replace("{type: config, target: [0.5]}",
+                                       "{type: region, lower: [-.inf], upper: [0.5]}")),
+    ("scenario", minimal_doc().replace("{type: config, target: [0.5]}",
+                                       "{type: region, lower: [0.0], upper: [.inf]}")),
+    ("scenario", minimal_doc().replace("time_budget_s: 1.0", "time_budget_s: .inf")),
     ("primitives", "primitives: 5\n"),
     ("primitives", "snap_radius: abc\n"),
     ("primitives", "snap_radius: .nan\n"),
@@ -244,8 +261,11 @@ NAN_BOX = ("obstacles: [{shape: box, center: [.nan, 0, 0], yaw: 0.0, "
 ], ids=["robot-joints", "robot-limits", "scenario-budget", "obstacle-center",
         "obstacle-nan-center", "obstacle-nan-yaw", "obstacle-inf-center",
         "variation-indices", "variation-nan-range", "variation-inf-range",
-        "primitives-list", "primitives-snap", "primitives-nan-snap",
-        "primitives-inf-snap"])
+        "joint-nan-axis", "joint-nan-origin-xyz", "joint-inf-origin-rpy",
+        "joint-inf-limits", "joint-inf-weight", "sphere-nan-center", "sphere-inf-radius",
+        "scenario-nan-start", "goal-nan-target", "goal-inf-tolerance",
+        "goal-inf-lower", "goal-inf-upper", "scenario-inf-budget", "primitives-list",
+        "primitives-snap", "primitives-nan-snap", "primitives-inf-snap"])
 def test_malformed_values_raise_validation_error(kind, doc, tmp_path, robot_file):
     parse = {
         "robot": parse_robot,
