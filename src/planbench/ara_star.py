@@ -29,7 +29,7 @@ import numpy as np
 
 from .collision import check_motion, free_mask, motion_configs
 from .core import (FAILURE, OK, SOLVED_BACKWARD, SOLVED_FORWARD, UNSOLVABLE, Path,
-                   PlannerResult, Query, goal_satisfied, path_cost, screen_query)
+                   PlannerResult, Query, goal_satisfied, screen_query)
 from .errors import ContractViolation, ValidationError, parse_mapping
 from .robot import RobotModel, as_configuration, config_distance, weighted_norms
 from .world import GoalSpec, WorldModel
@@ -112,7 +112,6 @@ class SearchStats:
     expansions_per_epsilon: list[int] = field(default_factory=list)
     incumbent_costs: list[float | None] = field(default_factory=list)
     reopened: int = 0
-    epsilon_final: float | None = None
 
     @property
     def expansions(self) -> int:
@@ -121,11 +120,10 @@ class SearchStats:
 
 @dataclass
 class AraSolution:
-    """An incumbent lattice path: node chain, decoded waypoints, cost."""
+    """An incumbent lattice path: node chain and decoded waypoints."""
 
     nodes: tuple
     waypoints: list[np.ndarray]
-    cost: float
 
 
 class LatticeCache:
@@ -136,7 +134,8 @@ class LatticeCache:
     maps an ordered state pair to its verdict; ``snap`` maps a (state, goal
     configuration bytes) pair to the verdict of that state's goal-snap edge,
     since the two attempts snap to different configurations.  ``states`` maps
-    a lattice state to its configuration's verdict, so each is checked once.
+    a lattice state to its configuration's verdict, so each is checked once;
+    a GOAL_NODE entry is the verdict of every goal-snap target.
     """
 
     def __init__(self):
@@ -453,7 +452,6 @@ def ara_search(start_state: tuple[int, ...], goal: GoalSpec,
             None if best_node is None else best_cost)
         if interrupted:
             break
-        search_stats.epsilon_final = eps
         if eps == schedule[-1] or not settle(pending):
             break
         seeds = {s for _, neg_t, s, seq in heap if not seq and -neg_t == g[s]} | incons
@@ -473,11 +471,7 @@ def ara_search(start_state: tuple[int, ...], goal: GoalSpec,
     chain.reverse()
     waypoints = [goal_config.copy() if s == GOAL_NODE else decode(robot, s)
                  for s in chain]
-    # Report the reconstructed path's actual cost: parent pointers can be
-    # rewired by later relaxations, so the chain may be cheaper than the
-    # g-value certified when the incumbent was first expanded.
-    cost = path_cost(robot, Path(np.array(waypoints)))
-    return AraSolution(nodes=tuple(chain), waypoints=waypoints, cost=cost), search_stats
+    return AraSolution(nodes=tuple(chain), waypoints=waypoints), search_stats
 
 
 def _lattice_attempt(robot: RobotModel, world: WorldModel, start_q: np.ndarray,
@@ -536,6 +530,9 @@ def plan_ara_star(robot: RobotModel, world: WorldModel, query: Query,
                              Path(start[None, :].copy()))
 
     cache = LatticeCache()
+    # Every goal-snap edge ends at a configuration the screen found free: the
+    # goal target forward, the start backward.
+    cache.states[GOAL_NODE] = True
     forward_deadline = t0 + query.time_budget * BUDGET_SPLIT
     final_deadline = t0 + query.time_budget
 

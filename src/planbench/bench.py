@@ -10,7 +10,10 @@ clock from its first step to its result.
 Records carry the status of the PlannerResult (solved-forward,
 solved-backward, failure, unsolvable) plus an "error" status for per-record
 harness failures such as scenario/robot dimension mismatches; errors never
-abort the suite.
+abort the suite.  ``emit_csv`` writes the records one line each and
+``parse_records`` reads them back; ``aggregate`` reduces them to one row per
+planner, the five status counts and the solved runs' median, geometric mean
+and max planning time, which ``emit_table`` prints.
 """
 
 from __future__ import annotations
@@ -62,28 +65,10 @@ class RunRecord:
 
 
 @dataclass(frozen=True)
-class TimeSummary:
-    """Planning-time statistics over a set of runs, in seconds."""
-
-    minimum: float
-    median: float
-    geometric_mean: float | None
-    maximum: float
-
-    @classmethod
-    def of(cls, times: list[float], with_geometric: bool) -> "TimeSummary | None":
-        if not times:
-            return None
-        geo = None
-        if with_geometric:
-            geo = math.exp(statistics.fmean(math.log(max(t, 1e-12)) for t in times))
-        return cls(minimum=min(times), median=statistics.median(times),
-                   geometric_mean=geo, maximum=max(times))
-
-
-@dataclass(frozen=True)
 class SuiteAggregate:
-    """Counts, success rate, and timing for one (suite, planner) group."""
+    """The status counts (in STATUSES order) of one (suite, planner) group, and
+    ``solved_s``: the median, geometric mean and max planning time of its
+    solved runs in seconds, None when no run solved."""
 
     suite: str
     planner: str
@@ -93,18 +78,7 @@ class SuiteAggregate:
     failure: int
     unsolvable: int
     errors: int
-    success_rate: float
-    time_solved: TimeSummary | None
-    time_all: TimeSummary
-
-
-@dataclass(frozen=True)
-class BenchmarkReport:
-    """Aggregates per (suite, planner) plus the raw per-run records."""
-
-    suite: str
-    rows: tuple[SuiteAggregate, ...]
-    records: tuple[RunRecord, ...]
+    solved_s: tuple[float, float, float] | None
 
 
 def plan(scenario: Scenario, planner: str, params: PlannerParams,
@@ -175,75 +149,67 @@ def run_suite(scenarios, planner: str, params: PlannerParams,
         return list(pool.map(_worker, tasks))
 
 
-def aggregate(records, suite: str = "suite") -> BenchmarkReport:
-    """Group records by planner and compute the report aggregates.
-
-    The geometric mean is computed over solved runs only; all-runs summaries
-    carry min/median/max.
-    """
+def aggregate(records, suite: str = "suite") -> tuple[SuiteAggregate, ...]:
+    """One row per planner, in name order.  Unsolvable runs end in
+    milliseconds, so the times summarize the solved runs only."""
     records = list(records)
     if not records:
         raise ContractViolation("aggregate requires at least one record")
     rows = []
     for planner in sorted({r.planner for r in records}):
         group = [r for r in records if r.planner == planner]
-        counts = {status: sum(1 for r in group if r.status == status)
-                  for status in STATUSES}
-        solved_times = [r.planning_time for r in group
-                        if r.status in (SOLVED_FORWARD, SOLVED_BACKWARD)]
-        all_times = [r.planning_time for r in group]
-        rows.append(SuiteAggregate(
-            suite=suite,
-            planner=planner,
-            total=len(group),
-            success_forward=counts[SOLVED_FORWARD],
-            success_backward=counts[SOLVED_BACKWARD],
-            failure=counts[FAILURE],
-            unsolvable=counts[UNSOLVABLE],
-            errors=counts[ERROR],
-            success_rate=(counts[SOLVED_FORWARD] + counts[SOLVED_BACKWARD]) / len(group),
-            time_solved=TimeSummary.of(solved_times, with_geometric=True),
-            time_all=TimeSummary.of(all_times, with_geometric=False),
-        ))
-    return BenchmarkReport(suite=suite, rows=tuple(rows), records=tuple(records))
+        counts = [sum(1 for r in group if r.status == status) for status in STATUSES]
+        times = [r.planning_time for r in group
+                 if r.status in (SOLVED_FORWARD, SOLVED_BACKWARD)]
+        solved_s = (statistics.median(times),
+                    math.exp(statistics.fmean(math.log(max(t, 1e-12)) for t in times)),
+                    max(times)) if times else None
+        rows.append(SuiteAggregate(suite, planner, len(group), *counts, solved_s))
+    return tuple(rows)
 
 
-def emit_report(report: BenchmarkReport, format: str = "table") -> str:
-    """Render a report as a table or as per-run CSV.
+def emit_csv(records) -> str:
+    """Per-run CSV in raw seconds, one line per record, under the pinned
+    header ``scenario,planner,seed,status,planning_time_s,path_cost``."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    for r in records:
+        writer.writerow([r.scenario, r.planner, r.seed, r.status,
+                         repr(float(r.planning_time)),
+                         "" if r.path_cost is None else repr(float(r.path_cost))])
+    return out.getvalue()
 
-    Table rows have the columns [suite, success_forward, success_backward,
-    failure, unsolvable], one block per planner; RRT-Connect renders "-" in
-    the backward column since its bidirectionality is internal.  CSV rows
-    carry raw seconds, one line per run, with the pinned header
-    ``scenario,planner,seed,status,planning_time_s,path_cost``.
-    """
-    if format == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for r in report.records:
-            writer.writerow([r.scenario, r.planner, r.seed, r.status,
-                             repr(float(r.planning_time)),
-                             "" if r.path_cost is None else repr(float(r.path_cost))])
-        return out.getvalue()
-    if format != "table":
-        raise ContractViolation(f"unknown report format {format!r}")
+
+def _aligned(header, cells) -> list[str]:
+    widths = [max(len(h), len(c)) for h, c in zip(header, cells)]
+    return ["  ".join(x.ljust(w) for x, w in zip(line, widths)) for line in (header, cells)]
+
+
+def emit_table(rows) -> str:
+    """Render ``aggregate`` rows, one block per planner: a header and row of
+    [suite, success_forward, success_backward, failure, unsolvable], where
+    RRT-Connect renders "-" as its bidirectionality is internal, then one of
+    [total, errors, solved_median_s, solved_geomean_s, solved_max_s], whose
+    times are "-" when no run solved."""
     lines = []
-    header = ("suite", "success_forward", "success_backward", "failure", "unsolvable")
-    for row in report.rows:
-        lines.append(f"planner: {row.planner}")
+    for row in rows:
         backward = "-" if row.planner == RRT_CONNECT else str(row.success_backward)
-        cells = (row.suite, str(row.success_forward), backward,
-                 str(row.failure), str(row.unsolvable))
-        widths = [max(len(h), len(c)) for h, c in zip(header, cells)]
-        lines.append("  ".join(h.ljust(w) for h, w in zip(header, widths)))
-        lines.append("  ".join(c.ljust(w) for c, w in zip(cells, widths)))
+        times = ["-"] * 3 if row.solved_s is None else [f"{t:.6f}" for t in row.solved_s]
+        lines.append(f"planner: {row.planner}")
+        lines += _aligned(("suite", "success_forward", "success_backward", "failure",
+                           "unsolvable"),
+                          (row.suite, str(row.success_forward), backward,
+                           str(row.failure), str(row.unsolvable)))
+        lines += [line.rstrip() for line in _aligned(
+            ("total", "errors", "solved_median_s", "solved_geomean_s", "solved_max_s"),
+            (str(row.total), str(row.errors), *times))]
         lines.append("")
     return "\n".join(lines)
 
 
 def parse_records(text: str) -> list[RunRecord]:
-    """Parse records from report CSV; the inverse of emit_report(csv)."""
+    """Parse records from report CSV; the inverse of ``emit_csv``."""
     reader = csv.reader(io.StringIO(text))
     try:
         header = tuple(next(reader))

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .ara_star import MotionPrimitiveSet, parse_primitives
-from .bench import FAILURE, PLANNERS, aggregate, emit_report, plan, run_suite
+from .bench import FAILURE, PLANNERS, aggregate, emit_csv, emit_table, plan, run_suite
 from .core import Path as PlanPath
 from .core import UNSOLVABLE, path_cost, query_from_scenario, validate_path
 from .errors import ParseError, PlanbenchError
@@ -138,11 +138,11 @@ def _cmd_bench(args) -> int:
         records.extend(run_suite(
             scenarios, planner, params, repetitions=args.reps,
             base_seed=args.seed, primitives=primitives, workers=args.workers))
-    report = aggregate(records, suite=suite_dir.name)
-    Path(args.out).write_text(emit_report(report, "csv"), encoding="utf-8")
+    rows = aggregate(records, suite=suite_dir.name)  # rejects an empty planner list
+    Path(args.out).write_text(emit_csv(records), encoding="utf-8")
     print(f"wrote {len(records)} records to {args.out}")
     if args.table:
-        print(emit_report(report, "table"))
+        print(emit_table(rows))
     return 0
 
 

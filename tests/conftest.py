@@ -8,6 +8,7 @@ import time
 import numpy as np
 import pytest
 
+from planbench.core import Path, path_cost
 from planbench.robot import (PRISMATIC, REVOLUTE, CollisionSphere, JointSpec,
                              RobotModel)
 from planbench.world import WorldModel
@@ -24,6 +25,11 @@ def make_joint(name, kind=REVOLUTE, axis=(0, 0, 1), origin_xyz=(0, 0, 0),
     return JointSpec(name=name, kind=kind, axis=axis, origin_translation=origin_xyz,
                      origin_rotation=origin_rpy, limits=(lo, hi),
                      resolution=resolution, weight=weight)
+
+
+def solution_cost(robot, solution):
+    """The cost of an ``ara_search`` solution's waypoints, by ``path_cost``."""
+    return path_cost(robot, Path(np.array(solution.waypoints)))
 
 
 def single_revolute_robot(sphere_at=(1.0, 0.0, 0.0), radius=0.1):

@@ -527,7 +527,6 @@ def ara_search_eager(start_state, goal, primitives, params, robot, world):
         search_stats.epsilons.append(eps)
         search_stats.expansions_per_epsilon.append(expansions)
         search_stats.incumbent_costs.append(None if best_node is None else best_cost)
-        search_stats.epsilon_final = eps
         seeds = {s for _, neg_g, s in heap if -neg_g == g[s]} | incons
 
     if best_node is None:
@@ -538,9 +537,7 @@ def ara_search_eager(start_state, goal, primitives, params, robot, world):
     chain.reverse()
     waypoints = [goal_config.copy() if s == GOAL_NODE else decode(robot, s)
                  for s in chain]
-    cost = sum(config_distance(robot, waypoints[k], waypoints[k + 1])
-               for k in range(len(waypoints) - 1))
-    return AraSolution(nodes=tuple(chain), waypoints=waypoints, cost=cost), search_stats
+    return AraSolution(nodes=tuple(chain), waypoints=waypoints), search_stats
 
 
 # ---------------------------------------------------------------------------

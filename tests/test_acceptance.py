@@ -15,7 +15,7 @@ import pytest
 from planbench.ara_star import (BUDGET_SPLIT, AraParams, ara_search, default_primitives,
                                 plan_ara_star)
 from planbench.bench import (ARA_STAR, RRT_CONNECT, RunRecord, aggregate,
-                             emit_report, run_suite)
+                             emit_table, run_suite)
 from planbench.collision import check_config
 from planbench.core import (BUDGET_GRACE, SOLVED_BACKWARD, SOLVED_FORWARD, Query,
                             query_from_scenario, validate_path)
@@ -25,7 +25,7 @@ from planbench.world import GoalSpec, WorldModel, generate_variations, load_scen
 
 from planbench.data import data_path
 
-from conftest import gantry_robot, random_robot, random_world
+from conftest import gantry_robot, random_robot, random_world, solution_cost
 from oracles import (box_obstacle, brute_force_check, matrix_chain_spheres,
                      sample_uniform, sphere_obstacle)
 
@@ -107,7 +107,7 @@ def test_c03_ara_optimal_at_unit_epsilon(lattice_cases):
         solution, _ = ara_search(start, goal, primitives, params, robot, world,
                                  deadline=None)
         assert solution is not None
-        assert abs(solution.cost - optimum) <= 1e-9
+        assert abs(solution_cost(robot, solution) - optimum) <= 1e-9
     elapsed = build_seconds + (time.perf_counter() - t0)
     assert elapsed < 120.0, f"unit-epsilon sweep took {elapsed:.1f}s"
     _report(f"ARA* optimality at eps=1 (50 instances, {elapsed:.1f}s)")
@@ -213,16 +213,16 @@ def test_c08_report_shape(suite_records):
                 path_cost=1.0 if status.startswith("solved") else None))
             index += 1
     report = aggregate(synthetic, suite="shelf_zero_test")
-    table = emit_report(report, "table")
+    table = emit_table(report)
     rows = [line.split() for line in table.splitlines() if line]
     assert ["shelf_zero_test", "47", "53", "0", "0"] in rows
-    row = report.rows[0]
+    row = report[0]
     assert (row.success_forward + row.success_backward + row.failure
             + row.unsolvable + row.errors) == row.total
 
     _, records = suite_records
     real = aggregate(records[ARA_STAR] + records[RRT_CONNECT], suite="shelf_reach")
-    for row in real.rows:
+    for row in real:
         assert (row.success_forward + row.success_backward + row.failure
                 + row.unsolvable + row.errors) == row.total
         assert row.total == 30

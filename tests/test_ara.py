@@ -20,7 +20,7 @@ from planbench.errors import ValidationError
 from planbench.params import parse_params
 from planbench.world import GoalSpec, WorldModel, generate_variations, load_scenario
 
-from conftest import gantry_robot, lattice_instance
+from conftest import gantry_robot, lattice_instance, solution_cost
 from oracles import ara_search_eager, box_obstacle, dijkstra_lattice, sphere_obstacle
 
 
@@ -49,7 +49,7 @@ class TestAraSearch:
             solution, stats = ara_search(start, goal, prim, params, robot, world,
                                          deadline=None)
             assert solution is not None
-            assert solution.cost == pytest.approx(optimum, abs=1e-9)
+            assert solution_cost(robot, solution) == pytest.approx(optimum, abs=1e-9)
             solved += 1
         assert solved == 10
 
@@ -80,7 +80,7 @@ class TestAraSearch:
         solution, stats = ara_search(start, goal, default_primitives(robot),
                                      params, robot, WorldModel(()), deadline=None)
         assert solution is not None
-        assert solution.cost == 0.0
+        assert solution_cost(robot, solution) == 0.0
         assert len(solution.waypoints) == 1
         assert stats.expansions_per_epsilon[0] == 1  # the start only
 
@@ -144,7 +144,7 @@ def assert_same_as_eager(start, goal, primitives, params, robot, world):
     assert (lazy is None) == (eager is None)
     if eager is not None:
         assert lazy.nodes == eager.nodes
-        assert lazy.cost == eager.cost
+        assert solution_cost(robot, lazy) == solution_cost(robot, eager)
         assert np.array(lazy.waypoints).tobytes() == np.array(eager.waypoints).tobytes()
     return eager_stats
 
@@ -338,6 +338,19 @@ class TestPlanAraStar:
                                AraParams(epsilon_schedule=(3.0, 1.0)))
         assert result.status == SOLVED_FORWARD
         assert checked_rows.count(query.start.tobytes()) == 1
+
+    def test_off_lattice_goal_target_not_checked_again(self, checked_rows):
+        # The query screen checks the goal target, the end row of every
+        # goal-snap edge; the search must take that verdict, not recheck it.
+        robot = gantry_robot(resolution=0.25)
+        world = WorldModel((box_obstacle((3.0, 3.0, 0.0), (0.3, 1.2, 0.5)),))
+        query = simple_query(goal_xy=(4.87, 4.61))
+        target = query.goal.target.tobytes()
+        result = plan_ara_star(robot, world, query, default_primitives(robot),
+                               AraParams(epsilon_schedule=(3.0, 1.0)))
+        assert result.status == SOLVED_FORWARD
+        assert result.path.waypoints[-1].tobytes() == target
+        assert checked_rows.count(target) == 1  # the screen's own check
 
     def test_off_lattice_endpoints_joined_exactly(self):
         robot = gantry_robot(resolution=0.25)

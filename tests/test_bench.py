@@ -5,8 +5,8 @@ import pytest
 
 from planbench import bench
 from planbench.bench import (ARA_STAR, CSV_HEADER, RRT_CONNECT, STATUSES, RunRecord,
-                             aggregate, emit_report, parse_records, plan, run_one,
-                             run_suite)
+                             aggregate, emit_csv, emit_table, parse_records, plan,
+                             run_one, run_suite)
 from planbench.core import (BUDGET_GRACE, FAILURE, SOLVED_BACKWARD, SOLVED_FORWARD,
                             UNSOLVABLE)
 from planbench.errors import ContractViolation
@@ -130,7 +130,7 @@ class TestRunSuite:
         records = [run_one(suite[0], ARA_STAR, PARAMS, seed=4),
                    *run_suite(suite[:1], RRT_CONNECT, PARAMS, base_seed=5)]
         assert [r.seed for r in records] == [None, 5]
-        lines = emit_report(aggregate(records), "csv").splitlines()
+        lines = emit_csv(records).splitlines()
         assert lines[0] == ",".join(CSV_HEADER)
         assert [line.split(",")[2] for line in lines[1:]] == ["", "5"]
         assert [r.seed for r in parse_records("\n".join(lines))] == [None, 5]
@@ -195,29 +195,23 @@ def synthetic_records(planner, sf, sb, fail, unsolv, suite_name="shelf_zero_test
 class TestAggregate:
     def test_mixed_direction_counts(self):
         records = synthetic_records("ara-star", 47, 53, 0, 0)
-        report = aggregate(records, suite="shelf_zero_test")
-        row = report.rows[0]
+        row, = aggregate(records, suite="shelf_zero_test")
         assert (row.success_forward, row.success_backward, row.failure,
                 row.unsolvable) == (47, 53, 0, 0)
-        assert row.success_rate == pytest.approx(1.0)
         assert (row.success_forward + row.success_backward + row.failure
                 + row.unsolvable + row.errors) == row.total
 
-    def test_success_rate_with_failures(self):
+    def test_counts_with_failures(self):
         records = synthetic_records("rrt-connect", 85, 0, 15, 0)
-        report = aggregate(records, suite="shelf_zero_test")
-        row = report.rows[0]
-        assert row.success_rate == pytest.approx(0.85)
+        row, = aggregate(records, suite="shelf_zero_test")
+        assert (row.success_forward, row.failure) == (85, 15)
         assert (row.success_forward + row.success_backward + row.failure
                 + row.unsolvable + row.errors) == row.total
 
     def test_all_failure_suite_has_empty_solved_summary(self):
         records = synthetic_records("rrt-connect", 0, 0, 10, 0)
-        report = aggregate(records, suite="synthetic")
-        row = report.rows[0]
-        assert row.success_rate == 0.0
-        assert row.time_solved is None
-        assert row.time_all is not None
+        row, = aggregate(records, suite="synthetic")
+        assert row.solved_s is None
 
     def test_geometric_mean_over_solved_only(self):
         records = [
@@ -225,11 +219,11 @@ class TestAggregate:
             RunRecord("b", "ara-star", 1, "solved-backward", 0.4, 1.0),
             RunRecord("c", "ara-star", 2, "failure", 9.0, None),
         ]
-        report = aggregate(records)
-        row = report.rows[0]
-        assert row.time_solved.geometric_mean == pytest.approx((0.1 * 0.4) ** 0.5)
-        assert row.time_all.geometric_mean is None
-        assert row.time_all.maximum == 9.0
+        row, = aggregate(records)
+        median, geomean, maximum = row.solved_s
+        assert median == pytest.approx(0.25)
+        assert geomean == pytest.approx((0.1 * 0.4) ** 0.5)
+        assert maximum == 0.4
 
     def test_empty_rejected(self):
         with pytest.raises(ContractViolation):
@@ -240,36 +234,64 @@ class TestAggregate:
         for planner in (RRT_CONNECT, ARA_STAR):
             records.extend(run_suite(suite, planner, PARAMS, repetitions=2,
                                      base_seed=0))
-        report = aggregate(records, suite="mixed")
-        for row in report.rows:
+        rows = aggregate(records, suite="mixed")
+        assert [row.planner for row in rows] == [ARA_STAR, RRT_CONNECT]
+        for row in rows:
             assert (row.success_forward + row.success_backward + row.failure
                     + row.unsolvable + row.errors) == row.total
             assert row.total == 6
 
 
+def table_rows(records, suite="shelf_zero_test"):
+    return [line.split() for line in emit_table(aggregate(records, suite)).splitlines()
+            if line]
+
+
 class TestEmitReport:
     def test_table_row_matches_documented_layout(self):
-        report = aggregate(synthetic_records("ara-star", 47, 53, 0, 0),
-                           suite="shelf_zero_test")
-        text = emit_report(report, "table")
-        rows = [line.split() for line in text.splitlines() if line]
+        rows = table_rows(synthetic_records("ara-star", 47, 53, 0, 0))
         assert ["planner:", "ara-star"] in rows
         assert ["suite", "success_forward", "success_backward", "failure",
                 "unsolvable"] in rows
         assert ["shelf_zero_test", "47", "53", "0", "0"] in rows
 
     def test_rrt_backward_column_renders_dash(self):
-        report = aggregate(synthetic_records("rrt-connect", 85, 0, 15, 0),
-                           suite="shelf_zero_test")
-        text = emit_report(report, "table")
-        rows = [line.split() for line in text.splitlines() if line]
+        rows = table_rows(synthetic_records("rrt-connect", 85, 0, 15, 0))
         assert ["shelf_zero_test", "85", "-", "15", "0"] in rows
+
+    def test_second_row_shows_solved_times(self):
+        records = [
+            RunRecord("a", "ara-star", None, "solved-forward", 0.1, 1.0),
+            RunRecord("b", "ara-star", None, "solved-backward", 0.4, 1.0),
+            RunRecord("c", "ara-star", None, "solved-forward", 3.2, 1.0),
+            RunRecord("d", "ara-star", None, "unsolvable", 0.001, None),
+        ]
+        text = emit_table(aggregate(records, "t"))
+        assert text.splitlines()[1:5] == [
+            "suite  success_forward  success_backward  failure  unsolvable",
+            "t      2                1                 0        1         ",
+            "total  errors  solved_median_s  solved_geomean_s  solved_max_s",
+            "4      0       0.400000         0.503968          3.200000",
+        ]
+
+    def test_second_row_dashes_when_nothing_solved(self):
+        rows = table_rows(synthetic_records("rrt-connect", 0, 0, 3, 2))
+        assert ["total", "errors", "solved_median_s", "solved_geomean_s",
+                "solved_max_s"] in rows
+        assert ["5", "0", "-", "-", "-"] in rows
+
+    def test_error_record_counted(self):
+        records = synthetic_records("rrt-connect", 2, 0, 1, 1)
+        records.append(RunRecord("broken", "rrt-connect", -1, "error", 0.0, None))
+        row, = aggregate(records)
+        assert row.errors == 1
+        assert row.total == 5 == (row.success_forward + row.success_backward
+                                  + row.failure + row.unsolvable + row.errors)
+        assert ["5", "1"] == table_rows(records)[-1][:2]
 
     def test_csv_round_trip(self):
         records = synthetic_records("ara-star", 2, 1, 1, 1)
-        report = aggregate(records, suite="rt")
-        text = emit_report(report, "csv")
-        parsed = parse_records(text)
+        parsed = parse_records(emit_csv(records))
         assert len(parsed) == len(records)
         for a, b in zip(records, parsed):
             assert (a.scenario, a.planner, a.seed, a.status) == \
@@ -278,14 +300,4 @@ class TestEmitReport:
             assert a.path_cost == b.path_cost
 
     def test_empty_record_list_renders_header_only_csv(self):
-        # Emit the CSV head for a report with zero scenario runs.
-        records = synthetic_records("ara-star", 1, 0, 0, 0)
-        report = aggregate(records, suite="one")
-        text = emit_report(report, "csv")
-        lines = text.splitlines()
-        assert lines[0] == ",".join(CSV_HEADER)
-        # A truly empty record set cannot be aggregated, but CSV emission of
-        # a records-free report still yields the bare header.
-        from planbench.bench import BenchmarkReport
-        empty = BenchmarkReport(suite="none", rows=(), records=())
-        assert emit_report(empty, "csv").splitlines() == [",".join(CSV_HEADER)]
+        assert emit_csv([]).splitlines() == [",".join(CSV_HEADER)]

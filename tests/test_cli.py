@@ -244,6 +244,22 @@ class TestBench:
         assert (records[0].seed, records[0].status) == (-1, "error")
         assert records[1].seed == 0 and records[1].status != "error"
 
+    def test_table_counts_error_records(self, workdir, capsys):
+        suite_dir = workdir / "suite4"
+        main(["gen", "--base", str(workdir / "case.scenario"),
+              "--family", "objects", "--count", "2", "--seed", "1",
+              "--out", str(suite_dir / "generated")])
+        code = main(["bench", "--suite", str(suite_dir), "--planners", "rrt-connect",
+                     "--seed", "-1", "--out", str(workdir / "r.csv"), "--table"])
+        assert code == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        header = rows.index(["total", "errors", "solved_median_s", "solved_geomean_s",
+                             "solved_max_s"])
+        total, errors = rows[header + 1][:2]
+        assert (total, errors) == ("2", "1")
+        counts = rows[header - 1][1:]  # success_forward, "-", failure, unsolvable
+        assert sum(int(c) for c in counts if c != "-") + int(errors) == int(total)
+
     def test_unknown_planner_rejected(self, workdir, capsys):
         code = main(["bench", "--suite", str(workdir), "--planners", "prm",
                      "--out", str(workdir / "x.csv")])

@@ -1,6 +1,6 @@
 """Package layout rules, checked on the source: modules share no private
 names, the only runtime dependencies are numpy and PyYAML, no public
-function, class or class member exists only for the tests, only
+function, class, class member or class field exists only for the tests, only
 ``errors.py`` checks values for finiteness, every function the benchmark
 traces exists, and the tests import nothing they do not use."""
 
@@ -97,6 +97,25 @@ def test_every_public_member_is_used_outside_tests():
               and not member.name.startswith("_")
               and used[member.name] == _names(member)[member.name]]
     assert unused == []
+
+
+def test_every_dataclass_field_is_read():
+    # A public annotated field of a package class must be read somewhere in
+    # the package or the benchmark scripts, as an ``x.<field>`` load (the
+    # class's own methods count); a field that is only written, or read
+    # only by tests, is computed for nothing.  A field whose name some other
+    # attribute shares passes unread.
+    trees, _ = _trees_and_uses()
+    read = {n.attr for tree in trees.values() for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    unread = [f"{path.name}:{field.lineno} {node.name}.{field.target.id}"
+              for path in SOURCES for node in trees[path].body
+              if isinstance(node, ast.ClassDef)
+              for field in node.body
+              if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)
+              and not field.target.id.startswith("_")
+              and field.target.id not in read]
+    assert unread == []
 
 
 def test_finite_checks_only_in_errors():
