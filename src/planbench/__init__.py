@@ -2,8 +2,8 @@
 primitives, plus the benchmark harness that compares them."""
 
 from .ara_star import AraParams, default_primitives, plan_ara_star
-from .bench import (RunRecord, SuiteAggregate, aggregate, emit_csv, emit_table,
-                    parse_records, plan, run_one, run_suite)
+from .bench import (RunRecord, SuiteAggregate, aggregate, emit_csv, emit_table, plan,
+                    run_one, run_suite)
 from .core import Query, validate_path
 from .errors import (ContractViolation, ParseError, PlanbenchError,
                      ValidationError)

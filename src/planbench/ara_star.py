@@ -118,14 +118,6 @@ class SearchStats:
         return sum(self.expansions_per_epsilon)
 
 
-@dataclass
-class AraSolution:
-    """An incumbent lattice path: node chain and decoded waypoints."""
-
-    nodes: tuple
-    waypoints: list[np.ndarray]
-
-
 class LatticeCache:
     """Memo of collision-checked edges, shared across inflation iterations
     and across the forward and backward attempts of one query.
@@ -247,14 +239,15 @@ def ara_search(start_state: tuple[int, ...], goal: GoalSpec,
                primitives: MotionPrimitiveSet, params: AraParams,
                robot: RobotModel, world: WorldModel,
                deadline: float | None, *, cache: LatticeCache | None = None,
-               stats: dict | None = None) -> tuple[AraSolution | None, SearchStats]:
+               stats: dict | None = None) -> tuple[list[np.ndarray] | None, SearchStats]:
     """Anytime inflated A* over the lattice induced by the primitives.
 
     Runs one weighted-A* iteration per schedule entry, carrying cost-to-come
     values and inconsistent states forward.  An iteration terminates once the
     smallest open key is no better than the best goal cost found, which
     certifies the eps-suboptimality bound for that iteration's incumbent.
-    Hitting the deadline returns the current incumbent, possibly none.
+    The search returns the last incumbent as its chain's waypoints, or None
+    when OPEN empties or the deadline hits before it finds one.
 
     Edges are evaluated lazily.  An expansion pushes each move as an
     unvalidated candidate under the key a validated relaxation would get.
@@ -469,9 +462,8 @@ def ara_search(start_state: tuple[int, ...], goal: GoalSpec,
             break
         chain.append(parent[chain[-1]])
     chain.reverse()
-    waypoints = [goal_config.copy() if s == GOAL_NODE else decode(robot, s)
-                 for s in chain]
-    return AraSolution(nodes=tuple(chain), waypoints=waypoints), search_stats
+    return [goal_config.copy() if s == GOAL_NODE else decode(robot, s)
+            for s in chain], search_stats
 
 
 def _lattice_attempt(robot: RobotModel, world: WorldModel, start_q: np.ndarray,
@@ -492,15 +484,15 @@ def _lattice_attempt(robot: RobotModel, world: WorldModel, start_q: np.ndarray,
     # The cell is free: it is the screened start or goal representative
     # itself, or the last row of the junction motion just checked.
     cache.states[state] = True
-    solution, search_stats = ara_search(
+    waypoints, search_stats = ara_search(
         state, goal, primitives, params, robot, world, deadline,
         cache=cache, stats=stats)
     stats[f"expansions_{label}"] = search_stats.expansions
     stats["expansions"] = stats.get("expansions", 0) + search_stats.expansions
     stats["reopened"] = stats.get("reopened", 0) + search_stats.reopened
-    if solution is None:
+    if waypoints is None:
         return None
-    return prefix + solution.waypoints
+    return prefix + waypoints
 
 
 def plan_ara_star(robot: RobotModel, world: WorldModel, query: Query,

@@ -10,10 +10,10 @@ clock from its first step to its result.
 Records carry the status of the PlannerResult (solved-forward,
 solved-backward, failure, unsolvable) plus an "error" status for per-record
 harness failures such as scenario/robot dimension mismatches; errors never
-abort the suite.  ``emit_csv`` writes the records one line each and
-``parse_records`` reads them back; ``aggregate`` reduces them to one row per
-planner, the five status counts and the solved runs' median, geometric mean
-and max planning time, which ``emit_table`` prints.
+abort the suite.  ``emit_csv`` writes the records one line each;
+``aggregate`` reduces them to one row per planner, the five status counts
+and the solved runs' median, geometric mean and max planning time, which
+``emit_table`` prints.
 """
 
 from __future__ import annotations
@@ -120,11 +120,6 @@ def run_one(scenario: Scenario, planner: str, params: PlannerParams, seed: int,
                      path_cost=cost, stats=dict(result.stats), path=path)
 
 
-def _worker(task) -> RunRecord:
-    scenario, planner, params, seed, primitives = task
-    return run_one(scenario, planner, params, seed, primitives)
-
-
 def run_suite(scenarios, planner: str, params: PlannerParams,
               repetitions: int = 1, base_seed: int = 0, *,
               primitives: MotionPrimitiveSet | None = None,
@@ -144,9 +139,9 @@ def run_suite(scenarios, planner: str, params: PlannerParams,
             seed = base_seed + index * repetitions + rep
             tasks.append((scenario, planner, params, seed, primitives))
     if workers <= 1 or len(tasks) <= 1:
-        return [_worker(task) for task in tasks]
+        return [run_one(*task) for task in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_worker, tasks))
+        return list(pool.map(run_one, *zip(*tasks)))
 
 
 def aggregate(records, suite: str = "suite") -> tuple[SuiteAggregate, ...]:
@@ -206,24 +201,3 @@ def emit_table(rows) -> str:
             (str(row.total), str(row.errors), *times))]
         lines.append("")
     return "\n".join(lines)
-
-
-def parse_records(text: str) -> list[RunRecord]:
-    """Parse records from report CSV; the inverse of ``emit_csv``."""
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = tuple(next(reader))
-    except StopIteration as exc:
-        raise ContractViolation("empty CSV document") from exc
-    if header != CSV_HEADER:
-        raise ContractViolation(f"unexpected CSV header {header!r}")
-    records = []
-    for row in reader:
-        if not row:
-            continue
-        scenario, planner, seed, status, planning_time, cost = row
-        records.append(RunRecord(
-            scenario=scenario, planner=planner, seed=int(seed) if seed else None,
-            status=status, planning_time=float(planning_time),
-            path_cost=None if cost == "" else float(cost)))
-    return records

@@ -127,6 +127,9 @@ def _cmd_bench(args) -> int:
     scenarios = [load_scenario(f) for f in files]
     params = _load_params_arg(args.params)
     planners = [p.strip() for p in args.planners.split(",") if p.strip()]
+    if not planners:
+        print(f"no planner named in --planners {args.planners!r}", file=sys.stderr)
+        return 1
     for planner in planners:
         if planner not in PLANNERS:
             print(f"unknown planner {planner!r}", file=sys.stderr)
@@ -138,7 +141,7 @@ def _cmd_bench(args) -> int:
         records.extend(run_suite(
             scenarios, planner, params, repetitions=args.reps,
             base_seed=args.seed, primitives=primitives, workers=args.workers))
-    rows = aggregate(records, suite=suite_dir.name)  # rejects an empty planner list
+    rows = aggregate(records, suite=suite_dir.name)
     Path(args.out).write_text(emit_csv(records), encoding="utf-8")
     print(f"wrote {len(records)} records to {args.out}")
     if args.table:
@@ -151,8 +154,8 @@ def _cmd_validate(args) -> int:
     params = _load_params_arg(args.params)
     query = query_from_scenario(scenario, params.goal_tolerance_default)
     waypoints = _read_path_csv(Path(args.path), scenario.robot.dof)
-    ok = validate_path(scenario.robot, scenario.world, query,
-                       PlanPath(waypoints), args.step)
+    step = params.rrt_connect.edge_step if args.step is None else args.step
+    ok = validate_path(scenario.robot, scenario.world, query, PlanPath(waypoints), step)
     print("valid" if ok else "invalid")
     return 0 if ok else 1
 
@@ -198,7 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
     validate = sub.add_parser("validate", help="re-check a stored path")
     validate.add_argument("--scenario", required=True)
     validate.add_argument("--path", required=True)
-    validate.add_argument("--step", type=float, default=0.05)
+    validate.add_argument("--step", type=float, default=None,
+                          help="edge check step (default: the params' edge_step)")
     validate.add_argument("--params", default=None)
     validate.set_defaults(func=_cmd_validate)
     return parser

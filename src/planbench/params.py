@@ -1,7 +1,9 @@
 """Planner parameter files: a ``common`` section plus per-planner sections.
 
-Unknown keys anywhere in the document are rejected at load time so typos
-cannot silently fall back to defaults.
+Each key lives in one section: ``common`` holds the one ``edge_step`` both
+planners check edges at, and RRT-Connect's ``seed``.  Unknown keys anywhere
+in the document, a per-planner ``edge_step`` or ``seed`` among them, are
+rejected at load time so typos cannot silently fall back to defaults.
 """
 
 from __future__ import annotations
@@ -15,15 +17,15 @@ from .errors import ValidationError, check_keys, parse_mapping
 from .rrt_connect import RrtParams
 
 _COMMON_KEYS = {"edge_step", "goal_tolerance_default", "seed"}
-_RRT_KEYS = {"step_eta", "edge_step", "max_iterations", "seed"}
-_ARA_KEYS = {"epsilon_schedule", "edge_step"}
+_RRT_KEYS = {"step_eta", "max_iterations"}
+_ARA_KEYS = {"epsilon_schedule"}
 _TOP_KEYS = {"common", "rrt_connect", "ara_star"}
 _FLOAT_KEYS = {"edge_step", "goal_tolerance_default", "step_eta"}
 
 
 @dataclass(frozen=True)
 class PlannerParams:
-    """Validated parameters for both planners plus the shared defaults."""
+    """Validated parameters for both planners, which share one edge step."""
 
     goal_tolerance_default: float = 0.0
     rrt_connect: RrtParams = RrtParams()
@@ -32,6 +34,8 @@ class PlannerParams:
     def __post_init__(self):
         if not 0.0 <= self.goal_tolerance_default < math.inf:
             raise ValidationError("goal_tolerance_default must be finite and >= 0")
+        if self.rrt_connect.edge_step != self.ara_star.edge_step:
+            raise ValidationError("rrt_connect and ara_star must share one edge_step")
 
     def with_seed(self, seed: int) -> "PlannerParams":
         """These params with RRT-Connect's seed replaced; ARA* draws no
@@ -52,12 +56,11 @@ def _section(doc: dict, name: str, keys) -> dict:
 
 def _build(doc: dict) -> PlannerParams:
     common = _section(doc, "common", _COMMON_KEYS)
-    # The common edge_step and seed stand in for those the sections omit.
     shared = {key: common.pop(key) for key in ("edge_step", "seed") if key in common}
-    rrt = {**shared, **_section(doc, "rrt_connect", _RRT_KEYS)}
+    rrt = RrtParams(**shared, **_section(doc, "rrt_connect", _RRT_KEYS))
     shared.pop("seed", None)  # ARA* draws no random numbers
-    ara = {**shared, **_section(doc, "ara_star", _ARA_KEYS)}
-    return PlannerParams(**common, rrt_connect=RrtParams(**rrt), ara_star=AraParams(**ara))
+    ara = AraParams(**shared, **_section(doc, "ara_star", _ARA_KEYS))
+    return PlannerParams(**common, rrt_connect=rrt, ara_star=ara)
 
 
 def parse_params(text: str) -> PlannerParams:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import time
 
@@ -27,9 +29,14 @@ def make_joint(name, kind=REVOLUTE, axis=(0, 0, 1), origin_xyz=(0, 0, 0),
                      resolution=resolution, weight=weight)
 
 
-def solution_cost(robot, solution):
-    """The cost of an ``ara_search`` solution's waypoints, by ``path_cost``."""
-    return path_cost(robot, Path(np.array(solution.waypoints)))
+def solution_cost(robot, waypoints):
+    """The cost of the waypoints ``ara_search`` returns, by ``path_cost``."""
+    return path_cost(robot, Path(np.array(waypoints)))
+
+
+def csv_rows(text):
+    """The records of an ``emit_csv`` document, one dict of cell strings each."""
+    return list(csv.DictReader(io.StringIO(text)))
 
 
 def single_revolute_robot(sphere_at=(1.0, 0.0, 0.0), radius=0.1):

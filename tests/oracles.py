@@ -32,8 +32,8 @@ import math
 
 import numpy as np
 
-from planbench.ara_star import (GOAL_NODE, AraSolution, SearchStats, decode,
-                                heuristic, lattice_max_coords)
+from planbench.ara_star import (GOAL_NODE, SearchStats, decode, heuristic,
+                                lattice_max_coords)
 from planbench.collision import motions_free
 from planbench.core import OK, goal_representative, goal_satisfied, validate_query
 from planbench.robot import PRISMATIC, config_distance
@@ -468,7 +468,7 @@ def dijkstra_lattice(robot, world, primitives, start_state, goal, edge_step,
 
 
 def ara_search_eager(start_state, goal, primitives, params, robot, world):
-    """(solution, SearchStats) of anytime weighted A* that validates every
+    """(waypoints, SearchStats) of anytime weighted A* that validates every
     move when its source is expanded, with no clock.
 
     This is the search ``ara_search`` runs lazily: same keys, tie-breaking,
@@ -535,9 +535,8 @@ def ara_search_eager(start_state, goal, primitives, params, robot, world):
     while parent[chain[-1]] is not None:
         chain.append(parent[chain[-1]])
     chain.reverse()
-    waypoints = [goal_config.copy() if s == GOAL_NODE else decode(robot, s)
-                 for s in chain]
-    return AraSolution(nodes=tuple(chain), waypoints=waypoints), search_stats
+    return [goal_config.copy() if s == GOAL_NODE else decode(robot, s)
+            for s in chain], search_stats
 
 
 # ---------------------------------------------------------------------------

@@ -81,7 +81,7 @@ class TestAraSearch:
                                      params, robot, WorldModel(()), deadline=None)
         assert solution is not None
         assert solution_cost(robot, solution) == 0.0
-        assert len(solution.waypoints) == 1
+        assert len(solution) == 1
         assert stats.expansions_per_epsilon[0] == 1  # the start only
 
     def test_deadline_returns_current_incumbent(self):
@@ -109,7 +109,7 @@ class TestAraSearch:
             goal = GoalSpec.config_goal(target, [0.0, 0.0])
             solution, _ = ara_search((6, 6), goal, primitives, params, robot,
                                      world, deadline=None, cache=cache)
-            path = np.array(solution.waypoints)
+            path = np.array(solution)
             assert np.array_equal(path[-1], target)
             assert all(check_motion(robot, world, a, b, 0.05)
                        for a, b in zip(path, path[1:]))
@@ -143,9 +143,8 @@ def assert_same_as_eager(start, goal, primitives, params, robot, world):
     assert dataclasses.astuple(lazy_stats) == dataclasses.astuple(eager_stats)
     assert (lazy is None) == (eager is None)
     if eager is not None:
-        assert lazy.nodes == eager.nodes
         assert solution_cost(robot, lazy) == solution_cost(robot, eager)
-        assert np.array(lazy.waypoints).tobytes() == np.array(eager.waypoints).tobytes()
+        assert np.array(lazy).tobytes() == np.array(eager).tobytes()
     return eager_stats
 
 
@@ -303,7 +302,8 @@ class TestStateCache:
             stats = {}
             solution, _ = ara_search(start, around(end), primitives, params, robot,
                                      world, deadline=None, cache=cache, stats=stats)
-            assert solution is not None and (4, 2) not in solution.nodes
+            assert solution is not None
+            assert not any(np.array_equal(q, decode(robot, (4, 2))) for q in solution)
             assert len(checked_rows) == stats["collision_checks"]
             assert cache.states[4, 2] is False
         into, _ = motion_configs(robot, decode(robot, (5, 2))[None],

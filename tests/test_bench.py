@@ -5,15 +5,14 @@ import pytest
 
 from planbench import bench
 from planbench.bench import (ARA_STAR, CSV_HEADER, RRT_CONNECT, STATUSES, RunRecord,
-                             aggregate, emit_csv, emit_table, parse_records, plan,
-                             run_one, run_suite)
+                             aggregate, emit_csv, emit_table, plan, run_one, run_suite)
 from planbench.core import (BUDGET_GRACE, FAILURE, SOLVED_BACKWARD, SOLVED_FORWARD,
                             UNSOLVABLE)
 from planbench.errors import ContractViolation
 from planbench.params import parse_params
 from planbench.world import GoalSpec, Scenario, WorldModel, parse_scenario
 
-from conftest import gantry_robot
+from conftest import csv_rows, gantry_robot
 from oracles import box_obstacle
 
 GANTRY_ROBOT = """
@@ -130,10 +129,9 @@ class TestRunSuite:
         records = [run_one(suite[0], ARA_STAR, PARAMS, seed=4),
                    *run_suite(suite[:1], RRT_CONNECT, PARAMS, base_seed=5)]
         assert [r.seed for r in records] == [None, 5]
-        lines = emit_csv(records).splitlines()
-        assert lines[0] == ",".join(CSV_HEADER)
-        assert [line.split(",")[2] for line in lines[1:]] == ["", "5"]
-        assert [r.seed for r in parse_records("\n".join(lines))] == [None, 5]
+        text = emit_csv(records)
+        assert text.splitlines()[0] == ",".join(CSV_HEADER)
+        assert [row["seed"] for row in csv_rows(text)] == ["", "5"]
 
     def test_error_record_on_dof_mismatch(self, suite):
         from planbench.ara_star import MotionPrimitiveSet
@@ -291,13 +289,13 @@ class TestEmitReport:
 
     def test_csv_round_trip(self):
         records = synthetic_records("ara-star", 2, 1, 1, 1)
-        parsed = parse_records(emit_csv(records))
-        assert len(parsed) == len(records)
-        for a, b in zip(records, parsed):
-            assert (a.scenario, a.planner, a.seed, a.status) == \
-                (b.scenario, b.planner, b.seed, b.status)
-            assert a.planning_time == b.planning_time
-            assert a.path_cost == b.path_cost
+        rows = csv_rows(emit_csv(records))
+        assert len(rows) == len(records)
+        for r, row in zip(records, rows):
+            assert (r.scenario, r.planner, str(r.seed), r.status) == \
+                (row["scenario"], row["planner"], row["seed"], row["status"])
+            assert r.planning_time == float(row["planning_time_s"])
+            assert r.path_cost == (float(row["path_cost"]) if row["path_cost"] else None)
 
     def test_empty_record_list_renders_header_only_csv(self):
         assert emit_csv([]).splitlines() == [",".join(CSV_HEADER)]

@@ -2,11 +2,13 @@
 
 import pytest
 
-from planbench.bench import parse_records, plan
+from planbench.bench import plan
 from planbench.params import PlannerParams
 from planbench.cli import main
 from planbench.data import data_path
 from planbench.world import load_scenario
+
+from conftest import csv_rows
 
 GANTRY_ROBOT = """
 joints:
@@ -45,12 +47,26 @@ world:
 time_budget_s: 1.0
 """
 
+# A wall 0.1 thick at x = 3 that the straight motion (2.75, 3) -> (3.75, 3)
+# crosses between its samples at step 0.5 (x = 2.75, 3.25, 3.75).
+THIN_WALL = """
+name: thin_wall
+robot: gantry.yaml
+start: [2.75, 3.0]
+goal: {type: config, target: [3.75, 3.0]}
+world:
+  obstacles:
+    - {shape: box, center: [3.0, 3.0, 0.0], yaw: 0.0, half_extents: [0.05, 1.5, 0.5]}
+time_budget_s: 1.0
+"""
+
 
 @pytest.fixture
 def workdir(tmp_path):
     (tmp_path / "gantry.yaml").write_text(GANTRY_ROBOT)
     (tmp_path / "case.scenario").write_text(SCENARIO)
     (tmp_path / "blocked.scenario").write_text(BLOCKED)
+    (tmp_path / "thin_wall.scenario").write_text(THIN_WALL)
     return tmp_path
 
 
@@ -121,6 +137,20 @@ class TestPlan:
         capsys.readouterr()
         code = main(["validate", "--scenario", scenario, "--path", str(path_file)])
         assert (code, capsys.readouterr().out) == (0, "valid\n")
+
+    @pytest.mark.parametrize("extra, verdict", [
+        ([], "invalid"), (["--params", "coarse.yaml"], "valid"),
+        (["--params", "coarse.yaml", "--step", "0.05"], "invalid")])
+    def test_validate_checks_at_the_params_edge_step(self, workdir, capsys, monkeypatch,
+                                                     extra, verdict):
+        # Without --step, validate samples each segment at the loaded params'
+        # edge_step (0.05 by default); an explicit --step wins.
+        monkeypatch.chdir(workdir)
+        (workdir / "coarse.yaml").write_text("common: {edge_step: 0.5}\n")
+        (workdir / "crossing.csv").write_text("q0,q1\n2.75,3.0\n3.75,3.0\n")
+        main(["validate", "--scenario", "thin_wall.scenario", "--path", "crossing.csv",
+              *extra])
+        assert capsys.readouterr().out == f"{verdict}\n"
 
     @staticmethod
     def validate_rows(workdir, capsys, rows):
@@ -213,9 +243,9 @@ class TestBench:
         assert code == 0
         assert "planner: rrt-connect" in out
         assert "planner: ara-star" in out
-        records = parse_records(report_file.read_text())
+        records = csv_rows(report_file.read_text())
         assert len(records) == 6
-        assert {r.planner for r in records} == {"rrt-connect", "ara-star"}
+        assert {r["planner"] for r in records} == {"rrt-connect", "ara-star"}
 
     def test_bench_deterministic(self, workdir):
         suite_dir = workdir / "suite2"
@@ -227,9 +257,8 @@ class TestBench:
             target = workdir / name
             main(["bench", "--suite", str(suite_dir), "--planners", "rrt-connect",
                   "--reps", "2", "--seed", "3", "--out", str(target)])
-            reports.append([
-                (r.scenario, r.seed, r.status, r.path_cost)
-                for r in parse_records(target.read_text())])
+            reports.append([(r["scenario"], r["seed"], r["status"], r["path_cost"])
+                            for r in csv_rows(target.read_text())])
         assert reports[0] == reports[1]
 
     def test_negative_seed_gives_an_error_record(self, workdir):
@@ -240,9 +269,9 @@ class TestBench:
         code = main(["bench", "--suite", str(suite_dir), "--planners", "rrt-connect",
                      "--seed", "-1", "--out", str(workdir / "r.csv")])
         assert code == 0
-        records = parse_records((workdir / "r.csv").read_text())
-        assert (records[0].seed, records[0].status) == (-1, "error")
-        assert records[1].seed == 0 and records[1].status != "error"
+        records = csv_rows((workdir / "r.csv").read_text())
+        assert (records[0]["seed"], records[0]["status"]) == ("-1", "error")
+        assert records[1]["seed"] == "0" and records[1]["status"] != "error"
 
     def test_table_counts_error_records(self, workdir, capsys):
         suite_dir = workdir / "suite4"
@@ -264,6 +293,13 @@ class TestBench:
         code = main(["bench", "--suite", str(workdir), "--planners", "prm",
                      "--out", str(workdir / "x.csv")])
         assert code == 1
+
+    def test_empty_planner_list_rejected(self, workdir, capsys):
+        code = main(["bench", "--suite", str(workdir), "--planners", ",",
+                     "--out", str(workdir / "x.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == "no planner named in --planners ','\n"
+        assert not (workdir / "x.csv").exists()
 
 
 class TestErrors:

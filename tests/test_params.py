@@ -29,16 +29,31 @@ class TestParseParams:
         assert params.rrt_connect.seed == 9
         assert params.ara_star.edge_step == 0.02
 
-    def test_section_overrides_common(self):
+    def test_sections_take_the_common_edge_step(self):
         doc = ("common: {edge_step: 0.02}\n"
-               "rrt_connect: {edge_step: 0.1, step_eta: 0.7, max_iterations: 500}\n"
+               "rrt_connect: {step_eta: 0.7, max_iterations: 500}\n"
                "ara_star: {epsilon_schedule: [2.5, 1.0]}\n")
         params = parse_params(doc)
-        assert params.rrt_connect.edge_step == 0.1
+        assert params.rrt_connect.edge_step == params.ara_star.edge_step == 0.02
         assert params.rrt_connect.step_eta == 0.7
         assert params.rrt_connect.max_iterations == 500
-        assert params.ara_star.edge_step == 0.02
         assert params.ara_star.epsilon_schedule == (2.5, 1.0)
+
+    @pytest.mark.parametrize("doc", [
+        "rrt_connect: {edge_step: 0.1}\n",
+        "ara_star: {edge_step: 0.1}\n",
+        "common: {edge_step: 0.1}\nrrt_connect: {edge_step: 0.1}\n",
+        "rrt_connect: {seed: 3}\n",
+    ])
+    def test_per_section_edge_step_and_seed_rejected(self, doc):
+        # Both planners check edges at the one common edge_step, and the
+        # seed is set once, in common.
+        with pytest.raises(ValidationError, match="unknown"):
+            parse_params(doc)
+
+    def test_planners_must_share_the_edge_step(self):
+        with pytest.raises(ValidationError, match="edge_step"):
+            PlannerParams(rrt_connect=RrtParams(edge_step=0.1))
 
     @pytest.mark.parametrize("doc", [
         "unknown_top: 1\n",
@@ -62,9 +77,9 @@ class TestParseParams:
 
     @pytest.mark.parametrize("doc", [
         "common: {seed: -3}\n",
-        "rrt_connect: {seed: -1}\n",
+        "common: {seed: -1}\n",
         "common: {seed: 1.5}\n",  # not truncated to seed 1
-        "rrt_connect: {seed: true}\n",
+        "common: {seed: true}\n",
         "rrt_connect: {max_iterations: 2.7}\n",  # not truncated to 2
     ])
     def test_invalid_rrt_integers_rejected(self, doc):
