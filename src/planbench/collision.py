@@ -138,10 +138,11 @@ def motion_configs(robot: RobotModel, starts: np.ndarray, ends: np.ndarray,
     A motion of weighted length d (``weighted_norms``) gets ceil(d / step)
     + 1 configurations, endpoints exact.  The parameter spacing is computed
     as ``np.linspace`` computes it, so each motion's rows do not depend on
-    the other motions in the stack.
+    the other motions in the stack.  An infinite step would check only the
+    end configuration, so the step must be finite.
     """
-    if not step > 0:
-        raise ContractViolation("motion step must be positive")
+    if not 0 < step < math.inf:
+        raise ContractViolation(f"motion step must be positive and finite, got {step}")
     delta = ends - starts
     counts = np.array([int(math.ceil(d / step)) + 1
                        for d in weighted_norms(robot, delta)], dtype=int)

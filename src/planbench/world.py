@@ -363,6 +363,10 @@ def _obstacle_doc(o: Obstacle) -> dict:
     return doc
 
 
+# libyaml's emitter writes the same text as PyYAML's, about four times faster.
+YamlDumper = yaml.CSafeDumper if yaml.__with_libyaml__ else yaml.SafeDumper
+
+
 def serialize_scenario(scenario: Scenario) -> str:
     """Render a scenario as a document that parses back field-equal."""
     goal: dict = {"type": scenario.goal.kind}
@@ -390,7 +394,7 @@ def serialize_scenario(scenario: Scenario) -> str:
             "shelf_indices": list(v.shelf_indices),
             "object_indices": list(v.object_indices),
         }
-    return yaml.safe_dump(doc, sort_keys=False)
+    return yaml.dump(doc, Dumper=YamlDumper, sort_keys=False)
 
 
 def _rotated(center: np.ndarray, yaw: float) -> np.ndarray:

@@ -184,6 +184,26 @@ class TestPlan:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("value", ["2024-13-45", "7" * 5000, "[" * 2000 + "]" * 2000],
+                             ids=["bad_date", "long_integer", "deep_nesting"])
+    def test_unconstructible_scenario_value_reports_error(self, workdir, capsys, value):
+        bad = workdir / "bad.scenario"
+        bad.write_text(SCENARIO.replace("time_budget_s: 5.0", f"time_budget_s: {value}"))
+        code = main(["plan", "--scenario", str(bad), "--planner", "rrt-connect"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: malformed scenario document: ")
+
+    def test_validate_rejects_an_infinite_step(self, workdir, capsys, monkeypatch):
+        # At step inf only the end configuration would be checked, and the
+        # motion through the wall would read "valid".
+        monkeypatch.chdir(workdir)
+        (workdir / "crossing.csv").write_text("q0,q1\n2.75,3.0\n3.75,3.0\n")
+        code = main(["validate", "--scenario", "thin_wall.scenario", "--path", "crossing.csv",
+                     "--step", "inf"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err.startswith("error: motion step must be positive and finite")
+
     @pytest.mark.parametrize("extra", [["--seed", "-1"], ["--params", "seed.yaml"]])
     def test_invalid_seed_reports_error(self, workdir, capsys, monkeypatch, extra):
         monkeypatch.chdir(workdir)
@@ -307,3 +327,14 @@ class TestErrors:
         code = main(["plan", "--scenario", str(workdir / "nope.scenario"),
                      "--planner", "ara-star"])
         assert code == 1 or code == 2  # harness error path
+
+    @pytest.mark.parametrize("option", ["--scenario", "--path"])
+    def test_non_utf8_file_reports_error(self, workdir, capsys, monkeypatch, option):
+        monkeypatch.chdir(workdir)
+        (workdir / "crossing.csv").write_text("q0,q1\n1.0,1.0\n5.0,5.0\n")
+        (workdir / "latin1.txt").write_bytes("name: café\n".encode("latin-1"))
+        files = {"--scenario": "case.scenario", "--path": "crossing.csv", option: "latin1.txt"}
+        code = main(["validate", *(arg for pair in files.items() for arg in pair)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err.startswith("error: 'utf-8' codec can't decode")

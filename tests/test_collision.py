@@ -242,6 +242,16 @@ class TestCheckMotion:
         with pytest.raises(ContractViolation):
             check_motion(robot, WorldModel(()), [1, 1], [2, 1], 0.0)
 
+    @pytest.mark.parametrize("step", [math.inf, math.nan])
+    def test_non_finite_step_rejected(self, step):
+        # The shelf's start -> goal motion passes through the lower board
+        # between two free endpoints; an infinite step would check only the
+        # end configuration and call it free.
+        robot, world = SHELF.robot, SHELF.world
+        assert not check_motion(robot, world, SHELF.start, SHELF.goal.target, 0.05)
+        with pytest.raises(ContractViolation):
+            check_motion(robot, world, SHELF.start, SHELF.goal.target, step)
+
 
 class TestMotionsFree:
     def test_stack_equals_linspace_reference_bitwise(self):

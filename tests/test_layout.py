@@ -1,8 +1,9 @@
 """Package layout rules, checked on the source: modules share no private
 names, the only runtime dependencies are numpy and PyYAML, no public
 function, class, class member or class field exists only for the tests, only
-``errors.py`` checks values for finiteness, every function the benchmark
-traces exists, and the tests import nothing they do not use."""
+``errors.py`` checks values for finiteness, only ``errors.py`` loads and only
+``world.py`` dumps YAML, every function the benchmark traces exists, and the
+tests import nothing they do not use."""
 
 import ast
 import importlib
@@ -127,6 +128,19 @@ def test_finite_checks_only_in_errors():
     found = [path.name for path in SOURCES
              if _names(ast.parse(path.read_text(encoding="utf-8")))["isfinite"]]
     assert found == ["errors.py"]
+
+
+def test_yaml_loaded_only_in_errors_and_dumped_only_in_world():
+    # errors.parse_mapping is the one YAML loader and world.serialize_scenario
+    # the one dumper, each on libyaml where PyYAML has it; a stray
+    # yaml.safe_load elsewhere would bring back the pure-Python parser.
+    loaders = {"safe_load", "SafeLoader", "CSafeLoader", "CParser"}
+    dumpers = {"safe_dump", "SafeDumper", "CSafeDumper"}
+    found = [f"{path.name} {name}" for path in SOURCES
+             for name in _names(ast.parse(path.read_text(encoding="utf-8")))
+             if name in loaders and path.name != "errors.py"
+             or name in dumpers and path.name != "world.py"]
+    assert found == []
 
 
 def test_trace_targets_name_package_attributes():
