@@ -8,9 +8,8 @@ iterations, so every incumbent published at inflation eps costs at most
 eps times the optimal lattice cost.  Lattice edges are collision checked
 lazily, a few states per call, only when a candidate through them reaches
 the top of the open list; the search's expansions and paths are those of
-the search that checks every move when its source is expanded.  Each
-state's own configuration is checked once per query: edge checks skip known
-endpoints, and an edge into a colliding state is blocked unchecked.
+the search that checks every move when its source is expanded.  Each batch
+of edges is checked by one ``motions_free`` call, as RRT-Connect's are.
 
 Queries are answered by a forward search over half the budget followed, if
 needed, by a backward search (roles of start and goal swapped, waypoints
@@ -27,10 +26,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .collision import check_motion, free_mask, motion_configs
+from .collision import check_motion, motions_free
 from .core import (FAILURE, OK, SOLVED_BACKWARD, SOLVED_FORWARD, UNSOLVABLE, Path,
                    PlannerResult, Query, goal_satisfied, screen_query)
-from .errors import ContractViolation, ValidationError, parse_mapping
+from .errors import ContractViolation, ValidationError, integer, parse_mapping
 from .robot import RobotModel, as_configuration, config_distance, weighted_norms
 from .world import GoalSpec, WorldModel
 
@@ -125,15 +124,12 @@ class LatticeCache:
     The search fills it lazily, only with the edges it resolves.  ``edges``
     maps an ordered state pair to its verdict; ``snap`` maps a (state, goal
     configuration bytes) pair to the verdict of that state's goal-snap edge,
-    since the two attempts snap to different configurations.  ``states`` maps
-    a lattice state to its configuration's verdict, so each is checked once;
-    a GOAL_NODE entry is the verdict of every goal-snap target.
+    since the two attempts snap to different configurations.
     """
 
     def __init__(self):
         self.edges: dict = {}
         self.snap: dict = {}
-        self.states: dict = {}
 
 
 def lattice_max_coords(robot: RobotModel) -> np.ndarray:
@@ -171,7 +167,7 @@ def default_primitives(robot: RobotModel, extra_vectors=(),
             row[j] = sign
             rows.append(tuple(row))
     for vec in extra_vectors:
-        row = tuple(int(v) for v in vec)
+        row = tuple(integer(v, "primitive vector entry") for v in vec)
         if len(row) != n:
             raise ValidationError(
                 f"primitive vector {row} has length {len(row)}, expected {n}")
@@ -298,8 +294,6 @@ def ara_search(start_state: tuple[int, ...], goal: GoalSpec,
         """The cached verdict of edge a -> b, None when unchecked."""
         if b == GOAL_NODE:
             return cache.snap.get((a, snap_target))
-        if cache.states.get(b) is False:
-            return False
         return cache.edges.get((a, b) if a <= b else (b, a))
 
     def resolve(states) -> None:
@@ -316,21 +310,8 @@ def ara_search(start_state: tuple[int, ...], goal: GoalSpec,
             q = decode(robot, [x or points[0] for x in points])
             if snap_target is not None:
                 q[[x == GOAL_NODE for x in points]] = goal_config
-            configs, offsets = motion_configs(robot, *np.split(q, 2), params.edge_step)
-            lasts = np.append(offsets[1:], len(configs)) - 1
-            # One row per lattice state is checked; the others take its verdict.
-            rows, known = {}, {}
-            for x, r in zip(points, offsets.tolist() + lasts.tolist()):
-                if x in cache.states or x in rows:
-                    known[r] = x
-                elif x != GOAL_NODE:
-                    rows[x] = r
-            checked = np.delete(np.arange(len(configs)), list(known))
-            row_free = np.ones(len(configs), dtype=bool)
-            row_free[checked] = free_mask(robot, world, configs[checked], stats=stats)
-            cache.states.update((x, bool(row_free[r])) for x, r in rows.items())
-            row_free[list(known)] = [cache.states[x] for x in known.values()]
-            free = np.logical_and.reduceat(row_free, offsets)
+            free = motions_free(robot, world, *np.split(q, 2), params.edge_step,
+                                stats=stats)
             stats["edges_resolved"] = stats.get("edges_resolved", 0) + len(free)
             stats["edges_blocked"] = stats.get("edges_blocked", 0) + int((~free).sum())
             for (p, s), ok in zip(unknown, free.tolist()):
@@ -481,9 +462,6 @@ def _lattice_attempt(robot: RobotModel, world: WorldModel, start_q: np.ndarray,
         if not check_motion(robot, world, start_q, cell, params.edge_step, stats=stats):
             return None
         prefix = [np.asarray(start_q, dtype=float).copy()]
-    # The cell is free: it is the screened start or goal representative
-    # itself, or the last row of the junction motion just checked.
-    cache.states[state] = True
     waypoints, search_stats = ara_search(
         state, goal, primitives, params, robot, world, deadline,
         cache=cache, stats=stats)
@@ -522,9 +500,6 @@ def plan_ara_star(robot: RobotModel, world: WorldModel, query: Query,
                              Path(start[None, :].copy()))
 
     cache = LatticeCache()
-    # Every goal-snap edge ends at a configuration the screen found free: the
-    # goal target forward, the start backward.
-    cache.states[GOAL_NODE] = True
     forward_deadline = t0 + query.time_budget * BUDGET_SPLIT
     final_deadline = t0 + query.time_budget
 

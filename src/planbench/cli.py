@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import os
 import sys
 from dataclasses import replace
@@ -20,7 +21,7 @@ from .ara_star import MotionPrimitiveSet, parse_primitives
 from .bench import FAILURE, PLANNERS, aggregate, emit_csv, emit_table, plan, run_suite
 from .core import Path as PlanPath
 from .core import UNSOLVABLE, path_cost, query_from_scenario, validate_path
-from .errors import ParseError, PlanbenchError
+from .errors import ParseError, PlanbenchError, read_text
 from .params import PlannerParams, load_params
 from .robot import RobotModel
 from .world import (OBJECTS_ONLY, PLUS_HEIGHT, PLUS_ROTATION, generate_variations,
@@ -41,9 +42,8 @@ def _write_path_csv(path: Path, waypoints: np.ndarray) -> None:
 def _read_path_csv(path: Path, dof: int) -> np.ndarray:
     """Waypoints, one row of ``dof`` numbers each; a first row that is not
     ``dof`` numbers is a header and is skipped."""
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        rows = [(reader.line_num, row) for row in reader if row]
+    reader = csv.reader(io.StringIO(read_text(path)))
+    rows = [(reader.line_num, row) for row in reader if row]
     waypoints = []
     for k, (line, row) in enumerate(rows):
         try:
@@ -65,7 +65,7 @@ def _load_primitives_arg(value: str | None,
                          robot: RobotModel) -> MotionPrimitiveSet | None:
     if not value:
         return None
-    return parse_primitives(Path(value).read_text(encoding="utf-8"), robot)
+    return parse_primitives(read_text(value), robot)
 
 
 def _cmd_plan(args) -> int:
@@ -212,7 +212,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (PlanbenchError, OSError, UnicodeDecodeError) as exc:
+    except (PlanbenchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

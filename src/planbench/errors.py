@@ -1,6 +1,11 @@
-"""Exception types shared across the package, the one YAML-mapping loader
-that turns malformed documents into them, and the one check that every
-vector and size entering the package is a finite array of the right shape."""
+"""Exception types shared across the package, the one input-file reader and
+YAML-mapping loader that turn unreadable and malformed documents into them,
+the one check that every vector and size entering the package is a finite
+array of the right shape, and the one check that every count and index
+entering it is an integer."""
+
+import numbers
+from pathlib import Path
 
 import numpy as np
 import yaml
@@ -58,6 +63,15 @@ else:
     YamlLoader = yaml.SafeLoader
 
 
+def read_text(path: str | Path) -> str:
+    """The text of the UTF-8 file at ``path``; bytes that are not UTF-8
+    raise ParseError naming the path."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{exc} in {path}") from exc
+
+
 def parse_mapping(text: str, what: str, keys, build):
     """Load a YAML mapping document and return ``build(doc)``.
 
@@ -97,3 +111,14 @@ def finite_array(value, what: str, shape: tuple = ()) -> np.ndarray:
         raise ValidationError(f"{what} must be finite")
     arr.flags.writeable = False
     return arr
+
+
+def integer(value, what: str, least: int | None = None) -> int:
+    """``value`` as an int if it is an integer no smaller than ``least``;
+    a bool, a float (even a whole one), a string or anything else raises
+    ValidationError naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValidationError(f"{what} must be at least {least}, got {value!r}")
+    return int(value)

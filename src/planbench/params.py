@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .ara_star import AraParams
-from .errors import ValidationError, check_keys, parse_mapping
+from .errors import ValidationError, check_keys, parse_mapping, read_text
 from .rrt_connect import RrtParams
 
 _COMMON_KEYS = {"edge_step", "goal_tolerance_default", "seed"}
@@ -70,4 +70,4 @@ def parse_params(text: str) -> PlannerParams:
 
 def load_params(path: str | Path) -> PlannerParams:
     """Load a planner parameters file."""
-    return parse_params(Path(path).read_text(encoding="utf-8"))
+    return parse_params(read_text(path))

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (ContractViolation, ValidationError, check_keys, finite_array,
-                     parse_mapping)
+                     integer, parse_mapping, read_text)
 
 REVOLUTE = "revolute"
 PRISMATIC = "prismatic"
@@ -78,6 +78,7 @@ class CollisionSphere:
     radius: float
 
     def __post_init__(self):
+        object.__setattr__(self, "link_index", integer(self.link_index, "sphere link"))
         object.__setattr__(
             self, "local_center", finite_array(self.local_center, "sphere center", (3,)))
         if not 0 < self.radius < math.inf:
@@ -104,7 +105,7 @@ class RobotModel:
                     f"sphere link index {s.link_index} out of range for {n} joints")
         pairs = set()
         for pair in self.self_collision_ignored:
-            i, j = int(pair[0]), int(pair[1])
+            i, j = (integer(k, "ignored pair sphere index") for k in pair)
             if not (0 <= i < len(self.spheres) and 0 <= j < len(self.spheres)):
                 raise ValidationError(f"ignored pair {pair} references missing sphere")
             pairs.add((min(i, j), max(i, j)))
@@ -312,12 +313,11 @@ def _build_robot(doc: dict) -> RobotModel:
     for entry in doc.get("collision_spheres") or ():
         check_keys(entry, "sphere", _SPHERE_KEYS)
         spheres.append(CollisionSphere(
-            link_index=int(entry["link"]),
+            link_index=entry["link"],
             local_center=entry["center"],
             radius=float(entry["radius"]),
         ))
-    ignored = frozenset(
-        (int(pair[0]), int(pair[1])) for pair in doc.get("self_collision_ignore") or ())
+    ignored = frozenset(tuple(pair) for pair in doc.get("self_collision_ignore") or ())
     return RobotModel(joints=tuple(joints), spheres=tuple(spheres),
                       self_collision_ignored=ignored)
 
@@ -333,4 +333,4 @@ def parse_robot(text: str) -> RobotModel:
 
 def load_robot(path: str | Path) -> RobotModel:
     """Load a robot definition file."""
-    return parse_robot(Path(path).read_text(encoding="utf-8"))
+    return parse_robot(read_text(path))

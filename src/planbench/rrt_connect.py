@@ -26,7 +26,6 @@ distance over the joints of a (dof, k, N) block, one joint after another.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass
 
@@ -35,7 +34,7 @@ import numpy as np
 from .collision import free_mask, motions_free
 from .core import (FAILURE, OK, SOLVED_FORWARD, UNSOLVABLE, PlannerResult, Path,
                    Query, goal_satisfied, screen_query)
-from .errors import ContractViolation, ValidationError
+from .errors import ContractViolation, ValidationError, integer
 from .robot import RobotModel, as_configuration, weighted_norms
 from .world import WorldModel
 
@@ -64,15 +63,9 @@ class RrtParams:
             raise ValidationError("edge_step must be positive and finite")
         if not self.edge_step <= self.step_eta < math.inf:
             raise ValidationError("step_eta must be finite and >= edge_step")
-        if self.max_iterations is not None and not _whole(self.max_iterations, 1):
-            raise ValidationError("max_iterations must be a positive integer")
-        if not _whole(self.seed, 0):
-            raise ValidationError(f"seed must be a non-negative integer, got {self.seed!r}")
-
-
-def _whole(value, least: int) -> bool:
-    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
-            and value >= least)
+        if self.max_iterations is not None:
+            integer(self.max_iterations, "max_iterations", least=1)
+        integer(self.seed, "seed", least=0)
 
 
 class Tree:

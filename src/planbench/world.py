@@ -22,7 +22,7 @@ import numpy as np
 import yaml
 
 from .errors import (ContractViolation, ValidationError, check_keys, finite_array,
-                     parse_mapping)
+                     integer, parse_mapping, read_text)
 from .robot import RobotModel, load_robot
 
 BOX = "box"
@@ -234,8 +234,9 @@ class VariationSpec:
     object_indices: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "shelf_indices", tuple(int(i) for i in self.shelf_indices))
-        object.__setattr__(self, "object_indices", tuple(int(i) for i in self.object_indices))
+        for name in ("shelf_indices", "object_indices"):
+            object.__setattr__(self, name, tuple(integer(i, f"variation {name} entry")
+                                                 for i in getattr(self, name)))
         for value, name in ((self.object_jitter_xy, "object_jitter_xy"),
                             (self.height_range, "height_range"),
                             (self.yaw_range_deg, "yaw_range_deg")):
@@ -351,7 +352,7 @@ def _build_scenario(doc: dict, base_dir: str | Path | None) -> Scenario:
 def load_scenario(path: str | Path) -> Scenario:
     """Load a scenario file; relative robot paths resolve against its directory."""
     path = Path(path)
-    return parse_scenario(path.read_text(encoding="utf-8"), base_dir=path.parent)
+    return parse_scenario(read_text(path), base_dir=path.parent)
 
 
 def _obstacle_doc(o: Obstacle) -> dict:

@@ -328,7 +328,7 @@ class TestErrors:
                      "--planner", "ara-star"])
         assert code == 1 or code == 2  # harness error path
 
-    @pytest.mark.parametrize("option", ["--scenario", "--path"])
+    @pytest.mark.parametrize("option", ["--scenario", "--path", "--params"])
     def test_non_utf8_file_reports_error(self, workdir, capsys, monkeypatch, option):
         monkeypatch.chdir(workdir)
         (workdir / "crossing.csv").write_text("q0,q1\n1.0,1.0\n5.0,5.0\n")
@@ -338,3 +338,32 @@ class TestErrors:
         captured = capsys.readouterr()
         assert (code, captured.out) == (1, "")
         assert captured.err.startswith("error: 'utf-8' codec can't decode")
+        assert captured.err.endswith(" in latin1.txt\n")
+
+    @pytest.mark.parametrize("culprit", ["--primitives", "robot"])
+    def test_non_utf8_primitives_or_robot_file_names_it(self, workdir, capsys, monkeypatch,
+                                                          culprit):
+        # The robot file is read inside the scenario's parse; its decode error
+        # names the robot file, not a malformed scenario.
+        monkeypatch.chdir(workdir)
+        (workdir / "latin1.txt").write_bytes("joints: [café]\n".encode("latin-1"))
+        scenario = "case.scenario"
+        extra = ["--primitives", "latin1.txt"] if culprit == "--primitives" else []
+        if culprit == "robot":
+            scenario = "latin_robot.scenario"
+            (workdir / scenario).write_text(SCENARIO.replace("gantry.yaml", "latin1.txt"))
+        code = main(["plan", "--scenario", scenario, "--planner", "ara-star", *extra])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err.startswith("error: 'utf-8' codec can't decode")
+        assert captured.err.endswith(" in latin1.txt\n")
+
+    def test_non_integer_primitive_reports_error(self, workdir, capsys, monkeypatch):
+        # [1.5, 0] once became the axis move [1, 0] without a word.
+        monkeypatch.chdir(workdir)
+        (workdir / "prims.yaml").write_text("primitives: [[1.5, 0]]\n")
+        code = main(["plan", "--scenario", "case.scenario", "--planner", "ara-star",
+                     "--primitives", "prims.yaml"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == "error: primitive vector entry must be an integer, got 1.5\n"

@@ -2,8 +2,9 @@
 names, the only runtime dependencies are numpy and PyYAML, no public
 function, class, class member or class field exists only for the tests, only
 ``errors.py`` checks values for finiteness, only ``errors.py`` loads and only
-``world.py`` dumps YAML, every function the benchmark traces exists, and the
-tests import nothing they do not use."""
+``world.py`` dumps YAML, only ``collision.py`` samples motions, every
+function the benchmark traces exists, and the tests import nothing they do
+not use."""
 
 import ast
 import importlib
@@ -141,6 +142,15 @@ def test_yaml_loaded_only_in_errors_and_dumped_only_in_world():
              if name in loaders and path.name != "errors.py"
              or name in dumpers and path.name != "world.py"]
     assert found == []
+
+
+def test_motions_sampled_only_in_collision():
+    # Every planner edge goes through collision.motions_free, the one edge
+    # checker; a second module sampling its own motions would be a second
+    # edge pipeline to keep in step with it.
+    found = [path.name for path in SOURCES
+             if _names(ast.parse(path.read_text(encoding="utf-8")))["motion_configs"]]
+    assert found == ["collision.py"]
 
 
 def test_trace_targets_name_package_attributes():

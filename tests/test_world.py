@@ -276,6 +276,39 @@ def test_malformed_values_raise_validation_error(kind, doc, tmp_path, robot_file
         parse(doc)
 
 
+TWO_SPHERES = ("obstacles: [{shape: sphere, center: [5, 5, 5], radius: 0.1}, "
+               "{shape: sphere, center: [6, 6, 6], radius: 0.1}]")
+
+
+@pytest.mark.parametrize("kind, template, bad", [
+    ("robot", GANTRY_ROBOT.replace("link: 1", "link: VALUE"), "1.7"),
+    ("robot", GANTRY_ROBOT.replace("link: 1", "link: VALUE"), "true"),
+    ("robot", GANTRY_ROBOT.replace("link: 1", "link: VALUE"), "'1'"),
+    ("robot", GANTRY_ROBOT + "self_collision_ignore: [[VALUE, 0]]\n", "0.9"),
+    ("scenario", minimal_doc().replace("obstacles: []", TWO_SPHERES)
+     + "variation: {object_indices: [VALUE]}\n", "1.5"),
+    ("scenario", minimal_doc().replace("obstacles: []", TWO_SPHERES)
+     + "variation: {object_indices: [VALUE]}\n", "true"),
+    ("scenario", minimal_doc().replace("obstacles: []", TWO_SPHERES)
+     + "variation: {shelf_indices: [VALUE]}\n", "1.0"),
+    ("primitives", "primitives: [[VALUE, 1]]\n", "1.5"),
+    ("primitives", "primitives: [[VALUE, 1]]\n", "0.4"),
+], ids=["sphere-link-float", "sphere-link-bool", "sphere-link-string", "ignore-pair-float",
+        "object-index-float", "object-index-bool", "shelf-index-float",
+        "primitive-float", "primitive-fraction"])
+def test_integer_fields_reject_non_integers(kind, template, bad, tmp_path, robot_file):
+    # Each field once took int() of what it was given: 1.7 became link 1,
+    # true became 1 and [0.4, 1] the axis move [0, 1].  The integer 0 parses.
+    parse = {
+        "robot": parse_robot,
+        "scenario": lambda text: parse_scenario(text, base_dir=tmp_path),
+        "primitives": lambda text: parse_primitives(text, parse_robot(GANTRY_ROBOT)),
+    }[kind]
+    parse(template.replace("VALUE", "0"))
+    with pytest.raises(ValidationError, match=r"must be an integer, got"):
+        parse(template.replace("VALUE", bad))
+
+
 def random_scenario_doc(rng, robot_name="gantry.yaml"):
     """A random but valid scenario document for round-trip fuzzing."""
     obstacles = []
