@@ -29,7 +29,8 @@ import numpy as np
 from .collision import check_motion, motions_free
 from .core import (FAILURE, OK, SOLVED_BACKWARD, SOLVED_FORWARD, UNSOLVABLE, Path,
                    PlannerResult, Query, goal_satisfied, screen_query)
-from .errors import ContractViolation, ValidationError, integer, parse_mapping
+from .errors import (ContractViolation, ValidationError, finite_array, integer,
+                     parse_mapping, real)
 from .robot import RobotModel, as_configuration, config_distance, weighted_norms
 from .world import GoalSpec, WorldModel
 
@@ -56,27 +57,27 @@ class MotionPrimitiveSet:
     """Integer cell displacements plus the adaptive goal-snap radius.
 
     The set is closed under negation, so every backward lattice edge is a
-    valid forward edge reversed.
+    valid forward edge reversed.  A repeated vector is kept once, where it
+    first appears.
     """
 
     primitives: np.ndarray  # (P, n) integers
     snap_radius: float
 
     def __post_init__(self):
-        prim = np.asarray(self.primitives, dtype=int)
+        rows = dict.fromkeys(tuple(integer(v, "primitive vector entry") for v in row)
+                             for row in self.primitives)
+        prim = np.array(list(rows), dtype=int)
         if prim.ndim != 2:
             raise ValidationError("primitives must be a (P, n) integer array")
-        if prim.shape[0] and not np.any(prim, axis=1).all():
-            raise ValidationError("primitive vectors must be nonzero")
-        rows = {tuple(int(v) for v in row) for row in prim}
         for row in rows:
-            if tuple(-v for v in row) not in rows:
-                raise ValidationError(f"primitive {row} lacks its negation")
-        prim = prim.copy()
+            if not any(row) or tuple(-v for v in row) not in rows:
+                raise ValidationError(f"primitive {row} must be nonzero, with its negation")
         prim.flags.writeable = False
         object.__setattr__(self, "primitives", prim)
-        if not 0 <= self.snap_radius < math.inf:
-            raise ValidationError("snap_radius must be finite and nonnegative")
+        object.__setattr__(self, "snap_radius", real(self.snap_radius, "snap_radius"))
+        if self.snap_radius < 0:
+            raise ValidationError("snap_radius must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -91,16 +92,18 @@ class AraParams:
     edge_step: float = 0.05
 
     def __post_init__(self):
-        schedule = tuple(float(e) for e in self.epsilon_schedule)
+        schedule = tuple(finite_array(self.epsilon_schedule, "epsilon_schedule",
+                                      (None,)).tolist())
         object.__setattr__(self, "epsilon_schedule", schedule)
         if not schedule:
             raise ValidationError("epsilon_schedule must be non-empty")
-        if not all(1.0 <= e < math.inf for e in schedule):
-            raise ValidationError("every inflation factor must be finite and >= 1")
+        if not all(e >= 1.0 for e in schedule):
+            raise ValidationError("every inflation factor must be >= 1")
         if any(b >= a for a, b in zip(schedule, schedule[1:])):
             raise ValidationError("epsilon_schedule must be strictly decreasing")
-        if not 0 < self.edge_step < math.inf:
-            raise ValidationError("edge_step must be positive and finite")
+        object.__setattr__(self, "edge_step", real(self.edge_step, "edge_step"))
+        if self.edge_step <= 0:
+            raise ValidationError("edge_step must be positive")
 
 
 @dataclass
@@ -156,29 +159,21 @@ def default_primitives(robot: RobotModel, extra_vectors=(),
                        snap_radius: float | None = None) -> MotionPrimitiveSet:
     """The 2n single-joint one-cell moves, plus declared extras.
 
-    Extra vectors are added together with their negations.  When no snap
-    radius is given it defaults to twice the largest single-joint move cost.
+    Extra vectors are added together with their negations, each once.  When
+    no snap radius is given it defaults to twice the largest single-joint
+    move cost.
     """
     n = robot.dof
-    rows: list[tuple[int, ...]] = []
-    for j in range(n):
-        for sign in (1, -1):
-            row = [0] * n
-            row[j] = sign
-            rows.append(tuple(row))
+    rows = [tuple(s if i == j else 0 for i in range(n)) for j in range(n) for s in (1, -1)]
     for vec in extra_vectors:
-        row = tuple(integer(v, "primitive vector entry") for v in vec)
+        row = tuple(vec)
         if len(row) != n:
             raise ValidationError(
                 f"primitive vector {row} has length {len(row)}, expected {n}")
-        for candidate in (row, tuple(-v for v in row)):
-            if candidate not in rows:
-                rows.append(candidate)
+        rows += [row, (-v for v in row)]  # negated after MotionPrimitiveSet checks row
     if snap_radius is None:
-        snap_radius = 2.0 * float(
-            np.max(np.sqrt(robot.weights) * robot.resolutions))
-    return MotionPrimitiveSet(primitives=np.array(rows, dtype=int),
-                              snap_radius=float(snap_radius))
+        snap_radius = 2.0 * np.max(np.sqrt(robot.weights) * robot.resolutions)
+    return MotionPrimitiveSet(primitives=rows, snap_radius=snap_radius)
 
 
 _PRIMITIVES_KEYS = {"primitives", "snap_radius"}
@@ -186,11 +181,8 @@ _PRIMITIVES_KEYS = {"primitives", "snap_radius"}
 
 def parse_primitives(text: str, robot: RobotModel) -> MotionPrimitiveSet:
     """Parse a primitives document: extra vectors plus the snap radius."""
-    def build(doc):
-        snap = doc.get("snap_radius")
-        return default_primitives(robot, extra_vectors=doc.get("primitives") or (),
-                                  snap_radius=None if snap is None else float(snap))
-    return parse_mapping(text, "primitives", _PRIMITIVES_KEYS, build)
+    return parse_mapping(text, "primitives", _PRIMITIVES_KEYS, lambda doc: default_primitives(
+        robot, doc.get("primitives") or (), doc.get("snap_radius")))
 
 
 def heuristic(state: tuple[int, ...], goal: GoalSpec, robot: RobotModel) -> float:

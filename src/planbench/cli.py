@@ -40,18 +40,21 @@ def _write_path_csv(path: Path, waypoints: np.ndarray) -> None:
 
 
 def _read_path_csv(path: Path, dof: int) -> np.ndarray:
-    """Waypoints, one row of ``dof`` numbers each; a first row that is not
-    ``dof`` numbers is a header and is skipped."""
+    """Waypoints, one row of ``dof`` numbers each; a first row with a cell
+    that is not a number is a header and is skipped."""
     reader = csv.reader(io.StringIO(read_text(path)))
     rows = [(reader.line_num, row) for row in reader if row]
     waypoints = []
     for k, (line, row) in enumerate(rows):
         try:
-            waypoints.append(np.array(row, dtype=float).reshape(dof))
+            values = np.array(row, dtype=float)
         except ValueError:
-            if k:
-                raise ParseError(f"path file {path}: expected {dof} numbers, got {row}",
-                                 line) from None
+            if not k:
+                continue
+            values = None
+        if values is None or values.shape != (dof,):
+            raise ParseError(f"path file {path}: expected {dof} numbers, got {row}", line)
+        waypoints.append(values)
     if not waypoints:
         raise PlanbenchError(f"path file {path} has no waypoints")
     return np.array(waypoints)

@@ -7,13 +7,12 @@ period (the clock is polled at loop boundaries, not preemptively).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .collision import check_config, check_motion, free_mask
-from .errors import ContractViolation, ValidationError, finite_array
+from .errors import ContractViolation, ValidationError, finite_array, real
 from .robot import RobotModel, as_configuration, weighted_norms
 from .world import GoalSpec, Scenario, WorldModel
 
@@ -42,8 +41,9 @@ class Query:
 
     def __post_init__(self):
         object.__setattr__(self, "start", finite_array(self.start, "start", (None,)))
-        if not 0 < self.time_budget < math.inf:
-            raise ValidationError("time budget must be positive and finite")
+        object.__setattr__(self, "time_budget", real(self.time_budget, "time budget"))
+        if self.time_budget <= 0:
+            raise ValidationError("time budget must be positive")
 
 
 @dataclass(frozen=True)
@@ -149,14 +149,15 @@ def path_cost(robot: RobotModel, path: Path) -> float:
 def validate_path(robot: RobotModel, world: WorldModel, query: Query,
                   path: Path, step: float) -> bool:
     """True iff the path starts exactly at the query start, ends inside the
-    goal, and every segment passes discretized collision checking."""
+    goal, and every segment (a lone waypoint's to itself) passes discretized
+    collision checking."""
     wp = path.waypoints
     if not np.array_equal(wp[0], query.start):
         return False
     if not goal_satisfied(query.goal, wp[-1]):
         return False
-    for k in range(len(wp) - 1):
-        if not check_motion(robot, world, wp[k], wp[k + 1], step):
+    for a, b in zip(wp, wp[1:] if len(wp) > 1 else wp):
+        if not check_motion(robot, world, a, b, step):
             return False
     return True
 

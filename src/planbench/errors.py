@@ -1,9 +1,10 @@
 """Exception types shared across the package, the one input-file reader and
 YAML-mapping loader that turn unreadable and malformed documents into them,
-the one check that every vector and size entering the package is a finite
-array of the right shape, and the one check that every count and index
-entering it is an integer."""
+and the one check each that every real scalar, every vector or size and
+every count or index entering the package is a finite real, a finite array
+of the right shape and an integer."""
 
+import math
 import numbers
 from pathlib import Path
 
@@ -80,7 +81,8 @@ def parse_mapping(text: str, what: str, keys, build):
     convert) or nesting past the recursion limit raises ParseError with no
     line.  A document that is not a mapping (an empty one counts as
     ``{}``), has keys outside ``keys``, or holds values that ``build``
-    rejects with TypeError, ValueError or KeyError raises ValidationError.
+    rejects with TypeError, ValueError, KeyError or OverflowError (an
+    integer beyond the float range) raises ValidationError.
     """
     try:
         doc = yaml.load(text, Loader=YamlLoader)
@@ -93,18 +95,36 @@ def parse_mapping(text: str, what: str, keys, build):
     doc = check_keys({} if doc is None else doc, f"{what} document", keys)
     try:
         return build(doc)
-    except (TypeError, ValueError, KeyError) as exc:
+    except (TypeError, ValueError, KeyError, OverflowError) as exc:
         raise ValidationError(f"malformed {what} document: {exc!r}") from exc
 
 
-def finite_array(value, what: str, shape: tuple = ()) -> np.ndarray:
+def _real(value) -> bool:
+    """Whether ``value`` is a real number other than a bool (or ``np.bool_``)."""
+    return isinstance(value, (float, int, numbers.Real)) and not isinstance(value, bool)
+
+
+def real(value, what: str) -> float:
+    """``value`` as a float if it is a finite real number; a bool, a string,
+    None, NaN, an infinity or anything else raises ValidationError naming
+    ``what``; an integer beyond the float range raises OverflowError."""
+    if _real(value) and math.isfinite(value):
+        return float(value)
+    raise ValidationError(f"{what} must be a finite real number, got {value!r}")
+
+
+def finite_array(value, what: str, shape: tuple) -> np.ndarray:
     """A read-only float64 copy of ``value`` whose shape matches ``shape``
-    (a ``None`` entry matches any length) and whose entries are all finite;
-    anything else raises ValidationError naming ``what``."""
+    (a ``None`` entry matches any length) and whose entries are all finite,
+    of a non-bool numeric dtype or, in a list or tuple, real numbers as
+    ``real`` reads them; anything else raises ValidationError naming ``what``."""
     try:
         arr = np.array(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{what} must be numeric: {exc}") from exc
+    if not (value.dtype.kind in "iuf" if isinstance(value, np.ndarray)
+            else all(map(_real, np.array(value, dtype=object).ravel()))):
+        raise ValidationError(f"{what} must hold real numbers, got {value!r}")
     if arr.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, arr.shape)):
         raise ValidationError(f"{what} must have shape {shape}, got {arr.shape}")
     if not np.isfinite(arr).all():

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (ContractViolation, ValidationError, check_keys, finite_array,
-                     integer, parse_mapping, read_text)
+                     integer, parse_mapping, read_text, real)
 
 REVOLUTE = "revolute"
 PRISMATIC = "prismatic"
@@ -56,14 +56,17 @@ class JointSpec:
                              ("origin_rotation", (3,)), ("limits", (2,))):
             object.__setattr__(self, field, finite_array(
                 getattr(self, field), f"joint {self.name!r} {field}", shape))
+        for field in ("resolution", "weight"):
+            object.__setattr__(self, field, real(getattr(self, field),
+                                                 f"joint {self.name!r} {field}"))
         lo, hi = self.limits.tolist()
         object.__setattr__(self, "limits", (lo, hi))
         if not lo < hi:
             raise ValidationError(f"joint {self.name!r}: limits must satisfy lo < hi")
         if abs(float(np.linalg.norm(self.axis)) - 1.0) > _AXIS_NORM_TOL:
             raise ValidationError(f"joint {self.name!r}: axis must have unit norm")
-        if not 0 < self.weight < math.inf:
-            raise ValidationError(f"joint {self.name!r}: weight must be positive and finite")
+        if self.weight <= 0:
+            raise ValidationError(f"joint {self.name!r}: weight must be positive")
         if not 0 < self.resolution <= hi - lo:
             raise ValidationError(
                 f"joint {self.name!r}: resolution must lie in (0, hi - lo]")
@@ -81,8 +84,9 @@ class CollisionSphere:
         object.__setattr__(self, "link_index", integer(self.link_index, "sphere link"))
         object.__setattr__(
             self, "local_center", finite_array(self.local_center, "sphere center", (3,)))
-        if not 0 < self.radius < math.inf:
-            raise ValidationError("sphere radius must be positive and finite")
+        object.__setattr__(self, "radius", real(self.radius, "sphere radius"))
+        if self.radius <= 0:
+            raise ValidationError("sphere radius must be positive")
 
 
 @dataclass(frozen=True)
@@ -306,8 +310,8 @@ def _build_robot(doc: dict) -> RobotModel:
             origin_translation=entry.get("origin_xyz", (0.0, 0.0, 0.0)),
             origin_rotation=entry.get("origin_rpy", (0.0, 0.0, 0.0)),
             limits=entry["limits"],
-            resolution=float(entry["resolution"]),
-            weight=float(entry.get("weight", 1.0)),
+            resolution=entry["resolution"],
+            weight=entry.get("weight", 1.0),
         ))
     spheres = []
     for entry in doc.get("collision_spheres") or ():
@@ -315,7 +319,7 @@ def _build_robot(doc: dict) -> RobotModel:
         spheres.append(CollisionSphere(
             link_index=entry["link"],
             local_center=entry["center"],
-            radius=float(entry["radius"]),
+            radius=entry["radius"],
         ))
     ignored = frozenset(tuple(pair) for pair in doc.get("self_collision_ignore") or ())
     return RobotModel(joints=tuple(joints), spheres=tuple(spheres),

@@ -25,7 +25,6 @@ distance over the joints of a (dof, k, N) block, one joint after another.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 
@@ -34,7 +33,7 @@ import numpy as np
 from .collision import free_mask, motions_free
 from .core import (FAILURE, OK, SOLVED_FORWARD, UNSOLVABLE, PlannerResult, Path,
                    Query, goal_satisfied, screen_query)
-from .errors import ContractViolation, ValidationError, integer
+from .errors import ContractViolation, ValidationError, integer, real
 from .robot import RobotModel, as_configuration, weighted_norms
 from .world import WorldModel
 
@@ -59,10 +58,12 @@ class RrtParams:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.edge_step < math.inf:
-            raise ValidationError("edge_step must be positive and finite")
-        if not self.edge_step <= self.step_eta < math.inf:
-            raise ValidationError("step_eta must be finite and >= edge_step")
+        for name in ("edge_step", "step_eta"):
+            object.__setattr__(self, name, real(getattr(self, name), name))
+        if self.edge_step <= 0:
+            raise ValidationError("edge_step must be positive")
+        if self.step_eta < self.edge_step:
+            raise ValidationError("step_eta must be >= edge_step")
         if self.max_iterations is not None:
             integer(self.max_iterations, "max_iterations", least=1)
         integer(self.seed, "seed", least=0)

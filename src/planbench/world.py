@@ -22,7 +22,7 @@ import numpy as np
 import yaml
 
 from .errors import (ContractViolation, ValidationError, check_keys, finite_array,
-                     integer, parse_mapping, read_text)
+                     integer, parse_mapping, read_text, real)
 from .robot import RobotModel, load_robot
 
 BOX = "box"
@@ -81,15 +81,16 @@ class Obstacle:
     def __post_init__(self):
         sizes = _size_fields(self.shape)
         object.__setattr__(self, "center", finite_array(self.center, "obstacle center", (3,)))
-        object.__setattr__(self, "yaw", float(finite_array(self.yaw, "obstacle yaw")))
+        object.__setattr__(self, "yaw", real(self.yaw, "obstacle yaw"))
         if {n for n in _SIZE_FIELDS if getattr(self, n) is not None} != set(sizes):
             raise ValidationError(
                 f"{self.shape} requires exactly {', '.join(map(repr, sizes))}")
         for name, dims in sizes.items():
-            arr = finite_array(getattr(self, name), f"{self.shape} {name}", dims)
-            if not all(v > 0 for v in arr.ravel().tolist()):
-                raise ValidationError(f"{self.shape} {name} must be positive")
-            object.__setattr__(self, name, arr if dims else float(arr))
+            value, what = getattr(self, name), f"{self.shape} {name}"
+            value = finite_array(value, what, dims) if dims else real(value, what)
+            if min(np.ravel(value).tolist()) <= 0:
+                raise ValidationError(f"{what} must be positive")
+            object.__setattr__(self, name, value)
         if self.shape == SPHERE and self.yaw != 0.0:
             raise ValidationError("sphere orientation is the identity; yaw must be 0")
 
@@ -237,11 +238,10 @@ class VariationSpec:
         for name in ("shelf_indices", "object_indices"):
             object.__setattr__(self, name, tuple(integer(i, f"variation {name} entry")
                                                  for i in getattr(self, name)))
-        for value, name in ((self.object_jitter_xy, "object_jitter_xy"),
-                            (self.height_range, "height_range"),
-                            (self.yaw_range_deg, "yaw_range_deg")):
-            if not 0 <= value < math.inf:
-                raise ValidationError(f"variation {name} must be finite and >= 0")
+        for name in ("object_jitter_xy", "height_range", "yaw_range_deg"):
+            object.__setattr__(self, name, real(getattr(self, name), f"variation {name}"))
+            if getattr(self, name) < 0:
+                raise ValidationError(f"variation {name} must be >= 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,16 +262,17 @@ class Scenario:
             self, "start", finite_array(self.start, "start", (self.robot.dof,)))
         if self.goal.dof != self.robot.dof:
             raise ValidationError("goal dimension does not match robot DOF")
-        if not 0 < self.time_budget < math.inf:
-            raise ValidationError("time budget must be positive and finite")
+        object.__setattr__(self, "time_budget", real(self.time_budget, "time budget"))
+        if self.time_budget <= 0:
+            raise ValidationError("time budget must be positive")
 
     __eq__ = _field_eq("name", "robot_file", "start", "goal", "world", "time_budget",
                        "variation")
 
 
 _SCENARIO_KEYS = {"name", "robot", "start", "goal", "world", "time_budget_s", "variation"}
-_VARIATION_RANGES = {"object_jitter_xy", "height_range", "yaw_range_deg"}
-_VARIATION_KEYS = _VARIATION_RANGES | {"shelf_indices", "object_indices"}
+_VARIATION_KEYS = {"object_jitter_xy", "height_range", "yaw_range_deg", "shelf_indices",
+                   "object_indices"}
 
 
 def _parse_obstacle(entry) -> Obstacle:
@@ -331,8 +332,7 @@ def _build_scenario(doc: dict, base_dir: str | Path | None) -> Scenario:
     variation = None
     if doc.get("variation") is not None:
         vdoc = check_keys(doc["variation"], "variation", _VARIATION_KEYS)
-        variation = VariationSpec(**{key: float(value) if key in _VARIATION_RANGES else value
-                                     for key, value in vdoc.items()})
+        variation = VariationSpec(**vdoc)
         for idx in variation.shelf_indices + variation.object_indices:
             if not 0 <= idx < len(obstacles):
                 raise ValidationError(f"variation index {idx} out of obstacle range")
@@ -344,7 +344,7 @@ def _build_scenario(doc: dict, base_dir: str | Path | None) -> Scenario:
         start=doc["start"],
         goal=goal,
         world=WorldModel(obstacles),
-        time_budget=float(doc["time_budget_s"]),
+        time_budget=doc["time_budget_s"],
         variation=variation,
     )
 
@@ -384,17 +384,11 @@ def serialize_scenario(scenario: Scenario) -> str:
         "start": [float(v) for v in scenario.start],
         "goal": goal,
         "world": {"obstacles": [_obstacle_doc(o) for o in scenario.world.obstacles]},
-        "time_budget_s": float(scenario.time_budget),
+        "time_budget_s": scenario.time_budget,
     }
     if scenario.variation is not None:
-        v = scenario.variation
-        doc["variation"] = {
-            "object_jitter_xy": float(v.object_jitter_xy),
-            "height_range": float(v.height_range),
-            "yaw_range_deg": float(v.yaw_range_deg),
-            "shelf_indices": list(v.shelf_indices),
-            "object_indices": list(v.object_indices),
-        }
+        doc["variation"] = {name: list(value) if isinstance(value, tuple) else value
+                            for name, value in vars(scenario.variation).items()}
     return yaml.dump(doc, Dumper=YamlDumper, sort_keys=False)
 
 

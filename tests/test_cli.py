@@ -172,6 +172,17 @@ class TestPlan:
         assert len(err) == 1
         assert err[0].startswith(f"error: line {line}: path file {path_file}: expected 2")
 
+    def test_numeric_first_row_of_wrong_length_reports_error(self, workdir, capsys):
+        # Only a row with a non-numeric cell is a header; a numeric first
+        # row of three values was once skipped as one.
+        path_file = workdir / "bad.csv"
+        path_file.write_text("1.0,1.0,7.0\n3.0,1.0\n")
+        code = main(["validate", "--scenario", str(workdir / "case.scenario"),
+                     "--path", str(path_file)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err.startswith(f"error: line 1: path file {path_file}: expected 2")
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_validate_non_finite_waypoint_reports_error(self, workdir, capsys, value):
         _, err = self.validate_rows(workdir, capsys, f"{value},2.0\n")

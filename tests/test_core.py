@@ -224,6 +224,15 @@ class TestValidatePath:
         path = Path(np.array([[1.0, 1.0], [3.0, 1.0]]))
         assert not validate_path(robot, world, q, path, 0.05)
 
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_colliding_lone_waypoint_rejected(self, robot, count):
+        # A one-waypoint path has no segment, yet its waypoint is checked
+        # as two equal waypoints are.
+        world = WorldModel((sphere_obstacle((1.0, 1.0, 0.0), 0.3),))
+        q = Query(start=[1, 1], goal=config_goal([1, 1]), time_budget=1.0)
+        path = Path(np.array([[1.0, 1.0]] * count))
+        assert not validate_path(robot, world, q, path, 0.05)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_waypoint_rejected(self, bad):
         # A NaN or infinite waypoint would reach motion sampling as a
@@ -234,7 +243,10 @@ class TestValidatePath:
 
 @pytest.mark.parametrize("start, budget", [
     ([np.nan, 1.0], 1.0), ([[1.0, 1.0]], 1.0), ([1.0, 1.0], np.inf),
-], ids=["nan-start", "2d-start", "inf-budget"])
+    ([True, 1.0], 1.0), (["1.0", 1.0], 1.0), (np.array([True, False]), 1.0),
+    ([1.0, 1.0], True), ([1.0, 1.0], "1.0"), ([1.0, 1.0], None),
+], ids=["nan-start", "2d-start", "inf-budget", "bool-start", "string-start",
+        "bool-array-start", "bool-budget", "string-budget", "none-budget"])
 def test_malformed_query_rejected(start, budget):
     with pytest.raises(ValidationError):
         Query(start=start, goal=config_goal([2, 2]), time_budget=budget)

@@ -91,6 +91,18 @@ class TestDefaultPrimitives:
         with pytest.raises(ValidationError):
             MotionPrimitiveSet(primitives=np.array([[1, 0]]), snap_radius=0.1)
 
+    @pytest.mark.parametrize("rows", [np.array([[1.5, 0], [-1.5, 0]]), [[1, 0], [-1, 0.5]],
+                                      [[True, 0], [-1, 0]]])
+    def test_non_integer_entries_rejected(self, rows):
+        # A set built in code once cast its entries with int(): [[1.5, 0],
+        # [-1.5, 0]] became the axis moves [[1, 0], [-1, 0]].
+        with pytest.raises(ValidationError, match="primitive vector entry must be an integer"):
+            MotionPrimitiveSet(primitives=rows, snap_radius=0.0)
+
+    def test_repeated_vector_kept_once(self):
+        prim = MotionPrimitiveSet(primitives=[[1, 0], [-1, 0], [1, 0]], snap_radius=0.0)
+        assert prim.primitives.tolist() == [[1, 0], [-1, 0]]
+
     def test_primitives_file(self):
         rng = np.random.default_rng(5)
         robot = random_robot(rng, dof=3)

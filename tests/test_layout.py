@@ -1,7 +1,8 @@
 """Package layout rules, checked on the source: modules share no private
 names, the only runtime dependencies are numpy and PyYAML, no public
 function, class, class member or class field exists only for the tests, only
-``errors.py`` checks values for finiteness, only ``errors.py`` loads and only
+``errors.py`` checks values for finiteness, no constructor bounds a value by
+infinity by hand, only ``errors.py`` loads and only
 ``world.py`` dumps YAML, only ``collision.py`` samples motions, every
 function the benchmark traces exists, and the tests import nothing they do
 not use."""
@@ -129,6 +130,19 @@ def test_finite_checks_only_in_errors():
     found = [path.name for path in SOURCES
              if _names(ast.parse(path.read_text(encoding="utf-8")))["isfinite"]]
     assert found == ["errors.py"]
+
+
+def test_no_hand_written_finite_bound_in_post_init():
+    # errors.real is the one scalar check: a `0 < x < math.inf` in a
+    # constructor would be a second copy of it, one that passes bools and
+    # numeric strings on to the range comparison.
+    found = [f"{path.name}:{node.lineno}" for path in SOURCES
+             for func in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(func, ast.FunctionDef) and func.name == "__post_init__"
+             for node in ast.walk(func) if isinstance(node, ast.Compare)
+             and any(isinstance(side, ast.Attribute) and side.attr == "inf"
+                     for side in (node.left, *node.comparators))]
+    assert found == []
 
 
 def test_yaml_loaded_only_in_errors_and_dumped_only_in_world():

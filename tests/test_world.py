@@ -5,10 +5,13 @@ import math
 
 import numpy as np
 import pytest
+import yaml
 
 from planbench.ara_star import parse_primitives
+from planbench.core import Query
 from planbench.data import data_path
 from planbench.errors import ContractViolation, ParseError, ValidationError
+from planbench.params import parse_params
 from planbench.robot import parse_robot
 from planbench.world import (GoalSpec, Obstacle, VariationSpec, WorldModel,
                              generate_variations, load_scenario, parse_scenario,
@@ -293,9 +296,10 @@ TWO_SPHERES = ("obstacles: [{shape: sphere, center: [5, 5, 5], radius: 0.1}, "
      + "variation: {shelf_indices: [VALUE]}\n", "1.0"),
     ("primitives", "primitives: [[VALUE, 1]]\n", "1.5"),
     ("primitives", "primitives: [[VALUE, 1]]\n", "0.4"),
+    ("primitives", "primitives: [[VALUE, 1]]\n", "'1'"),
 ], ids=["sphere-link-float", "sphere-link-bool", "sphere-link-string", "ignore-pair-float",
         "object-index-float", "object-index-bool", "shelf-index-float",
-        "primitive-float", "primitive-fraction"])
+        "primitive-float", "primitive-fraction", "primitive-string"])
 def test_integer_fields_reject_non_integers(kind, template, bad, tmp_path, robot_file):
     # Each field once took int() of what it was given: 1.7 became link 1,
     # true became 1 and [0.4, 1] the axis move [0, 1].  The integer 0 parses.
@@ -307,6 +311,79 @@ def test_integer_fields_reject_non_integers(kind, template, bad, tmp_path, robot
     parse(template.replace("VALUE", "0"))
     with pytest.raises(ValidationError, match=r"must be an integer, got"):
         parse(template.replace("VALUE", bad))
+
+
+ONE_OBSTACLE = minimal_doc().replace("obstacles: []", "obstacles: [OBSTACLE]")
+
+
+@pytest.mark.parametrize("bad", ["true", "'0.5'"])
+@pytest.mark.parametrize("kind, template, valid, what", [
+    ("robot", MINI_ROBOT.replace("resolution: 0.1", "resolution: VALUE"), "0.5",
+     "joint 'j0' resolution"),
+    ("robot", MINI_ROBOT.replace("resolution: 0.1", "resolution: 0.1, weight: VALUE"), "0.5",
+     "joint 'j0' weight"),
+    ("robot", MINI_ROBOT.replace("radius: 0.05", "radius: VALUE"), "0.5", "sphere radius"),
+    ("scenario", ONE_OBSTACLE.replace(
+        "OBSTACLE", "{shape: box, center: [5, 5, 5], yaw: VALUE, half_extents: [1, 1, 1]}"),
+     "0.5", "obstacle yaw"),
+    ("scenario", ONE_OBSTACLE.replace(
+        "OBSTACLE", "{shape: cylinder, center: [5, 5, 5], radius: VALUE, half_height: 1}"),
+     "0.5", "cylinder radius"),
+    ("scenario", ONE_OBSTACLE.replace(
+        "OBSTACLE", "{shape: cylinder, center: [5, 5, 5], radius: 1, half_height: VALUE}"),
+     "0.5", "cylinder half_height"),
+    ("scenario", ONE_OBSTACLE.replace(
+        "OBSTACLE", "{shape: sphere, center: [5, 5, 5], radius: VALUE}"),
+     "0.5", "sphere radius"),
+    ("scenario", minimal_doc() + "variation: {object_jitter_xy: VALUE}\n", "0.5",
+     "variation object_jitter_xy"),
+    ("scenario", minimal_doc() + "variation: {height_range: VALUE}\n", "0.5",
+     "variation height_range"),
+    ("scenario", minimal_doc() + "variation: {yaw_range_deg: VALUE}\n", "0.5",
+     "variation yaw_range_deg"),
+    ("scenario", minimal_doc().replace("time_budget_s: 1.0", "time_budget_s: VALUE"), "0.5",
+     "time budget"),
+    ("query", "VALUE", "0.5", "time budget"),
+    ("primitives", "snap_radius: VALUE\n", "0.5", "snap_radius"),
+    ("params", "common: {edge_step: VALUE}\n", "0.5", "edge_step"),
+    ("params", "rrt_connect: {step_eta: VALUE}\n", "0.5", "step_eta"),
+    ("params", "common: {goal_tolerance_default: VALUE}\n", "0.5", "goal_tolerance_default"),
+    ("params", "ara_star: {epsilon_schedule: [2.0, VALUE]}\n", "1.5", "epsilon_schedule"),
+], ids=["joint-resolution", "joint-weight", "sphere-radius", "obstacle-yaw",
+        "cylinder-radius", "cylinder-half-height", "sphere-obstacle-radius",
+        "variation-jitter", "variation-height", "variation-yaw", "scenario-budget",
+        "query-budget", "primitives-snap", "params-edge-step", "params-step-eta",
+        "params-goal-tolerance", "params-epsilon-schedule"])
+def test_real_fields_reject_bools_and_strings(kind, template, valid, what, bad, tmp_path,
+                                              robot_file):
+    # Each field once took float() of what it was given, or compared it as
+    # given: true became 1.0 and the string '0.5' the number 0.5.
+    parse = {
+        "robot": parse_robot,
+        "scenario": lambda text: parse_scenario(text, base_dir=tmp_path),
+        "query": lambda text: Query(start=[0.0], goal=GoalSpec.config_goal([0.5]),
+                                    time_budget=yaml.safe_load(text)),
+        "primitives": lambda text: parse_primitives(text, parse_robot(GANTRY_ROBOT)),
+        "params": parse_params,
+    }[kind]
+    parse(template.replace("VALUE", valid))
+    with pytest.raises(ValidationError,
+                       match=rf"^{what} must (be a finite real number|hold real numbers), got"):
+        parse(template.replace("VALUE", bad))
+
+
+@pytest.mark.parametrize("bad", ["[true, 5, 5]", "['5', 5, 5]"])
+@pytest.mark.parametrize("template, what", [
+    (ONE_OBSTACLE.replace("OBSTACLE", "{shape: sphere, center: VALUE, radius: 0.5}"),
+     "obstacle center"),
+    (ONE_OBSTACLE.replace(
+        "OBSTACLE", "{shape: box, center: [5, 5, 5], half_extents: VALUE}"), "box half_extents"),
+    (minimal_doc().replace("start: [0.0]", "start: VALUE"), "start"),
+], ids=["obstacle-center", "box-half-extents", "start"])
+def test_array_entries_reject_bools_and_strings(template, what, bad, tmp_path, robot_file):
+    # np.array(..., dtype=float) reads true as 1.0 and '5' as 5.0.
+    with pytest.raises(ValidationError, match=rf"^{what} must hold real numbers, got"):
+        parse_scenario(template.replace("VALUE", bad), base_dir=tmp_path)
 
 
 def random_scenario_doc(rng, robot_name="gantry.yaml"):
