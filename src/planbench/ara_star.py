@@ -65,11 +65,14 @@ class MotionPrimitiveSet:
     snap_radius: float
 
     def __post_init__(self):
-        rows = dict.fromkeys(tuple(integer(v, "primitive vector entry") for v in row)
-                             for row in self.primitives)
-        prim = np.array(list(rows), dtype=int)
-        if prim.ndim != 2:
-            raise ValidationError("primitives must be a (P, n) integer array")
+        # A row that is no sequence, rows of unequal lengths and an empty set
+        # raise TypeError or ValueError here.
+        try:
+            rows = dict.fromkeys(tuple(integer(v, "primitive vector entry") for v in row)
+                                 for row in self.primitives)
+            prim = np.array(list(rows), dtype=int).reshape(len(rows), -1)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError("primitives must be a (P, n) integer array") from exc
         for row in rows:
             if not any(row) or tuple(-v for v in row) not in rows:
                 raise ValidationError(f"primitive {row} must be nonzero, with its negation")

@@ -98,7 +98,7 @@ def goal_representative(robot: RobotModel, world: WorldModel,
     representative is a property of the query: every planner and every seed
     gets the same one.
     """
-    if goal.kind == "config":
+    if goal.type == "config":
         candidates = as_configuration(robot, goal.target)[None]
     else:
         lo, hi = goal.limited_box(robot)
@@ -165,7 +165,7 @@ def validate_path(robot: RobotModel, world: WorldModel, query: Query,
 def query_from_scenario(scenario: Scenario, goal_tolerance_default: float = 0.0) -> Query:
     """Build the planning query, filling in unspecified config-goal tolerances."""
     goal = scenario.goal
-    if goal.kind == "config" and goal.tolerance is None and goal_tolerance_default > 0:
+    if goal.type == "config" and goal.tolerance is None and goal_tolerance_default > 0:
         tol = np.full(scenario.robot.dof, float(goal_tolerance_default))
         goal = GoalSpec.config_goal(goal.target, tol)
     return Query(start=scenario.start, goal=goal, time_budget=scenario.time_budget)

@@ -1,9 +1,11 @@
 """Exception types shared across the package, the one input-file reader and
 YAML-mapping loader that turn unreadable and malformed documents into them,
-and the one check each that every real scalar, every vector or size and
-every count or index entering the package is a finite real, a finite array
-of the right shape and an integer."""
+the one builder of a dataclass from a document entry, and the one check each
+that every real scalar, every vector or size and every count or index
+entering the package is a finite real, a finite array of the right shape and
+an integer."""
 
+import dataclasses
 import math
 import numbers
 from pathlib import Path
@@ -45,6 +47,15 @@ def check_keys(doc, what: str, keys) -> dict:
     if unknown:
         raise ValidationError(f"unknown {what} keys: {sorted(unknown, key=str)}")
     return doc
+
+
+def build(cls, entry, what: str):
+    """``cls(**entry)`` for a document entry whose keys are all field names
+    of the dataclass ``cls``: the class checks every value and supplies
+    every default.  An entry that is not a mapping or has a key that names
+    no field raises ValidationError; a missing required field raises the
+    constructor's TypeError."""
+    return cls(**check_keys(entry, what, {f.name for f in dataclasses.fields(cls)}))
 
 
 if yaml.__with_libyaml__:

@@ -6,7 +6,7 @@ interval; revolute joints are plain bounded intervals (no 2*pi wraparound).
 Configurations are float64 numpy arrays of length ``robot.dof``.
 
 Collision geometry is approximated by spheres, each rigidly attached to the
-frame reached after applying the joint named by its ``link_index``.  Forward
+frame reached after applying the joint named by its ``link``.  Forward
 kinematics chains homogeneous 4x4 transforms, one stacked matmul per joint
 for a whole batch, and places every sphere center in one more matmul.
 """
@@ -20,8 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (ContractViolation, ValidationError, check_keys, finite_array,
-                     integer, parse_mapping, read_text, real)
+from .errors import (ContractViolation, ValidationError, build, finite_array, integer,
+                     parse_mapping, read_text, real)
 
 REVOLUTE = "revolute"
 PRISMATIC = "prismatic"
@@ -33,27 +33,31 @@ _AXIS_NORM_TOL = 1e-9
 class JointSpec:
     """One degree of freedom: a fixed origin transform followed by axis motion.
 
-    The origin transform is a translation plus a roll-pitch-yaw rotation in
-    the parent frame; the joint then rotates about (revolute) or translates
-    along (prismatic) ``axis`` by the joint value.  ``weight`` scales this
-    joint's contribution to the configuration-space metric and ``resolution``
-    is the lattice cell width used by search-based planning.
+    The origin transform is a translation ``origin_xyz`` plus a roll-pitch-yaw
+    rotation ``origin_rpy`` in the parent frame, both zero by default; the
+    joint then rotates about (revolute) or translates along (prismatic)
+    ``axis`` by the joint value.  ``weight`` scales this joint's contribution
+    to the configuration-space metric and ``resolution`` is the lattice cell
+    width used by search-based planning.  The field names are the robot
+    document's joint keys.
     """
 
     name: str
-    kind: str
+    type: str
     axis: np.ndarray
-    origin_translation: np.ndarray
-    origin_rotation: np.ndarray  # roll-pitch-yaw, radians
     limits: tuple[float, float]
     resolution: float
+    origin_xyz: np.ndarray = (0.0, 0.0, 0.0)
+    origin_rpy: np.ndarray = (0.0, 0.0, 0.0)  # radians
     weight: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in (REVOLUTE, PRISMATIC):
-            raise ValidationError(f"joint {self.name!r}: unknown kind {self.kind!r}")
-        for field, shape in (("axis", (3,)), ("origin_translation", (3,)),
-                             ("origin_rotation", (3,)), ("limits", (2,))):
+        if not isinstance(self.name, str):
+            raise ValidationError(f"joint name must be a string, got {self.name!r}")
+        if self.type not in (REVOLUTE, PRISMATIC):
+            raise ValidationError(f"joint {self.name!r}: unknown type {self.type!r}")
+        for field, shape in (("axis", (3,)), ("origin_xyz", (3,)),
+                             ("origin_rpy", (3,)), ("limits", (2,))):
             object.__setattr__(self, field, finite_array(
                 getattr(self, field), f"joint {self.name!r} {field}", shape))
         for field in ("resolution", "weight"):
@@ -74,16 +78,16 @@ class JointSpec:
 
 @dataclass(frozen=True)
 class CollisionSphere:
-    """A sphere rigidly attached to the frame after joint ``link_index``."""
+    """A sphere rigidly attached to the frame after joint ``link``, centered
+    at ``center`` in that frame."""
 
-    link_index: int
-    local_center: np.ndarray
+    link: int
+    center: np.ndarray
     radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "link_index", integer(self.link_index, "sphere link"))
-        object.__setattr__(
-            self, "local_center", finite_array(self.local_center, "sphere center", (3,)))
+        object.__setattr__(self, "link", integer(self.link, "sphere link"))
+        object.__setattr__(self, "center", finite_array(self.center, "sphere center", (3,)))
         object.__setattr__(self, "radius", real(self.radius, "sphere radius"))
         if self.radius <= 0:
             raise ValidationError("sphere radius must be positive")
@@ -104,9 +108,8 @@ class RobotModel:
         if n < 1:
             raise ValidationError("robot requires at least one joint")
         for s in self.spheres:
-            if not 0 <= s.link_index < n:
-                raise ValidationError(
-                    f"sphere link index {s.link_index} out of range for {n} joints")
+            if not 0 <= s.link < n:
+                raise ValidationError(f"sphere link index {s.link} out of range for {n} joints")
         pairs = set()
         for pair in self.self_collision_ignored:
             i, j = (integer(k, "ignored pair sphere index") for k in pair)
@@ -149,29 +152,29 @@ class RobotModel:
         a, b, c = np.zeros((3, n, 4, 4))
         a[:, 3, 3] = 1.0
         for j, joint in enumerate(self.joints):
-            rot = _rpy_matrix(joint.origin_rotation) + 0.0  # no negative zeros
+            rot = _rpy_matrix(joint.origin_rpy) + 0.0  # no negative zeros
             kx, ky, kz = joint.axis.tolist()
             k = np.array([[0.0, -kz, ky], [kz, 0.0, -kx], [-ky, kx, 0.0]])
-            a[j, :3, :3], a[j, :3, 3] = rot, joint.origin_translation
-            if joint.kind == PRISMATIC:
+            a[j, :3, :3], a[j, :3, 3] = rot, joint.origin_xyz
+            if joint.type == PRISMATIC:
                 b[j, :3, 3] = rot @ joint.axis
             else:
                 b[j, :3, :3], c[j, :3, :3] = rot @ k, rot @ (k @ k)
         a, b, c = (x.reshape(n, 16) for x in (a, b, c))
         joint, entry = np.nonzero((b != 0) | (c != 0))
-        revolute = np.array([[j.kind == REVOLUTE] for j in self.joints])
+        revolute = np.array([[j.type == REVOLUTE] for j in self.joints])
         return tuple(_frozen(x) for x in (
             a[:, None], revolute, joint, entry, a[joint, entry, None],
             b[joint, entry, None], c[joint, entry, None]))
 
     @cached_property
     def _sphere_links(self) -> np.ndarray:
-        return _frozen(np.array([s.link_index for s in self.spheres], dtype=int))
+        return _frozen(np.array([s.link for s in self.spheres], dtype=int))
 
     @cached_property
     def _sphere_locals(self) -> np.ndarray:
         """Homogeneous local centers [l; 1] (S, 4, 1)."""
-        return _frozen(np.array([[*s.local_center, 1.0] for s in self.spheres])
+        return _frozen(np.array([[*s.center, 1.0] for s in self.spheres])
                        .reshape(len(self.spheres), 4, 1))
 
     @cached_property
@@ -188,7 +191,7 @@ class RobotModel:
         pairs = []
         for i in range(len(self.spheres)):
             for j in range(i + 1, len(self.spheres)):
-                if abs(self.spheres[i].link_index - self.spheres[j].link_index) <= 1:
+                if abs(self.spheres[i].link - self.spheres[j].link) <= 1:
                     continue
                 if (i, j) in self.self_collision_ignored:
                     continue
@@ -291,39 +294,18 @@ def config_distance(robot: RobotModel, a, b) -> float:
     return weighted_norms(robot, (a - b)[None])[0]
 
 
-_JOINT_KEYS = {"name", "type", "axis", "origin_xyz", "origin_rpy", "limits",
-               "weight", "resolution"}
-_SPHERE_KEYS = {"link", "center", "radius"}
 _ROBOT_KEYS = {"joints", "collision_spheres", "self_collision_ignore"}
 
 
 def _build_robot(doc: dict) -> RobotModel:
     if not doc.get("joints"):
         raise ValidationError("robot document requires a non-empty 'joints' list")
-    joints = []
-    for entry in doc["joints"]:
-        check_keys(entry, "joint", _JOINT_KEYS)
-        joints.append(JointSpec(
-            name=str(entry["name"]),
-            kind=str(entry["type"]),
-            axis=entry["axis"],
-            origin_translation=entry.get("origin_xyz", (0.0, 0.0, 0.0)),
-            origin_rotation=entry.get("origin_rpy", (0.0, 0.0, 0.0)),
-            limits=entry["limits"],
-            resolution=entry["resolution"],
-            weight=entry.get("weight", 1.0),
-        ))
-    spheres = []
-    for entry in doc.get("collision_spheres") or ():
-        check_keys(entry, "sphere", _SPHERE_KEYS)
-        spheres.append(CollisionSphere(
-            link_index=entry["link"],
-            local_center=entry["center"],
-            radius=entry["radius"],
-        ))
     ignored = frozenset(tuple(pair) for pair in doc.get("self_collision_ignore") or ())
-    return RobotModel(joints=tuple(joints), spheres=tuple(spheres),
-                      self_collision_ignored=ignored)
+    return RobotModel(
+        joints=tuple(build(JointSpec, entry, "joint") for entry in doc["joints"]),
+        spheres=tuple(build(CollisionSphere, entry, "sphere")
+                      for entry in doc.get("collision_spheres") or ()),
+        self_collision_ignored=ignored)
 
 
 def parse_robot(text: str) -> RobotModel:

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .errors import (ContractViolation, ValidationError, check_keys, finite_array,
+from .errors import (ContractViolation, ValidationError, build, check_keys, finite_array,
                      integer, parse_mapping, read_text, real)
 from .robot import RobotModel, load_robot
 
@@ -37,18 +37,11 @@ FAMILIES = (OBJECTS_ONLY, PLUS_HEIGHT, PLUS_ROTATION)
 
 # The size fields of each obstacle shape, in document order, with each
 # field's array shape (() for a scalar).  Every per-shape step below (the
-# constructor, parsing, serialization and the kernel's packs) reads this.
+# constructor, serialization and the kernel's packs) reads this.
 _OBSTACLE_SIZE = {BOX: {"half_extents": (3,)},
                   CYLINDER: {"radius": (), "half_height": ()},
                   SPHERE: {"radius": ()}}
 _SIZE_FIELDS = {name for sizes in _OBSTACLE_SIZE.values() for name in sizes}
-_OBSTACLE_COMMON = {"shape", "center", "yaw"}
-
-
-def _size_fields(shape) -> dict:
-    if not isinstance(shape, str) or shape not in _OBSTACLE_SIZE:
-        raise ValidationError(f"unknown obstacle shape {shape!r}")
-    return _OBSTACLE_SIZE[shape]
 
 
 def _same(a, b) -> bool:
@@ -79,7 +72,9 @@ class Obstacle:
     half_height: float | None = None
 
     def __post_init__(self):
-        sizes = _size_fields(self.shape)
+        if not isinstance(self.shape, str) or self.shape not in _OBSTACLE_SIZE:
+            raise ValidationError(f"unknown obstacle shape {self.shape!r}")
+        sizes = _OBSTACLE_SIZE[self.shape]
         object.__setattr__(self, "center", finite_array(self.center, "obstacle center", (3,)))
         object.__setattr__(self, "yaw", real(self.yaw, "obstacle yaw"))
         if {n for n in _SIZE_FIELDS if getattr(self, n) is not None} != set(sizes):
@@ -157,21 +152,22 @@ def _half_widths(o: Obstacle) -> list[float]:
 class GoalSpec:
     """Goal region: the closed axis box ``lower``..``upper``.
 
-    A region goal is given by its box.  A config goal is given by a
-    ``target`` and optional per-joint ``tolerance``, and its box, target
-    plus or minus tolerance, is derived here; a ``tolerance`` of None means
-    "unspecified" (a zero-width box) and consumers may substitute the
-    configured default.
+    A region goal is given by its box alone.  A config goal is given by a
+    ``target`` and optional per-joint ``tolerance`` alone, and its box,
+    target plus or minus tolerance, is derived here; a ``tolerance`` of None
+    means "unspecified" (a zero-width box) and consumers may substitute the
+    configured default.  The field names are the scenario document's goal
+    keys.
     """
 
-    kind: str  # "config" | "region"
+    type: str  # "config" | "region"
     target: np.ndarray | None = None
     tolerance: np.ndarray | None = None
     lower: np.ndarray | None = None
     upper: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind == "config":
+        if self.type == "config":
             if self.target is None:
                 raise ValidationError("config goal requires a target")
             if self.lower is not None or self.upper is not None:
@@ -186,25 +182,23 @@ class GoalSpec:
                 object.__setattr__(self, "tolerance", tol)
             lower, upper = target - tol, target + tol
             lower.flags.writeable = upper.flags.writeable = False
-        elif self.kind == "region":
+        elif self.type == "region":
             if self.lower is None or self.upper is None:
                 raise ValidationError("region goal requires lower and upper")
+            if self.target is not None or self.tolerance is not None:
+                raise ValidationError("a region goal is given by its box, not a target")
             lower = finite_array(self.lower, "region lower", (None,))
             upper = finite_array(self.upper, "region upper", lower.shape)
             if not np.all(lower <= upper):
                 raise ValidationError("region lower must be <= upper component-wise")
         else:
-            raise ValidationError(f"unknown goal kind {self.kind!r}")
+            raise ValidationError(f"unknown goal type {self.type!r}")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
 
     @classmethod
     def config_goal(cls, target, tolerance=None):
-        return cls(kind="config", target=target, tolerance=tolerance)
-
-    @classmethod
-    def region_goal(cls, lower, upper):
-        return cls(kind="region", lower=lower, upper=upper)
+        return cls(type="config", target=target, tolerance=tolerance)
 
     @property
     def dof(self) -> int:
@@ -215,7 +209,7 @@ class GoalSpec:
         (lower, upper); empty when some lower entry exceeds its upper."""
         return np.maximum(self.lower, robot.lower), np.minimum(self.upper, robot.upper)
 
-    __eq__ = _field_eq("kind", "target", "tolerance", "lower", "upper")
+    __eq__ = _field_eq("type", "target", "tolerance", "lower", "upper")
 
 
 @dataclass(frozen=True)
@@ -262,6 +256,10 @@ class Scenario:
             self, "start", finite_array(self.start, "start", (self.robot.dof,)))
         if self.goal.dof != self.robot.dof:
             raise ValidationError("goal dimension does not match robot DOF")
+        if self.goal.type == "region":  # reachable only where it meets the limits
+            lo, hi = self.goal.limited_box(self.robot)
+            if not np.all(lo <= hi):
+                raise ValidationError("region goal does not intersect the joint limits")
         object.__setattr__(self, "time_budget", real(self.time_budget, "time budget"))
         if self.time_budget <= 0:
             raise ValidationError("time budget must be positive")
@@ -271,17 +269,6 @@ class Scenario:
 
 
 _SCENARIO_KEYS = {"name", "robot", "start", "goal", "world", "time_budget_s", "variation"}
-_VARIATION_KEYS = {"object_jitter_xy", "height_range", "yaw_range_deg", "shelf_indices",
-                   "object_indices"}
-
-
-def _parse_obstacle(entry) -> Obstacle:
-    if not isinstance(entry, dict) or "shape" not in entry or "center" not in entry:
-        raise ValidationError(
-            f"obstacle entry must be a mapping with 'shape' and 'center': {entry!r}")
-    shape = entry["shape"]
-    check_keys(entry, f"{shape} obstacle", _OBSTACLE_COMMON | set(_size_fields(shape)))
-    return Obstacle(**entry)
 
 
 def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
@@ -310,29 +297,13 @@ def _build_scenario(doc: dict, base_dir: str | Path | None) -> Scenario:
     except OSError as exc:
         raise ValidationError(f"cannot read robot file {robot_path}: {exc}") from exc
 
-    goal_doc = doc["goal"]
-    if not isinstance(goal_doc, dict) or "type" not in goal_doc:
-        raise ValidationError("goal must be a mapping with a 'type' key")
-    if goal_doc["type"] == "config":
-        check_keys(goal_doc, "config goal", {"type", "target", "tolerance"})
-        goal = GoalSpec.config_goal(goal_doc["target"], goal_doc.get("tolerance"))
-    elif goal_doc["type"] == "region":
-        check_keys(goal_doc, "region goal", {"type", "lower", "upper"})
-        goal = GoalSpec.region_goal(goal_doc["lower"], goal_doc["upper"])
-        # The region must intersect the joint limits to be reachable at all.
-        lo, hi = goal.limited_box(robot)
-        if not np.all(lo <= hi):
-            raise ValidationError("region goal does not intersect the joint limits")
-    else:
-        raise ValidationError(f"unknown goal type {goal_doc['type']!r}")
-
     world_doc = check_keys(doc["world"], "world", {"obstacles"})
-    obstacles = tuple(_parse_obstacle(e) for e in world_doc.get("obstacles") or ())
+    obstacles = tuple(build(Obstacle, entry, "obstacle")
+                      for entry in world_doc.get("obstacles") or ())
 
     variation = None
     if doc.get("variation") is not None:
-        vdoc = check_keys(doc["variation"], "variation", _VARIATION_KEYS)
-        variation = VariationSpec(**vdoc)
+        variation = build(VariationSpec, doc["variation"], "variation")
         for idx in variation.shelf_indices + variation.object_indices:
             if not 0 <= idx < len(obstacles):
                 raise ValidationError(f"variation index {idx} out of obstacle range")
@@ -342,7 +313,7 @@ def _build_scenario(doc: dict, base_dir: str | Path | None) -> Scenario:
         robot_file=robot_file,
         robot=robot,
         start=doc["start"],
-        goal=goal,
+        goal=build(GoalSpec, doc["goal"], "goal"),
         world=WorldModel(obstacles),
         time_budget=doc["time_budget_s"],
         variation=variation,
@@ -370,19 +341,14 @@ YamlDumper = yaml.CSafeDumper if yaml.__with_libyaml__ else yaml.SafeDumper
 
 def serialize_scenario(scenario: Scenario) -> str:
     """Render a scenario as a document that parses back field-equal."""
-    goal: dict = {"type": scenario.goal.kind}
-    if scenario.goal.kind == "config":
-        goal["target"] = [float(v) for v in scenario.goal.target]
-        if scenario.goal.tolerance is not None:
-            goal["tolerance"] = [float(v) for v in scenario.goal.tolerance]
-    else:
-        goal["lower"] = [float(v) for v in scenario.goal.lower]
-        goal["upper"] = [float(v) for v in scenario.goal.upper]
+    goal = scenario.goal  # a config goal's box is derived, so not written
+    given = ("target", "tolerance") if goal.type == "config" else ("lower", "upper")
     doc = {
         "name": scenario.name,
         "robot": scenario.robot_file,
         "start": [float(v) for v in scenario.start],
-        "goal": goal,
+        "goal": {"type": goal.type, **{name: getattr(goal, name).tolist() for name in given
+                                       if getattr(goal, name) is not None}},
         "world": {"obstacles": [_obstacle_doc(o) for o in scenario.world.obstacles]},
         "time_budget_s": scenario.time_budget,
     }

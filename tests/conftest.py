@@ -18,14 +18,14 @@ from planbench.world import WorldModel
 from oracles import box_obstacle, cylinder_obstacle, sphere_obstacle
 
 
-def make_joint(name, kind=REVOLUTE, axis=(0, 0, 1), origin_xyz=(0, 0, 0),
+def make_joint(name, type=REVOLUTE, axis=(0, 0, 1), origin_xyz=(0, 0, 0),
                origin_rpy=(0, 0, 0), limits=(-3.0, 3.0), resolution=None,
                weight=1.0):
     lo, hi = limits
     if resolution is None:
         resolution = (hi - lo) / 10.0
-    return JointSpec(name=name, kind=kind, axis=axis, origin_translation=origin_xyz,
-                     origin_rotation=origin_rpy, limits=(lo, hi),
+    return JointSpec(name=name, type=type, axis=axis, origin_xyz=origin_xyz,
+                     origin_rpy=origin_rpy, limits=(lo, hi),
                      resolution=resolution, weight=weight)
 
 
@@ -52,9 +52,9 @@ def gantry_robot(extent=6.0, resolution=0.02, radius=0.05):
     The configuration space equals the workspace, which makes worlds easy to
     reason about in lattice tests.
     """
-    jx = make_joint("x", kind=PRISMATIC, axis=(1, 0, 0), limits=(0.0, extent),
+    jx = make_joint("x", type=PRISMATIC, axis=(1, 0, 0), limits=(0.0, extent),
                     resolution=resolution)
-    jy = make_joint("y", kind=PRISMATIC, axis=(0, 1, 0), limits=(0.0, extent),
+    jy = make_joint("y", type=PRISMATIC, axis=(0, 1, 0), limits=(0.0, extent),
                     resolution=resolution)
     return RobotModel(joints=(jx, jy),
                       spheres=(CollisionSphere(1, (0, 0, 0), radius),))
@@ -75,9 +75,9 @@ def random_robot(rng, dof=None, n_spheres=None, lattice_cells=(4, 12)):
         hi = float(rng.uniform(0.2, 1.5))
         cells = int(rng.integers(*lattice_cells))
         joints.append(JointSpec(
-            name=f"j{j}", kind=kind, axis=axis,
-            origin_translation=rng.uniform(-0.25, 0.25, size=3),
-            origin_rotation=rng.uniform(-math.pi, math.pi, size=3),
+            name=f"j{j}", type=kind, axis=axis,
+            origin_xyz=rng.uniform(-0.25, 0.25, size=3),
+            origin_rpy=rng.uniform(-math.pi, math.pi, size=3),
             limits=(lo, hi), resolution=(hi - lo) / cells,
             weight=float(rng.uniform(0.5, 2.0))))
     spheres = tuple(

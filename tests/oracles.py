@@ -83,9 +83,9 @@ def matrix_chain_spheres(robot, q):
     transforms = []
     current = np.eye(4)
     for j, joint in enumerate(robot.joints):
-        r, p, y = joint.origin_rotation
-        origin = _translation(joint.origin_translation) @ _rot_z(y) @ _rot_y(p) @ _rot_x(r)
-        if joint.kind == PRISMATIC:
+        r, p, y = joint.origin_rpy
+        origin = _translation(joint.origin_xyz) @ _rot_z(y) @ _rot_y(p) @ _rot_x(r)
+        if joint.type == PRISMATIC:
             motion = _translation(np.asarray(joint.axis) * q[j])
         else:
             motion = _axis_angle(joint.axis, q[j])
@@ -93,8 +93,8 @@ def matrix_chain_spheres(robot, q):
         transforms.append(current)
     placed = []
     for sphere in robot.spheres:
-        frame = transforms[sphere.link_index]
-        center = frame @ np.append(sphere.local_center, 1.0)
+        frame = transforms[sphere.link]
+        center = frame @ np.append(sphere.center, 1.0)
         placed.append((center[:3], sphere.radius))
     return placed
 
@@ -196,7 +196,7 @@ def brute_force_check(robot, world, q):
                 return ("world", si, oi)
     for si in range(len(placed)):
         for sj in range(si + 1, len(placed)):
-            if abs(robot.spheres[si].link_index - robot.spheres[sj].link_index) <= 1:
+            if abs(robot.spheres[si].link - robot.spheres[sj].link) <= 1:
                 continue
             if (si, sj) in robot.self_collision_ignored:
                 continue
@@ -236,10 +236,10 @@ def sphere_centers_3x3(robot, configs):
                       for kx, ky, kz in axes.tolist()])
     skews_sq = np.stack([k @ k for k in skews])
     origin_rotations = np.stack([(_rot_z(y) @ _rot_y(p) @ _rot_x(r))[:3, :3]
-                                 for r, p, y in (j.origin_rotation for j in robot.joints)])
+                                 for r, p, y in (j.origin_rpy for j in robot.joints)])
     rotated_origins = [not np.array_equal(r, np.eye(3)) for r in origin_rotations]
-    origin_translations = np.stack([j.origin_translation for j in robot.joints])
-    prismatic = [j.kind == PRISMATIC for j in robot.joints]
+    origin_translations = np.stack([j.origin_xyz for j in robot.joints])
+    prismatic = [j.type == PRISMATIC for j in robot.joints]
 
     m, n = configs.shape
     eye = np.eye(3)
@@ -263,8 +263,8 @@ def sphere_centers_3x3(robot, configs):
 
     if not robot.spheres:
         return np.zeros((m, 0, 3))
-    links = [s.link_index for s in robot.spheres]
-    local_centers = np.stack([s.local_center for s in robot.spheres])
+    links = [s.link for s in robot.spheres]
+    local_centers = np.stack([s.center for s in robot.spheres])
     rot = link_rot[:, links]
     trans = link_trans[:, links]
     return np.einsum("msij,sj->msi", rot, local_centers) + trans
@@ -311,7 +311,7 @@ def world_mask_dense(world, centers, radii):
 def self_pairs_dense(robot):
     """Checked sphere pairs (P, 2) in lexicographic order: not on the same or
     chain-adjacent links and not ignored."""
-    links = [s.link_index for s in robot.spheres]
+    links = [s.link for s in robot.spheres]
     pairs = [(i, j) for i in range(len(links)) for j in range(i + 1, len(links))
              if abs(links[i] - links[j]) > 1 and (i, j) not in robot.self_collision_ignored]
     return np.array(pairs, dtype=int).reshape(len(pairs), 2)
@@ -445,7 +445,7 @@ def dijkstra_lattice(robot, world, primitives, start_state, goal, edge_step,
         if node == GOAL_NODE:
             return True
         q = decode(robot, node)
-        if goal.kind == "config":
+        if goal.type == "config":
             tol = goal.tolerance if goal.tolerance is not None else 0.0
             return bool(np.all(np.abs(q - goal.target) <= tol))
         return bool(np.all(q >= goal.lower) and np.all(q <= goal.upper))

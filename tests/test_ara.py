@@ -74,7 +74,7 @@ class TestAraSearch:
 
     def test_start_satisfying_goal_is_immediate(self):
         robot = gantry_robot(resolution=0.5)
-        goal = GoalSpec.region_goal([2.0, 2.0], [4.0, 4.0])
+        goal = GoalSpec(type="region", lower=[2.0, 2.0], upper=[4.0, 4.0])
         start = discretize(robot, [3.0, 3.0])
         params = AraParams(epsilon_schedule=(3.0, 1.0), edge_step=0.05)
         solution, stats = ara_search(start, goal, default_primitives(robot),
@@ -175,8 +175,8 @@ class TestEagerEquivalence:
         cases, _ = lattice_cases
         for robot, world, start, goal, primitives, _ in cases:
             target = decode(robot, discretize(robot, goal.target))
-            region = GoalSpec.region_goal(target - robot.resolutions,
-                                          target + robot.resolutions / 2)
+            region = GoalSpec(type="region", lower=target - robot.resolutions,
+                              upper=target + robot.resolutions / 2)
             for schedule in ((1.0,), DEFAULT_SCHEDULE):
                 params = AraParams(epsilon_schedule=schedule)
                 for g in (goal, region):  # goal snap; no snap, several goal states
@@ -256,7 +256,7 @@ class TestStateCache:
         for step in ([0.05, 0.0], [0.0, 0.05], [-0.05, 0.0], [0.0, -0.05]):
             near = decode(robot, start) + step
             assert check_motion(robot, world, near, near + 9 * np.array(step), 0.05)
-        goal = GoalSpec.region_goal([4.5, 4.5], [5.5, 5.5])
+        goal = GoalSpec(type="region", lower=[4.5, 4.5], upper=[5.5, 5.5])
         solution, _ = ara_search(start, goal, default_primitives(robot),
                                  AraParams(epsilon_schedule=(1.0,)), robot, world,
                                  deadline=None)
@@ -268,7 +268,7 @@ class TestStateCache:
         robot = gantry_robot(resolution=0.25)
         world = WorldModel((box_obstacle((3.0, 3.0, 0.0), (0.3, 1.2, 0.5)),
                             box_obstacle((2.0, 4.6, 0.0), (1.0, 0.2, 0.5))))
-        goal = GoalSpec.region_goal([4.6, 4.6], [5.2, 5.2])
+        goal = GoalSpec(type="region", lower=[4.6, 4.6], upper=[5.2, 5.2])
         params = AraParams(epsilon_schedule=DEFAULT_SCHEDULE)
         stats = {}
         solution, _ = ara_search(discretize(robot, [1.0, 1.0]), goal,
@@ -338,7 +338,7 @@ class TestPlanAraStar:
 
     def test_region_goal_forward(self):
         robot = gantry_robot(resolution=0.25)
-        goal = GoalSpec.region_goal([4.5, 4.5], [5.5, 5.5])
+        goal = GoalSpec(type="region", lower=[4.5, 4.5], upper=[5.5, 5.5])
         query = Query(start=[1.0, 1.0], goal=goal, time_budget=10.0)
         params = AraParams(epsilon_schedule=(3.0, 1.0), edge_step=0.05)
         result = plan_ara_star(robot, WorldModel(()), query,

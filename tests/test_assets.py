@@ -13,7 +13,7 @@ from planbench.world import load_scenario
 def test_reference_robot_loads():
     robot = load_robot(data_path("robots", "arm8.yaml"))
     assert robot.dof == 8
-    kinds = [j.kind for j in robot.joints]
+    kinds = [j.type for j in robot.joints]
     assert kinds.count("prismatic") == 1
     assert kinds.count("revolute") == 7
     assert len(robot.spheres) == 10

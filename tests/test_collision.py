@@ -141,7 +141,7 @@ class TestCheckConfig:
         # adjacent link 1 is never checked and sphere 2 is far, so the pairs
         # are (0, 2) and (0, 3).  Every value is a dyadic rational, so the
         # kernel's arithmetic on them is exact.
-        joints = tuple(make_joint(name, kind=PRISMATIC, axis=axis, limits=(-2.0, 2.0))
+        joints = tuple(make_joint(name, type=PRISMATIC, axis=axis, limits=(-2.0, 2.0))
                        for name, axis in (("x", (1, 0, 0)), ("y", (0, 1, 0)),
                                           ("z", (0, 0, 1))))
         robot = RobotModel(joints=joints, spheres=(
@@ -362,7 +362,7 @@ class TestPairMasksAgainstBruteForce:
 def point_robot(radius):
     """Three prismatic joints along x, y and z carrying one sphere, whose
     center is the configuration itself, exactly."""
-    joints = tuple(make_joint(name, kind=PRISMATIC, axis=axis, limits=(-5.0, 5.0))
+    joints = tuple(make_joint(name, type=PRISMATIC, axis=axis, limits=(-5.0, 5.0))
                    for name, axis in (("x", (1, 0, 0)), ("y", (0, 1, 0)), ("z", (0, 0, 1))))
     return RobotModel(joints=joints, spheres=(CollisionSphere(2, (0, 0, 0), radius),))
 

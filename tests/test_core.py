@@ -53,20 +53,20 @@ class TestValidateQuery:
     def test_region_goal_fully_blocked(self, robot):
         # The region sits entirely inside a solid box: all 33 samples collide.
         world = WorldModel((box_obstacle((3.0, 3.0, 0.0), (1.0, 1.0, 1.0)),))
-        goal = GoalSpec.region_goal([2.7, 2.7], [3.3, 3.3])
+        goal = GoalSpec(type="region", lower=[2.7, 2.7], upper=[3.3, 3.3])
         q = Query(start=[0.5, 0.5], goal=goal, time_budget=1.0)
         assert validate_query(robot, world, q) == GOAL_IN_COLLISION
         assert goal_representative(robot, world, goal) is None
 
     def test_region_goal_outside_limits(self, robot, empty_world):
         # No configuration of the region lies within the joint limits.
-        goal = GoalSpec.region_goal([6.5, 2.0], [7.0, 3.0])
+        goal = GoalSpec(type="region", lower=[6.5, 2.0], upper=[7.0, 3.0])
         q = Query(start=[0.5, 0.5], goal=goal, time_budget=1.0)
         assert validate_query(robot, empty_world, q) == GOAL_IN_COLLISION
 
     def test_region_goal_partially_free(self, robot):
         world = WorldModel((box_obstacle((3.0, 3.0, 0.0), (0.2, 0.2, 0.2)),))
-        goal = GoalSpec.region_goal([2.0, 2.0], [4.0, 4.0])
+        goal = GoalSpec(type="region", lower=[2.0, 2.0], upper=[4.0, 4.0])
         q = Query(start=[0.5, 0.5], goal=goal, time_budget=1.0)
         assert validate_query(robot, world, q) == OK
 
@@ -86,7 +86,7 @@ def slab(lo, hi):
 CORRIDOR = (slab((1.8, 3.07), (4.2, 4.2)), slab((1.8, 1.8), (4.2, 2.93)),
             slab((3.07, 2.9), (4.2, 3.1)))
 SEAL = slab((1.8, 2.9), (2.8, 3.1))
-REGION = GoalSpec.region_goal([2.0, 2.0], [4.0, 4.0])
+REGION = GoalSpec(type="region", lower=[2.0, 2.0], upper=[4.0, 4.0])
 
 
 class TestRegionGoalVerdict:
@@ -189,7 +189,7 @@ class TestGoalSatisfied:
         assert not goal_satisfied(goal, [1.125 + 1e-9, 1.875])
 
     def test_region_boundary_closed(self):
-        goal = GoalSpec.region_goal([0.0, 0.0], [1.0, 1.0])
+        goal = GoalSpec(type="region", lower=[0.0, 0.0], upper=[1.0, 1.0])
         assert goal_satisfied(goal, [1.0, 0.5])
         assert not goal_satisfied(goal, [1.0 + 1e-12, 0.5])
 

@@ -24,7 +24,7 @@ def robot():
 
 def anywhere(robot):
     """A region goal over the whole joint box: no snap target."""
-    return GoalSpec.region_goal(robot.lower, robot.upper)
+    return GoalSpec(type="region", lower=robot.lower, upper=robot.upper)
 
 
 class TestDiscretize:
@@ -97,6 +97,14 @@ class TestDefaultPrimitives:
         # A set built in code once cast its entries with int(): [[1.5, 0],
         # [-1.5, 0]] became the axis moves [[1, 0], [-1, 0]].
         with pytest.raises(ValidationError, match="primitive vector entry must be an integer"):
+            MotionPrimitiveSet(primitives=rows, snap_radius=0.0)
+
+    @pytest.mark.parametrize("rows", [np.array([1, -1]), [[1, 0], [-1]]],
+                             ids=["one-dimensional", "ragged"])
+    def test_malformed_array_rejected(self, rows):
+        # These raised TypeError and numpy's ValueError while each row's
+        # entries were read before the array's shape was known.
+        with pytest.raises(ValidationError, match=r"primitives must be a \(P, n\) integer array"):
             MotionPrimitiveSet(primitives=rows, snap_radius=0.0)
 
     def test_repeated_vector_kept_once(self):
@@ -181,7 +189,7 @@ class TestSuccessors:
                 a, b = sample_uniform(robot, rng), sample_uniform(robot, rng)
                 state = discretize(robot, a)
                 q = decode(robot, state)
-                goal = (GoalSpec.region_goal(np.minimum(a, b), np.maximum(a, b))
+                goal = (GoalSpec(type="region", lower=np.minimum(a, b), upper=np.maximum(a, b))
                         if rng.random() < 0.5 else
                         GoalSpec.config_goal(q + robot.resolutions / 2,
                                              rng.random() * robot.resolutions))
@@ -196,7 +204,7 @@ class TestSuccessors:
 
 class TestHeuristic:
     def test_zero_inside_region(self, robot):
-        goal = GoalSpec.region_goal([2.0, 2.0], [4.0, 4.0])
+        goal = GoalSpec(type="region", lower=[2.0, 2.0], upper=[4.0, 4.0])
         assert heuristic((6, 6), goal, robot) == 0.0  # decodes to (3, 3)
 
     def test_one_dof_distance(self):
@@ -226,8 +234,9 @@ class TestHeuristic:
                 GoalSpec.config_goal(decode(robot, center), robot.resolutions / 2.0),
                 GoalSpec.config_goal(decode(robot, center) + robot.resolutions / 3.0,
                                      cells * robot.resolutions),
-                GoalSpec.region_goal(decode(robot, center) - cells * robot.resolutions,
-                                     decode(robot, center) + robot.resolutions * 0.7),
+                GoalSpec(type="region",
+                         lower=decode(robot, center) - cells * robot.resolutions,
+                         upper=decode(robot, center) + robot.resolutions * 0.7),
             ]
             for state in np.ndindex(*(max_coords + 1)):
                 for goal in goals:

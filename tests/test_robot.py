@@ -1,5 +1,7 @@
 """Robot model: kinematics, metric, limits, sampling, parsing."""
 
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 from planbench.collision import free_mask
 from planbench.data import data_path
 from planbench.errors import ContractViolation, ValidationError
-from planbench.robot import (CollisionSphere, RobotModel, config_distance,
+from planbench.robot import (CollisionSphere, JointSpec, RobotModel, config_distance,
                              load_robot, parse_robot, sphere_centers_batch,
                              weighted_norms)
 from planbench.world import WorldModel
@@ -206,12 +208,20 @@ self_collision_ignore:
   - [0, 1]
 """
 
+MINIMAL_JOINT = ("joints:\n  - {{name: {name}, type: {type}, axis: [0, 0, 1], "
+                 "limits: [-1.0, 1.0], resolution: 0.1}}\n")
+
+
+def _field_values(obj):
+    """Every dataclass field of ``obj`` as plain Python values."""
+    return {f.name: np.asarray(getattr(obj, f.name)).tolist() for f in dataclasses.fields(obj)}
+
 
 class TestRobotFile:
     def test_parse_round_fields(self):
         robot = parse_robot(ROBOT_DOC)
         assert robot.dof == 2
-        assert robot.joints[0].kind == "prismatic"
+        assert robot.joints[0].type == "prismatic"
         assert robot.joints[1].weight == 1.5
         assert robot.joints[1].limits == (-1.6, 1.6)
         assert len(robot.spheres) == 2
@@ -220,6 +230,27 @@ class TestRobotFile:
     def test_default_weight_is_one(self):
         robot = parse_robot(ROBOT_DOC)
         assert robot.joints[0].weight == 1.0
+
+    def test_omitted_keys_take_the_dataclass_defaults(self):
+        # The zero origins and unit weight are named once, on JointSpec.
+        robot = parse_robot(MINIMAL_JOINT.format(name="j0", type="revolute"))
+        built = JointSpec(name="j0", type="revolute", axis=(0, 0, 1), limits=(-1.0, 1.0),
+                          resolution=0.1)
+        assert _field_values(robot.joints[0]) == _field_values(built)
+        assert _field_values(built)["origin_xyz"] == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("name, type_, what", [
+        (5, "revolute", "joint name must be a string, got 5"),
+        (["j0"], "revolute", r"joint name must be a string, got \['j0'\]"),
+        ("j0", 5, "unknown type 5"),
+    ])
+    def test_name_and_type_are_not_cast(self, name, type_, what):
+        # The parser once took str() of both, so `name: 5` became '5'.
+        with pytest.raises(ValidationError, match=what):
+            parse_robot(MINIMAL_JOINT.format(name=json.dumps(name), type=json.dumps(type_)))
+        with pytest.raises(ValidationError, match=what):
+            JointSpec(name=name, type=type_, axis=(0, 0, 1), limits=(-1.0, 1.0),
+                      resolution=0.1)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValidationError):

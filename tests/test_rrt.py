@@ -261,7 +261,7 @@ class TestPlan:
         assert result.stats["iterations"] <= 1
 
     def test_region_goal_representative(self, robot, empty_world):
-        goal = GoalSpec.region_goal([4.5, 4.5], [5.0, 5.0])
+        goal = GoalSpec(type="region", lower=[4.5, 4.5], upper=[5.0, 5.0])
         q = Query(start=[1.0, 1.0], goal=goal, time_budget=5.0)
         result = plan_rrt_connect(robot, empty_world, q, PARAMS)
         assert result.status == SOLVED_FORWARD
@@ -387,7 +387,7 @@ class TestSequentialEquivalence:
         assert result.status == SOLVED_FORWARD and result.stats["iterations"] == 1
 
     def test_region_goal(self, robot):
-        goal = GoalSpec.region_goal([4.5, 0.5], [5.5, 1.5])
+        goal = GoalSpec(type="region", lower=[4.5, 0.5], upper=[5.5, 1.5])
         query = Query(start=[1.0, 1.0], goal=goal, time_budget=600.0)
         for seed in range(5):
             result = assert_same_as_sequential(robot, shelf_world(), query,

@@ -151,10 +151,28 @@ def test_equality_compares_every_obstacle_field():
 def test_equality_compares_every_goal_field():
     goal = GoalSpec.config_goal([0.5, 0.5], [0.1, 0.1])
     _assert_each_field_compared(goal, {
-        "kind": "region", "target": np.array([0.5, 0.25]), "tolerance": None,
+        "type": "region", "target": np.array([0.5, 0.25]), "tolerance": None,
         "lower": np.array([0.4, 0.3]), "upper": np.array([0.6, 0.7])})
-    region = GoalSpec.region_goal([0.0, 0.0], [1.0, 1.0])
+    region = GoalSpec(type="region", lower=[0.0, 0.0], upper=[1.0, 1.0])
     _assert_each_field_compared(region, {"target": np.zeros(2), "tolerance": np.zeros(2)})
+
+
+@pytest.mark.parametrize("stray", [{"target": np.array([1.2, 1.2])}, {"target": [1.2, 1.2]},
+                                   {"tolerance": [0.1, 0.1]}],
+                         ids=["array-target", "list-target", "tolerance"])
+def test_region_goal_rejects_target_and_tolerance(stray, tmp_path, gantry_file):
+    # A region goal built in code once kept a stray array target, which
+    # ARA* snapped to: a path ending at [1.2, 1.2], outside the region, was
+    # reported solved.  A list target crashed the search.
+    with pytest.raises(ValidationError, match="region goal is given by its box"):
+        GoalSpec(type="region", lower=[4, 4], upper=[5, 5], **stray)
+    entry = ", ".join(f"{key}: {np.asarray(value).tolist()}" for key, value in stray.items())
+    doc = minimal_doc("gantry.yaml").replace("start: [0.0]", "start: [1.0, 1.0]").replace(
+        "{type: config, target: [0.5]}",
+        f"{{type: region, lower: [4, 4], upper: [5, 5], {entry}}}")
+    parse_scenario(doc.replace(f", {entry}", ""), base_dir=tmp_path)
+    with pytest.raises(ValidationError, match="region goal is given by its box"):
+        parse_scenario(doc, base_dir=tmp_path)
 
 
 def test_equality_compares_every_scenario_field(tmp_path, gantry_file):
@@ -179,7 +197,7 @@ class TestParse:
         scenario = parse_scenario(minimal_doc(), base_dir=tmp_path)
         assert scenario.name == "demo"
         assert len(scenario.world.obstacles) == 0
-        assert scenario.goal.kind == "config"
+        assert scenario.goal.type == "config"
         assert scenario.time_budget == 1.0
 
     def test_single_box(self, tmp_path, robot_file):
