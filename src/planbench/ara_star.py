@@ -29,7 +29,7 @@ import numpy as np
 from .collision import check_motion, motions_free
 from .core import (FAILURE, OK, SOLVED_BACKWARD, SOLVED_FORWARD, UNSOLVABLE, Path,
                    PlannerResult, Query, goal_satisfied, screen_query)
-from .errors import (ContractViolation, ValidationError, finite_array, integer,
+from .errors import (ContractViolation, ValidationError, field_eq, finite_array, integer,
                      parse_mapping, real)
 from .robot import RobotModel, as_configuration, config_distance, weighted_norms
 from .world import GoalSpec, WorldModel
@@ -48,11 +48,11 @@ BUDGET_SPLIT = 0.5
 # States resolved per collision call: the state whose candidate tops OPEN and
 # the next states in OPEN whose candidates await validation.
 LOOKAHEAD = 4
-# States per collision call when every remaining candidate is resolved.
+# States per collision call when an iteration's closed states are resolved.
 _SETTLE_STATES = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MotionPrimitiveSet:
     """Integer cell displacements plus the adaptive goal-snap radius.
 
@@ -81,6 +81,8 @@ class MotionPrimitiveSet:
         object.__setattr__(self, "snap_radius", real(self.snap_radius, "snap_radius"))
         if self.snap_radius < 0:
             raise ValidationError("snap_radius must be >= 0")
+
+    __eq__ = field_eq
 
 
 @dataclass(frozen=True)
@@ -245,14 +247,16 @@ def ara_search(start_state: tuple[int, ...], goal: GoalSpec,
     When a candidate reaches the top of OPEN, its state and the next
     ``LOOKAHEAD - 1`` states in OPEN that await validation are resolved: all
     their candidate edges go to one collision call, and each state's valid
-    candidates are then applied in generation order.  Between iterations
-    every candidate is resolved; after the last one only those that decide
-    ``reopened`` and the returned chain are.  Unless the deadline cuts it
-    short, the search expands, publishes, reopens and returns exactly what
-    the search that validates every move at expansion would; only
-    ``collision_checks`` differs.  ``stats`` also counts the edges checked
-    (``edges_resolved``) and found blocked (``edges_blocked``).  The deadline
-    is polled after every expansion and every collision call.
+    candidates are then applied in generation order.  Each iteration ends by
+    resolving the closed states' candidates, which decide ``reopened`` and
+    the inconsistent states; the others stay in OPEN, keyed at the next eps,
+    and after the last iteration only the returned chain's are resolved.
+    Unless the deadline cuts it short, the search expands, publishes, reopens
+    and returns exactly what the search that validates every move at
+    expansion would; only ``collision_checks`` differs.  ``stats`` also
+    counts the edges checked (``edges_resolved``) and found blocked
+    (``edges_blocked``).  The deadline is polled after every expansion and
+    every collision call.
 
     Tie-breaking is deterministic: equal keys prefer larger cost-to-come,
     then lexicographically smaller states.
@@ -333,14 +337,12 @@ def ara_search(start_state: tuple[int, ...], goal: GoalSpec,
     def out_of_time() -> bool:
         return deadline is not None and time.perf_counter() >= deadline
 
-    def settle(states) -> bool:
-        """Resolve ``states`` a chunk per call; False if time ran out first."""
-        states = list(states)
+    def settle(states: list) -> None:
+        """Resolve ``states`` a chunk per call while time remains."""
         for k in range(0, len(states), _SETTLE_STATES):
             if out_of_time():
-                return False
+                return
             resolve(states[k:k + _SETTLE_STATES])
-        return True
 
     def live(entry) -> bool:
         _, neg_t, s, seq = entry
@@ -366,19 +368,17 @@ def ara_search(start_state: tuple[int, ...], goal: GoalSpec,
             heapq.heappush(heap, entry)
         return list(batch)
 
-    seeds = {start_state}
-    closed: set = set()
     incons: set = set()
-    heap: list = []
-    interrupted = False
-    schedule = params.epsilon_schedule
-    for eps in schedule:
-        if out_of_time():
+    heap = [(0.0, -0.0, start_state, 0)]
+    for eps in params.epsilon_schedule:
+        if out_of_time():  # also after an iteration or settle cut short
             break
-        heap = [(g[s] + eps * h[s], -g[s], s, 0) for s in seeds]
+        # OPEN and INCONS keyed at eps; a candidate's key is its validation's.
+        heap = [(-neg_t + eps * h[s], neg_t, s, seq)
+                for _, neg_t, s, seq in filter(live, heap)]
+        heap += [(g[s] + eps * h[s], -g[s], s, 0) for s in incons]
         heapq.heapify(heap)
-        closed = set()
-        incons = set()
+        closed, incons = set(), set()
         expansions = 0
         while heap:
             f, _, s, _ = entry = heap[0]
@@ -413,21 +413,14 @@ def ara_search(start_state: tuple[int, ...], goal: GoalSpec,
                         heapq.heappush(heap, (tentative + eps * h_nxt, -tentative,
                                               nxt, sequence))
             if out_of_time():  # polled after every expansion and resolution
-                interrupted = True
                 break
         search_stats.epsilons.append(eps)
         search_stats.expansions_per_epsilon.append(expansions)
         search_stats.incumbent_costs.append(
             None if best_node is None else best_cost)
-        if interrupted:
-            break
-        if eps == schedule[-1] or not settle(pending):
-            break
-        seeds = {s for _, neg_t, s, seq in heap if not seq and -neg_t == g[s]} | incons
+        # The closed states' candidates decide ``reopened`` and INCONS.
+        settle([s for s in pending if s in closed])
 
-    # The candidates left over could still change ``reopened`` (those of
-    # closed states) and parent pointers: resolve those and the chain's.
-    settle(s for s in pending if s in closed)
     if best_node is None:
         return None, search_stats
     chain = [best_node]

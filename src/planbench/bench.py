@@ -30,7 +30,7 @@ import numpy as np
 from .ara_star import MotionPrimitiveSet, default_primitives, plan_ara_star
 from .core import (FAILURE, SOLVED_BACKWARD, SOLVED_FORWARD, UNSOLVABLE, PlannerResult,
                    path_cost, query_from_scenario)
-from .errors import ContractViolation, PlanbenchError
+from .errors import ContractViolation, PlanbenchError, field_eq
 from .params import PlannerParams
 from .rrt_connect import plan_rrt_connect
 from .world import Scenario
@@ -45,7 +45,7 @@ STATUSES = (SOLVED_FORWARD, SOLVED_BACKWARD, FAILURE, UNSOLVABLE, ERROR)
 CSV_HEADER = ("scenario", "planner", "seed", "status", "planning_time_s", "path_cost")
 
 
-@dataclass
+@dataclass(eq=False)
 class RunRecord:
     """One (scenario, planner, repetition) outcome.
 
@@ -62,6 +62,8 @@ class RunRecord:
     stats: dict = field(default_factory=dict)
     error: str | None = None
     path: np.ndarray | None = None
+
+    __eq__ = field_eq
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .collision import check_config, check_motion, free_mask
-from .errors import ContractViolation, ValidationError, finite_array, real
+from .errors import ContractViolation, ValidationError, field_eq, finite_array, real
 from .robot import RobotModel, as_configuration, weighted_norms
 from .world import GoalSpec, Scenario, WorldModel
 
@@ -31,7 +31,7 @@ UNSOLVABLE = "unsolvable"
 _GOAL_DRAWS = 32
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Query:
     """The planning problem: start configuration, goal region, time budget."""
 
@@ -45,8 +45,10 @@ class Query:
         if self.time_budget <= 0:
             raise ValidationError("time budget must be positive")
 
+    __eq__ = field_eq
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class Path:
     """A polyline in configuration space; validity holds at the producing
     planner's edge step, not continuously."""
@@ -58,6 +60,8 @@ class Path:
         if wp.shape[0] < 1:
             raise ValidationError("path requires a (k >= 1, n) waypoint array")
         object.__setattr__(self, "waypoints", wp)
+
+    __eq__ = field_eq
 
     def __len__(self) -> int:
         return self.waypoints.shape[0]

@@ -1,9 +1,9 @@
 """Exception types shared across the package, the one input-file reader and
 YAML-mapping loader that turn unreadable and malformed documents into them,
-the one builder of a dataclass from a document entry, and the one check each
-that every real scalar, every vector or size and every count or index
-entering the package is a finite real, a finite array of the right shape and
-an integer."""
+the one builder of a dataclass from a document entry, the one equality of
+the dataclasses that hold arrays, and the one check each that every real
+scalar, every vector or size and every count or index entering the package
+is a finite real, a finite array of the right shape and an integer."""
 
 import dataclasses
 import math
@@ -56,6 +56,16 @@ def build(cls, entry, what: str):
     no field raises ValidationError; a missing required field raises the
     constructor's TypeError."""
     return cls(**check_keys(entry, what, {f.name for f in dataclasses.fields(cls)}))
+
+
+def field_eq(self, other):
+    """``__eq__`` of every package dataclass with an array field: it compares
+    each field marked ``compare``, arrays by value and None only to None."""
+    if not isinstance(other, type(self)):
+        return NotImplemented
+    return all(np.array_equal(a, b) if isinstance(a, np.ndarray) or isinstance(b, np.ndarray)
+               else a == b for a, b in ((getattr(self, f.name), getattr(other, f.name))
+                                        for f in dataclasses.fields(self) if f.compare))
 
 
 if yaml.__with_libyaml__:
@@ -129,13 +139,13 @@ def finite_array(value, what: str, shape: tuple) -> np.ndarray:
     (a ``None`` entry matches any length) and whose entries are all finite,
     of a non-bool numeric dtype or, in a list or tuple, real numbers as
     ``real`` reads them; anything else raises ValidationError naming ``what``."""
+    entries = value if isinstance(value, np.ndarray) else np.array(value, dtype=object)
+    if not (value.dtype.kind in "iuf" if entries is value else all(map(_real, entries.flat))):
+        raise ValidationError(f"{what} must hold real numbers, got {value!r}")
     try:
-        arr = np.array(value, dtype=float)
+        arr = entries.astype(float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{what} must be numeric: {exc}") from exc
-    if not (value.dtype.kind in "iuf" if isinstance(value, np.ndarray)
-            else all(map(_real, np.array(value, dtype=object).ravel()))):
-        raise ValidationError(f"{what} must hold real numbers, got {value!r}")
     if arr.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, arr.shape)):
         raise ValidationError(f"{what} must have shape {shape}, got {arr.shape}")
     if not np.isfinite(arr).all():

@@ -20,8 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (ContractViolation, ValidationError, build, finite_array, integer,
-                     parse_mapping, read_text, real)
+from .errors import (ContractViolation, ValidationError, build, field_eq, finite_array,
+                     integer, parse_mapping, read_text, real)
 
 REVOLUTE = "revolute"
 PRISMATIC = "prismatic"
@@ -29,7 +29,7 @@ PRISMATIC = "prismatic"
 _AXIS_NORM_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointSpec:
     """One degree of freedom: a fixed origin transform followed by axis motion.
 
@@ -75,8 +75,10 @@ class JointSpec:
             raise ValidationError(
                 f"joint {self.name!r}: resolution must lie in (0, hi - lo]")
 
+    __eq__ = field_eq
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class CollisionSphere:
     """A sphere rigidly attached to the frame after joint ``link``, centered
     at ``center`` in that frame."""
@@ -91,6 +93,8 @@ class CollisionSphere:
         object.__setattr__(self, "radius", real(self.radius, "sphere radius"))
         if self.radius <= 0:
             raise ValidationError("sphere radius must be positive")
+
+    __eq__ = field_eq
 
 
 @dataclass(frozen=True)

@@ -14,15 +14,15 @@ concurrent queries; generation is a pure function of its arguments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from .errors import (ContractViolation, ValidationError, build, check_keys, finite_array,
-                     integer, parse_mapping, read_text, real)
+from .errors import (ContractViolation, ValidationError, build, check_keys, field_eq,
+                     finite_array, integer, parse_mapping, read_text, real)
 from .robot import RobotModel, load_robot
 
 BOX = "box"
@@ -42,22 +42,6 @@ _OBSTACLE_SIZE = {BOX: {"half_extents": (3,)},
                   CYLINDER: {"radius": (), "half_height": ()},
                   SPHERE: {"radius": ()}}
 _SIZE_FIELDS = {name for sizes in _OBSTACLE_SIZE.values() for name in sizes}
-
-
-def _same(a, b) -> bool:
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return np.array_equal(a, b)
-    return a == b
-
-
-def _field_eq(*names):
-    """An ``__eq__`` over the fields ``names``: arrays compare by value and
-    None equals only None."""
-    def __eq__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return all(_same(getattr(self, n), getattr(other, n)) for n in names)
-    return __eq__
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,10 +73,10 @@ class Obstacle:
         if self.shape == SPHERE and self.yaw != 0.0:
             raise ValidationError("sphere orientation is the identity; yaw must be 0")
 
-    __eq__ = _field_eq("shape", "center", "yaw", "half_extents", "radius", "half_height")
+    __eq__ = field_eq
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class WorldModel:
     """The obstacle region: a finite, possibly empty set of obstacles."""
 
@@ -100,8 +84,6 @@ class WorldModel:
 
     def __post_init__(self):
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
-
-    __eq__ = _field_eq("obstacles")
 
     @cached_property
     def packs(self):
@@ -209,7 +191,7 @@ class GoalSpec:
         (lower, upper); empty when some lower entry exceeds its upper."""
         return np.maximum(self.lower, robot.lower), np.minimum(self.upper, robot.upper)
 
-    __eq__ = _field_eq("type", "target", "tolerance", "lower", "upper")
+    __eq__ = field_eq
 
 
 @dataclass(frozen=True)
@@ -244,7 +226,7 @@ class Scenario:
 
     name: str
     robot_file: str
-    robot: RobotModel
+    robot: RobotModel = field(compare=False)  # identified by ``robot_file``
     start: np.ndarray
     goal: GoalSpec
     world: WorldModel
@@ -252,6 +234,9 @@ class Scenario:
     variation: VariationSpec | None = None
 
     def __post_init__(self):
+        for name in ("name", "robot_file"):
+            if not isinstance(value := getattr(self, name), str):
+                raise ValidationError(f"scenario {name} must be a string, got {value!r}")
         object.__setattr__(
             self, "start", finite_array(self.start, "start", (self.robot.dof,)))
         if self.goal.dof != self.robot.dof:
@@ -264,8 +249,7 @@ class Scenario:
         if self.time_budget <= 0:
             raise ValidationError("time budget must be positive")
 
-    __eq__ = _field_eq("name", "robot_file", "start", "goal", "world", "time_budget",
-                       "variation")
+    __eq__ = field_eq
 
 
 _SCENARIO_KEYS = {"name", "robot", "start", "goal", "world", "time_budget_s", "variation"}
@@ -288,8 +272,7 @@ def _build_scenario(doc: dict, base_dir: str | Path | None) -> Scenario:
         if key not in doc:
             raise ValidationError(f"scenario missing required key {key!r}")
 
-    robot_file = str(doc["robot"])
-    robot_path = Path(robot_file)
+    robot_path = Path(doc["robot"])  # a robot that is no string raises TypeError
     if not robot_path.is_absolute() and base_dir is not None:
         robot_path = Path(base_dir) / robot_path
     try:
@@ -309,8 +292,8 @@ def _build_scenario(doc: dict, base_dir: str | Path | None) -> Scenario:
                 raise ValidationError(f"variation index {idx} out of obstacle range")
 
     return Scenario(
-        name=str(doc["name"]),
-        robot_file=robot_file,
+        name=doc["name"],
+        robot_file=doc["robot"],
         robot=robot,
         start=doc["start"],
         goal=build(GoalSpec, doc["goal"], "goal"),

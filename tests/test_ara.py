@@ -206,10 +206,26 @@ class TestEagerEquivalence:
     def test_shelf_chain_rewired_after_last_iteration(self, shelf_suite):
         # Ending the schedule above 1 leaves an improving candidate of a
         # state on the returned chain unresolved at termination; the eager
-        # search rewired that state's parent, for a cheaper path.
-        start, goal, robot, world = shelf_suite["shelf_reach_025"]
-        assert_same_as_eager(start, goal, default_primitives(robot),
-                             AraParams(epsilon_schedule=(6.0, 2.5)), robot, world)
+        # search rewired that state's parent, for a cheaper path (as on
+        # shelf_reach_025).  Candidates left unresolved at eps = 6 also carry
+        # into the eps = 2.5 iteration on every scene.
+        params = AraParams(epsilon_schedule=(6.0, 2.5))
+        for start, goal, robot, world in shelf_suite.values():
+            assert_same_as_eager(start, goal, default_primitives(robot), params,
+                                 robot, world)
+        assert len(shelf_suite) == 29
+
+    def test_shelf_suite_carries_candidates(self, shelf_suite):
+        # Only the closed states' candidates are resolved between iterations;
+        # the others wait in OPEN for the next one, where many are never
+        # needed.  The bound lies between the 165,501 configurations checked
+        # with candidates carried and the 314,993 of resolving them all.
+        params = AraParams(epsilon_schedule=(6.0, 2.5))
+        stats = {}  # summed over the suite
+        for start, goal, robot, world in shelf_suite.values():
+            ara_search(start, goal, default_primitives(robot), params, robot, world,
+                       deadline=None, stats=stats)
+        assert stats["collision_checks"] <= 200_000
 
     def test_backward_attempt_of_slot_scenario(self):
         # The backward search of test_c06: out of the slot toward the start.

@@ -2,18 +2,21 @@
 names, the only runtime dependencies are numpy and PyYAML, no public
 function, class, class member or class field exists only for the tests, only
 ``errors.py`` checks values for finiteness, no constructor bounds a value by
-infinity by hand, only ``errors.py`` loads and only
+infinity by hand, every dataclass with an array field compares through
+``errors.field_eq``, only ``errors.py`` loads and only
 ``world.py`` dumps YAML, only ``collision.py`` samples motions, every
 function the benchmark traces exists, and the tests import nothing they do
 not use."""
 
 import ast
+import dataclasses
 import importlib
 import sys
 from collections import Counter
 from pathlib import Path
 
 import planbench
+from planbench.errors import field_eq
 
 SOURCES = sorted(Path(planbench.__file__).parent.rglob("*.py"))
 BENCHMARK = sorted((Path(__file__).resolve().parents[1] / "benchmark").glob("*.py"))
@@ -130,6 +133,19 @@ def test_every_dataclass_field_is_read():
     # search are read only by the tests of the epsilon bound so far; the
     # per-run counters of the observability aim will give them a reader.
     assert unread == ["SearchStats.epsilons", "SearchStats.incumbent_costs"]
+
+
+def test_dataclasses_with_arrays_share_one_equality():
+    # The generated dataclass __eq__ compares fields with ==, which raises
+    # on an array of more than one entry; errors.field_eq compares arrays
+    # by value, and a second hand-kept field list would drift from it.
+    modules = [importlib.import_module(f"planbench.{path.stem}") for path in SOURCES
+               if path.parent.name == "planbench" and path.stem != "__init__"]
+    with_arrays = {cls for module in modules for cls in vars(module).values()
+                   if dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__
+                   and any("np.ndarray" in str(f.type) for f in dataclasses.fields(cls))}
+    assert len(with_arrays) >= 9
+    assert [cls.__name__ for cls in with_arrays if cls.__eq__ is not field_eq] == []
 
 
 def test_finite_checks_only_in_errors():

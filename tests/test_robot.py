@@ -1,6 +1,5 @@
 """Robot model: kinematics, metric, limits, sampling, parsing."""
 
-import dataclasses
 import json
 import math
 
@@ -212,11 +211,6 @@ MINIMAL_JOINT = ("joints:\n  - {{name: {name}, type: {type}, axis: [0, 0, 1], "
                  "limits: [-1.0, 1.0], resolution: 0.1}}\n")
 
 
-def _field_values(obj):
-    """Every dataclass field of ``obj`` as plain Python values."""
-    return {f.name: np.asarray(getattr(obj, f.name)).tolist() for f in dataclasses.fields(obj)}
-
-
 class TestRobotFile:
     def test_parse_round_fields(self):
         robot = parse_robot(ROBOT_DOC)
@@ -236,8 +230,8 @@ class TestRobotFile:
         robot = parse_robot(MINIMAL_JOINT.format(name="j0", type="revolute"))
         built = JointSpec(name="j0", type="revolute", axis=(0, 0, 1), limits=(-1.0, 1.0),
                           resolution=0.1)
-        assert _field_values(robot.joints[0]) == _field_values(built)
-        assert _field_values(built)["origin_xyz"] == [0.0, 0.0, 0.0]
+        assert robot.joints[0] == built
+        assert built.origin_xyz.tolist() == [0.0, 0.0, 0.0]
 
     @pytest.mark.parametrize("name, type_, what", [
         (5, "revolute", "joint name must be a string, got 5"),

@@ -1,18 +1,20 @@
 """World/scenario module: obstacles, parsing, round-trips, and variations."""
 
 import copy
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 import yaml
 
-from planbench.ara_star import parse_primitives
-from planbench.core import Query
+from planbench.ara_star import MotionPrimitiveSet, parse_primitives
+from planbench.bench import RunRecord
+from planbench.core import Path, Query
 from planbench.data import data_path
 from planbench.errors import ContractViolation, ParseError, ValidationError
 from planbench.params import parse_params
-from planbench.robot import parse_robot
+from planbench.robot import load_robot, parse_robot
 from planbench.world import (GoalSpec, Obstacle, VariationSpec, WorldModel,
                              generate_variations, load_scenario, parse_scenario,
                              serialize_scenario)
@@ -173,6 +175,56 @@ def test_region_goal_rejects_target_and_tolerance(stray, tmp_path, gantry_file):
     parse_scenario(doc.replace(f", {entry}", ""), base_dir=tmp_path)
     with pytest.raises(ValidationError, match="region goal is given by its box"):
         parse_scenario(doc, base_dir=tmp_path)
+
+
+def test_equality_compares_every_robot_field():
+    # The generated dataclass __eq__ compared numpy fields with ==, so two
+    # loads of one robot file raised ValueError instead of comparing equal.
+    robot = load_robot(data_path("robots", "arm8.yaml"))
+    assert robot == load_robot(data_path("robots", "arm8.yaml"))
+    joint, sphere = robot.joints[1], robot.spheres[1]
+    _assert_each_field_compared(joint, {
+        "name": "other", "type": "prismatic", "axis": np.array([0.0, 1.0, 0.0]),
+        "limits": (-1.0, 1.0), "resolution": 0.5, "origin_xyz": np.array([0.0, 0.0, 9.0]),
+        "origin_rpy": np.array([0.0, 0.0, 1.0]), "weight": 9.0})
+    _assert_each_field_compared(sphere, {"link": 7, "center": np.array([9.0, 0.0, 0.0]),
+                                         "radius": 9.0})
+    _assert_each_field_compared(robot, {
+        "joints": robot.joints[:-1] + (_changed(robot.joints[-1], "weight", 9.0),),
+        "spheres": robot.spheres[1:], "self_collision_ignored": frozenset({(0, 1)})})
+
+
+@pytest.mark.parametrize("build, changes", [
+    (lambda: Query(start=[0.0, 0.0], goal=GoalSpec.config_goal([0.5, 0.5]), time_budget=1.0),
+     {"start": np.array([0.0, 1.0]), "time_budget": 2.0}),
+    (lambda: Path([[0.0, 0.0], [0.5, 0.5]]), {"waypoints": np.zeros((2, 2))}),
+    (lambda: MotionPrimitiveSet(primitives=[[1, 0], [-1, 0]], snap_radius=0.5),
+     {"primitives": np.array([[0, 1], [0, -1]]), "snap_radius": 1.0}),
+    (lambda: RunRecord("s", "ara-star", None, "solved-forward", 0.1, path=np.zeros((2, 2))),
+     {"path": np.ones((2, 2)), "status": "failure"}),
+], ids=["query", "path", "primitives", "record"])
+def test_values_built_from_one_input_compare_equal(build, changes):
+    assert build() == build()
+    _assert_each_field_compared(build(), changes)
+
+
+@pytest.mark.parametrize("key, value, what", [
+    ("name", 5, "scenario name must be a string, got 5"),
+    ("name", ["demo"], r"scenario name must be a string, got \['demo'\]"),
+    ("robot", 5, "TypeError"),
+    ("robot", ["mini.yaml"], "TypeError"),
+], ids=["name-int", "name-list", "robot-int", "robot-list"])
+def test_name_and_robot_are_not_cast(key, value, what, tmp_path, robot_file):
+    # The parser once took str() of both, so `name: 5` became '5'.  A robot
+    # path that is no string fails where the document's robot is loaded.
+    with pytest.raises(ValidationError, match=what):
+        # The given value, with the document's own commented out.
+        parse_scenario(minimal_doc().replace(f"{key}: ", f"{key}: {value!r} # "),
+                       base_dir=tmp_path)
+    scenario = parse_scenario(minimal_doc(), base_dir=tmp_path)
+    field = "robot_file" if key == "robot" else key
+    with pytest.raises(ValidationError, match=f"scenario {field} must be a string"):
+        dataclasses.replace(scenario, **{field: value})
 
 
 def test_equality_compares_every_scenario_field(tmp_path, gantry_file):
