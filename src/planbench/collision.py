@@ -22,8 +22,15 @@ summed as (dx² + dy²) + dz², the order of ``np.sum`` over three.
 
 Straight-line motions are validated at a fixed number of evenly spaced
 configurations along the segment; this is discretized edge checking, not
-continuous collision detection.  Every configuration of a motion is checked,
-in one batch with no early stop at the first colliding one.
+continuous collision detection.  A planner's motions (``motions_free``) have
+every configuration checked, in one batch with no early stop at the first
+colliding one.  A path (``path_free``) gets the same verdict with most
+configurations skipped: a run of samples between two checked ones is proven
+free when the two's clearances (``_clearances``, which computes every
+sphere-obstacle pair exactly, with no broadphase) exceed by 1e-9 how far the
+robot's lever arms let each sphere move between them.  The margin is far
+above rounding, so a skipped sample could not have collided, and touching
+still counts as free.  Certifying the continuous sweep is ROADMAP item 1.
 
 Everything here is a pure function over immutable inputs and safe to call
 concurrently from any number of workers.
@@ -39,6 +46,50 @@ from .errors import ContractViolation
 from .robot import RobotModel, as_configuration, sphere_centers_batch, weighted_norms
 from .world import BOX, CYLINDER, SPHERE, WorldModel
 
+# The clearance sum must exceed the lever-arm bound by this much (meters).
+_PROOF_MARGIN = 1e-9
+# Rows per pass of the clearance kernel's pair arithmetic.
+_CLEARANCE_ROWS = 64
+
+
+def _squared_excess(shape: str, pack: dict, centers: np.ndarray, sph: np.ndarray,
+                    obs: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Squared excess (m, k) and reach (k,) of the k pairs (sphere ``sph[i]``
+    of ``centers``, obstacle ``obs[i]`` of one shape's ``pack``), for
+    spheres of ``radii``: a sphere penetrates iff the excess is below the
+    squared reach, and its clearance is the excess' square root less the
+    reach.
+
+    A box's or cylinder's excess is the squared distance from the center to
+    the solid, square-root free (points inside clamp to zero excess), and its
+    reach the sphere radius; a sphere obstacle's excess is the squared center
+    distance and its reach the radius sum.  A pair's entry is computed by the
+    same arithmetic whatever the rest of the batch, in place where it can
+    be, to keep the peak memory of large batches low.
+    """
+    rel = centers[:, sph]
+    rel -= pack["center"][obs]
+    if shape == SPHERE:
+        rel *= rel
+        return rel.sum(axis=-1), pack["radius"][obs] + radii
+    if shape == BOX:
+        c, s = pack["cos"][obs], pack["sin"][obs]
+        half = pack["half_extents"][obs]
+        axes = (np.abs(c * rel[..., 0] + s * rel[..., 1]) - half[:, 0],
+                np.abs(-s * rel[..., 0] + c * rel[..., 1]) - half[:, 1],
+                np.abs(rel[..., 2]) - half[:, 2])
+    else:
+        axes = (np.hypot(rel[..., 0], rel[..., 1]) - pack["radius"][obs],
+                np.abs(rel[..., 2]) - pack["half_height"][obs])
+    del rel
+    for a in axes:  # max(a, 0)²
+        np.maximum(a, 0.0, out=a)
+        a *= a
+    excess = axes[0]
+    for a in axes[1:]:
+        excess += a
+    return excess, radii
+
 
 def _world_penetration_mask(world: WorldModel, centers: np.ndarray,
                             radii: np.ndarray) -> np.ndarray:
@@ -47,11 +98,6 @@ def _world_penetration_mask(world: WorldModel, centers: np.ndarray,
     Only pairs whose batch bounding boxes overlap are tested (see the module
     docstring); every other pair is separated by more than rounding can
     close, so its entry is False either way.
-
-    Square-root free: penetration of a box or cylinder is equivalent to the
-    squared clamped excess falling below the squared sphere radius (points
-    inside clamp to zero excess).  A pair's entry is computed by the same
-    arithmetic whatever the rest of the batch.
     """
     packs = world.packs
     m, ns = centers.shape[0], centers.shape[1]
@@ -61,39 +107,14 @@ def _world_penetration_mask(world: WorldModel, centers: np.ndarray,
     overlap = (((packed.min(axis=0) - radii[:, None])[:, None] <= upper)
                & ((packed.max(axis=0) + radii[:, None])[:, None] >= lower))
     near = overlap[..., 0] & overlap[..., 1] & overlap[..., 2]
-    r_sq = radii * radii
-
-    pack = packs[BOX]
-    sph, obs = np.nonzero(near[:, pack["index"]])
-    if len(sph):
-        rel = centers[:, sph] - pack["center"][obs]
-        c, s = pack["cos"][obs], pack["sin"][obs]
-        half = pack["half_extents"][obs]
-        ax = np.abs(c * rel[..., 0] + s * rel[..., 1]) - half[:, 0]
-        ay = np.abs(-s * rel[..., 0] + c * rel[..., 1]) - half[:, 1]
-        az = np.abs(rel[..., 2]) - half[:, 2]
-        np.maximum(ax, 0.0, out=ax)
-        np.maximum(ay, 0.0, out=ay)
-        np.maximum(az, 0.0, out=az)
-        hit[:, sph, pack["index"][obs]] = (ax * ax + ay * ay + az * az) < r_sq[sph]
-
-    pack = packs[CYLINDER]
-    sph, obs = np.nonzero(near[:, pack["index"]])
-    if len(sph):
-        rel = centers[:, sph] - pack["center"][obs]
-        dr = np.hypot(rel[..., 0], rel[..., 1]) - pack["radius"][obs]
-        dz = np.abs(rel[..., 2]) - pack["half_height"][obs]
-        np.maximum(dr, 0.0, out=dr)
-        np.maximum(dz, 0.0, out=dz)
-        hit[:, sph, pack["index"][obs]] = (dr * dr + dz * dz) < r_sq[sph]
-
-    pack = packs[SPHERE]
-    sph, obs = np.nonzero(near[:, pack["index"]])
-    if len(sph):
-        rel = centers[:, sph] - pack["center"][obs]
-        dist_sq = np.sum(rel * rel, axis=-1)
-        reach = pack["radius"][obs] + radii[sph]
-        hit[:, sph, pack["index"][obs]] = dist_sq < reach * reach
+    for shape in (BOX, CYLINDER, SPHERE):
+        pack = packs[shape]
+        if not len(pack["index"]):
+            continue
+        sph, obs = np.nonzero(near[:, pack["index"]])
+        if len(sph):
+            excess, reach = _squared_excess(shape, pack, centers, sph, obs, radii[sph])
+            hit[:, sph, pack["index"][obs]] = excess < reach * reach
     return hit
 
 
@@ -115,19 +136,89 @@ def free_mask(robot: RobotModel, world: WorldModel, configs: np.ndarray,
     return ok
 
 
-def _self_overlap_mask(robot: RobotModel, centers: np.ndarray) -> np.ndarray:
-    """Boolean overlap per checked sphere pair (m, P), lexicographic order."""
-    first, second, reach_sq = robot.self_pair_arrays
-    diff = centers[:, first] - centers[:, second]
+def _self_distances_sq(robot: RobotModel, centers: np.ndarray) -> np.ndarray:
+    """Squared center distance per checked sphere pair (m, P), lexicographic
+    order, summed as (dx² + dy²) + dz²."""
+    first, second, _ = robot.self_pair_arrays
+    diff = centers[:, first]
+    diff -= centers[:, second]
     diff *= diff
     dist_sq = diff[..., 0] + diff[..., 1]
     dist_sq += diff[..., 2]
-    return dist_sq < reach_sq
+    return dist_sq
+
+
+def _self_overlap_mask(robot: RobotModel, centers: np.ndarray) -> np.ndarray:
+    """Boolean overlap per checked sphere pair (m, P), lexicographic order."""
+    return _self_distances_sq(robot, centers) < robot.self_pair_arrays[2]
+
+
+def _clearances(robot: RobotModel, world: WorldModel,
+                configs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's ``free_mask`` verdict apart from the joint limits, and its
+    clearances (m, S + P): every sphere's distance to the nearest obstacle
+    less its radius (inf with no obstacle), then every checked pair's center
+    distance less the radius sum.
+
+    Every (sphere, obstacle) pair is computed, with no broadphase, by the
+    penetration mask's arithmetic, so each verdict is that row's ``free_mask``
+    verdict within the limits exactly.  The pairs are evaluated
+    ``_CLEARANCE_ROWS`` rows at a time, which keeps the peak memory of a
+    large batch near that of its FK.
+    """
+    centers = sphere_centers_batch(robot, configs)
+    blocks = [_block_clearances(robot, world, centers[i:i + _CLEARANCE_ROWS])
+              for i in range(0, len(centers), _CLEARANCE_ROWS)]
+    return np.concatenate([b[0] for b in blocks]), np.vstack([b[1] for b in blocks])
+
+
+def _block_clearances(robot: RobotModel, world: WorldModel,
+                      centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_clearances`` of the sphere centers (m, S, 3) of a block of rows."""
+    radii = robot.sphere_radii
+    m, ns = centers.shape[0], centers.shape[1]
+    free = np.ones(m, dtype=bool)
+    world_gap = np.full((m, ns), np.inf)
+    for shape in (BOX, CYLINDER, SPHERE):
+        pack = world.packs[shape]
+        k = len(pack["index"])
+        if k:
+            sph, obs = np.indices((ns, k)).reshape(2, -1)
+            excess, reach = _squared_excess(shape, pack, centers, sph, obs, radii[sph])
+            free &= ~(excess < reach * reach).any(axis=1)
+            gap = np.sqrt(excess, out=excess)
+            gap -= reach
+            np.minimum(world_gap, gap.reshape(m, ns, k).min(axis=2), out=world_gap)
+    first, second, reach_sq = robot.self_pair_arrays
+    dist_sq = _self_distances_sq(robot, centers)
+    free &= ~(dist_sq < reach_sq).any(axis=1)
+    self_gap = np.sqrt(dist_sq) - (radii[first] + radii[second])
+    return free, np.hstack([world_gap, self_gap])
 
 
 def check_config(robot: RobotModel, world: WorldModel, q) -> bool:
     """True iff the one configuration ``q`` is free: its ``free_mask`` row."""
     return bool(free_mask(robot, world, as_configuration(robot, q)[None])[0])
+
+
+def _sample_counts(robot: RobotModel, delta: np.ndarray, step: float) -> np.ndarray:
+    """ceil(d / step) + 1 configurations for each motion of weighted length d."""
+    if not 0 < step < math.inf:
+        raise ContractViolation(f"motion step must be positive and finite, got {step}")
+    return np.array([int(math.ceil(d / step)) + 1
+                     for d in weighted_norms(robot, delta)], dtype=int)
+
+
+def _samples(starts: np.ndarray, delta: np.ndarray, counts: np.ndarray,
+             motion: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Configuration ``index[i]`` of motion ``motion[i]``, starts + t delta at
+    t = index / (count - 1) as ``np.linspace`` spaces it; the endpoints are
+    the caller's to set exactly.  Each joint's value is monotone in the
+    index, since every rounding step is."""
+    configs = delta[motion]
+    configs *= (index * (1.0 / np.maximum(counts - 1, 1))[motion])[:, None]
+    configs += starts[motion]
+    return configs
 
 
 def motion_configs(robot: RobotModel, starts: np.ndarray, ends: np.ndarray,
@@ -141,16 +232,12 @@ def motion_configs(robot: RobotModel, starts: np.ndarray, ends: np.ndarray,
     the other motions in the stack.  An infinite step would check only the
     end configuration, so the step must be finite.
     """
-    if not 0 < step < math.inf:
-        raise ContractViolation(f"motion step must be positive and finite, got {step}")
     delta = ends - starts
-    counts = np.array([int(math.ceil(d / step)) + 1
-                       for d in weighted_norms(robot, delta)], dtype=int)
+    counts = _sample_counts(robot, delta, step)
     offsets = np.cumsum(counts) - counts
     motion = np.repeat(np.arange(len(counts)), counts)
-    spacing = 1.0 / np.maximum(counts - 1, 1)
-    ts = (np.arange(motion.shape[0]) - offsets[motion]) * spacing[motion]
-    configs = starts[motion] + ts[:, None] * delta[motion]
+    configs = _samples(starts, delta, counts, motion,
+                       np.arange(motion.shape[0]) - offsets[motion])
     configs[offsets] = starts
     configs[offsets + counts - 1] = ends
     return configs, offsets
@@ -184,3 +271,81 @@ def check_motion(robot: RobotModel, world: WorldModel, a, b, step: float,
     a = as_configuration(robot, a)
     b = as_configuration(robot, b)
     return bool(motions_free(robot, world, a, b[None], step, stats)[0])
+
+
+def path_free(robot: RobotModel, world: WorldModel, waypoints: np.ndarray,
+              step: float) -> bool:
+    """True iff every ``motion_configs`` row of the segments between the
+    (k, n) ``waypoints`` (a lone waypoint's to itself) is free, as
+    ``free_mask`` decides it row by row; the rows that clearance and lever
+    arms prove free are never computed.
+
+    Every row is within the joint limits iff the waypoints and each
+    segment's second and second-to-last rows are, since a segment's rows
+    are monotone in each joint.  One ``_clearances`` call then evaluates the
+    waypoints, which are the segments' end rows.  A segment's rows i < j < k,
+    with i and k evaluated and free, lie on one line, so each sphere center
+    at j is within Σ_l arm[l] |q_jl - q_il| of its center at i and within
+    Σ_l arm[l] |q_kl - q_jl| of its center at k (``RobotModel.lever_arms``),
+    and the two bounds add up to the bound B from i to k.  Rows i and k
+    prove every row between them free when each sphere's clearances satisfy
+    clr(i) + clr(k) > B + 1e-9, and each checked pair's satisfy the same test
+    with both spheres' bounds summed: every clearance at j is then above
+    5e-10 m, so no pair touches.  The 1e-9 margin is far above the FK and
+    rounding error, about 1e-15 m on meter-scale robots.  An interval that
+    is not proven is split at its middle row; the middle rows of all
+    segments go into one call per level, and the first row found in
+    collision returns False.  Touching still counts as free, since each
+    evaluated row's verdict is exactly its ``free_mask`` verdict.
+    """
+    if waypoints.shape[1] != robot.dof:
+        raise ContractViolation(
+            f"path has {waypoints.shape[1]} joints, robot has {robot.dof}")
+    ends = waypoints[1:] if len(waypoints) > 1 else waypoints
+    starts = waypoints[:len(ends)]
+    delta = ends - starts
+    counts = _sample_counts(robot, delta, step)
+    inner = np.flatnonzero(counts > 2)  # segments with rows between their ends
+    extremes = _samples(starts, delta, counts, np.concatenate([inner, inner]),
+                        np.concatenate([np.ones_like(inner), counts[inner] - 2]))
+    rows = np.vstack([waypoints, extremes])
+    if not np.all((rows >= robot.lower) & (rows <= robot.upper)):
+        return False
+    if not robot.spheres:
+        return True
+    free, gaps = _clearances(robot, world, waypoints)
+    if not free.all():
+        return False
+    first, second, _ = robot.self_pair_arrays
+    arms = np.vstack([robot.lever_arms, robot.lever_arms[first] + robot.lever_arms[second]])
+    arms = np.ascontiguousarray(arms.T)  # (n, S + P)
+    # Each pending interval: its segment, its end rows, and their
+    # configurations and clearances.
+    motion, lo, hi = np.arange(len(ends)), np.zeros(len(ends), dtype=int), counts - 1
+    q_lo, q_hi = starts, ends
+    gap_lo, gap_hi = gaps[:len(ends)], gaps[len(waypoints) - len(ends):]
+    while True:
+        # clr(i) + clr(k) > B + margin, tested as clr(k) > B + margin - clr(i)
+        # in one (intervals, S + P) array: the margin dwarfs the rounding.
+        slack = np.abs(q_hi - q_lo) @ arms
+        slack += _PROOF_MARGIN
+        slack -= gap_lo
+        pending = (hi - lo > 1) & ~np.all(slack < gap_hi, axis=1)
+        del slack
+        if not pending.any():
+            return True
+        # One array at a time, so that each old one is freed before the next.
+        motion, lo, hi = motion[pending], lo[pending], hi[pending]
+        q_lo, q_hi = q_lo[pending], q_hi[pending]
+        gap_lo = gap_lo[pending]
+        gap_hi = gap_hi[pending]
+        mid = (lo + hi) // 2
+        q_mid = _samples(starts, delta, counts, motion, mid)
+        free, gap_mid = _clearances(robot, world, q_mid)
+        if not free.all():
+            return False
+        motion = np.concatenate([motion, motion])
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        q_lo, q_hi = np.vstack([q_lo, q_mid]), np.vstack([q_mid, q_hi])
+        gap_lo = np.vstack([gap_lo, gap_mid])
+        gap_hi = np.vstack([gap_mid, gap_hi])

@@ -186,6 +186,27 @@ class RobotModel:
         return _frozen(np.array([s.radius for s in self.spheres]))
 
     @cached_property
+    def lever_arms(self) -> np.ndarray:
+        """Bound (S, n) on how far each sphere center moves per unit of each
+        joint's travel within the joint limits (Schwarzer, Saha & Latombe,
+        T-RO 2005).  A prismatic joint at or before the sphere's link moves it
+        by its travel, 1.  A revolute one swings it about an axis through the
+        joint's frame origin, whose distance to the center is at most the
+        local center's norm plus each later joint's up to the link: its origin
+        offset's norm, and a prismatic joint's largest limit magnitude.  A
+        joint after the link does not move the sphere, 0."""
+        reach = [float(np.linalg.norm(j.origin_xyz))
+                 + (max(map(abs, j.limits)) if j.type == PRISMATIC else 0.0)
+                 for j in self.joints]
+        arms = np.zeros((len(self.spheres), self.dof))
+        for s, sphere in enumerate(self.spheres):
+            arm = float(np.linalg.norm(sphere.center))
+            for j in range(sphere.link, -1, -1):
+                arms[s, j] = 1.0 if self.joints[j].type == PRISMATIC else arm
+                arm += reach[j]
+        return _frozen(arms)
+
+    @cached_property
     def self_collision_pairs(self) -> np.ndarray:
         """Sphere index pairs checked for self-collision, in lexicographic order.
 

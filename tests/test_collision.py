@@ -8,13 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planbench.collision import (_self_overlap_mask, _world_penetration_mask,
+from planbench.collision import (_clearances, _self_overlap_mask, _world_penetration_mask,
                                  check_config, check_motion, free_mask,
                                  motion_configs, motions_free)
+from planbench.core import Path, Query, validate_path
 from planbench.data import data_path
 from planbench.errors import ContractViolation
-from planbench.robot import PRISMATIC, CollisionSphere, RobotModel, sphere_centers_batch
-from planbench.world import WorldModel, load_scenario
+from planbench.robot import (PRISMATIC, CollisionSphere, RobotModel, config_distance,
+                             sphere_centers_batch)
+from planbench.world import GoalSpec, WorldModel, load_scenario
 
 from conftest import gantry_robot, make_joint, random_robot, random_world
 from oracles import (box_obstacle, brute_force_check, brute_force_masks,
@@ -466,3 +468,163 @@ class TestFreeImpliesWithinLimits:
             q = rng.uniform(robot.lower - 0.2, robot.upper + 0.2)
             if check_config(robot, world, q):
                 assert within_limits(robot, q)
+
+
+class TestClearances:
+    """``_clearances``, the kernel path validation reads: each row's verdict
+    is its ``free_mask`` verdict, and on a free row each clearance is, by the
+    independent scalar oracle, a sphere's distance to its nearest obstacle
+    less its radius, or a checked pair's center distance less the radius
+    sum."""
+
+    def test_random_robots_and_worlds(self):
+        rng = np.random.default_rng(31)
+        verdicts = set()
+        for _ in range(120):
+            robot = random_robot(rng, dof=int(rng.integers(2, 7)))
+            world = random_world(rng, count=int(rng.integers(1, 7)), span=0.6)
+            # Up to three blocks of the kernel's rows.
+            configs = rng.uniform(robot.lower, robot.upper,
+                                  size=(int(rng.choice([1, 7, 64, 65, 150])), robot.dof))
+            free, gaps = _clearances(robot, world, configs)
+            assert free.tolist() == free_mask(robot, world, configs).tolist()
+            centers = sphere_centers_3x3(robot, configs)
+            for row in np.flatnonzero(free):
+                want = [min(sphere_obstacle_distance_oracle(c, s.radius, o)
+                            for o in world.obstacles)
+                        for c, s in zip(centers[row], robot.spheres)]
+                want += [np.linalg.norm(centers[row, i] - centers[row, j])
+                         - robot.spheres[i].radius - robot.spheres[j].radius
+                         for i, j in self_pairs_dense(robot)]
+                assert np.allclose(gaps[row], want, rtol=0.0, atol=1e-9)
+            verdicts.update(free.tolist())
+        assert verdicts == {True, False}
+
+    def test_no_obstacle_is_infinitely_far(self):
+        robot = TestCheckConfig._folding_chain()
+        free, gaps = _clearances(robot, WorldModel(()), np.array([[0.0, 0.0, 0.0]]))
+        assert free.tolist() == [True]
+        assert gaps[0, :2].tolist() == [math.inf, math.inf]
+        assert gaps[0, 2:] == pytest.approx([1.15 - 0.2])
+
+
+def dense_path_verdict(robot, world, waypoints, step):
+    """Whether every ``motion_configs`` row of the path is free by the dense
+    kernel, and whether ``validate_path`` says the path is valid."""
+    ends = waypoints[1:] if len(waypoints) > 1 else waypoints
+    configs, _ = motion_configs(robot, waypoints[:len(ends)], ends, step)
+    query = Query(start=waypoints[0], goal=GoalSpec.config_goal(waypoints[-1]),
+                  time_budget=1.0)
+    return (bool(free_mask_dense(robot, world, configs).all()),
+            validate_path(robot, world, query, Path(waypoints), step))
+
+
+class TestPathValidationSkipsProvenSamples:
+    """``validate_path`` checks only the samples that clearance and lever
+    arms cannot prove free, and its verdict is the dense one: every sample
+    of every segment checked by ``oracles.free_mask_dense``."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.sampled_from([0.01, 0.05, 0.2]),
+           st.booleans())
+    def test_random_paths_equal_the_dense_verdict(self, seed, k, step, leave_limits):
+        # Random robots, worlds and paths, some segments short; one middle
+        # waypoint optionally leaves a joint limit by one ulp.
+        rng = np.random.default_rng(seed)
+        robot = random_robot(rng, dof=int(rng.integers(2, 7)))
+        world = random_world(rng, count=int(rng.integers(1, 5)), span=0.6)
+        waypoints = rng.uniform(robot.lower, robot.upper, size=(k, robot.dof))
+        short = rng.random(k) < 0.3
+        waypoints[1:][short[1:]] = waypoints[:-1][short[1:]] + 0.05 * (
+            waypoints[1:][short[1:]] - waypoints[:-1][short[1:]])
+        if leave_limits:
+            row, joint = int(rng.integers(0, k)), int(rng.integers(0, robot.dof))
+            waypoints[row, joint] = (np.nextafter(robot.upper[joint], np.inf) if rng.random() < 0.5
+                                     else np.nextafter(robot.lower[joint], -np.inf))
+        dense, got = dense_path_verdict(robot, world, waypoints, step)
+        assert got is dense
+        if leave_limits:
+            assert not got
+
+    def test_random_paths_reach_both_verdicts(self):
+        rng = np.random.default_rng(77)
+        verdicts = []
+        for _ in range(60):
+            robot = random_robot(rng, dof=int(rng.integers(2, 7)))
+            world = random_world(rng, count=int(rng.integers(1, 5)), span=0.6)
+            waypoints = rng.uniform(robot.lower, robot.upper, size=(3, robot.dof))
+            waypoints[1:] = waypoints[:-1] + 0.2 * (waypoints[1:] - waypoints[:-1])
+            dense, got = dense_path_verdict(robot, world, waypoints, 0.02)
+            assert got is dense
+            verdicts.append(got)
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 10), min_size=1, max_size=5),
+           st.sampled_from([0.005, 0.05]))
+    def test_grazing_waypoints_equal_the_dense_verdict(self, picks, step):
+        # Waypoints 1e-12 of the radius inside or outside contact with each
+        # shape, and far free ones: clearances of about 1e-13 prove nothing,
+        # so the rows next to a grazing waypoint are all checked.
+        radius = 0.1
+        robot = point_robot(radius)
+        world, rows, _ = grazing_rows(radius)
+        far = np.array([[-4.5, -4.5, -4.5], [4.5, -4.5, 4.5], [-4.5, 4.5, 4.0]])
+        candidates = np.vstack([rows, far])
+        dense, got = dense_path_verdict(robot, world, candidates[picks], step)
+        assert got is dense
+
+    @pytest.mark.parametrize("side", ["upper", "lower"])
+    def test_middle_waypoint_one_ulp_past_a_limit_is_invalid(self, side):
+        robot = point_robot(0.1)
+        world = WorldModel((sphere_obstacle((4.0, 4.0, 4.0), 0.2),))
+        limit = getattr(robot, side)[1]
+        waypoints = np.array([[0.0, 0.0, 0.0], [1.0, limit, 0.0], [2.0, 0.0, 0.0]])
+        assert dense_path_verdict(robot, world, waypoints, 0.05) == (True, True)
+        waypoints[1, 1] = np.nextafter(limit, math.copysign(np.inf, limit))
+        assert dense_path_verdict(robot, world, waypoints, 0.05) == (False, False)
+
+    def test_segment_sample_one_ulp_past_a_limit_is_invalid(self):
+        # With 2**54 + 1 samples, the second-to-last one along x from -1.36
+        # to 1.88 rounds to one ulp above 1.88: an upper limit of 1.88 makes
+        # the segment invalid though both endpoints are within it.  Too many
+        # samples to list; the one sample is computed as ``motion_configs``
+        # computes it.
+        a, b = np.array([-1.36, 0.0, 0.0]), np.array([1.88, 0.0, 0.0])
+        count = 2 ** 54 + 1
+        sample = a[0] + ((count - 2) * (1.0 / (count - 1))) * (b[0] - a[0])
+        assert sample == np.nextafter(1.88, np.inf)
+        query = Query(start=a, goal=GoalSpec.config_goal(b), time_budget=1.0)
+        for upper, valid in ((1.88, False), (sample, True)):
+            joints = tuple(make_joint(name, type=PRISMATIC, axis=axis, limits=(-5.0, hi))
+                           for name, axis, hi in (("x", (1, 0, 0), upper),
+                                                  ("y", (0, 1, 0), 5.0),
+                                                  ("z", (0, 0, 1), 5.0)))
+            robot = RobotModel(joints=joints, spheres=(CollisionSphere(2, (0, 0, 0), 0.1),))
+            step = config_distance(robot, a, b) / 2 ** 54
+            assert validate_path(robot, WorldModel(()), query, Path(np.array([a, b])),
+                                 step) is valid
+
+    def test_self_collision_between_free_endpoints(self):
+        # Joint b of the folding chain swings the link-2 sphere past the
+        # link-0 one: some motions between free configurations overlap there.
+        robot, world = TestCheckConfig._folding_chain(), WorldModel(())
+        rng = np.random.default_rng(5)
+        blocked = 0
+        for _ in range(150):
+            waypoints = rng.uniform(robot.lower, robot.upper, size=(2, robot.dof))
+            if free_mask(robot, world, waypoints).all():
+                dense, got = dense_path_verdict(robot, world, waypoints, 0.01)
+                assert got is dense
+                blocked += not got
+        assert blocked >= 5
+
+    def test_touching_samples_are_free(self):
+        # The motion's middle row touches the sphere obstacle exactly (all
+        # values dyadic), so it is checked, and free.
+        robot = gantry_robot(radius=0.25)
+        world = WorldModel((sphere_obstacle((2.0, 1.5, 0.0), 0.25),))
+        waypoints = np.array([[1.0, 1.0], [3.0, 1.0]])
+        assert dense_path_verdict(robot, world, waypoints, 0.5) == (True, True)
+        world = WorldModel((sphere_obstacle((2.0, 1.5 - 2.0 ** -10, 0.0), 0.25),))
+        assert dense_path_verdict(robot, world, waypoints, 0.5) == (False, False)

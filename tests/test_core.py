@@ -1,16 +1,22 @@
 """Planner-core: queries, paths, goals, validation."""
 
+import json
+from pathlib import Path as FilePath
+
 import numpy as np
 import pytest
 
+from planbench import collision
 from planbench.collision import check_config
 from planbench.core import (FAILURE, GOAL_IN_COLLISION, OK, START_IN_COLLISION,
                             UNSOLVABLE, Path, Query, goal_representative, goal_satisfied,
                             path_cost, query_from_scenario, validate_path,
                             validate_query)
+from planbench.data import data_path
 from planbench.errors import ContractViolation, ValidationError
+from planbench.params import load_params
 from planbench.robot import config_distance
-from planbench.world import GoalSpec, WorldModel
+from planbench.world import GoalSpec, WorldModel, generate_variations, load_scenario
 
 from conftest import gantry_robot, random_robot
 from oracles import box_obstacle, sample_uniform, sphere_obstacle
@@ -232,6 +238,36 @@ class TestValidatePath:
         q = Query(start=[1, 1], goal=config_goal([1, 1]), time_budget=1.0)
         path = Path(np.array([[1.0, 1.0]] * count))
         assert not validate_path(robot, world, q, path, 0.05)
+
+    def test_stored_fine_paths_skip_proven_samples(self, monkeypatch):
+        # The 58 stored paths of the benchmark's validate-fine workload, at
+        # their step 0.005: every stored verdict, with most samples proven
+        # free unchecked.  Checking every sample takes 97,485 configurations
+        # in 984 kernel calls.
+        doc = json.loads((FilePath(__file__).resolve().parents[1] / "benchmark"
+                          / "paths_fine.json").read_text(encoding="utf-8"))
+        base = load_scenario(data_path("scenarios", "shelf_reach.yaml"))
+        scenes = generate_variations(base, "objects_only", 30, doc["suite_seed"])
+        tolerance = load_params(data_path("params", "shelf_tuned.yaml")).goal_tolerance_default
+        checked = {"calls": 0, "configs": 0}
+        fk = collision.sphere_centers_batch
+
+        def counted(robot, configs):
+            checked["calls"] += 1
+            checked["configs"] += len(configs)
+            return fk(robot, configs)
+
+        for entry in doc["paths"]:
+            scene = scenes[entry["scene"]]
+            query = query_from_scenario(scene, tolerance)
+            screened = validate_query(scene.robot, scene.world, query) == OK
+            with monkeypatch.context() as patch:
+                patch.setattr(collision, "sphere_centers_batch", counted)
+                valid = validate_path(scene.robot, scene.world, query,
+                                      Path(np.array(entry["waypoints"])), doc["step"])
+            assert (screened and valid) is entry["valid"]
+        assert len(doc["paths"]) == 58
+        assert checked["configs"] <= 15_000 and checked["calls"] <= 450, checked
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_waypoint_rejected(self, bad):

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from planbench.collision import free_mask
 from planbench.data import data_path
 from planbench.errors import ContractViolation, ValidationError
-from planbench.robot import (CollisionSphere, JointSpec, RobotModel, config_distance,
-                             load_robot, parse_robot, sphere_centers_batch,
-                             weighted_norms)
+from planbench.robot import (PRISMATIC, CollisionSphere, JointSpec, RobotModel,
+                             config_distance, load_robot, parse_robot,
+                             sphere_centers_batch, weighted_norms)
 from planbench.world import WorldModel
 
 from conftest import make_joint, random_robot, single_revolute_robot
@@ -83,6 +83,41 @@ class TestForwardKinematics:
         robot = single_revolute_robot()
         with pytest.raises(ContractViolation):
             sphere_centers_batch(robot, np.array([[0.0, 1.0]]))
+
+
+class TestLeverArms:
+    """``RobotModel.lever_arms``: how far a sphere center can move per unit
+    of each joint's travel, the bound path validation proves samples free
+    with."""
+
+    def test_table_of_a_chain_with_a_prismatic_joint(self):
+        # Joint b slides along x in [-0.5, 0.3], so a joint before it reaches
+        # 0.5 further; the sphere sits 0.2 from link 2's origin.
+        robot = RobotModel(joints=(
+            make_joint("a", limits=(-3.0, 3.0)),
+            make_joint("b", type=PRISMATIC, axis=(1, 0, 0), origin_xyz=(0.3, 0.4, 0.0),
+                       limits=(-0.5, 0.3)),
+            make_joint("c", origin_xyz=(0.0, 0.0, 0.6), limits=(-3.0, 3.0)),
+            make_joint("d", origin_xyz=(1.0, 0.0, 0.0), limits=(-3.0, 3.0))),
+            spheres=(CollisionSphere(2, (0.2, 0.0, 0.0), 0.1),
+                     CollisionSphere(0, (0.0, 0.0, 0.0), 0.1)))
+        assert robot.lever_arms.tolist() == [[0.5 + 0.5 + 0.6 + 0.2, 1.0, 0.2, 0.0],
+                                             [0.0, 0.0, 0.0, 0.0]]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_dense_sweep_stays_within_the_bound(self, seed):
+        # Every sample of a random segment, swept at step 1e-3 in each
+        # joint, is within sum_j arm[s, j] |q_j - a_j| of the start's center.
+        rng = np.random.default_rng(seed)
+        robot = random_robot(rng, dof=int(rng.integers(1, 7)))
+        a, b = rng.uniform(robot.lower, robot.upper, size=(2, robot.dof))
+        count = int(np.ceil(np.abs(b - a).max() / 1e-3)) + 1
+        configs = a + np.linspace(0.0, 1.0, count)[:, None] * (b - a)
+        centers = sphere_centers_batch(robot, configs)
+        moved = np.linalg.norm(centers - centers[:1], axis=-1)
+        bound = np.abs(configs - a) @ robot.lever_arms.T
+        assert np.all(moved <= bound + 1e-12)
 
 
 class TestConfigDistance:
