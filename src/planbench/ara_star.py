@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .collision import check_motion, motions_free
-from .core import (FAILURE, OK, SOLVED_BACKWARD, SOLVED_FORWARD, UNSOLVABLE, Path,
-                   PlannerResult, Query, goal_satisfied, screen_query)
+from .core import (FAILURE, SOLVED_BACKWARD, SOLVED_FORWARD, PlannerResult, Query,
+                   goal_satisfied, run_planner)
 from .errors import (ContractViolation, ValidationError, field_eq, finite_array, integer,
                      parse_mapping, real)
 from .robot import RobotModel, as_configuration, config_distance, weighted_norms
@@ -231,7 +231,7 @@ def successors(state: tuple[int, ...], primitives: MotionPrimitiveSet, robot: Ro
 def ara_search(start_state: tuple[int, ...], goal: GoalSpec,
                primitives: MotionPrimitiveSet, params: AraParams,
                robot: RobotModel, world: WorldModel,
-               deadline: float | None, *, cache: LatticeCache | None = None,
+               deadline: float, *, cache: LatticeCache | None = None,
                stats: dict | None = None) -> tuple[list[np.ndarray] | None, SearchStats]:
     """Anytime inflated A* over the lattice induced by the primitives.
 
@@ -255,8 +255,8 @@ def ara_search(start_state: tuple[int, ...], goal: GoalSpec,
     and returns exactly what the search that validates every move at
     expansion would; only ``collision_checks`` differs.  ``stats`` also
     counts the edges checked (``edges_resolved``) and found blocked
-    (``edges_blocked``).  The deadline is polled after every expansion and
-    every collision call.
+    (``edges_blocked``).  The ``time.perf_counter`` deadline (``math.inf``
+    for none) is polled after every expansion and every collision call.
 
     Tie-breaking is deterministic: equal keys prefer larger cost-to-come,
     then lexicographically smaller states.
@@ -335,7 +335,7 @@ def ara_search(start_state: tuple[int, ...], goal: GoalSpec,
                 heapq.heappush(heap, (g[s] + eps * h[s], -g[s], s, 0))
 
     def out_of_time() -> bool:
-        return deadline is not None and time.perf_counter() >= deadline
+        return time.perf_counter() >= deadline
 
     def settle(states: list) -> None:
         """Resolve ``states`` a chunk per call while time remains."""
@@ -435,32 +435,6 @@ def ara_search(start_state: tuple[int, ...], goal: GoalSpec,
             for s in chain], search_stats
 
 
-def _lattice_attempt(robot: RobotModel, world: WorldModel, start_q: np.ndarray,
-                     goal: GoalSpec, primitives: MotionPrimitiveSet,
-                     params: AraParams, deadline: float, cache: LatticeCache,
-                     stats: dict, label: str) -> list[np.ndarray] | None:
-    """One directed search: snap the start onto the lattice, search, and
-    return waypoints beginning exactly at ``start_q`` (or None)."""
-    if time.perf_counter() >= deadline:
-        return None
-    state = discretize(robot, start_q)
-    cell = decode(robot, state)
-    prefix: list[np.ndarray] = []
-    if not np.array_equal(cell, start_q):
-        if not check_motion(robot, world, start_q, cell, params.edge_step, stats=stats):
-            return None
-        prefix = [np.asarray(start_q, dtype=float).copy()]
-    waypoints, search_stats = ara_search(
-        state, goal, primitives, params, robot, world, deadline,
-        cache=cache, stats=stats)
-    stats[f"expansions_{label}"] = search_stats.expansions
-    stats["expansions"] = stats.get("expansions", 0) + search_stats.expansions
-    stats["reopened"] = stats.get("reopened", 0) + search_stats.reopened
-    if waypoints is None:
-        return None
-    return prefix + waypoints
-
-
 def plan_ara_star(robot: RobotModel, world: WorldModel, query: Query,
                   primitives: MotionPrimitiveSet, params: AraParams) -> PlannerResult:
     """Forward-then-backward anytime lattice planning under one budget.
@@ -469,46 +443,51 @@ def plan_ara_star(robot: RobotModel, world: WorldModel, query: Query,
     budget; on failure the backward search plans from the query's
     ``goal_representative`` to the start (config goal with half-cell
     tolerances) and its waypoints are reversed, so the returned path always
-    runs start to goal.
+    runs start to goal.  Both searches share one ``LatticeCache``.
     """
-    t0 = time.perf_counter()
-    stats = {"expansions": 0, "collision_checks": 0, "reopened": 0}
     if primitives.primitives.shape[1] != robot.dof:
         raise ContractViolation(
             f"primitives are {primitives.primitives.shape[1]}-dimensional, "
             f"robot has {robot.dof} joints")
-
-    verdict, representative = screen_query(robot, world, query)
-    if verdict != OK:
-        return PlannerResult(UNSOLVABLE, time.perf_counter() - t0, stats,
-                             reason=verdict)
-    start = query.start
-    if goal_satisfied(query.goal, start):
-        return PlannerResult(SOLVED_FORWARD, time.perf_counter() - t0, stats,
-                             Path(start[None, :].copy()))
-
+    stats = {"expansions": 0, "collision_checks": 0, "reopened": 0}
     cache = LatticeCache()
-    forward_deadline = t0 + query.time_budget * BUDGET_SPLIT
-    final_deadline = t0 + query.time_budget
+    start = query.start
 
-    forward = _lattice_attempt(robot, world, start, query.goal, primitives,
-                               params, forward_deadline, cache, stats, "forward")
-    if forward is not None:
-        return PlannerResult(SOLVED_FORWARD, time.perf_counter() - t0, stats,
-                             Path(np.array(forward)))
+    def attempt(source: np.ndarray, goal: GoalSpec, deadline: float, label: str):
+        """One directed search: snap ``source`` onto the lattice, search, and
+        return waypoints beginning exactly at ``source`` (or None)."""
+        if time.perf_counter() >= deadline:
+            return None
+        state = discretize(robot, source)
+        cell = decode(robot, state)
+        prefix = []
+        if not np.array_equal(cell, source):
+            if not check_motion(robot, world, source, cell, params.edge_step, stats=stats):
+                return None
+            prefix = [source]
+        waypoints, search_stats = ara_search(state, goal, primitives, params, robot, world,
+                                             deadline, cache=cache, stats=stats)
+        stats[f"expansions_{label}"] = search_stats.expansions
+        stats["expansions"] += search_stats.expansions
+        stats["reopened"] += search_stats.reopened
+        return None if waypoints is None else prefix + waypoints
 
-    back_goal = GoalSpec.config_goal(start, tolerance=robot.resolutions / 2.0)
-    backward = _lattice_attempt(robot, world, representative, back_goal,
-                                primitives, params, final_deadline, cache,
-                                stats, "backward")
-    if backward is not None:
-        waypoints = list(reversed(backward))
+    def search(representative: np.ndarray, t0: float):
+        forward = attempt(start, query.goal, t0 + query.time_budget * BUDGET_SPLIT,
+                          "forward")
+        if forward is not None:
+            return SOLVED_FORWARD, np.array(forward)
+        back_goal = GoalSpec.config_goal(start, tolerance=robot.resolutions / 2.0)
+        backward = attempt(representative, back_goal, t0 + query.time_budget, "backward")
+        if backward is None:
+            return FAILURE, None
+        waypoints = backward[::-1]
         if not np.array_equal(waypoints[0], start):
             # Join the true start to the lattice with a validated motion.
-            if not check_motion(robot, world, start, waypoints[0],
-                                params.edge_step, stats=stats):
-                return PlannerResult(FAILURE, time.perf_counter() - t0, stats)
-            waypoints.insert(0, start.copy())
-        return PlannerResult(SOLVED_BACKWARD, time.perf_counter() - t0, stats,
-                             Path(np.array(waypoints)))
-    return PlannerResult(FAILURE, time.perf_counter() - t0, stats)
+            if not check_motion(robot, world, start, waypoints[0], params.edge_step,
+                                stats=stats):
+                return FAILURE, None
+            waypoints.insert(0, start)
+        return SOLVED_BACKWARD, np.array(waypoints)
+
+    return run_planner(robot, world, query, stats, search)

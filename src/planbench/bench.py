@@ -128,8 +128,9 @@ def run_suite(scenarios, planner: str, params: PlannerParams,
               workers: int = 1) -> list[RunRecord]:
     """Run every scenario ``repetitions`` times with one planner.
 
-    Each worker owns one query end to end; the record order is always
-    scenario-major, repetition-minor regardless of worker count.  An unknown
+    Each worker owns one query end to end, and no more workers start than
+    there are runs; the record order is always scenario-major,
+    repetition-minor regardless of worker count.  An unknown
     ``planner`` gives one error record per run, as in ``run_one``.
     """
     if repetitions < 1:
@@ -142,7 +143,8 @@ def run_suite(scenarios, planner: str, params: PlannerParams,
             tasks.append((scenario, planner, params, seed, primitives))
     if workers <= 1 or len(tasks) <= 1:
         return [run_one(*task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # A forked pool starts all its workers at the first submit.
+    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
         return list(pool.map(run_one, *zip(*tasks)))
 
 

@@ -202,11 +202,16 @@ def check_config(robot: RobotModel, world: WorldModel, q) -> bool:
 
 
 def _sample_counts(robot: RobotModel, delta: np.ndarray, step: float) -> np.ndarray:
-    """ceil(d / step) + 1 configurations for each motion of weighted length d."""
+    """ceil(d / step) + 1 configurations for each motion of weighted length d;
+    a count that does not fit an int64 raises ContractViolation."""
     if not 0 < step < math.inf:
         raise ContractViolation(f"motion step must be positive and finite, got {step}")
-    return np.array([int(math.ceil(d / step)) + 1
-                     for d in weighted_norms(robot, delta)], dtype=int)
+    try:  # math.ceil of an infinite d / step raises OverflowError too
+        return np.array([math.ceil(d / step) + 1 for d in weighted_norms(robot, delta)],
+                        dtype=np.int64)
+    except OverflowError:
+        raise ContractViolation(
+            f"motion step {step} gives more than 2**63 - 1 samples") from None
 
 
 def _samples(starts: np.ndarray, delta: np.ndarray, counts: np.ndarray,
@@ -339,7 +344,7 @@ def path_free(robot: RobotModel, world: WorldModel, waypoints: np.ndarray,
         q_lo, q_hi = q_lo[pending], q_hi[pending]
         gap_lo = gap_lo[pending]
         gap_hi = gap_hi[pending]
-        mid = (lo + hi) // 2
+        mid = lo + (hi - lo) // 2  # (lo + hi) // 2 could overflow int64
         q_mid = _samples(starts, delta, counts, motion, mid)
         free, gap_mid = _clearances(robot, world, q_mid)
         if not free.all():

@@ -1,12 +1,15 @@
-"""Shared planner elements: query, path, result, and validation.
+"""Shared planner elements: query, path, result, planning frame and validation.
 
-Both planners consume a ``Query`` and produce a ``PlannerResult`` whose
-``planning_time`` never exceeds the budget by more than the 0.05 s grace
+Both planners answer a ``Query`` through ``run_planner``, one frame that
+screens the query, answers a start already in the goal, runs the planner's
+search and builds the one ``PlannerResult``.  Its ``planning_time`` is read
+from one clock and never exceeds the budget by more than the 0.05 s grace
 period (the clock is polled at loop boundaries, not preemptively).
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -124,6 +127,26 @@ def screen_query(robot: RobotModel, world: WorldModel,
     if representative is None:
         return GOAL_IN_COLLISION, None
     return OK, representative
+
+
+def run_planner(robot: RobotModel, world: WorldModel, query: Query, stats: dict,
+                search) -> PlannerResult:
+    """Answer ``query`` under one clock started here, with the planner's
+    ``stats`` dict: ``UNSOLVABLE`` with the ``screen_query`` verdict as
+    ``reason``, the one-waypoint ``SOLVED_FORWARD`` path for a start inside
+    the goal, or else the (status, waypoints or None) that
+    ``search(goal representative, t0)`` returns."""
+    t0 = time.perf_counter()
+    verdict, representative = screen_query(robot, world, query)
+    if verdict != OK:
+        status, waypoints = UNSOLVABLE, None
+    elif goal_satisfied(query.goal, query.start):
+        status, waypoints = SOLVED_FORWARD, query.start[None]
+    else:
+        status, waypoints = search(representative, t0)
+    return PlannerResult(status, time.perf_counter() - t0, stats,
+                         None if waypoints is None else Path(waypoints),
+                         None if verdict == OK else verdict)
 
 
 def validate_query(robot: RobotModel, world: WorldModel, query: Query) -> str:

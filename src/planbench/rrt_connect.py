@@ -6,17 +6,19 @@ connects the other tree toward the freshly added node; tree roles swap every
 iteration.  Solutions are always reported as ``solved-forward``: the
 bidirectional growth is internal.
 
-The planner runs this loop through ``extend`` and ``connect`` but reads each
-motion's verdict and each target's nearest node from a small per-query
-cache.  Samples depend only on the seed, so on a miss the cache steers the
-extends of the next ``LOOKAHEAD`` samples against the current trees.  Most
-blocked motions end in an obstacle, so one collision call checks only the far
-endpoint of each and of the missed motion; a second checks in full those with
-a free endpoint and the first connect step toward each.  A verdict is reused
-only for bitwise identical endpoints, and a remembered nearest node, with the
-step steered from it, is compared with the nodes added since, so trees, paths
-and iterations are those of the uncached loop.  ``collision_checks`` counts
-every checked configuration, a free endpoint twice and prefetches never used;
+The planner runs this loop through ``extend`` and ``connect``, which read
+each target's nearest node and step and each motion's verdict only from a
+small per-query cache, ``_Lookahead``.  Samples depend only on the seed, so
+on a miss the cache steers the extends of the next ``LOOKAHEAD`` samples
+against the current trees.  Most blocked motions end in an obstacle, so one
+collision call checks only the far endpoint of each and of the missed
+motion; a second checks in full those with a free endpoint and the first
+connect step toward each.  A verdict is reused only for bitwise identical
+endpoints, and a remembered nearest node, with the step steered from it, is
+compared with the nodes added since, so trees, paths and iterations are
+those of the loop that checks one motion per call (``tests/oracles.py``
+keeps it as the reference).  ``collision_checks`` counts every checked
+configuration, a free endpoint twice and prefetches never used;
 ``check_calls`` counts the calls.
 
 Trees store their nodes joint-major, so ``nearest`` sums the weighted squared
@@ -31,8 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collision import free_mask, motions_free
-from .core import (FAILURE, OK, SOLVED_FORWARD, UNSOLVABLE, PlannerResult, Path,
-                   Query, goal_satisfied, screen_query)
+from .core import FAILURE, SOLVED_FORWARD, PlannerResult, Query, run_planner
 from .errors import ContractViolation, ValidationError, integer, real
 from .robot import RobotModel, as_configuration, weighted_norms
 from .world import WorldModel
@@ -271,53 +272,40 @@ class _Lookahead:
         return {key: m for key, m in motions.items() if key not in self.verdicts}
 
 
-def extend(tree: Tree, target, params: RrtParams, robot: RobotModel,
-           world: WorldModel, cache: _Lookahead | None = None) -> tuple[str, int | None]:
+def extend(tree: Tree, target, cache: _Lookahead) -> tuple[str, int | None]:
     """One bounded step of the nearest node toward ``target``.
 
     Returns (REACHED, node) when the target itself was added (or already
     present), (ADVANCED, node) for a clamped step of length step_eta, and
     (TRAPPED, None) when the motion is blocked; trapped leaves the tree
-    unchanged.  The motion is checked in its own uncounted collision call,
-    or its verdict and the nearest node come from ``cache``, which counts
-    its own checks.
+    unchanged.  The nearest node, the step and the motion's verdict come
+    from ``cache``, which counts its own checks.
     """
-    target = as_configuration(robot, target)
-    if cache is None:
-        near_index = int(nearest(tree, target[None])[0])
-        step = _steps(robot, params, tree.nodes[near_index][None], target[None])[0]
-    else:
-        near_index, step = cache.steer(tree, target)
-    q_near = tree.nodes[near_index]
+    near_index, step = cache.steer(tree, as_configuration(cache.robot, target))
     if step is None:
         return REACHED, near_index  # degenerate: do not duplicate the node
     q_new, reached = step
-    if cache is None:
-        free = motions_free(robot, world, q_near, q_new[None], params.edge_step)[0]
-    else:
-        free = cache.free(q_near, q_new)
-    if not free:
+    if not cache.free(tree.nodes[near_index], q_new):
         return TRAPPED, None
-    index = tree.add(q_new, near_index)
-    return (REACHED if reached else ADVANCED), index
+    return (REACHED if reached else ADVANCED), tree.add(q_new, near_index)
 
 
-def connect(tree: Tree, target, params: RrtParams, robot: RobotModel,
-            world: WorldModel, deadline: float | None = None,
-            cache: _Lookahead | None = None) -> tuple[str, int | None]:
-    """Repeatedly extend toward a fixed target until reached or trapped.
+def connect(tree: Tree, target, cache: _Lookahead,
+            deadline: float) -> tuple[str, int | None]:
+    """Repeatedly extend toward a fixed target until reached, trapped or
+    past the ``time.perf_counter`` deadline (``math.inf`` for none).
 
     On TRAPPED the second element is the last advanced node, if any.
     """
     last = None
     while True:
-        status, index = extend(tree, target, params, robot, world, cache=cache)
+        status, index = extend(tree, target, cache)
         if status == TRAPPED:
             return TRAPPED, last
         last = index
         if status == REACHED:
             return REACHED, index
-        if deadline is not None and time.perf_counter() >= deadline:
+        if time.perf_counter() >= deadline:
             return TRAPPED, last
 
 
@@ -339,39 +327,28 @@ def plan_rrt_connect(robot: RobotModel, world: WorldModel, query: Query,
     the goal tree grows from the query's goal representative.  Motion
     verdicts come from the lookahead cache (see the module docstring).
     """
-    t0 = time.perf_counter()
-    deadline = t0 + query.time_budget
     stats = {"iterations": 0, "collision_checks": 0, "check_calls": 0, "nodes": 0}
 
-    verdict, representative = screen_query(robot, world, query)
-    if verdict != OK:
-        return PlannerResult(UNSOLVABLE, time.perf_counter() - t0, stats,
-                             reason=verdict)
-    if goal_satisfied(query.goal, query.start):
-        return PlannerResult(SOLVED_FORWARD, time.perf_counter() - t0, stats,
-                             Path(query.start[None, :].copy()))
+    def search(representative: np.ndarray, t0: float):
+        deadline = t0 + query.time_budget
+        trees = (Tree(robot, query.start), Tree(robot, representative))
+        cache = _Lookahead(robot, world, params, trees, stats)
+        while params.max_iterations is None or stats["iterations"] < params.max_iterations:
+            if time.perf_counter() >= deadline:
+                break
+            i = stats["iterations"]
+            stats["iterations"] += 1
+            cache.begin(i)
+            tree, other = trees[i % 2], trees[1 - i % 2]
+            status, new_index = extend(tree, cache.sample(i), cache)
+            if status == TRAPPED:
+                continue
+            status, meet = connect(other, tree.config(new_index), cache, deadline)
+            if status == REACHED:
+                ends = (new_index, meet) if i % 2 == 0 else (meet, new_index)
+                stats["nodes"] = trees[0].size + trees[1].size
+                return SOLVED_FORWARD, _join_paths(trees[0], ends[0], trees[1], ends[1])
+        stats["nodes"] = trees[0].size + trees[1].size
+        return FAILURE, None
 
-    trees = (Tree(robot, query.start), Tree(robot, representative))
-    cache = _Lookahead(robot, world, params, trees, stats)
-    while params.max_iterations is None or stats["iterations"] < params.max_iterations:
-        if time.perf_counter() >= deadline:
-            break
-        i = stats["iterations"]
-        stats["iterations"] += 1
-        cache.begin(i)
-        tree, other = trees[i % 2], trees[1 - i % 2]
-        status, new_index = extend(tree, cache.sample(i), params, robot, world,
-                                   cache=cache)
-        if status == TRAPPED:
-            continue
-        status, meet = connect(other, tree.config(new_index), params, robot, world,
-                               deadline=deadline, cache=cache)
-        if status == REACHED:
-            ends = (new_index, meet) if i % 2 == 0 else (meet, new_index)
-            waypoints = _join_paths(trees[0], ends[0], trees[1], ends[1])
-            stats["nodes"] = trees[0].size + trees[1].size
-            return PlannerResult(SOLVED_FORWARD, time.perf_counter() - t0, stats,
-                                 Path(waypoints))
-
-    stats["nodes"] = trees[0].size + trees[1].size
-    return PlannerResult(FAILURE, time.perf_counter() - t0, stats)
+    return run_planner(robot, world, query, stats, search)

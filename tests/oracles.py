@@ -8,12 +8,13 @@ searches, Dijkstra and the eager anytime search, run over
 ``valid_successors``, which builds moves one at a time and checks them with
 the package's ``motions_free`` but does not use its move generator; so
 comparing the lazy search with the eager one checks which edges it
-validates and when, not the collision checker.  The sequential RRT-Connect loop is built from the
-package's public ``extend`` and ``connect``, which share their steering,
-nearest-node scan and motion sampling with the batched planner, and from
+validates and when, not the collision checker.  The sequential RRT-Connect
+loop has its own extend and connect, which check one motion per
+``motions_free`` call, and shares only the package's nearest-node scan
+``nearest`` and steering step ``_steps`` with the planner; with
 ``sample_uniform`` here, which draws the planner's sample stream one sample
-at a time; so comparing the two checks only how the batched loop orders and
-commits iterations.  Steering inputs and motion sampling are checked on
+at a time, comparing the two checks how the planner's lookahead cache
+orders, reuses and commits verdicts.  Steering inputs and motion sampling are checked on
 their own, against the linear-scan ``nearest`` oracle and against
 ``linspace_motion`` bit for bit.  The dense collision kernel is the
 package's earlier one: the 3x3 rotation chain that forward kinematics used
@@ -37,7 +38,7 @@ from planbench.ara_star import (GOAL_NODE, SearchStats, decode, heuristic,
 from planbench.collision import motions_free
 from planbench.core import OK, goal_representative, goal_satisfied, validate_query
 from planbench.robot import PRISMATIC, config_distance
-from planbench.rrt_connect import REACHED, TRAPPED, Tree, connect, extend
+from planbench.rrt_connect import ADVANCED, REACHED, TRAPPED, Tree, _steps, nearest
 from planbench.world import Obstacle
 
 
@@ -542,6 +543,32 @@ def ara_search_eager(start_state, goal, primitives, params, robot, world):
 # ---------------------------------------------------------------------------
 # RRT-Connect as the sequential loop: one sample, one extend, one connect.
 
+def extend_one(tree, target, params, robot, world):
+    """(status, node) of one bounded step of the nearest node toward
+    ``target``, its motion checked in its own ``motions_free`` call."""
+    near = int(nearest(tree, target[None])[0])
+    step = _steps(robot, params, tree.nodes[near][None], target[None])[0]
+    if step is None:
+        return REACHED, near
+    q_new, reached = step
+    if not motions_free(robot, world, tree.nodes[near], q_new[None], params.edge_step)[0]:
+        return TRAPPED, None
+    return (REACHED if reached else ADVANCED), tree.add(q_new, near)
+
+
+def connect_one(tree, target, params, robot, world):
+    """``extend_one`` toward ``target`` until reached or trapped; on TRAPPED
+    the node is the last one added, if any."""
+    last = None
+    while True:
+        status, index = extend_one(tree, target, params, robot, world)
+        if status == TRAPPED:
+            return TRAPPED, last
+        if status == REACHED:
+            return REACHED, index
+        last = index
+
+
 def rrt_connect_sequential(robot, world, query, params):
     """(status, waypoints, stats) of the textbook RRT-Connect loop.
 
@@ -562,9 +589,11 @@ def rrt_connect_sequential(robot, world, query, params):
     tree_a, tree_b = start_tree, Tree(robot, goal_representative(robot, world, query.goal))
     while params.max_iterations is None or stats["iterations"] < params.max_iterations:
         stats["iterations"] += 1
-        status, new_index = extend(tree_a, sample_uniform(robot, rng), params, robot, world)
+        status, new_index = extend_one(tree_a, sample_uniform(robot, rng), params, robot,
+                                       world)
         if status != TRAPPED:
-            status_b, meet = connect(tree_b, tree_a.config(new_index), params, robot, world)
+            status_b, meet = connect_one(tree_b, tree_a.config(new_index), params, robot,
+                                         world)
             if status_b == REACHED:
                 stats["nodes"] = tree_a.size + tree_b.size
                 if tree_a is start_tree:

@@ -5,6 +5,7 @@ output.  The shelf assets shipped under planbench/data are the fixed
 scenarios these criteria refer to.
 """
 
+import math
 import statistics
 import time
 from dataclasses import replace
@@ -105,7 +106,7 @@ def test_c03_ara_optimal_at_unit_epsilon(lattice_cases):
     params = AraParams(epsilon_schedule=(1.0,), edge_step=0.05)
     for robot, world, start, goal, primitives, optimum in cases:
         solution, _ = ara_search(start, goal, primitives, params, robot, world,
-                                 deadline=None)
+                                 deadline=math.inf)
         assert solution is not None
         assert abs(solution_cost(robot, solution) - optimum) <= 1e-9
     elapsed = build_seconds + (time.perf_counter() - t0)
@@ -120,7 +121,7 @@ def test_c04_bounded_suboptimality(lattice_cases):
     params = AraParams(epsilon_schedule=schedule, edge_step=0.05)
     for robot, world, start, goal, primitives, optimum in cases:
         solution, stats = ara_search(start, goal, primitives, params, robot,
-                                     world, deadline=None)
+                                     world, deadline=math.inf)
         assert solution is not None
         previous = float("inf")
         for eps, cost in zip(stats.epsilons, stats.incumbent_costs):

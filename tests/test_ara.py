@@ -47,7 +47,7 @@ class TestAraSearch:
             robot, world, start, goal, prim, optimum = lattice_instance(
                 rng, require_solvable=True)
             solution, stats = ara_search(start, goal, prim, params, robot, world,
-                                         deadline=None)
+                                         deadline=math.inf)
             assert solution is not None
             assert solution_cost(robot, solution) == pytest.approx(optimum, abs=1e-9)
             solved += 1
@@ -61,7 +61,7 @@ class TestAraSearch:
             robot, world, start, goal, prim, optimum = lattice_instance(
                 rng, require_solvable=True)
             solution, stats = ara_search(start, goal, prim, params, robot, world,
-                                         deadline=None)
+                                         deadline=math.inf)
             assert solution is not None
             previous = math.inf
             for eps, cost in zip(stats.epsilons, stats.incumbent_costs):
@@ -78,7 +78,7 @@ class TestAraSearch:
         start = discretize(robot, [3.0, 3.0])
         params = AraParams(epsilon_schedule=(3.0, 1.0), edge_step=0.05)
         solution, stats = ara_search(start, goal, default_primitives(robot),
-                                     params, robot, WorldModel(()), deadline=None)
+                                     params, robot, WorldModel(()), deadline=math.inf)
         assert solution is not None
         assert solution_cost(robot, solution) == 0.0
         assert len(solution) == 1
@@ -108,7 +108,7 @@ class TestAraSearch:
         for target in ([2.6, 3.0], [3.4, 3.0]):  # the wall is at x = 3.2
             goal = GoalSpec.config_goal(target, [0.0, 0.0])
             solution, _ = ara_search((6, 6), goal, primitives, params, robot,
-                                     world, deadline=None, cache=cache)
+                                     world, deadline=math.inf, cache=cache)
             path = np.array(solution)
             assert np.array_equal(path[-1], target)
             assert all(check_motion(robot, world, a, b, 0.05)
@@ -127,7 +127,7 @@ class TestAraSearch:
         start = discretize(robot, [1.0, 1.0])
         params = AraParams(epsilon_schedule=(1.0,), edge_step=0.05)
         solution, stats = ara_search(start, goal, default_primitives(robot),
-                                     params, robot, world, deadline=None)
+                                     params, robot, world, deadline=math.inf)
         assert solution is None
         optimum = dijkstra_lattice(robot, world, default_primitives(robot),
                                    start, goal, 0.05,
@@ -138,7 +138,7 @@ class TestAraSearch:
 def assert_same_as_eager(start, goal, primitives, params, robot, world):
     """The lazy search returns the eager search's path, cost and stats."""
     lazy, lazy_stats = ara_search(start, goal, primitives, params, robot, world,
-                                  deadline=None)
+                                  deadline=math.inf)
     eager, eager_stats = ara_search_eager(start, goal, primitives, params, robot, world)
     assert dataclasses.astuple(lazy_stats) == dataclasses.astuple(eager_stats)
     assert (lazy is None) == (eager is None)
@@ -224,7 +224,7 @@ class TestEagerEquivalence:
         stats = {}  # summed over the suite
         for start, goal, robot, world in shelf_suite.values():
             ara_search(start, goal, default_primitives(robot), params, robot, world,
-                       deadline=None, stats=stats)
+                       deadline=math.inf, stats=stats)
         assert stats["collision_checks"] <= 200_000
 
     def test_backward_attempt_of_slot_scenario(self):
@@ -275,7 +275,7 @@ class TestStateCache:
         goal = GoalSpec(type="region", lower=[4.5, 4.5], upper=[5.5, 5.5])
         solution, _ = ara_search(start, goal, default_primitives(robot),
                                  AraParams(epsilon_schedule=(1.0,)), robot, world,
-                                 deadline=None)
+                                 deadline=math.inf)
         assert solution is None
         assert_same_as_eager(start, goal, default_primitives(robot),
                              AraParams(epsilon_schedule=(1.0,)), robot, world)
@@ -289,7 +289,7 @@ class TestStateCache:
         stats = {}
         solution, _ = ara_search(discretize(robot, [1.0, 1.0]), goal,
                                  default_primitives(robot), params, robot, world,
-                                 deadline=None, stats=stats)
+                                 deadline=math.inf, stats=stats)
         assert solution is not None
         assert len(checked_rows) == stats["collision_checks"] > 1000
         assert 0 < stats["edges_blocked"] < stats["edges_resolved"]

@@ -175,6 +175,31 @@ class TestRunSuite:
             if a.path is not None:
                 assert np.array_equal(a.path, b.path)
 
+    def test_workers_capped_at_the_run_count(self, suite, monkeypatch):
+        # A forked pool starts every worker at its first submit, so a large
+        # --workers on a small suite must not ask for more processes than
+        # runs.  The fake pool records the count and maps in this process.
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", FakePool)
+        records = run_suite(suite[:2], RRT_CONNECT, PARAMS, workers=10_000)
+        assert sizes == [2]
+        assert [r.scenario for r in records] == ["simple", "walled"]
+        run_suite(suite, RRT_CONNECT, PARAMS, repetitions=2, workers=4)
+        assert sizes == [2, 4]
+
 
 def synthetic_records(planner, sf, sb, fail, unsolv, suite_name="shelf_zero_test"):
     records = []

@@ -215,6 +215,19 @@ class TestPlan:
         assert (code, captured.out) == (1, "")
         assert captured.err.startswith("error: motion step must be positive and finite")
 
+    @pytest.mark.parametrize("step", ["1e-300", "5e-324"])
+    def test_validate_rejects_a_step_too_fine_to_count(self, workdir, capsys, monkeypatch,
+                                                       step):
+        # The segment would need more samples than an int64 counts.
+        monkeypatch.chdir(workdir)
+        (workdir / "crossing.csv").write_text("q0,q1\n2.75,3.0\n3.75,3.0\n")
+        code = main(["validate", "--scenario", "thin_wall.scenario", "--path", "crossing.csv",
+                     "--step", step])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == (f"error: motion step {float(step)} gives more than "
+                                "2**63 - 1 samples\n")
+
     @pytest.mark.parametrize("extra", [["--seed", "-1"], ["--params", "seed.yaml"]])
     def test_invalid_seed_reports_error(self, workdir, capsys, monkeypatch, extra):
         monkeypatch.chdir(workdir)

@@ -605,6 +605,27 @@ class TestPathValidationSkipsProvenSamples:
             assert validate_path(robot, WorldModel(()), query, Path(np.array([a, b])),
                                  step) is valid
 
+    @pytest.mark.parametrize("step", [1e-300, 5e-324])
+    def test_step_too_fine_for_an_int64_count_raises(self, step):
+        # ceil(d / step) + 1 does not fit an int64 (at 5e-324, d / step is
+        # infinite): a contract violation, not an OverflowError.
+        scenario = load_scenario(data_path("scenarios", "shelf_easy.yaml"))
+        query = Query(start=scenario.start, goal=scenario.goal, time_budget=1.0)
+        path = Path(np.array([scenario.start, scenario.goal.target]))
+        with pytest.raises(ContractViolation, match="2\\*\\*63 - 1 samples"):
+            validate_path(scenario.robot, scenario.world, query, path, step)
+
+    @pytest.mark.parametrize("wall_x, valid", [(2.0, False), (4.5, False), (5.6, True)])
+    def test_counts_above_2_62_bisect_exactly(self, wall_x, valid):
+        # About 2**62.9 samples: the midpoint of two late sample indices
+        # would overflow as (lo + hi) // 2 and skip the wall at x = 4.5.
+        robot = gantry_robot()
+        a, b = np.array([1.0, 1.0]), np.array([5.0, 1.0])
+        world = WorldModel((box_obstacle((wall_x, 1.0, 0.0), (0.05, 0.5, 0.5)),))
+        query = Query(start=a, goal=GoalSpec.config_goal(b), time_budget=1.0)
+        step = config_distance(robot, a, b) / 2 ** 62.9
+        assert validate_path(robot, world, query, Path(np.array([a, b])), step) is valid
+
     def test_self_collision_between_free_endpoints(self):
         # Joint b of the folding chain swings the link-2 sphere past the
         # link-0 one: some motions between free configurations overlap there.

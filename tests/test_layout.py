@@ -4,8 +4,9 @@ function, class, class member or class field exists only for the tests, only
 ``errors.py`` checks values for finiteness, no constructor bounds a value by
 infinity by hand, every dataclass with an array field compares through
 ``errors.field_eq``, only ``errors.py`` loads and only
-``world.py`` dumps YAML, only ``collision.py`` samples motions, every
-function the benchmark traces exists, and the tests import nothing they do
+``world.py`` dumps YAML, only ``collision.py`` samples motions, only
+``core.py`` screens queries and builds planner results, every function the
+benchmark traces exists, and the tests import nothing they do
 not use."""
 
 import ast
@@ -189,6 +190,18 @@ def test_motions_sampled_only_in_collision():
     found = [path.name for path in SOURCES
              if _names(ast.parse(path.read_text(encoding="utf-8")))["motion_configs"]]
     assert found == ["collision.py"]
+
+
+def test_one_planning_frame():
+    # core.run_planner screens every query, takes the one clock of a run and
+    # builds its PlannerResult; a planner that screened or built a result
+    # itself would keep a second copy of the planning conditions.
+    found = {(path.name, name) for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call)
+             for name in [getattr(node.func, "id", getattr(node.func, "attr", None))]
+             if name in ("PlannerResult", "screen_query")}
+    assert found == {("core.py", "PlannerResult"), ("core.py", "screen_query")}
 
 
 def test_trace_targets_name_package_attributes():

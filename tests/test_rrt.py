@@ -1,5 +1,6 @@
 """RRT-Connect: tree mechanics, extend/connect semantics, full planning."""
 
+import math
 import time
 from dataclasses import replace
 
@@ -136,17 +137,24 @@ class TestSteps:
         assert kinds == {None, True, False}
 
 
+def lookahead(robot, world, tree):
+    """A lookahead cache over ``tree`` and a second tree rooted at its root,
+    as ``plan_rrt_connect`` builds one."""
+    return rrt_connect._Lookahead(robot, world, PARAMS, (tree, Tree(robot, tree.config(0))),
+                                  {})
+
+
 class TestExtend:
     def test_reached_within_step(self, robot, empty_world):
         tree = Tree(robot, [1.0, 1.0])
-        status, idx = extend(tree, [1.2, 1.0], PARAMS, robot, empty_world)
+        status, idx = extend(tree, [1.2, 1.0], lookahead(robot, empty_world, tree))
         assert status == REACHED
         assert tree.size == 2
         assert np.allclose(tree.nodes[idx], [1.2, 1.0])
 
     def test_advanced_clamps_to_step(self, robot, empty_world):
         tree = Tree(robot, [1.0, 1.0])
-        status, idx = extend(tree, [4.0, 1.0], PARAMS, robot, empty_world)
+        status, idx = extend(tree, [4.0, 1.0], lookahead(robot, empty_world, tree))
         assert status == ADVANCED
         d = config_distance(robot, tree.nodes[0], tree.nodes[idx])
         assert d == pytest.approx(PARAMS.step_eta, abs=1e-9)
@@ -158,13 +166,13 @@ class TestExtend:
                             box_obstacle((1.0, 1.6, 0.0), (0.6, 0.05, 0.5)),
                             box_obstacle((1.0, 0.4, 0.0), (0.6, 0.05, 0.5))))
         tree = Tree(robot, [1.0, 1.0])
-        status, idx = extend(tree, [4.0, 1.0], PARAMS, robot, world)
+        status, idx = extend(tree, [4.0, 1.0], lookahead(robot, world, tree))
         assert status == TRAPPED and idx is None
         assert tree.size == 1
 
     def test_degenerate_target_no_duplicate(self, robot, empty_world):
         tree = Tree(robot, [1.0, 1.0])
-        status, idx = extend(tree, [1.0, 1.0], PARAMS, robot, empty_world)
+        status, idx = extend(tree, [1.0, 1.0], lookahead(robot, empty_world, tree))
         assert status == REACHED and idx == 0
         assert tree.size == 1
 
@@ -173,21 +181,27 @@ class TestConnect:
     def test_counted_extensions_on_free_line(self, robot, empty_world):
         tree = Tree(robot, [1.0, 1.0])
         target = np.array([1.0 + 3 * PARAMS.step_eta, 1.0])
-        status, idx = connect(tree, target, PARAMS, robot, empty_world)
+        status, idx = connect(tree, target, lookahead(robot, empty_world, tree), math.inf)
         assert status == REACHED
         assert tree.size == 4  # root + exactly 3 extensions
 
     def test_immediate_obstacle_trapped(self, robot):
         world = WorldModel((box_obstacle((1.3, 1.0, 0.0), (0.05, 2.0, 0.5)),))
         tree = Tree(robot, [1.0, 1.0])
-        status, idx = connect(tree, [4.0, 1.0], PARAMS, robot, world)
+        status, idx = connect(tree, [4.0, 1.0], lookahead(robot, world, tree), math.inf)
         assert status == TRAPPED
         assert tree.size == 1 and idx is None
 
     def test_target_equals_nearest(self, robot, empty_world):
         tree = Tree(robot, [1.0, 1.0])
-        status, idx = connect(tree, [1.0, 1.0], PARAMS, robot, empty_world)
+        status, idx = connect(tree, [1.0, 1.0], lookahead(robot, empty_world, tree),
+                              math.inf)
         assert status == REACHED and tree.size == 1
+
+    def test_past_deadline_stops_after_one_step(self, robot, empty_world):
+        tree = Tree(robot, [1.0, 1.0])
+        status, idx = connect(tree, [4.0, 1.0], lookahead(robot, empty_world, tree), 0.0)
+        assert status == TRAPPED and idx == 1 and tree.size == 2
 
 
 def shelf_world():
@@ -283,8 +297,9 @@ class TestTreeInvariants:
         world = shelf_world()
         rng = np.random.default_rng(5)
         tree = Tree(robot, [1.0, 1.0])
+        cache = lookahead(robot, world, tree)
         for _ in range(100):
-            extend(tree, sample_uniform(robot, rng), PARAMS, robot, world)
+            extend(tree, sample_uniform(robot, rng), cache)
         assert tree.size > 10 and tree.branch(0) == [0]
         for child in range(1, tree.size):
             parent = tree.branch(child)[-2]
