@@ -26,11 +26,12 @@ continuous collision detection.  A planner's motions (``motions_free``) have
 every configuration checked, in one batch with no early stop at the first
 colliding one.  A path (``path_free``) gets the same verdict with most
 configurations skipped: a run of samples between two checked ones is proven
-free when the two's clearances (``_clearances``, which computes every
-sphere-obstacle pair exactly, with no broadphase) exceed by 1e-9 how far the
-robot's lever arms let each sphere move between them.  The margin is far
-above rounding, so a skipped sample could not have collided, and touching
-still counts as free.  Certifying the continuous sweep is ROADMAP item 1.
+free when the two's clearances exceed by 1e-9, far above rounding, how far
+the robot's lever arms let each sphere move between them, so touching still
+counts as free.  ``_clearances`` computes every sphere-obstacle pair exactly,
+with no broadphase, component-major in 256-row blocks, with one square root
+per sphere for all boxes and cylinders.  Certifying the continuous sweep is
+ROADMAP item 1.
 
 Everything here is a pure function over immutable inputs and safe to call
 concurrently from any number of workers.
@@ -49,39 +50,39 @@ from .world import BOX, CYLINDER, SPHERE, WorldModel
 # The clearance sum must exceed the lever-arm bound by this much (meters).
 _PROOF_MARGIN = 1e-9
 # Rows per pass of the clearance kernel's pair arithmetic.
-_CLEARANCE_ROWS = 64
+_CLEARANCE_ROWS = 256
 
 
-def _squared_excess(shape: str, pack: dict, centers: np.ndarray, sph: np.ndarray,
-                    obs: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Squared excess (m, k) and reach (k,) of the k pairs (sphere ``sph[i]``
-    of ``centers``, obstacle ``obs[i]`` of one shape's ``pack``), for
-    spheres of ``radii``: a sphere penetrates iff the excess is below the
-    squared reach, and its clearance is the excess' square root less the
-    reach.
+def _squared_excess(shape: str, pack: dict, obs, rel: np.ndarray,
+                    radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Squared excess and reach of the sphere-center offsets ``rel`` (3, ...),
+    x, y and z stacked first and overwritten, from the obstacles ``obs`` of
+    one shape's ``pack``, for spheres of ``radii``: a sphere penetrates iff
+    the excess is below the squared reach, and its clearance is the excess'
+    square root less the reach.
 
-    A box's or cylinder's excess is the squared distance from the center to
-    the solid, square-root free (points inside clamp to zero excess), and its
-    reach the sphere radius; a sphere obstacle's excess is the squared center
-    distance and its reach the radius sum.  A pair's entry is computed by the
-    same arithmetic whatever the rest of the batch, in place where it can
-    be, to keep the peak memory of large batches low.
+    ``obs`` makes each per-obstacle parameter broadcast against a component:
+    the penetration mask's (m, k) components of k gathered pairs take the
+    pairs' obstacle indices, the clearance kernel's (k, N) ones of every
+    obstacle against N centers take ``np.s_[:, None]``, a (k, 1) column, and
+    an entry's arithmetic is the same either way.  A box's or cylinder's
+    excess is the squared distance from the center to the solid (zero inside
+    it) and its reach the sphere radius; a sphere obstacle's are the squared
+    center distance, (dx² + dy²) + dz², and the radius sum.
     """
-    rel = centers[:, sph]
-    rel -= pack["center"][obs]
+    x, y, z = rel
     if shape == SPHERE:
         rel *= rel
-        return rel.sum(axis=-1), pack["radius"][obs] + radii
+        return x + y + z, pack["radius"][obs] + radii
     if shape == BOX:
         c, s = pack["cos"][obs], pack["sin"][obs]
         half = pack["half_extents"][obs]
-        axes = (np.abs(c * rel[..., 0] + s * rel[..., 1]) - half[:, 0],
-                np.abs(-s * rel[..., 0] + c * rel[..., 1]) - half[:, 1],
-                np.abs(rel[..., 2]) - half[:, 2])
+        axes = (np.abs(c * x + s * y) - half[..., 0],
+                np.abs(-s * x + c * y) - half[..., 1],
+                np.abs(z) - half[..., 2])
     else:
-        axes = (np.hypot(rel[..., 0], rel[..., 1]) - pack["radius"][obs],
-                np.abs(rel[..., 2]) - pack["half_height"][obs])
-    del rel
+        axes = (np.hypot(x, y) - pack["radius"][obs],
+                np.abs(z) - pack["half_height"][obs])
     for a in axes:  # max(a, 0)²
         np.maximum(a, 0.0, out=a)
         a *= a
@@ -113,7 +114,9 @@ def _world_penetration_mask(world: WorldModel, centers: np.ndarray,
             continue
         sph, obs = np.nonzero(near[:, pack["index"]])
         if len(sph):
-            excess, reach = _squared_excess(shape, pack, centers, sph, obs, radii[sph])
+            rel = centers[:, sph]
+            rel -= pack["center"][obs]
+            excess, reach = _squared_excess(shape, pack, obs, rel.transpose(2, 0, 1), radii[sph])
             hit[:, sph, pack["index"][obs]] = excess < reach * reach
     return hit
 
@@ -162,38 +165,50 @@ def _clearances(robot: RobotModel, world: WorldModel,
 
     Every (sphere, obstacle) pair is computed, with no broadphase, by the
     penetration mask's arithmetic, so each verdict is that row's ``free_mask``
-    verdict within the limits exactly.  The pairs are evaluated
-    ``_CLEARANCE_ROWS`` rows at a time, which keeps the peak memory of a
-    large batch near that of its FK.
+    verdict within the limits exactly, whatever rows share the call.  The
+    kernel is component-major: per ``_CLEARANCE_ROWS`` rows, one contiguous
+    (3, N) copy of their N sphere centers and per shape the (3, k, N) offsets
+    from its k obstacles, whose parameters are (k, 1) columns, with no pair
+    index (300 KB of box offsets at 256 rows of ``shelf_reach``).  Boxes and
+    cylinders share the reach r, the sphere radius, so their least squared
+    excess e comes first, then one square root gives the clearance
+    sqrt(e) - r and one comparison the verdict e < r².  That is exact: IEEE
+    square root is correctly rounded, hence monotone, as is subtracting r,
+    so min_k(sqrt(e_k) - r) is sqrt(min_k e_k) - r bit for bit, and some
+    e_k < r² iff min_k e_k < r².  A sphere obstacle's reach R + r differs
+    per obstacle, so its clearances are taken before their minimum.
     """
-    centers = sphere_centers_batch(robot, configs)
-    blocks = [_block_clearances(robot, world, centers[i:i + _CLEARANCE_ROWS])
-              for i in range(0, len(centers), _CLEARANCE_ROWS)]
-    return np.concatenate([b[0] for b in blocks]), np.vstack([b[1] for b in blocks])
-
-
-def _block_clearances(robot: RobotModel, world: WorldModel,
-                      centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_clearances`` of the sphere centers (m, S, 3) of a block of rows."""
     radii = robot.sphere_radii
-    m, ns = centers.shape[0], centers.shape[1]
-    free = np.ones(m, dtype=bool)
-    world_gap = np.full((m, ns), np.inf)
-    for shape in (BOX, CYLINDER, SPHERE):
-        pack = world.packs[shape]
-        k = len(pack["index"])
-        if k:
-            sph, obs = np.indices((ns, k)).reshape(2, -1)
-            excess, reach = _squared_excess(shape, pack, centers, sph, obs, radii[sph])
-            free &= ~(excess < reach * reach).any(axis=1)
-            gap = np.sqrt(excess, out=excess)
-            gap -= reach
-            np.minimum(world_gap, gap.reshape(m, ns, k).min(axis=2), out=world_gap)
     first, second, reach_sq = robot.self_pair_arrays
-    dist_sq = _self_distances_sq(robot, centers)
-    free &= ~(dist_sq < reach_sq).any(axis=1)
-    self_gap = np.sqrt(dist_sq) - (radii[first] + radii[second])
-    return free, np.hstack([world_gap, self_gap])
+    centers = sphere_centers_batch(robot, configs)
+    m, ns = centers.shape[0], centers.shape[1]
+    free, gaps = np.empty(m, dtype=bool), np.empty((m, ns + len(first)))
+    for i in range(0, m, _CLEARANCE_ROWS):
+        rows = slice(i, i + _CLEARANCE_ROWS)
+        block = centers[rows]
+        n = len(block) * ns  # column j S + s is sphere s of row j
+        points = np.ascontiguousarray(block.transpose(2, 0, 1)).reshape(3, 1, n)
+        r = np.tile(radii, len(block))
+        nearest = np.full(n, np.inf)  # min squared excess over boxes and cylinders
+        for shape in (BOX, CYLINDER):
+            pack = world.packs[shape]
+            if len(pack["index"]):
+                rel = np.subtract(points, pack["center"].T[:, :, None], order="C")
+                excess, _ = _squared_excess(shape, pack, np.s_[:, None], rel, r)
+                np.minimum(nearest, excess.min(axis=0), out=nearest)
+        hit, gap = nearest < r * r, np.sqrt(nearest) - r
+        pack = world.packs[SPHERE]
+        if len(pack["index"]):
+            rel = np.subtract(points, pack["center"].T[:, :, None], order="C")
+            excess, reach = _squared_excess(SPHERE, pack, np.s_[:, None], rel, r)
+            hit |= (excess < reach * reach).any(axis=0)
+            excess = np.sqrt(excess, out=excess) - reach
+            np.minimum(gap, excess.min(axis=0), out=gap)
+        gaps[rows, :ns] = gap.reshape(-1, ns)
+        dist_sq = _self_distances_sq(robot, block)
+        free[rows] = ~hit.reshape(-1, ns).any(axis=1) & ~(dist_sq < reach_sq).any(axis=1)
+        gaps[rows, ns:] = np.sqrt(dist_sq) - (radii[first] + radii[second])
+    return free, gaps
 
 
 def check_config(robot: RobotModel, world: WorldModel, q) -> bool:

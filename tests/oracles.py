@@ -23,7 +23,10 @@ tested, and its own self mask over a pair list built here, with ``np.sum``
 of the squared center difference against the squared radius sum.  The
 package must reproduce its sphere centers bit for bit on ``arm8`` and on
 axis-aligned robots (within 1e-12 on random ones, whose rounding the
-homogeneous chain changes), and its masks and verdicts exactly.
+homogeneous chain changes), and its masks and verdicts exactly.  The
+gather clearance kernel is the package's earlier ``_clearances``, kept
+verbatim; the component-major kernel must reproduce its verdicts and
+clearances bit for bit.
 """
 
 from __future__ import annotations
@@ -37,9 +40,9 @@ from planbench.ara_star import (GOAL_NODE, SearchStats, decode, heuristic,
                                 lattice_max_coords)
 from planbench.collision import motions_free
 from planbench.core import OK, goal_representative, goal_satisfied, validate_query
-from planbench.robot import PRISMATIC, config_distance
+from planbench.robot import PRISMATIC, config_distance, sphere_centers_batch
 from planbench.rrt_connect import ADVANCED, REACHED, TRAPPED, Tree, _steps, nearest
-from planbench.world import Obstacle
+from planbench.world import BOX, CYLINDER, SPHERE, Obstacle
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +335,81 @@ def free_mask_dense(robot, world, configs):
     centers = sphere_centers_3x3(robot, configs)
     ok &= ~world_mask_dense(world, centers, robot.sphere_radii).any(axis=(1, 2))
     return ok & ~self_mask_dense(robot, centers).any(axis=1)
+
+
+# ---------------------------------------------------------------------------
+# The gather clearance kernel: the package's earlier ``_clearances``, kept
+# verbatim apart from its names.  It gathers every (sphere, obstacle) pair's
+# parameters through ``np.indices`` pair arrays, takes each pair's square
+# root, and stacks 64-row blocks; the package's kernel must reproduce its
+# verdicts and clearances bit for bit.
+
+_GATHER_ROWS = 64
+
+
+def _squared_excess_gather(shape, pack, centers, sph, obs, radii):
+    rel = centers[:, sph]
+    rel -= pack["center"][obs]
+    if shape == SPHERE:
+        rel *= rel
+        return rel.sum(axis=-1), pack["radius"][obs] + radii
+    if shape == BOX:
+        c, s = pack["cos"][obs], pack["sin"][obs]
+        half = pack["half_extents"][obs]
+        axes = (np.abs(c * rel[..., 0] + s * rel[..., 1]) - half[:, 0],
+                np.abs(-s * rel[..., 0] + c * rel[..., 1]) - half[:, 1],
+                np.abs(rel[..., 2]) - half[:, 2])
+    else:
+        axes = (np.hypot(rel[..., 0], rel[..., 1]) - pack["radius"][obs],
+                np.abs(rel[..., 2]) - pack["half_height"][obs])
+    del rel
+    for a in axes:  # max(a, 0)²
+        np.maximum(a, 0.0, out=a)
+        a *= a
+    excess = axes[0]
+    for a in axes[1:]:
+        excess += a
+    return excess, radii
+
+
+def _self_distances_sq_gather(robot, centers):
+    first, second, _ = robot.self_pair_arrays
+    diff = centers[:, first]
+    diff -= centers[:, second]
+    diff *= diff
+    dist_sq = diff[..., 0] + diff[..., 1]
+    dist_sq += diff[..., 2]
+    return dist_sq
+
+
+def clearances_gather(robot, world, configs):
+    """(verdicts (m,), clearances (m, S + P)) by the gather kernel."""
+    centers = sphere_centers_batch(robot, configs)
+    blocks = [_block_clearances_gather(robot, world, centers[i:i + _GATHER_ROWS])
+              for i in range(0, len(centers), _GATHER_ROWS)]
+    return np.concatenate([b[0] for b in blocks]), np.vstack([b[1] for b in blocks])
+
+
+def _block_clearances_gather(robot, world, centers):
+    radii = robot.sphere_radii
+    m, ns = centers.shape[0], centers.shape[1]
+    free = np.ones(m, dtype=bool)
+    world_gap = np.full((m, ns), np.inf)
+    for shape in (BOX, CYLINDER, SPHERE):
+        pack = world.packs[shape]
+        k = len(pack["index"])
+        if k:
+            sph, obs = np.indices((ns, k)).reshape(2, -1)
+            excess, reach = _squared_excess_gather(shape, pack, centers, sph, obs, radii[sph])
+            free &= ~(excess < reach * reach).any(axis=1)
+            gap = np.sqrt(excess, out=excess)
+            gap -= reach
+            np.minimum(world_gap, gap.reshape(m, ns, k).min(axis=2), out=world_gap)
+    first, second, reach_sq = robot.self_pair_arrays
+    dist_sq = _self_distances_sq_gather(robot, centers)
+    free &= ~(dist_sq < reach_sq).any(axis=1)
+    self_gap = np.sqrt(dist_sq) - (radii[first] + radii[second])
+    return free, np.hstack([world_gap, self_gap])
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planbench.collision import (_clearances, _self_overlap_mask, _world_penetration_mask,
-                                 check_config, check_motion, free_mask,
-                                 motion_configs, motions_free)
+from planbench.collision import (_CLEARANCE_ROWS, _clearances, _self_overlap_mask,
+                                 _world_penetration_mask, check_config, check_motion,
+                                 free_mask, motion_configs, motions_free)
 from planbench.core import Path, Query, validate_path
 from planbench.data import data_path
 from planbench.errors import ContractViolation
@@ -20,7 +20,7 @@ from planbench.world import GoalSpec, WorldModel, load_scenario
 
 from conftest import gantry_robot, make_joint, random_robot, random_world
 from oracles import (box_obstacle, brute_force_check, brute_force_masks,
-                     cylinder_obstacle, free_mask_dense, linspace_motion,
+                     clearances_gather, cylinder_obstacle, free_mask_dense, linspace_motion,
                      sample_uniform, self_mask_dense, self_pairs_dense,
                      sphere_centers_3x3, sphere_obstacle,
                      sphere_obstacle_distance_oracle,
@@ -458,6 +458,12 @@ class TestBroadphaseExactness:
         got = free_mask(SHELF.robot, SHELF.world, np.empty((0, SHELF.robot.dof)))
         assert got.dtype == bool and got.shape == (0,)
 
+    def test_empty_clearance_batch(self):
+        robot = SHELF.robot
+        free, gaps = _clearances(robot, SHELF.world, np.empty((0, robot.dof)))
+        assert free.dtype == bool and free.shape == (0,)
+        assert gaps.shape == (0, len(robot.spheres) + len(robot.self_pair_arrays[0]))
+
 
 class TestFreeImpliesWithinLimits:
     def test_free_configs_are_within_limits(self):
@@ -484,8 +490,9 @@ class TestClearances:
             robot = random_robot(rng, dof=int(rng.integers(2, 7)))
             world = random_world(rng, count=int(rng.integers(1, 7)), span=0.6)
             # Up to three blocks of the kernel's rows.
-            configs = rng.uniform(robot.lower, robot.upper,
-                                  size=(int(rng.choice([1, 7, 64, 65, 150])), robot.dof))
+            r = _CLEARANCE_ROWS
+            rows = int(rng.choice([1, 7, r, r + 1, 2 * r + 1]))
+            configs = rng.uniform(robot.lower, robot.upper, size=(rows, robot.dof))
             free, gaps = _clearances(robot, world, configs)
             assert free.tolist() == free_mask(robot, world, configs).tolist()
             centers = sphere_centers_3x3(robot, configs)
@@ -499,6 +506,54 @@ class TestClearances:
                 assert np.allclose(gaps[row], want, rtol=0.0, atol=1e-9)
             verdicts.update(free.tolist())
         assert verdicts == {True, False}
+
+    def test_equals_the_gather_kernel_bitwise(self):
+        # The component-major kernel against the gather kernel it replaced
+        # (``oracles.clearances_gather``): every verdict and clearance bit
+        # for bit, on worlds with every shape and yawed boxes, an empty
+        # world and robots with no checked sphere pair, across block
+        # boundaries; and each row equals its own one-row call.
+        rng = np.random.default_rng(53)
+        r = _CLEARANCE_ROWS
+        verdicts = set()
+        for case in range(30):
+            robot = random_robot(rng, dof=int(rng.integers(2, 7)),
+                                 n_spheres=1 if case % 5 == 1 else None)
+            center, size = rng.uniform(-0.6, 0.6, size=(3, 3)), rng.uniform(0.05, 0.4, size=5)
+            shapes = (box_obstacle(center[0], size[:3], yaw=float(rng.uniform(-math.pi, math.pi))),
+                      cylinder_obstacle(center[1], float(size[3]), float(size[4])),
+                      sphere_obstacle(center[2], float(size[0])))
+            extra = random_world(rng, count=int(rng.integers(0, 4)), span=0.6).obstacles
+            world = WorldModel(() if case % 5 == 0 else shapes + extra)
+            configs = rng.uniform(robot.lower, robot.upper, size=(2 * r + 1, robot.dof))
+            for m in (1, r - 1, r, r + 1, 2 * r + 1):
+                free, gaps = _clearances(robot, world, configs[:m])
+                want_free, want_gaps = clearances_gather(robot, world, configs[:m])
+                assert free.tolist() == want_free.tolist()
+                assert gaps.shape == want_gaps.shape
+                assert gaps.tobytes() == want_gaps.tobytes()
+            for row, q in enumerate(configs):
+                one_free, one_gaps = _clearances(robot, world, q[None])
+                assert one_free[0] == free[row]
+                assert one_gaps[0].tobytes() == gaps[row].tobytes()
+            verdicts.update(free.tolist())
+        assert verdicts == {True, False}
+
+    def test_touching_is_free_with_zero_clearance(self):
+        # Dyadic sizes make each contact exact: the sphere touches a box
+        # face, a cylinder side or a sphere obstacle, and a row 2**-20
+        # closer penetrates.
+        robot = point_robot(0.25)
+        shapes = (box_obstacle((0.0, 0.0, 0.0), (0.5, 0.5, 0.5)),
+                  cylinder_obstacle((0.0, 0.0, 0.0), 0.5, 0.5),
+                  sphere_obstacle((0.0, 0.0, 0.0), 0.5))
+        touching = np.array([[0.75, 0.0, 0.0], [0.0, -0.75, 0.25], [0.0, 0.0, 0.75]])
+        for obstacle, q in zip(shapes, touching):
+            world = WorldModel((obstacle,))
+            closer = q * (1 - 2.0**-20)
+            free, gaps = _clearances(robot, world, np.vstack([q, closer]))
+            assert free.tolist() == [True, False]
+            assert gaps[0, 0] == 0.0 and gaps[1, 0] < 0.0
 
     def test_no_obstacle_is_infinitely_far(self):
         robot = TestCheckConfig._folding_chain()
