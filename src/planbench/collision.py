@@ -28,10 +28,12 @@ colliding one.  A path (``path_free``) gets the same verdict with most
 configurations skipped: a run of samples between two checked ones is proven
 free when the two's clearances exceed by 1e-9, far above rounding, how far
 the robot's lever arms let each sphere move between them, so touching still
-counts as free.  ``_clearances`` computes every sphere-obstacle pair exactly,
-with no broadphase, component-major in 256-row blocks, with one square root
-per sphere for all boxes and cylinders.  Certifying the continuous sweep is
-ROADMAP item 1.
+counts as free.  A run that is not proven is cut into as many equal pieces,
+2 to 8, as the ratio of that motion bound to the clearances asks for, the
+adaptive step of Schwarzer, Saha & Latombe (T-RO 2005).  ``_clearances``
+computes every sphere-obstacle pair exactly, with no broadphase,
+component-major in 256-row blocks, with one square root per sphere for all
+boxes and cylinders.  Certifying the continuous sweep is ROADMAP item 1.
 
 Everything here is a pure function over immutable inputs and safe to call
 concurrently from any number of workers.
@@ -51,6 +53,8 @@ from .world import BOX, CYLINDER, SPHERE, WorldModel
 _PROOF_MARGIN = 1e-9
 # Rows per pass of the clearance kernel's pair arithmetic.
 _CLEARANCE_ROWS = 256
+# Most pieces path validation cuts an unproven interval into per level.
+_MAX_PIECES = 8
 
 
 def _squared_excess(shape: str, pack: dict, obs, rel: np.ndarray,
@@ -293,6 +297,31 @@ def check_motion(robot: RobotModel, world: WorldModel, a, b, step: float,
     return bool(motions_free(robot, world, a, b[None], step, stats)[0])
 
 
+def _pieces(bound: np.ndarray, room: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """How many equal index pieces each unproven interval is cut into, from
+    its lever-arm bounds B and clearance sums G (intervals, S + P): the
+    ceiling of the largest B / G, clamped to [2, min(_MAX_PIECES, width)], as
+    Schwarzer, Saha & Latombe (T-RO 2005) pick the step from this ratio.  A
+    G of 0 or less takes the cap, with no division by it."""
+    ratio = np.divide(bound, room, out=np.full_like(bound, np.inf), where=room > 0)
+    need = np.minimum(np.ceil(ratio.max(axis=1)), _MAX_PIECES).astype(np.int64)
+    return np.maximum(np.minimum(need, width), 2)
+
+
+def _cuts(lo: np.ndarray, hi: np.ndarray,
+          pieces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cuts lo + floor(w t / k), t = 1 .. k - 1 and w = hi - lo, that
+    split each interval into k = ``pieces`` equal index pieces, stacked
+    interval by interval, and the interval each cut belongs to.  A cut is
+    computed as lo + (w // k) t + ((w % k) t) // k, which cannot overflow
+    int64; since k <= w, the cuts are strictly increasing and strictly
+    between lo and hi."""
+    owner = np.repeat(np.arange(len(pieces)), pieces - 1)
+    t = np.arange(1, len(owner) + 1) - (np.cumsum(pieces - 1) - (pieces - 1))[owner]
+    whole, part = np.divmod(hi - lo, pieces)
+    return owner, lo[owner] + whole[owner] * t + (part[owner] * t) // pieces[owner]
+
+
 def path_free(robot: RobotModel, world: WorldModel, waypoints: np.ndarray,
               step: float) -> bool:
     """True iff every ``motion_configs`` row of the segments between the
@@ -313,8 +342,10 @@ def path_free(robot: RobotModel, world: WorldModel, waypoints: np.ndarray,
     with both spheres' bounds summed: every clearance at j is then above
     5e-10 m, so no pair touches.  The 1e-9 margin is far above the FK and
     rounding error, about 1e-15 m on meter-scale robots.  An interval that
-    is not proven is split at its middle row; the middle rows of all
-    segments go into one call per level, and the first row found in
+    is not proven is cut into k equal index pieces, k the ceiling of the
+    largest ratio of B + 1e-9 to clr(i) + clr(k) over its spheres and pairs,
+    2 to min(8, its width) (``_pieces``, ``_cuts``); the cuts of all
+    intervals go into one call per level, and the first row found in
     collision returns False.  Touching still counts as free, since each
     evaluated row's verdict is exactly its ``free_mask`` verdict.
     """
@@ -347,25 +378,30 @@ def path_free(robot: RobotModel, world: WorldModel, waypoints: np.ndarray,
     while True:
         # clr(i) + clr(k) > B + margin, tested as clr(k) > B + margin - clr(i)
         # in one (intervals, S + P) array: the margin dwarfs the rounding.
-        slack = np.abs(q_hi - q_lo) @ arms
-        slack += _PROOF_MARGIN
-        slack -= gap_lo
-        pending = (hi - lo > 1) & ~np.all(slack < gap_hi, axis=1)
-        del slack
+        bound = np.abs(q_hi - q_lo) @ arms
+        bound += _PROOF_MARGIN
+        pending = (hi - lo > 1) & ~np.all(bound - gap_lo < gap_hi, axis=1)
         if not pending.any():
             return True
         # One array at a time, so that each old one is freed before the next.
         motion, lo, hi = motion[pending], lo[pending], hi[pending]
         q_lo, q_hi = q_lo[pending], q_hi[pending]
-        gap_lo = gap_lo[pending]
-        gap_hi = gap_hi[pending]
-        mid = lo + (hi - lo) // 2  # (lo + hi) // 2 could overflow int64
-        q_mid = _samples(starts, delta, counts, motion, mid)
-        free, gap_mid = _clearances(robot, world, q_mid)
+        gap_lo, gap_hi = gap_lo[pending], gap_hi[pending]
+        pieces = _pieces(bound[pending], gap_lo + gap_hi, hi - lo)
+        del bound
+        owner, cut = _cuts(lo, hi, pieces)
+        q_cut = _samples(starts, delta, counts, motion[owner], cut)
+        free, gap_cut = _clearances(robot, world, q_cut)
         if not free.all():
             return False
-        motion = np.concatenate([motion, motion])
-        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
-        q_lo, q_hi = np.vstack([q_lo, q_mid]), np.vstack([q_mid, q_hi])
-        gap_lo = np.vstack([gap_lo, gap_mid])
-        gap_hi = np.vstack([gap_mid, gap_hi])
+        # Interval i becomes a piece from lo to its first cut, then one from
+        # each cut to the next cut or to hi: row right[j] of [cuts, his].
+        last = np.cumsum(pieces - 1) - 1  # each interval's last cut
+        right = np.arange(1, len(cut) + 1)
+        right[last] = len(cut) + np.arange(len(lo))
+        right = np.concatenate([last + 2 - pieces, right])
+        motion = np.concatenate([motion, motion[owner]])
+        lo, hi = np.concatenate([lo, cut]), np.concatenate([cut, hi])[right]
+        q_lo, q_hi = np.concatenate([q_lo, q_cut]), np.concatenate([q_cut, q_hi])[right]
+        gap_lo = np.concatenate([gap_lo, gap_cut])
+        gap_hi = np.concatenate([gap_cut, gap_hi])[right]

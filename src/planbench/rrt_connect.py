@@ -74,7 +74,8 @@ class Tree:
     """A rooted tree of configurations backed by growable numpy buffers.
 
     Node 0 is the root and is its own parent.  Every non-root edge was
-    validated at insertion time, sampled as ``check_motion`` samples it.
+    validated before insertion through the ``_Lookahead`` cache, every
+    sample at the edge step checked by ``motions_free``.
     Nodes are stored joint-major, one column per node, for ``nearest``.
     """
 

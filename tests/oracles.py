@@ -26,7 +26,9 @@ axis-aligned robots (within 1e-12 on random ones, whose rounding the
 homogeneous chain changes), and its masks and verdicts exactly.  The
 gather clearance kernel is the package's earlier ``_clearances``, kept
 verbatim; the component-major kernel must reproduce its verdicts and
-clearances bit for bit.
+clearances bit for bit.  The midpoint bisection ``path_free_bisect`` is the
+package's earlier path-validation loop, kept verbatim; the package's loop
+must reach its verdicts, which are the dense ones, in no more kernel calls.
 """
 
 from __future__ import annotations
@@ -38,8 +40,10 @@ import numpy as np
 
 from planbench.ara_star import (GOAL_NODE, SearchStats, decode, heuristic,
                                 lattice_max_coords)
-from planbench.collision import motions_free
+from planbench.collision import (_PROOF_MARGIN, _clearances, _sample_counts, _samples,
+                                 motions_free)
 from planbench.core import OK, goal_representative, goal_satisfied, validate_query
+from planbench.errors import ContractViolation
 from planbench.robot import PRISMATIC, config_distance, sphere_centers_batch
 from planbench.rrt_connect import ADVANCED, REACHED, TRAPPED, Tree, _steps, nearest
 from planbench.world import BOX, CYLINDER, SPHERE, Obstacle
@@ -410,6 +414,68 @@ def _block_clearances_gather(robot, world, centers):
     free &= ~(dist_sq < reach_sq).any(axis=1)
     self_gap = np.sqrt(dist_sq) - (radii[first] + radii[second])
     return free, np.hstack([world_gap, self_gap])
+
+
+# ---------------------------------------------------------------------------
+# Midpoint bisection: the package's earlier ``path_free``, kept verbatim
+# apart from its name and docstring.  Each unproven interval is split at its
+# middle row; the package's loop, which cuts an interval into as many pieces
+# as its clearance asks for, must give the same verdicts in no more
+# ``_clearances`` calls.
+
+def path_free_bisect(robot, world, waypoints, step):
+    """``path_free`` by midpoint bisection."""
+    if waypoints.shape[1] != robot.dof:
+        raise ContractViolation(
+            f"path has {waypoints.shape[1]} joints, robot has {robot.dof}")
+    ends = waypoints[1:] if len(waypoints) > 1 else waypoints
+    starts = waypoints[:len(ends)]
+    delta = ends - starts
+    counts = _sample_counts(robot, delta, step)
+    inner = np.flatnonzero(counts > 2)  # segments with rows between their ends
+    extremes = _samples(starts, delta, counts, np.concatenate([inner, inner]),
+                        np.concatenate([np.ones_like(inner), counts[inner] - 2]))
+    rows = np.vstack([waypoints, extremes])
+    if not np.all((rows >= robot.lower) & (rows <= robot.upper)):
+        return False
+    if not robot.spheres:
+        return True
+    free, gaps = _clearances(robot, world, waypoints)
+    if not free.all():
+        return False
+    first, second, _ = robot.self_pair_arrays
+    arms = np.vstack([robot.lever_arms, robot.lever_arms[first] + robot.lever_arms[second]])
+    arms = np.ascontiguousarray(arms.T)  # (n, S + P)
+    # Each pending interval: its segment, its end rows, and their
+    # configurations and clearances.
+    motion, lo, hi = np.arange(len(ends)), np.zeros(len(ends), dtype=int), counts - 1
+    q_lo, q_hi = starts, ends
+    gap_lo, gap_hi = gaps[:len(ends)], gaps[len(waypoints) - len(ends):]
+    while True:
+        # clr(i) + clr(k) > B + margin, tested as clr(k) > B + margin - clr(i)
+        # in one (intervals, S + P) array: the margin dwarfs the rounding.
+        slack = np.abs(q_hi - q_lo) @ arms
+        slack += _PROOF_MARGIN
+        slack -= gap_lo
+        pending = (hi - lo > 1) & ~np.all(slack < gap_hi, axis=1)
+        del slack
+        if not pending.any():
+            return True
+        # One array at a time, so that each old one is freed before the next.
+        motion, lo, hi = motion[pending], lo[pending], hi[pending]
+        q_lo, q_hi = q_lo[pending], q_hi[pending]
+        gap_lo = gap_lo[pending]
+        gap_hi = gap_hi[pending]
+        mid = lo + (hi - lo) // 2  # (lo + hi) // 2 could overflow int64
+        q_mid = _samples(starts, delta, counts, motion, mid)
+        free, gap_mid = _clearances(robot, world, q_mid)
+        if not free.all():
+            return False
+        motion = np.concatenate([motion, motion])
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        q_lo, q_hi = np.vstack([q_lo, q_mid]), np.vstack([q_mid, q_hi])
+        gap_lo = np.vstack([gap_lo, gap_mid])
+        gap_hi = np.vstack([gap_mid, gap_hi])
 
 
 # ---------------------------------------------------------------------------

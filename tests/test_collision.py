@@ -2,15 +2,18 @@
 the distance oracle the kernel is checked against."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planbench.collision import (_CLEARANCE_ROWS, _clearances, _self_overlap_mask,
+from planbench import collision
+from planbench.collision import (_CLEARANCE_ROWS, _MAX_PIECES, _clearances, _cuts, _pieces,
+                                 _sample_counts, _self_overlap_mask,
                                  _world_penetration_mask, check_config, check_motion,
-                                 free_mask, motion_configs, motions_free)
+                                 free_mask, motion_configs, motions_free, path_free)
 from planbench.core import Path, Query, validate_path
 from planbench.data import data_path
 from planbench.errors import ContractViolation
@@ -18,10 +21,11 @@ from planbench.robot import (PRISMATIC, CollisionSphere, RobotModel, config_dist
                              sphere_centers_batch)
 from planbench.world import GoalSpec, WorldModel, load_scenario
 
+import oracles
 from conftest import gantry_robot, make_joint, random_robot, random_world
 from oracles import (box_obstacle, brute_force_check, brute_force_masks,
                      clearances_gather, cylinder_obstacle, free_mask_dense, linspace_motion,
-                     sample_uniform, self_mask_dense, self_pairs_dense,
+                     path_free_bisect, sample_uniform, self_mask_dense, self_pairs_dense,
                      sphere_centers_3x3, sphere_obstacle,
                      sphere_obstacle_distance_oracle,
                      sphere_penetrates_monte_carlo, within_limits,
@@ -577,7 +581,23 @@ def dense_path_verdict(robot, world, waypoints, step):
 class TestPathValidationSkipsProvenSamples:
     """``validate_path`` checks only the samples that clearance and lever
     arms cannot prove free, and its verdict is the dense one: every sample
-    of every segment checked by ``oracles.free_mask_dense``."""
+    of every segment checked by ``oracles.free_mask_dense``.  It is also the
+    verdict of the midpoint bisection it replaced
+    (``oracles.path_free_bisect``), which it reaches in no more kernel
+    calls."""
+
+    @staticmethod
+    def kernel_calls(monkeypatch):
+        """Rows per ``_clearances`` call of the package and the oracle."""
+        calls, kernel = [], collision._clearances
+
+        def counted(robot, world, configs):
+            calls.append(len(configs))
+            return kernel(robot, world, configs)
+
+        monkeypatch.setattr(collision, "_clearances", counted)
+        monkeypatch.setattr(oracles, "_clearances", counted)
+        return calls
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.sampled_from([0.01, 0.05, 0.2]),
@@ -598,6 +618,7 @@ class TestPathValidationSkipsProvenSamples:
                                      else np.nextafter(robot.lower[joint], -np.inf))
         dense, got = dense_path_verdict(robot, world, waypoints, step)
         assert got is dense
+        assert path_free_bisect(robot, world, waypoints, step) is dense
         if leave_limits:
             assert not got
 
@@ -611,6 +632,7 @@ class TestPathValidationSkipsProvenSamples:
             waypoints[1:] = waypoints[:-1] + 0.2 * (waypoints[1:] - waypoints[:-1])
             dense, got = dense_path_verdict(robot, world, waypoints, 0.02)
             assert got is dense
+            assert path_free_bisect(robot, world, waypoints, 0.02) is dense
             verdicts.append(got)
         assert 0 < sum(verdicts) < len(verdicts)
 
@@ -628,6 +650,7 @@ class TestPathValidationSkipsProvenSamples:
         candidates = np.vstack([rows, far])
         dense, got = dense_path_verdict(robot, world, candidates[picks], step)
         assert got is dense
+        assert path_free_bisect(robot, world, candidates[picks], step) is dense
 
     @pytest.mark.parametrize("side", ["upper", "lower"])
     def test_middle_waypoint_one_ulp_past_a_limit_is_invalid(self, side):
@@ -695,6 +718,45 @@ class TestPathValidationSkipsProvenSamples:
                 blocked += not got
         assert blocked >= 5
 
+    @pytest.mark.parametrize("blocked", [False, True])
+    def test_no_more_kernel_calls_than_bisection(self, monkeypatch, blocked):
+        # A sphere slides 1e-6 past a long box face over 1601 samples, so no
+        # run of samples is proven and each is checked; a thin second box
+        # blocks only sample 1001, at x = 1.005, which bisection reaches at
+        # its last level, since the index is odd.
+        radius = 0.1
+        robot = point_robot(radius)
+        face = box_obstacle((0.0, radius + 1e-6 + 0.25, 0.0), (4.5, 0.25, 0.25))
+        bump = box_obstacle((1.005, radius - 1e-6 + 0.25, 0.0), (0.001, 0.25, 0.25))
+        world = WorldModel((face, bump) if blocked else (face,))
+        waypoints, step = np.array([[-4.0, 0.0, 0.0], [4.0, 0.0, 0.0]]), 0.005
+        configs, _ = motion_configs(robot, waypoints[:1], waypoints[1:], step)
+        assert len(configs) == 1601
+        assert np.flatnonzero(~free_mask_dense(robot, world, configs)).tolist() == (
+            [1001] if blocked else [])
+        calls = self.kernel_calls(monkeypatch)
+        assert path_free(robot, world, waypoints, step) is not blocked
+        split = len(calls)
+        calls.clear()
+        assert path_free_bisect(robot, world, waypoints, step) is not blocked
+        assert split <= len(calls)
+
+    def test_interval_touching_at_both_ends_takes_the_cap(self, monkeypatch):
+        # Every sample touches a box face exactly (all values dyadic), so
+        # the segment's clearance sum is 0: one level cuts it into
+        # _MAX_PIECES pieces of one sample each.  A face 2**-10 closer
+        # collides.
+        robot = gantry_robot(radius=0.25)
+        waypoints = np.array([[1.0, 1.0], [3.0, 1.0]])
+        step = 2.0 / _MAX_PIECES
+        calls = self.kernel_calls(monkeypatch)
+        world = WorldModel((box_obstacle((3.0, 1.5, 0.0), (2.5, 0.25, 0.25)),))
+        assert path_free(robot, world, waypoints, step)
+        assert calls == [2, _MAX_PIECES - 1]
+        assert dense_path_verdict(robot, world, waypoints, step) == (True, True)
+        world = WorldModel((box_obstacle((3.0, 1.5 - 2.0 ** -10, 0.0), (2.5, 0.25, 0.25)),))
+        assert dense_path_verdict(robot, world, waypoints, step) == (False, False)
+
     def test_touching_samples_are_free(self):
         # The motion's middle row touches the sphere obstacle exactly (all
         # values dyadic), so it is checked, and free.
@@ -704,3 +766,64 @@ class TestPathValidationSkipsProvenSamples:
         assert dense_path_verdict(robot, world, waypoints, 0.5) == (True, True)
         world = WorldModel((sphere_obstacle((2.0, 1.5 - 2.0 ** -10, 0.0), 0.25),))
         assert dense_path_verdict(robot, world, waypoints, 0.5) == (False, False)
+
+
+class TestIntervalCuts:
+    """``_pieces`` and ``_cuts``, the rule by which path validation cuts an
+    unproven interval into k equal index pieces."""
+
+    @staticmethod
+    def assert_exact(lo, hi, pieces):
+        # Each cut is floor(w t / k) past lo in exact integers, strictly
+        # increasing and strictly between lo and hi.
+        owner, cut = _cuts(np.array(lo), np.array(hi), np.array(pieces))
+        assert owner.tolist() == [i for i, k in enumerate(pieces) for _ in range(k - 1)]
+        at = 0
+        for a, b, k in zip(lo, hi, pieces):
+            assert 2 <= k <= b - a
+            ends = [a, *cut[at:at + k - 1].tolist(), b]
+            assert ends[1:-1] == [a + (b - a) * t // k for t in range(1, k)]
+            assert all(x < y for x, y in zip(ends, ends[1:]))
+            at += k - 1
+
+    def test_widths_2_to_24_every_piece_count(self):
+        rng = np.random.default_rng(3)
+        cases = [(int(rng.integers(0, 1000)), w, k)
+                 for w in range(2, 25) for k in range(2, min(_MAX_PIECES, w) + 1)]
+        for lo, w, k in cases:
+            self.assert_exact([lo], [lo + w], [k])
+        # All of them stacked in one call.
+        self.assert_exact([lo for lo, _, _ in cases], [lo + w for lo, w, _ in cases],
+                          [k for _, _, k in cases])
+
+    def test_counts_above_2_62_do_not_overflow(self):
+        # The segment of ``test_counts_above_2_62_bisect_exactly``, about
+        # 2**62.9 samples: computed as (w * t) // k, every cut would
+        # overflow int64.
+        robot = gantry_robot()
+        a, b = np.array([1.0, 1.0]), np.array([5.0, 1.0])
+        step = config_distance(robot, a, b) / 2 ** 62.9
+        w = int(_sample_counts(robot, (b - a)[None], step)[0]) - 1
+        assert w > 2 ** 62
+        for k in range(2, _MAX_PIECES + 1):
+            self.assert_exact([0, w // 3, w - 24], [w, w, w], [k, k, min(k, 24)])
+
+    def test_pieces_follow_the_ratio_within_the_clamp(self):
+        # Largest ratios B / G of 0.5, 2, 2.5 and 100, at widths 30, 2 and 5.
+        room = np.full((4, 3), 1.0)
+        bound = np.full((4, 3), 0.25)
+        bound[:, 1] = [0.5, 2.0, 2.5, 100.0]
+        assert _pieces(bound, room, np.full(4, 30)).tolist() == [2, 2, 3, _MAX_PIECES]
+        assert _pieces(bound, room, np.full(4, 2)).tolist() == [2, 2, 2, 2]
+        assert _pieces(bound, room, np.full(4, 5)).tolist() == [2, 2, 3, 5]
+
+    def test_no_clearance_takes_the_cap_without_a_warning(self):
+        # A clearance sum of 0 (both ends touching) or of a rounding error
+        # below it takes the cap, and divides by nothing.
+        bound = np.full((3, 2), 1e-9)
+        room = np.array([[0.0, 1.0], [-1e-17, 1.0], [0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for width in range(2, 25):
+                got = _pieces(bound, room, np.full(3, width)).tolist()
+                assert got == [min(_MAX_PIECES, width)] * 3
