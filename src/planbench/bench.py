@@ -30,7 +30,7 @@ import numpy as np
 from .ara_star import MotionPrimitiveSet, default_primitives, plan_ara_star
 from .core import (FAILURE, SOLVED_BACKWARD, SOLVED_FORWARD, UNSOLVABLE, PlannerResult,
                    path_cost, query_from_scenario)
-from .errors import ContractViolation, PlanbenchError, field_eq
+from .errors import ContractViolation, PlanbenchError, field_eq, integer
 from .params import PlannerParams
 from .rrt_connect import plan_rrt_connect
 from .world import Scenario
@@ -133,8 +133,7 @@ def run_suite(scenarios, planner: str, params: PlannerParams,
     repetition-minor regardless of worker count.  An unknown
     ``planner`` gives one error record per run, as in ``run_one``.
     """
-    if repetitions < 1:
-        raise ContractViolation("repetitions must be >= 1")
+    repetitions = integer(repetitions, "repetitions", least=1)
     scenarios = list(scenarios)
     tasks = []
     for index, scenario in enumerate(scenarios):

@@ -2,12 +2,12 @@
 
 A configuration is free when it is inside the joint limits, no placed robot
 sphere penetrates an obstacle, and no checked sphere pair overlaps (center
-distance strictly below the radius sum).  A sphere penetrates a box or a
-cylinder when the squared distance from its center to the solid (zero
-inside it) is strictly below its squared radius, and a sphere obstacle when
-the squared center distance is strictly below the squared radius sum; so
-touching counts as free.  Sphere pairs on the same or chain-adjacent links
-are never checked.
+distance strictly below the radius sum).  Every obstacle, a box, a
+cylinder or a sphere, is a solid, and a robot sphere penetrates it when its
+center is strictly nearer to the solid than its radius: when the squared
+distance from the center to the solid (zero inside it) is strictly below
+the squared radius, so touching counts as free.  Sphere pairs on the same
+or chain-adjacent links are never checked.
 
 A batch call first drops every (sphere, obstacle) pair whose bounding boxes
 over the batch are separated: the box around the sphere's centers in every
@@ -33,7 +33,7 @@ counts as free.  A run that is not proven is cut into as many equal pieces,
 adaptive step of Schwarzer, Saha & Latombe (T-RO 2005).  ``_clearances``
 computes every sphere-obstacle pair exactly, with no broadphase,
 component-major in 256-row blocks, with one square root per sphere for all
-boxes and cylinders.  Certifying the continuous sweep is ROADMAP item 1.
+obstacles.  Certifying the continuous sweep is ROADMAP item 1.
 
 Everything here is a pure function over immutable inputs and safe to call
 concurrently from any number of workers.
@@ -57,28 +57,26 @@ _CLEARANCE_ROWS = 256
 _MAX_PIECES = 8
 
 
-def _squared_excess(shape: str, pack: dict, obs, rel: np.ndarray,
-                    radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Squared excess and reach of the sphere-center offsets ``rel`` (3, ...),
-    x, y and z stacked first and overwritten, from the obstacles ``obs`` of
-    one shape's ``pack``, for spheres of ``radii``: a sphere penetrates iff
-    the excess is below the squared reach, and its clearance is the excess'
-    square root less the reach.
+def _squared_excess(shape: str, pack: dict, obs, rel: np.ndarray) -> np.ndarray:
+    """Squared distance from the sphere-center offsets ``rel`` (3, ...), x, y
+    and z stacked first and overwritten, to the solids ``obs`` of one shape's
+    ``pack``, zero inside one: a sphere of radius r penetrates a solid iff
+    this is below r², and its clearance is the square root less r.
 
     ``obs`` makes each per-obstacle parameter broadcast against a component:
     the penetration mask's (m, k) components of k gathered pairs take the
     pairs' obstacle indices, the clearance kernel's (k, N) ones of every
     obstacle against N centers take ``np.s_[:, None]``, a (k, 1) column, and
-    an entry's arithmetic is the same either way.  A box's or cylinder's
-    excess is the squared distance from the center to the solid (zero inside
-    it) and its reach the sphere radius; a sphere obstacle's are the squared
-    center distance, (dx² + dy²) + dz², and the radius sum.
+    an entry's arithmetic is the same either way.  It is the sum of
+    max(a, 0)² over the solid's axes a: a box's three face offsets in its
+    yawed frame, a cylinder's radial and axial ones, and a sphere obstacle's
+    one, sqrt((dx² + dy²) + dz²) less its radius.
     """
     x, y, z = rel
     if shape == SPHERE:
         rel *= rel
-        return x + y + z, pack["radius"][obs] + radii
-    if shape == BOX:
+        axes = (np.sqrt(x + y + z) - pack["radius"][obs],)
+    elif shape == BOX:
         c, s = pack["cos"][obs], pack["sin"][obs]
         half = pack["half_extents"][obs]
         axes = (np.abs(c * x + s * y) - half[..., 0],
@@ -93,7 +91,7 @@ def _squared_excess(shape: str, pack: dict, obs, rel: np.ndarray,
     excess = axes[0]
     for a in axes[1:]:
         excess += a
-    return excess, radii
+    return excess
 
 
 def _world_penetration_mask(world: WorldModel, centers: np.ndarray,
@@ -120,8 +118,8 @@ def _world_penetration_mask(world: WorldModel, centers: np.ndarray,
         if len(sph):
             rel = centers[:, sph]
             rel -= pack["center"][obs]
-            excess, reach = _squared_excess(shape, pack, obs, rel.transpose(2, 0, 1), radii[sph])
-            hit[:, sph, pack["index"][obs]] = excess < reach * reach
+            excess = _squared_excess(shape, pack, obs, rel.transpose(2, 0, 1))
+            hit[:, sph, pack["index"][obs]] = excess < radii[sph] * radii[sph]
     return hit
 
 
@@ -173,14 +171,12 @@ def _clearances(robot: RobotModel, world: WorldModel,
     kernel is component-major: per ``_CLEARANCE_ROWS`` rows, one contiguous
     (3, N) copy of their N sphere centers and per shape the (3, k, N) offsets
     from its k obstacles, whose parameters are (k, 1) columns, with no pair
-    index (300 KB of box offsets at 256 rows of ``shelf_reach``).  Boxes and
-    cylinders share the reach r, the sphere radius, so their least squared
-    excess e comes first, then one square root gives the clearance
-    sqrt(e) - r and one comparison the verdict e < r².  That is exact: IEEE
-    square root is correctly rounded, hence monotone, as is subtracting r,
-    so min_k(sqrt(e_k) - r) is sqrt(min_k e_k) - r bit for bit, and some
-    e_k < r² iff min_k e_k < r².  A sphere obstacle's reach R + r differs
-    per obstacle, so its clearances are taken before their minimum.
+    index (300 KB of box offsets at 256 rows of ``shelf_reach``).  Every
+    obstacle's least squared distance e comes first, then one square root
+    gives the clearance sqrt(e) - r and one comparison the verdict e < r².
+    That is exact: IEEE square root is correctly rounded, hence monotone, as
+    is subtracting r, so min_k(sqrt(e_k) - r) is sqrt(min_k e_k) - r bit for
+    bit, and some e_k < r² iff min_k e_k < r².
     """
     radii = robot.sphere_radii
     first, second, reach_sq = robot.self_pair_arrays
@@ -193,24 +189,17 @@ def _clearances(robot: RobotModel, world: WorldModel,
         n = len(block) * ns  # column j S + s is sphere s of row j
         points = np.ascontiguousarray(block.transpose(2, 0, 1)).reshape(3, 1, n)
         r = np.tile(radii, len(block))
-        nearest = np.full(n, np.inf)  # min squared excess over boxes and cylinders
-        for shape in (BOX, CYLINDER):
+        nearest = np.full(n, np.inf)  # least squared distance to any obstacle
+        for shape in (BOX, CYLINDER, SPHERE):
             pack = world.packs[shape]
             if len(pack["index"]):
                 rel = np.subtract(points, pack["center"].T[:, :, None], order="C")
-                excess, _ = _squared_excess(shape, pack, np.s_[:, None], rel, r)
+                excess = _squared_excess(shape, pack, np.s_[:, None], rel)
                 np.minimum(nearest, excess.min(axis=0), out=nearest)
-        hit, gap = nearest < r * r, np.sqrt(nearest) - r
-        pack = world.packs[SPHERE]
-        if len(pack["index"]):
-            rel = np.subtract(points, pack["center"].T[:, :, None], order="C")
-            excess, reach = _squared_excess(SPHERE, pack, np.s_[:, None], rel, r)
-            hit |= (excess < reach * reach).any(axis=0)
-            excess = np.sqrt(excess, out=excess) - reach
-            np.minimum(gap, excess.min(axis=0), out=gap)
-        gaps[rows, :ns] = gap.reshape(-1, ns)
+        gaps[rows, :ns] = (np.sqrt(nearest) - r).reshape(-1, ns)
         dist_sq = _self_distances_sq(robot, block)
-        free[rows] = ~hit.reshape(-1, ns).any(axis=1) & ~(dist_sq < reach_sq).any(axis=1)
+        hit = (nearest < r * r).reshape(-1, ns)
+        free[rows] = ~hit.any(axis=1) & ~(dist_sq < reach_sq).any(axis=1)
         gaps[rows, ns:] = np.sqrt(dist_sq) - (radii[first] + radii[second])
     return free, gaps
 

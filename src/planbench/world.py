@@ -200,8 +200,9 @@ class VariationSpec:
 
     Obstacles are tagged by list position: ``shelf_indices`` move as one rigid
     group for height/rotation, ``object_indices`` additionally jitter in xy.
-    When a scenario file omits the block entirely, every obstacle is treated
-    as a movable object.
+    An index is listed at most once in the two, since each listing moves the
+    obstacle.  When a scenario file omits the block entirely, every obstacle
+    is treated as a movable object.
     """
 
     object_jitter_xy: float = 0.1
@@ -214,6 +215,9 @@ class VariationSpec:
         for name in ("shelf_indices", "object_indices"):
             object.__setattr__(self, name, tuple(integer(i, f"variation {name} entry")
                                                  for i in getattr(self, name)))
+        moved = self.shelf_indices + self.object_indices
+        if len(set(moved)) < len(moved):
+            raise ValidationError(f"variation lists an obstacle index twice: {list(moved)}")
         for name in ("object_jitter_xy", "height_range", "yaw_range_deg"):
             object.__setattr__(self, name, real(getattr(self, name), f"variation {name}"))
             if getattr(self, name) < 0:
@@ -360,8 +364,8 @@ def generate_variations(base: Scenario, family: str, count: int, seed: int) -> l
     """
     if family not in FAMILIES:
         raise ContractViolation(f"unknown variation family {family!r}")
-    if count < 1:
-        raise ContractViolation("variation count must be >= 1")
+    count = integer(count, "variation count", least=1)
+    seed = integer(seed, "variation seed", least=0)
     var = base.variation or VariationSpec(
         object_indices=tuple(range(len(base.world.obstacles))))
     moved = var.shelf_indices + var.object_indices

@@ -26,9 +26,13 @@ axis-aligned robots (within 1e-12 on random ones, whose rounding the
 homogeneous chain changes), and its masks and verdicts exactly.  The
 gather clearance kernel is the package's earlier ``_clearances``, kept
 verbatim; the component-major kernel must reproduce its verdicts and
-clearances bit for bit.  The midpoint bisection ``path_free_bisect`` is the
-package's earlier path-validation loop, kept verbatim; the package's loop
-must reach its verdicts, which are the dense ones, in no more kernel calls.
+clearances bit for bit.  In both kernels a sphere obstacle has since become
+a solid ball, as boxes and cylinders are: its distance is the center
+distance less its radius, zero inside it, against the robot sphere's
+radius, not the center distance against the radius sum.  The midpoint
+bisection ``path_free_bisect`` is the package's earlier path-validation
+loop, kept verbatim; the package's loop must reach its verdicts, which are
+the dense ones, in no more kernel calls.
 """
 
 from __future__ import annotations
@@ -279,7 +283,8 @@ def sphere_centers_3x3(robot, configs):
 
 
 def world_mask_dense(world, centers, radii):
-    """Penetration mask (m, S, O) with every (sphere, obstacle) pair tested."""
+    """Penetration mask (m, S, O) with every (sphere, obstacle) pair tested;
+    a sphere obstacle is measured as a solid ball."""
     packs = world.packs
     m, ns = centers.shape[0], centers.shape[1]
     hit = np.zeros((m, ns, len(world.obstacles)), dtype=bool)
@@ -310,9 +315,9 @@ def world_mask_dense(world, centers, radii):
     pack = packs["sphere"]
     if len(pack["index"]):
         rel = centers[:, :, None, :] - pack["center"]
-        dist_sq = np.sum(rel * rel, axis=-1)
-        reach = pack["radius"][None, None, :] + radii[None, :, None]
-        hit[:, :, pack["index"]] = dist_sq < reach * reach
+        dr = np.sqrt(np.sum(rel * rel, axis=-1)) - pack["radius"]
+        np.maximum(dr, 0.0, out=dr)
+        hit[:, :, pack["index"]] = dr * dr < r_sq
     return hit
 
 
@@ -343,7 +348,8 @@ def free_mask_dense(robot, world, configs):
 
 # ---------------------------------------------------------------------------
 # The gather clearance kernel: the package's earlier ``_clearances``, kept
-# verbatim apart from its names.  It gathers every (sphere, obstacle) pair's
+# verbatim apart from its names and its sphere-obstacle rule (see the module
+# docstring).  It gathers every (sphere, obstacle) pair's
 # parameters through ``np.indices`` pair arrays, takes each pair's square
 # root, and stacks 64-row blocks; the package's kernel must reproduce its
 # verdicts and clearances bit for bit.
@@ -356,8 +362,8 @@ def _squared_excess_gather(shape, pack, centers, sph, obs, radii):
     rel -= pack["center"][obs]
     if shape == SPHERE:
         rel *= rel
-        return rel.sum(axis=-1), pack["radius"][obs] + radii
-    if shape == BOX:
+        axes = (np.sqrt(rel.sum(axis=-1)) - pack["radius"][obs],)
+    elif shape == BOX:
         c, s = pack["cos"][obs], pack["sin"][obs]
         half = pack["half_extents"][obs]
         axes = (np.abs(c * rel[..., 0] + s * rel[..., 1]) - half[:, 0],

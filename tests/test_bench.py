@@ -8,7 +8,7 @@ from planbench.bench import (ARA_STAR, CSV_HEADER, RRT_CONNECT, STATUSES, RunRec
                              aggregate, emit_csv, emit_table, plan, run_one, run_suite)
 from planbench.core import (BUDGET_GRACE, FAILURE, SOLVED_BACKWARD, SOLVED_FORWARD,
                             UNSOLVABLE)
-from planbench.errors import ContractViolation
+from planbench.errors import ContractViolation, ValidationError
 from planbench.params import parse_params
 from planbench.world import GoalSpec, Scenario, WorldModel, parse_scenario
 
@@ -157,8 +157,11 @@ class TestRunSuite:
         assert all(r.status != "solved-backward" for r in records)
 
     def test_input_validation(self, suite):
-        with pytest.raises(ContractViolation):
-            run_suite(suite, RRT_CONNECT, PARAMS, repetitions=0)
+        # repetitions enters through errors.integer: 2.5 and True once passed
+        # the bare `< 1` test.
+        for repetitions in (0, 2.5, True, "1"):
+            with pytest.raises(ValidationError):
+                run_suite(suite, RRT_CONNECT, PARAMS, repetitions=repetitions)
 
     def test_unknown_planner_gives_error_records(self, suite):
         # Errors never abort the suite: each run becomes an error record.

@@ -271,6 +271,16 @@ class TestGen:
             scenario = load_scenario(f)
             assert scenario.world.obstacles[0] == base.world.obstacles[0]
 
+    @pytest.mark.parametrize("count, seed, what", [("2", "-1", "seed"), ("0", "3", "count")])
+    def test_invalid_count_or_seed_reports_error(self, workdir, capsys, count, seed, what):
+        # A negative seed once reached numpy's generator and ended in its
+        # traceback.
+        code = main(["gen", "--base", str(workdir / "case.scenario"), "--family", "objects",
+                     "--count", count, "--seed", seed, "--out", str(workdir / "g")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: variation {what} must be at least")
+        assert not (workdir / "g").exists()
+
 
 class TestBench:
     def test_bench_writes_csv_and_table(self, workdir, capsys):

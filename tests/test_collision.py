@@ -545,19 +545,36 @@ class TestClearances:
 
     def test_touching_is_free_with_zero_clearance(self):
         # Dyadic sizes make each contact exact: the sphere touches a box
-        # face, a cylinder side or a sphere obstacle, and a row 2**-20
-        # closer penetrates.
+        # face, a cylinder side or a sphere obstacle, on its axis or off it
+        # at (0.75, 1, 0), whose distance 1.25 from the center is exact, and
+        # a row 2**-20 closer penetrates, by the penetration mask too.
         robot = point_robot(0.25)
         shapes = (box_obstacle((0.0, 0.0, 0.0), (0.5, 0.5, 0.5)),
                   cylinder_obstacle((0.0, 0.0, 0.0), 0.5, 0.5),
-                  sphere_obstacle((0.0, 0.0, 0.0), 0.5))
-        touching = np.array([[0.75, 0.0, 0.0], [0.0, -0.75, 0.25], [0.0, 0.0, 0.75]])
+                  sphere_obstacle((0.0, 0.0, 0.0), 0.5),
+                  sphere_obstacle((0.0, 0.0, 0.0), 1.0))
+        touching = np.array([[0.75, 0.0, 0.0], [0.0, -0.75, 0.25], [0.0, 0.0, 0.75],
+                             [0.75, 1.0, 0.0]])
         for obstacle, q in zip(shapes, touching):
             world = WorldModel((obstacle,))
-            closer = q * (1 - 2.0**-20)
-            free, gaps = _clearances(robot, world, np.vstack([q, closer]))
+            rows = np.vstack([q, q * (1 - 2.0**-20)])
+            assert free_mask(robot, world, rows).tolist() == [True, False]
+            free, gaps = _clearances(robot, world, rows)
             assert free.tolist() == [True, False]
             assert gaps[0, 0] == 0.0 and gaps[1, 0] < 0.0
+
+    @pytest.mark.parametrize("obstacle", [
+        box_obstacle((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
+        cylinder_obstacle((0.0, 0.0, 0.0), 1.0, 1.0),
+        sphere_obstacle((0.0, 0.0, 0.0), 1.0),
+    ], ids=["box", "cylinder", "sphere"])
+    def test_center_inside_a_solid_reads_minus_radius(self, obstacle):
+        # A center 0.25 inside any obstacle is at distance 0 from the solid,
+        # so its clearance is exactly -r, never |c - o| - R - r.
+        robot = point_robot(0.75)
+        free, gaps = _clearances(robot, WorldModel((obstacle,)), np.array([[0.75, 0.0, 0.0]]))
+        assert free.tolist() == [False]
+        assert gaps[0, 0] == -0.75
 
     def test_no_obstacle_is_infinitely_far(self):
         robot = TestCheckConfig._folding_chain()

@@ -5,6 +5,7 @@ function, class, class member or class field exists only for the tests, only
 infinity by hand, every dataclass with an array field compares through
 ``errors.field_eq``, only ``errors.py`` loads and only
 ``world.py`` dumps YAML, only ``collision.py`` samples motions, only
+``collision._squared_excess`` names a single obstacle shape there, only
 ``core.py`` screens queries and builds planner results, every function the
 benchmark traces exists, and the tests import nothing they do
 not use."""
@@ -190,6 +191,25 @@ def test_motions_sampled_only_in_collision():
     found = [path.name for path in SOURCES
              if _names(ast.parse(path.read_text(encoding="utf-8")))["motion_configs"]]
     assert found == ["collision.py"]
+
+
+def test_one_obstacle_rule_in_collision():
+    # collision._squared_excess measures every shape as a solid; elsewhere in
+    # collision.py a shape is named only in a loop over all three, so no
+    # caller keeps a second penetration rule or reach for one shape.
+    shapes = ["BOX", "CYLINDER", "SPHERE"]
+    tree = ast.parse((Path(planbench.__file__).parent / "collision.py")
+                     .read_text(encoding="utf-8"))
+    excess = next(node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+                  and node.name == "_squared_excess")
+    loops = [node.iter.elts for node in ast.walk(tree)
+             if isinstance(node, ast.For) and isinstance(node.iter, ast.Tuple)
+             and [getattr(e, "id", None) for e in node.iter.elts] == shapes]
+    allowed = {id(n) for n in ast.walk(excess)} | {id(e) for elts in loops for e in elts}
+    found = [f"collision.py:{n.lineno} {n.id}" for n in ast.walk(tree)
+             if isinstance(n, ast.Name) and n.id in shapes and id(n) not in allowed]
+    assert found == []
+    assert len(loops) == 2  # the penetration mask's and the clearance kernel's
 
 
 def test_one_planning_frame():

@@ -621,10 +621,28 @@ class TestVariations:
 
     def test_count_and_family_validation(self, tmp_path, gantry_file):
         base = shelf_scenario(tmp_path, gantry_file)
-        with pytest.raises(ContractViolation):
-            generate_variations(base, "objects_only", 0, seed=1)
+        # A count or seed enters through errors.integer: 2.5 once raised
+        # TypeError, True passed as 1 and a negative seed reached numpy.
+        for count, seed in ((0, 1), (2.5, 1), (True, 1), ("2", 1), (1, -1), (1, 1.0)):
+            with pytest.raises(ValidationError):
+                generate_variations(base, "objects_only", count, seed=seed)
         with pytest.raises(ContractViolation):
             generate_variations(base, "everything", 1, seed=1)
+        assert len(generate_variations(base, "objects_only", np.int64(2), seed=np.int64(0))) == 2
+
+    def test_an_index_listed_twice_is_rejected(self):
+        # Each listing moved the obstacle once more: on shelf_reach under
+        # plus_height at seed 7, board 0 also listed as an object ended at
+        # z = 0.352 instead of 0.510, with an xy jitter it should not get.
+        for shelf, objects in (((0,), (0, 1)), ((0, 0), (1,)), ((0,), (1, 2, 1))):
+            with pytest.raises(ValidationError, match="twice"):
+                VariationSpec(shelf_indices=shelf, object_indices=objects)
+        path = data_path("scenarios", "shelf_reach.yaml")
+        text = path.read_text(encoding="utf-8")
+        assert parse_scenario(text, base_dir=path.parent).variation.shelf_indices[0] == 0
+        with pytest.raises(ValidationError, match="twice"):
+            parse_scenario(text.replace("  object_indices:\n", "  object_indices:\n  - 0\n"),
+                           base_dir=path.parent)
 
     def test_all_outputs_serializable(self, tmp_path, gantry_file):
         base = shelf_scenario(tmp_path, gantry_file)
