@@ -113,9 +113,9 @@ class AraParams:
 
 @dataclass
 class SearchStats:
-    """Per-inflation bookkeeping of one anytime search."""
+    """Per-inflation bookkeeping of one anytime search: iteration i searched
+    at ``epsilon_schedule[i]``, the schedule's prefix as long as these lists."""
 
-    epsilons: list[float] = field(default_factory=list)
     expansions_per_epsilon: list[int] = field(default_factory=list)
     incumbent_costs: list[float | None] = field(default_factory=list)
     reopened: int = 0
@@ -414,7 +414,6 @@ def ara_search(start_state: tuple[int, ...], goal: GoalSpec,
                                               nxt, sequence))
             if out_of_time():  # polled after every expansion and resolution
                 break
-        search_stats.epsilons.append(eps)
         search_stats.expansions_per_epsilon.append(expansions)
         search_stats.incumbent_costs.append(
             None if best_node is None else best_cost)

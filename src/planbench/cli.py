@@ -137,6 +137,9 @@ def _cmd_bench(args) -> int:
         if planner not in PLANNERS:
             print(f"unknown planner {planner!r}", file=sys.stderr)
             return 1
+        if planners.count(planner) > 1:
+            print(f"planner {planner!r} listed twice in --planners", file=sys.stderr)
+            return 1
     primitives = _load_primitives_arg(args.primitives, scenarios[0].robot)
 
     records = []

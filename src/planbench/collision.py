@@ -25,15 +25,15 @@ configurations along the segment; this is discretized edge checking, not
 continuous collision detection.  A planner's motions (``motions_free``) have
 every configuration checked, in one batch with no early stop at the first
 colliding one.  A path (``path_free``) gets the same verdict with most
-configurations skipped: a run of samples between two checked ones is proven
-free when the two's clearances exceed by 1e-9, far above rounding, how far
-the robot's lever arms let each sphere move between them, so touching still
-counts as free.  A run that is not proven is cut into as many equal pieces,
-2 to 8, as the ratio of that motion bound to the clearances asks for, the
-adaptive step of Schwarzer, Saha & Latombe (T-RO 2005).  ``_clearances``
-computes every sphere-obstacle pair exactly, with no broadphase,
-component-major in 256-row blocks, with one square root per sphere for all
-obstacles.  Certifying the continuous sweep is ROADMAP item 1.
+configurations skipped: a run of k sample steps between two checked ones
+is proven free when the two's clearances exceed by 1e-9, far above
+rounding, k times how far the robot's lever arms let each sphere move per
+step, so touching still counts as free.  A run that is not proven is cut
+into as many equal pieces, 2 to 8, as the ratio of that motion bound to the
+clearances asks for, the adaptive step of Schwarzer, Saha & Latombe (T-RO
+2005).  ``_clearances`` computes every sphere-obstacle pair exactly, with
+no broadphase, component-major in 256-row blocks, one square root per
+sphere.  Certifying the continuous sweep is ROADMAP item 1.
 
 Everything here is a pure function over immutable inputs and safe to call
 concurrently from any number of workers.
@@ -137,7 +137,7 @@ def free_mask(robot: RobotModel, world: WorldModel, configs: np.ndarray,
     if world.obstacles:
         mask = _world_penetration_mask(world, centers, robot.sphere_radii)
         ok &= ~mask.any(axis=(1, 2))
-    ok &= ~_self_overlap_mask(robot, centers).any(axis=1)
+    ok &= ~(_self_distances_sq(robot, centers) < robot.self_pair_arrays[2]).any(axis=1)
     return ok
 
 
@@ -151,11 +151,6 @@ def _self_distances_sq(robot: RobotModel, centers: np.ndarray) -> np.ndarray:
     dist_sq = diff[..., 0] + diff[..., 1]
     dist_sq += diff[..., 2]
     return dist_sq
-
-
-def _self_overlap_mask(robot: RobotModel, centers: np.ndarray) -> np.ndarray:
-    """Boolean overlap per checked sphere pair (m, P), lexicographic order."""
-    return _self_distances_sq(robot, centers) < robot.self_pair_arrays[2]
 
 
 def _clearances(robot: RobotModel, world: WorldModel,
@@ -321,22 +316,24 @@ def path_free(robot: RobotModel, world: WorldModel, waypoints: np.ndarray,
     Every row is within the joint limits iff the waypoints and each
     segment's second and second-to-last rows are, since a segment's rows
     are monotone in each joint.  One ``_clearances`` call then evaluates the
-    waypoints, which are the segments' end rows.  A segment's rows i < j < k,
-    with i and k evaluated and free, lie on one line, so each sphere center
-    at j is within Σ_l arm[l] |q_jl - q_il| of its center at i and within
-    Σ_l arm[l] |q_kl - q_jl| of its center at k (``RobotModel.lever_arms``),
-    and the two bounds add up to the bound B from i to k.  Rows i and k
-    prove every row between them free when each sphere's clearances satisfy
-    clr(i) + clr(k) > B + 1e-9, and each checked pair's satisfy the same test
-    with both spheres' bounds summed: every clearance at j is then above
-    5e-10 m, so no pair touches.  The 1e-9 margin is far above the FK and
-    rounding error, about 1e-15 m on meter-scale robots.  An interval that
-    is not proven is cut into k equal index pieces, k the ceiling of the
-    largest ratio of B + 1e-9 to clr(i) + clr(k) over its spheres and pairs,
-    2 to min(8, its width) (``_pieces``, ``_cuts``); the cuts of all
-    intervals go into one call per level, and the first row found in
-    collision returns False.  Touching still counts as free, since each
-    evaluated row's verdict is exactly its ``free_mask`` verdict.
+    waypoints, which are the segments' end rows.  Row j of a segment of c
+    rows and joint step δ is its start plus j / (c - 1) δ, so each sphere
+    center moves at most rate = Σ_l arm[l] |δ_l| / (c - 1) per index
+    (``RobotModel.lever_arms``), and a checked pair its spheres' rates
+    summed.  Between rows i < j < k, with i and k evaluated and free, each
+    center at j is within (j - i) rate of its center at i and (k - j) rate
+    of its center at k, which add up to B = (k - i) rate.  Rows i and k
+    prove every row between them free when each sphere's and each checked
+    pair's clearances satisfy clr(i) + clr(k) > B + 1e-9: every clearance
+    at j is then above 5e-10 m, so no pair touches.  The 1e-9 margin is far
+    above the FK error and the rounding of ``_samples``' t = j (1 / (c - 1)),
+    about 1e-16 relative.  An interval that is not proven is cut into k
+    equal index pieces, k the ceiling of the largest ratio of B + 1e-9 to
+    clr(i) + clr(k) over its spheres and pairs, 2 to min(8, its width)
+    (``_pieces``, ``_cuts``); the cuts of all intervals go into one call per
+    level, and the first row found in collision returns False.  Touching
+    still counts as free, since each evaluated row's verdict is exactly its
+    ``free_mask`` verdict.
     """
     if waypoints.shape[1] != robot.dof:
         raise ContractViolation(
@@ -358,29 +355,26 @@ def path_free(robot: RobotModel, world: WorldModel, waypoints: np.ndarray,
         return False
     first, second, _ = robot.self_pair_arrays
     arms = np.vstack([robot.lever_arms, robot.lever_arms[first] + robot.lever_arms[second]])
-    arms = np.ascontiguousarray(arms.T)  # (n, S + P)
-    # Each pending interval: its segment, its end rows, and their
-    # configurations and clearances.
+    rate = (np.abs(delta) @ arms.T) / np.maximum(counts - 1, 1)[:, None]
+    # Each pending interval: its segment, its end rows and their clearances.
     motion, lo, hi = np.arange(len(ends)), np.zeros(len(ends), dtype=int), counts - 1
-    q_lo, q_hi = starts, ends
     gap_lo, gap_hi = gaps[:len(ends)], gaps[len(waypoints) - len(ends):]
     while True:
         # clr(i) + clr(k) > B + margin, tested as clr(k) > B + margin - clr(i)
         # in one (intervals, S + P) array: the margin dwarfs the rounding.
-        bound = np.abs(q_hi - q_lo) @ arms
+        bound = (hi - lo)[:, None] * rate[motion]
         bound += _PROOF_MARGIN
         pending = (hi - lo > 1) & ~np.all(bound - gap_lo < gap_hi, axis=1)
         if not pending.any():
             return True
         # One array at a time, so that each old one is freed before the next.
         motion, lo, hi = motion[pending], lo[pending], hi[pending]
-        q_lo, q_hi = q_lo[pending], q_hi[pending]
         gap_lo, gap_hi = gap_lo[pending], gap_hi[pending]
         pieces = _pieces(bound[pending], gap_lo + gap_hi, hi - lo)
         del bound
         owner, cut = _cuts(lo, hi, pieces)
-        q_cut = _samples(starts, delta, counts, motion[owner], cut)
-        free, gap_cut = _clearances(robot, world, q_cut)
+        free, gap_cut = _clearances(robot, world,
+                                    _samples(starts, delta, counts, motion[owner], cut))
         if not free.all():
             return False
         # Interval i becomes a piece from lo to its first cut, then one from
@@ -391,6 +385,5 @@ def path_free(robot: RobotModel, world: WorldModel, waypoints: np.ndarray,
         right = np.concatenate([last + 2 - pieces, right])
         motion = np.concatenate([motion, motion[owner]])
         lo, hi = np.concatenate([lo, cut]), np.concatenate([cut, hi])[right]
-        q_lo, q_hi = np.concatenate([q_lo, q_cut]), np.concatenate([q_cut, q_hi])[right]
         gap_lo = np.concatenate([gap_lo, gap_cut])
         gap_hi = np.concatenate([gap_cut, gap_hi])[right]

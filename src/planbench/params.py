@@ -1,9 +1,9 @@
 """Planner parameter files: a ``common`` section plus per-planner sections.
 
 Each key lives in one section: ``common`` holds the one ``edge_step`` both
-planners check edges at, and RRT-Connect's ``seed``.  Unknown keys anywhere
-in the document, a per-planner ``edge_step`` or ``seed`` among them, are
-rejected at load time so typos cannot silently fall back to defaults.
+planners check edges at.  Unknown keys, a per-planner ``edge_step`` or a
+``seed`` (RRT-Connect's seed is a run argument) among them, are rejected at
+load time so typos cannot silently fall back to defaults.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from .ara_star import AraParams
 from .errors import ValidationError, check_keys, parse_mapping, read_text, real
 from .rrt_connect import RrtParams
 
-_SECTION_KEYS = {"common": {"edge_step", "goal_tolerance_default", "seed"},
+_SECTION_KEYS = {"common": {"edge_step", "goal_tolerance_default"},
                  "rrt_connect": {"step_eta", "max_iterations"},
                  "ara_star": {"epsilon_schedule"}}
 
@@ -47,10 +47,9 @@ def _build(doc: dict) -> PlannerParams:
     # every value and supply every default.
     common, rrt, ara = (dict(check_keys(doc.get(name) or {}, f"{name} section", keys))
                         for name, keys in _SECTION_KEYS.items())
-    shared = {key: common.pop(key) for key in ("edge_step", "seed") if key in common}
-    rrt = RrtParams(**shared, **rrt)
-    shared.pop("seed", None)  # ARA* draws no random numbers
-    return PlannerParams(**common, rrt_connect=rrt, ara_star=AraParams(**shared, **ara))
+    shared = {"edge_step": common.pop("edge_step")} if "edge_step" in common else {}
+    return PlannerParams(**common, rrt_connect=RrtParams(**shared, **rrt),
+                         ara_star=AraParams(**shared, **ara))
 
 
 def parse_params(text: str) -> PlannerParams:

@@ -13,6 +13,7 @@ for a whole batch, and places every sphere center in one more matmul.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -207,28 +208,20 @@ class RobotModel:
         return _frozen(arms)
 
     @cached_property
-    def self_collision_pairs(self) -> np.ndarray:
-        """Sphere index pairs checked for self-collision, in lexicographic order.
-
-        Pairs on the same or chain-adjacent links are skipped: spheres
-        straddling a joint overlap by construction.
-        """
-        pairs = []
-        for i in range(len(self.spheres)):
-            for j in range(i + 1, len(self.spheres)):
-                if abs(self.spheres[i].link - self.spheres[j].link) <= 1:
-                    continue
-                if (i, j) in self.self_collision_ignored:
-                    continue
-                pairs.append((i, j))
-        return _frozen(np.array(pairs, dtype=int).reshape(len(pairs), 2))
-
-    @cached_property
     def self_pair_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """First and second sphere index and (r_i + r_j)**2 of each checked pair."""
-        first, second = _frozen(self.self_collision_pairs.T.copy())
+        """First and second sphere index and (r_i + r_j)**2 of each sphere
+        pair checked for self-collision, in lexicographic order.
+
+        Pairs on the same or chain-adjacent links, where spheres straddling
+        a joint overlap by construction, and ignored pairs are skipped.
+        """
+        spheres = self.spheres
+        pairs = [(i, j) for i, j in itertools.combinations(range(len(spheres)), 2)
+                 if abs(spheres[i].link - spheres[j].link) > 1
+                 and (i, j) not in self.self_collision_ignored]
+        first, second = np.array(pairs, dtype=int).reshape(len(pairs), 2).T.copy()
         reach = self.sphere_radii[first] + self.sphere_radii[second]
-        return first, second, _frozen(reach * reach)
+        return _frozen(first), _frozen(second), _frozen(reach * reach)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

@@ -675,7 +675,6 @@ def ara_search_eager(start_state, goal, primitives, params, robot, world):
                             search_stats.reopened += 1
                     else:
                         heapq.heappush(heap, (tentative + eps * h(nxt), -tentative, nxt))
-        search_stats.epsilons.append(eps)
         search_stats.expansions_per_epsilon.append(expansions)
         search_stats.incumbent_costs.append(None if best_node is None else best_cost)
         seeds = {s for _, neg_g, s in heap if -neg_g == g[s]} | incons

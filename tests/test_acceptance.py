@@ -124,7 +124,7 @@ def test_c04_bounded_suboptimality(lattice_cases):
                                      world, deadline=math.inf)
         assert solution is not None
         previous = float("inf")
-        for eps, cost in zip(stats.epsilons, stats.incumbent_costs):
+        for eps, cost in zip(schedule, stats.incumbent_costs):
             if cost is None:
                 continue
             assert cost <= eps * optimum + 1e-9

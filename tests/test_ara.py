@@ -64,7 +64,7 @@ class TestAraSearch:
                                          deadline=math.inf)
             assert solution is not None
             previous = math.inf
-            for eps, cost in zip(stats.epsilons, stats.incumbent_costs):
+            for eps, cost in zip(schedule, stats.incumbent_costs):
                 if cost is None:
                     continue
                 assert cost <= eps * optimum + 1e-9
@@ -201,7 +201,7 @@ class TestEagerEquivalence:
         stats = assert_same_as_eager(start, goal, default_primitives(robot),
                                      AraParams(epsilon_schedule=DEFAULT_SCHEDULE),
                                      robot, world)
-        assert stats.epsilons == list(DEFAULT_SCHEDULE)
+        assert len(stats.expansions_per_epsilon) == len(DEFAULT_SCHEDULE)
 
     def test_shelf_chain_rewired_after_last_iteration(self, shelf_suite):
         # Ending the schedule above 1 leaves an improving candidate of a

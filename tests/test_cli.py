@@ -230,12 +230,16 @@ class TestPlan:
 
     @pytest.mark.parametrize("extra", [["--seed", "-1"], ["--params", "seed.yaml"]])
     def test_invalid_seed_reports_error(self, workdir, capsys, monkeypatch, extra):
+        # A params document holds no seed, whatever its value: the seed is a
+        # run argument.
         monkeypatch.chdir(workdir)
         (workdir / "seed.yaml").write_text("common: {seed: -3}\n")
         code = main(["plan", "--scenario", "case.scenario", "--planner", "rrt-connect",
                      *extra])
         assert code == 1
-        assert capsys.readouterr().err.startswith("error: seed must be")
+        assert capsys.readouterr().err.startswith(
+            "error: seed must be" if extra[0] == "--seed"
+            else "error: unknown common section keys: ['seed']")
 
 
 class TestGen:
@@ -347,6 +351,14 @@ class TestBench:
         code = main(["bench", "--suite", str(workdir), "--planners", "prm",
                      "--out", str(workdir / "x.csv")])
         assert code == 1
+
+    def test_planner_listed_twice_rejected(self, workdir, capsys):
+        # It once ran the suite twice and counted both runs as one planner's.
+        code = main(["bench", "--suite", str(workdir), "--planners", "ara-star, ara-star",
+                     "--out", str(workdir / "x.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == "planner 'ara-star' listed twice in --planners\n"
+        assert not (workdir / "x.csv").exists()
 
     def test_empty_planner_list_rejected(self, workdir, capsys):
         code = main(["bench", "--suite", str(workdir), "--planners", ",",

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from planbench import collision
 from planbench.collision import (_CLEARANCE_ROWS, _MAX_PIECES, _clearances, _cuts, _pieces,
-                                 _sample_counts, _self_overlap_mask,
+                                 _sample_counts, _self_distances_sq,
                                  _world_penetration_mask, check_config, check_motion,
                                  free_mask, motion_configs, motions_free, path_free)
 from planbench.core import Path, Query, validate_path
@@ -155,14 +155,14 @@ class TestCheckConfig:
             CollisionSphere(1, (0.0, 0.0, 0.0), 0.5),
             CollisionSphere(2, (0.0, 0.0, 4.0), 0.25),
             CollisionSphere(2, (0.25, 0.0, 0.0), 0.5)))
-        assert robot.self_collision_pairs.tolist() == [[0, 2], [0, 3]]
+        assert np.transpose(robot.self_pair_arrays[:2]).tolist() == [[0, 2], [0, 3]]
         world = WorldModel(())
         touching, closer = [1.0, 0.5, 0.5], [1.0, 0.5, 0.5 - 2.0 ** -10]
         assert check_config(robot, world, touching)
         assert not check_config(robot, world, closer)
         centers = sphere_centers_batch(robot, np.array([touching, closer]))
-        assert _self_overlap_mask(robot, centers).tolist() == [[False, False],
-                                                               [False, True]]
+        overlap = _self_distances_sq(robot, centers) < robot.self_pair_arrays[2]
+        assert overlap.tolist() == [[False, False], [False, True]]
         mask = free_mask(robot, world, np.array([touching, closer]))
         assert mask.tolist() == [True, False]
 
@@ -351,7 +351,7 @@ class TestPairMasksAgainstBruteForce:
                                                     size=(400, robot.dof))
         centers = sphere_centers_batch(robot, configs)
         world_got = _world_penetration_mask(world, centers, robot.sphere_radii)
-        self_got = _self_overlap_mask(robot, centers)
+        self_got = _self_distances_sq(robot, centers) < robot.self_pair_arrays[2]
         assert self_got.shape[1] == len(self_pairs_dense(robot))
         hits = np.zeros(2, dtype=int)
         for k, q in enumerate(configs):
@@ -419,7 +419,7 @@ class TestBroadphaseExactness:
             assert centers.tobytes() == judge.tobytes()
         got = _world_penetration_mask(world, centers, robot.sphere_radii)
         assert np.array_equal(got, world_mask_dense(world, centers, robot.sphere_radii))
-        overlap = _self_overlap_mask(robot, centers)
+        overlap = _self_distances_sq(robot, centers) < robot.self_pair_arrays[2]
         assert np.array_equal(overlap, self_mask_dense(robot, centers))
         mask = free_mask(robot, world, configs)
         assert mask.tolist() == free_mask_dense(robot, world, configs).tolist()
@@ -783,6 +783,32 @@ class TestPathValidationSkipsProvenSamples:
         assert dense_path_verdict(robot, world, waypoints, 0.5) == (True, True)
         world = WorldModel((sphere_obstacle((2.0, 1.5 - 2.0 ** -10, 0.0), 0.25),))
         assert dense_path_verdict(robot, world, waypoints, 0.5) == (False, False)
+
+
+class TestPerIndexReach:
+    """The bound path validation proves rows free with: along a segment of
+    c rows and joint step δ, each sphere center moves at most
+    rate = (|δ| @ armsᵀ) / (c - 1) per sample index, on the rows
+    ``_samples`` forms, rounding included."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.one_of(st.integers(2, 50), st.just(2**40 + 1)))
+    def test_rows_move_at_most_rate_per_index(self, seed, count):
+        rng = np.random.default_rng(seed)
+        robot = random_robot(rng, dof=int(rng.integers(1, 7)))
+        a, b = rng.uniform(robot.lower, robot.upper, size=(2, robot.dof))
+        picks = rng.integers(0, count, size=6)
+        index = np.unique(np.concatenate([picks, np.minimum(picks + 1, count - 1),
+                                          [0, count - 1]]))
+        delta = (b - a)[None]
+        rows = collision._samples(a[None], delta, np.array([count]),
+                                  np.zeros(len(index), dtype=int), index)
+        centers = sphere_centers_batch(robot, rows)
+        rate = (np.abs(delta) @ robot.lever_arms.T) / (count - 1)
+        # Every pair of rows i <= j: center j within (j - i) rate of center i.
+        moved = np.linalg.norm(centers[None] - centers[:, None], axis=-1)
+        steps = np.abs(index[None] - index[:, None])[..., None]
+        assert np.all(moved <= steps * rate + 1e-12)
 
 
 class TestIntervalCuts:

@@ -24,10 +24,10 @@ class TestParseParams:
         assert load_params(data_path("params", "default.yaml")) == PlannerParams()
 
     def test_common_values_propagate(self):
-        params = parse_params("common: {edge_step: 0.02, seed: 9}\n")
+        params = parse_params("common: {edge_step: 0.02, goal_tolerance_default: 0.1}\n")
         assert params.rrt_connect.edge_step == 0.02
-        assert params.rrt_connect.seed == 9
         assert params.ara_star.edge_step == 0.02
+        assert params.goal_tolerance_default == 0.1
 
     def test_sections_take_the_common_edge_step(self):
         doc = ("common: {edge_step: 0.02}\n"
@@ -44,10 +44,12 @@ class TestParseParams:
         "ara_star: {edge_step: 0.1}\n",
         "common: {edge_step: 0.1}\nrrt_connect: {edge_step: 0.1}\n",
         "rrt_connect: {seed: 3}\n",
+        "common: {seed: 0}\n",
     ])
     def test_per_section_edge_step_and_seed_rejected(self, doc):
         # Both planners check edges at the one common edge_step, and the
-        # seed is set once, in common.
+        # seed is a run argument (``bench`` gives each run its own), a key
+        # of no section.
         with pytest.raises(ValidationError, match="unknown"):
             parse_params(doc)
 
@@ -60,7 +62,7 @@ class TestParseParams:
         "common: {step: 0.1}\n",
         "rrt_connect: {eta: 0.5}\n",
         "ara_star: {schedule: [1.0]}\n",
-        "ara_star: {seed: 3}\n",  # ARA* draws no random numbers
+        "ara_star: {seed: 3}\n",  # the seed is a run argument
         "ara_star: {budget_split: 0.5}\n",  # the forward half is a constant
     ])
     def test_unknown_keys_rejected(self, doc):
@@ -83,8 +85,17 @@ class TestParseParams:
         "rrt_connect: {max_iterations: 2.7}\n",  # not truncated to 2
     ])
     def test_invalid_rrt_integers_rejected(self, doc):
-        with pytest.raises(ValidationError):
+        # A document sets no seed, whatever its value: the key is unknown.
+        match = r"unknown common section keys: \['seed'\]" if "seed" in doc else "max_iter"
+        with pytest.raises(ValidationError, match=match):
             parse_params(doc)
+
+    @pytest.mark.parametrize("seed", [-3, -1, 1.5, True])  # 1.5 is not truncated to 1
+    def test_invalid_seed_values_rejected_in_code(self, seed):
+        with pytest.raises(ValidationError, match="seed"):
+            RrtParams(seed=seed)
+        with pytest.raises(ValidationError, match="seed"):
+            PlannerParams().with_seed(seed)
 
     @pytest.mark.parametrize("doc", [
         "rrt_connect: {step_eta: .nan}\n",
