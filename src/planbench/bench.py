@@ -83,20 +83,17 @@ class SuiteAggregate:
     solved_s: tuple[float, float, float] | None
 
 
-def plan(scenario: Scenario, planner: str, params: PlannerParams,
-         seed: int | None = None,
+def plan(scenario: Scenario, planner: str, params: PlannerParams, seed: int = 0,
          primitives: MotionPrimitiveSet | None = None) -> PlannerResult:
     """Plan one scenario with the planner named ``planner``.
 
-    A ``seed`` replaces RRT-Connect's seed in ``params``; ARA* searches with
-    ``primitives``, the robot's default primitives when None.
+    RRT-Connect samples from ``seed``; ARA* draws no random numbers and
+    searches with ``primitives``, the robot's default primitives when None.
     """
-    if seed is not None:
-        params = params.with_seed(seed)
     query = query_from_scenario(scenario, params.goal_tolerance_default)
     robot, world = scenario.robot, scenario.world
     if planner == RRT_CONNECT:
-        return plan_rrt_connect(robot, world, query, params.rrt_connect)
+        return plan_rrt_connect(robot, world, query, params.rrt_connect, seed)
     if planner == ARA_STAR:
         return plan_ara_star(robot, world, query,
                              primitives or default_primitives(robot), params.ara_star)
@@ -134,6 +131,8 @@ def run_suite(scenarios, planner: str, params: PlannerParams,
     ``planner`` gives one error record per run, as in ``run_one``.
     """
     repetitions = integer(repetitions, "repetitions", least=1)
+    base_seed = integer(base_seed, "base_seed", least=0)
+    workers = integer(workers, "workers", least=1)
     scenarios = list(scenarios)
     tasks = []
     for index, scenario in enumerate(scenarios):

@@ -176,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument("--scenario", required=True)
     plan.add_argument("--planner", required=True, choices=PLANNERS)
     plan.add_argument("--params", default=None)
-    plan.add_argument("--seed", type=int, default=None)
+    plan.add_argument("--seed", type=int, default=0)
     plan.add_argument("--primitives", default=None,
                       help="primitives file (ara-star only)")
     plan.add_argument("--path-out", default=None,

@@ -1,14 +1,14 @@
 """Planner parameter files: a ``common`` section plus per-planner sections.
 
-Each key lives in one section: ``common`` holds the one ``edge_step`` both
-planners check edges at.  Unknown keys, a per-planner ``edge_step`` or a
-``seed`` (RRT-Connect's seed is a run argument) among them, are rejected at
-load time so typos cannot silently fall back to defaults.
+Each key is a field of ``PlannerParams``, ``RrtParams`` or ``AraParams`` in
+one section; ``common`` holds the ``edge_step`` both planners share.  Unknown
+keys, a per-planner ``edge_step`` or a ``seed`` (a run argument) among them,
+are rejected at load time so typos cannot silently fall back to defaults.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .ara_star import AraParams
@@ -35,11 +35,6 @@ class PlannerParams:
             raise ValidationError("goal_tolerance_default must be >= 0")
         if self.rrt_connect.edge_step != self.ara_star.edge_step:
             raise ValidationError("rrt_connect and ara_star must share one edge_step")
-
-    def with_seed(self, seed: int) -> "PlannerParams":
-        """These params with RRT-Connect's seed replaced; ARA* draws no
-        random numbers."""
-        return replace(self, rrt_connect=replace(self.rrt_connect, seed=seed))
 
 
 def _build(doc: dict) -> PlannerParams:

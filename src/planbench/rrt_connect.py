@@ -51,12 +51,12 @@ LOOKAHEAD = 16
 
 @dataclass(frozen=True)
 class RrtParams:
-    """Tuning knobs; defaults are desk-scale, reported in benchmark output."""
+    """Tuning knobs, desk-scale by default: the weighted distance one extend
+    steps at most, the edge check step and an optional iteration cap."""
 
     step_eta: float = 0.5
     edge_step: float = 0.05
     max_iterations: int | None = None
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("edge_step", "step_eta"):
@@ -67,7 +67,6 @@ class RrtParams:
             raise ValidationError("step_eta must be >= edge_step")
         if self.max_iterations is not None:
             integer(self.max_iterations, "max_iterations", least=1)
-        integer(self.seed, "seed", least=0)
 
 
 class Tree:
@@ -162,10 +161,10 @@ class _Lookahead:
     """
 
     def __init__(self, robot: RobotModel, world: WorldModel, params: RrtParams,
-                 trees: tuple[Tree, Tree], stats: dict):
+                 seed: int, trees: tuple[Tree, Tree], stats: dict):
         self.robot, self.world, self.params = robot, world, params
         self.trees, self.stats = trees, stats
-        self.rng = np.random.default_rng(params.seed)
+        self.rng = np.random.default_rng(seed)
         self.samples, self.first = np.empty((0, robot.dof)), 0  # row k: sample first + k
         self.verdicts: dict[bytes, bool] = {}
         self.near: dict[tuple[int, bytes], tuple] = {}  # (tree size, index, step)
@@ -321,19 +320,20 @@ def _join_paths(start_tree: Tree, start_meet: int, goal_tree: Tree,
 
 
 def plan_rrt_connect(robot: RobotModel, world: WorldModel, query: Query,
-                     params: RrtParams) -> PlannerResult:
+                     params: RrtParams, seed: int) -> PlannerResult:
     """Plan with RRT-Connect under the query's wall-clock budget.
 
-    Deterministic given (query, params): the seed drives all sampling, and
-    the goal tree grows from the query's goal representative.  Motion
+    Deterministic given (query, params, seed): the seed drives all sampling,
+    and the goal tree grows from the query's goal representative.  Motion
     verdicts come from the lookahead cache (see the module docstring).
     """
+    integer(seed, "seed", least=0)
     stats = {"iterations": 0, "collision_checks": 0, "check_calls": 0, "nodes": 0}
 
     def search(representative: np.ndarray, t0: float):
         deadline = t0 + query.time_budget
         trees = (Tree(robot, query.start), Tree(robot, representative))
-        cache = _Lookahead(robot, world, params, trees, stats)
+        cache = _Lookahead(robot, world, params, seed, trees, stats)
         while params.max_iterations is None or stats["iterations"] < params.max_iterations:
             if time.perf_counter() >= deadline:
                 break

@@ -718,22 +718,23 @@ def connect_one(tree, target, params, robot, world):
         last = index
 
 
-def rrt_connect_sequential(robot, world, query, params):
+def rrt_connect_sequential(robot, world, query, params, seed):
     """(status, waypoints, stats) of the textbook RRT-Connect loop.
 
-    Each iteration draws one sample, extends one tree toward it, connects
-    the other tree toward the new node when the extend was not trapped, and
-    swaps the trees.  There is no clock: the loop ends when the trees meet
-    or after ``params.max_iterations`` iterations, so the query must be
-    solvable or the iterations bounded.  Stats hold iterations and nodes;
-    status is "solved-forward", "unsolvable" or "failure".
+    Each iteration draws one sample from the generator seeded with
+    ``seed``, extends one tree toward it, connects the other tree toward
+    the new node when the extend was not trapped, and swaps the trees.
+    There is no clock: the loop ends when the trees meet or after
+    ``params.max_iterations`` iterations, so the query must be solvable or
+    the iterations bounded.  Stats hold iterations and nodes; status is
+    "solved-forward", "unsolvable" or "failure".
     """
     stats = {"iterations": 0, "nodes": 0}
     if validate_query(robot, world, query) != OK:
         return "unsolvable", None, stats
     if goal_satisfied(query.goal, query.start):
         return "solved-forward", query.start[None, :].copy(), stats
-    rng = np.random.default_rng(params.seed)
+    rng = np.random.default_rng(seed)
     start_tree = Tree(robot, query.start)
     tree_a, tree_b = start_tree, Tree(robot, goal_representative(robot, world, query.goal))
     while params.max_iterations is None or stats["iterations"] < params.max_iterations:

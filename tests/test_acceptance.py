@@ -141,7 +141,7 @@ def test_c05_rrt_connect_completeness_smoke(shelf_easy):
     times = []
     for seed in range(100):
         result = plan_rrt_connect(shelf_easy.robot, shelf_easy.world, query,
-                                  RrtParams(seed=seed))
+                                  RrtParams(), seed)
         assert result.status == SOLVED_FORWARD, f"seed {seed}: {result.status}"
         assert result.planning_time <= query.time_budget + BUDGET_GRACE
         assert validate_path(shelf_easy.robot, shelf_easy.world, query,
@@ -191,7 +191,7 @@ def test_c07_unsolvable_detection(shelf_easy):
         query = query_from_scenario(scenario)
         for planner in ("rrt", "ara"):
             if planner == "rrt":
-                result = plan_rrt_connect(robot, scenario.world, query, RrtParams())
+                result = plan_rrt_connect(robot, scenario.world, query, RrtParams(), 0)
             else:
                 result = plan_ara_star(robot, scenario.world, query, primitives,
                                        TUNED_PARAMS.ara_star)

@@ -163,6 +163,18 @@ class TestRunSuite:
             with pytest.raises(ValidationError):
                 run_suite(suite, RRT_CONNECT, PARAMS, repetitions=repetitions)
 
+    @pytest.mark.parametrize("argument, value", [
+        ("base_seed", -1), ("base_seed", 1.5), ("base_seed", True),  # once ran as seed 1
+        ("workers", 0), ("workers", "2"), ("workers", 1.5),
+    ])
+    def test_run_arguments_checked_before_the_first_run(self, suite, monkeypatch,
+                                                        argument, value):
+        # A negative seed once gave one error record and a fractional one an
+        # error record per run; workers=0 once ran serially without a word.
+        monkeypatch.setattr(bench, "run_one", lambda *task: pytest.fail("a run started"))
+        with pytest.raises(ValidationError, match=argument):
+            run_suite(suite, RRT_CONNECT, PARAMS, **{argument: value})
+
     def test_unknown_planner_gives_error_records(self, suite):
         # Errors never abort the suite: each run becomes an error record.
         records = run_suite(suite, "dijkstra", PARAMS, repetitions=2)

@@ -319,33 +319,46 @@ class TestBench:
                             for r in csv_rows(target.read_text())])
         assert reports[0] == reports[1]
 
-    def test_negative_seed_gives_an_error_record(self, workdir):
-        suite_dir = workdir / "suite3"
-        main(["gen", "--base", str(workdir / "case.scenario"),
-              "--family", "objects", "--count", "2", "--seed", "1",
-              "--out", str(suite_dir / "generated")])
-        code = main(["bench", "--suite", str(suite_dir), "--planners", "rrt-connect",
-                     "--seed", "-1", "--out", str(workdir / "r.csv")])
-        assert code == 0
-        records = csv_rows((workdir / "r.csv").read_text())
-        assert (records[0]["seed"], records[0]["status"]) == ("-1", "error")
-        assert records[1]["seed"] == "0" and records[1]["status"] != "error"
+    @pytest.mark.parametrize("option, value, what", [("--seed", "-1", "base_seed"),
+                                                     ("--workers", "0", "workers")])
+    def test_invalid_run_argument_reports_error(self, workdir, capsys, option, value,
+                                                what):
+        # A negative seed once gave an error record for the first run while
+        # the others went on, and --workers 0 once ran serially.
+        code = main(["bench", "--suite", str(workdir), "--planners", "rrt-connect,ara-star",
+                     option, value, "--out", str(workdir / "r.csv"), "--table"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err.startswith(f"error: {what} must be at least")
+        assert not (workdir / "r.csv").exists()
 
     def test_table_counts_error_records(self, workdir, capsys):
+        # The primitives file is read for the first scene's two joints, so
+        # the second scene's three-joint robot is a harness error.
         suite_dir = workdir / "suite4"
-        main(["gen", "--base", str(workdir / "case.scenario"),
-              "--family", "objects", "--count", "2", "--seed", "1",
-              "--out", str(suite_dir / "generated")])
-        code = main(["bench", "--suite", str(suite_dir), "--planners", "rrt-connect",
-                     "--seed", "-1", "--out", str(workdir / "r.csv"), "--table"])
+        suite_dir.mkdir()
+        (suite_dir / "gantry.yaml").write_text(GANTRY_ROBOT)
+        (suite_dir / "gantry3.yaml").write_text(GANTRY_ROBOT.replace("collision", (
+            "  - {name: z, type: prismatic, axis: [0, 0, 1], limits: [0.0, 2.0], "
+            "resolution: 0.25}\ncollision")))
+        (suite_dir / "a.scenario").write_text(SCENARIO)
+        (suite_dir / "b.scenario").write_text(
+            SCENARIO.replace("gantry.yaml", "gantry3.yaml")
+            .replace("[1.0, 1.0]", "[1.0, 1.0, 1.0]").replace("[5.0, 5.0]", "[5.0, 5.0, 1.0]"))
+        (suite_dir / "prims.yaml").write_text("primitives: []\n")
+        code = main(["bench", "--suite", str(suite_dir), "--planners", "ara-star",
+                     "--primitives", str(suite_dir / "prims.yaml"),
+                     "--out", str(workdir / "r.csv"), "--table"])
         assert code == 0
+        records = csv_rows((workdir / "r.csv").read_text())
+        assert [r["status"] == "error" for r in records] == [False, True]
         rows = [line.split() for line in capsys.readouterr().out.splitlines()]
         header = rows.index(["total", "errors", "solved_median_s", "solved_geomean_s",
                              "solved_max_s"])
         total, errors = rows[header + 1][:2]
         assert (total, errors) == ("2", "1")
-        counts = rows[header - 1][1:]  # success_forward, "-", failure, unsolvable
-        assert sum(int(c) for c in counts if c != "-") + int(errors) == int(total)
+        counts = rows[header - 1][1:]  # success_forward, success_backward, failure, unsolvable
+        assert sum(int(c) for c in counts) + int(errors) == int(total)
 
     def test_unknown_planner_rejected(self, workdir, capsys):
         code = main(["bench", "--suite", str(workdir), "--planners", "prm",

@@ -109,7 +109,7 @@ class TestRegionGoalVerdict:
         primitives = default_primitives(robot)
         yield "ara", plan_ara_star(robot, world, q, primitives, AraParams())
         for seed in range(8):
-            yield seed, plan_rrt_connect(robot, world, q, RrtParams(seed=seed))
+            yield seed, plan_rrt_connect(robot, world, q, RrtParams(), seed)
 
     def test_corridor_never_unsolvable(self):
         for seed, result in self.verdicts(WorldModel(CORRIDOR), budget=5.0):
@@ -133,7 +133,7 @@ class TestRegionGoalVerdict:
             screens.append(len(configs)) or free_mask(robot, world, configs, **kw)))
         world = WorldModel(CORRIDOR + (SEAL,))
         q = Query(start=[0.5, 3.0], goal=REGION, time_budget=0.1)
-        assert plan_rrt_connect(robot, world, q, RrtParams()).status == FAILURE
+        assert plan_rrt_connect(robot, world, q, RrtParams(), 0).status == FAILURE
         assert screens == [33]
         screens.clear()
         result = plan_ara_star(robot, world, q, default_primitives(robot), AraParams())
@@ -331,7 +331,7 @@ class TestSolvedResultsValidate:
                       time_budget=2.0)
             for planner, plan in (("rrt", plan_rrt_connect), ("ara", plan_ara_star)):
                 if planner == "rrt":
-                    result = plan(robot, world, q, RrtParams(seed=case))
+                    result = plan(robot, world, q, RrtParams(), case)
                 else:
                     result = plan(robot, world, q, primitives,
                                   AraParams(epsilon_schedule=(3.0, 1.0)))

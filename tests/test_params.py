@@ -1,14 +1,31 @@
 """Planner parameter files: defaults, propagation, strict key checking."""
 
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
+from planbench import bench
 from planbench.ara_star import AraParams
+from planbench.core import UNSOLVABLE, query_from_scenario
 from planbench.data import data_path
 from planbench.errors import ValidationError
-from planbench.params import PlannerParams, load_params, parse_params
-from planbench.rrt_connect import RrtParams
+from planbench.params import _SECTION_KEYS, PlannerParams, load_params, parse_params
+from planbench.rrt_connect import RrtParams, plan_rrt_connect
+from planbench.world import WorldModel, load_scenario
+from oracles import sphere_obstacle
+
+
+def shelf_easy():
+    return load_scenario(data_path("scenarios", "shelf_easy.yaml"))
+
+
+def rrt_args(scenario, params=PlannerParams()):
+    """The arguments before the seed with which ``bench.plan`` calls
+    ``plan_rrt_connect`` for ``scenario``."""
+    query = query_from_scenario(scenario, params.goal_tolerance_default)
+    return scenario.robot, scenario.world, query, params.rrt_connect
 
 
 class TestParseParams:
@@ -92,10 +109,22 @@ class TestParseParams:
 
     @pytest.mark.parametrize("seed", [-3, -1, 1.5, True])  # 1.5 is not truncated to 1
     def test_invalid_seed_values_rejected_in_code(self, seed):
+        scenario = shelf_easy()
         with pytest.raises(ValidationError, match="seed"):
-            RrtParams(seed=seed)
+            plan_rrt_connect(*rrt_args(scenario), seed=seed)
         with pytest.raises(ValidationError, match="seed"):
-            PlannerParams().with_seed(seed)
+            bench.plan(scenario, bench.RRT_CONNECT, PlannerParams(), seed=seed)
+
+    def test_section_keys_are_the_dataclass_fields(self):
+        # Every field of a params class is a document key, so a run argument
+        # such as the seed cannot come back into one unnoticed.
+        def names(cls):
+            return {f.name for f in dataclasses.fields(cls)}
+
+        assert _SECTION_KEYS["rrt_connect"] == names(RrtParams) - {"edge_step"}
+        assert _SECTION_KEYS["ara_star"] == names(AraParams) - {"edge_step"}
+        assert _SECTION_KEYS["common"] == (
+            {"edge_step"} | names(PlannerParams) - {"rrt_connect", "ara_star"})
 
     @pytest.mark.parametrize("doc", [
         "rrt_connect: {step_eta: .nan}\n",
@@ -139,11 +168,24 @@ class TestParseParams:
             PlannerParams(goal_tolerance_default=value)
 
     def test_with_negative_seed_rejected(self):
-        with pytest.raises(ValidationError):
-            PlannerParams().with_seed(-1)
+        # The seed is checked first: a bad one is an error even for a query
+        # that is unsolvable before any sample is drawn.
+        scenario = shelf_easy()
+        blocked = dataclasses.replace(scenario, world=WorldModel(
+            (sphere_obstacle((0.0, 0.0, 0.0), 5.0),)))
+        robot, world, query, params = rrt_args(blocked)
+        assert plan_rrt_connect(robot, world, query, params, 0).status == UNSOLVABLE
+        with pytest.raises(ValidationError, match="seed must be at least 0"):
+            plan_rrt_connect(robot, world, query, params, -1)
 
-    def test_with_seed_sets_the_rrt_seed(self):
-        params = PlannerParams(goal_tolerance_default=0.1).with_seed(123)
-        assert params.rrt_connect.seed == 123
-        assert params.ara_star == PlannerParams().ara_star
-        assert params.goal_tolerance_default == 0.1
+    def test_plan_passes_the_seed_to_rrt_connect(self):
+        scenario = shelf_easy()
+        params = PlannerParams(goal_tolerance_default=0.1)
+        paths = []
+        for seed in (0, 1):
+            ours = bench.plan(scenario, bench.RRT_CONNECT, params, seed=seed)
+            direct = plan_rrt_connect(*rrt_args(scenario, params), seed=seed)
+            assert ours.path.waypoints.tobytes() == direct.path.waypoints.tobytes()
+            assert ours.stats == direct.stats
+            paths.append(ours.path.waypoints)
+        assert not np.array_equal(*paths)  # the seeds give different paths

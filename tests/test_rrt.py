@@ -28,7 +28,7 @@ def robot():
     return gantry_robot()
 
 
-PARAMS = RrtParams(step_eta=0.5, edge_step=0.05, seed=0)
+PARAMS = RrtParams(step_eta=0.5, edge_step=0.05)
 
 
 class TestNearest:
@@ -140,8 +140,8 @@ class TestSteps:
 def lookahead(robot, world, tree):
     """A lookahead cache over ``tree`` and a second tree rooted at its root,
     as ``plan_rrt_connect`` builds one."""
-    return rrt_connect._Lookahead(robot, world, PARAMS, (tree, Tree(robot, tree.config(0))),
-                                  {})
+    return rrt_connect._Lookahead(robot, world, PARAMS, 0,
+                                  (tree, Tree(robot, tree.config(0))), {})
 
 
 class TestExtend:
@@ -216,7 +216,7 @@ class TestPlan:
     def test_start_satisfies_goal(self, robot, empty_world):
         goal = GoalSpec.config_goal([1.0, 1.0], [0.2, 0.2])
         q = Query(start=[1.0, 1.0], goal=goal, time_budget=1.0)
-        result = plan_rrt_connect(robot, empty_world, q, PARAMS)
+        result = plan_rrt_connect(robot, empty_world, q, PARAMS, 0)
         assert result.status == SOLVED_FORWARD
         assert len(result.path) == 1
         assert result.planning_time < 0.1
@@ -226,7 +226,7 @@ class TestPlan:
         goal = GoalSpec.config_goal([5.0, 1.0], [0.0, 0.0])
         q = Query(start=[1.0, 1.0], goal=goal, time_budget=5.0)
         for seed in range(20):
-            result = plan_rrt_connect(robot, world, q, RrtParams(seed=seed))
+            result = plan_rrt_connect(robot, world, q, RrtParams(), seed)
             assert result.status == SOLVED_FORWARD, seed
             assert validate_path(robot, world, q, result.path, 0.05)
 
@@ -234,7 +234,7 @@ class TestPlan:
         world = WorldModel((box_obstacle((1.0, 1.0, 0.0), (0.3, 0.3, 0.3)),))
         q = Query(start=[1.0, 1.0], goal=GoalSpec.config_goal([5.0, 5.0]),
                   time_budget=1.0)
-        result = plan_rrt_connect(robot, world, q, PARAMS)
+        result = plan_rrt_connect(robot, world, q, PARAMS, 0)
         assert result.status == UNSOLVABLE
         assert result.reason == "start_in_collision"
 
@@ -242,8 +242,8 @@ class TestPlan:
         world = shelf_world()
         goal = GoalSpec.config_goal([5.0, 1.0], [0.0, 0.0])
         q = Query(start=[1.0, 1.0], goal=goal, time_budget=5.0)
-        a = plan_rrt_connect(robot, world, q, RrtParams(seed=11))
-        b = plan_rrt_connect(robot, world, q, RrtParams(seed=11))
+        a = plan_rrt_connect(robot, world, q, RrtParams(), 11)
+        b = plan_rrt_connect(robot, world, q, RrtParams(), 11)
         assert a.status == b.status
         assert np.array_equal(a.path.waypoints, b.path.waypoints)
         assert a.stats["iterations"] == b.stats["iterations"]
@@ -260,7 +260,7 @@ class TestPlan:
         budget = 0.8
         q = Query(start=[1.0, 1.0], goal=goal, time_budget=budget)
         t0 = time.perf_counter()
-        result = plan_rrt_connect(robot, world, q, PARAMS)
+        result = plan_rrt_connect(robot, world, q, PARAMS, 0)
         wall = time.perf_counter() - t0
         assert result.status == FAILURE
         assert result.planning_time <= budget + BUDGET_GRACE
@@ -270,14 +270,14 @@ class TestPlan:
         world = shelf_world()
         goal = GoalSpec.config_goal([5.0, 1.0], [0.0, 0.0])
         q = Query(start=[1.0, 1.0], goal=goal, time_budget=30.0)
-        params = RrtParams(seed=0, max_iterations=1)
-        result = plan_rrt_connect(robot, world, q, params)
+        params = RrtParams(max_iterations=1)
+        result = plan_rrt_connect(robot, world, q, params, 0)
         assert result.stats["iterations"] <= 1
 
     def test_region_goal_representative(self, robot, empty_world):
         goal = GoalSpec(type="region", lower=[4.5, 4.5], upper=[5.0, 5.0])
         q = Query(start=[1.0, 1.0], goal=goal, time_budget=5.0)
-        result = plan_rrt_connect(robot, empty_world, q, PARAMS)
+        result = plan_rrt_connect(robot, empty_world, q, PARAMS, 0)
         assert result.status == SOLVED_FORWARD
         assert validate_path(robot, empty_world, q, result.path, 0.05)
 
@@ -285,7 +285,7 @@ class TestPlan:
         world = shelf_world()
         goal = GoalSpec.config_goal([5.0, 1.0], [0.0, 0.0])
         q = Query(start=[1.0, 1.0], goal=goal, time_budget=5.0)
-        result = plan_rrt_connect(robot, world, q, RrtParams(seed=2))
+        result = plan_rrt_connect(robot, world, q, RrtParams(), 2)
         assert np.array_equal(result.path.waypoints[0], np.array([1.0, 1.0]))
         assert np.array_equal(result.path.waypoints[-1], np.array([5.0, 1.0]))
 
@@ -338,9 +338,9 @@ class ScriptedRng:
         return out
 
 
-def assert_same_as_sequential(robot, world, query, params):
-    result = plan_rrt_connect(robot, world, query, params)
-    status, waypoints, stats = rrt_connect_sequential(robot, world, query, params)
+def assert_same_as_sequential(robot, world, query, params, seed):
+    result = plan_rrt_connect(robot, world, query, params, seed)
+    status, waypoints, stats = rrt_connect_sequential(robot, world, query, params, seed)
     assert result.status == status
     if waypoints is None:
         assert result.path is None
@@ -367,8 +367,7 @@ class TestSequentialEquivalence:
                                     TUNED.goal_tolerance_default)
         for seed in range(3):
             result = assert_same_as_sequential(
-                scenario.robot, scenario.world, query,
-                replace(TUNED.rrt_connect, seed=seed))
+                scenario.robot, scenario.world, query, TUNED.rrt_connect, seed)
             assert result.status == SOLVED_FORWARD
 
     @pytest.mark.parametrize("index", range(4))
@@ -379,8 +378,7 @@ class TestSequentialEquivalence:
                                     TUNED.goal_tolerance_default)
         for seed in range(2):
             result = assert_same_as_sequential(
-                scenario.robot, scenario.world, query,
-                replace(TUNED.rrt_connect, seed=seed))
+                scenario.robot, scenario.world, query, TUNED.rrt_connect, seed)
             assert result.status == SOLVED_FORWARD
 
     @pytest.mark.parametrize("max_iterations", [1, 2, 3, 7])
@@ -389,8 +387,8 @@ class TestSequentialEquivalence:
         goal = GoalSpec.config_goal([5.0, 1.0], [0.0, 0.0])
         query = Query(start=[1.0, 1.0], goal=goal, time_budget=600.0)
         for seed in range(12):
-            params = RrtParams(seed=seed, max_iterations=max_iterations)
-            result = assert_same_as_sequential(robot, world, query, params)
+            params = RrtParams(max_iterations=max_iterations)
+            result = assert_same_as_sequential(robot, world, query, params, seed)
             assert result.stats["iterations"] <= max_iterations
 
     def test_connect_of_the_last_allowed_iteration_runs(self, robot, empty_world):
@@ -398,7 +396,7 @@ class TestSequentialEquivalence:
         goal = GoalSpec.config_goal([2.0, 1.0], [0.0, 0.0])
         query = Query(start=[1.0, 1.0], goal=goal, time_budget=600.0)
         result = assert_same_as_sequential(robot, empty_world, query,
-                                           RrtParams(seed=0, max_iterations=1))
+                                           RrtParams(max_iterations=1), 0)
         assert result.status == SOLVED_FORWARD and result.stats["iterations"] == 1
 
     def test_region_goal(self, robot):
@@ -406,7 +404,7 @@ class TestSequentialEquivalence:
         query = Query(start=[1.0, 1.0], goal=goal, time_budget=600.0)
         for seed in range(5):
             result = assert_same_as_sequential(robot, shelf_world(), query,
-                                               RrtParams(seed=seed))
+                                               RrtParams(), seed)
             assert result.status == SOLVED_FORWARD
 
     @pytest.mark.parametrize("script_rows, max_iterations", [
@@ -423,7 +421,7 @@ class TestSequentialEquivalence:
                       time_budget=600.0)
         for seed in range(3):
             assert_same_as_sequential(robot, shelf_world(), query,
-                                      RrtParams(seed=seed, max_iterations=max_iterations))
+                                      RrtParams(max_iterations=max_iterations), seed)
 
     def test_degenerate_connect_step(self, robot, empty_world, monkeypatch):
         # Sample 0 is the goal itself: the start tree reaches it, and the
@@ -433,7 +431,7 @@ class TestSequentialEquivalence:
                             lambda seed: ScriptedRng(seed, {0: goal_q}))
         query = Query(start=start, goal=GoalSpec.config_goal(goal_q, [0.0, 0.0]),
                       time_budget=600.0)
-        result = assert_same_as_sequential(robot, empty_world, query, RrtParams(seed=0))
+        result = assert_same_as_sequential(robot, empty_world, query, RrtParams(), 0)
         assert result.status == SOLVED_FORWARD and result.stats["nodes"] == 3
 
 
@@ -443,7 +441,8 @@ class TestLookahead:
         scenario = shelf_reach_suite()[index]
         query = query_from_scenario(replace(scenario, time_budget=600.0),
                                     TUNED.goal_tolerance_default)
-        result = plan_rrt_connect(scenario.robot, scenario.world, query, TUNED.rrt_connect)
+        result = plan_rrt_connect(scenario.robot, scenario.world, query, TUNED.rrt_connect,
+                                  0)
         assert result.status == SOLVED_FORWARD and result.stats["iterations"] >= 200
         assert 3 * result.stats["check_calls"] <= result.stats["iterations"]
 
@@ -465,7 +464,7 @@ class TestLookahead:
         for seed in range(6):
             targets.clear()
             plan_rrt_connect(robot, shelf_world(), query,
-                             RrtParams(seed=seed, max_iterations=max_iterations))
+                             RrtParams(max_iterations=max_iterations), seed)
             samples = REAL_DEFAULT_RNG(seed).uniform(
                 robot.lower, robot.upper, size=(max_iterations + 2 * LOOKAHEAD, robot.dof))
             assert samples[0].tobytes() in targets
@@ -478,7 +477,8 @@ class TestLookahead:
         scenario = shelf_reach_suite()[index]
         query = query_from_scenario(replace(scenario, time_budget=600.0),
                                     TUNED.goal_tolerance_default)
-        result = plan_rrt_connect(scenario.robot, scenario.world, query, TUNED.rrt_connect)
+        result = plan_rrt_connect(scenario.robot, scenario.world, query, TUNED.rrt_connect,
+                                  0)
         assert result.status == SOLVED_FORWARD
         assert result.stats["collision_checks"] <= 12 * result.stats["iterations"]
 
@@ -490,7 +490,7 @@ class TestLookahead:
         goal = GoalSpec.config_goal([5.0, 1.0], [0.0, 0.0])
         query = Query(start=[1.0, 1.0], goal=goal, time_budget=600.0)
         result = plan_rrt_connect(robot, shelf_world(), query,
-                                  RrtParams(step_eta=3.0, max_iterations=1))
+                                  RrtParams(step_eta=3.0, max_iterations=1), 0)
         assert result.path is None
         assert result.stats == {"iterations": 1, "collision_checks": 1,
                                 "check_calls": 1, "nodes": 2}
@@ -501,7 +501,7 @@ class TestLookahead:
         trees = (Tree(robot, [1.0, 1.0]), Tree(robot, [5.0, 5.0]))
         for _ in range(20):
             trees[0].add(sample_uniform(robot, rng), 0)
-        cache = rrt_connect._Lookahead(robot, empty_world, PARAMS, trees,
+        cache = rrt_connect._Lookahead(robot, empty_world, PARAMS, 0, trees,
                                        {"check_calls": 0})
         root = trees[0].config(0)
         cache.free(root, root)  # a refill steers samples 0..LOOKAHEAD
