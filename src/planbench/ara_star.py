@@ -211,20 +211,22 @@ def successors(state: tuple[int, ...], primitives: MotionPrimitiveSet, robot: Ro
     One move per primitive that stays inside the lattice (``max_coords`` is
     ``lattice_max_coords``), in primitive order, then the off-lattice move
     (GOAL_NODE, distance, 0.0) when the goal's target lies within the snap
-    radius.  Nothing is collision checked here.  Costs equal
-    ``config_distance`` and heuristics ``heuristic``, bit for bit.
+    radius.  Nothing is collision checked here.  Every length comes from one
+    ``weighted_norms`` call, so costs equal ``config_distance`` and
+    heuristics ``heuristic``, bit for bit.
     """
     q = decode(robot, state)
     coords = np.asarray(state, dtype=int) + primitives.primitives
     coords = coords[((coords >= 0) & (coords <= max_coords)).all(axis=1)]
     ends = decode(robot, coords)
-    dist = weighted_norms(robot, np.concatenate(
-        [ends - q, ends - np.clip(ends, goal.lower, goal.upper)]))
-    moves = list(zip(map(tuple, coords.tolist()), dist[:len(ends)], dist[len(ends):]))
+    rows = [ends - q, ends - np.clip(ends, goal.lower, goal.upper)]
     if goal.target is not None:
-        d = config_distance(robot, q, goal.target)
-        if d <= primitives.snap_radius:
-            moves.append((GOAL_NODE, d, 0.0))
+        rows.append((q - goal.target)[None])
+    dist = weighted_norms(robot, np.concatenate(rows))
+    k = len(ends)
+    moves = list(zip(map(tuple, coords.tolist()), dist[:k], dist[k:2 * k]))
+    if goal.target is not None and dist[-1] <= primitives.snap_radius:
+        moves.append((GOAL_NODE, dist[-1], 0.0))
     return moves
 
 
@@ -309,8 +311,8 @@ def ara_search(start_state: tuple[int, ...], goal: GoalSpec,
             q = decode(robot, [x or points[0] for x in points])
             if snap_target is not None:
                 q[[x == GOAL_NODE for x in points]] = goal_config
-            free = motions_free(robot, world, *np.split(q, 2), params.edge_step,
-                                stats=stats)
+            free = motions_free(robot, world, q[:len(unknown)], q[len(unknown):],
+                                params.edge_step, stats=stats)
             stats["edges_resolved"] = stats.get("edges_resolved", 0) + len(free)
             stats["edges_blocked"] = stats.get("edges_blocked", 0) + int((~free).sum())
             for (p, s), ok in zip(unknown, free.tolist()):

@@ -15,8 +15,10 @@ configuration of the batch, widened by its radius, against the obstacle's
 padded box from ``WorldModel.packs``.  FK returns the centers as a view of
 sphere-major memory, one matmul output per sphere; the bounds reduce a
 packed (m, S, 3) copy, about 4x faster at m >= 60, used for nothing else.
-Only the remaining pairs are tested, by the same arithmetic, so masks and
-verdicts are exactly those of testing every pair, and touching counts as
+Only the remaining near pairs are tested, by the same arithmetic, one
+(m, k) mask per shape over its k near pairs, and each row's verdict is the
+OR of those masks' rows: no (m, S, O) mask over every pair is formed.
+Verdicts are exactly those of testing every pair, and touching counts as
 free as before.  Self pairs are all tested, each squared center distance
 summed as (dx² + dy²) + dz², the order of ``np.sum`` over three.
 
@@ -64,7 +66,7 @@ def _squared_excess(shape: str, pack: dict, obs, rel: np.ndarray) -> np.ndarray:
     this is below r², and its clearance is the square root less r.
 
     ``obs`` makes each per-obstacle parameter broadcast against a component:
-    the penetration mask's (m, k) components of k gathered pairs take the
+    the near-pair kernel's (m, k) components of k gathered pairs take the
     pairs' obstacle indices, the clearance kernel's (k, N) ones of every
     obstacle against N centers take ``np.s_[:, None]``, a (k, 1) column, and
     an entry's arithmetic is the same either way.  It is the sum of
@@ -94,22 +96,22 @@ def _squared_excess(shape: str, pack: dict, obs, rel: np.ndarray) -> np.ndarray:
     return excess
 
 
-def _world_penetration_mask(world: WorldModel, centers: np.ndarray,
-                            radii: np.ndarray) -> np.ndarray:
-    """Boolean penetration mask (m, S, O), ordered by original obstacle index.
+def _near_pair_hits(world: WorldModel, centers: np.ndarray,
+                    radii: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per shape with near pairs, its (sphere index, obstacle index, (m, k)
+    penetration mask) over the k (sphere, obstacle) pairs whose batch
+    bounding boxes overlap, obstacles by original index.
 
-    Only pairs whose batch bounding boxes overlap are tested (see the module
-    docstring); every other pair is separated by more than rounding can
-    close, so its entry is False either way.
+    Every other pair is separated by more than rounding can close (see the
+    module docstring), so it penetrates in no row.
     """
     packs = world.packs
-    m, ns = centers.shape[0], centers.shape[1]
-    hit = np.zeros((m, ns, len(world.obstacles)), dtype=bool)
     packed = np.ascontiguousarray(centers)
     lower, upper = packs["bounds"]
     overlap = (((packed.min(axis=0) - radii[:, None])[:, None] <= upper)
                & ((packed.max(axis=0) + radii[:, None])[:, None] >= lower))
     near = overlap[..., 0] & overlap[..., 1] & overlap[..., 2]
+    hits = []
     for shape in (BOX, CYLINDER, SPHERE):
         pack = packs[shape]
         if not len(pack["index"]):
@@ -119,8 +121,8 @@ def _world_penetration_mask(world: WorldModel, centers: np.ndarray,
             rel = centers[:, sph]
             rel -= pack["center"][obs]
             excess = _squared_excess(shape, pack, obs, rel.transpose(2, 0, 1))
-            hit[:, sph, pack["index"][obs]] = excess < radii[sph] * radii[sph]
-    return hit
+            hits.append((sph, pack["index"][obs], excess < radii[sph] * radii[sph]))
+    return hits
 
 
 def free_mask(robot: RobotModel, world: WorldModel, configs: np.ndarray,
@@ -134,9 +136,8 @@ def free_mask(robot: RobotModel, world: WorldModel, configs: np.ndarray,
     if not robot.spheres or not len(configs):
         return ok
     centers = sphere_centers_batch(robot, configs)
-    if world.obstacles:
-        mask = _world_penetration_mask(world, centers, robot.sphere_radii)
-        ok &= ~mask.any(axis=(1, 2))
+    for _, _, hit in _near_pair_hits(world, centers, robot.sphere_radii):
+        ok &= ~hit.any(axis=1)
     ok &= ~(_self_distances_sq(robot, centers) < robot.self_pair_arrays[2]).any(axis=1)
     return ok
 
@@ -161,7 +162,7 @@ def _clearances(robot: RobotModel, world: WorldModel,
     distance less the radius sum.
 
     Every (sphere, obstacle) pair is computed, with no broadphase, by the
-    penetration mask's arithmetic, so each verdict is that row's ``free_mask``
+    near-pair kernel's arithmetic, so each verdict is that row's ``free_mask``
     verdict within the limits exactly, whatever rows share the call.  The
     kernel is component-major: per ``_CLEARANCE_ROWS`` rows, one contiguous
     (3, N) copy of their N sphere centers and per shape the (3, k, N) offsets
@@ -209,12 +210,11 @@ def _sample_counts(robot: RobotModel, delta: np.ndarray, step: float) -> np.ndar
     a count that does not fit an int64 raises ContractViolation."""
     if not 0 < step < math.inf:
         raise ContractViolation(f"motion step must be positive and finite, got {step}")
-    try:  # math.ceil of an infinite d / step raises OverflowError too
-        return np.array([math.ceil(d / step) + 1 for d in weighted_norms(robot, delta)],
-                        dtype=np.int64)
-    except OverflowError:
-        raise ContractViolation(
-            f"motion step {step} gives more than 2**63 - 1 samples") from None
+    with np.errstate(over="ignore"):  # an infinite d / step fails the test below
+        ceil = np.ceil(np.array(weighted_norms(robot, delta)) / step)
+    if not np.all(ceil < 2.0 ** 63):
+        raise ContractViolation(f"motion step {step} gives more than 2**63 - 1 samples")
+    return ceil.astype(np.int64) + 1
 
 
 def _samples(starts: np.ndarray, delta: np.ndarray, counts: np.ndarray,

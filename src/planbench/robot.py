@@ -298,11 +298,15 @@ def weighted_norms(robot: RobotModel, deltas: np.ndarray) -> list[float]:
     """Weighted Euclidean norm sqrt(sum_i w_i * d_i^2) of each row of the
     (k, n) ``deltas``: the metric's one summation.
 
-    Each row is one dot product of its squares with the weights, so row i
-    does not depend on the other rows; a matrix product sums in another
-    order and can differ in the last bit on multi-joint rows.
+    Each row is its own dot product of its squares with the weights: the
+    stacked (1 x n)(n x 1) matmul hands every row to numpy's ``DOUBLE_dot``,
+    the function ``ndarray.dot`` calls, so row i does not depend on the
+    other rows and equals ``math.sqrt(row.dot(weights))`` bit for bit.  A
+    matrix-vector product (gemv) sums in another order and can differ in the
+    last bit on multi-joint rows.
     """
-    return [math.sqrt(row.dot(robot.weights)) for row in deltas * deltas]
+    sq = deltas * deltas
+    return np.sqrt(np.matmul(sq[:, None, :], robot.weights[:, None])).ravel().tolist()
 
 
 def config_distance(robot: RobotModel, a, b) -> float:

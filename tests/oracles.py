@@ -163,6 +163,12 @@ def sphere_obstacle(center, radius):
     return Obstacle(shape="sphere", center=center, radius=radius)
 
 
+def weighted_norms_rowwise(robot, deltas):
+    """``robot.weighted_norms`` row by row: each row's squares' ``ndarray.dot``
+    with the weights, then ``math.sqrt``."""
+    return [math.sqrt(row.dot(robot.weights)) for row in deltas * deltas]
+
+
 def sample_uniform(robot, rng):
     """One configuration with each joint value drawn uniform over its limits:
     one row of the planner's batched ``rng.uniform`` draw."""

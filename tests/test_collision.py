@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from planbench import collision
 from planbench.collision import (_CLEARANCE_ROWS, _MAX_PIECES, _clearances, _cuts, _pieces,
-                                 _sample_counts, _self_distances_sq,
-                                 _world_penetration_mask, check_config, check_motion,
-                                 free_mask, motion_configs, motions_free, path_free)
+                                 _near_pair_hits, _sample_counts, _self_distances_sq,
+                                 check_config, check_motion, free_mask, motion_configs,
+                                 motions_free, path_free)
 from planbench.core import Path, Query, validate_path
 from planbench.data import data_path
 from planbench.errors import ContractViolation
@@ -76,6 +76,20 @@ class TestSphereObstacleDistance:
         assert disagreements == 0
 
 
+def world_mask(world, centers, radii):
+    """The (m, S, O) penetration mask rebuilt from ``_near_pair_hits``' per
+    shape (sphere index, obstacle index, hit) triples, each (sphere,
+    obstacle) pair at most once; a pair in no triple is False."""
+    mask = np.zeros((len(centers), centers.shape[1], len(world.obstacles)), dtype=bool)
+    seen = np.zeros(mask.shape[1:], dtype=int)
+    for sph, obs, hit in _near_pair_hits(world, centers, radii):
+        assert hit.shape == (len(centers), len(sph))
+        mask[:, sph, obs] = hit
+        np.add.at(seen, (sph, obs), 1)
+    assert seen.max(initial=0) <= 1
+    return mask
+
+
 def one_sphere_robot():
     return gantry_robot(extent=6.0, radius=0.1)
 
@@ -90,7 +104,7 @@ class TestCheckConfig:
         world = WorldModel((sphere_obstacle((1.15, 1.0, 0.0), 0.1),))
         assert check_config(robot, world, [1.0, 1.0]) is False
         centers = sphere_centers_batch(robot, np.array([[1.0, 1.0]]))
-        assert np.argwhere(_world_penetration_mask(
+        assert np.argwhere(world_mask(
             world, centers, robot.sphere_radii)[0]).tolist() == [[0, 0]]
 
     @pytest.mark.parametrize("obstacle", [
@@ -350,7 +364,7 @@ class TestPairMasksAgainstBruteForce:
         configs = np.random.default_rng(15).uniform(robot.lower, robot.upper,
                                                     size=(400, robot.dof))
         centers = sphere_centers_batch(robot, configs)
-        world_got = _world_penetration_mask(world, centers, robot.sphere_radii)
+        world_got = world_mask(world, centers, robot.sphere_radii)
         self_got = _self_distances_sq(robot, centers) < robot.self_pair_arrays[2]
         assert self_got.shape[1] == len(self_pairs_dense(robot))
         hits = np.zeros(2, dtype=int)
@@ -417,7 +431,7 @@ class TestBroadphaseExactness:
             assert np.abs(centers - judge).max() <= fk_atol
         else:
             assert centers.tobytes() == judge.tobytes()
-        got = _world_penetration_mask(world, centers, robot.sphere_radii)
+        got = world_mask(world, centers, robot.sphere_radii)
         assert np.array_equal(got, world_mask_dense(world, centers, robot.sphere_radii))
         overlap = _self_distances_sq(robot, centers) < robot.self_pair_arrays[2]
         assert np.array_equal(overlap, self_mask_dense(robot, centers))

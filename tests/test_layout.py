@@ -209,7 +209,7 @@ def test_one_obstacle_rule_in_collision():
     found = [f"collision.py:{n.lineno} {n.id}" for n in ast.walk(tree)
              if isinstance(n, ast.Name) and n.id in shapes and id(n) not in allowed]
     assert found == []
-    assert len(loops) == 2  # the penetration mask's and the clearance kernel's
+    assert len(loops) == 2  # the near-pair kernel's and the clearance kernel's
 
 
 def test_one_planning_frame():

@@ -18,7 +18,7 @@ from planbench.world import WorldModel
 
 from conftest import make_joint, random_robot, single_revolute_robot
 from oracles import (matrix_chain_spheres, sample_uniform, sphere_centers_3x3,
-                     within_limits)
+                     weighted_norms_rowwise, within_limits)
 
 
 class TestForwardKinematics:
@@ -141,6 +141,20 @@ class TestConfigDistance:
             a, b = (rng.uniform(-2, 2, size=(9, robot.dof)) for _ in range(2))
             assert weighted_norms(robot, a - b) == [
                 config_distance(robot, x, y) for x, y in zip(a, b)]
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 11), st.sampled_from([0, 1, 40]),
+           st.floats(1e-6, 1e3))
+    @settings(max_examples=200, deadline=None)
+    def test_weighted_norms_equal_rowwise_dots_bitwise(self, seed, dof, rows, scale):
+        # Each row is its squares' own dot product with the (non-unit)
+        # weights, byte for byte; a gemv over all rows sums in another order.
+        rng = np.random.default_rng(seed)
+        robot = random_robot(rng, dof=dof)
+        deltas = rng.normal(size=(rows, dof)) * scale
+        got = weighted_norms(robot, deltas)
+        assert [type(d) for d in got] == [float] * rows
+        assert (np.array(got).tobytes()
+                == np.array(weighted_norms_rowwise(robot, deltas)).tobytes())
 
     def test_metric_axioms_randomized(self):
         rng = np.random.default_rng(11)
