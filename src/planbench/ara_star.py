@@ -28,7 +28,7 @@ import numpy as np
 
 from .collision import check_motion, motions_free
 from .core import (FAILURE, SOLVED_BACKWARD, SOLVED_FORWARD, PlannerResult, Query,
-                   goal_satisfied, run_planner)
+                   run_planner)
 from .errors import (ContractViolation, ValidationError, field_eq, finite_array, integer,
                      parse_mapping, real)
 from .robot import RobotModel, as_configuration, config_distance, weighted_norms
@@ -200,7 +200,7 @@ def heuristic(state: tuple[int, ...], goal: GoalSpec, robot: RobotModel) -> floa
     if state == GOAL_NODE:
         return 0.0
     q = decode(robot, state)
-    return config_distance(robot, q, np.clip(q, goal.lower, goal.upper))
+    return config_distance(robot, q, np.minimum(np.maximum(q, goal.lower), goal.upper))
 
 
 def successors(state: tuple[int, ...], primitives: MotionPrimitiveSet, robot: RobotModel,
@@ -219,7 +219,7 @@ def successors(state: tuple[int, ...], primitives: MotionPrimitiveSet, robot: Ro
     coords = np.asarray(state, dtype=int) + primitives.primitives
     coords = coords[((coords >= 0) & (coords <= max_coords)).all(axis=1)]
     ends = decode(robot, coords)
-    rows = [ends - q, ends - np.clip(ends, goal.lower, goal.upper)]
+    rows = [ends - q, ends - np.minimum(np.maximum(ends, goal.lower), goal.upper)]
     if goal.target is not None:
         rows.append((q - goal.target)[None])
     dist = weighted_norms(robot, np.concatenate(rows))
@@ -286,10 +286,11 @@ def ara_search(start_state: tuple[int, ...], goal: GoalSpec,
     # generated by ``successors``, which prices its heuristic.
     h: dict = {start_state: heuristic(start_state, goal, robot)}
 
-    def is_goal(s) -> bool:
-        if s == GOAL_NODE:
-            return True
-        return goal_satisfied(goal, decode(robot, s))
+    # inside[j][c]: cell c of joint j, by ``decode``'s arithmetic, is in the
+    # goal box.  A state is a goal iff all its cells are (GOAL_NODE has none).
+    cells = np.arange(max_coords.max() + 1.0) * robot.resolutions[:, None]
+    cells += robot.lower[:, None]
+    inside = ((cells >= goal.lower[:, None]) & (cells <= goal.upper[:, None])).tolist()
 
     def edge_free(a, b) -> bool | None:
         """The cached verdict of edge a -> b, None when unchecked."""
@@ -397,7 +398,7 @@ def ara_search(start_state: tuple[int, ...], goal: GoalSpec,
                     continue
                 closed.add(s)
                 expansions += 1
-                if is_goal(s):
+                if all(row[c] for row, c in zip(inside, s)):
                     if g[s] < best_cost:
                         best_cost = g[s]
                         best_node = s
@@ -405,9 +406,11 @@ def ara_search(start_state: tuple[int, ...], goal: GoalSpec,
                 for nxt, cost, h_nxt in successors(s, primitives, robot, goal,
                                                    max_coords):
                     tentative = g[s] + cost
-                    if (tentative >= g.get(nxt, math.inf) - _TIE
-                            or edge_free(s, nxt) is False):
+                    if tentative >= g.get(nxt, math.inf) - _TIE:
                         continue  # could not lower g[nxt] even if valid
+                    if (cache.edges.get((s, nxt) if s <= nxt else (nxt, s)) if nxt
+                            else cache.snap.get((s, snap_target))) is False:
+                        continue  # edge_free(s, nxt) is False: known blocked
                     sequence += 1
                     pending.setdefault(nxt, []).append((tentative, s, sequence))
                     h[nxt] = h_nxt

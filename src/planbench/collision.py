@@ -116,7 +116,7 @@ def _near_pair_hits(world: WorldModel, centers: np.ndarray,
         pack = packs[shape]
         if not len(pack["index"]):
             continue
-        sph, obs = np.nonzero(near[:, pack["index"]])
+        sph, obs = near[:, pack["index"]].nonzero()
         if len(sph):
             rel = centers[:, sph]
             rel -= pack["center"][obs]
@@ -132,7 +132,7 @@ def free_mask(robot: RobotModel, world: WorldModel, configs: np.ndarray,
     if stats is not None:
         stats["collision_checks"] = stats.get("collision_checks", 0) + configs.shape[0]
         stats["check_calls"] = stats.get("check_calls", 0) + 1
-    ok = np.all((configs >= robot.lower) & (configs <= robot.upper), axis=1)
+    ok = ((configs >= robot.lower) & (configs <= robot.upper)).all(axis=1)
     if not robot.spheres or not len(configs):
         return ok
     centers = sphere_centers_batch(robot, configs)
@@ -212,7 +212,7 @@ def _sample_counts(robot: RobotModel, delta: np.ndarray, step: float) -> np.ndar
         raise ContractViolation(f"motion step must be positive and finite, got {step}")
     with np.errstate(over="ignore"):  # an infinite d / step fails the test below
         ceil = np.ceil(np.array(weighted_norms(robot, delta)) / step)
-    if not np.all(ceil < 2.0 ** 63):
+    if not (ceil < 2.0 ** 63).all():
         raise ContractViolation(f"motion step {step} gives more than 2**63 - 1 samples")
     return ceil.astype(np.int64) + 1
 
@@ -261,8 +261,9 @@ def motions_free(robot: RobotModel, world: WorldModel, starts, ends, step: float
     is no early stop: every configuration is checked and counted in
     ``stats``.
     """
-    ends = np.asarray(ends, dtype=float)
-    starts = np.broadcast_to(np.asarray(starts, dtype=float), ends.shape)
+    ends, starts = np.asarray(ends, dtype=float), np.asarray(starts, dtype=float)
+    if starts.shape != ends.shape:
+        starts = np.broadcast_to(starts, ends.shape)
     configs, offsets = motion_configs(robot, starts, ends, step)
     return np.logical_and.reduceat(free_mask(robot, world, configs, stats=stats), offsets)
 
@@ -346,7 +347,7 @@ def path_free(robot: RobotModel, world: WorldModel, waypoints: np.ndarray,
     extremes = _samples(starts, delta, counts, np.concatenate([inner, inner]),
                         np.concatenate([np.ones_like(inner), counts[inner] - 2]))
     rows = np.vstack([waypoints, extremes])
-    if not np.all((rows >= robot.lower) & (rows <= robot.upper)):
+    if not ((rows >= robot.lower) & (rows <= robot.upper)).all():
         return False
     if not robot.spheres:
         return True
@@ -364,7 +365,7 @@ def path_free(robot: RobotModel, world: WorldModel, waypoints: np.ndarray,
         # in one (intervals, S + P) array: the margin dwarfs the rounding.
         bound = (hi - lo)[:, None] * rate[motion]
         bound += _PROOF_MARGIN
-        pending = (hi - lo > 1) & ~np.all(bound - gap_lo < gap_hi, axis=1)
+        pending = (hi - lo > 1) & ~(bound - gap_lo < gap_hi).all(axis=1)
         if not pending.any():
             return True
         # One array at a time, so that each old one is freed before the next.

@@ -229,6 +229,9 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+_IDENTITY = _frozen(np.eye(4))  # the base frame every FK chain starts from
+
+
 def _rpy_matrix(rpy: np.ndarray) -> np.ndarray:
     """Rotation matrix for roll-pitch-yaw: Rz(yaw) @ Ry(pitch) @ Rx(roll)."""
     r, p, y = float(rpy[0]), float(rpy[1]), float(rpy[2])
@@ -270,7 +273,7 @@ def link_frames_batch(robot: RobotModel, configs: np.ndarray) -> np.ndarray:
     turns[joint, :, entry] = a + u[joint] * b + (1.0 - np.cos(q))[joint] * c
     turns = turns.reshape(n, m, 4, 4)
     frames = np.empty((n, m, 4, 4))
-    prev = np.eye(4)
+    prev = _IDENTITY
     for j in range(n):
         prev = np.matmul(prev, turns[j], out=frames[j])
     return frames
@@ -303,9 +306,10 @@ def weighted_norms(robot: RobotModel, deltas: np.ndarray) -> list[float]:
     the function ``ndarray.dot`` calls, so row i does not depend on the
     other rows and equals ``math.sqrt(row.dot(weights))`` bit for bit.  A
     matrix-vector product (gemv) sums in another order and can differ in the
-    last bit on multi-joint rows.
+    last bit on multi-joint rows, and so does a strided row: the squares are
+    formed in C order, whatever the layout of ``deltas``.
     """
-    sq = deltas * deltas
+    sq = np.multiply(deltas, deltas, order="C")
     return np.sqrt(np.matmul(sq[:, None, :], robot.weights[:, None])).ravel().tolist()
 
 

@@ -75,7 +75,7 @@ class Tree:
     Node 0 is the root and is its own parent.  Every non-root edge was
     validated before insertion through the ``_Lookahead`` cache, every
     sample at the edge step checked by ``motions_free``.
-    Nodes are stored joint-major, one column per node, for ``nearest``.
+    Nodes are stored joint-major, one column per node, for the nearest-node scans.
     """
 
     def __init__(self, robot: RobotModel, root):
@@ -198,19 +198,20 @@ class _Lookahead:
         steered ``target`` against ``tree``: only the nodes added since are
         compared with that node, by the same arithmetic as ``nearest``, and
         a tie keeps the older node and its step."""
-        key = (self.trees.index(tree), target.tobytes())
-        if key not in self.near:
+        key = (0 if tree is self.trees[0] else 1, target.tobytes())
+        found = self.near.get(key)
+        if found is None:
             index = int(nearest(tree, target[None])[0])
-            return index, _steps(self.robot, self.params, tree.nodes[index][None],
+            return index, _steps(self.robot, self.params, tree._columns[:, index][None],
                                  target[None])[0]
-        size, index, step = self.near[key]
+        size, index, step = found
         if size < tree.size:
-            columns = tree.nodes.T
+            columns = tree._columns[:, :tree.size]
             block = np.concatenate([columns[:, index, None], columns[:, size:]], axis=1)
-            k = int(np.argmin(_distances(self.robot, block, target[None])[0]))
+            k = int(_distances(self.robot, block, target[None])[0].argmin())
             if k:
                 index = size + k - 1
-                step = _steps(self.robot, self.params, tree.nodes[index][None],
+                step = _steps(self.robot, self.params, columns[:, index][None],
                               target[None])[0]
             self.near[key] = (tree.size, index, step)
         return index, step
@@ -226,8 +227,9 @@ class _Lookahead:
         if self.params.max_iterations is not None:
             last = min(last, self.params.max_iterations - 1)
         first = self.iteration if self.extending else self.iteration + 1
-        extends = self._steer_all(
-            [(j % 2, self.sample(j)) for j in range(first, last + 1)], missed)
+        self.sample(last)  # draws samples first .. last, the window
+        window = self.samples[first - self.first:last + 1 - self.first]
+        extends = self._steer_all((window[first % 2::2], window[1 - first % 2::2]), missed)
         pending = self._unknown(missed, old)
         if pending:
             free = free_mask(self.robot, self.world,
@@ -236,8 +238,9 @@ class _Lookahead:
             self.verdicts.update((key, False) for key, ok in zip(pending, free) if not ok)
             pending = {key: m for (key, m), ok in zip(pending.items(), free) if ok}
         connects = {}
-        self._steer_all([(1 - t, q) for t, key, q in extends
-                         if key in pending or self.verdicts[key]], connects)
+        self._steer_all([np.array([q for key, q in extends[1 - t]
+                                   if key in pending or self.verdicts[key]]) for t in (0, 1)],
+                        connects)
         pending.update(self._unknown(connects, old))
         if pending:
             pairs = np.array(list(pending.values()))
@@ -245,25 +248,24 @@ class _Lookahead:
                 self.robot, self.world, pairs[:, 0], pairs[:, 1], self.params.edge_step,
                 stats=self.stats).tolist()))
 
-    def _steer_all(self, jobs, motions: dict) -> list:
-        """Steer each (tree index, target) job against the current trees,
-        with one ``nearest`` and one ``_steps`` call per tree, remember each
-        nearest node and step and add each motion to ``motions``.  Returns
-        (tree index, key, new configuration) per steered job."""
-        steered = []
-        for t in (0, 1):
-            tree, targets = self.trees[t], np.array([q for s, q in jobs if s == t])
-            if not len(targets):
+    def _steer_all(self, targets, motions: dict) -> list:
+        """Steer each row of ``targets[t]`` against ``trees[t]``, one scan and
+        one ``_steps`` call per tree; remember each nearest node and step, add
+        each motion to ``motions``, return per tree each (key, new config)."""
+        steered = ([], [])
+        for t, (tree, rows) in enumerate(zip(self.trees, targets)):
+            if not len(rows):
                 continue
-            near = nearest(tree, targets)
-            q_near = tree.nodes[near]
-            steps = _steps(self.robot, self.params, q_near, targets)
-            for k, target, q, step in zip(near.tolist(), targets, q_near, steps):
+            columns = tree._columns[:, :tree.size]
+            near = _distances(self.robot, columns, rows).argmin(axis=1)
+            q_near = columns.T[near]
+            steps = _steps(self.robot, self.params, q_near, rows)
+            for k, target, q, step in zip(near.tolist(), rows, q_near, steps):
                 self.near[t, target.tobytes()] = (tree.size, k, step)
                 if step is not None:
                     key = q.tobytes() + step[0].tobytes()
                     motions[key] = (q, step[0])
-                    steered.append((t, key, step[0]))
+                    steered[t].append((key, step[0]))
         return steered
 
     def _unknown(self, motions: dict, old: dict) -> dict:
@@ -285,7 +287,7 @@ def extend(tree: Tree, target, cache: _Lookahead) -> tuple[str, int | None]:
     if step is None:
         return REACHED, near_index  # degenerate: do not duplicate the node
     q_new, reached = step
-    if not cache.free(tree.nodes[near_index], q_new):
+    if not cache.free(tree._columns[:, near_index], q_new):
         return TRAPPED, None
     return (REACHED if reached else ADVANCED), tree.add(q_new, near_index)
 

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from planbench import collision
-from planbench.ara_star import (AraParams, LatticeCache, ara_search, decode,
-                                default_primitives, discretize, plan_ara_star)
+from planbench.ara_star import (AraParams, LatticeCache, MotionPrimitiveSet, ara_search,
+                                decode, default_primitives, discretize,
+                                lattice_max_coords, plan_ara_star)
 from planbench.collision import check_motion, free_mask
 from planbench.core import (BUDGET_GRACE, FAILURE, OK, SOLVED_BACKWARD, SOLVED_FORWARD,
                             UNSOLVABLE, Query, goal_satisfied, query_from_scenario,
@@ -20,7 +21,7 @@ from planbench.errors import ValidationError
 from planbench.params import parse_params
 from planbench.world import GoalSpec, WorldModel, generate_variations, load_scenario
 
-from conftest import gantry_robot, lattice_instance, solution_cost
+from conftest import gantry_robot, lattice_instance, random_robot, solution_cost
 from oracles import ara_search_eager, box_obstacle, dijkstra_lattice, sphere_obstacle
 
 
@@ -83,6 +84,38 @@ class TestAraSearch:
         assert solution_cost(robot, solution) == 0.0
         assert len(solution) == 1
         assert stats.expansions_per_epsilon[0] == 1  # the start only
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_goal_test_is_goal_satisfied_on_every_cell(self, seed):
+        # One primitive longer than the lattice leaves every state without a
+        # move, so a search returns its start alone iff the search's goal
+        # test accepts the start's cell, and nothing otherwise.  Each goal
+        # bound lies exactly on a lattice value or strictly between two.
+        rng = np.random.default_rng(seed)
+        robot = random_robot(rng, dof=int(rng.integers(1, 4)), n_spheres=0,
+                             lattice_cells=(2, 7))
+        max_coords = lattice_max_coords(robot)
+        far = [int(max_coords.max()) + 1] + [0] * (robot.dof - 1)
+        primitives = MotionPrimitiveSet(primitives=[far, [-v for v in far]],
+                                        snap_radius=0.0)
+        params = AraParams(epsilon_schedule=(1.0,))
+        goals, shape = [], (2, robot.dof)
+        for _ in range(4):
+            # A lattice value, or that value moved by a fraction of a cell.
+            off = rng.integers(-1, 2, size=shape) * rng.uniform(0.01, 0.99, size=shape)
+            bounds = decode(robot, rng.integers(0, max_coords + 1, size=shape))
+            bounds += off * robot.resolutions
+            goals.append(GoalSpec(type="region", lower=bounds.min(axis=0),
+                                  upper=bounds.max(axis=0)))
+        cell = decode(robot, rng.integers(0, max_coords + 1, size=robot.dof))
+        goals.append(GoalSpec.config_goal(cell, tolerance=robot.resolutions / 2.0))
+        for goal in goals:
+            for state in np.ndindex(*(max_coords + 1)):
+                solution, _ = ara_search(state, goal, primitives, params, robot,
+                                         WorldModel(()), deadline=math.inf)
+                q = decode(robot, state)
+                assert (solution is not None) == goal_satisfied(goal, q)
+                assert solution is None or np.array(solution).tobytes() == q.tobytes()
 
     def test_deadline_returns_current_incumbent(self):
         robot = gantry_robot(resolution=0.02)

@@ -309,6 +309,23 @@ class TestMotionsFree:
         got = motions_free(robot, world, [1.0, 1.0], [[5.0, 1.0], [1.0, 3.0]], 0.05)
         assert got.tolist() == [False, True]
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_shared_start_in_any_form(self, seed):
+        # A (n,) start, that start broadcast to (k, n) and stored as a (k, n)
+        # array give the same verdicts, checked configurations and calls.
+        rng = np.random.default_rng(seed)
+        robot, world = SHELF.robot, SHELF.world
+        start = rng.uniform(robot.lower, robot.upper)
+        ends = start + rng.normal(scale=0.3, size=(int(rng.integers(1, 12)), robot.dof))
+        results = []
+        stored = np.tile(start, (len(ends), 1))
+        for starts in (start, np.broadcast_to(start, ends.shape), stored):
+            stats = {}
+            results.append((motions_free(robot, world, starts, ends, 0.05, stats).tolist(),
+                            stats))
+        assert results[0] == results[1] == results[2]
+        assert results[0][1]["check_calls"] == 1
+
     def test_zero_motions(self):
         stats = {}
         got = motions_free(SHELF.robot, SHELF.world, SHELF.start,

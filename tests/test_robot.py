@@ -156,6 +156,26 @@ class TestConfigDistance:
         assert (np.array(got).tobytes()
                 == np.array(weighted_norms_rowwise(robot, deltas)).tobytes())
 
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 11), st.integers(1, 40),
+           st.floats(1e-6, 1e3))
+    @settings(max_examples=200, deadline=None)
+    def test_weighted_norms_do_not_depend_on_memory_layout(self, seed, dof, rows, scale):
+        # F-ordered, column-strided and broadcast rows give the C-ordered
+        # rows' norms, each sqrt((r * r).dot(w)) of a contiguous row r, byte
+        # for byte: squaring an F-ordered array in its own order once moved
+        # about one row in five.
+        rng = np.random.default_rng(seed)
+        robot = random_robot(rng, dof=dof)
+        deltas = rng.normal(size=(rows, dof)) * scale
+        want = [math.sqrt((r * r).dot(robot.weights)) for r in deltas]
+        spaced = np.zeros((rows, 2 * dof))
+        spaced[:, ::2] = deltas
+        for layout in (deltas, np.asfortranarray(deltas), spaced[:, ::2]):
+            assert (np.array(weighted_norms(robot, layout)).tobytes()
+                    == np.array(want).tobytes())
+        shared = np.broadcast_to(deltas[0], deltas.shape)
+        assert weighted_norms(robot, shared) == [want[0]] * rows
+
     def test_metric_axioms_randomized(self):
         rng = np.random.default_rng(11)
         robot = random_robot(rng, dof=4)

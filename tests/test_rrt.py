@@ -20,7 +20,8 @@ from planbench.rrt_connect import (ADVANCED, LOOKAHEAD, REACHED, TRAPPED, RrtPar
 from planbench.world import GoalSpec, WorldModel, generate_variations, load_scenario
 
 from conftest import gantry_robot, random_robot
-from oracles import box_obstacle, rrt_connect_sequential, sample_uniform
+from oracles import (box_obstacle, connect_one, extend_one, rrt_connect_sequential,
+                     sample_uniform)
 
 
 @pytest.fixture
@@ -423,6 +424,46 @@ class TestSequentialEquivalence:
             assert_same_as_sequential(robot, shelf_world(), query,
                                       RrtParams(max_iterations=max_iterations), seed)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_duplicate_nodes(self, robot, seed):
+        # Both trees hold each of their nodes twice, and before every
+        # iteration the extended tree gets one more copy of the sample's
+        # nearest node, so nearest nodes tie with copies in the cache's scans
+        # and among the nodes added since its refill.  Every tie keeps the
+        # older node, as the one-motion loop's full scan does.
+        rng = np.random.default_rng(seed)
+        roots = ([1.0, 1.0], [5.0, 1.0])
+        fills = [[root + rng.uniform(-0.5, 0.5, size=2) for _ in range(5)] for root in roots]
+        pairs = []
+        for _ in range(2):  # the cache's trees, then the one-motion loop's
+            trees = tuple(Tree(robot, root) for root in roots)
+            for tree, fill in zip(trees, fills):
+                for q in fill + fill:
+                    tree.add(q, 0)
+            pairs.append(trees)
+        trees, oracle_trees = pairs
+        world = shelf_world()
+        cache = rrt_connect._Lookahead(robot, world, PARAMS, seed, trees, {})
+        for i in range(80):
+            cache.begin(i)
+            sample = cache.sample(i)
+            for tree in (trees[i % 2], oracle_trees[i % 2]):
+                near = int(nearest(tree, sample[None])[0])
+                tree.add(tree.config(near), near)
+            got = extend(trees[i % 2], sample, cache)
+            assert got == extend_one(oracle_trees[i % 2], sample, PARAMS, robot, world)
+            if got[0] != TRAPPED:
+                target = trees[i % 2].config(got[1])
+                met = connect(trees[1 - i % 2], target, cache, math.inf)
+                assert met == connect_one(oracle_trees[1 - i % 2], target, PARAMS, robot,
+                                          world)
+            for tree, oracle_tree in zip(trees, oracle_trees):
+                assert tree.nodes.tobytes() == oracle_tree.nodes.tobytes()
+                assert tree._parents[:tree.size].tolist() == \
+                    oracle_tree._parents[:oracle_tree.size].tolist()
+            if got[0] != TRAPPED and met[0] == REACHED:
+                break
+
     def test_degenerate_connect_step(self, robot, empty_world, monkeypatch):
         # Sample 0 is the goal itself: the start tree reaches it, and the
         # connect's first step finds it already in the goal tree.
@@ -449,16 +490,17 @@ class TestLookahead:
     @pytest.mark.parametrize("max_iterations", [1, 2, 17])
     def test_refill_never_steers_past_max_iterations(self, robot, monkeypatch,
                                                      max_iterations):
-        # Every steered target passes through nearest; samples from
-        # max_iterations on belong to iterations that never run.
+        # Every steered target passes through the nearest-node scan
+        # _distances; samples from max_iterations on belong to iterations
+        # that never run.
         targets = set()
-        real_nearest = rrt_connect.nearest
+        real_distances = rrt_connect._distances
 
-        def recording_nearest(tree, rows):
-            targets.update(row.tobytes() for row in np.asarray(rows, dtype=float))
-            return real_nearest(tree, rows)
+        def recording_distances(robot, columns, rows):
+            targets.update(row.tobytes() for row in rows)
+            return real_distances(robot, columns, rows)
 
-        monkeypatch.setattr(rrt_connect, "nearest", recording_nearest)
+        monkeypatch.setattr(rrt_connect, "_distances", recording_distances)
         goal = GoalSpec.config_goal([5.0, 1.0], [0.0, 0.0])
         query = Query(start=[1.0, 1.0], goal=goal, time_budget=600.0)
         for seed in range(6):
