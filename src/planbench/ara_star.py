@@ -113,16 +113,12 @@ class AraParams:
 
 @dataclass
 class SearchStats:
-    """Per-inflation bookkeeping of one anytime search: iteration i searched
-    at ``epsilon_schedule[i]``, the schedule's prefix as long as these lists."""
+    """Per-inflation record of one anytime search: iteration i searched at
+    ``epsilon_schedule[i]``, the schedule's prefix as long as these lists.
+    Counters summed over the run go to ``ara_search``'s ``stats`` dict."""
 
     expansions_per_epsilon: list[int] = field(default_factory=list)
     incumbent_costs: list[float | None] = field(default_factory=list)
-    reopened: int = 0
-
-    @property
-    def expansions(self) -> int:
-        return sum(self.expansions_per_epsilon)
 
 
 class LatticeCache:
@@ -256,9 +252,10 @@ def ara_search(start_state: tuple[int, ...], goal: GoalSpec,
     Unless the deadline cuts it short, the search expands, publishes, reopens
     and returns exactly what the search that validates every move at
     expansion would; only ``collision_checks`` differs.  ``stats`` also
-    counts the edges checked (``edges_resolved``) and found blocked
-    (``edges_blocked``).  The ``time.perf_counter`` deadline (``math.inf``
-    for none) is polled after every expansion and every collision call.
+    counts the edges checked (``edges_resolved``), found blocked
+    (``edges_blocked``) and the closed states reopened (``reopened``).  The
+    ``time.perf_counter`` deadline (``math.inf`` for none) is polled after
+    every expansion and every collision call.
 
     Tie-breaking is deterministic: equal keys prefer larger cost-to-come,
     then lexicographically smaller states.
@@ -333,7 +330,7 @@ def ara_search(start_state: tuple[int, ...], goal: GoalSpec,
             if s in closed:
                 if s not in incons:
                     incons.add(s)
-                    search_stats.reopened += 1
+                    stats["reopened"] = stats.get("reopened", 0) + 1
             else:
                 heapq.heappush(heap, (g[s] + eps * h[s], -g[s], s, 0))
 
@@ -453,7 +450,9 @@ def plan_ara_star(robot: RobotModel, world: WorldModel, query: Query,
         raise ContractViolation(
             f"primitives are {primitives.primitives.shape[1]}-dimensional, "
             f"robot has {robot.dof} joints")
-    stats = {"expansions": 0, "collision_checks": 0, "reopened": 0}
+    stats = dict.fromkeys(("check_calls", "collision_checks", "edges_blocked",
+                           "edges_resolved", "expansions", "expansions_backward",
+                           "expansions_forward", "reopened"), 0)
     cache = LatticeCache()
     start = query.start
 
@@ -471,9 +470,8 @@ def plan_ara_star(robot: RobotModel, world: WorldModel, query: Query,
             prefix = [source]
         waypoints, search_stats = ara_search(state, goal, primitives, params, robot, world,
                                              deadline, cache=cache, stats=stats)
-        stats[f"expansions_{label}"] = search_stats.expansions
-        stats["expansions"] += search_stats.expansions
-        stats["reopened"] += search_stats.reopened
+        stats[f"expansions_{label}"] = sum(search_stats.expansions_per_epsilon)
+        stats["expansions"] += stats[f"expansions_{label}"]
         return None if waypoints is None else prefix + waypoints
 
     def search(representative: np.ndarray, t0: float):

@@ -254,17 +254,20 @@ def as_configuration(robot: RobotModel, q) -> np.ndarray:
     return arr
 
 
-def link_frames_batch(robot: RobotModel, configs: np.ndarray) -> np.ndarray:
-    """World transform of every link frame, homogeneous 4x4, as (n, m, 4, 4).
+def sphere_centers_batch(robot: RobotModel, configs: np.ndarray) -> np.ndarray:
+    """World-frame collision sphere centers (m, S, 3) for a batch of configs.
 
-    Frame i is the product T_0 ... T_i of the joints' transforms, each its
-    fixed origin followed by the joint motion (see ``_joint_template``).
-    Every T_j is built for the whole batch at once, and each frame is one
-    stacked 4x4 matmul of the previous frame with T_j.  When no origin is
-    rotated, each rotation entry is the one the earlier 3x3 chain (a matmul
-    per turn, the translation added apart) formed, bit for bit; translations
-    sum the same products in another order.
+    Link frame i is the homogeneous product T_0 ... T_i of the joints'
+    transforms, each its fixed origin followed by the joint motion (see
+    ``_joint_template``).  Every T_j is built for the whole batch at once,
+    and each frame is one stacked 4x4 matmul of the previous frame with T_j.
+    Each center is the top three rows of its link frame times [l; 1], one
+    matrix-vector product per sphere over the whole batch, so each row equals
+    its one-row call.  The result views (S, m, 3) memory, sphere-major.
     """
+    if configs.ndim != 2 or configs.shape[1] != robot.dof:
+        raise ContractViolation(
+            f"config batch has shape {configs.shape}, expected (m, {robot.dof})")
     m, n = configs.shape
     base, revolute, joint, entry, a, b, c = robot._joint_template
     q = configs.T
@@ -276,24 +279,8 @@ def link_frames_batch(robot: RobotModel, configs: np.ndarray) -> np.ndarray:
     prev = _IDENTITY
     for j in range(n):
         prev = np.matmul(prev, turns[j], out=frames[j])
-    return frames
-
-
-def sphere_centers_batch(robot: RobotModel, configs: np.ndarray) -> np.ndarray:
-    """World-frame collision sphere centers (m, S, 3) for a batch of configs.
-
-    Each center is the top three rows of its link frame times [l; 1], one
-    matrix-vector product per sphere over the whole batch, so each row equals
-    its one-row call.  The result views (S, m, 3) memory, sphere-major like
-    the earlier 3x3 chain's.  Its centers are that chain's bit for bit on the
-    shipped ``arm8`` and agree with it within rounding elsewhere.
-    """
-    if configs.ndim != 2 or configs.shape[1] != robot.dof:
-        raise ContractViolation(
-            f"config batch has shape {configs.shape}, expected (m, {robot.dof})")
-    m, ns = configs.shape[0], len(robot.spheres)
-    frames = link_frames_batch(robot, configs)[robot._sphere_links, :, :3]
-    centers = frames.reshape(ns, 3 * m, 4) @ robot._sphere_locals
+    ns = len(robot.spheres)
+    centers = frames[robot._sphere_links, :, :3].reshape(ns, 3 * m, 4) @ robot._sphere_locals
     return centers.reshape(ns, m, 3).transpose(1, 0, 2)
 
 

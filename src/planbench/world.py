@@ -213,7 +213,7 @@ class VariationSpec:
 
     def __post_init__(self):
         for name in ("shelf_indices", "object_indices"):
-            object.__setattr__(self, name, tuple(integer(i, f"variation {name} entry")
+            object.__setattr__(self, name, tuple(integer(i, f"variation {name} entry", least=0)
                                                  for i in getattr(self, name)))
         moved = self.shelf_indices + self.object_indices
         if len(set(moved)) < len(moved):
@@ -252,6 +252,10 @@ class Scenario:
         object.__setattr__(self, "time_budget", real(self.time_budget, "time budget"))
         if self.time_budget <= 0:
             raise ValidationError("time budget must be positive")
+        if self.variation is not None:
+            for idx in self.variation.shelf_indices + self.variation.object_indices:
+                if idx >= len(self.world.obstacles):
+                    raise ValidationError(f"variation index {idx} out of obstacle range")
 
     __eq__ = field_eq
 
@@ -288,13 +292,7 @@ def _build_scenario(doc: dict, base_dir: str | Path | None) -> Scenario:
     obstacles = tuple(build(Obstacle, entry, "obstacle")
                       for entry in world_doc.get("obstacles") or ())
 
-    variation = None
-    if doc.get("variation") is not None:
-        variation = build(VariationSpec, doc["variation"], "variation")
-        for idx in variation.shelf_indices + variation.object_indices:
-            if not 0 <= idx < len(obstacles):
-                raise ValidationError(f"variation index {idx} out of obstacle range")
-
+    variation = doc.get("variation")
     return Scenario(
         name=doc["name"],
         robot_file=doc["robot"],
@@ -303,7 +301,7 @@ def _build_scenario(doc: dict, base_dir: str | Path | None) -> Scenario:
         goal=build(GoalSpec, doc["goal"], "goal"),
         world=WorldModel(obstacles),
         time_budget=doc["time_budget_s"],
-        variation=variation,
+        variation=None if variation is None else build(VariationSpec, variation, "variation"),
     )
 
 

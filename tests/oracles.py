@@ -624,15 +624,17 @@ def dijkstra_lattice(robot, world, primitives, start_state, goal, edge_step,
     return None
 
 
-def ara_search_eager(start_state, goal, primitives, params, robot, world):
+def ara_search_eager(start_state, goal, primitives, params, robot, world, stats=None):
     """(waypoints, SearchStats) of anytime weighted A* that validates every
     move when its source is expanded, with no clock.
 
     This is the search ``ara_search`` runs lazily: same keys, tie-breaking,
     relaxation rule, inconsistent-state list and path reconstruction, over
-    the moves of ``valid_successors``.
+    the moves of ``valid_successors``.  It counts the closed states reopened
+    into ``stats["reopened"]``, as ``ara_search`` does.
     """
     goal_config = goal.target
+    stats = {} if stats is None else stats
     search_stats = SearchStats()
     g = {start_state: 0.0}
     parent = {start_state: None}
@@ -678,7 +680,7 @@ def ara_search_eager(start_state, goal, primitives, params, robot, world):
                     if nxt in closed:
                         if nxt not in incons:
                             incons.add(nxt)
-                            search_stats.reopened += 1
+                            stats["reopened"] = stats.get("reopened", 0) + 1
                     else:
                         heapq.heappush(heap, (tentative + eps * h(nxt), -tentative, nxt))
         search_stats.expansions_per_epsilon.append(expansions)

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from planbench import collision
+from planbench import ara_star, collision
 from planbench.ara_star import (AraParams, LatticeCache, MotionPrimitiveSet, ara_search,
                                 decode, default_primitives, discretize,
                                 lattice_max_coords, plan_ara_star)
@@ -169,16 +169,21 @@ class TestAraSearch:
 
 
 def assert_same_as_eager(start, goal, primitives, params, robot, world):
-    """The lazy search returns the eager search's path, cost and stats."""
+    """The lazy search returns the eager search's path, cost, per-iteration
+    record and reopened count; returns the record and the count."""
+    lazy_counts, eager_counts = {}, {}
     lazy, lazy_stats = ara_search(start, goal, primitives, params, robot, world,
-                                  deadline=math.inf)
-    eager, eager_stats = ara_search_eager(start, goal, primitives, params, robot, world)
+                                  deadline=math.inf, stats=lazy_counts)
+    eager, eager_stats = ara_search_eager(start, goal, primitives, params, robot, world,
+                                          stats=eager_counts)
     assert dataclasses.astuple(lazy_stats) == dataclasses.astuple(eager_stats)
+    reopened = eager_counts.get("reopened", 0)
+    assert lazy_counts.get("reopened", 0) == reopened
     assert (lazy is None) == (eager is None)
     if eager is not None:
         assert solution_cost(robot, lazy) == solution_cost(robot, eager)
         assert np.array(lazy).tobytes() == np.array(eager).tobytes()
-    return eager_stats
+    return eager_stats, reopened
 
 
 DEFAULT_SCHEDULE = AraParams().epsilon_schedule
@@ -220,9 +225,8 @@ class TestEagerEquivalence:
             data_path("params", "shelf_tuned.yaml").read_text()).ara_star
         reopened = 0
         for start, goal, robot, world in shelf_suite.values():
-            stats = assert_same_as_eager(start, goal, default_primitives(robot),
-                                         params, robot, world)
-            reopened += stats.reopened
+            reopened += assert_same_as_eager(start, goal, default_primitives(robot),
+                                             params, robot, world)[1]
         assert len(shelf_suite) == 29 and reopened > 0
 
     @pytest.mark.parametrize("name", ["shelf_reach_021", "shelf_reach_026",
@@ -231,9 +235,9 @@ class TestEagerEquivalence:
         # On these scenes, applying a state's candidates in cost order rather
         # than generation order changes the epsilon = 1 iteration.
         start, goal, robot, world = shelf_suite[name]
-        stats = assert_same_as_eager(start, goal, default_primitives(robot),
-                                     AraParams(epsilon_schedule=DEFAULT_SCHEDULE),
-                                     robot, world)
+        stats, _ = assert_same_as_eager(start, goal, default_primitives(robot),
+                                        AraParams(epsilon_schedule=DEFAULT_SCHEDULE),
+                                        robot, world)
         assert len(stats.expansions_per_epsilon) == len(DEFAULT_SCHEDULE)
 
     def test_shelf_chain_rewired_after_last_iteration(self, shelf_suite):
@@ -271,8 +275,8 @@ class TestEagerEquivalence:
         start = discretize(robot, [3.0, 1.3])
         goal = GoalSpec.config_goal([1.2, 4.8], tolerance=robot.resolutions / 2.0)
         params = AraParams(epsilon_schedule=(50.0,))
-        stats = assert_same_as_eager(start, goal, default_primitives(robot),
-                                     params, robot, world)
+        stats, _ = assert_same_as_eager(start, goal, default_primitives(robot),
+                                        params, robot, world)
         assert stats.incumbent_costs[0] is not None
 
 
@@ -331,6 +335,49 @@ class TestStateCache:
 def simple_query(goal_xy=(5.0, 5.0), budget=10.0, tol=0.0):
     goal = GoalSpec.config_goal(list(goal_xy), [tol, tol])
     return Query(start=[1.0, 1.0], goal=goal, time_budget=budget)
+
+
+def backward_junction_case(monkeypatch):
+    """(robot, world, query, primitives, params) solved backward only: the
+    forward attempt gets no budget, and with no goal snap the backward
+    search ends on the off-lattice start's cell, not at the start."""
+    monkeypatch.setattr(ara_star, "BUDGET_SPLIT", 0.0)
+    robot = gantry_robot(resolution=0.25)
+    query = Query(start=[1.13, 1.21], goal=GoalSpec.config_goal([4.0, 4.0], [0.0, 0.0]),
+                  time_budget=10.0)
+    return (robot, WorldModel(()), query, default_primitives(robot, snap_radius=0.0),
+            AraParams(epsilon_schedule=(3.0, 1.0)))
+
+
+def thin_wall_case(monkeypatch):
+    """(robot, world, query, primitives, params) that fails after the
+    backward search: a wall 0.02 thick splits the plane between the
+    off-lattice start (1.1, 1.0) and its cell center (1.0, 1.0)."""
+    robot = gantry_robot(resolution=0.25, radius=0.01)
+    world = WorldModel((box_obstacle((1.05, 3.0, 0.0), (0.01, 3.1, 0.5)),))
+    query = Query(start=[1.1, 1.0], goal=GoalSpec.config_goal([0.5, 4.0], [0.0, 0.0]),
+                  time_budget=10.0)
+    return (robot, world, query, default_primitives(robot),
+            AraParams(epsilon_schedule=(3.0, 1.0), edge_step=0.01))
+
+
+def free_case(query):
+    def case(monkeypatch):
+        robot = gantry_robot(resolution=0.25)
+        return (robot, WorldModel(()), query, default_primitives(robot),
+                AraParams(epsilon_schedule=(3.0, 1.0)))
+    return case
+
+
+def start_in_collision_case(monkeypatch):
+    robot = gantry_robot(resolution=0.25)
+    world = WorldModel((box_obstacle((1.0, 1.0, 0.0), (0.3, 0.3, 0.3)),))
+    return (robot, world, simple_query(), default_primitives(robot),
+            AraParams(epsilon_schedule=(3.0, 1.0)))
+
+
+ARA_COUNTERS = ["check_calls", "collision_checks", "edges_blocked", "edges_resolved",
+                "expansions", "expansions_backward", "expansions_forward", "reopened"]
 
 
 class TestPlanAraStar:
@@ -412,6 +459,45 @@ class TestPlanAraStar:
         result = plan_ara_star(robot, world, query, default_primitives(robot), params)
         assert result.status == SOLVED_BACKWARD
         assert validate_path(robot, world, query, result.path, 0.05)
+
+    def test_backward_solution_joined_to_an_off_lattice_start(self, monkeypatch):
+        # The forward attempt returns at its expired deadline; the start
+        # junction joins the start to the backward search's first waypoint.
+        robot, world, query, primitives, params = backward_junction_case(monkeypatch)
+        result = plan_ara_star(robot, world, query, primitives, params)
+        assert result.status == SOLVED_BACKWARD
+        waypoints = result.path.waypoints
+        assert np.array_equal(waypoints[0], query.start)
+        assert np.array_equal(waypoints[1], decode(robot, discretize(robot, query.start)))
+        assert result.stats["expansions_forward"] == 0
+        assert result.stats["expansions_backward"] > 0
+        assert validate_path(robot, world, query, result.path, 0.05)
+
+    def test_blocked_junctions_fail_after_the_backward_search(self, monkeypatch):
+        # The wall blocks the forward junction from the start to its cell;
+        # the backward search ends on that cell (the goal snap to the start
+        # crosses the wall too), and the start junction is blocked again.
+        robot, world, query, primitives, params = thin_wall_case(monkeypatch)
+        start_cell = decode(robot, discretize(robot, query.start))
+        assert free_mask(robot, world, np.array([query.start, start_cell])).all()
+        assert not check_motion(robot, world, query.start, start_cell, params.edge_step)
+        result = plan_ara_star(robot, world, query, primitives, params)
+        assert result.status == FAILURE
+        assert result.stats["expansions_forward"] == 0
+        assert result.stats["expansions_backward"] > 0
+
+    @pytest.mark.parametrize("case, status", [
+        (start_in_collision_case, UNSOLVABLE),
+        (free_case(Query(start=[1.0, 1.0], goal=GoalSpec.config_goal([1.0, 1.0], [0.5, 0.5]),
+                         time_budget=5.0)), SOLVED_FORWARD),
+        (free_case(simple_query()), SOLVED_FORWARD),
+        (backward_junction_case, SOLVED_BACKWARD),
+        (thin_wall_case, FAILURE),
+    ], ids=["start-in-collision", "start-in-goal", "forward", "backward", "failure"])
+    def test_every_result_carries_the_same_counters(self, monkeypatch, case, status):
+        result = plan_ara_star(*case(monkeypatch))
+        assert result.status == status
+        assert sorted(result.stats) == ARA_COUNTERS
 
     def test_budget_respected(self):
         robot = gantry_robot(resolution=0.02)

@@ -85,8 +85,10 @@ class TestPlan:
         out = capsys.readouterr().out
         assert code == 2
         assert "unsolvable (start_in_collision)" in out
-        assert out.splitlines()[-3:] == [
-            "collision_checks: 0", "expansions: 0", "reopened: 0"]
+        assert out.splitlines()[-8:] == [
+            "check_calls: 0", "collision_checks: 0", "edges_blocked: 0",
+            "edges_resolved: 0", "expansions: 0", "expansions_backward: 0",
+            "expansions_forward: 0", "reopened: 0"]
 
     @pytest.mark.parametrize("planner", ["ara-star", "rrt-connect"])
     def test_prints_counters(self, workdir, capsys, planner):

@@ -137,7 +137,7 @@ class TestRegionGoalVerdict:
         assert screens == [33]
         screens.clear()
         result = plan_ara_star(robot, world, q, default_primitives(robot), AraParams())
-        assert result.status == FAILURE and "expansions_backward" in result.stats
+        assert result.status == FAILURE and result.stats["expansions_backward"] > 0
         assert screens == [33]
 
     def test_representative_is_the_free_center(self, robot):

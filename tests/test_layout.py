@@ -4,11 +4,11 @@ function, class, class member or class field exists only for the tests, only
 ``errors.py`` checks values for finiteness, no constructor bounds a value by
 infinity by hand, every dataclass with an array field compares through
 ``errors.field_eq``, only ``errors.py`` loads and only
-``world.py`` dumps YAML, only ``collision.py`` samples motions, only
-``collision._squared_excess`` names a single obstacle shape there, only
-``core.py`` screens queries and builds planner results, every function the
-benchmark traces exists, and the tests import nothing they do
-not use."""
+``world.py`` dumps YAML, only ``collision.py`` samples motions and counts
+checked configurations and check calls, only ``collision._squared_excess``
+names a single obstacle shape there, only ``core.py`` screens queries and
+builds planner results, every function the benchmark traces exists, and the
+tests import nothing they do not use."""
 
 import ast
 import dataclasses
@@ -191,6 +191,18 @@ def test_motions_sampled_only_in_collision():
     found = [path.name for path in SOURCES
              if _names(ast.parse(path.read_text(encoding="utf-8")))["motion_configs"]]
     assert found == ["collision.py"]
+
+
+def test_collision_counters_stored_only_in_collision():
+    # collision.free_mask is the one place that counts checked configurations
+    # and check calls; a planner may start either key at 0, but a second
+    # module that stored a count would report work no kernel did.
+    keys = {"collision_checks", "check_calls"}
+    found = {(path.name, node.slice.value) for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+             and isinstance(node.slice, ast.Constant) and node.slice.value in keys}
+    assert found == {("collision.py", key) for key in keys}
 
 
 def test_one_obstacle_rule_in_collision():

@@ -644,6 +644,19 @@ class TestVariations:
             parse_scenario(text.replace("  object_indices:\n", "  object_indices:\n  - 0\n"),
                            base_dir=path.parent)
 
+    def test_an_index_outside_the_obstacles_is_rejected(self):
+        # Index -1 once jittered shelf_reach's last obstacle, and index 7 on
+        # its 7 obstacles raised IndexError in generate_variations and
+        # serialized to a document that did not parse back.
+        base = load_scenario(data_path("scenarios", "shelf_reach.yaml"))
+        assert len(base.world.obstacles) == 7
+        with pytest.raises(ValidationError, match="must be at least 0, got -1"):
+            dataclasses.replace(base, variation=VariationSpec(object_indices=(-1,)))
+        for spec in (VariationSpec(object_indices=(7,)), VariationSpec(shelf_indices=(0, 7))):
+            with pytest.raises(ValidationError, match="variation index 7 out of obstacle range"):
+                dataclasses.replace(base, variation=spec)
+        dataclasses.replace(base, variation=VariationSpec(object_indices=(6,)))
+
     def test_all_outputs_serializable(self, tmp_path, gantry_file):
         base = shelf_scenario(tmp_path, gantry_file)
         for scenario in generate_variations(base, "plus_rotation", 5, seed=2):
