@@ -26,16 +26,16 @@ Straight-line motions are validated at a fixed number of evenly spaced
 configurations along the segment; this is discretized edge checking, not
 continuous collision detection.  A planner's motions (``motions_free``) have
 every configuration checked, in one batch with no early stop at the first
-colliding one.  A path (``path_free``) gets the same verdict with most
-configurations skipped: a run of k sample steps between two checked ones
-is proven free when the two's clearances exceed by 1e-9, far above
-rounding, k times how far the robot's lever arms let each sphere move per
-step, so touching still counts as free.  A run that is not proven is cut
-into as many equal pieces, 2 to 8, as the ratio of that motion bound to the
-clearances asks for, the adaptive step of Schwarzer, Saha & Latombe (T-RO
-2005).  ``_clearances`` computes every sphere-obstacle pair exactly, with
-no broadphase, component-major in 256-row blocks, one square root per
-sphere.  Certifying the continuous sweep is ROADMAP item 1.
+colliding one.  The one proof loop, ``_groups_free``, gives each group of
+motions the AND of their verdicts with most configurations skipped: the
+clearances of two checked rows and the robot's lever arms prove the rows
+between them free, touching still counting as free, and an unproven run is
+cut into 2 to 8 equal pieces, the adaptive step of Schwarzer, Saha &
+Latombe (T-RO 2005).  A group's first colliding row ends its check, and a
+path (``path_free``) is one group.  ``_clearances`` computes every
+sphere-obstacle pair exactly, with no broadphase, component-major in
+256-row blocks, one square root per sphere.  Certifying the continuous
+sweep is ROADMAP item 2.
 
 Everything here is a pure function over immutable inputs and safe to call
 concurrently from any number of workers.
@@ -307,84 +307,97 @@ def _cuts(lo: np.ndarray, hi: np.ndarray,
     return owner, lo[owner] + whole[owner] * t + (part[owner] * t) // pieces[owner]
 
 
-def path_free(robot: RobotModel, world: WorldModel, waypoints: np.ndarray,
-              step: float) -> bool:
-    """True iff every ``motion_configs`` row of the segments between the
-    (k, n) ``waypoints`` (a lone waypoint's to itself) is free, as
-    ``free_mask`` decides it row by row; the rows that clearance and lever
-    arms prove free are never computed.
+def _groups_free(robot: RobotModel, world: WorldModel, rows: np.ndarray, ends: tuple,
+                 group: np.ndarray, step: float) -> np.ndarray:
+    """Per group g in 0 .. group.max(), True iff every ``motion_configs`` row
+    of each motion i of g, rows[ends[0]][i] -> rows[ends[1]][i] (``ends`` two
+    index arrays or slices), is free: the AND of those motions'
+    ``motions_free`` verdicts, with the rows that clearance and lever arms
+    prove free never computed.
 
-    Every row is within the joint limits iff the waypoints and each
-    segment's second and second-to-last rows are, since a segment's rows
-    are monotone in each joint.  One ``_clearances`` call then evaluates the
-    waypoints, which are the segments' end rows.  Row j of a segment of c
-    rows and joint step δ is its start plus j / (c - 1) δ, so each sphere
-    center moves at most rate = Σ_l arm[l] |δ_l| / (c - 1) per index
-    (``RobotModel.lever_arms``), and a checked pair its spheres' rates
+    A motion's rows are all within the joint limits iff its end rows and its
+    second and second-to-last rows are, since its rows are monotone in each
+    joint.  One ``_clearances`` call then evaluates the end ``rows``.  Row j
+    of a motion of c rows and joint step δ is its start plus j / (c - 1) δ, so
+    each sphere center moves at most rate = Σ_l arm[l] |δ_l| / (c - 1) per
+    index (``RobotModel.lever_arms``), and a checked pair its spheres' rates
     summed.  Between rows i < j < k, with i and k evaluated and free, each
-    center at j is within (j - i) rate of its center at i and (k - j) rate
-    of its center at k, which add up to B = (k - i) rate.  Rows i and k
-    prove every row between them free when each sphere's and each checked
-    pair's clearances satisfy clr(i) + clr(k) > B + 1e-9: every clearance
-    at j is then above 5e-10 m, so no pair touches.  The 1e-9 margin is far
-    above the FK error and the rounding of ``_samples``' t = j (1 / (c - 1)),
-    about 1e-16 relative.  An interval that is not proven is cut into k
-    equal index pieces, k the ceiling of the largest ratio of B + 1e-9 to
-    clr(i) + clr(k) over its spheres and pairs, 2 to min(8, its width)
-    (``_pieces``, ``_cuts``); the cuts of all intervals go into one call per
-    level, and the first row found in collision returns False.  Touching
-    still counts as free, since each evaluated row's verdict is exactly its
-    ``free_mask`` verdict.
+    center at j is within (j - i) rate of its center at i and (k - j) rate of
+    its center at k, which add up to B = (k - i) rate.  Rows i and k prove
+    every row between them free when each sphere's and each checked pair's
+    clearances satisfy clr(i) + clr(k) > B + 1e-9: every clearance at j is
+    then above 5e-10 m, so no pair touches.  The 1e-9 margin is far above the
+    FK error and the rounding of ``_samples``' t = j (1 / (c - 1)), about
+    1e-16 relative.  An interval that is not proven is cut into k equal index
+    pieces, k the ceiling of the largest ratio of B + 1e-9 to clr(i) + clr(k)
+    over its spheres and pairs, 2 to min(8, its width) (``_pieces``,
+    ``_cuts``); the cuts of all intervals go into one call per level.  A row
+    found in collision makes its motion's group False and drops every interval
+    of that group.  Touching still counts as free, since each evaluated row's
+    verdict is exactly its ``free_mask`` verdict.
     """
-    if waypoints.shape[1] != robot.dof:
-        raise ContractViolation(
-            f"path has {waypoints.shape[1]} joints, robot has {robot.dof}")
-    ends = waypoints[1:] if len(waypoints) > 1 else waypoints
-    starts = waypoints[:len(ends)]
-    delta = ends - starts
+    starts, stops = rows[ends[0]], rows[ends[1]]
+    delta = stops - starts
     counts = _sample_counts(robot, delta, step)
-    inner = np.flatnonzero(counts > 2)  # segments with rows between their ends
+    inner = np.flatnonzero(counts > 2)  # motions with rows between their ends
     extremes = _samples(starts, delta, counts, np.concatenate([inner, inner]),
                         np.concatenate([np.ones_like(inner), counts[inner] - 2]))
-    rows = np.vstack([waypoints, extremes])
-    if not ((rows >= robot.lower) & (rows <= robot.upper)).all():
-        return False
-    if not robot.spheres:
-        return True
-    free, gaps = _clearances(robot, world, waypoints)
+    stacked = np.vstack([rows, extremes])
+    inside = ((stacked >= robot.lower) & (stacked <= robot.upper)).all(axis=1)
+    verdict = np.ones(group.max() + 1, dtype=bool)
+    if not inside.all():  # a row past a limit fails its motions' groups
+        verdict[group[~(inside[ends[0]] & inside[ends[1]])]] = False
+        verdict[group[np.concatenate([inner, inner])[~inside[len(rows):]]]] = False
+    if not robot.spheres or not verdict.any():
+        return verdict
+    free, gaps = _clearances(robot, world, rows)
     if not free.all():
-        return False
+        verdict[group[~(free[ends[0]] & free[ends[1]])]] = False
     first, second, _ = robot.self_pair_arrays
     arms = np.vstack([robot.lever_arms, robot.lever_arms[first] + robot.lever_arms[second]])
     rate = (np.abs(delta) @ arms.T) / np.maximum(counts - 1, 1)[:, None]
-    # Each pending interval: its segment, its end rows and their clearances.
-    motion, lo, hi = np.arange(len(ends)), np.zeros(len(ends), dtype=int), counts - 1
-    gap_lo, gap_hi = gaps[:len(ends)], gaps[len(waypoints) - len(ends):]
+    # Each interval: its motion, end rows and their clearances; hi = lo if its group failed.
+    motion, lo, hi = np.arange(len(group)), np.zeros_like(counts), (counts - 1) * verdict[group]
+    gap_lo, gap_hi = gaps[ends[0]], gaps[ends[1]]
     while True:
         # clr(i) + clr(k) > B + margin, tested as clr(k) > B + margin - clr(i)
         # in one (intervals, S + P) array: the margin dwarfs the rounding.
-        bound = (hi - lo)[:, None] * rate[motion]
+        width = hi - lo
+        bound = width[:, None] * rate[motion]
         bound += _PROOF_MARGIN
-        pending = (hi - lo > 1) & ~(bound - gap_lo < gap_hi).all(axis=1)
+        pending = (width > 1) & ~(bound - gap_lo < gap_hi).all(axis=1)
         if not pending.any():
-            return True
+            return verdict
         # One array at a time, so that each old one is freed before the next.
         motion, lo, hi = motion[pending], lo[pending], hi[pending]
         gap_lo, gap_hi = gap_lo[pending], gap_hi[pending]
-        pieces = _pieces(bound[pending], gap_lo + gap_hi, hi - lo)
+        pieces = _pieces(bound[pending], gap_lo + gap_hi, width[pending])
         del bound
         owner, cut = _cuts(lo, hi, pieces)
-        free, gap_cut = _clearances(robot, world,
-                                    _samples(starts, delta, counts, motion[owner], cut))
-        if not free.all():
-            return False
+        cut_motion = motion[owner]
+        free, gap_cut = _clearances(robot, world, _samples(starts, delta, counts, cut_motion, cut))
         # Interval i becomes a piece from lo to its first cut, then one from
         # each cut to the next cut or to hi: row right[j] of [cuts, his].
         last = np.cumsum(pieces - 1) - 1  # each interval's last cut
         right = np.arange(1, len(cut) + 1)
         right[last] = len(cut) + np.arange(len(lo))
         right = np.concatenate([last + 2 - pieces, right])
-        motion = np.concatenate([motion, motion[owner]])
+        motion = np.concatenate([motion, cut_motion])
         lo, hi = np.concatenate([lo, cut]), np.concatenate([cut, hi])[right]
         gap_lo = np.concatenate([gap_lo, gap_cut])
         gap_hi = np.concatenate([gap_cut, gap_hi])[right]
+        if not free.all():
+            verdict[group[cut_motion[~free]]] = False
+            hi = np.where(verdict[group[motion]], hi, lo)
+
+
+def path_free(robot: RobotModel, world: WorldModel, waypoints: np.ndarray,
+              step: float) -> bool:
+    """True iff every ``motion_configs`` row of the segments between the
+    (k, n) ``waypoints`` (a lone waypoint's to itself) is free: one group of
+    ``_groups_free``, so the first row found in collision ends the check."""
+    if waypoints.shape[1] != robot.dof:
+        raise ContractViolation(
+            f"path has {waypoints.shape[1]} joints, robot has {robot.dof}")
+    ends = slice(0, max(len(waypoints) - 1, 1)), slice(min(len(waypoints) - 1, 1), len(waypoints))
+    return bool(_groups_free(robot, world, waypoints, ends, np.zeros(ends[0].stop, int), step)[0])

@@ -180,12 +180,12 @@ def validate_path(robot: RobotModel, world: WorldModel, query: Query,
     collision checking at ``step``.
 
     The verdict is that of checking every sampled configuration with
-    ``free_mask``, but ``collision.path_free`` checks only the waypoints and
-    the samples it cannot prove free: a run of k sample steps between two
-    checked ones is skipped when their clearances exceed, by 1e-9, k times
-    how far the lever arms let any sphere move per step.  That margin is
-    far above rounding, so no skipped sample could have collided.  The check
-    is still discretized; certifying the continuous sweep is ROADMAP item 1.
+    ``free_mask``.  ``collision.path_free`` gives it as the clearance proof's
+    verdict for one group, the path's segments, and checks only the
+    waypoints and the samples it cannot prove free: a run of k sample steps
+    between two checked ones is skipped when their clearances exceed, by
+    1e-9 (far above rounding), k times how far the lever arms let any sphere
+    move per step.  Certifying the continuous sweep is ROADMAP item 2.
     """
     wp = path.waypoints
     if not np.array_equal(wp[0], query.start):

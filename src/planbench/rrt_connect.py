@@ -130,8 +130,10 @@ def nearest(tree: Tree, targets) -> np.ndarray:
 
 
 def _distances(robot: RobotModel, columns: np.ndarray, targets) -> np.ndarray:
-    """(k, N) weighted squared distances of (dof, N) ``columns`` to (k, dof)
-    ``targets``, summed over the joints in order."""
+    """(k, N) weighted squared distances of (dof, N) ``columns``, each joint's
+    row contiguous as in ``Tree``'s buffer, to (k, dof) ``targets``, summed
+    over the joints in order and so equal bit for bit in every such block of
+    k N >= 2 entries; numpy sums a lone entry or a column-major block pairwise."""
     diff = columns[:, None, :] - targets.T[:, :, None]
     diff *= diff
     diff *= robot.weights[:, None, None]
@@ -195,9 +197,9 @@ class _Lookahead:
     def steer(self, tree: Tree, target: np.ndarray) -> tuple[int, tuple | None]:
         """The nearest node of ``target`` in ``tree`` and ``_steps``' step
         from it, from the node and step the last refill found when it
-        steered ``target`` against ``tree``: only the nodes added since are
-        compared with that node, by the same arithmetic as ``nearest``, and
-        a tie keeps the older node and its step."""
+        steered ``target`` against ``tree``: that node and those added since,
+        two or more columns, get ``nearest``'s distances bit for bit
+        (``_distances``), and a tie keeps the older node and its step."""
         key = (0 if tree is self.trees[0] else 1, target.tobytes())
         found = self.near.get(key)
         if found is None:

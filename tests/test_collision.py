@@ -10,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planbench import collision
-from planbench.collision import (_CLEARANCE_ROWS, _MAX_PIECES, _clearances, _cuts, _pieces,
-                                 _near_pair_hits, _sample_counts, _self_distances_sq,
-                                 check_config, check_motion, free_mask, motion_configs,
-                                 motions_free, path_free)
+from planbench.collision import (_CLEARANCE_ROWS, _MAX_PIECES, _clearances, _cuts,
+                                 _groups_free, _near_pair_hits, _pieces, _sample_counts,
+                                 _self_distances_sq, check_config, check_motion, free_mask,
+                                 motion_configs, motions_free, path_free)
 from planbench.core import Path, Query, validate_path
 from planbench.data import data_path
 from planbench.errors import ContractViolation
@@ -814,6 +814,155 @@ class TestPathValidationSkipsProvenSamples:
         assert dense_path_verdict(robot, world, waypoints, 0.5) == (True, True)
         world = WorldModel((sphere_obstacle((2.0, 1.5 - 2.0 ** -10, 0.0), 0.25),))
         assert dense_path_verdict(robot, world, waypoints, 0.5) == (False, False)
+
+
+def path_ends(count):
+    """The (segments, 2) end-row indices of a path of ``count`` waypoints,
+    a lone waypoint's segment to itself."""
+    first = np.arange(max(count - 1, 1))
+    return np.stack([first, np.minimum(first + 1, count - 1)], axis=1)
+
+
+def groups_free(robot, world, rows, ends, group, step):
+    """``_groups_free``'s verdicts, each motion's start and end row indices
+    given as a row of the (motions, 2) array ``ends``."""
+    return _groups_free(robot, world, rows, tuple(ends.T), group, step).tolist()
+
+
+def assert_group_verdicts(robot, world, rows, ends, group, step):
+    """``_groups_free`` against ``motions_free`` at ``step``: one group per
+    motion gives each motion's verdict, ``group`` gives each group the AND
+    of its motions' verdicts (True for a group with none), and the rows
+    taken as a path in one group give ``path_free``'s verdict.  Returns the
+    per-motion verdicts."""
+    want = motions_free(robot, world, rows[ends[:, 0]], rows[ends[:, 1]], step)
+    assert groups_free(robot, world, rows, ends, np.arange(len(ends)), step) == want.tolist()
+    assert groups_free(robot, world, rows, ends, group, step) == [
+        bool(want[group == g].all()) for g in range(group.max() + 1)]
+    segments = path_ends(len(rows))
+    path = bool(motions_free(robot, world, rows[segments[:, 0]], rows[segments[:, 1]],
+                             step).all())
+    assert groups_free(robot, world, rows, segments, np.zeros(len(segments), dtype=int),
+                       step) == [path]
+    assert path_free(robot, world, rows, step) is path
+    return want
+
+
+def random_motions(seed):
+    """A random robot and world, end rows (some repeated exactly, some close
+    to another, one possibly a ulp past a joint limit), motions between
+    random pairs of them (a row to itself included) and random groups."""
+    rng = np.random.default_rng(seed)
+    robot = random_robot(rng, dof=int(rng.integers(2, 7)))
+    world = random_world(rng, count=int(rng.integers(1, 6)), span=0.6)
+    k = int(rng.integers(1, 7))
+    rows = rng.uniform(robot.lower, robot.upper, size=(k, robot.dof))
+    for i in range(1, k):
+        j = int(rng.integers(0, i))
+        kind = rng.random()
+        if kind < 0.2:
+            rows[i] = rows[j]
+        elif kind < 0.5:
+            rows[i] = rows[j] + 0.1 * (rows[i] - rows[j])
+    if rng.random() < 0.2:
+        row, joint = int(rng.integers(0, k)), int(rng.integers(0, robot.dof))
+        rows[row, joint] = np.nextafter(robot.upper[joint], np.inf)
+    ends = rng.integers(0, k, size=(int(rng.integers(1, 9)), 2))
+    group = rng.integers(0, int(rng.integers(1, 5)), size=len(ends))
+    return robot, world, rows, ends, group
+
+
+class TestGroupsFree:
+    """``_groups_free``, the one clearance-proof loop: per group of motions
+    the AND of their ``motions_free`` verdicts at the same step, whatever the
+    grouping, with a path as one group of its segments."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.01, 0.05, 0.2]))
+    def test_random_robots_and_worlds(self, seed, step):
+        assert_group_verdicts(*random_motions(seed), step)
+
+    def test_random_motions_reach_every_case(self):
+        # The generator above makes motions blocked only between their end
+        # rows, and groups that mix free and blocked motions.
+        between, mixed, zero = 0, 0, 0
+        for seed in range(60):
+            robot, world, rows, ends, group = random_motions(seed)
+            want = assert_group_verdicts(robot, world, rows, ends, group, 0.05)
+            ends_free = free_mask(robot, world, rows)[ends].all(axis=1)
+            between += int((ends_free & ~want).sum())
+            mixed += sum(0 < want[group == g].sum() < (group == g).sum()
+                         for g in range(group.max() + 1))
+            zero += int((ends[:, 0] == ends[:, 1]).sum())
+        assert min(between, mixed, zero) >= 5, (between, mixed, zero)
+
+    @staticmethod
+    def point_world():
+        """The point robot of radius 1/8 with candidate rows: each shape of
+        ``grazing_rows`` grazed 1e-12 of the radius inside and outside, pairs
+        of free rows on either side of each obstacle, rows touching a box
+        face and a sphere obstacle exactly (dyadic values), and far rows."""
+        radius = 0.125
+        world, grazing, _ = grazing_rows(radius)
+        box, cylinder, ball = world.obstacles
+        face = box_obstacle((3.0, 3.0, 0.0), (0.5, 0.5, 0.5))
+        dyadic = sphere_obstacle((-3.0, -3.0, -3.0), 0.5)
+        straddle = [center + side * np.array([0.0, 0.0, reach])
+                    for center, reach in ((box.center, 0.6), (cylinder.center, 0.8),
+                                          (ball.center, 0.9))
+                    for side in (-1.0, 1.0)]
+        touching = [[2.375, 2.75, 0.0], [2.375, 3.25, 0.0], [-3.0, -2.375, -3.0]]
+        far = [[-4.5, -4.5, 4.5], [4.5, -4.5, 4.5], [-4.5, 4.5, 4.0]]
+        rows = np.vstack([grazing, straddle, touching, far])
+        return (point_robot(radius), WorldModel((*world.obstacles, face, dyadic)), rows)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 19), st.integers(0, 19), st.integers(0, 3)),
+                    min_size=1, max_size=8),
+           st.sampled_from([0.005, 0.05]))
+    def test_grazing_touching_and_blocked_between_ends(self, motions, step):
+        robot, world, rows = self.point_world()
+        ends = np.array([(a, b) for a, b, _ in motions])
+        group = np.array([g for _, _, g in motions])
+        assert_group_verdicts(robot, world, rows, ends, group, step)
+
+    def test_point_world_cases(self):
+        # Rows 0-3 graze inside (blocked), 4-7 outside (free); each straddle
+        # pair 8-13 is free at both ends and blocked between; the motion
+        # 14 -> 15 slides along a box face touching it exactly, and row 16
+        # touches the sphere obstacle exactly: both free.
+        robot, world, rows = self.point_world()
+        assert free_mask(robot, world, rows).tolist() == [False] * 4 + [True] * 16
+        ends = np.array([(8, 9), (10, 11), (12, 13), (14, 15), (16, 16), (4, 4), (0, 0)])
+        want = assert_group_verdicts(robot, world, rows, ends, np.array([0, 0, 1, 2, 3, 3, 3]),
+                                     0.005)
+        assert want.tolist() == [False, False, False, True, True, True, False]
+        assert groups_free(robot, world, rows, ends, np.array([1, 1, 1, 0, 0, 0, 2]),
+                           0.005) == [True, False, False]
+
+    def test_a_failed_group_is_checked_no_further(self, monkeypatch):
+        # Rows per kernel call.  The touching motion 14 -> 15 proves nothing,
+        # so it is cut level after level.  A group that fails at an end row
+        # (grazing row 0 -> far row 18) or at a cut (the box straddle 8 -> 9)
+        # adds no row to any later call, which checks the touching motion as
+        # it would alone.
+        robot, world, rows = self.point_world()
+        calls = TestPathValidationSkipsProvenSamples.kernel_calls(monkeypatch)
+
+        def levels(ends):
+            calls.clear()
+            got = groups_free(robot, world, rows, np.array(ends), np.arange(len(ends)), 0.005)
+            return got, calls[:]
+
+        alone, blocked = levels([(14, 15)]), levels([(8, 9)])
+        assert alone[0] == [True] and blocked[0] == [False]
+        level = len(blocked[1]) - 1  # the level of the straddle's colliding cut
+        assert 1 <= level < len(alone[1]) - 1
+        both = levels([(8, 9), (14, 15)])
+        assert both[0] == [False, True]
+        assert both[1][level + 1:] == alone[1][level + 1:] and len(both[1]) == len(alone[1])
+        at_end = levels([(0, 18), (14, 15)])
+        assert at_end == ([False, True], alone[1])
 
 
 class TestPerIndexReach:

@@ -6,9 +6,10 @@ infinity by hand, every dataclass with an array field compares through
 ``errors.field_eq``, only ``errors.py`` loads and only
 ``world.py`` dumps YAML, only ``collision.py`` samples motions and counts
 checked configurations and check calls, only ``collision._squared_excess``
-names a single obstacle shape there, only ``core.py`` screens queries and
-builds planner results, every function the benchmark traces exists, and the
-tests import nothing they do not use."""
+names a single obstacle shape there, only ``collision._groups_free`` cuts
+proof intervals and reads the proof margin, only ``core.py`` screens
+queries and builds planner results, every function the benchmark traces
+exists, and the tests import nothing they do not use."""
 
 import ast
 import dataclasses
@@ -222,6 +223,19 @@ def test_one_obstacle_rule_in_collision():
              if isinstance(n, ast.Name) and n.id in shapes and id(n) not in allowed]
     assert found == []
     assert len(loops) == 2  # the near-pair kernel's and the clearance kernel's
+
+
+def test_one_proof_loop_in_collision():
+    # collision._groups_free is the one clearance-proof loop: no other
+    # function of collision.py names the interval cuts or the proof margin,
+    # so a per-motion caller groups its motions for that loop instead of
+    # keeping a second copy of it.
+    tree = ast.parse((Path(planbench.__file__).parent / "collision.py")
+                     .read_text(encoding="utf-8"))
+    proof = {"_pieces", "_cuts", "_PROOF_MARGIN"}
+    readers = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+               and proof & set(_names(node))}
+    assert readers == {"_groups_free"}
 
 
 def test_one_planning_frame():

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planbench.collision import check_motion
 from planbench.core import (FAILURE, SOLVED_FORWARD, UNSOLVABLE, BUDGET_GRACE, Query,
@@ -16,7 +18,8 @@ from planbench.params import load_params
 from planbench.robot import config_distance
 from planbench import rrt_connect
 from planbench.rrt_connect import (ADVANCED, LOOKAHEAD, REACHED, TRAPPED, RrtParams,
-                                   Tree, connect, extend, nearest, plan_rrt_connect)
+                                   Tree, _distances, connect, extend, nearest,
+                                   plan_rrt_connect)
 from planbench.world import GoalSpec, WorldModel, generate_variations, load_scenario
 
 from conftest import gantry_robot, random_robot
@@ -88,6 +91,63 @@ class TestNearest:
         for q in (tree.config(700), tree.config(700), fresh, fresh):
             tree.add(q, 0)
         assert nearest(tree, [tree.config(700), fresh]).tolist() == [700, 1502]
+
+
+class TestDistances:
+    """``_distances``, whose columns the lookahead's remembered-node check
+    compares: a column's distance to a target has the same bits in every
+    joint-major block of two or more columns (each joint's row contiguous, as
+    the tree stores them), so the remembered node and the nodes added since
+    get the distances of a full scan.  numpy sums a lone column's (dof, 1, 1)
+    block pairwise instead, which on arm8 changes the last bit."""
+
+    @staticmethod
+    def assert_blocks_agree(robot, columns, targets, rng):
+        full = _distances(robot, columns, targets)
+        n = columns.shape[1]
+        for _ in range(8):
+            pick = rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False)
+            block = np.ascontiguousarray(columns[:, pick])  # joint-major, as scanned
+            assert _distances(robot, block, targets).tobytes() == full[:, pick].tobytes()
+            for i, target in enumerate(targets):
+                # The memo's block: one remembered column, then a suffix.
+                old, since = int(rng.integers(0, n)), int(rng.integers(0, n))
+                block = np.concatenate([columns[:, old, None], columns[:, since:]], axis=1)
+                if block.shape[1] >= 2:
+                    got = _distances(robot, block, target[None])[0]
+                    assert got.tobytes() == full[i, [old, *range(since, n)]].tobytes()
+
+    def test_arm8_nodes_in_two_column_blocks(self):
+        arm = load_scenario(data_path("scenarios", "shelf_reach.yaml")).robot
+        rng = np.random.default_rng(12)
+        tree = Tree(arm, rng.uniform(arm.lower, arm.upper))
+        for q in rng.uniform(arm.lower, arm.upper, size=(1999, arm.dof)):
+            tree.add(q, 0)
+        nodes = tree.nodes
+        targets = rng.uniform(arm.lower, arm.upper, size=(2000, arm.dof))
+        lone = 0
+        for node, other, target in zip(nodes, np.roll(nodes, 1, axis=0), targets):
+            pair = _distances(arm, np.stack([node, other], axis=1), target[None])[0]
+            alone = _distances(arm, node[:, None], target[None])[0, 0]
+            assert pair[0] == _distances(arm, np.stack([other, node], axis=1),
+                                         target[None])[0, 1]
+            lone += alone != pair[0]
+        self.assert_blocks_agree(arm, tree._columns[:, :tree.size], targets[:4], rng)
+        # Why the memo never compares a lone column: its sum is pairwise.
+        assert lone > 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(2, 40),
+           st.integers(1, 4))
+    def test_random_robots(self, seed, dof, n, k):
+        rng = np.random.default_rng(seed)
+        robot = random_robot(rng, dof=dof)
+        tree = Tree(robot, rng.uniform(robot.lower, robot.upper))
+        for q in rng.uniform(robot.lower, robot.upper, size=(n - 1, dof)):
+            tree.add(q, 0)
+        columns = tree._columns[:, :tree.size]  # as the planner scans them
+        targets = rng.uniform(robot.lower, robot.upper, size=(k, dof))
+        self.assert_blocks_agree(robot, columns, targets, rng)
 
 
 class TestTree:
