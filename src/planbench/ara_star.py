@@ -40,6 +40,8 @@ from .world import GoalSpec, WorldModel
 GOAL_NODE: tuple[int, ...] = ()
 
 _TIE = 1e-12
+# The top of an empty heap: it keys above every entry.
+_EMPTY = (math.inf,)
 
 # Share of the query budget granted to the forward attempt; the backward
 # attempt runs on the remainder.
@@ -245,10 +247,13 @@ def ara_search(start_state: tuple[int, ...], goal: GoalSpec,
     When a candidate reaches the top of OPEN, its state and the next
     ``LOOKAHEAD - 1`` states in OPEN that await validation are resolved: all
     their candidate edges go to one collision call, and each state's valid
-    candidates are then applied in generation order.  Each iteration ends by
-    resolving the closed states' candidates, which decide ``reopened`` and
-    the inconsistent states; the others stay in OPEN, keyed at the next eps,
-    and after the last iteration only the returned chain's are resolved.
+    candidates are then applied in generation order.  OPEN is kept as two
+    heaps, its validated entries and its candidate entries, and its top is
+    the smaller of their tops; the states to resolve are read from the
+    candidates' heap alone.  Each iteration ends by resolving the closed
+    states' candidates, which decide ``reopened`` and the inconsistent
+    states; the others stay in OPEN, keyed at the next eps, and after the
+    last iteration only the returned chain's are resolved.
     Unless the deadline cuts it short, the search expands, publishes, reopens
     and returns exactly what the search that validates every move at
     expansion would; only ``collision_checks`` differs.  ``stats`` also
@@ -352,41 +357,49 @@ def ara_search(start_state: tuple[int, ...], goal: GoalSpec,
 
     def awaiting_validation() -> list:
         """The top entry's state and the next states in OPEN with pending
-        candidates, up to LOOKAHEAD; validated entries go back on the heap."""
+        candidates, up to LOOKAHEAD, in OPEN's order, read from ``waiting``,
+        OPEN's candidate entries; its validated entries are not popped.
+
+        These are the states of the first live candidate entries, which are
+        those of the first live entries in OPEN: a pending state's validated
+        entry keys above its candidates', since each candidate was generated
+        below g[s] - 1e-12, g[s] changes only when its candidates are
+        resolved, and adding eps h[s] to both keeps them apart while keys
+        stay below 2**12.  The popped candidate entries all belong to the
+        batch's states, so they are dead after the call.
+        """
         batch: dict = {}
-        kept = []
-        while heap and len(batch) < LOOKAHEAD:
-            entry = heapq.heappop(heap)
-            if not live(entry):
-                continue
-            s = entry[2]
-            if s in pending:
-                batch[s] = None
-            if not entry[3]:
-                kept.append(entry)
-        for entry in kept:
-            heapq.heappush(heap, entry)
+        while waiting and len(batch) < LOOKAHEAD:
+            entry = heapq.heappop(waiting)
+            if live(entry):
+                batch[entry[2]] = None
         return list(batch)
 
     incons: set = set()
-    heap = [(0.0, -0.0, start_state, 0)]
+    # OPEN: validated entries in ``heap``, candidate entries in ``waiting``.
+    heap, waiting = [(0.0, -0.0, start_state, 0)], []
     for eps in params.epsilon_schedule:
         if out_of_time():  # also after an iteration or settle cut short
             break
         # OPEN and INCONS keyed at eps; a candidate's key is its validation's.
-        heap = [(-neg_t + eps * h[s], neg_t, s, seq)
-                for _, neg_t, s, seq in filter(live, heap)]
+        rekeyed = [(-neg_t + eps * h[s], neg_t, s, seq)
+                   for _, neg_t, s, seq in filter(live, heap + waiting)]
+        heap = [entry for entry in rekeyed if not entry[3]]
         heap += [(g[s] + eps * h[s], -g[s], s, 0) for s in incons]
+        waiting = [entry for entry in rekeyed if entry[3]]
         heapq.heapify(heap)
+        heapq.heapify(waiting)
         closed, incons = set(), set()
         expansions = 0
-        while heap:
-            f, _, s, _ = entry = heap[0]
-            if not live(entry):
+        while True:
+            while heap and not live(heap[0]):
                 heapq.heappop(heap)  # stale entry
-                continue
-            if best_cost <= f + _TIE:
-                break  # bound certified for this iteration
+            while waiting and not live(waiting[0]):
+                heapq.heappop(waiting)
+            entry = min(heap[0] if heap else _EMPTY, waiting[0] if waiting else _EMPTY)
+            if best_cost <= entry[0] + _TIE:
+                break  # bound certified for this iteration, or OPEN empty
+            s = entry[2]
             if s in pending:
                 resolve(awaiting_validation())
             else:
@@ -412,8 +425,8 @@ def ara_search(start_state: tuple[int, ...], goal: GoalSpec,
                     pending.setdefault(nxt, []).append((tentative, s, sequence))
                     h[nxt] = h_nxt
                     if nxt not in closed:  # a closed state only joins incons
-                        heapq.heappush(heap, (tentative + eps * h_nxt, -tentative,
-                                              nxt, sequence))
+                        heapq.heappush(waiting, (tentative + eps * h_nxt, -tentative,
+                                                 nxt, sequence))
             if out_of_time():  # polled after every expansion and resolution
                 break
         search_stats.expansions_per_epsilon.append(expansions)

@@ -12,15 +12,18 @@ or chain-adjacent links are never checked.
 A batch call first drops every (sphere, obstacle) pair whose bounding boxes
 over the batch are separated: the box around the sphere's centers in every
 configuration of the batch, widened by its radius, against the obstacle's
-padded box from ``WorldModel.packs``.  FK returns the centers as a view of
-sphere-major memory, one matmul output per sphere; the bounds reduce a
-packed (m, S, 3) copy, about 4x faster at m >= 60, used for nothing else.
-Only the remaining near pairs are tested, by the same arithmetic, one
-(m, k) mask per shape over its k near pairs, and each row's verdict is the
-OR of those masks' rows: no (m, S, O) mask over every pair is formed.
-Verdicts are exactly those of testing every pair, and touching counts as
-free as before.  Self pairs are all tested, each squared center distance
-summed as (dx² + dy²) + dz², the order of ``np.sum`` over three.
+padded box from ``WorldModel.kernel_table``.  FK returns the centers as a
+view of sphere-major memory, one matmul output per sphere; the bounds
+reduce a packed (m, S, 3) copy, about 4x faster at m >= 60, used for
+nothing else.  Only the remaining near pairs are tested, every shape in one
+pass: the table lists the obstacles boxes first, then cylinders, then
+spheres, with the same three axes for each, so one formula
+(``_squared_excess``) measures every pair and only its first axis is
+computed per kind, one slice each.  Each row's verdict is the OR of one
+(m, k) mask over the k near pairs: no (m, S, O) mask over every pair is
+formed.  Verdicts are exactly those of testing every pair, and touching
+counts as free as before.  Self pairs are all tested, each squared center
+distance summed as (dx² + dy²) + dz², the order of ``np.sum`` over three.
 
 Straight-line motions are validated at a fixed number of evenly spaced
 configurations along the segment; this is discretized edge checking, not
@@ -49,7 +52,7 @@ import numpy as np
 
 from .errors import ContractViolation
 from .robot import RobotModel, as_configuration, sphere_centers_batch, weighted_norms
-from .world import BOX, CYLINDER, SPHERE, WorldModel
+from .world import WorldModel
 
 # The clearance sum must exceed the lever-arm bound by this much (meters).
 _PROOF_MARGIN = 1e-9
@@ -59,70 +62,74 @@ _CLEARANCE_ROWS = 256
 _MAX_PIECES = 8
 
 
-def _squared_excess(shape: str, pack: dict, obs, rel: np.ndarray) -> np.ndarray:
-    """Squared distance from the sphere-center offsets ``rel`` (3, ...), x, y
-    and z stacked first and overwritten, to the solids ``obs`` of one shape's
-    ``pack``, zero inside one: a sphere of radius r penetrates a solid iff
-    this is below r², and its clearance is the square root less r.
+def _squared_excess(table: dict, obs, rel: np.ndarray, split) -> np.ndarray:
+    """Squared distance from the sphere-center offsets ``rel`` (3, k, ...),
+    x, y and z stacked first and overwritten, to the k solids of
+    ``WorldModel.kernel_table`` that ``obs`` picks, zero inside one: a sphere
+    of radius r penetrates a solid iff this is below r², and its clearance
+    is the square root less r.
 
-    ``obs`` makes each per-obstacle parameter broadcast against a component:
-    the near-pair kernel's (m, k) components of k gathered pairs take the
-    pairs' obstacle indices, the clearance kernel's (k, N) ones of every
-    obstacle against N centers take ``np.s_[:, None]``, a (k, 1) column, and
-    an entry's arithmetic is the same either way.  It is the sum of
-    max(a, 0)² over the solid's axes a: a box's three face offsets in its
-    yawed frame, a cylinder's radial and axial ones, and a sphere obstacle's
-    one, sqrt((dx² + dy²) + dz²) less its radius.
+    The obstacle axis is each component's first, and each per-obstacle
+    parameter becomes a (k, 1) column: the near-pair kernel's (k, m)
+    components of k gathered pairs take the pairs' table rows as ``obs``,
+    the clearance kernel's (k, N) ones of every obstacle against N centers
+    take ``slice(None)``, and an entry's arithmetic is the same either way.
+    ``split`` holds the component rows where the cylinders and the spheres
+    begin, since the rows run in kernel order.
+
+    It is the sum of max(a, 0)² over three axes a, in the frame u = cos x +
+    sin y, v = -sin x + cos y, less the row's three sizes: a box's (|u|,
+    |v|, |z|), a cylinder's (hypot(u, v), |v|, |z|) and a sphere's
+    (sqrt((u² + v²) + z²), |v|, |z|).  A cylinder's or sphere's cos 1 and
+    sin 0 make u and v exactly x and y, and an axis less a size of +inf adds
+    an exact 0, so each shape's distance is the one its own axes give, bit
+    for bit.
     """
     x, y, z = rel
-    if shape == SPHERE:
-        rel *= rel
-        axes = (np.sqrt(x + y + z) - pack["radius"][obs],)
-    elif shape == BOX:
-        c, s = pack["cos"][obs], pack["sin"][obs]
-        half = pack["half_extents"][obs]
-        axes = (np.abs(c * x + s * y) - half[..., 0],
-                np.abs(-s * x + c * y) - half[..., 1],
-                np.abs(z) - half[..., 2])
-    else:
-        axes = (np.hypot(x, y) - pack["radius"][obs],
-                np.abs(z) - pack["half_height"][obs])
-    for a in axes:  # max(a, 0)²
-        np.maximum(a, 0.0, out=a)
-        a *= a
-    excess = axes[0]
-    for a in axes[1:]:
-        excess += a
+    params = table["params"][:, obs, None]
+    cx_sx, cy_sy = params[:2] * x, params[:2] * y
+    np.add(cx_sx[0], cy_sy[1], out=x)  # u = cos x + sin y
+    np.subtract(cy_sy[0], cx_sx[1], out=y)  # v = cos y - sin x = -sin x + cos y
+    if split[0] < split[1]:
+        cyl = slice(split[0], split[1])
+        np.hypot(x[cyl], y[cyl], out=x[cyl])
+    if split[1] < len(x):
+        sph = slice(split[1], None)
+        norm_sq = x[sph] * x[sph]
+        norm_sq += y[sph] * y[sph]
+        norm_sq += z[sph] * z[sph]
+        np.sqrt(norm_sq, out=x[sph])
+    np.abs(rel, out=rel)  # the three axes
+    rel -= params[2:]
+    np.maximum(rel, 0.0, out=rel)  # max(a, 0)²
+    rel *= rel
+    excess = x + y
+    excess += z
     return excess
 
 
 def _near_pair_hits(world: WorldModel, centers: np.ndarray,
-                    radii: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Per shape with near pairs, its (sphere index, obstacle index, (m, k)
-    penetration mask) over the k (sphere, obstacle) pairs whose batch
-    bounding boxes overlap, obstacles by original index.
+                    radii: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (sphere index, obstacle index, (m, k) penetration mask) over the k
+    (sphere, obstacle) pairs whose batch bounding boxes overlap, obstacles by
+    original index, every shape in one pass.
 
     Every other pair is separated by more than rounding can close (see the
     module docstring), so it penetrates in no row.
     """
-    packs = world.packs
+    table = world.kernel_table
     packed = np.ascontiguousarray(centers)
-    lower, upper = packs["bounds"]
+    lower, upper = table["bounds"]
     overlap = (((packed.min(axis=0) - radii[:, None])[:, None] <= upper)
                & ((packed.max(axis=0) + radii[:, None])[:, None] >= lower))
     near = overlap[..., 0] & overlap[..., 1] & overlap[..., 2]
-    hits = []
-    for shape in (BOX, CYLINDER, SPHERE):
-        pack = packs[shape]
-        if not len(pack["index"]):
-            continue
-        sph, obs = near[:, pack["index"]].nonzero()
-        if len(sph):
-            rel = centers[:, sph]
-            rel -= pack["center"][obs]
-            excess = _squared_excess(shape, pack, obs, rel.transpose(2, 0, 1))
-            hits.append((sph, pack["index"][obs], excess < radii[sph] * radii[sph]))
-    return hits
+    obs, sph = near.T.nonzero()  # pairs in kernel order
+    if not len(obs):
+        return sph, obs, np.zeros((len(centers), 0), dtype=bool)
+    rel = centers.transpose(2, 1, 0)[:, sph]  # (3, k, m), each component contiguous
+    rel -= table["center"].T[:, obs, None]
+    excess = _squared_excess(table, obs, rel, obs.searchsorted(table["split"]))
+    return sph, table["index"][obs], (excess < (radii * radii)[sph, None]).T
 
 
 def free_mask(robot: RobotModel, world: WorldModel, configs: np.ndarray,
@@ -136,8 +143,7 @@ def free_mask(robot: RobotModel, world: WorldModel, configs: np.ndarray,
     if not robot.spheres or not len(configs):
         return ok
     centers = sphere_centers_batch(robot, configs)
-    for _, _, hit in _near_pair_hits(world, centers, robot.sphere_radii):
-        ok &= ~hit.any(axis=1)
+    ok &= ~_near_pair_hits(world, centers, robot.sphere_radii)[2].any(axis=1)
     ok &= ~(_self_distances_sq(robot, centers) < robot.self_pair_arrays[2]).any(axis=1)
     return ok
 
@@ -165,16 +171,17 @@ def _clearances(robot: RobotModel, world: WorldModel,
     near-pair kernel's arithmetic, so each verdict is that row's ``free_mask``
     verdict within the limits exactly, whatever rows share the call.  The
     kernel is component-major: per ``_CLEARANCE_ROWS`` rows, one contiguous
-    (3, N) copy of their N sphere centers and per shape the (3, k, N) offsets
-    from its k obstacles, whose parameters are (k, 1) columns, with no pair
-    index (300 KB of box offsets at 256 rows of ``shelf_reach``).  Every
-    obstacle's least squared distance e comes first, then one square root
+    (3, N) copy of their N sphere centers and the (3, O, N) offsets from all
+    O obstacles, whose parameters are (O, 1) columns, with no pair index
+    (430 KB of offsets at 256 rows of ``shelf_reach``).  Every sphere's
+    least squared distance e to any obstacle comes first, then one square root
     gives the clearance sqrt(e) - r and one comparison the verdict e < r².
     That is exact: IEEE square root is correctly rounded, hence monotone, as
     is subtracting r, so min_k(sqrt(e_k) - r) is sqrt(min_k e_k) - r bit for
     bit, and some e_k < r² iff min_k e_k < r².
     """
     radii = robot.sphere_radii
+    table = world.kernel_table
     first, second, reach_sq = robot.self_pair_arrays
     centers = sphere_centers_batch(robot, configs)
     m, ns = centers.shape[0], centers.shape[1]
@@ -184,18 +191,14 @@ def _clearances(robot: RobotModel, world: WorldModel,
         block = centers[rows]
         n = len(block) * ns  # column j S + s is sphere s of row j
         points = np.ascontiguousarray(block.transpose(2, 0, 1)).reshape(3, 1, n)
-        r = np.tile(radii, len(block))
-        nearest = np.full(n, np.inf)  # least squared distance to any obstacle
-        for shape in (BOX, CYLINDER, SPHERE):
-            pack = world.packs[shape]
-            if len(pack["index"]):
-                rel = np.subtract(points, pack["center"].T[:, :, None], order="C")
-                excess = _squared_excess(shape, pack, np.s_[:, None], rel)
-                np.minimum(nearest, excess.min(axis=0), out=nearest)
-        gaps[rows, :ns] = (np.sqrt(nearest) - r).reshape(-1, ns)
+        rel = np.subtract(points, table["center"].T[:, :, None], order="C")
+        excess = _squared_excess(table, slice(None), rel, table["split"])
+        # Least squared distance to any obstacle, per row and sphere.
+        nearest = excess.min(axis=0, initial=np.inf).reshape(-1, ns)
+        gaps[rows, :ns] = np.sqrt(nearest) - radii
         dist_sq = _self_distances_sq(robot, block)
-        hit = (nearest < r * r).reshape(-1, ns)
-        free[rows] = ~hit.any(axis=1) & ~(dist_sq < reach_sq).any(axis=1)
+        free[rows] = (~(nearest < radii * radii).any(axis=1)
+                      & ~(dist_sq < reach_sq).any(axis=1))
         gaps[rows, ns:] = np.sqrt(dist_sq) - (radii[first] + radii[second])
     return free, gaps
 

@@ -36,8 +36,8 @@ FAMILIES = (OBJECTS_ONLY, PLUS_HEIGHT, PLUS_ROTATION)
 
 
 # The size fields of each obstacle shape, in document order, with each
-# field's array shape (() for a scalar).  Every per-shape step below (the
-# constructor, serialization and the kernel's packs) reads this.
+# field's array shape (() for a scalar).  The constructor and serialization
+# read this; the kernel table's rows come from ``_kernel_row``.
 _OBSTACLE_SIZE = {BOX: {"half_extents": (3,)},
                   CYLINDER: {"radius": (), "half_height": ()},
                   SPHERE: {"radius": ()}}
@@ -86,48 +86,55 @@ class WorldModel:
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
 
     @cached_property
-    def packs(self):
-        """Per-shape arrays consumed by the vectorized collision kernel: the
-        obstacles' indices, centers, yaw cosines and sines, and one array per
-        size field.
+    def kernel_table(self):
+        """The obstacles as the collision kernel reads them, in kernel order:
+        boxes, then cylinders, then spheres, each kind in original order.
 
-        Under ``"bounds"`` it also holds every obstacle's axis-aligned
-        bounding box, lower and upper corners (2, O, 3) in original obstacle
-        order.  Its half-widths are |cos|*hx + |sin|*hy, |sin|*hx + |cos|*hy
-        and hz for a yawed box, (r, r, hh) for a cylinder and (r, r, r) for a
-        sphere, each padded by 1e-9 relative and absolute so that rounding
-        in the kernel can never place a penetrating sphere outside it.
+        ``"index"`` maps each row to its original obstacle index and
+        ``"split"`` holds the rows where the cylinders and the spheres
+        begin.  ``"center"`` (O, 3) holds the rows' centers and ``"params"``
+        (5, O) per row the yaw's cosine and sine, 1 and 0 for a cylinder or a
+        sphere, so that a cylinder's yaw is ignored, then its sizes along
+        the three axes of ``collision._squared_excess``: a box's
+        half-extents, a cylinder's (radius, +inf, half-height) and a
+        sphere's (radius, +inf, +inf).
+        ``"bounds"`` holds every row's axis-aligned bounding box, lower and
+        upper corners (2, O, 3).  Its half-widths are |cos|*hx + |sin|*hy,
+        |sin|*hx + |cos|*hy and hz for a yawed box, (r, r, hh) for a
+        cylinder and (r, r, r) for a sphere, each padded by 1e-9 relative and
+        absolute so that rounding in the kernel can never place a penetrating
+        sphere outside it.
         """
-        groups = {}
-        for shape, sizes in _OBSTACLE_SIZE.items():
-            idx = [i for i, o in enumerate(self.obstacles) if o.shape == shape]
-            obs = [self.obstacles[i] for i in idx]
-            pack = {
-                "index": np.array(idx, dtype=int),
-                "center": np.array([o.center for o in obs]).reshape(len(obs), 3),
-                "cos": np.array([math.cos(o.yaw) for o in obs]),
-                "sin": np.array([math.sin(o.yaw) for o in obs]),
-            }
-            for name, dims in sizes.items():
-                pack[name] = np.array([getattr(o, name) for o in obs],
-                                      dtype=float).reshape((len(obs),) + dims)
-            groups[shape] = pack
-        center = np.array([o.center for o in self.obstacles]).reshape(-1, 3)
-        half = np.array([_half_widths(o) for o in self.obstacles]).reshape(-1, 3)
+        kind = [_KERNEL_ORDER.index(o.shape) for o in self.obstacles]
+        index = sorted(range(len(kind)), key=kind.__getitem__)
+        rows = [_kernel_row(self.obstacles[i]) for i in index]
+        center = np.array([self.obstacles[i].center for i in index]).reshape(-1, 3)
+        half = np.array([h for _, h in rows]).reshape(-1, 3)
         half = half + 1e-9 * (1.0 + np.abs(center) + half)
-        groups["bounds"] = np.stack([center - half, center + half])
-        return groups
+        return {
+            "index": np.array(index, dtype=int),
+            "split": np.cumsum([kind.count(0), kind.count(1)]),
+            "center": center,
+            "params": np.array([p for p, _ in rows], dtype=float).reshape(-1, 5).T,
+            "bounds": np.stack([center - half, center + half]),
+        }
 
 
-def _half_widths(o: Obstacle) -> list[float]:
-    """Half-widths of the axis-aligned box around one obstacle."""
+_KERNEL_ORDER = (BOX, CYLINDER, SPHERE)
+
+
+def _kernel_row(o: Obstacle) -> tuple[list[float], list[float]]:
+    """One obstacle's kernel parameters, its yaw's cosine and sine and its
+    sizes along the kernel's three axes (+inf where absent), and the
+    half-widths of the axis-aligned box around it."""
     if o.shape == BOX:
-        c, s = abs(math.cos(o.yaw)), abs(math.sin(o.yaw))
+        c, s = math.cos(o.yaw), math.sin(o.yaw)
         hx, hy, hz = o.half_extents.tolist()
-        return [c * hx + s * hy, s * hx + c * hy, hz]
+        return [c, s, hx, hy, hz], [abs(c) * hx + abs(s) * hy, abs(s) * hx + abs(c) * hy, hz]
+    r = o.radius
     if o.shape == CYLINDER:
-        return [o.radius, o.radius, o.half_height]
-    return [o.radius] * 3
+        return [1.0, 0.0, r, math.inf, o.half_height], [r, r, o.half_height]
+    return [1.0, 0.0, r, math.inf, math.inf], [r, r, r]
 
 
 @dataclass(frozen=True, eq=False)

@@ -29,7 +29,9 @@ verbatim; the component-major kernel must reproduce its verdicts and
 clearances bit for bit.  In both kernels a sphere obstacle has since become
 a solid ball, as boxes and cylinders are: its distance is the center
 distance less its radius, zero inside it, against the robot sphere's
-radius, not the center distance against the radius sum.  The midpoint
+radius, not the center distance against the radius sum.  Both kernels read
+each shape's obstacles through ``shape_arrays``, built here from
+``world.obstacles``, not through the package's kernel table.  The midpoint
 bisection ``path_free_bisect`` is the package's earlier path-validation
 loop, kept verbatim; the package's loop must reach its verdicts, which are
 the dense ones, in no more kernel calls.
@@ -288,10 +290,28 @@ def sphere_centers_3x3(robot, configs):
     return np.einsum("msij,sj->msi", rot, local_centers) + trans
 
 
+def shape_arrays(world, shape):
+    """The obstacles of one shape as arrays, in original order: their
+    indices, centers, yaw cosines and sines, and one array per size field."""
+    index = [i for i, o in enumerate(world.obstacles) if o.shape == shape]
+    obs = [world.obstacles[i] for i in index]
+    arrays = {"index": np.array(index, dtype=int),
+              "center": np.array([o.center for o in obs]).reshape(len(obs), 3),
+              "cos": np.array([math.cos(o.yaw) for o in obs]),
+              "sin": np.array([math.sin(o.yaw) for o in obs])}
+    if shape == BOX:
+        arrays["half_extents"] = np.array([o.half_extents for o in obs]).reshape(len(obs), 3)
+    else:
+        arrays["radius"] = np.array([o.radius for o in obs], dtype=float)
+    if shape == CYLINDER:
+        arrays["half_height"] = np.array([o.half_height for o in obs], dtype=float)
+    return arrays
+
+
 def world_mask_dense(world, centers, radii):
     """Penetration mask (m, S, O) with every (sphere, obstacle) pair tested;
     a sphere obstacle is measured as a solid ball."""
-    packs = world.packs
+    packs = {shape: shape_arrays(world, shape) for shape in (BOX, CYLINDER, SPHERE)}
     m, ns = centers.shape[0], centers.shape[1]
     hit = np.zeros((m, ns, len(world.obstacles)), dtype=bool)
     r_sq = (radii * radii)[None, :, None]
@@ -412,7 +432,7 @@ def _block_clearances_gather(robot, world, centers):
     free = np.ones(m, dtype=bool)
     world_gap = np.full((m, ns), np.inf)
     for shape in (BOX, CYLINDER, SPHERE):
-        pack = world.packs[shape]
+        pack = shape_arrays(world, shape)
         k = len(pack["index"])
         if k:
             sph, obs = np.indices((ns, k)).reshape(2, -1)

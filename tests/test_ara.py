@@ -12,13 +12,14 @@ from planbench import ara_star, collision
 from planbench.ara_star import (AraParams, LatticeCache, MotionPrimitiveSet, ara_search,
                                 decode, default_primitives, discretize,
                                 lattice_max_coords, plan_ara_star)
+from planbench.bench import ARA_STAR, run_one
 from planbench.collision import check_motion, free_mask
 from planbench.core import (BUDGET_GRACE, FAILURE, OK, SOLVED_BACKWARD, SOLVED_FORWARD,
                             UNSOLVABLE, Query, goal_satisfied, query_from_scenario,
                             validate_path, validate_query)
 from planbench.data import data_path
 from planbench.errors import ValidationError
-from planbench.params import parse_params
+from planbench.params import PlannerParams, parse_params
 from planbench.world import GoalSpec, WorldModel, generate_variations, load_scenario
 
 from conftest import gantry_robot, lattice_instance, random_robot, solution_cost
@@ -378,6 +379,42 @@ def start_in_collision_case(monkeypatch):
 
 ARA_COUNTERS = ["check_calls", "collision_checks", "edges_blocked", "edges_resolved",
                 "expansions", "expansions_backward", "expansions_forward", "reopened"]
+
+
+class TestPinnedWork:
+    """ARA*'s work counters on the shelf suite (seed 424242), pinned to
+    literal values.  Which states share a collision call (the lookahead
+    batch) decides ``check_calls``, and the edges each call checks decide
+    ``collision_checks`` and ``edges_resolved``, so a change to the batch or
+    to the edges fails here even where paths and costs do not change."""
+
+    @staticmethod
+    def counters(params, names=None):
+        """Each scene's counters in ``ARA_COUNTERS`` order; every scene's when
+        ``names`` is None."""
+        base = load_scenario(data_path("scenarios", "shelf_reach.yaml"))
+        scenes = generate_variations(base, "objects_only", 30, seed=424242)
+        primitives = default_primitives(base.robot)
+        return {s.name: [run_one(s, ARA_STAR, params, i, primitives).stats[c]
+                         for c in ARA_COUNTERS]
+                for i, s in enumerate(scenes) if names is None or s.name in names}
+
+    def test_shelf_suite_tuned(self):
+        params = parse_params(data_path("params", "shelf_tuned.yaml").read_text())
+        per_scene = self.counters(params)
+        totals = dict(zip(ARA_COUNTERS, map(sum, zip(*per_scene.values()))))
+        assert totals == {"check_calls": 1797, "collision_checks": 100665,
+                          "edges_blocked": 4908, "edges_resolved": 9490,
+                          "expansions": 2132, "expansions_backward": 0,
+                          "expansions_forward": 2132, "reopened": 58}
+
+    def test_shelf_scenes_default_schedule(self):
+        # The default schedule (3, 2, 1.5, 1) re-keys OPEN three times.
+        got = self.counters(PlannerParams(), ("shelf_reach_002", "shelf_reach_010",
+                                              "shelf_reach_015"))
+        assert got == {"shelf_reach_002": [155, 11046, 323, 1118, 345, 0, 345, 2],
+                       "shelf_reach_010": [318, 27044, 683, 2716, 751, 0, 751, 2],
+                       "shelf_reach_015": [150, 11153, 306, 1134, 348, 0, 348, 2]}
 
 
 class TestPlanAraStar:

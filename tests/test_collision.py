@@ -3,6 +3,7 @@ the distance oracle the kernel is checked against."""
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -77,15 +78,15 @@ class TestSphereObstacleDistance:
 
 
 def world_mask(world, centers, radii):
-    """The (m, S, O) penetration mask rebuilt from ``_near_pair_hits``' per
-    shape (sphere index, obstacle index, hit) triples, each (sphere,
-    obstacle) pair at most once; a pair in no triple is False."""
+    """The (m, S, O) penetration mask rebuilt from the single-pass
+    ``_near_pair_hits``' (sphere index, obstacle index, hit) triple, each
+    (sphere, obstacle) pair at most once; a pair not in it is False."""
     mask = np.zeros((len(centers), centers.shape[1], len(world.obstacles)), dtype=bool)
     seen = np.zeros(mask.shape[1:], dtype=int)
-    for sph, obs, hit in _near_pair_hits(world, centers, radii):
-        assert hit.shape == (len(centers), len(sph))
-        mask[:, sph, obs] = hit
-        np.add.at(seen, (sph, obs), 1)
+    sph, obs, hit = _near_pair_hits(world, centers, radii)
+    assert hit.shape == (len(centers), len(sph))
+    mask[:, sph, obs] = hit
+    np.add.at(seen, (sph, obs), 1)
     assert seen.max(initial=0) <= 1
     return mask
 
@@ -613,6 +614,91 @@ class TestClearances:
         assert free.tolist() == [True]
         assert gaps[0, :2].tolist() == [math.inf, math.inf]
         assert gaps[0, 2:] == pytest.approx([1.15 - 0.2])
+
+
+class TestSinglePassKernel:
+    """Both kernels test every obstacle shape in one pass over
+    ``WorldModel.kernel_table`` (boxes, then cylinders, then spheres), and
+    each entry must equal the per-shape oracles': every (row, sphere,
+    obstacle) penetration ``oracles.world_mask_dense``'s, every verdict the
+    one its masks give, and every clearance ``oracles.clearances_gather``'s
+    bit for bit."""
+
+    @staticmethod
+    def mixed_world(rng, span=0.6):
+        """A yawed box, a yawed cylinder and a sphere obstacle, plus random
+        ones, shuffled so that kernel order is not the original order."""
+        center, size = rng.uniform(-span, span, size=(3, 3)), rng.uniform(0.05, 0.4, size=5)
+        obstacles = [box_obstacle(center[0], size[:3], yaw=float(rng.uniform(-math.pi, math.pi))),
+                     cylinder_obstacle(center[1], float(size[3]), float(size[4]),
+                                       yaw=float(rng.uniform(-math.pi, math.pi))),
+                     sphere_obstacle(center[2], float(size[0]))]
+        obstacles += random_world(rng, count=int(rng.integers(0, 5)), span=span).obstacles
+        rng.shuffle(obstacles)
+        return WorldModel(tuple(obstacles))
+
+    @staticmethod
+    def assert_entries(robot, world, configs):
+        """Check every entry of ``configs``, all within the joint limits,
+        against the oracles; return the dense mask."""
+        centers = sphere_centers_batch(robot, configs)
+        want = world_mask_dense(world, centers, robot.sphere_radii)
+        assert np.array_equal(world_mask(world, centers, robot.sphere_radii), want)
+        verdict = ~want.any(axis=(1, 2)) & ~self_mask_dense(robot, centers).any(axis=1)
+        assert free_mask(robot, world, configs).tolist() == verdict.tolist()
+        free, gaps = _clearances(robot, world, configs)
+        want_free, want_gaps = clearances_gather(robot, world, configs)
+        assert free.tolist() == want_free.tolist()
+        assert gaps.tobytes() == want_gaps.tobytes()
+        return want
+
+    def test_random_robots_and_mixed_worlds(self):
+        rng = np.random.default_rng(3737)
+        hits = {"box": set(), "cylinder": set(), "sphere": set()}
+        for case in range(60):
+            robot = random_robot(rng, dof=int(rng.integers(2, 8)))
+            world = self.mixed_world(rng)
+            configs = rng.uniform(robot.lower, robot.upper,
+                                  size=((1, 11, 60)[case % 3], robot.dof))
+            want = self.assert_entries(robot, world, configs)
+            for o, hit in zip(world.obstacles, want.any(axis=(0, 1))):
+                hits[o.shape].add(bool(hit))
+            # A cylinder's yaw is ignored: it turns the solid about its axis.
+            unyawed = WorldModel(tuple(replace(o, yaw=0.0) if o.shape == "cylinder" else o
+                                       for o in world.obstacles))
+            assert (_clearances(robot, unyawed, configs)[1].tobytes()
+                    == _clearances(robot, world, configs)[1].tobytes())
+        assert hits == dict.fromkeys(hits, {True, False})
+
+    def test_grazing_rows_in_one_world(self):
+        # Centers 1e-12 relative inside or outside a yawed box's face and
+        # corner, a yawed cylinder's side and a sphere obstacle, all in one
+        # world and one batch.
+        radius = 0.1
+        robot = point_robot(radius)
+        world, rows, inside = grazing_rows(radius)
+        self.assert_entries(robot, world, rows)
+        assert free_mask(robot, world, rows).tolist() == [not p for p in inside]
+
+    def test_touching_stays_free_in_one_world(self):
+        # Dyadic sizes make each contact exact.  The rows touch a box face,
+        # a yawed cylinder's side and a sphere obstacle, each far from the
+        # others, and rows 2**-20 closer to the touched obstacle penetrate
+        # it alone, reported by its original index.
+        robot = point_robot(0.25)
+        ball = sphere_obstacle((0.0, 4.0, 0.0), 0.5)
+        cylinder = cylinder_obstacle((4.0, 0.0, 0.0), 0.5, 0.5, yaw=0.75)
+        box = box_obstacle((0.0, 0.0, 0.0), (0.5, 0.5, 0.5))
+        world = WorldModel((ball, cylinder, box))
+        touching = np.array([[0.0, 4.75, 0.0], [4.0, -0.75, 0.25], [0.75, 0.0, 0.0]])
+        centers = np.array([ball.center, cylinder.center, box.center])
+        closer = centers + (touching - centers) * (1 - 2.0**-20)
+        rows = np.vstack([touching, closer])
+        want = self.assert_entries(robot, world, rows)
+        assert np.argwhere(want[:, 0]).tolist() == [[3, 0], [4, 1], [5, 2]]
+        free, gaps = _clearances(robot, world, rows)
+        assert free.tolist() == [True] * 3 + [False] * 3
+        assert gaps[:3, 0].tolist() == [0.0] * 3 and (gaps[3:, 0] < 0.0).all()
 
 
 def dense_path_verdict(robot, world, waypoints, step):

@@ -5,11 +5,11 @@ function, class, class member or class field exists only for the tests, only
 infinity by hand, every dataclass with an array field compares through
 ``errors.field_eq``, only ``errors.py`` loads and only
 ``world.py`` dumps YAML, only ``collision.py`` samples motions and counts
-checked configurations and check calls, only ``collision._squared_excess``
-names a single obstacle shape there, only ``collision._groups_free`` cuts
-proof intervals and reads the proof margin, only ``core.py`` screens
-queries and builds planner results, every function the benchmark traces
-exists, and the tests import nothing they do not use."""
+checked configurations and check calls, ``collision.py`` names no obstacle
+shape, only ``collision._groups_free`` cuts proof intervals and reads the
+proof margin, only ``core.py`` screens queries and builds planner results,
+every function the benchmark traces exists, and the tests import nothing
+they do not use."""
 
 import ast
 import dataclasses
@@ -20,6 +20,7 @@ from pathlib import Path
 
 import planbench
 from planbench.errors import field_eq
+from planbench.world import BOX, CYLINDER, SPHERE
 
 SOURCES = sorted(Path(planbench.__file__).parent.rglob("*.py"))
 BENCHMARK = sorted((Path(__file__).resolve().parents[1] / "benchmark").glob("*.py"))
@@ -207,22 +208,18 @@ def test_collision_counters_stored_only_in_collision():
 
 
 def test_one_obstacle_rule_in_collision():
-    # collision._squared_excess measures every shape as a solid; elsewhere in
-    # collision.py a shape is named only in a loop over all three, so no
-    # caller keeps a second penetration rule or reach for one shape.
-    shapes = ["BOX", "CYLINDER", "SPHERE"]
+    # collision.py names no obstacle shape: WorldModel.kernel_table gives
+    # every obstacle the same three axes, so collision._squared_excess
+    # measures every shape as a solid by one formula, and no caller keeps a
+    # second penetration rule or reach for one shape.
+    shapes = {"BOX", "CYLINDER", "SPHERE", BOX, CYLINDER, SPHERE}
     tree = ast.parse((Path(planbench.__file__).parent / "collision.py")
                      .read_text(encoding="utf-8"))
-    excess = next(node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
-                  and node.name == "_squared_excess")
-    loops = [node.iter.elts for node in ast.walk(tree)
-             if isinstance(node, ast.For) and isinstance(node.iter, ast.Tuple)
-             and [getattr(e, "id", None) for e in node.iter.elts] == shapes]
-    allowed = {id(n) for n in ast.walk(excess)} | {id(e) for elts in loops for e in elts}
-    found = [f"collision.py:{n.lineno} {n.id}" for n in ast.walk(tree)
-             if isinstance(n, ast.Name) and n.id in shapes and id(n) not in allowed]
+    found = [f"collision.py:{node.lineno}" for node in ast.walk(tree)
+             if (isinstance(node, ast.Name) and node.id in shapes)
+             or (isinstance(node, ast.Constant) and node.value in shapes)
+             or (isinstance(node, ast.alias) and node.name in shapes)]
     assert found == []
-    assert len(loops) == 2  # the near-pair kernel's and the clearance kernel's
 
 
 def test_one_proof_loop_in_collision():
