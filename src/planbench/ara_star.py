@@ -29,9 +29,8 @@ import numpy as np
 from .collision import check_motion, motions_free
 from .core import (FAILURE, SOLVED_BACKWARD, SOLVED_FORWARD, PlannerResult, Query,
                    run_planner)
-from .errors import (ContractViolation, ValidationError, field_eq, finite_array, integer,
-                     parse_mapping, real)
-from .robot import RobotModel, as_configuration, config_distance, weighted_norms
+from .errors import ValidationError, field_eq, finite_array, integer, parse_mapping, real
+from .robot import RobotModel, as_configuration, as_configurations, config_distance, weighted_norms
 from .world import GoalSpec, WorldModel
 
 # Sentinel lattice node for the off-lattice goal configuration reached by the
@@ -454,15 +453,12 @@ def plan_ara_star(robot: RobotModel, world: WorldModel, query: Query,
     """Forward-then-backward anytime lattice planning under one budget.
 
     The forward search (start toward goal) gets ``BUDGET_SPLIT`` of the
-    budget; on failure the backward search plans from the query's
-    ``goal_representative`` to the start (config goal with half-cell
+    budget; on failure the backward search plans from the query's goal
+    representative (``screen_query``) to the start (config goal with half-cell
     tolerances) and its waypoints are reversed, so the returned path always
     runs start to goal.  Both searches share one ``LatticeCache``.
     """
-    if primitives.primitives.shape[1] != robot.dof:
-        raise ContractViolation(
-            f"primitives are {primitives.primitives.shape[1]}-dimensional, "
-            f"robot has {robot.dof} joints")
+    as_configurations(robot, primitives.primitives, "primitives")
     stats = dict.fromkeys(("check_calls", "collision_checks", "edges_blocked",
                            "edges_resolved", "expansions", "expansions_backward",
                            "expansions_forward", "reopened"), 0)

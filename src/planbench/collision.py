@@ -40,8 +40,9 @@ sphere-obstacle pair exactly, with no broadphase, component-major in
 256-row blocks, one square root per sphere.  Certifying the continuous
 sweep is ROADMAP item 2.
 
-Everything here is a pure function over immutable inputs and safe to call
-concurrently from any number of workers.
+A batch, motion or path of the wrong dimension raises ContractViolation
+(``robot.as_configurations``).  Everything here is a pure function over
+immutable inputs and safe to call concurrently from any number of workers.
 """
 
 from __future__ import annotations
@@ -51,7 +52,8 @@ import math
 import numpy as np
 
 from .errors import ContractViolation
-from .robot import RobotModel, as_configuration, sphere_centers_batch, weighted_norms
+from .robot import (RobotModel, as_configuration, as_configurations, sphere_centers_batch,
+                    weighted_norms)
 from .world import WorldModel
 
 # The clearance sum must exceed the lever-arm bound by this much (meters).
@@ -136,6 +138,7 @@ def free_mask(robot: RobotModel, world: WorldModel, configs: np.ndarray,
               stats: dict | None = None) -> np.ndarray:
     """Vectorized free/colliding decision for a batch of configurations (m, n);
     ``stats`` counts them in ``collision_checks`` and the call in ``check_calls``."""
+    configs = as_configurations(robot, configs, "config batch")
     if stats is not None:
         stats["collision_checks"] = stats.get("collision_checks", 0) + configs.shape[0]
         stats["check_calls"] = stats.get("check_calls", 0) + 1
@@ -264,7 +267,8 @@ def motions_free(robot: RobotModel, world: WorldModel, starts, ends, step: float
     is no early stop: every configuration is checked and counted in
     ``stats``.
     """
-    ends, starts = np.asarray(ends, dtype=float), np.asarray(starts, dtype=float)
+    ends = as_configurations(robot, ends, "motion ends")
+    starts = as_configurations(robot, starts, "motion starts", 1 if np.ndim(starts) == 1 else 2)
     if starts.shape != ends.shape:
         starts = np.broadcast_to(starts, ends.shape)
     configs, offsets = motion_configs(robot, starts, ends, step)
@@ -399,8 +403,6 @@ def path_free(robot: RobotModel, world: WorldModel, waypoints: np.ndarray,
     """True iff every ``motion_configs`` row of the segments between the
     (k, n) ``waypoints`` (a lone waypoint's to itself) is free: one group of
     ``_groups_free``, so the first row found in collision ends the check."""
-    if waypoints.shape[1] != robot.dof:
-        raise ContractViolation(
-            f"path has {waypoints.shape[1]} joints, robot has {robot.dof}")
+    waypoints = as_configurations(robot, waypoints, "path")
     ends = slice(0, max(len(waypoints) - 1, 1)), slice(min(len(waypoints) - 1, 1), len(waypoints))
     return bool(_groups_free(robot, world, waypoints, ends, np.zeros(ends[0].stop, int), step)[0])

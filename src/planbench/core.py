@@ -5,6 +5,8 @@ screens the query, answers a start already in the goal, runs the planner's
 search and builds the one ``PlannerResult``.  Its ``planning_time`` is read
 from one clock and never exceeds the budget by more than the 0.05 s grace
 period (the clock is polled at loop boundaries, not preemptively).
+A start, goal box or path of the wrong dimension raises ContractViolation
+(``robot.as_configurations``) before any verdict.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .collision import check_config, free_mask, path_free
-from .errors import ContractViolation, ValidationError, field_eq, finite_array, real
-from .robot import RobotModel, as_configuration, weighted_norms
+from .errors import ValidationError, field_eq, finite_array, real
+from .robot import RobotModel, as_configuration, as_configurations, weighted_norms
 from .world import GoalSpec, Scenario, WorldModel
 
 BUDGET_GRACE = 0.05  # seconds
@@ -92,41 +94,36 @@ def goal_satisfied(goal: GoalSpec, q) -> bool:
     return bool(np.all(q >= goal.lower) and np.all(q <= goal.upper))
 
 
-def goal_representative(robot: RobotModel, world: WorldModel,
-                        goal: GoalSpec) -> np.ndarray | None:
-    """The configuration that stands for the goal, or None when it collides.
+def screen_query(robot: RobotModel, world: WorldModel,
+                 query: Query) -> tuple[str, np.ndarray | None]:
+    """The query's ``validate_query`` verdict and, when it is ``ok``, the
+    configuration that stands for the goal, after the start's check.
 
-    A config goal is represented by its target, checked: None when it
-    collides or leaves the joint limits.  A region goal is represented by
-    the first free configuration among the center of the region clipped to
-    the joint limits and 32 uniform draws over it from the fixed seed 0;
-    None when all 33 collide or the region misses the joint limits.  Either
-    way the candidates are checked in one ``free_mask`` call.  The
-    representative is a property of the query: every planner and every seed
-    gets the same one.
+    A config goal is represented by its target, checked: the goal collides
+    when the target collides or leaves the joint limits.  A region goal is
+    represented by the first free configuration among the center of the
+    region clipped to the joint limits and 32 uniform draws over it from the
+    fixed seed 0: the goal collides when all 33 collide or the region misses
+    the joint limits.  Either way the candidates are checked in one
+    ``free_mask`` call.  The representative is a property of the query:
+    every planner and every seed gets the same one.
     """
+    goal = query.goal
+    as_configuration(robot, goal.lower, "goal")
+    if not check_config(robot, world, query.start):
+        return START_IN_COLLISION, None
     if goal.type == "config":
-        candidates = as_configuration(robot, goal.target)[None]
+        candidates = goal.target[None]
     else:
         lo, hi = goal.limited_box(robot)
         if np.any(lo > hi):
-            return None
+            return GOAL_IN_COLLISION, None
         draws = np.random.default_rng(0).uniform(lo, hi, size=(_GOAL_DRAWS, robot.dof))
         candidates = np.vstack([(lo + hi) / 2.0, draws])
     free = np.flatnonzero(free_mask(robot, world, candidates))
-    return candidates[free[0]] if free.size else None
-
-
-def screen_query(robot: RobotModel, world: WorldModel,
-                 query: Query) -> tuple[str, np.ndarray | None]:
-    """The query's ``validate_query`` verdict and, when it is ``ok``, its
-    ``goal_representative``, from one screen of the goal."""
-    if not check_config(robot, world, query.start):
-        return START_IN_COLLISION, None
-    representative = goal_representative(robot, world, query.goal)
-    if representative is None:
+    if not free.size:
         return GOAL_IN_COLLISION, None
-    return OK, representative
+    return OK, candidates[free[0]]
 
 
 def run_planner(robot: RobotModel, world: WorldModel, query: Query, stats: dict,
@@ -153,10 +150,10 @@ def validate_query(robot: RobotModel, world: WorldModel, query: Query) -> str:
     """Detect queries that are unsolvable because an endpoint collides.
 
     The start is checked itself, and the goal collides when it has no
-    ``goal_representative``: when a config goal's target collides, or a
-    region goal's center and all 32 draws do.  A planner that gets ``ok``
-    here plans toward a free representative, so its status is a solved one
-    or ``failure``, never ``unsolvable``.
+    representative in ``screen_query``: when a config goal's target
+    collides, or a region goal's center and all 32 draws do.  A planner that
+    gets ``ok`` here plans toward a free representative, so its status is a
+    solved one or ``failure``, never ``unsolvable``.
     """
     return screen_query(robot, world, query)[0]
 
@@ -164,11 +161,9 @@ def validate_query(robot: RobotModel, world: WorldModel, query: Query) -> str:
 def path_cost(robot: RobotModel, path: Path) -> float:
     """Sum of consecutive waypoint distances, added left to right (``sum``
     compensates from Python 3.12 on); a single waypoint costs 0."""
-    if path.waypoints.shape[1] != robot.dof:
-        raise ContractViolation(
-            f"path has {path.waypoints.shape[1]} joints, robot has {robot.dof}")
+    deltas = np.diff(as_configurations(robot, path.waypoints, "path"), axis=0)
     total = 0.0
-    for length in weighted_norms(robot, np.diff(path.waypoints, axis=0)):
+    for length in weighted_norms(robot, deltas):
         total += length
     return total
 
@@ -187,8 +182,9 @@ def validate_path(robot: RobotModel, world: WorldModel, query: Query,
     1e-9 (far above rounding), k times how far the lever arms let any sphere
     move per step.  Certifying the continuous sweep is ROADMAP item 2.
     """
-    wp = path.waypoints
-    if not np.array_equal(wp[0], query.start):
+    wp = as_configurations(robot, path.waypoints, "path")
+    as_configuration(robot, query.goal.lower, "goal")
+    if not np.array_equal(wp[0], as_configuration(robot, query.start, "start")):
         return False
     if not goal_satisfied(query.goal, wp[-1]):
         return False

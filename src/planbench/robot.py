@@ -3,7 +3,8 @@
 A robot is an ordered chain of revolute and prismatic joints.  Each joint
 contributes one configuration-space dimension bounded by a closed limit
 interval; revolute joints are plain bounded intervals (no 2*pi wraparound).
-Configurations are float64 numpy arrays of length ``robot.dof``.
+Configurations are float64 numpy arrays of length ``robot.dof``; every
+robot-sized input passes the one test of that, ``as_configurations``.
 
 Collision geometry is approximated by spheres, each rigidly attached to the
 frame reached after applying the joint named by its ``link``.  Forward
@@ -245,13 +246,20 @@ def _rpy_matrix(rpy: np.ndarray) -> np.ndarray:
     ])
 
 
-def as_configuration(robot: RobotModel, q) -> np.ndarray:
-    """Coerce to a float64 configuration array, enforcing the robot's DOF."""
-    arr = np.asarray(q, dtype=float)
-    if arr.shape != (robot.dof,):
-        raise ContractViolation(
-            f"configuration has shape {arr.shape}, expected ({robot.dof},)")
+def as_configurations(robot: RobotModel, values, what: str, ndim: int = 2) -> np.ndarray:
+    """``values`` as float64, the input itself if it is, of shape (k, dof) for
+    ``ndim`` 2 or (dof,) for 1; else ContractViolation naming ``what`` and
+    both shapes."""
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim != ndim or arr.shape[-1] != robot.dof:
+        expected = f"(k, {robot.dof})" if ndim == 2 else f"({robot.dof},)"
+        raise ContractViolation(f"{what} has shape {arr.shape}, expected {expected}")
     return arr
+
+
+def as_configuration(robot: RobotModel, q, what: str = "configuration") -> np.ndarray:
+    """``q`` as one float64 configuration of the robot's DOF."""
+    return as_configurations(robot, q, what, 1)
 
 
 def sphere_centers_batch(robot: RobotModel, configs: np.ndarray) -> np.ndarray:
@@ -265,9 +273,7 @@ def sphere_centers_batch(robot: RobotModel, configs: np.ndarray) -> np.ndarray:
     matrix-vector product per sphere over the whole batch, so each row equals
     its one-row call.  The result views (S, m, 3) memory, sphere-major.
     """
-    if configs.ndim != 2 or configs.shape[1] != robot.dof:
-        raise ContractViolation(
-            f"config batch has shape {configs.shape}, expected (m, {robot.dof})")
+    configs = as_configurations(robot, configs, "config batch")
     m, n = configs.shape
     base, revolute, joint, entry, a, b, c = robot._joint_template
     q = configs.T

@@ -35,7 +35,7 @@ import numpy as np
 from .collision import free_mask, motions_free
 from .core import FAILURE, SOLVED_FORWARD, PlannerResult, Query, run_planner
 from .errors import ContractViolation, ValidationError, integer, real
-from .robot import RobotModel, as_configuration, weighted_norms
+from .robot import RobotModel, as_configuration, as_configurations, weighted_norms
 from .world import WorldModel
 
 REACHED = "reached"
@@ -122,10 +122,7 @@ def nearest(tree: Tree, targets) -> np.ndarray:
     """
     if tree.size < 1:
         raise ContractViolation("nearest requires a non-empty tree")
-    targets = np.asarray(targets, dtype=float)
-    if targets.ndim != 2 or targets.shape[1] != tree.robot.dof:
-        raise ContractViolation(
-            f"targets have shape {targets.shape}, expected (k, {tree.robot.dof})")
+    targets = as_configurations(tree.robot, targets, "nearest targets")
     return np.argmin(_distances(tree.robot, tree.nodes.T, targets), axis=1)
 
 

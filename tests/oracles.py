@@ -48,7 +48,7 @@ from planbench.ara_star import (GOAL_NODE, SearchStats, decode, heuristic,
                                 lattice_max_coords)
 from planbench.collision import (_PROOF_MARGIN, _clearances, _sample_counts, _samples,
                                  motions_free)
-from planbench.core import OK, goal_representative, goal_satisfied, validate_query
+from planbench.core import OK, goal_satisfied, screen_query
 from planbench.errors import ContractViolation
 from planbench.robot import PRISMATIC, config_distance, sphere_centers_batch
 from planbench.rrt_connect import ADVANCED, REACHED, TRAPPED, Tree, _steps, nearest
@@ -758,13 +758,14 @@ def rrt_connect_sequential(robot, world, query, params, seed):
     "solved-forward", "unsolvable" or "failure".
     """
     stats = {"iterations": 0, "nodes": 0}
-    if validate_query(robot, world, query) != OK:
+    verdict, representative = screen_query(robot, world, query)
+    if verdict != OK:
         return "unsolvable", None, stats
     if goal_satisfied(query.goal, query.start):
         return "solved-forward", query.start[None, :].copy(), stats
     rng = np.random.default_rng(seed)
     start_tree = Tree(robot, query.start)
-    tree_a, tree_b = start_tree, Tree(robot, goal_representative(robot, world, query.goal))
+    tree_a, tree_b = start_tree, Tree(robot, representative)
     while params.max_iterations is None or stats["iterations"] < params.max_iterations:
         stats["iterations"] += 1
         status, new_index = extend_one(tree_a, sample_uniform(robot, rng), params, robot,

@@ -1,6 +1,7 @@
 """Planner-core: queries, paths, goals, validation."""
 
 import json
+import re
 from pathlib import Path as FilePath
 
 import numpy as np
@@ -9,9 +10,8 @@ import pytest
 from planbench import collision
 from planbench.collision import check_config
 from planbench.core import (FAILURE, GOAL_IN_COLLISION, OK, START_IN_COLLISION,
-                            UNSOLVABLE, Path, Query, goal_representative, goal_satisfied,
-                            path_cost, query_from_scenario, validate_path,
-                            validate_query)
+                            UNSOLVABLE, Path, Query, goal_satisfied, path_cost,
+                            query_from_scenario, screen_query, validate_path, validate_query)
 from planbench.data import data_path
 from planbench.errors import ContractViolation, ValidationError
 from planbench.params import load_params
@@ -46,15 +46,36 @@ class TestValidateQuery:
         world = WorldModel((box_obstacle((3.0, 3.0, 0.0), (0.3, 0.3, 0.3)),))
         q = Query(start=[1, 1], goal=config_goal([3, 3]), time_budget=1.0)
         assert validate_query(robot, world, q) == GOAL_IN_COLLISION
-        assert goal_representative(robot, world, q.goal) is None
+        assert screen_query(robot, world, q)[1] is None
 
     def test_config_goal_outside_limits(self, robot, empty_world):
         # The target is screened as one free_mask row, limits included.
         goal = config_goal([6.5, 2.0])
         q = Query(start=[0.5, 0.5], goal=goal, time_budget=1.0)
         assert validate_query(robot, empty_world, q) == GOAL_IN_COLLISION
-        assert goal_representative(robot, empty_world, goal) is None
-        assert goal_representative(robot, empty_world, config_goal([2, 2])).tolist() == [2, 2]
+        assert screen_query(robot, empty_world, q)[1] is None
+        q = Query(start=[0.5, 0.5], goal=config_goal([2, 2]), time_budget=1.0)
+        assert screen_query(robot, empty_world, q)[1].tolist() == [2, 2]
+
+    def test_config_goal_screen_checks_start_then_target(self, robot, empty_world,
+                                                         monkeypatch):
+        # Two one-row free_mask calls: check_config's start row, then the
+        # target.  ROADMAP item 8 sends both rows through one call.
+        import planbench.core as core
+
+        calls = []
+        free_mask = collision.free_mask
+
+        def counted(robot, world, configs, **kw):
+            calls.append(np.array(configs).tolist())
+            return free_mask(robot, world, configs, **kw)
+
+        monkeypatch.setattr(collision, "free_mask", counted)
+        monkeypatch.setattr(core, "free_mask", counted)
+        q = Query(start=[1, 1], goal=config_goal([2, 3]), time_budget=1.0)
+        verdict, representative = screen_query(robot, empty_world, q)
+        assert (verdict, representative.tolist()) == (OK, [2.0, 3.0])
+        assert calls == [[[1.0, 1.0]], [[2.0, 3.0]]]
 
     def test_region_goal_fully_blocked(self, robot):
         # The region sits entirely inside a solid box: all 33 samples collide.
@@ -62,7 +83,7 @@ class TestValidateQuery:
         goal = GoalSpec(type="region", lower=[2.7, 2.7], upper=[3.3, 3.3])
         q = Query(start=[0.5, 0.5], goal=goal, time_budget=1.0)
         assert validate_query(robot, world, q) == GOAL_IN_COLLISION
-        assert goal_representative(robot, world, goal) is None
+        assert screen_query(robot, world, q)[1] is None
 
     def test_region_goal_outside_limits(self, robot, empty_world):
         # No configuration of the region lies within the joint limits.
@@ -143,7 +164,8 @@ class TestRegionGoalVerdict:
     def test_representative_is_the_free_center(self, robot):
         for world in (WorldModel(CORRIDOR), WorldModel(CORRIDOR + (SEAL,)),
                       WorldModel(())):
-            assert np.array_equal(goal_representative(robot, world, REGION), [3.0, 3.0])
+            q = Query(start=[0.5, 3.0], goal=REGION, time_budget=1.0)
+            assert np.array_equal(screen_query(robot, world, q)[1], [3.0, 3.0])
 
 
 class TestPathCost:
@@ -342,3 +364,101 @@ class TestSolvedResultsValidate:
                     assert validate_path(robot, world, q, result.path, 0.05), \
                         (planner, case)
         assert solved >= 50  # most random cases are solvable
+
+
+SHELF_EASY = load_scenario(data_path("scenarios", "shelf_easy.yaml"))
+# Goals whose box is not arm8's 8 joints: a one-joint box was broadcast
+# over every joint (ok and solved, or unsolvable), a two-joint one met
+# numpy's broadcasting error.
+WRONG_GOALS = {"one_joint_wide": GoalSpec(type="region", lower=[-5.0], upper=[5.0]),
+               "one_joint_narrow": GoalSpec(type="region", lower=[-0.5], upper=[0.5]),
+               "two_joint_region": GoalSpec(type="region", lower=[-1, -1], upper=[1, 1]),
+               "two_joint_config": config_goal([0.1, 0.2])}
+
+
+class TestDimensionContract:
+    """Every robot-sized array passes robot.as_configurations: a wrong size
+    raises ContractViolation naming the input and both shapes, never a
+    verdict or a numpy error."""
+
+    @pytest.mark.parametrize("goal", WRONG_GOALS.values(), ids=WRONG_GOALS)
+    def test_wrong_size_goal_raises(self, goal):
+        from planbench.ara_star import AraParams, default_primitives, plan_ara_star
+        from planbench.rrt_connect import RrtParams, plan_rrt_connect
+
+        robot, world, start = SHELF_EASY.robot, SHELF_EASY.world, SHELF_EASY.start
+        q = Query(start=start, goal=goal, time_budget=5.0)
+        expected = rf"goal has shape \({goal.dof},\), expected \(8,\)"
+        calls = [lambda: validate_query(robot, world, q),
+                 lambda: plan_rrt_connect(robot, world, q, RrtParams(), 0),
+                 lambda: plan_ara_star(robot, world, q, default_primitives(robot), AraParams()),
+                 lambda: validate_path(robot, world, q, Path(np.array([start, start])), 0.05)]
+        for call in calls:
+            with pytest.raises(ContractViolation, match=expected):
+                call()
+
+    def test_wrong_size_path_raises(self):
+        robot, world = SHELF_EASY.robot, SHELF_EASY.world
+        q = query_from_scenario(SHELF_EASY)
+        path = Path(np.zeros((2, 7)))
+        for call in (lambda: validate_path(robot, world, q, path, 0.05),
+                     lambda: path_cost(robot, path),
+                     lambda: collision.path_free(robot, world, path.waypoints, 0.05)):
+            with pytest.raises(ContractViolation, match=r"path has shape \(2, 7\), "
+                                                        r"expected \(k, 8\)"):
+                call()
+
+    def test_wrong_size_start_raises_in_validate_path(self):
+        robot, world = SHELF_EASY.robot, SHELF_EASY.world
+        q = Query(start=SHELF_EASY.start[:7], goal=SHELF_EASY.goal, time_budget=5.0)
+        path = Path(np.array([SHELF_EASY.start, SHELF_EASY.goal.target]))
+        with pytest.raises(ContractViolation, match=r"start has shape \(7,\)"):
+            validate_path(robot, world, q, path, 0.05)
+        with pytest.raises(ContractViolation, match=r"shape \(7,\), expected \(8,\)"):
+            validate_query(robot, world, q)
+
+    @pytest.mark.parametrize("shape", [(3, 7), (3, 9), (8,), (1, 1, 8), ()])
+    def test_wrong_size_batch_raises(self, shape):
+        from planbench.robot import sphere_centers_batch
+        from planbench.rrt_connect import Tree, nearest
+
+        robot, world, start = SHELF_EASY.robot, SHELF_EASY.world, SHELF_EASY.start
+        bad = np.zeros(shape)
+        calls = [lambda: collision.free_mask(robot, world, bad),
+                 lambda: sphere_centers_batch(robot, bad),
+                 lambda: collision.motions_free(robot, world, start, bad, 0.05),
+                 lambda: nearest(Tree(robot, start), bad)]
+        for call in calls:
+            with pytest.raises(ContractViolation,
+                               match=re.escape(f"has shape {shape}, expected (k, 8)")):
+                call()
+
+    @pytest.mark.parametrize("shape", [(7,), (2, 7), (1, 1, 8)])
+    def test_wrong_size_motion_start_raises(self, shape):
+        robot, world, start = SHELF_EASY.robot, SHELF_EASY.world, SHELF_EASY.start
+        with pytest.raises(ContractViolation, match=re.escape(f"motion starts has shape {shape}")):
+            collision.motions_free(robot, world, np.zeros(shape), np.array([start, start]), 0.05)
+
+    def test_wrong_size_check_motion_raises(self):
+        robot, world, start = SHELF_EASY.robot, SHELF_EASY.world, SHELF_EASY.start
+        for a, b in ((start[:7], start), (start, np.append(start, 0.0))):
+            with pytest.raises(ContractViolation, match=r"expected \(8,\)"):
+                collision.check_motion(robot, world, a, b, 0.05)
+
+    def test_wrong_size_primitives_raise(self):
+        from planbench.ara_star import AraParams, default_primitives, plan_ara_star
+
+        robot, world = SHELF_EASY.robot, SHELF_EASY.world
+        primitives = default_primitives(random_robot(np.random.default_rng(5), dof=3))
+        with pytest.raises(ContractViolation, match=r"primitives has shape \(6, 3\)"):
+            plan_ara_star(robot, world, query_from_scenario(SHELF_EASY), primitives,
+                          AraParams())
+
+    def test_well_formed_float64_input_is_not_copied(self):
+        from planbench.robot import as_configuration, as_configurations
+
+        robot = SHELF_EASY.robot
+        rows = np.zeros((3, 8))
+        assert as_configurations(robot, rows, "rows") is rows
+        assert np.shares_memory(as_configuration(robot, rows[0]), rows)
+        assert as_configurations(robot, [[0] * 8], "rows").dtype == np.float64

@@ -8,8 +8,9 @@ infinity by hand, every dataclass with an array field compares through
 checked configurations and check calls, ``collision.py`` names no obstacle
 shape, only ``collision._groups_free`` cuts proof intervals and reads the
 proof margin, only ``core.py`` screens queries and builds planner results,
-every function the benchmark traces exists, and the tests import nothing
-they do not use."""
+only ``robot.as_configurations`` tests an array's dimension against the
+robot's, every function the benchmark traces exists, and the tests import
+nothing they do not use."""
 
 import ast
 import dataclasses
@@ -245,6 +246,27 @@ def test_one_planning_frame():
              for name in [getattr(node.func, "id", getattr(node.func, "attr", None))]
              if name in ("PlannerResult", "screen_query")}
     assert found == {("core.py", "PlannerResult"), ("core.py", "screen_query")}
+
+
+def _dimension_tests(tree):
+    """Comparisons of an array's ``shape`` or ``ndim`` with a ``dof`` attribute."""
+    def attrs(node):
+        return {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Compare)
+            and {"shape", "ndim"} & attrs(node) and "dof" in attrs(node)]
+
+
+def test_one_dimension_test_in_robot():
+    # robot.as_configurations is the one test that an array has the
+    # robot's dimension: a second copy in another module would carry its own
+    # message, and an entry that kept none turned a wrong size into a verdict.
+    found = [f"{path.name}:{node.lineno}" for path in SOURCES
+             for node in _dimension_tests(ast.parse(path.read_text(encoding="utf-8")))]
+    robot = ast.parse((Path(planbench.__file__).parent / "robot.py").read_text(encoding="utf-8"))
+    holder = next(node for node in robot.body if isinstance(node, ast.FunctionDef)
+                  and node.name == "as_configurations")
+    assert len(found) == 1
+    assert found == [f"robot.py:{node.lineno}" for node in _dimension_tests(holder)]
 
 
 def test_trace_targets_name_package_attributes():

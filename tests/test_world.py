@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -275,6 +276,16 @@ class TestParse:
         with pytest.raises(ValidationError):
             parse_scenario(doc, base_dir=tmp_path)
 
+    @pytest.mark.parametrize("goal", ["{type: config, target: [0.5, 0.5]}",
+                                      "{type: region, lower: [0.0, 0.0], upper: [0.5, 0.5]}"],
+                             ids=["config", "region"])
+    def test_goal_dimension_mismatch_rejected(self, tmp_path, robot_file, goal):
+        # A scenario file keeps its own error: the goal is input to check,
+        # not a contract of the caller, so this is no ContractViolation.
+        doc = minimal_doc().replace("{type: config, target: [0.5]}", goal)
+        with pytest.raises(ValidationError, match="goal dimension does not match"):
+            parse_scenario(doc, base_dir=tmp_path)
+
     def test_malformed_yaml_reports_line(self, tmp_path, robot_file):
         with pytest.raises(ParseError) as err:
             parse_scenario("name: x\nworld: {obstacles: [\n", base_dir=tmp_path)
@@ -544,6 +555,27 @@ def shelf_scenario(tmp_path, gantry_file):
         "  object_indices: [1, 2]",
     ]) + "\n"
     return parse_scenario(doc, base_dir=tmp_path)
+
+
+# sha256 of the 30 serialized scenes of shelf_reach.yaml, concatenated, per
+# suite seed and family.
+SUITE_SHA256 = {
+    (424242, "objects_only"): "11b818a61ddbee9d2b918e02c036aea6348246247903c6f7cbcab9f9963f0b60",
+    (424242, "plus_height"): "d7165c1b3d3c2f971ae079d63ab9b2a4c6cfdaa3a0cff86c09d29de316b44a0a",
+    (424242, "plus_rotation"): "288348dc3066bfbf7940e9b06c0462ddd54fe4411e95545270c5e153cb5e520c",
+    (20240613, "objects_only"): "4a2ae8b6f10fe780cbd976784609ec6a576b7d007458257f971b6d3e6fd0485a",
+    (20240613, "plus_height"): "933f6aff1e77ed3db949f963cce00d817b3f23e1ba7e2cd28947d05f40f19bb8",
+    (20240613, "plus_rotation"): "12701a914802341e55b580234f7d98a1d08d924f42343dda25134f351aeef1c0",
+}
+
+
+@pytest.mark.parametrize("suite_seed, family", SUITE_SHA256)
+def test_generated_suite_bytes_pinned(suite_seed, family):
+    # A generator change that moves any obstacle of the shipped suites, or
+    # the text they serialize to, shows here before it reaches a benchmark.
+    base = load_scenario(data_path("scenarios", "shelf_reach.yaml"))
+    text = "".join(map(serialize_scenario, generate_variations(base, family, 30, suite_seed)))
+    assert hashlib.sha256(text.encode()).hexdigest() == SUITE_SHA256[suite_seed, family]
 
 
 class TestVariations:
